@@ -7,7 +7,6 @@ package dits_test
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -407,43 +406,6 @@ func BenchmarkFig22Updates(b *testing.B) {
 			idx.Update(variant(i))
 		}
 	})
-}
-
-// --- Concurrent query gateway: parallel-client throughput ------------------
-
-// BenchmarkGatewayThroughput shares b.N federated overlap searches among N
-// concurrent clients over real TCP loopback transport and reports the
-// aggregate queries/sec — the core workload of cmd/ditsgate under load.
-// It reuses the harness behind `ditsbench -exp throughput`.
-func BenchmarkGatewayThroughput(b *testing.B) {
-	cfg := bench.DefaultConfig()
-	for _, v := range []struct {
-		name      string
-		pool      int
-		cacheSize int
-	}{
-		{"pool=1-nocache", 1, 0},
-		{"pool=8-nocache", 8, 0},
-		{"pool=8-cache", 8, 4096},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			center, qs, stop, err := bench.NewTCPFederation(cfg, v.pool, v.cacheSize)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer stop()
-			for _, clients := range []int{1, 8, 64} {
-				b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-					b.ResetTimer()
-					qps, err := bench.DrainQueries(center, qs, clients, b.N, cfg.K)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(qps, "queries/sec")
-				})
-			}
-		})
-	}
 }
 
 // --- Full harness passes (kept cheap via tiny scale) -----------------------

@@ -1,14 +1,10 @@
 // Command datagen generates the synthetic five-source workload (the
 // stand-in for the paper's Table I portals) and persists each source as a
-// gob file that ditsquery and downstream tools can load. With -updates N
-// it additionally emits updates.trace, a reproducible JSONL mutation
-// trace (dataset puts, updates, deletes across the sources) consumed by
-// `ditsbench -exp ingest -trace` and the ingest examples.
+// gob file that ditsquery and downstream tools can load.
 //
 // Usage:
 //
 //	datagen -out data/ -scale 0.05 -seed 1
-//	datagen -out data/ -updates 500     # also write data/updates.trace
 package main
 
 import (
@@ -25,7 +21,6 @@ func main() {
 	out := flag.String("out", "data", "output directory")
 	scale := flag.Float64("scale", 0.02, "dataset-count scale as a multiple of the paper's Table I (values > 1 grow past it)")
 	seed := flag.Int64("seed", 1, "generation seed")
-	updates := flag.Int("updates", 0, "also emit a mutation trace of N entries (updates.trace)")
 	flag.Parse()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -52,25 +47,5 @@ func main() {
 		st := src.ComputeStats()
 		fmt.Printf("%-8s %6d datasets %9d points -> %s\n",
 			src.Name, st.NumDatasets, st.NumPoints, path)
-	}
-	if *updates > 0 {
-		// The trace seed is derived from -seed so the whole output
-		// directory is a pure function of the flags.
-		trace := workload.GenerateTrace(sources, *updates, *seed+1000)
-		path := filepath.Join(*out, "updates.trace")
-		if err := workload.WriteTraceFile(path, trace); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		var puts, deletes int
-		for _, m := range trace {
-			if m.Op == workload.MutDelete {
-				deletes++
-			} else {
-				puts++
-			}
-		}
-		fmt.Printf("%-8s %6d mutations (%d puts, %d deletes) -> %s\n",
-			"trace", len(trace), puts, deletes, path)
 	}
 }

@@ -7,36 +7,11 @@
 //	ditsbench -exp all -scale 0.05     # everything, bigger workload
 //	ditsbench -exp fig13 -csv out/     # also write CSV files
 //
-// The setops, fedcomm, and exec experiments additionally support a
-// baseline/compare workflow so speedups (and regressions) are
-// machine-readable across PRs:
-//
-//	ditsbench -exp setops -baseline    # snapshot results to BENCH_setops.json
-//	ditsbench -exp setops -compare     # rerun and diff against the snapshot
-//	ditsbench -exp fedcomm -baseline   # snapshot to BENCH_fedcomm.json
-//	ditsbench -exp fedcomm -compare    # diff protocol bytes per query
-//	ditsbench -exp exec -baseline      # snapshot to BENCH_exec.json
-//	ditsbench -exp exec -compare       # diff executor timings/speedups
-//	ditsbench -exp ingest -baseline    # snapshot to BENCH_ingest.json
-//	ditsbench -exp ingest -compare     # diff write-path/recovery timings
-//	ditsbench -exp load -baseline      # snapshot to BENCH_load.json
-//	ditsbench -exp load -compare       # diff throughput/latency/shed rate
-//	ditsbench -exp bigsource -baseline # snapshot to BENCH_bigsource.json
-//	ditsbench -exp bigsource -compare  # diff beyond-RAM serving latencies
-//	ditsbench -exp cluster -baseline   # snapshot to BENCH_cluster.json
-//	ditsbench -exp cluster -compare    # diff cluster qps/failover recovery
-//
-// A -compare without a snapshot on disk is not an error: the run prints a
-// WARN table (and a WARN line on stderr) telling how to create the
-// baseline, so CI job summaries surface the gap without failing the job.
-//
-// The ingest experiment can replay a reproducible mutation trace written
-// by `datagen -updates N` via -trace; without it an equivalent trace is
-// generated in memory.
+// Performance is measured by the repo's benchmark, not here: see
+// benchmark/README.md.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,12 +24,9 @@ import (
 
 func main() {
 	cfg := bench.DefaultConfig()
-	exp := flag.String("exp", "all", "experiment id (table1, table2, fig7..fig22, ablation, throughput, setops, fedcomm, exec, ingest, load, bigsource, cluster) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (table1, table2, fig7..fig22, ablation) or 'all'")
 	csvDir := flag.String("csv", "", "directory to also write CSV files into")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	baseline := flag.Bool("baseline", false, "with -exp setops/fedcomm/exec/ingest/load/bigsource/cluster: snapshot results to -benchfile")
-	compare := flag.Bool("compare", false, "with -exp setops/fedcomm/exec/ingest/load/bigsource/cluster: diff results against the -benchfile snapshot")
-	benchFile := flag.String("benchfile", "", "snapshot file for -baseline/-compare (default BENCH_<exp>.json)")
 	flag.Float64Var(&cfg.Scale, "scale", cfg.Scale, "workload scale as a multiple of Table I sizes")
 	flag.Float64Var(&cfg.OverlapScale, "overlapscale", cfg.OverlapScale,
 		"workload scale for the OJSP figures 9-12 (0 = same as -scale)")
@@ -64,12 +36,6 @@ func main() {
 	flag.IntVar(&cfg.Q, "q", cfg.Q, "default number of queries q")
 	flag.Float64Var(&cfg.Delta, "delta", cfg.Delta, "default connectivity threshold δ")
 	flag.IntVar(&cfg.F, "f", cfg.F, "default leaf capacity f")
-	flag.IntVar(&cfg.Workers, "workers", cfg.Workers, "max worker-pool size for the exec experiment")
-	flag.StringVar(&cfg.TracePath, "trace", "", "mutation trace file (datagen -updates) for the ingest experiment")
-	flag.Float64Var(&cfg.LoadSecs, "loadsecs", 3, "per-scenario duration in seconds for the load experiment")
-	flag.Float64Var(&cfg.BigScale, "bigscale", cfg.BigScale, "workload scale of the bigsource experiment's beyond-RAM index")
-	flag.IntVar(&cfg.RSSBudgetMB, "rss-budget-mb", cfg.RSSBudgetMB,
-		"RSS budget in MiB the bigsource experiment must stay under while serving mmap'd (Linux-enforced)")
 	covSrc := flag.String("coverage-sources", strings.Join(cfg.CoverageSources, ","),
 		"comma-separated sources for the CJSP figures ('' = all five)")
 	flag.Parse()
@@ -99,32 +65,7 @@ func main() {
 
 	for _, id := range ids {
 		start := time.Now()
-		var (
-			tables []bench.Table
-			err    error
-		)
-		file := *benchFile
-		if file == "" {
-			file = "BENCH_" + id + ".json"
-		}
-		switch {
-		case id == "setops" && (*baseline || *compare):
-			tables, err = runSetopsSnapshot(cfg, *baseline, *compare, file)
-		case id == "fedcomm" && (*baseline || *compare):
-			tables, err = runFedcommSnapshot(cfg, *baseline, *compare, file)
-		case id == "exec" && (*baseline || *compare):
-			tables, err = runExecSnapshot(cfg, *baseline, *compare, file)
-		case id == "ingest" && (*baseline || *compare):
-			tables, err = runIngestSnapshot(cfg, *baseline, *compare, file)
-		case id == "load" && (*baseline || *compare):
-			tables, err = runLoadSnapshot(cfg, *baseline, *compare, file)
-		case id == "bigsource" && (*baseline || *compare):
-			tables, err = runBigsourceSnapshot(cfg, *baseline, *compare, file)
-		case id == "cluster" && (*baseline || *compare):
-			tables, err = runClusterSnapshot(cfg, *baseline, *compare, file)
-		default:
-			tables, err = bench.Run(id, cfg)
-		}
+		tables, err := bench.Run(id, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -140,224 +81,6 @@ func main() {
 		}
 		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// warnNoBaseline handles a -compare with no snapshot on disk: it prints
-// an explicit WARN line on stderr and returns a WARN table so the gap is
-// visible in job summaries, without failing the run — a missing baseline
-// is a setup gap, not a regression. Read errors other than "file does not
-// exist" (corrupt JSON, wrong schema) stay fatal at the call sites.
-func warnNoBaseline(exp, file string) bench.Table {
-	fmt.Fprintf(os.Stderr, "WARN: no baseline for %s (%s does not exist); comparison skipped\n", exp, file)
-	return bench.Table{
-		ID:     exp + "-compare",
-		Title:  "WARN: no baseline for " + exp,
-		Header: []string{"status"},
-		Rows: [][]string{{fmt.Sprintf(
-			"no baseline: %s does not exist — run `ditsbench -exp %s -baseline` to create it", file, exp)}},
-	}
-}
-
-// runSetopsSnapshot runs the setops experiment with the dtail-tools-style
-// baseline/compare workflow: -baseline snapshots the fresh results into
-// file, -compare diffs the fresh results against the existing snapshot.
-// Both may be given together (compare against the old snapshot, then
-// overwrite it).
-func runSetopsSnapshot(cfg bench.Config, baseline, compare bool, file string) ([]bench.Table, error) {
-	report, tables := bench.RunSetops(cfg)
-	if compare {
-		base, err := bench.ReadSetops(file)
-		switch {
-		case err == nil:
-			tables = append(tables, bench.CompareSetops(base, report))
-		case errors.Is(err, os.ErrNotExist):
-			tables = append(tables, warnNoBaseline("setops", file))
-		default:
-			return nil, fmt.Errorf("load baseline for setops: %w", err)
-		}
-	}
-	if baseline {
-		if err := bench.WriteSetops(file, report); err != nil {
-			return nil, err
-		}
-		fmt.Printf("baseline snapshot written to %s\n\n", file)
-	}
-	return tables, nil
-}
-
-// runFedcommSnapshot is the same workflow for the federation-protocol
-// experiment: -baseline snapshots bytes/round-trips per query, -compare
-// diffs a fresh run against the snapshot. The run itself enforces
-// stateless/session result parity and errors out on any divergence.
-func runFedcommSnapshot(cfg bench.Config, baseline, compare bool, file string) ([]bench.Table, error) {
-	report, tables, err := bench.RunFedcomm(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if compare {
-		base, err := bench.ReadFedcomm(file)
-		switch {
-		case err == nil:
-			tables = append(tables, bench.CompareFedcomm(base, report))
-		case errors.Is(err, os.ErrNotExist):
-			tables = append(tables, warnNoBaseline("fedcomm", file))
-		default:
-			return nil, fmt.Errorf("load baseline for fedcomm: %w", err)
-		}
-	}
-	if baseline {
-		if err := bench.WriteFedcomm(file, report); err != nil {
-			return nil, err
-		}
-		fmt.Printf("baseline snapshot written to %s\n\n", file)
-	}
-	return tables, nil
-}
-
-// runExecSnapshot is the same workflow for the query-executor experiment:
-// -baseline snapshots sequential/parallel/batched timings, -compare diffs
-// a fresh run against the snapshot. The run itself enforces result parity
-// between every executor configuration and the sequential searcher.
-func runExecSnapshot(cfg bench.Config, baseline, compare bool, file string) ([]bench.Table, error) {
-	report, tables, err := bench.RunExec(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if compare {
-		base, err := bench.ReadExec(file)
-		switch {
-		case err == nil:
-			tables = append(tables, bench.CompareExec(base, report))
-		case errors.Is(err, os.ErrNotExist):
-			tables = append(tables, warnNoBaseline("exec", file))
-		default:
-			return nil, fmt.Errorf("load baseline for exec: %w", err)
-		}
-	}
-	if baseline {
-		if err := bench.WriteExec(file, report); err != nil {
-			return nil, err
-		}
-		fmt.Printf("baseline snapshot written to %s\n\n", file)
-	}
-	return tables, nil
-}
-
-// runIngestSnapshot is the same workflow for the durable write path:
-// -baseline snapshots apply/rebuild/WAL/recovery timings, -compare diffs
-// a fresh run against the snapshot. The run itself enforces byte-identical
-// search results between every recovered store and the in-process oracle.
-func runIngestSnapshot(cfg bench.Config, baseline, compare bool, file string) ([]bench.Table, error) {
-	report, tables, err := bench.RunIngest(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if compare {
-		base, err := bench.ReadIngest(file)
-		switch {
-		case err == nil:
-			tables = append(tables, bench.CompareIngest(base, report))
-		case errors.Is(err, os.ErrNotExist):
-			tables = append(tables, warnNoBaseline("ingest", file))
-		default:
-			return nil, fmt.Errorf("load baseline for ingest: %w", err)
-		}
-	}
-	if baseline {
-		if err := bench.WriteIngest(file, report); err != nil {
-			return nil, err
-		}
-		fmt.Printf("baseline snapshot written to %s\n\n", file)
-	}
-	return tables, nil
-}
-
-// runLoadSnapshot is the same workflow for the serving-stack load
-// experiment: -baseline snapshots throughput/latency/shed-rate per
-// scenario, -compare diffs a fresh run against the snapshot (latency
-// drift across hardware is informational, never a failure).
-func runLoadSnapshot(cfg bench.Config, baseline, compare bool, file string) ([]bench.Table, error) {
-	report, tables, err := bench.RunLoad(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if compare {
-		base, err := bench.ReadLoad(file)
-		switch {
-		case err == nil:
-			tables = append(tables, bench.CompareLoad(base, report))
-		case errors.Is(err, os.ErrNotExist):
-			tables = append(tables, warnNoBaseline("load", file))
-		default:
-			return nil, fmt.Errorf("load baseline for load: %w", err)
-		}
-	}
-	if baseline {
-		if err := bench.WriteLoad(file, report); err != nil {
-			return nil, err
-		}
-		fmt.Printf("baseline snapshot written to %s\n\n", file)
-	}
-	return tables, nil
-}
-
-// runBigsourceSnapshot is the same workflow for the beyond-RAM serving
-// experiment: -baseline snapshots per-phase latencies and memory posture,
-// -compare diffs a fresh run against the snapshot. The run itself enforces
-// mmap/heap result parity and (on Linux) the serving RSS budget.
-func runBigsourceSnapshot(cfg bench.Config, baseline, compare bool, file string) ([]bench.Table, error) {
-	report, tables, err := bench.RunBigsource(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if compare {
-		base, err := bench.ReadBigsource(file)
-		switch {
-		case err == nil:
-			tables = append(tables, bench.CompareBigsource(base, report))
-		case errors.Is(err, os.ErrNotExist):
-			tables = append(tables, warnNoBaseline("bigsource", file))
-		default:
-			return nil, fmt.Errorf("load baseline for bigsource: %w", err)
-		}
-	}
-	if baseline {
-		if err := bench.WriteBigsource(file, report); err != nil {
-			return nil, err
-		}
-		fmt.Printf("baseline snapshot written to %s\n\n", file)
-	}
-	return tables, nil
-}
-
-// runClusterSnapshot is the same workflow for the sharded federation
-// plane: -baseline snapshots qps/latency per center count plus failover
-// recovery times, -compare diffs a fresh run against the snapshot. The
-// run itself enforces byte-identical scatter/gather results against a
-// single-center oracle and zero failed requests through both kills.
-func runClusterSnapshot(cfg bench.Config, baseline, compare bool, file string) ([]bench.Table, error) {
-	report, tables, err := bench.RunCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if compare {
-		base, err := bench.ReadCluster(file)
-		switch {
-		case err == nil:
-			tables = append(tables, bench.CompareCluster(base, report))
-		case errors.Is(err, os.ErrNotExist):
-			tables = append(tables, warnNoBaseline("cluster", file))
-		default:
-			return nil, fmt.Errorf("load baseline for cluster: %w", err)
-		}
-	}
-	if baseline {
-		if err := bench.WriteCluster(file, report); err != nil {
-			return nil, err
-		}
-		fmt.Printf("baseline snapshot written to %s\n\n", file)
-	}
-	return tables, nil
 }
 
 func writeCSV(dir string, t bench.Table) error {

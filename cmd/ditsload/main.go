@@ -1,6 +1,6 @@
-// Command ditsload is the production load harness: it drives mixed
-// OJSP/CJSP/batch/ingest traffic at a running ditsgate in open-loop
-// (paced arrivals, coordinated-omission-corrected latencies) or
+// Command ditsload is an operator's load generator for a live deployment:
+// it drives mixed OJSP/CJSP/batch/ingest traffic at a running ditsgate in
+// open-loop (paced arrivals, coordinated-omission-corrected latencies) or
 // closed-loop (N back-to-back clients) mode and reports throughput,
 // latency quantiles (p50/p99/p999), and error/shed rates.
 //
@@ -9,12 +9,13 @@
 //	ditsload -target http://127.0.0.1:8080 -mode closed -clients 16 -duration 30s
 //	ditsload -target http://127.0.0.1:8080 -mode open -rate 500 -duration 1m \
 //	         -mix overlap=70,coverage=15,batch=10,ingest=5 -ingest-source Transit
-//	ditsload -selftest -duration 5s          # no external gateway needed
 //
-// -selftest stands up a small in-process federation behind a real HTTP
-// listener and drives it — the CI smoke path. With -json the machine-
-// readable result is printed instead of the human summary. See
-// docs/OPERATIONS.md for the runbook.
+// Its queries are -points point blobs at random world positions, so most
+// of them touch no data: they exercise the front door (admission, decode,
+// shed, failover), not search cost. Dataset-shaped queries and every
+// performance number come from the repo's benchmark (benchmark/README.md).
+// With -json the machine-readable result is printed instead of the human
+// summary. See docs/OPERATIONS.md for the runbook.
 package main
 
 import (
@@ -32,7 +33,6 @@ import (
 
 func main() {
 	target := flag.String("target", "", "gateway base URL, e.g. http://127.0.0.1:8080")
-	selftest := flag.Bool("selftest", false, "drive an in-process gateway instead of -target")
 	mode := flag.String("mode", "closed", "load mode: open (paced arrivals) or closed (back-to-back clients)")
 	rate := flag.Float64("rate", 100, "open-loop arrival rate in req/s")
 	clients := flag.Int("clients", 8, "closed-loop concurrent clients")
@@ -40,7 +40,7 @@ func main() {
 	mixFlag := flag.String("mix", "", "traffic mix, e.g. overlap=70,coverage=15,batch=10,ingest=5 (default: built-in blend)")
 	k := flag.Int("k", 10, "max k per generated query (each draws k in [1,k])")
 	delta := flag.Float64("delta", 10, "connectivity threshold δ for coverage queries")
-	points := flag.Int("points", 16, "points per generated query")
+	points := flag.Int("points", 16, "points per generated query — a tight blob at a random world position: front-door load (admission, decode, shed), not search cost")
 	batchSize := flag.Int("batch", 8, "queries per generated batch request")
 	ingestSource := flag.String("ingest-source", "", "source name for ingest upserts ('' drops ingest from the mix)")
 	seed := flag.Int64("seed", 1, "traffic seed (reproducible runs)")
@@ -70,22 +70,8 @@ func main() {
 		opts.Mix = m
 	}
 
-	if *selftest {
-		lg, err := load.StartLocal(load.LocalOptions{Sources: 2, Mutable: true})
-		if err != nil {
-			fail(err)
-		}
-		defer lg.Close()
-		opts.Target = lg.URL
-		if opts.IngestSource == "" {
-			opts.IngestSource = lg.IngestSource
-			if *mixFlag == "" {
-				opts.Mix = load.DefaultMix()
-			}
-		}
-		fmt.Fprintf(os.Stderr, "selftest gateway on %s (ingest source %q)\n", lg.URL, lg.IngestSource)
-	} else if opts.Target == "" {
-		fail(fmt.Errorf("-target is required (or use -selftest)"))
+	if opts.Target == "" {
+		fail(fmt.Errorf("-target is required"))
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -4,13 +4,16 @@
 //	go run ./cmd/doccheck            # check, exit 1 on drift
 //	go run ./cmd/doccheck -v         # also list everything checked
 //
-// Two surfaces are checked:
+// These surfaces are checked:
 //
 //   - every exported Method* constant in internal/federation (the
 //     federation RPC methods) must have its wire name documented in
 //     docs/PROTOCOL.md;
 //   - every flag registered by a command under cmd/ must appear, as
-//     "-name", in README.md or one of the docs/*.md files;
+//     "-name", in README.md or one of the docs/*.md files — and, the
+//     other way round, every backticked `-name` in README.md's "Command
+//     reference" section must be a flag some command under cmd/ still
+//     registers, so a removed flag cannot linger in the reference;
 //   - every Prometheus metric registered under internal/ or cmd/ (any
 //     "dits_*" name passed to a registration call) must be documented in
 //     docs/OPERATIONS.md;
@@ -31,6 +34,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,7 +46,8 @@ func main() {
 	flag.Parse()
 
 	protocol := readFile(filepath.Join(*root, "docs", "PROTOCOL.md"))
-	docs := protocol + readFile(filepath.Join(*root, "README.md"))
+	readme := readFile(filepath.Join(*root, "README.md"))
+	docs := protocol + readme
 	for _, extra := range globMust(filepath.Join(*root, "docs", "*.md")) {
 		docs += readFile(extra)
 	}
@@ -64,7 +69,9 @@ func main() {
 	}
 
 	flags := cmdFlags(filepath.Join(*root, "cmd"))
+	registered := map[string]bool{}
 	for _, f := range flags {
+		registered[f.name] = true
 		if *verbose {
 			fmt.Printf("flag   %-10s -%s\n", f.cmd, f.name)
 		}
@@ -75,6 +82,16 @@ func main() {
 	}
 	if len(flags) == 0 {
 		missing = append(missing, "found no flags under cmd/ (checker broken?)")
+	}
+	referenced := referenceFlags(readme)
+	for _, name := range referenced {
+		if !registered[name] {
+			missing = append(missing,
+				fmt.Sprintf("README.md's command reference documents -%s, which no command under cmd/ registers", name))
+		}
+	}
+	if len(referenced) == 0 {
+		missing = append(missing, `found no flags in README.md's "Command reference" section (checker broken?)`)
 	}
 
 	operations := readFile(filepath.Join(*root, "docs", "OPERATIONS.md"))
@@ -218,6 +235,32 @@ func methodConstants(dir string) []method {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// backtickedFlag matches a flag exactly as the command reference quotes
+// it: a backticked "-name" and nothing else between the backticks.
+var backtickedFlag = regexp.MustCompile("`-([a-z][a-z0-9-]*)`")
+
+// referenceFlags returns the distinct flag names quoted in the README's
+// "Command reference" section (up to the next second-level heading).
+func referenceFlags(readme string) []string {
+	_, section, ok := strings.Cut(readme, "\n## Command reference\n")
+	if !ok {
+		return nil
+	}
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	seen := map[string]bool{}
+	var out []string
+	for _, m := range backtickedFlag.FindAllStringSubmatch(section, -1) {
+		if !seen[m[1]] {
+			seen[m[1]] = true
+			out = append(out, m[1])
+		}
+	}
+	sort.Strings(out)
 	return out
 }
 

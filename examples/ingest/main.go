@@ -84,7 +84,7 @@ func main() {
 	show("overlap search before ingest")
 
 	// Stream a reproducible mutation trace through the center — the same
-	// trace datagen -updates emits and ditsbench -exp ingest replays.
+	// generator the benchmark's mixed-rw workload draws its upserts from.
 	trace := workload.GenerateTrace([]*dataset.Source{src}, 80, 99)
 	var puts, deletes, skipped int
 	for _, m := range trace {

@@ -93,7 +93,7 @@ func federationQueries(sds []sourceData, g geo.Grid, q int, seed int64) []cellse
 }
 
 // commFigure runs all query-distribution variants for increasing q and
-// reports bytes transferred and modeled transmission time.
+// reports bytes transferred and the transmission time derived from them.
 func commFigure(cfg Config, idBytes, idTime, title string,
 	run func(c *federation.Center, qs []cellset.Set)) []Table {
 	bytesTable := Table{

@@ -20,7 +20,7 @@ type Config struct {
 	Q         int
 	Delta     float64
 	F         int
-	Bandwidth float64 // bytes/second for modeled transmission time
+	Bandwidth float64 // bytes/second the transmission-time figures divide by
 
 	// OverlapScale overrides Scale for the OJSP figures (9-12): the
 	// index/inverted crossover the paper reports needs thousands of
@@ -32,30 +32,6 @@ type Config struct {
 	// paper's slowest baseline, is quadratic; Transit is the paper's
 	// motivating source and the cheapest). Empty means all five.
 	CoverageSources []string
-
-	// Workers is the largest worker-pool size the exec experiment drives
-	// the query executor with (ditsbench -workers).
-	Workers int
-
-	// TracePath optionally points the ingest experiment at a mutation
-	// trace file written by `datagen -updates` (ditsbench -trace). Empty
-	// generates an equivalent trace in memory from the same generator.
-	TracePath string
-
-	// LoadSecs is the per-scenario duration of the load experiment in
-	// seconds (ditsbench -loadsecs). Zero means 3.
-	LoadSecs float64
-
-	// BigScale is the workload scale of the bigsource experiment's
-	// beyond-RAM index (ditsbench -bigscale). Zero means 4 — eight times
-	// the default OJSP scale.
-	BigScale float64
-
-	// RSSBudgetMB is the resident-set budget in MiB the bigsource
-	// experiment must stay under while serving the mmap'd snapshot
-	// (ditsbench -rss-budget-mb); it also becomes the Go soft memory
-	// limit for that phase. Zero means 512. Enforced on Linux only.
-	RSSBudgetMB int
 }
 
 // DefaultConfig returns the scaled-down defaults used by ditsbench and the
@@ -72,9 +48,6 @@ func DefaultConfig() Config {
 		Bandwidth:       125_000, // 1 Mbit/s, as a transmission-time model
 		OverlapScale:    0.5,
 		CoverageSources: []string{"Transit", "Baidu"},
-		Workers:         8,
-		BigScale:        4,
-		RSSBudgetMB:     512,
 	}
 }
 

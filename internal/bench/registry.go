@@ -34,14 +34,6 @@ var experiments = []Experiment{
 	{"fig21", "Index updating time vs dataset inserts", Fig21},
 	{"fig22", "Index updating time vs dataset updates", Fig22},
 	{"ablation", "Ablation of DITS design choices (extension)", Ablation},
-	{"throughput", "Federated query throughput vs concurrent clients (extension)", Throughput},
-	{"setops", "Cell-set engine: flat slices vs Roaring-style containers (extension)", Setops},
-	{"fedcomm", "Federation protocol: stateless vs session, bytes and round-trips per query (extension)", Fedcomm},
-	{"exec", "Query executor: parallel traversal and batched execution vs sequential (extension)", Exec},
-	{"ingest", "Durable ingest: incremental updates vs rebuild, WAL overhead, recovery (extension)", Ingest},
-	{"load", "Serving stack under load: open/closed-loop latency, throughput, shed rate (extension)", Load},
-	{"bigsource", "Beyond-RAM serving: mmap'd snapshot searched in place under an RSS budget (extension)", Bigsource},
-	{"cluster", "Sharded federation plane: scatter/gather throughput and failover recovery (extension)", Cluster},
 }
 
 // All returns every experiment, sorted by ID.
@@ -58,5 +50,5 @@ func Run(id string, cfg Config) ([]Table, error) {
 			return e.Run(cfg), nil
 		}
 	}
-	return nil, fmt.Errorf("bench: unknown experiment %q (try: table1, table2, fig7..fig22, ablation, throughput, setops, fedcomm, exec, ingest, load, bigsource, cluster)", id)
+	return nil, fmt.Errorf("bench: unknown experiment %q (try: table1, table2, fig7..fig22, ablation)", id)
 }

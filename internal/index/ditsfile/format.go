@@ -6,7 +6,7 @@
 // touch, straight out of the mapping with zero copies on little-endian
 // hosts. A leaf the tree walk prunes never faults its pages in, which is
 // what lets one source serve an index several times larger than its RAM
-// budget (ROADMAP item 5; measured by `ditsbench -exp bigsource`).
+// budget (TestMMapServesUnderBudget holds it to one).
 //
 // # Layout
 //

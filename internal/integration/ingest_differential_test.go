@@ -37,8 +37,8 @@ func TestMutatedIndexSearchersMatchRebuild(t *testing.T) {
 		surviving[nd.ID] = nd
 	}
 
-	// The mutation stream comes from the same generator datagen -updates
-	// uses, so this test also pins the trace format's applicability.
+	// The mutation stream comes from the generator the benchmark and the
+	// examples use, so this test also pins the trace's applicability.
 	trace := workload.GenerateTrace([]*dataset.Source{src}, 120, 21)
 	queries := sampleQueryNodes(t, g, src, 12)
 

@@ -21,29 +21,19 @@ import (
 )
 
 // LocalOptions configure StartLocal's self-contained gateway: a small
-// generated federation served over a real HTTP listener, so ditsload
-// -selftest, ditsbench -exp load, and the CI smoke run all exercise the
-// full request path without external processes.
+// generated federation served over a real HTTP listener, so the tests
+// exercise the full request path without external processes.
 type LocalOptions struct {
-	// Sources is how many of the five paper sources to stand up (default 2).
+	// Sources is how many of the five paper sources to stand up.
 	Sources int
-	// Scale is the workload scale per source (default 0.01).
+	// Scale is the workload scale per source.
 	Scale float64
-	// Theta is the grid resolution (default 12).
-	Theta int
-	// Seed seeds the workload generator (default 1).
-	Seed int64
 	// Admission configures the gateway's overload protection (zero value
 	// admits everything).
 	Admission admission.Config
 	// Mutable gives the FIRST source a durable ingest store in a temp
 	// directory (removed on Close), so the ingest traffic class works.
 	Mutable bool
-	// CacheSize is the result-cache capacity (default 4096).
-	CacheSize int
-	// DisableTracing turns off the gateway's per-request tracing, so
-	// benchmark harnesses can measure its overhead by difference.
-	DisableTracing bool
 }
 
 // LocalGateway is a running in-process federation behind a real HTTP
@@ -53,8 +43,6 @@ type LocalGateway struct {
 	URL string
 	// IngestSource is the name of the mutable source ("" when none).
 	IngestSource string
-	// Gateway is the underlying gateway, for registry/admission access.
-	Gateway *gateway.Gateway
 
 	srv     *http.Server
 	store   *ingest.Store
@@ -64,31 +52,13 @@ type LocalGateway struct {
 // StartLocal builds the federation and starts serving it over HTTP on a
 // loopback port.
 func StartLocal(opts LocalOptions) (*LocalGateway, error) {
-	if opts.Sources <= 0 {
-		opts.Sources = 2
-	}
-	if opts.Scale <= 0 {
-		opts.Scale = 0.01
-	}
-	if opts.Theta <= 0 {
-		opts.Theta = 12
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	if opts.CacheSize == 0 {
-		opts.CacheSize = 4096
-	}
-	specs := workload.Specs()
-	if opts.Sources < len(specs) {
-		specs = specs[:opts.Sources]
-	}
-	grid := geo.NewGrid(opts.Theta, geo.Rect{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90})
+	specs := workload.Specs()[:opts.Sources]
+	grid := geo.NewGrid(12, geo.Rect{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90})
 	center := federation.NewCenter(grid, federation.Options{
 		GlobalFilter: true, ClipQuery: true, Sessions: true,
 		OnSourceError: federation.SkipFailed,
 	})
-	center.SetCache(cache.New(opts.CacheSize))
+	center.SetCache(cache.New(4096))
 
 	lg := &LocalGateway{}
 	fail := func(err error) (*LocalGateway, error) {
@@ -96,7 +66,7 @@ func StartLocal(opts LocalOptions) (*LocalGateway, error) {
 		return nil, err
 	}
 	for i, spec := range specs {
-		src := workload.Generate(spec, opts.Scale, opts.Seed)
+		src := workload.Generate(spec, opts.Scale, 1)
 		build := func() (*dits.Local, error) { return dits.Build(grid, src.Nodes(grid), 30), nil }
 		var srv *federation.SourceServer
 		if opts.Mutable && i == 0 {
@@ -126,10 +96,7 @@ func StartLocal(opts LocalOptions) (*LocalGateway, error) {
 		}
 	}
 
-	gw := gateway.NewWithOptions(center, gateway.Options{
-		Admission:      opts.Admission,
-		DisableTracing: opts.DisableTracing,
-	})
+	gw := gateway.NewWithOptions(center, gateway.Options{Admission: opts.Admission})
 	if lg.store != nil {
 		lg.store.Register(gw.Registry())
 	}
@@ -137,7 +104,6 @@ func StartLocal(opts LocalOptions) (*LocalGateway, error) {
 	if err != nil {
 		return fail(err)
 	}
-	lg.Gateway = gw
 	lg.URL = "http://" + ln.Addr().String()
 	lg.srv = &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	go lg.srv.Serve(ln)

@@ -1,5 +1,5 @@
-// Package load is the production load harness behind cmd/ditsload and
-// ditsbench -exp load: open- and closed-loop generators driving mixed
+// Package load is the load generator behind cmd/ditsload and the soak
+// tests: open- and closed-loop generators driving mixed
 // OJSP/CJSP/batch/ingest traffic at a gateway over real HTTP, with
 // latency recorded into a bounded log-linear histogram.
 //

@@ -3,7 +3,7 @@
 // worker pool and executes batches of queries in one shared pass over the
 // tree, while producing results byte-identical to the sequential
 // `search/overlap` and `search/coverage` paths (enforced by differential
-// tests and the `ditsbench -exp exec` harness).
+// and fuzz tests).
 //
 // # Concurrency and ownership contracts
 //

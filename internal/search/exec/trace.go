@@ -19,10 +19,8 @@ type OverlapTrace struct {
 }
 
 // TraceOverlap runs the sequential execution with per-task timing. The
-// results are identical to the plain sequential searcher; the trace feeds
-// the work-span model below, which `ditsbench -exp exec` uses to report
-// what a W-worker pool makes of this schedule independent of how many
-// CPUs the benchmarking host happens to have.
+// results are identical to the plain sequential searcher; the benchmark's
+// kernel view reads the serial share and the leaf-task count from it.
 func TraceOverlap(idx *dits.Local, q *dataset.Node, k int) OverlapTrace {
 	var tr OverlapTrace
 	if q == nil || k <= 0 || idx == nil || idx.Root == nil {
@@ -46,36 +44,4 @@ func TraceOverlap(idx *dits.Local, q *dataset.Node, k int) OverlapTrace {
 	tr.Results = t.ranked()
 	tr.SerialNs += float64(time.Since(start).Nanoseconds())
 	return tr
-}
-
-// ModelMakespan computes the work-span estimate of executing a traced
-// schedule on w workers: tasks are claimed in order by the
-// earliest-available worker (exactly the executor's atomic-cursor
-// discipline), and the returned nanoseconds are the serial prefix plus the
-// longest worker's finish time. On a host with at least w CPUs the
-// measured wall clock converges to this; on fewer CPUs it reports the
-// parallelism the schedule exposes rather than the parallelism the host
-// can spend.
-func ModelMakespan(tr OverlapTrace, w int) float64 {
-	if w < 1 {
-		w = 1
-	}
-	ends := make([]float64, w)
-	for _, t := range tr.TaskNs {
-		// Earliest-available worker claims the next task.
-		mi := 0
-		for i := 1; i < w; i++ {
-			if ends[i] < ends[mi] {
-				mi = i
-			}
-		}
-		ends[mi] += t
-	}
-	makespan := 0.0
-	for _, e := range ends {
-		if e > makespan {
-			makespan = e
-		}
-	}
-	return tr.SerialNs + makespan
 }

@@ -1,12 +1,8 @@
 package workload
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
 
 	"dits/internal/dataset"
 	"dits/internal/geo"
@@ -24,8 +20,8 @@ const (
 )
 
 // Mutation is one entry of a reproducible mutation trace: the workload
-// fed to the ingest write path by `ditsbench -exp ingest` and the
-// examples. Points are raw coordinates; consumers grid them under their
+// fed to the ingest write path by the benchmark, the differential
+// tests and the examples. Points are raw coordinates; consumers grid them under their
 // federation's shared grid, exactly like query points.
 type Mutation struct {
 	Op     MutOp        `json:"op"`
@@ -137,58 +133,4 @@ func jitterPoints(rng *rand.Rand, base [][2]float64, bounds geo.Rect) [][2]float
 		}
 	}
 	return out
-}
-
-// WriteTrace writes a trace as JSON lines: one Mutation object per line,
-// human-readable and streamable.
-func WriteTrace(w io.Writer, trace []Mutation) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, m := range trace {
-		if err := enc.Encode(m); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTrace reads a JSONL trace written by WriteTrace.
-func ReadTrace(r io.Reader) ([]Mutation, error) {
-	dec := json.NewDecoder(r)
-	var out []Mutation
-	for {
-		var m Mutation
-		if err := dec.Decode(&m); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("workload: trace entry %d: %w", len(out), err)
-		}
-		if m.Op != MutPut && m.Op != MutDelete {
-			return nil, fmt.Errorf("workload: trace entry %d has unknown op %q", len(out), m.Op)
-		}
-		out = append(out, m)
-	}
-}
-
-// WriteTraceFile writes a trace to path.
-func WriteTraceFile(path string, trace []Mutation) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteTrace(f, trace); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadTraceFile loads a trace from path.
-func ReadTraceFile(path string) ([]Mutation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadTrace(f)
 }

@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"dits/internal/dataset"
@@ -67,27 +65,5 @@ func TestGenerateTraceDeterministicAndApplicable(t *testing.T) {
 	}
 	if puts == 0 || deletes == 0 {
 		t.Fatalf("degenerate mix: %d puts, %d deletes", puts, deletes)
-	}
-}
-
-func TestTraceRoundtrip(t *testing.T) {
-	srcs := traceSources(t)
-	trace := GenerateTrace(srcs, 50, 7)
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, trace); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), "\n"); got != 50 {
-		t.Fatalf("trace file has %d lines, want 50", got)
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trace, back) {
-		t.Fatal("trace did not survive the JSONL roundtrip")
-	}
-	if _, err := ReadTrace(strings.NewReader(`{"op":"explode","source":"x","id":1}`)); err == nil {
-		t.Fatal("unknown op must be rejected")
 	}
 }
