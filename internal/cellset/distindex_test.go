@@ -125,6 +125,131 @@ func TestDistIndexEdgeCases(t *testing.T) {
 	}
 }
 
+// distIndexAnchors place test cells at the origin, across the 2^31 boundary
+// (offsets 0..63 span 2^31-16 .. 2^31+47) and against the far edge of the
+// grid (offset 63 is coordinate 2^32-1).
+var distIndexAnchors = []uint32{0, 1<<31 - 16, 1<<32 - 64}
+
+var distIndexDeltas = []float64{0, 0.5, 1, 2.5, 10}
+
+// anchoredCells decodes byte pairs as (x, y) offsets in 0..63 from anchor.
+// Repeated pairs are kept: New de-duplicates, the index entry points that
+// take raw cells (Add) must cope on their own.
+func anchoredCells(anchor uint32, b []byte) []uint64 {
+	ids := make([]uint64, 0, len(b)/2)
+	for i := 0; i+1 < len(b); i += 2 {
+		ids = append(ids, geo.ZEncode(anchor+uint32(b[i]%64), anchor+uint32(b[i+1]%64)))
+	}
+	return ids
+}
+
+// checkDistIndexVsNaive holds every connectivity entry point — Connected,
+// ConnectedCompact, NearRect, WithinDist — to the O(n·m) oracle, on an
+// index built over base and on the same index grown by extra (handed over
+// with its duplicates) through Add and through AddCompact.
+func checkDistIndexVsNaive(t *testing.T, base, extra []uint64, probe Set, delta float64) {
+	t.Helper()
+	check := func(stage string, ix *DistIndex, indexed Set) {
+		t.Helper()
+		want := DistNaive(indexed, probe) <= delta
+		if got := ix.Connected(probe); got != want {
+			t.Fatalf("%s δ=%v: Connected=%v, naive=%v\nindexed=%v\nprobe=%v", stage, delta, got, want, indexed, probe)
+		}
+		if got := ix.ConnectedCompact(FromSet(probe)); got != want {
+			t.Fatalf("%s δ=%v: ConnectedCompact=%v, naive=%v", stage, delta, got, want)
+		}
+		if got := WithinDist(indexed, probe, delta); got != want {
+			t.Fatalf("%s δ=%v: WithinDist=%v, naive=%v", stage, delta, got, want)
+		}
+		// NearRect may say true for a far set, never false for a near one —
+		// for the probe's MBR and for every single cell of it.
+		near := func(s Set) bool {
+			minX, minY, maxX, maxY, ok := s.Bounds()
+			return ok && ix.NearRect(geo.Rect{
+				MinX: float64(minX), MinY: float64(minY), MaxX: float64(maxX), MaxY: float64(maxY)})
+		}
+		if want && !near(probe) {
+			t.Fatalf("%s δ=%v: NearRect rejected the MBR of a connected set\nindexed=%v\nprobe=%v", stage, delta, indexed, probe)
+		}
+		for _, c := range probe {
+			if one := New(c); DistNaive(indexed, one) <= delta && !near(one) {
+				t.Fatalf("%s δ=%v: NearRect rejected connected cell %d", stage, delta, c)
+			}
+		}
+	}
+	b := New(base...)
+	ix := NewDistIndex(b, delta)
+	if len(b) == 0 {
+		if ix != nil {
+			t.Fatal("empty base should yield a nil index")
+		}
+		return
+	}
+	check("built", ix, b)
+	ix.Add(Set(extra)) // raw: unsorted, with duplicates
+	check("after Add", ix, b.Union(New(extra...)))
+	viaCompact := NewDistIndex(b, delta)
+	viaCompact.AddCompact(FromSet(New(extra...)))
+	check("after AddCompact", viaCompact, b.Union(New(extra...)))
+}
+
+// TestDistIndexVsNaive runs the oracle check over random sets at every
+// anchor and threshold, with cells repeated on the Add side.
+func TestDistIndexVsNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, anchor := range distIndexAnchors {
+		for _, delta := range distIndexDeltas {
+			for trial := 0; trial < 40; trial++ {
+				raw := func() []byte {
+					b := make([]byte, 2*(1+rng.Intn(24)))
+					rng.Read(b)
+					return b
+				}
+				extra := raw()
+				extra = append(extra, extra[:len(extra)/2&^1]...) // duplicate cells
+				checkDistIndexVsNaive(t, anchoredCells(anchor, raw()), anchoredCells(anchor, extra),
+					New(anchoredCells(anchor, raw())...), delta)
+			}
+		}
+	}
+}
+
+func FuzzDistIndexVsNaive(f *testing.F) {
+	for i, delta := range distIndexDeltas {
+		f.Add([]byte{0, 0, 9, 9, 63, 63}, []byte{5, 5, 5, 5}, []byte{12, 0, 63, 62}, delta, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, base, extra, probe []byte, delta float64, anchorSel uint8) {
+		if !(delta >= 0 && delta <= 200) || len(base)+len(extra)+len(probe) > 600 {
+			t.Skip()
+		}
+		anchor := distIndexAnchors[int(anchorSel)%len(distIndexAnchors)]
+		checkDistIndexVsNaive(t, anchoredCells(anchor, base), anchoredCells(anchor, extra),
+			New(anchoredCells(anchor, probe)...), delta)
+	})
+}
+
+// TestDistIndexProbeZeroAlloc: probing is the inner loop of connectivity
+// verification and must not allocate; building the flat index allocates
+// the index and its three arrays, nothing per cell or per bucket.
+func TestDistIndexProbeZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	q := randomGridSet(rng, 2000)
+	s := New(geo.ZEncode(500, 500), geo.ZEncode(70, 70)) // first far, then near: every probe path runs
+	sc := FromSet(s)
+	ix := NewDistIndex(q, 3)
+	r := geo.Rect{MinX: 70, MinY: 70, MaxX: 500, MaxY: 500}
+	if allocs := testing.AllocsPerRun(100, func() {
+		ix.Connected(s)
+		ix.ConnectedCompact(sc)
+		ix.NearRect(r)
+	}); allocs != 0 {
+		t.Errorf("probing allocated %.1f times", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { NewDistIndex(q, 3) }); allocs > 4 {
+		t.Errorf("NewDistIndex allocated %.1f times, want <= 4", allocs)
+	}
+}
+
 func BenchmarkDistIndexConnected(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	q := randomGridSet(rng, 2000)

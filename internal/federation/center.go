@@ -3,6 +3,7 @@ package federation
 import (
 	"cmp"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -381,6 +382,14 @@ func (c *Center) deltaRaw(delta float64) float64 {
 // invalidation without scanning the cache — while mutations at sources
 // the query can never touch leave its entries valid. A membership change
 // bumps gen, which re-keys (and Clears) everything.
+//
+// The key is the SHA-256 of that serialization, not the serialization
+// itself: a query's cells run to thousands, and a full cache would hold
+// tens of megabytes of keys. Two different queries therefore share an
+// entry — and one gets the other's answer — only if they collide under
+// SHA-256, for which no instance is known; a 64-bit hash would not do, as
+// colliding inputs for those can be constructed or simply met by chance
+// over a long-lived cache.
 func (c *Center) queryKey(gen uint64, kind byte, a, b uint64, cells cellset.Set, members []*member) string {
 	vers := *c.versions.Load()
 	n := 25 + 8*len(cells)
@@ -401,7 +410,8 @@ func (c *Center) queryKey(gen uint64, kind byte, a, b uint64, cells cellset.Set,
 	for _, cell := range cells {
 		buf = binary.LittleEndian.AppendUint64(buf, cell)
 	}
-	return string(buf)
+	sum := sha256.Sum256(buf)
+	return string(sum[:])
 }
 
 // OverlapSearch answers the multi-source OJSP: the k datasets with the
@@ -658,40 +668,15 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 	excluded := make(map[string][]int)
 	defer c.closeSessions(states, sessID)
 
-rounds:
-	for len(res.Picked) < k {
-		if err := ctx.Err(); err != nil {
-			return res, anyFailed(), err
-		}
-		// One span per greedy round; the round's delta-ship RPCs and the
-		// winner's cell fetch nest under it.
-		rctx, rsp := obs.StartSpan(ctx, "cjsp.round")
-		qn := c.boundsQueryNode(minX, minY, maxX, maxY)
-		cands := c.candidates(ep, qn, draw)
-
-		// Phase one: collect offers — cached where nothing changed for
-		// the source, over the wire (delta-shipped) where it did.
-		offers := make([]*offer, 0, len(cands))
+	// ask sends one coverage.round to each of the given sources — the
+	// pending delta where the session is open, the full clipped state where
+	// it is not — and records every answer as that source's current offer.
+	ask := func(rctx context.Context, members []*member) error {
 		var contact []*member
 		reqs := make(map[string]CoverageRoundRequest)
-		for _, m := range cands {
+		for _, m := range members {
 			name := m.summary.Name
 			st := states[name]
-			if st == nil {
-				st = &srcState{m: m}
-				states[name] = st
-			}
-			if st.failed {
-				continue
-			}
-			if st.open && st.lastOK && st.pending.IsEmpty() {
-				// Nothing shipped changed and the exclusion list is
-				// untouched: the source would recompute the same offer.
-				if st.last != nil {
-					offers = append(offers, st.last)
-				}
-				continue
-			}
 			req := CoverageRoundRequest{Session: sessID, Delta: delta, Exclude: excluded[name]}
 			if st.open {
 				req.Added = st.pending.Set()
@@ -728,8 +713,7 @@ rounds:
 			st := states[contact[i].summary.Name]
 			st.failed, st.open = true, false
 		}); err != nil {
-			rsp.EndErr(err)
-			return res, anyFailed(), err
+			return err
 		}
 		for i, m := range contact {
 			if errs[i] != nil {
@@ -744,8 +728,40 @@ rounds:
 				st.last = &offer{src: m.summary.Name, cand: CoverageCandidate{
 					Found: true, ID: outs[i].ID, Name: outs[i].Name, Gain: outs[i].Gain,
 				}}
-				offers = append(offers, st.last)
 			}
+		}
+		return nil
+	}
+
+rounds:
+	for len(res.Picked) < k {
+		if err := ctx.Err(); err != nil {
+			return res, anyFailed(), err
+		}
+		// One span per greedy round; the round's delta-ship RPCs and the
+		// winner's cell fetch nest under it.
+		rctx, rsp := obs.StartSpan(ctx, "cjsp.round")
+		qn := c.boundsQueryNode(minX, minY, maxX, maxY)
+		cands := c.candidates(ep, qn, draw)
+
+		// Phase one: collect offers — cached where nothing changed for
+		// the source, over the wire (delta-shipped) where it did.
+		var changed []*member
+		for _, m := range cands {
+			st := states[m.summary.Name]
+			if st == nil {
+				st = &srcState{m: m}
+				states[m.summary.Name] = st
+			}
+			// With nothing shipped since its last answer and its exclusion
+			// list untouched, a source would recompute the same offer.
+			if !st.failed && !(st.open && st.lastOK && st.pending.IsEmpty()) {
+				changed = append(changed, m)
+			}
+		}
+		if err := ask(rctx, changed); err != nil {
+			rsp.EndErr(err)
+			return res, anyFailed(), err
 		}
 
 		// Phase two: pick the global winner and fetch its cells — the
@@ -754,12 +770,13 @@ rounds:
 		var winnerCells cellset.Set
 		for {
 			var best *offer
-			for _, o := range offers {
-				if o == nil || states[o.src].failed {
+			for _, m := range cands {
+				st := states[m.summary.Name]
+				if st.failed || !st.lastOK || st.last == nil {
 					continue
 				}
-				if best == nil || betterOffer(*o, *best) {
-					best = o
+				if best == nil || betterOffer(*st.last, *best) {
+					best = st.last
 				}
 			}
 			if best == nil {
@@ -769,7 +786,16 @@ rounds:
 			st := states[best.src]
 			fetch, err := c.fetchCells(rctx, st.m, sessID, best.cand.ID)
 			if err == nil && !fetch.Found {
-				err = fmt.Errorf("federation: source %s lost dataset %d mid-session", best.src, best.cand.ID)
+				// The offer went stale — the dataset was deleted after the
+				// source offered it. The source has not failed: never offer
+				// that ID again, ask it alone for its next best, re-pick.
+				excluded[best.src] = append(excluded[best.src], best.cand.ID)
+				st.lastOK = false
+				if err := ask(rctx, []*member{st.m}); err != nil {
+					rsp.EndErr(err)
+					return res, anyFailed(), err
+				}
+				continue
 			}
 			if err != nil {
 				if c.Options.OnSourceError == FailFast {

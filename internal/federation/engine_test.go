@@ -1,0 +1,234 @@
+package federation
+
+import (
+	"context"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	"dits/internal/cellset"
+	"dits/internal/dataset"
+	"dits/internal/geo"
+	"dits/internal/index/dits"
+	"dits/internal/index/ditsfile"
+	"dits/internal/search/coverage"
+	"dits/internal/search/exec"
+)
+
+// pick is one greedy step as every CJSP engine must report it.
+type pick struct{ ID, Gain int }
+
+// bruteGreedy is CJSP's greedy over plain sets with no index, no bound and
+// no incremental state: every round tests every remaining dataset against
+// the whole merged set with the pairwise oracle. It also reports whether
+// some round had two candidates tied on the winning gain.
+func bruteGreedy(nodes []*dataset.Node, q cellset.Set, delta float64, k int) (picks []pick, tied bool) {
+	merged := q
+	taken := map[int]bool{}
+	for len(picks) < k {
+		best, bestGain, atBest := (*dataset.Node)(nil), -1, 0
+		for _, nd := range nodes {
+			if taken[nd.ID] || cellset.DistNaive(nd.Cells, merged) > delta {
+				continue
+			}
+			switch g := merged.MarginalGain(nd.Cells); {
+			case g > bestGain:
+				best, bestGain, atBest = nd, g, 1
+			case g == bestGain:
+				atBest++
+				if nd.ID < best.ID {
+					best = nd
+				}
+			}
+		}
+		if best == nil {
+			break
+		}
+		tied = tied || atBest > 1
+		taken[best.ID] = true
+		picks = append(picks, pick{best.ID, bestGain})
+		merged = merged.Union(best.Cells)
+	}
+	return picks, tied
+}
+
+// picksOf replays a searcher's pick order against the query to recover the
+// gain of every step.
+func picksOf(q cellset.Set, picked []*dataset.Node) []pick {
+	merged := q
+	var out []pick
+	for _, nd := range picked {
+		cells := nd.FlatCells()
+		out = append(out, pick{nd.ID, merged.MarginalGain(cells)})
+		merged = merged.Union(cells)
+	}
+	return out
+}
+
+// sessionPicks drives one source's coverage session by hand, the way the
+// center does: a Base round, then per pick a fetch and a delta round. With
+// viaAdded the winner's cells come back as the next round's Added (the
+// source lost to itself, as it were) instead of being absorbed at fetch
+// time, so both ways a delta reaches a session are walked.
+func sessionPicks(t *testing.T, srv *SourceServer, sess uint64, q cellset.Set, delta float64, k int, viaAdded bool) []pick {
+	t.Helper()
+	ctx := context.Background()
+	req := CoverageRoundRequest{Session: sess, Base: q, Delta: delta}
+	var out []pick
+	var exclude []int
+	for len(out) < k {
+		resp := srv.handleCoverageRound(ctx, req)
+		if resp.SessionMiss || resp.Stateless {
+			t.Fatalf("session %d: unexpected round response %+v", sess, resp)
+		}
+		if !resp.Found {
+			break
+		}
+		out = append(out, pick{resp.ID, resp.Gain})
+		exclude = append(exclude, resp.ID)
+		fetch := FetchCellsRequest{Session: sess, ID: resp.ID}
+		if viaAdded {
+			fetch.Session = 0
+		}
+		cells := srv.handleFetchCells(fetch)
+		if !cells.Found || cells.Committed == viaAdded {
+			t.Fatalf("session %d: unexpected fetch response found=%v committed=%v", sess, cells.Found, cells.Committed)
+		}
+		req = CoverageRoundRequest{Session: sess, Delta: delta, Exclude: exclude}
+		if viaAdded {
+			req.Added = cells.Cells
+		}
+	}
+	srv.handleSessionClose(SessionCloseRequest{Session: sess})
+	return out
+}
+
+// TestCoverageEnginesAgree is the engine differential: over two dozen
+// seeds, the incremental source session (both delta paths), the
+// incremental Executor.CoverageSearch at 1 and 4 workers and the paper's
+// DITSSearcher, each over the heap index and over the same index mmap'd
+// from a snapshot, must return the brute-force greedy's (ID, gain)
+// sequence exactly — including on seeds built so that two candidates tie
+// on the winning gain.
+func TestCoverageEnginesAgree(t *testing.T) {
+	g := worldGrid()
+	side := 1 << theta
+	tiedSeeds := 0
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(300 + seed))
+		qx, qy := side/2+rng.Intn(9)-4, side/2+rng.Intn(9)-4
+		var ids []uint64
+		for j := 0; j < 6+rng.Intn(20); j++ {
+			ids = append(ids, geo.ZEncode(uint32(qx+rng.Intn(9)-4), uint32(qy+rng.Intn(9)-4)))
+		}
+		q := cellset.New(ids...)
+
+		// Datasets scattered over the middle of the grid, dense enough that
+		// chains of connected picks exist and sparse enough that most
+		// datasets are out of reach of any one round.
+		var nodes []*dataset.Node
+		for i := 0; i < 160; i++ {
+			cx, cy := side/4+rng.Intn(side/2), side/4+rng.Intn(side/2)
+			cells := make([]uint64, 1+rng.Intn(15))
+			for j := range cells {
+				cells[j] = geo.ZEncode(uint32(cx+rng.Intn(9)-4), uint32(cy+rng.Intn(9)-4))
+			}
+			nodes = append(nodes, dataset.NewNodeFromCells(i, "", cellset.New(cells...)))
+		}
+		if seed%3 == 0 {
+			// Two 5×5 blocks left and right of the query, clear of it and
+			// of each other: the same gain, larger than any random
+			// dataset's, so round 1 must break the tie toward the smaller
+			// ID — which is inserted second.
+			nodes = append(nodes,
+				dataset.NewNodeFromCells(9001, "", cellBlock(qx+6, qy-2, 5, 5)),
+				dataset.NewNodeFromCells(9000, "", cellBlock(qx-10, qy-2, 5, 5)))
+		}
+
+		heap := dits.Build(g, nodes, 8)
+		path := filepath.Join(t.TempDir(), "index.dsnap")
+		if err := ditsfile.WriteFile(path, heap); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := ditsfile.Open(path, ditsfile.Options{MMap: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+
+		qn := dataset.NewNodeFromCells(-1, "query", q)
+		k := 1 + rng.Intn(8)
+		for _, delta := range []float64{0, 2.5, 6} {
+			want, tied := bruteGreedy(nodes, q, delta, k)
+			if tied {
+				tiedSeeds++
+			}
+			for name, idx := range map[string]*dits.Local{"heap": heap, "mmap": rd.Index()} {
+				check := func(engine string, got []pick) {
+					t.Helper()
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d δ=%v k=%d %s index: %s picked %v, brute force %v", seed, delta, k, name, engine, got, want)
+					}
+				}
+				check("DITSSearcher", picksOf(q, (&coverage.DITSSearcher{Index: idx}).Search(qn, delta, k).Picked))
+				for _, workers := range []int{1, 4} {
+					res, err := (&exec.Executor{Workers: workers}).CoverageSearch(context.Background(), idx, qn, delta, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check("Executor.CoverageSearch", picksOf(q, res.Picked))
+				}
+				srv := NewSourceServerWithGrid("s", idx)
+				check("session (fetch absorbs)", sessionPicks(t, srv, 1, q, delta, k, false))
+				check("session (Added)", sessionPicks(t, srv, 2, q, delta, k, true))
+				srv.Workers = 4
+				check("session (4 workers)", sessionPicks(t, srv, 3, q, delta, k, false))
+			}
+		}
+	}
+	if tiedSeeds == 0 {
+		t.Error("no seed made two candidates tie on the winning gain")
+	}
+}
+
+// TestSessionOverlappingCalls: rounds and fetches of ONE session arriving
+// at once — a retry overtaking the call it replaces — must serialize on the
+// session (run under -race) and, deltas being unions, leave it answering
+// exactly what a session opened on the final merged state answers.
+func TestSessionOverlappingCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	_, _, servers := buildFederation(rng, 1, 150, DefaultOptions())
+	srv := servers[0]
+	ctx := context.Background()
+	const delta = 6
+	q := randomQuery(rng)
+	if resp := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 5, Base: q, Delta: delta}); resp.SessionMiss {
+		t.Fatal("session did not open")
+	}
+	merged := q
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		added := randomQuery(rng)
+		id := i // datasets 0..7 exist in source 0's ID range
+		merged = merged.Union(added).Union(srv.Index.Get(id).Cells)
+		for dup := 0; dup < 2; dup++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 5, Added: added, Delta: delta})
+			}()
+			go func() {
+				defer wg.Done()
+				srv.handleFetchCells(FetchCellsRequest{Session: 5, ID: id})
+			}()
+		}
+	}
+	wg.Wait()
+	got := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 5, Delta: delta})
+	want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 6, Base: merged, Delta: delta})
+	if got != want {
+		t.Fatalf("after overlapping calls the session offers %+v, a fresh session on the same state %+v", got, want)
+	}
+}

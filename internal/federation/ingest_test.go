@@ -23,19 +23,26 @@ func buildMutableFederation(t *testing.T, rng *rand.Rand, m, perSource int, opts
 	t.Helper()
 	center, _, servers := buildFederation(rng, m, perSource, opts)
 	for _, srv := range servers {
-		idx := srv.Index
-		st, err := ingest.Open(t.TempDir(), ingest.Options{
-			Fsync:         ingest.FsyncNever,
-			SnapshotEvery: -1,
-			Bootstrap:     func() (*dits.Local, error) { return idx, nil },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		srv.EnableIngest(st)
+		enableIngest(t, srv)
 	}
 	return center, servers
+}
+
+// enableIngest puts a durable store, bootstrapped from the server's index,
+// behind srv.
+func enableIngest(t *testing.T, srv *SourceServer) {
+	t.Helper()
+	idx := srv.Index
+	st, err := ingest.Open(t.TempDir(), ingest.Options{
+		Fsync:         ingest.FsyncNever,
+		SnapshotEvery: -1,
+		Bootstrap:     func() (*dits.Local, error) { return idx, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	srv.EnableIngest(st)
 }
 
 // cellsNear builds a small cell set clustered at (cx, cy).
@@ -46,6 +53,17 @@ func cellsNear(cx, cy, n int) cellset.Set {
 		x := clamp(cx+j%5, 0, side-1)
 		y := clamp(cy+j/5, 0, side-1)
 		ids[j] = geo.ZEncode(uint32(x), uint32(y))
+	}
+	return cellset.New(ids...)
+}
+
+// cellBlock is the w×h block of cells whose lower-left cell is (x0, y0).
+func cellBlock(x0, y0, w, h int) cellset.Set {
+	var ids []uint64
+	for dx := 0; dx < w; dx++ {
+		for dy := 0; dy < h; dy++ {
+			ids = append(ids, geo.ZEncode(uint32(x0+dx), uint32(y0+dy)))
+		}
 	}
 	return cellset.New(ids...)
 }
@@ -306,5 +324,135 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// staleOfferPeer deletes the dataset the center is about to fetch, once,
+// on the armed peer's countdown-th coverage.fetch: the offer the source
+// made in coverage.round is stale by the time the center acts on it.
+type staleOfferPeer struct {
+	inner     transport.Peer
+	srv       *SourceServer
+	countdown *int // shared by all peers of a federation; fires at zero
+	deleted   *[]int
+}
+
+func (p *staleOfferPeer) Call(ctx context.Context, method string, req, resp any) error {
+	if method == MethodFetchCells {
+		if *p.countdown--; *p.countdown == 0 {
+			id := req.(*FetchCellsRequest).ID
+			if _, err := p.srv.store.DeleteDataset(id); err != nil {
+				return err
+			}
+			*p.deleted = append(*p.deleted, id)
+		}
+	}
+	return p.inner.Call(ctx, method, req, resp)
+}
+
+func (p *staleOfferPeer) Close() error { return p.inner.Close() }
+
+// TestCoverageReasksAfterStaleOffer: a delete that lands between a
+// source's offer and the center's fetch makes the offer stale, not the
+// source faulty. Under both failure policies the center must exclude the
+// dataset, re-ask that source and re-pick, and the answer must be the one
+// a fresh search over the post-delete data gives — with the source still a
+// member in good standing.
+func TestCoverageReasksAfterStaleOffer(t *testing.T) {
+	for _, policy := range []FailurePolicy{FailFast, SkipFailed} {
+		rng := rand.New(rand.NewSource(31))
+		_, servers := buildMutableFederation(t, rng, 3, 60, DefaultOptions())
+		opts := DefaultOptions()
+		opts.OnSourceError = policy
+		raced := NewCenter(worldGrid(), opts)
+		countdown := 0
+		var deleted []int
+		for _, srv := range servers {
+			raced.Register(srv.Summary(), &staleOfferPeer{
+				inner:     &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: raced.Metrics},
+				srv:       srv,
+				countdown: &countdown,
+				deleted:   &deleted,
+			})
+		}
+		fresh := NewCenter(worldGrid(), Options{GlobalFilter: true, ClipQuery: true}) // stateless oracle
+		registerAll(fresh, servers)
+
+		for trial := 0; trial < 12; trial++ {
+			q := randomQuery(rng)
+			countdown = 1 + trial%3 // the stale offer is round 1's, 2's or 3's winner
+			before := len(deleted)
+			got, err := raced.CoverageSearch(context.Background(), q, 6, 5)
+			if err != nil {
+				t.Fatalf("policy %v trial %d: a stale offer failed the query: %v", policy, trial, err)
+			}
+			want, err := fresh.CoverageSearch(context.Background(), q, 6, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("policy %v trial %d (deleted %v): raced search %+v, fresh search on the post-delete data %+v",
+					policy, trial, deleted[before:], got, want)
+			}
+			for _, p := range got.Picked {
+				if len(deleted) > before && p.ID == deleted[len(deleted)-1] {
+					t.Fatalf("policy %v trial %d: deleted dataset %d was picked", policy, trial, p.ID)
+				}
+			}
+		}
+		if len(deleted) < 6 {
+			t.Fatalf("policy %v: only %d of 12 searches hit a stale offer; the test exercises too little", policy, len(deleted))
+		}
+		if n := raced.Metrics.TotalFailures(); n != 0 {
+			t.Errorf("policy %v: %d source failures recorded for stale offers", policy, n)
+		}
+	}
+}
+
+// TestSessionSeesMutationsBetweenRounds: a session's connected set is only
+// as good as the data it was computed over. A dataset put after round 1
+// that is connected to the query alone — not to anything a later delta
+// brings — must be offered in round 2, and a dataset deleted after being
+// found connected must not be offered again; in both cases the round
+// answers what a session opened fresh on the current data answers.
+func TestSessionSeesMutationsBetweenRounds(t *testing.T) {
+	const delta = 3
+	q := cellBlock(19, 19, 3, 3)
+	nodes := []*dataset.Node{dataset.NewNodeFromCells(1, "right", cellBlock(24, 19, 4, 3))} // 3 cells right of q
+	rng := rand.New(rand.NewSource(41))
+	for id := 2; id < 40; id++ { // far from everything below
+		nodes = append(nodes, dataset.NewNodeFromCells(id, "far", cellsNear(60+rng.Intn(60), 60+rng.Intn(60), 6)))
+	}
+	srv := NewSourceServerWithGrid("s", dits.Build(worldGrid(), nodes, 8))
+	enableIngest(t, srv)
+	ctx := context.Background()
+
+	first := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 7, Base: q, Delta: delta})
+	if !first.Found || first.ID != 1 {
+		t.Fatalf("round 1 offered %+v, want dataset 1", first)
+	}
+	if f := srv.handleFetchCells(FetchCellsRequest{Session: 7, ID: 1}); !f.Committed {
+		t.Fatal("fetch did not commit to the session")
+	}
+	// 3 cells left of q, 8 from dataset 1: round 2's delta (dataset 1's
+	// cells) cannot reach it, only the query verified in round 1 can.
+	if _, err := srv.store.PutDataset(100, "left", cellBlock(12, 18, 5, 5)); err != nil {
+		t.Fatal(err)
+	}
+	round2 := CoverageRoundRequest{Session: 7, Delta: delta, Exclude: []int{1}}
+	second := srv.handleCoverageRound(ctx, round2)
+	if !second.Found || second.ID != 100 || second.Gain != 25 {
+		t.Fatalf("round 2 offered %+v, want the dataset put after round 1 (ID 100, gain 25)", second)
+	}
+	if _, err := srv.store.DeleteDataset(100); err != nil {
+		t.Fatal(err)
+	}
+	again := srv.handleCoverageRound(ctx, round2)
+	if again.Found && again.ID == 100 {
+		t.Fatal("a deleted dataset was offered from the session's connected set")
+	}
+	merged := q.Union(nodes[0].Cells)
+	if want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 8, Base: merged, Delta: delta, Exclude: []int{1}}); again.Found != want.Found || again.ID != want.ID || again.Gain != want.Gain {
+		t.Fatalf("after the delete the session offered %+v, a fresh session %+v", again, want)
 	}
 }

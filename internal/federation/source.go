@@ -33,9 +33,10 @@ const (
 // handler serves both the in-process and the TCP transports.
 //
 // A SourceServer is safe for concurrent use: the index is immutable after
-// construction and the coverage-session table is guarded by a mutex. Any
-// one session is only ever driven by one center query at a time (rounds
-// are sequential), but different sessions proceed concurrently.
+// construction (or guarded by the ingest store's lock), the
+// coverage-session table is guarded by a mutex and each session by its
+// own. Any one session is driven by one center query, round after round;
+// different sessions proceed concurrently.
 type SourceServer struct {
 	Name  string
 	Index *dits.Local
@@ -69,26 +70,37 @@ type SourceServer struct {
 }
 
 // covSession is the per-query state of the session-based CJSP: the merged
-// result set accumulated from the center's deltas, kept in Compact form,
-// its bounds, and the distance index grown with every delta so connectivity
-// checks never rebuild from scratch.
+// result set accumulated from the center's deltas (Compact form, what the
+// marginal gains are computed against), the datasets connected to it, and
+// the cells absorbed since that connected set was last extended. A round
+// verifies connectivity against the pending delta alone and unions the
+// result in (coverage.ConnectSet) — valid because connectivity to a
+// growing set is monotone, as long as the index holds the data the
+// connected set was computed over: version is the source's data version at
+// that computation, and a round that finds another one starts over from
+// the full merged set.
 type covSession struct {
-	merged                 *cellset.Compact
-	distIdx                *cellset.DistIndex
-	delta                  float64
-	minX, minY, maxX, maxY uint32
-	lastUsed               time.Time
+	// mu serializes the rounds and fetches of one session. The center
+	// drives a session sequentially, but a call it has given up on may
+	// still be running here when its retry arrives.
+	mu        sync.Mutex
+	merged    *cellset.Compact
+	pending   cellset.Set
+	connected coverage.ConnectSet
+	version   uint64
+	delta     float64
+
+	lastUsed time.Time // guarded by SourceServer.mu, not by mu
 }
 
-// newCovSession opens session state over the full clipped base set.
-func newCovSession(base cellset.Set, delta float64) *covSession {
-	cs := &covSession{
-		merged:  cellset.FromSet(base),
-		distIdx: cellset.NewDistIndex(base, delta),
-		delta:   delta,
-	}
-	cs.minX, cs.minY, cs.maxX, cs.maxY, _ = base.Bounds()
-	return cs
+// reset (re)opens the session over the full clipped base set: nothing is
+// known to be connected yet and the whole base is the pending delta.
+func (cs *covSession) reset(base cellset.Set, delta float64, version uint64) {
+	cs.merged = cellset.FromSet(base)
+	cs.pending = base
+	cs.connected = coverage.ConnectSet{}
+	cs.version = version
+	cs.delta = delta
 }
 
 // absorb unions one round's delta cells into the session.
@@ -97,38 +109,43 @@ func (cs *covSession) absorb(added cellset.Set) {
 		return
 	}
 	cs.merged = cs.merged.Union(cellset.FromSet(added))
-	cs.distIdx.Add(added)
-	minX, minY, maxX, maxY, ok := added.Bounds()
-	if !ok {
-		return
-	}
-	if minX < cs.minX {
-		cs.minX = minX
-	}
-	if minY < cs.minY {
-		cs.minY = minY
-	}
-	if maxX > cs.maxX {
-		cs.maxX = maxX
-	}
-	if maxY > cs.maxY {
-		cs.maxY = maxY
-	}
+	cs.pending = cs.pending.Union(added)
 }
 
-// node materializes the query node of the merged state without flattening
-// the cell set: the geometry comes from the tracked bounds (identical to
-// what dataset.NewNodeFromCells would compute from the flat set) and the
-// cells ride along in Compact form only.
-func (cs *covSession) node() *dataset.Node {
+// connect brings the connected set up to date with the merged set and
+// returns it. walk is the FindConnectSet tree search from a query node;
+// version is the data version of the index walk reads, taken under the
+// same index lock. The caller holds cs.mu.
+func (cs *covSession) connect(version uint64, walk func(q *dataset.Node, qIdx *cellset.DistIndex) []*dataset.Node) []*dataset.Node {
+	if version != cs.version {
+		// A put or delete landed since the connected set was computed: a
+		// new dataset may connect to cells verified long ago and a deleted
+		// one must not be offered again. Recompute against everything.
+		cs.pending = cs.merged.Set()
+		cs.connected = coverage.ConnectSet{}
+		cs.version = version
+	}
+	if q := cellsNode(cs.pending); q != nil {
+		cs.connected.Add(walk(q, cellset.NewDistIndex(cs.pending, cs.delta)))
+		cs.pending = nil
+	}
+	return cs.connected.Nodes
+}
+
+// cellsNode wraps cells as the query-side node of a connectivity walk,
+// which reads the geometry and leaves the cells to the DistIndex; unlike
+// dataset.NewNodeFromCells it builds no container form. Nil when cells is
+// empty.
+func cellsNode(cells cellset.Set) *dataset.Node {
+	minX, minY, maxX, maxY, ok := cells.Bounds()
+	if !ok {
+		return nil
+	}
 	r := geo.Rect{
-		MinX: float64(cs.minX), MinY: float64(cs.minY),
-		MaxX: float64(cs.maxX), MaxY: float64(cs.maxY),
+		MinX: float64(minX), MinY: float64(minY),
+		MaxX: float64(maxX), MaxY: float64(maxY),
 	}
-	return &dataset.Node{
-		ID: -1, Name: "merged", Rect: r, O: r.Center(), R: r.Radius(),
-		Compact: cs.merged,
-	}
+	return &dataset.Node{ID: -1, Rect: r, O: r.Center(), R: r.Radius(), Cells: cells}
 }
 
 // NewSourceServer indexes a source with the given resolution and leaf
@@ -149,10 +166,11 @@ func NewSourceServerWithGrid(name string, idx *dits.Local) *SourceServer {
 // EnableIngest attaches a durable write path: the server adopts the
 // store's live index and starts answering dataset.put / dataset.delete.
 // Mutations and searches then share the store's lock — a request sees the
-// index either before or after any mutation, never mid-apply, and an open
-// CJSP session simply observes each round against the index state current
-// at that round (a winner deleted between offer and fetch surfaces as
-// Found=false, which the center already handles).
+// index either before or after any mutation, never mid-apply. An open CJSP
+// session answers each round from the index state current at that round:
+// it notices a changed data version and recomputes its connected set
+// (covSession), and a winner deleted between offer and fetch surfaces as
+// Found=false, on which the center re-asks.
 func (s *SourceServer) EnableIngest(st *ingest.Store) {
 	s.store = st
 	// s.Index is not cached from the store: with an mmap-served store the
@@ -512,7 +530,7 @@ func (s *SourceServer) handleCoverageRound(ctx context.Context, req CoverageRoun
 		s.mu.Unlock()
 		return CoverageRoundResponse{SessionMiss: true}
 	case sess == nil:
-		sess = newCovSession(req.Base, req.Delta)
+		sess = &covSession{}
 		if len(s.sessions) >= s.maxSessions() {
 			// Table full of live sessions: answer from the request's
 			// Base without storing — never evict another in-flight
@@ -525,23 +543,30 @@ func (s *SourceServer) handleCoverageRound(ctx context.Context, req CoverageRoun
 			}
 			s.sessions[req.Session] = sess
 		}
-	case len(req.Base) > 0:
-		// Center re-opened after a miss: replace with the full state.
-		*sess = *newCovSession(req.Base, req.Delta)
-	default:
-		sess.absorb(req.Added)
 	}
 	sess.lastUsed = now
-	merged, qn, qIdx, delta := sess.merged, sess.node(), sess.distIdx, sess.delta
 	s.mu.Unlock()
 
-	if merged.IsEmpty() {
-		return CoverageRoundResponse{Stateless: stateless}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if len(req.Base) > 0 {
+		// A new session, or the center re-opening one after a miss:
+		// replace whatever is held with the full state.
+		sess.reset(req.Base, req.Delta, s.DataVersion())
+	} else {
+		sess.absorb(req.Added)
 	}
 	out := CoverageRoundResponse{Stateless: stateless}
+	if sess.merged.IsEmpty() {
+		return out
+	}
 	s.view(func(idx *dits.Local) {
-		cands := s.findConnectSet(ctx, idx, qn, delta, qIdx)
-		best, bestGain := s.pickBest(cands, merged, req.Exclude)
+		// Under the index lock the data version cannot move, so the stamp
+		// describes exactly the index the walk reads.
+		cands := sess.connect(s.DataVersion(), func(q *dataset.Node, qIdx *cellset.DistIndex) []*dataset.Node {
+			return s.findConnectSet(ctx, idx, q, sess.delta, qIdx)
+		})
+		best, bestGain := s.pickBest(cands, sess.merged, req.Exclude)
 		if best == nil {
 			return
 		}
@@ -570,12 +595,17 @@ func (s *SourceServer) handleFetchCells(req FetchCellsRequest) FetchCellsRespons
 	}
 	s.mu.Lock()
 	s.sweepLocked(s.clock())
-	if sess := s.sessions[req.Session]; sess != nil {
-		sess.absorb(cells)
+	sess := s.sessions[req.Session]
+	if sess != nil {
 		sess.lastUsed = s.clock()
-		resp.Committed = true
 	}
 	s.mu.Unlock()
+	if sess != nil {
+		sess.mu.Lock()
+		sess.absorb(cells)
+		sess.mu.Unlock()
+		resp.Committed = true
+	}
 	return resp
 }
 

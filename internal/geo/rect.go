@@ -146,9 +146,28 @@ func (r Rect) MinDist(s Rect) float64 {
 	if r.IsEmpty() || s.IsEmpty() {
 		return math.Inf(1)
 	}
-	dx := math.Max(0, math.Max(s.MinX-r.MaxX, r.MinX-s.MaxX))
-	dy := math.Max(0, math.Max(s.MinY-r.MaxY, r.MinY-s.MaxY))
+	dx, dy := r.gap(s)
 	return math.Hypot(dx, dy)
+}
+
+// MinDist2 returns the square of MinDist, computed without a square root:
+// between rectangles with integer coordinates it is exact, where
+// math.Hypot is off by an ulp on many Pythagorean pairs, so a threshold
+// test against a squared radius never disagrees with a point-by-point one.
+func (r Rect) MinDist2(s Rect) float64 {
+	if r.IsEmpty() || s.IsEmpty() {
+		return math.Inf(1)
+	}
+	dx, dy := r.gap(s)
+	return dx*dx + dy*dy
+}
+
+// gap returns the per-axis separation of two non-empty rectangles, 0 on an
+// axis where their extents overlap.
+func (r Rect) gap(s Rect) (dx, dy float64) {
+	dx = math.Max(0, math.Max(s.MinX-r.MaxX, r.MinX-s.MaxX))
+	dy = math.Max(0, math.Max(s.MinY-r.MaxY, r.MinY-s.MaxY))
+	return dx, dy
 }
 
 // MinDistPoint returns the minimum Euclidean distance from p to r; 0 when p

@@ -103,6 +103,17 @@ func TestRectMinDist(t *testing.T) {
 		if got := a.MinDist(c.b); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("MinDist(%v) = %v, want %v", c.b, got, c.want)
 		}
+		if got := a.MinDist2(c.b); math.Abs(got-c.want*c.want) > 1e-12 {
+			t.Errorf("MinDist2(%v) = %v, want %v", c.b, got, c.want*c.want)
+		}
+	}
+	// 21-220-221 is one of the triples math.Hypot misses by an ulp.
+	far := Rect{MinX: 22, MinY: 221, MaxX: 30, MaxY: 230}
+	if got := a.MinDist2(far); got != 221*221 {
+		t.Errorf("MinDist2 = %v, want exactly %v", got, 221*221)
+	}
+	if got := a.MinDist2(EmptyRect); !math.IsInf(got, 1) {
+		t.Errorf("MinDist2 to the empty rect = %v, want +Inf", got)
 	}
 }
 

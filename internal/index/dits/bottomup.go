@@ -24,12 +24,9 @@ const BuildBottomUpMaxDatasets = 4000
 // BuildBottomUpMaxDatasets datasets are given (the caller chose the wrong
 // builder, not a runtime condition).
 func BuildBottomUp(g geo.Grid, nodes []*dataset.Node, f int) *Local {
-	if f <= 0 {
-		f = DefaultLeafCapacity
-	}
 	l := &Local{
 		Grid:   g,
-		F:      f,
+		F:      leafCapacity(f),
 		byID:   make(map[int]*dataset.Node),
 		leafOf: make(map[int]*TreeNode),
 	}
@@ -72,7 +69,7 @@ func BuildBottomUp(g geo.Grid, nodes []*dataset.Node, f int) *Local {
 		}
 		leaf := &TreeNode{Children: append([]*dataset.Node(nil), c.data...)}
 		leaf.refreshGeometry()
-		leaf.rebuildInv()
+		leaf.post = newLeafPostings(leaf.Children, leaf.unionC)
 		for _, d := range c.data {
 			l.leafOf[d.ID] = leaf
 		}

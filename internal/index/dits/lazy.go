@@ -30,12 +30,72 @@ type LeafData struct {
 
 // LeafPostings is the flat, possibly file-aliased form of a leaf's
 // inverted index: for CellList[i], the child positions holding that cell
-// are Entries[Ends[i-1]:Ends[i]]. It replaces the Inv map for file-backed
-// leaves until a mutation forces the map to be built (ensureInv).
+// are Entries[Ends[i-1]:Ends[i]]. It is the one form a leaf's postings take
+// at rest, heap-built or file-backed, until a mutation forces the Inv map
+// to be built (ensureInv).
 type LeafPostings struct {
 	CellList []uint64 // distinct cells, strictly ascending
 	Ends     []uint32 // prefix end offsets into Entries, len == len(CellList)
-	Entries  []uint16 // child positions, grouped per cell
+	Entries  []uint16 // child positions, grouped per cell, ascending within a cell
+}
+
+// newLeafPostings flattens the inverted index of a leaf holding children,
+// whose cell union is union: one pass locates every (child, cell) pair in
+// the sorted union, a counting sort then groups the pairs by cell. Children
+// are visited in position order, so positions ascend within each cell.
+func newLeafPostings(children []*dataset.Node, union *cellset.Compact) *LeafPostings {
+	p := &LeafPostings{CellList: union.Set()}
+	p.Ends = make([]uint32, len(p.CellList))
+	total := 0
+	for _, c := range children {
+		total += c.Coverage()
+	}
+	// where[j] is the CellList index of the j-th pair in child order.
+	where := make([]uint32, 0, total)
+	var scratch cellset.Set
+	for _, c := range children {
+		cells := c.Cells
+		if cells == nil {
+			scratch = c.CompactCells().AppendCells(scratch[:0])
+			cells = scratch
+		}
+		lo := 0
+		for _, cell := range cells {
+			i, _ := slices.BinarySearch(p.CellList[lo:], cell)
+			lo += i
+			where = append(where, uint32(lo))
+			p.Ends[lo]++
+			lo++
+		}
+	}
+	// Counts -> start offsets; filling advances each start to its list's end.
+	sum := uint32(0)
+	for i, n := range p.Ends {
+		p.Ends[i] = sum
+		sum += n
+	}
+	p.Entries = make([]uint16, total)
+	j := 0
+	for pos, c := range children {
+		for range c.Coverage() {
+			p.Entries[p.Ends[where[j]]] = uint16(pos)
+			p.Ends[where[j]]++
+			j++
+		}
+	}
+	return p
+}
+
+// Postings returns the leaf's inverted index in flat form: the one it
+// carries at rest, or a fresh flattening when a mutation has replaced it
+// with the Inv map. It never modifies the leaf, so it is safe beside
+// concurrent searches (the snapshot writer runs under the shared lock).
+func (n *TreeNode) Postings() *LeafPostings {
+	n.EnsureLoaded()
+	if n.post != nil {
+		return n.post
+	}
+	return newLeafPostings(n.Children, n.unionC)
 }
 
 // lazyLeaf arms a leaf for one-shot materialization. The once gives every
@@ -123,12 +183,9 @@ func NewFromTree(g geo.Grid, f int, root *TreeNode) (*Local, error) {
 	if root == nil {
 		return nil, fmt.Errorf("dits: nil root")
 	}
-	if f <= 0 {
-		f = DefaultLeafCapacity
-	}
 	l := &Local{
 		Grid:   g,
-		F:      f,
+		F:      leafCapacity(f),
 		Root:   root,
 		byID:   make(map[int]*dataset.Node),
 		leafOf: make(map[int]*TreeNode),

@@ -14,6 +14,19 @@ import (
 // capacity, matching the middle of the paper's parameter grid (Table II).
 const DefaultLeafCapacity = 30
 
+// MaxLeafCapacity is the largest leaf capacity an index is built with: a
+// leaf's posting lists hold child positions as uint16.
+const MaxLeafCapacity = 1 << 16
+
+// leafCapacity resolves a caller's f: the default for a non-positive value,
+// capped at MaxLeafCapacity.
+func leafCapacity(f int) int {
+	if f <= 0 {
+		return DefaultLeafCapacity
+	}
+	return min(f, MaxLeafCapacity)
+}
+
 // Local is the DITS-L index of one data source: the ball tree plus the
 // bookkeeping (dataset-by-ID, leaf-of-dataset) that Appendix C's update
 // operations need. Local is not safe for concurrent mutation; concurrent
@@ -36,12 +49,9 @@ type Local struct {
 // top-down median split of Algorithm 1. Nil nodes (empty datasets) are
 // skipped. The input slice is not modified.
 func Build(g geo.Grid, nodes []*dataset.Node, f int) *Local {
-	if f <= 0 {
-		f = DefaultLeafCapacity
-	}
 	l := &Local{
 		Grid:   g,
-		F:      f,
+		F:      leafCapacity(f),
 		byID:   make(map[int]*dataset.Node),
 		leafOf: make(map[int]*TreeNode),
 	}
@@ -75,7 +85,7 @@ func (l *Local) build(nds []*dataset.Node, parent *TreeNode) *TreeNode {
 	if len(nds) <= l.F {
 		root.Children = append([]*dataset.Node(nil), nds...)
 		root.refreshGeometry()
-		root.rebuildInv()
+		root.post = newLeafPostings(root.Children, root.unionC)
 		for _, c := range nds {
 			l.leafOf[c.ID] = root
 		}
@@ -195,6 +205,9 @@ func (l *Local) MemoryBytes() int64 {
 	l.Root.visitLeaves(func(leaf *TreeNode) {
 		for _, pl := range leaf.Inv {
 			bytes += 8 + int64(len(pl))*4 // key + posting entries
+		}
+		if p := leaf.post; p != nil {
+			bytes += int64(len(p.CellList))*8 + int64(len(p.Ends))*4 + int64(len(p.Entries))*2
 		}
 		for _, c := range leaf.Children {
 			bytes += int64(c.Cells.Len())*8 + 64 // cell set + node header

@@ -32,7 +32,8 @@ import (
 
 // TreeNode is a node of the DITS-L tree. Internal nodes (Definition 13)
 // have Left and Right children; leaf nodes (Definition 14) hold up to F
-// dataset nodes in Children plus the inverted index Inv. All nodes carry
+// dataset nodes in Children plus the inverted index — flat posting lists
+// at rest, the Inv map once a mutation has touched the leaf. All nodes carry
 // the MBR (in grid-coordinate space), pivot, radius, and a parent pointer —
 // the bidirectional structure Appendix C relies on for fast updates.
 type TreeNode struct {
@@ -46,7 +47,9 @@ type TreeNode struct {
 
 	// Leaf node fields.
 	Children []*dataset.Node
-	Inv      map[uint64][]int32 // cell ID -> positions in Children
+	// Inv maps cell ID -> positions in Children. It is nil until the first
+	// mutation of the leaf (ensureInv); until then post stands in for it.
+	Inv map[uint64][]int32
 	// MaxCells caches the largest |S_D| among Children: min(|S_Q|,
 	// MaxCells) is a free upper bound on any intersection in the leaf,
 	// checked before the O(|S_Q|) Lemma 2/3 bounds.
@@ -60,10 +63,11 @@ type TreeNode struct {
 	// counts. Maintained by refreshGeometry and the Insert fast path.
 	unionC, allC *cellset.Compact
 
-	// File-backed leaves (lazy.go): lazy materializes the payload on first
-	// touch; post is the flat, possibly file-aliased posting-list form that
-	// stands in for Inv until a mutation builds the map. Both are nil on
-	// heap-built leaves.
+	// post is the inverted index at rest (lazy.go): flat posting lists,
+	// built from the children for a heap-built leaf and aliasing the file
+	// for a file-backed one, dropped when a mutation builds Inv. lazy
+	// materializes a file-backed leaf's payload on first touch and is nil
+	// on heap-built leaves.
 	lazy *lazyLeaf
 	post *LeafPostings
 }
@@ -132,10 +136,10 @@ func (n *TreeNode) addToSummaries(nd *dataset.Node) {
 	n.allC = n.allC.Intersect(cc)
 }
 
-// rebuildInv reconstructs the leaf's inverted index from its children; it
-// is used at construction and when a leaf is split. Point mutations use
-// the incremental addInv/removeInv/moveInv instead, so an insert or delete
-// touches only the affected dataset's postings.
+// rebuildInv reconstructs the leaf's mutable inverted index from its
+// children; ensureInv calls it when the first mutation reaches a leaf. Point
+// mutations then use the incremental addInv/removeInv/moveInv, so an
+// insert or delete touches only the affected dataset's postings.
 func (n *TreeNode) rebuildInv() {
 	n.Inv = make(map[uint64][]int32)
 	for i, c := range n.Children {

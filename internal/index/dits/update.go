@@ -76,8 +76,9 @@ func (l *Local) splitLeaf(leaf *TreeNode) {
 	leaf.Rect, leaf.O, leaf.R = sub.Rect, sub.O, sub.R
 	leaf.MaxCells = sub.MaxCells
 	// The node is internal now (or a freshly rebuilt leaf when the split
-	// degenerates); any file-backed payload state died with the old leaf.
-	leaf.lazy, leaf.post = nil, nil
+	// degenerates, which carries the rebuilt postings); any file-backed
+	// payload state died with the old leaf.
+	leaf.lazy, leaf.post = nil, sub.post
 	if leaf.Left != nil {
 		leaf.Left.Parent = leaf
 		leaf.Right.Parent = leaf

@@ -2,14 +2,12 @@ package ditsfile
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"slices"
 
 	"dits/internal/cellset"
 	"dits/internal/dataset"
@@ -298,7 +296,7 @@ func (p *filePlan) writeSections(sw *sectionWriter, h *header) error {
 		if uint64(sw.n-start) != p.postOff[i] {
 			return fmt.Errorf("ditsfile: post offset drift at node %d", i)
 		}
-		if err := writePostings(sw, n.Children); err != nil {
+		if err := writePostings(sw, n.Postings()); err != nil {
 			return err
 		}
 	}
@@ -321,57 +319,27 @@ func (p *filePlan) childDirIdx(i int, c *dataset.Node) int {
 
 // writePostings emits one leaf's posting block: the flattened inverted
 // index grouped by cell, positions ascending within each cell.
-func writePostings(sw *sectionWriter, children []*dataset.Node) error {
-	type pair struct {
-		cell uint64
-		pos  uint16
-	}
-	var pairs []pair
-	for pos, c := range children {
-		c.CompactCells().ForEach(func(cell uint64) bool {
-			pairs = append(pairs, pair{cell, uint16(pos)})
-			return true
-		})
-	}
-	slices.SortFunc(pairs, func(a, b pair) int {
-		if c := cmp.Compare(a.cell, b.cell); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	nCells := 0
-	for i, pr := range pairs {
-		if i == 0 || pr.cell != pairs[i-1].cell {
-			nCells++
-		}
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(nCells))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(pairs)))
-	if err := sw.write(hdr[:]); err != nil {
+func writePostings(sw *sectionWriter, p *dits.LeafPostings) error {
+	var w8 [8]byte
+	binary.LittleEndian.PutUint32(w8[:], uint32(len(p.CellList)))
+	binary.LittleEndian.PutUint32(w8[4:], uint32(len(p.Entries)))
+	if err := sw.write(w8[:]); err != nil {
 		return fmt.Errorf("ditsfile: write post: %w", err)
 	}
-	var w8 [8]byte
-	for i, pr := range pairs {
-		if i == 0 || pr.cell != pairs[i-1].cell {
-			binary.LittleEndian.PutUint64(w8[:], pr.cell)
-			if err := sw.write(w8[:]); err != nil {
-				return fmt.Errorf("ditsfile: write post: %w", err)
-			}
+	for _, cell := range p.CellList {
+		binary.LittleEndian.PutUint64(w8[:], cell)
+		if err := sw.write(w8[:]); err != nil {
+			return fmt.Errorf("ditsfile: write post: %w", err)
 		}
 	}
-	end := uint32(0)
-	for i, pr := range pairs {
-		end++
-		if i == len(pairs)-1 || pr.cell != pairs[i+1].cell {
-			binary.LittleEndian.PutUint32(w8[:4], end)
-			if err := sw.write(w8[:4]); err != nil {
-				return fmt.Errorf("ditsfile: write post: %w", err)
-			}
+	for _, end := range p.Ends {
+		binary.LittleEndian.PutUint32(w8[:4], end)
+		if err := sw.write(w8[:4]); err != nil {
+			return fmt.Errorf("ditsfile: write post: %w", err)
 		}
 	}
-	for _, pr := range pairs {
-		binary.LittleEndian.PutUint16(w8[:2], pr.pos)
+	for _, pos := range p.Entries {
+		binary.LittleEndian.PutUint16(w8[:2], pos)
 		if err := sw.write(w8[:2]); err != nil {
 			return fmt.Errorf("ditsfile: write post: %w", err)
 		}

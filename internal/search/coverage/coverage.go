@@ -14,6 +14,15 @@
 // the minimum over the sets. Tests assert the three produce identical
 // results; only their running time differs.
 //
+// The three keep Algorithm 3's published structure — one FindConnectSet
+// walk from the whole merged node per round — because they are the
+// reproduction (figs 15-18, the ablation) and the oracle the serving loops
+// are tested against. The serving loops (search/exec's CoverageSearch, the
+// federation source's session) use the same identity the other way round:
+// connected(M ∪ A) = connected(M) ∪ connected(A), so they keep the
+// connected set across rounds (ConnectSet) and walk from each round's
+// added cells alone.
+//
 // # Concurrency and ownership
 //
 // Searches are read-only over the index: concurrent Search calls on one
@@ -21,16 +30,19 @@
 // merged query node and the covered set a search accumulates are owned by
 // that search; cellset.Compact values are immutable, so the merged state
 // shares containers with the picked datasets without copying. A
-// caller-maintained DistIndex (FindConnectSetWithIndex) may be read by
-// many concurrent walks — the parallel executor does this — but growing
-// it (Add/AddCompact) requires exclusive access; the greedy loops
-// alternate search and growth, never overlapping them. Result.Picked
-// aliases the index's dataset nodes and must be treated as read-only.
+// caller-supplied DistIndex (FindConnectSetWithIndex) may be read by many
+// concurrent walks — the parallel executor does this. Only the searchers
+// of this package grow one (Add/AddCompact, once per pick), which requires
+// exclusive access; their loops alternate search and growth, never
+// overlapping them. The serving loops build a fresh index over each
+// round's delta and never grow it. Result.Picked aliases the index's
+// dataset nodes and must be treated as read-only.
 package coverage
 
 import (
 	"dits/internal/cellset"
 	"dits/internal/dataset"
+	"dits/internal/geo"
 	"dits/internal/index/dits"
 )
 
@@ -129,16 +141,18 @@ func (s *DITSSearcher) Search(q *dataset.Node, delta float64, k int) Result {
 // FindConnectSet walks the DITS-L tree and returns every dataset node
 // directly connected to q under threshold delta (Algorithm 3, lines
 // 14-26): a subtree whose Lemma 4 upper bound is within delta is accepted
-// wholesale; one whose lower bound exceeds delta is pruned; leaves in
-// between are verified cell-exactly.
+// wholesale; one whose lower bound — Lemma 4's, or the distance between
+// the MBRs — exceeds delta is pruned; leaves in between are verified
+// cell-exactly. Every bound is valid, so the result is exactly the set of
+// datasets within delta of q, in tree order.
 func FindConnectSet(root *dits.TreeNode, q *dataset.Node, delta float64) []*dataset.Node {
 	return findConnectSet(root, q, delta, cellset.NewDistIndex(q.FlatCells(), delta))
 }
 
-// FindConnectSetWithIndex is FindConnectSet with a caller-maintained
-// distance index over q's cells. Session-based federated searches keep the
-// index alive across greedy rounds and grow it with each round's delta
-// instead of rebuilding it from the full merged set every time.
+// FindConnectSetWithIndex is FindConnectSet with a caller-supplied distance
+// index over q's cells: the parallel executor shares one index between its
+// subtree walks, and the serving loops pass the index of the round's delta
+// together with a node carrying only its geometry.
 func FindConnectSetWithIndex(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex) []*dataset.Node {
 	return findConnectSet(root, q, delta, qIdx)
 }
@@ -149,7 +163,7 @@ func findConnectSet(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *c
 	var out []*dataset.Node
 	var walk func(n *dits.TreeNode)
 	walk = func(n *dits.TreeNode) {
-		if n == nil || n.Rect.IsEmpty() {
+		if n == nil || n.Rect.IsEmpty() || mbrFar(n.Rect, q.Rect, delta) {
 			return
 		}
 		c := n.O.Dist(q.O)
@@ -173,7 +187,7 @@ func findConnectSet(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *c
 			n.EnsureLoaded()
 			for _, nd := range n.Children {
 				ndLB, ndUB := nd.DistBounds(q)
-				if ndLB > delta {
+				if ndLB > delta || mbrFar(nd.Rect, q.Rect, delta) {
 					continue
 				}
 				if ndUB <= delta || connectedTo(qIdx, nd) {
@@ -187,6 +201,44 @@ func findConnectSet(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *c
 	}
 	walk(root)
 	return out
+}
+
+// mbrFar reports whether the MBRs a and b lie more than delta apart, in
+// which case no cell of one is within delta of a cell of the other. It is
+// the bound a merged query needs: the merged ball of Lemma 4 swells with
+// every pick until it prunes nothing, while the distance between MBRs stays
+// tight. Squared distances, the exact kernel's arithmetic, keep the bound
+// from disagreeing with the kernel at a distance of exactly delta.
+func mbrFar(a, b geo.Rect, delta float64) bool {
+	return a.MinDist2(b) > delta*delta
+}
+
+// ConnectSet accumulates the datasets directly connected to a merged set
+// that only grows. Distance to a union is the minimum over its members, so
+// connected(M ∪ A) = connected(M) ∪ connected(A): a greedy loop that keeps
+// a ConnectSet walks the tree once per round from the cells added that
+// round alone — a small ball and MBR, a DistIndex over the delta only —
+// and folds the walk's result in with Add. Nodes holds the connected
+// datasets in first-seen order; the greedy pick does not depend on that
+// order (maximum gain, ties toward the smaller ID). The zero value is
+// empty and ready to use.
+type ConnectSet struct {
+	Nodes []*dataset.Node
+	seen  map[int]struct{}
+}
+
+// Add folds in the result of one FindConnectSet walk, skipping datasets
+// already present.
+func (c *ConnectSet) Add(found []*dataset.Node) {
+	if c.seen == nil {
+		c.seen = make(map[int]struct{}, len(found))
+	}
+	for _, nd := range found {
+		if _, dup := c.seen[nd.ID]; !dup {
+			c.seen[nd.ID] = struct{}{}
+			c.Nodes = append(c.Nodes, nd)
+		}
+	}
 }
 
 func collect(n *dits.TreeNode, out *[]*dataset.Node) {
@@ -206,6 +258,9 @@ func collect(n *dits.TreeNode, out *[]*dataset.Node) {
 // the dataset node carries: the flat set for heap-built nodes, the
 // container form for file-backed ones.
 func connectedTo(qIdx *cellset.DistIndex, nd *dataset.Node) bool {
+	if !qIdx.NearRect(nd.Rect) {
+		return false // no occupied bucket near the MBR: skip decoding the cells
+	}
 	if nd.Cells != nil {
 		return qIdx.Connected(nd.Cells)
 	}

@@ -22,7 +22,7 @@ const connectTaskFactor = 4
 // prune / verify decision is made from a subtree's own (valid) bounds, and
 // the exact leaf-level checks are shared — so callers can swap the two
 // freely. qIdx is read concurrently and must not be mutated during the
-// call (the greedy loops alternate search and growth, never overlap them).
+// call.
 func (e *Executor) FindConnectSet(ctx context.Context, root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex) []*dataset.Node {
 	w := e.workers()
 	if w == 1 || root == nil {
@@ -160,36 +160,39 @@ func pickBestSeq(cands []*dataset.Node, excluded func(id int) bool, covered *cel
 	return best, tau
 }
 
-// CoverageSearch runs CoverageSearch (Algorithm 3) with its two hot spots
-// — the FindConnectSet walk and the marginal-gain scan — executed on the
-// worker pool. The greedy round structure itself is inherently sequential
-// (each round's state depends on the previous pick), so rounds are not
-// parallelized; results are identical to (*coverage.DITSSearcher).Search.
-// On cancellation the rounds picked so far are returned with ctx.Err().
+// CoverageSearch runs the greedy of CoverageSearch (Algorithm 3) with its
+// two hot spots — the FindConnectSet walk and the marginal-gain scan —
+// executed on the worker pool. Where the paper re-walks the tree from the
+// whole merged node every round, this loop keeps the connected set and
+// walks from the last pick alone (coverage.ConnectSet); candidates, gains
+// and tie-breaks are the same, so results are identical to
+// (*coverage.DITSSearcher).Search. The greedy round structure itself is
+// inherently sequential (each round's state depends on the previous pick),
+// so rounds are not parallelized. On cancellation the rounds picked so far
+// are returned with ctx.Err().
 func (e *Executor) CoverageSearch(ctx context.Context, idx *dits.Local, q *dataset.Node, delta float64, k int) (coverage.Result, error) {
 	if q == nil || k <= 0 || idx == nil || idx.Root == nil {
 		return coverageResultFor(q, nil, nil), ctx.Err()
 	}
-	merged := q
 	covered := q.CompactCells()
 	picked := map[int]bool{}
-	qIdx := cellset.NewDistIndex(q.FlatCells(), delta)
+	var connected coverage.ConnectSet
 	var chosen []*dataset.Node
 
+	added := q // the node whose cells joined the merged set last
 	for len(chosen) < k {
 		if err := ctx.Err(); err != nil {
 			return coverageResultFor(q, chosen, covered), err
 		}
-		cands := e.FindConnectSet(ctx, idx.Root, merged, delta, qIdx)
-		best, _ := e.PickBest(ctx, cands, func(id int) bool { return picked[id] }, covered)
+		connected.Add(e.FindConnectSet(ctx, idx.Root, added, delta, cellset.NewDistIndex(added.FlatCells(), delta)))
+		best, _ := e.PickBest(ctx, connected.Nodes, func(id int) bool { return picked[id] }, covered)
 		if best == nil {
 			break
 		}
 		picked[best.ID] = true
 		chosen = append(chosen, best)
 		covered = covered.Union(best.CompactCells())
-		merged = merged.Merge(best)
-		qIdx.AddCompact(best.CompactCells())
+		added = best
 	}
 	return coverageResultFor(q, chosen, covered), nil
 }
