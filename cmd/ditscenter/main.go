@@ -1,8 +1,9 @@
 // Command ditscenter runs one federation center of a sharded cluster: it
 // serves the cluster protocol (cluster.info, cluster.register/unregister,
-// cluster.overlap/batch/covstep, cluster.put/delete) over TCP, dials the
-// sources a gateway assigns to its shard, and answers scatter/gather
-// queries over exactly those sources.
+// cluster.overlap/batch/forward, cluster.put/delete) over TCP, dials the
+// sources a gateway assigns to its shard, answers OJSP scatter/gather
+// queries over exactly those sources, and relays the gateway's CJSP
+// session rounds to them (cluster.forward).
 //
 // With -memberlog the accepted membership is persisted through the same
 // torn-tail-tolerant framed log the ingest WAL uses: a restarted center

@@ -144,10 +144,7 @@ func (c *Center) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) (
 		if preps[i].cached {
 			continue
 		}
-		sortSourceResults(out[i])
-		if len(out[i]) > queries[i].K {
-			out[i] = out[i][:queries[i].K]
-		}
+		out[i] = topK(out[i], queries[i].K)
 		if rc != nil && preps[i].key != "" && !degraded[i] {
 			rc.Put(preps[i].key, append([]SourceResult(nil), out[i]...))
 		}
@@ -237,9 +234,9 @@ func isUnknownMethod(err error) bool {
 	return errors.As(err, &re) && strings.Contains(re.Msg, "unknown method")
 }
 
-// sortSourceResults ranks federated overlap results the canonical way:
-// overlap descending, then source name, then dataset ID.
-func sortSourceResults(rs []SourceResult) {
+// topK ranks federated overlap results the canonical way — overlap
+// descending, then source name, then dataset ID — and keeps the first k.
+func topK(rs []SourceResult, k int) []SourceResult {
 	slices.SortFunc(rs, func(a, b SourceResult) int {
 		if a.Overlap != b.Overlap {
 			return cmp.Compare(b.Overlap, a.Overlap)
@@ -249,4 +246,5 @@ func sortSourceResults(rs []SourceResult) {
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
+	return rs[:max(0, min(k, len(rs)))]
 }

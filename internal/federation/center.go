@@ -115,6 +115,12 @@ type Center struct {
 	// earlier generation come from a previous incarnation of the source
 	// and are dropped; notes merely racing an unrelated epoch swap pass.
 	regGen map[string]uint64
+
+	// relay, when set, performs the session engine's member calls in place
+	// of the members' own peers: a cluster gateway's view registers its
+	// sources without connections and reaches them through their owner
+	// centers (Cluster.relay).
+	relay func(ctx context.Context, calls []memberCall) []error
 }
 
 // ErrUnknownSource reports a mutation routed to a source name that is not
@@ -476,11 +482,7 @@ func (c *Center) OverlapSearch(ctx context.Context, queryCells cellset.Set, k in
 		}
 		all = append(all, rs...)
 	}
-	// Aggregate: global top-k, deterministic tie-break.
-	sortSourceResults(all)
-	if len(all) > k {
-		all = all[:k]
-	}
+	all = topK(all, k) // aggregate: global top-k, deterministic tie-break
 	if rc != nil && !degraded {
 		// Cache a private copy so later caller mutations cannot corrupt
 		// it. Degraded answers (a skipped source under SkipFailed) are
@@ -666,18 +668,19 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 	mergedFlat := queryCells // valid while mergedFlatOK
 	mergedFlatOK := true
 	excluded := make(map[string][]int)
-	defer c.closeSessions(states, sessID)
+	defer c.closeSessions(ctx, states, sessID)
 
 	// ask sends one coverage.round to each of the given sources — the
 	// pending delta where the session is open, the full clipped state where
 	// it is not — and records every answer as that source's current offer.
-	ask := func(rctx context.Context, members []*member) error {
+	var ask func(rctx context.Context, members []*member) error
+	ask = func(rctx context.Context, members []*member) error {
 		var contact []*member
-		reqs := make(map[string]CoverageRoundRequest)
+		var calls []memberCall
 		for _, m := range members {
 			name := m.summary.Name
 			st := states[name]
-			req := CoverageRoundRequest{Session: sessID, Delta: delta, Exclude: excluded[name]}
+			req := &CoverageRoundRequest{Session: sessID, Delta: delta, Exclude: excluded[name]}
 			if st.open {
 				req.Added = st.pending.Set()
 			} else {
@@ -691,44 +694,40 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 				}
 			}
 			contact = append(contact, m)
-			reqs[name] = req
+			calls = append(calls, memberCall{m: m, method: MethodCoverageRound, req: req, resp: new(CoverageRoundResponse)})
 		}
-		outs, errs := fanOut(contact, func(m *member) (CoverageRoundResponse, error) {
-			resp, err := c.callRound(rctx, m, reqs[m.summary.Name])
-			if err == nil && resp.SessionMiss {
-				// Stateless fallback: the source evicted the session;
-				// re-open it with the full clipped state. mergedC is
-				// immutable, so materializing here is goroutine-safe.
-				full := reqs[m.summary.Name]
-				full.Added = nil
-				full.Base = c.clipFor(m, mergedC.Set(), delta+1)
-				if full.Base.IsEmpty() {
-					return CoverageRoundResponse{}, nil
-				}
-				resp, err = c.callRound(rctx, m, full)
-			}
-			return resp, err
-		})
+		errs := c.callMembers(rctx, calls)
 		if err := c.resolve(contact, errs, func(i int) {
 			st := states[contact[i].summary.Name]
 			st.failed, st.open = true, false
 		}); err != nil {
 			return err
 		}
+		var missed []*member
 		for i, m := range contact {
 			if errs[i] != nil {
 				continue
 			}
-			st := states[m.summary.Name]
+			st, out := states[m.summary.Name], calls[i].resp.(*CoverageRoundResponse)
+			if out.SessionMiss {
+				// Stateless fallback: the source evicted the session; ask it
+				// again with the full clipped state, which re-opens it.
+				st.open, st.lastOK = false, false
+				missed = append(missed, m)
+				continue
+			}
 			// A source whose table was full answered without storing the
 			// session; keep shipping it full state until it has room.
-			st.open, st.pending, st.lastOK = !outs[i].Stateless, nil, true
+			st.open, st.pending, st.lastOK = !out.Stateless, nil, true
 			st.last = nil
-			if outs[i].Found {
+			if out.Found {
 				st.last = &offer{src: m.summary.Name, cand: CoverageCandidate{
-					Found: true, ID: outs[i].ID, Name: outs[i].Name, Gain: outs[i].Gain,
+					Found: true, ID: out.ID, Name: out.Name, Gain: out.Gain,
 				}}
 			}
+		}
+		if len(missed) > 0 {
+			return ask(rctx, missed) // carries Base, so it cannot miss again
 		}
 		return nil
 	}
@@ -850,114 +849,78 @@ rounds:
 	return res, anyFailed(), nil
 }
 
-// callRound performs one coverage.round exchange.
-func (c *Center) callRound(ctx context.Context, m *member, req CoverageRoundRequest) (CoverageRoundResponse, error) {
-	var resp CoverageRoundResponse
-	if err := m.peer.Call(ctx, MethodCoverageRound, &req, &resp); err != nil {
-		return resp, fmt.Errorf("federation: coverage round at %s: %w", m.summary.Name, err)
+// memberCall is one session-protocol exchange with one member: resp (nil
+// to discard the answer) receives the member's reply to req.
+type memberCall struct {
+	m         *member
+	method    string
+	req, resp any
+}
+
+// callMembers performs a fan-out's calls and returns their errors in call
+// order. It is the session engine's only way to a source: by default one
+// goroutine per member on the member's own peer, through relay when set.
+func (c *Center) callMembers(ctx context.Context, calls []memberCall) []error {
+	var errs []error
+	if c.relay != nil {
+		errs = c.relay(ctx, calls)
+	} else {
+		_, errs = fanOut(calls, func(mc memberCall) (struct{}, error) {
+			return struct{}{}, mc.m.peer.Call(ctx, mc.method, mc.req, mc.resp)
+		})
 	}
-	return resp, nil
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("federation: %s at %s: %w", calls[i].method, calls[i].m.summary.Name, err)
+		}
+	}
+	return errs
 }
 
 // fetchCells performs the second-phase coverage.fetch exchange.
 func (c *Center) fetchCells(ctx context.Context, m *member, sess uint64, id int) (FetchCellsResponse, error) {
 	var resp FetchCellsResponse
 	req := FetchCellsRequest{Session: sess, ID: id}
-	if err := m.peer.Call(ctx, MethodFetchCells, &req, &resp); err != nil {
-		return resp, fmt.Errorf("federation: fetch cells at %s: %w", m.summary.Name, err)
-	}
-	return resp, nil
+	errs := c.callMembers(ctx, []memberCall{{m: m, method: MethodFetchCells, req: &req, resp: &resp}})
+	return resp, errs[0]
 }
 
 // closeSessions releases every open session at the end of a coverage
-// query, best-effort: sources reclaim lost sessions on their own. It runs
-// on a fresh context — the query's own deadline may already have expired,
-// and cleanup should still go out.
-func (c *Center) closeSessions(states map[string]*srcState, sessID uint64) {
+// query, best-effort: sources reclaim lost sessions on their own. The
+// query's own deadline may already have expired and cleanup should still
+// go out, so it drops the caller's cancellation (keeping its trace) — but
+// under its own bound, or one source that stopped answering would hold a
+// finished query forever.
+func (c *Center) closeSessions(ctx context.Context, states map[string]*srcState, sessID uint64) {
 	req := SessionCloseRequest{Session: sessID}
-	var open []*member
+	var calls []memberCall
 	for _, st := range states {
 		if st.open && !st.failed {
-			open = append(open, st.m)
+			calls = append(calls, memberCall{m: st.m, method: MethodSessionClose, req: &req})
 		}
 	}
-	fanOut(open, func(m *member) (struct{}, error) {
-		m.peer.Call(context.Background(), MethodSessionClose, &req, nil)
-		return struct{}{}, nil
-	})
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), sessionCloseTimeout)
+	defer cancel()
+	c.callMembers(ctx, calls)
 }
 
-// SourceNames returns the registered source names, sorted — the shard this
-// center owns when it runs under a cluster plane.
-func (c *Center) SourceNames() []string {
-	ep := c.epoch.Load()
-	names := make([]string, len(ep.ordered))
+// Shard returns every registered source's root summary and data version,
+// name-sorted — what this center reports to a cluster gateway's probe.
+func (c *Center) Shard() []ShardSource {
+	ep, vers := c.epoch.Load(), *c.versions.Load()
+	out := make([]ShardSource, len(ep.ordered))
 	for i, m := range ep.ordered {
-		names[i] = m.summary.Name
+		out[i] = ShardSource{Summary: m.summary, Version: vers[m.summary.Name]}
 	}
-	return names
+	return out
 }
 
-// CoverageStep runs ONE greedy CJSP iteration over the center's current
-// membership: every candidate source is asked for its best connected
-// dataset given the merged state (the stateless protocol's per-round
-// exchange), and the best offer under the canonical total order
-// (betterOffer) is returned with its full cell set. Found is false when no
-// source has a remaining connected dataset. The cluster gateway drives the
-// cross-center greedy loop with this: each round it scatters a step to
-// every center and merges the global winner, which — because the shards
-// partition the sources and betterOffer is a total order — picks exactly
-// the dataset a single center over the union would have picked.
-func (c *Center) CoverageStep(ctx context.Context, merged cellset.Set, delta float64, exclude map[string][]int) (string, CoverageCandidate, error) {
-	ep := c.epoch.Load()
-	if len(ep.members) == 0 || merged.IsEmpty() {
-		return "", CoverageCandidate{}, nil
-	}
-	qn, ok := c.queryNode(merged)
-	if !ok {
-		return "", CoverageCandidate{}, nil
-	}
-	members := c.candidates(ep, qn, c.deltaRaw(delta))
-	offers, errs := fanOut(members, func(m *member) (*offer, error) {
-		cells := c.clipFor(m, merged, delta+1)
-		if cells.IsEmpty() {
-			return nil, nil
-		}
-		req := CoverageRequest{Merged: cells, Delta: delta, Exclude: exclude[m.summary.Name]}
-		var cand CoverageCandidate
-		if err := m.peer.Call(ctx, MethodCoverage, &req, &cand); err != nil {
-			return nil, fmt.Errorf("federation: coverage at %s: %w", m.summary.Name, err)
-		}
-		if !cand.Found {
-			return nil, nil
-		}
-		return &offer{src: m.summary.Name, cand: cand}, nil
-	})
-	if err := c.resolve(members, errs, nil); err != nil {
-		return "", CoverageCandidate{}, err
-	}
-	var best *offer
-	for i, o := range offers {
-		if o == nil || errs[i] != nil {
-			continue
-		}
-		if best == nil || betterOffer(*o, *best) {
-			best = o
-		}
-	}
-	if best == nil {
-		return "", CoverageCandidate{}, nil
-	}
-	return best.src, best.cand, nil
-}
-
-// MutateResult is the center-side outcome of a federated dataset mutation.
+// MutateResult is the center-side outcome of a federated dataset mutation:
+// the source's answer (Found is always true for a put) and where it went.
 type MutateResult struct {
-	Source      string
-	ID          int
-	Found       bool   // delete: the dataset existed; put: always true
-	Version     uint64 // source data version after the mutation
-	NumDatasets int    // datasets at the source after the mutation
+	Source string
+	ID     int
+	MutateResponse
 }
 
 // PutDataset durably upserts one dataset at the named source (method
@@ -992,10 +955,7 @@ func (c *Center) mutate(ctx context.Context, source string, id int, method strin
 	if err := m.peer.Call(ctx, method, req, &resp); err != nil {
 		return MutateResult{}, fmt.Errorf("federation: %s at %s: %w", method, source, err)
 	}
-	res := MutateResult{
-		Source: source, ID: id,
-		Found: resp.Found, Version: resp.Version, NumDatasets: resp.NumDatasets,
-	}
+	res := MutateResult{Source: source, ID: id, MutateResponse: resp}
 	if method == MethodDatasetDelete && !resp.Found {
 		return res, nil // nothing changed; nothing to invalidate
 	}

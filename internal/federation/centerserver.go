@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 
+	"dits/internal/index/dits"
 	"dits/internal/transport"
 )
 
@@ -26,7 +26,6 @@ type CenterServer struct {
 
 	mu      sync.Mutex
 	log     *MemberLog // nil when the server runs without durability
-	members map[string]MemberEvent
 	peers   map[string]transport.Peer
 	skipped []string // logged members that could not be re-dialed at boot
 }
@@ -63,11 +62,10 @@ func NewCenterServer(name string, center *Center, opts CenterServerOptions) (*Ce
 		}
 	}
 	cs := &CenterServer{
-		name:    name,
-		center:  center,
-		dial:    dial,
-		members: make(map[string]MemberEvent),
-		peers:   make(map[string]transport.Peer),
+		name:   name,
+		center: center,
+		dial:   dial,
+		peers:  make(map[string]transport.Peer),
 	}
 	if opts.MemberLog != "" {
 		log, events, err := OpenMemberLog(opts.MemberLog, opts.Fsync)
@@ -82,7 +80,7 @@ func NewCenterServer(name string, center *Center, opts CenterServerOptions) (*Ce
 		}
 		slices.Sort(names)
 		for _, name := range names {
-			if err := cs.adopt(context.Background(), live[name]); err != nil {
+			if _, err := cs.adopt(context.Background(), live[name]); err != nil {
 				cs.skipped = append(cs.skipped, name)
 			}
 		}
@@ -126,39 +124,31 @@ func (cs *CenterServer) connect(ev MemberEvent) (transport.Peer, error) {
 	return NewReplicatedPeer(ev.Name, peers...), nil
 }
 
-// closePeer releases a replaced or removed member's connection.
-func closePeer(p transport.Peer) {
-	if c, ok := p.(io.Closer); ok {
-		c.Close()
-	}
-}
-
 // adopt connects and registers one member, replacing any previous
-// registration under the same name, and records it in the in-memory
-// roster. The caller appends to the membership log (adopt is also the
-// boot-replay path, which must not re-append). Callers serialize via
-// cs.mu except during construction.
-func (cs *CenterServer) adopt(ctx context.Context, ev MemberEvent) error {
+// registration under the same name, records it in the in-memory roster and
+// returns the summary the source reported. The caller appends to the
+// membership log (adopt is also the boot-replay path, which must not
+// re-append). Callers serialize via cs.mu except during construction.
+func (cs *CenterServer) adopt(ctx context.Context, ev MemberEvent) (dits.SourceSummary, error) {
 	peer, err := cs.connect(ev)
 	if err != nil {
-		return err
+		return dits.SourceSummary{}, err
 	}
 	summary, err := cs.center.RegisterRemote(ctx, peer)
 	if err != nil {
-		closePeer(peer)
-		return err
+		peer.Close()
+		return summary, err
 	}
 	if summary.Name != ev.Name {
 		cs.center.Unregister(summary.Name)
-		closePeer(peer)
-		return fmt.Errorf("federation: source at %s calls itself %q, registered as %q", ev.Addr, summary.Name, ev.Name)
+		peer.Close()
+		return summary, fmt.Errorf("federation: source at %s calls itself %q, registered as %q", ev.Addr, summary.Name, ev.Name)
 	}
 	if old, ok := cs.peers[ev.Name]; ok {
-		closePeer(old)
+		old.Close()
 	}
 	cs.peers[ev.Name] = peer
-	cs.members[ev.Name] = ev
-	return nil
+	return summary, nil
 }
 
 // handleRegister adopts a source and logs the join before acknowledging.
@@ -169,7 +159,8 @@ func (cs *CenterServer) handleRegister(ctx context.Context, req ClusterRegisterR
 	ev := MemberEvent{Op: MemberJoin, Name: req.Name, Addr: req.Addr, Replicas: slices.Clone(req.Replicas)}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if err := cs.adopt(ctx, ev); err != nil {
+	summary, err := cs.adopt(ctx, ev)
+	if err != nil {
 		return ClusterRegisterResponse{}, err
 	}
 	if cs.log != nil {
@@ -177,7 +168,7 @@ func (cs *CenterServer) handleRegister(ctx context.Context, req ClusterRegisterR
 			return ClusterRegisterResponse{}, err
 		}
 	}
-	return ClusterRegisterResponse{NumSources: cs.center.NumSources()}, nil
+	return ClusterRegisterResponse{NumSources: cs.center.NumSources(), Summary: summary}, nil
 }
 
 // handleUnregister removes a source and logs the leave.
@@ -186,9 +177,8 @@ func (cs *CenterServer) handleUnregister(req ClusterUnregisterRequest) (ClusterU
 	defer cs.mu.Unlock()
 	if peer, ok := cs.peers[req.Name]; ok {
 		cs.center.Unregister(req.Name)
-		closePeer(peer)
+		peer.Close()
 		delete(cs.peers, req.Name)
-		delete(cs.members, req.Name)
 		if cs.log != nil {
 			if err := cs.log.Append(MemberEvent{Op: MemberLeave, Name: req.Name}); err != nil {
 				return ClusterUnregisterResponse{}, err
@@ -198,22 +188,53 @@ func (cs *CenterServer) handleUnregister(req ClusterUnregisterRequest) (ClusterU
 	return ClusterUnregisterResponse{NumSources: cs.center.NumSources()}, nil
 }
 
-// handleCovStep answers one greedy CJSP iteration over the shard.
-func (cs *CenterServer) handleCovStep(ctx context.Context, req ClusterCovStepRequest) (ClusterCovStepResponse, error) {
-	exclude := make(map[string][]int, len(req.Exclude))
-	for _, e := range req.Exclude {
-		exclude[e.Source] = e.IDs
+// forwardTypes returns fresh request and response values for a method the
+// relay accepts — the session protocol's three — and nil for any other.
+func forwardTypes(method string) (req, resp any) {
+	switch method {
+	case MethodCoverageRound:
+		return new(CoverageRoundRequest), new(CoverageRoundResponse)
+	case MethodFetchCells:
+		return new(FetchCellsRequest), new(FetchCellsResponse)
+	case MethodSessionClose:
+		return new(SessionCloseRequest), new(SessionCloseResponse)
 	}
-	src, cand, err := cs.center.CoverageStep(ctx, req.Merged, req.Delta, exclude)
-	if err != nil {
-		return ClusterCovStepResponse{}, err
+	return nil, nil
+}
+
+// handleForward relays each call to its source over the shard's own
+// connection, concurrently, and answers in call order.
+func (cs *CenterServer) handleForward(ctx context.Context, req ClusterForwardRequest) ClusterForwardResponse {
+	replies, _ := fanOut(req.Calls, func(call ForwardCall) (ForwardReply, error) {
+		return cs.forwardOne(ctx, call), nil
+	})
+	return ClusterForwardResponse{Replies: replies}
+}
+
+// forwardOne performs one relayed call. Whatever goes wrong is that call's
+// reply, never the handler's error: it is the source's failure, for the
+// gateway's per-source policy, and must not look like a dead center.
+func (cs *CenterServer) forwardOne(ctx context.Context, call ForwardCall) ForwardReply {
+	req, resp := forwardTypes(call.Method)
+	if req == nil {
+		return ForwardReply{Err: fmt.Sprintf("federation: cluster.forward does not relay %q", call.Method)}
 	}
-	if !cand.Found {
-		return ClusterCovStepResponse{}, nil
+	m, ok := cs.center.epoch.Load().members[call.Source]
+	if !ok {
+		return ForwardReply{Err: fmt.Sprintf("%v: %q", ErrUnknownSource, call.Source)}
 	}
-	return ClusterCovStepResponse{
-		Found: true, Source: src, ID: cand.ID, Name: cand.Name, Gain: cand.Gain, Cells: cand.Cells,
-	}, nil
+	if err := BinaryCodec.Decode(call.Body, req); err != nil {
+		return ForwardReply{Err: err.Error()}
+	}
+	if err := m.peer.Call(ctx, call.Method, req, resp); err != nil {
+		var re *transport.RemoteError
+		if errors.As(err, &re) {
+			return ForwardReply{Err: re.Msg}
+		}
+		return ForwardReply{Err: err.Error(), Transport: true}
+	}
+	body, _ := BinaryCodec.Append(nil, resp) // native encodings cannot fail
+	return ForwardReply{Body: body}
 }
 
 // mutateResponse maps a center mutation outcome onto the cluster wire,
@@ -226,7 +247,21 @@ func mutateResponse(res MutateResult, err error) (ClusterMutateResponse, error) 
 		}
 		return ClusterMutateResponse{}, err
 	}
-	return ClusterMutateResponse{Found: res.Found, Version: res.Version, NumDatasets: res.NumDatasets}, nil
+	return ClusterMutateResponse{MutateResponse: res.MutateResponse}, nil
+}
+
+// serve decodes a request of type Req and answers it with fn — the shape of
+// every handler case, here and at the sources.
+func serve[Req, Resp any](codec transport.Codec, body []byte, fn func(Req) (Resp, error)) (any, error) {
+	var req Req
+	if err := codec.Decode(body, &req); err != nil {
+		return nil, err
+	}
+	resp, err := fn(req)
+	if err != nil {
+		return nil, err
+	}
+	return &resp, nil
 }
 
 // Handler returns the transport.Handler serving the cluster protocol.
@@ -234,83 +269,35 @@ func (cs *CenterServer) Handler() transport.Handler {
 	return func(ctx context.Context, codec transport.Codec, method string, body []byte) (any, error) {
 		switch method {
 		case MethodClusterInfo:
-			return &ClusterInfoResponse{
-				Name:       cs.name,
-				Generation: cs.center.Generation(),
-				Sources:    cs.center.SourceNames(),
-			}, nil
+			return &ClusterInfoResponse{Name: cs.name, Generation: cs.center.Generation(), Shard: cs.center.Shard()}, nil
 		case MethodClusterRegister:
-			var req ClusterRegisterRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			resp, err := cs.handleRegister(ctx, req)
-			if err != nil {
-				return nil, err
-			}
-			return &resp, nil
+			return serve(codec, body, func(req ClusterRegisterRequest) (ClusterRegisterResponse, error) {
+				return cs.handleRegister(ctx, req)
+			})
 		case MethodClusterUnregister:
-			var req ClusterUnregisterRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			resp, err := cs.handleUnregister(req)
-			if err != nil {
-				return nil, err
-			}
-			return &resp, nil
+			return serve(codec, body, cs.handleUnregister)
 		case MethodClusterOverlap:
-			var req ClusterOverlapRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			rs, err := cs.center.OverlapSearch(ctx, req.Cells, req.K)
-			if err != nil {
-				return nil, err
-			}
-			return &ClusterOverlapResponse{Results: rs}, nil
+			return serve(codec, body, func(req ClusterOverlapRequest) (ClusterOverlapResponse, error) {
+				rs, err := cs.center.OverlapSearch(ctx, req.Cells, req.K)
+				return ClusterOverlapResponse{Results: rs}, err
+			})
 		case MethodClusterBatch:
-			var req ClusterBatchRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			outs, err := cs.center.OverlapSearchBatch(ctx, req.Queries)
-			if err != nil {
-				return nil, err
-			}
-			return &ClusterBatchResponse{Results: outs}, nil
-		case MethodClusterCovStep:
-			var req ClusterCovStepRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			resp, err := cs.handleCovStep(ctx, req)
-			if err != nil {
-				return nil, err
-			}
-			return &resp, nil
+			return serve(codec, body, func(req ClusterBatchRequest) (ClusterBatchResponse, error) {
+				outs, err := cs.center.OverlapSearchBatch(ctx, req.Queries)
+				return ClusterBatchResponse{Results: outs}, err
+			})
+		case MethodClusterForward:
+			return serve(codec, body, func(req ClusterForwardRequest) (ClusterForwardResponse, error) {
+				return cs.handleForward(ctx, req), nil
+			})
 		case MethodClusterPut:
-			var req ClusterPutRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			res, err := cs.center.PutDataset(ctx, req.Source, req.ID, req.Name, req.Cells)
-			resp, err := mutateResponse(res, err)
-			if err != nil {
-				return nil, err
-			}
-			return &resp, nil
+			return serve(codec, body, func(req ClusterPutRequest) (ClusterMutateResponse, error) {
+				return mutateResponse(cs.center.PutDataset(ctx, req.Source, req.ID, req.Name, req.Cells))
+			})
 		case MethodClusterDelete:
-			var req ClusterDeleteRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			res, err := cs.center.DeleteDataset(ctx, req.Source, req.ID)
-			resp, err := mutateResponse(res, err)
-			if err != nil {
-				return nil, err
-			}
-			return &resp, nil
+			return serve(codec, body, func(req ClusterDeleteRequest) (ClusterMutateResponse, error) {
+				return mutateResponse(cs.center.DeleteDataset(ctx, req.Source, req.ID))
+			})
 		default:
 			return nil, fmt.Errorf("federation: unknown method %q", method)
 		}
@@ -322,7 +309,7 @@ func (cs *CenterServer) Close() error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	for name, p := range cs.peers {
-		closePeer(p)
+		p.Close()
 		delete(cs.peers, name)
 	}
 	if cs.log != nil {

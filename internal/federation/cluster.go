@@ -12,16 +12,19 @@ import (
 
 	"dits/internal/cellset"
 	"dits/internal/geo"
+	"dits/internal/index/dits"
 	"dits/internal/obs"
 	"dits/internal/transport"
 )
 
 // Cluster is the gateway-side federation plane over N sharded centers:
-// sources are assigned to centers by consistent hash (ShardMap), queries
-// scatter to every healthy center and gather with the same deterministic
-// total orders a single center uses — so the merged answer is
-// byte-identical to what one center over all the sources would return —
-// and mutations route to the center owning the source.
+// sources are assigned to centers by consistent hash (ShardMap) and
+// mutations route to the center owning the source. The gateway holds its
+// own DITS-G over the sources' root summaries (view): an OJSP scatters only
+// to centers owning a candidate and gathers under the total order a single
+// center uses, and a CJSP is the one session engine over all the sources,
+// each reached through its owner's relay — so either answer is
+// byte-identical to what one center over all the sources would return.
 //
 // The plane is leaderless. The gateway health-checks centers (in-band on
 // every transport failure, plus the optional Probe loop); when a center
@@ -41,6 +44,13 @@ type Cluster struct {
 	// peers' pools).
 	Metrics *transport.Metrics
 
+	// view is the gateway's DITS-G, kept exactly as a Center keeps its
+	// members — epoch snapshots, version-ordered mutation notes — by being
+	// one: every homed source is registered in it without a connection, and
+	// its session engine reaches them through relay. Lock order: mu, then
+	// the view's own.
+	view *Center
+
 	mu      sync.RWMutex
 	centers []*clusterCenter
 	sources map[string]ClusterSource
@@ -51,12 +61,6 @@ type Cluster struct {
 	failovers atomic.Int64  // centers marked down
 	rehomed   atomic.Int64  // sources re-registered by failovers
 	mutations atomic.Int64  // acknowledged mutations routed through the cluster
-
-	// versions is the cluster's acked data-version vector: the highest
-	// version any mutation response reported per source. After a source
-	// failover, a read serving below this would be a stale read.
-	vmu      sync.Mutex
-	versions map[string]uint64
 }
 
 // ClusterSource is one roster entry: the source's stable name, its
@@ -79,20 +83,26 @@ type clusterCenter struct {
 // ErrNoCenters reports a cluster whose every center is marked down.
 var ErrNoCenters = errors.New("federation: no healthy centers")
 
-// rehomeTimeout bounds each re-registration call during a failover, so one
-// hung survivor cannot wedge the whole plane behind the write lock.
-const rehomeTimeout = 10 * time.Second
+const (
+	// rehomeTimeout bounds each re-registration call during a failover, so
+	// one hung survivor cannot wedge the whole plane behind the write lock.
+	rehomeTimeout = 10 * time.Second
+	// sessionCloseTimeout bounds the best-effort coverage.close fan-out at
+	// the end of a CJSP, which runs after the answer is computed.
+	sessionCloseTimeout = 2 * time.Second
+)
 
 // NewCluster builds the plane over named center peers (wrap TCP in
 // transport.Pool). The roster starts empty; AddSource registers sources.
 func NewCluster(grid geo.Grid, centers map[string]transport.Peer) *Cluster {
 	cl := &Cluster{
-		Grid:     grid,
-		Metrics:  &transport.Metrics{},
-		sources:  make(map[string]ClusterSource),
-		owner:    make(map[string]*clusterCenter),
-		versions: make(map[string]uint64),
+		Grid:    grid,
+		Metrics: &transport.Metrics{},
+		view:    NewCenter(grid, DefaultOptions()),
+		sources: make(map[string]ClusterSource),
+		owner:   make(map[string]*clusterCenter),
 	}
+	cl.view.relay = cl.relay
 	names := slices.Sorted(maps.Keys(centers))
 	for _, name := range names {
 		c := &clusterCenter{name: name, peer: centers[name]}
@@ -118,9 +128,10 @@ func (cl *Cluster) AddSource(ctx context.Context, src ClusterSource) error {
 			cl.mu.Unlock()
 			return ErrNoCenters
 		}
-		err := registerAt(ctx, owner, src)
+		summary, err := registerAt(ctx, owner, src)
 		if err == nil {
 			cl.owner[src.Name] = owner
+			cl.view.Register(summary, nil)
 		}
 		cl.mu.Unlock()
 		if err == nil {
@@ -134,14 +145,26 @@ func (cl *Cluster) AddSource(ctx context.Context, src ClusterSource) error {
 	return ErrNoCenters
 }
 
-// registerAt performs one cluster.register exchange.
-func registerAt(ctx context.Context, c *clusterCenter, src ClusterSource) error {
+// registerAt performs one cluster.register exchange and returns the
+// source's root summary as the center fetched it.
+func registerAt(ctx context.Context, c *clusterCenter, src ClusterSource) (dits.SourceSummary, error) {
 	req := ClusterRegisterRequest{Name: src.Name, Addr: src.Addr, Replicas: src.Replicas}
 	var resp ClusterRegisterResponse
 	if err := c.peer.Call(ctx, MethodClusterRegister, &req, &resp); err != nil {
-		return fmt.Errorf("federation: register %s at center %s: %w", src.Name, c.name, err)
+		return resp.Summary, fmt.Errorf("federation: register %s at center %s: %w", src.Name, c.name, err)
 	}
-	return nil
+	return resp.Summary, nil
+}
+
+// homed records a re-registration: the source's new owner, and its summary
+// if the view dropped it while it was un-homed — otherwise the view keeps
+// what it has, as a re-homed source did not restart. Caller holds mu.
+func (cl *Cluster) homed(name string, c *clusterCenter, summary dits.SourceSummary) {
+	cl.owner[name] = c
+	cl.rehomed.Add(1)
+	if _, ok := cl.view.epoch.Load().members[name]; !ok {
+		cl.view.Register(summary, nil)
+	}
 }
 
 // RemoveSource unregisters a source from its owner and drops it from the
@@ -153,6 +176,7 @@ func (cl *Cluster) RemoveSource(ctx context.Context, name string) error {
 	owner := cl.owner[name]
 	delete(cl.sources, name)
 	delete(cl.owner, name)
+	cl.view.Unregister(name)
 	if owner == nil || !owner.healthy.Load() {
 		return nil
 	}
@@ -230,7 +254,7 @@ rebuild:
 				continue
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), rehomeTimeout)
-			err := registerAt(ctx, next, cl.sources[name])
+			summary, err := registerAt(ctx, next, cl.sources[name])
 			cancel()
 			if err != nil && isTransportFailure(context.Background(), err) {
 				next.healthy.Store(false)
@@ -238,15 +262,16 @@ rebuild:
 				continue rebuild
 			}
 			// A RemoteError (the source itself is unreachable from the new
-			// owner, say) leaves the source temporarily un-homed; the next
-			// failover or probe reconciles it. Queries against the
-			// remaining shards stay correct — they just miss this source,
-			// exactly like SkipFailed degradation would.
+			// owner, say) leaves the source temporarily un-homed and out of
+			// the view; the next failover or mutation reconciles it.
+			// Queries against the remaining shards stay correct — they
+			// just miss this source, exactly like SkipFailed degradation
+			// would.
 			if err == nil {
-				cl.owner[name] = next
-				cl.rehomed.Add(1)
+				cl.homed(name, next, summary)
 			} else {
 				delete(cl.owner, name)
+				cl.view.Unregister(name)
 			}
 		}
 		cl.gen.Add(1)
@@ -258,17 +283,24 @@ rebuild:
 // over any that are transport-unreachable. It returns the number of
 // centers marked down. The gateway runs this periodically so a center that
 // dies between queries is detected before the next request pays for it.
+// Each answer's (summary, data version) pairs are folded into the view like
+// mutation acknowledgements, so an extent whose acknowledgement was lost is
+// stale for one probe interval at most.
 func (cl *Cluster) Probe(ctx context.Context) int {
 	cl.mu.RLock()
 	targets := cl.healthySnapshot()
 	cl.mu.RUnlock()
 	downed := 0
 	for _, c := range targets {
+		ep := cl.view.epoch.Load()
 		var info ClusterInfoResponse
 		err := c.peer.Call(ctx, MethodClusterInfo, nil, &info)
 		if isTransportFailure(ctx, err) {
 			cl.failover(c)
 			downed++
+		}
+		for _, s := range info.Shard {
+			cl.view.noteMutation(ep, s.Summary.Name, MutateResponse{Version: s.Version, Summary: s.Summary})
 		}
 	}
 	return downed
@@ -286,17 +318,7 @@ func scatter[T any](ctx context.Context, cl *Cluster, fn func(ctx context.Contex
 			cl.mu.RUnlock()
 			return nil, ErrNoCenters
 		}
-		outs := make([]T, len(targets))
-		errs := make([]error, len(targets))
-		var wg sync.WaitGroup
-		for i, c := range targets {
-			wg.Add(1)
-			go func(i int, c *clusterCenter) {
-				defer wg.Done()
-				outs[i], errs[i] = fn(ctx, c)
-			}(i, c)
-		}
-		wg.Wait()
+		outs, errs := fanOut(targets, func(c *clusterCenter) (T, error) { return fn(ctx, c) })
 		cl.mu.RUnlock()
 		var dead []*clusterCenter
 		for i, err := range errs {
@@ -328,17 +350,51 @@ func (cl *Cluster) failoverTraced(ctx context.Context, dead *clusterCenter) {
 	sp.End()
 }
 
-// OverlapSearch answers the federated OJSP across every shard: scatter to
-// the healthy centers, merge the per-shard top-k under the canonical total
-// order, truncate to k. Identical to a single center over all sources —
-// the shards partition the sources, each shard's top-k retains every
-// result that can reach the global top-k, and sortSourceResults is a total
-// order, so the merge is deterministic down to the byte.
+// candidateSources returns the sources whose root MBR meets at least one of
+// the queries (§VI-A's first distribution strategy, on the gateway's own
+// DITS-G). A center owning none of them would conclude the same from its
+// own DITS-G after the round trip and answer an empty shard top-k.
+func (cl *Cluster) candidateSources(queries []BatchQuery) map[string]bool {
+	ep := cl.view.epoch.Load()
+	names := make(map[string]bool)
+	for _, q := range queries {
+		if qn, ok := cl.view.queryNode(q.Cells); ok && q.K > 0 {
+			for _, m := range cl.view.candidates(ep, qn, 0) {
+				names[m.summary.Name] = true
+			}
+		}
+	}
+	return names
+}
+
+// ownsAny reports whether the center owns one of the sources. The caller
+// holds a lock (scatter's callback runs under the read lock), so ownership
+// is the retried topology's after a failover.
+func (cl *Cluster) ownsAny(c *clusterCenter, sources map[string]bool) bool {
+	for name := range sources {
+		if cl.owner[name] == c {
+			return true
+		}
+	}
+	return false
+}
+
+// OverlapSearch answers the federated OJSP across the shards holding a
+// candidate source: scatter to their centers, merge the per-shard top-k
+// under the canonical total order, truncate to k. Identical to a single
+// center over all sources — the shards partition the sources, each shard's
+// top-k retains every result that can reach the global top-k, and
+// topK's is a total order, so the merge is deterministic down
+// to the byte.
 func (cl *Cluster) OverlapSearch(ctx context.Context, queryCells cellset.Set, k int) ([]SourceResult, error) {
 	if k <= 0 || queryCells.IsEmpty() {
 		return nil, nil
 	}
+	cands := cl.candidateSources([]BatchQuery{{Cells: queryCells, K: k}})
 	outs, err := scatter(ctx, cl, func(ctx context.Context, c *clusterCenter) ([]SourceResult, error) {
+		if !cl.ownsAny(c, cands) {
+			return nil, nil
+		}
 		req := ClusterOverlapRequest{Cells: queryCells, K: k}
 		var resp ClusterOverlapResponse
 		if err := c.peer.Call(ctx, MethodClusterOverlap, &req, &resp); err != nil {
@@ -353,22 +409,23 @@ func (cl *Cluster) OverlapSearch(ctx context.Context, queryCells cellset.Set, k 
 	for _, rs := range outs {
 		all = append(all, rs...)
 	}
-	sortSourceResults(all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all, nil
+	return topK(all, k), nil
 }
 
-// OverlapSearchBatch answers a batch across every shard: one cluster.batch
-// exchange per center, per-query merge. Entry i aligns with queries[i] and
-// equals what OverlapSearch(queries[i]) returns.
+// OverlapSearchBatch answers a batch across the shards holding a candidate
+// of any of its queries: one cluster.batch exchange per such center,
+// per-query merge. Entry i aligns with queries[i] and equals what
+// OverlapSearch(queries[i]) returns.
 func (cl *Cluster) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) ([][]SourceResult, error) {
 	out := make([][]SourceResult, len(queries))
 	if len(queries) == 0 {
 		return out, nil
 	}
+	cands := cl.candidateSources(queries)
 	outs, err := scatter(ctx, cl, func(ctx context.Context, c *clusterCenter) ([][]SourceResult, error) {
+		if !cl.ownsAny(c, cands) {
+			return nil, nil
+		}
 		req := ClusterBatchRequest{Queries: queries}
 		var resp ClusterBatchResponse
 		if err := c.peer.Call(ctx, MethodClusterBatch, &req, &resp); err != nil {
@@ -385,94 +442,97 @@ func (cl *Cluster) OverlapSearchBatch(ctx context.Context, queries []BatchQuery)
 	}
 	for i := range queries {
 		for _, shard := range outs {
-			out[i] = append(out[i], shard[i]...)
+			if shard != nil {
+				out[i] = append(out[i], shard[i]...)
+			}
 		}
-		sortSourceResults(out[i])
-		if len(out[i]) > queries[i].K {
-			out[i] = out[i][:queries[i].K]
-		}
+		out[i] = topK(out[i], queries[i].K)
 	}
 	return out, nil
 }
 
-// CoverageSearch answers the federated CJSP across every shard: the
-// gateway drives the greedy loop, each iteration scattering one
-// cluster.covstep to every center and picking the global winner under
-// betterOffer. The maximum over a partition equals the maximum over the
-// union under a total order, so every pick — and therefore the whole
-// greedy trajectory — matches a single center over all the sources.
+// CoverageSearch answers the federated CJSP: the view runs the session
+// engine over all the sources, message for message what a single center
+// exchanges with them, and relay carries each fan-out through the owners.
+// Sessions live at the sources: a center failing over mid-query loses none.
 func (cl *Cluster) CoverageSearch(ctx context.Context, queryCells cellset.Set, delta float64, k int) (CoverageResult, error) {
-	res := CoverageResult{QueryCoverage: queryCells.Len(), Coverage: queryCells.Len()}
-	if k <= 0 || queryCells.IsEmpty() {
-		return res, nil
-	}
-	mergedC := cellset.FromSet(queryCells)
-	merged := queryCells
-	excluded := make(map[string][]int)
-	for len(res.Picked) < k {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		req := ClusterCovStepRequest{Merged: merged, Delta: delta, Exclude: excludeWire(excluded)}
-		outs, err := scatter(ctx, cl, func(ctx context.Context, c *clusterCenter) (ClusterCovStepResponse, error) {
-			var resp ClusterCovStepResponse
-			if err := c.peer.Call(ctx, MethodClusterCovStep, &req, &resp); err != nil {
-				return resp, fmt.Errorf("federation: cluster coverage step at %s: %w", c.name, err)
-			}
-			return resp, nil
-		})
-		if err != nil {
-			return res, err
-		}
-		var best *ClusterCovStepResponse
-		for i := range outs {
-			o := &outs[i]
-			if !o.Found {
-				continue
-			}
-			if best == nil || betterOffer(stepOffer(o), stepOffer(best)) {
-				best = o
-			}
-		}
-		if best == nil {
-			break // no shard has a connected dataset left
-		}
-		excluded[best.Source] = append(excluded[best.Source], best.ID)
-		mergedC = mergedC.Union(cellset.FromSet(best.Cells))
-		merged = mergedC.Set()
-		res.Picked = append(res.Picked, SourceResult{
-			Source: best.Source, ID: best.ID, Name: best.Name, Overlap: best.Gain,
-		})
-		res.Coverage = mergedC.Len()
-	}
-	return res, nil
+	return cl.view.CoverageSearch(ctx, queryCells, delta, k)
 }
 
-// stepOffer adapts a covstep response to the canonical offer order.
-func stepOffer(o *ClusterCovStepResponse) offer {
-	return offer{src: o.Source, cand: CoverageCandidate{Found: true, ID: o.ID, Gain: o.Gain}}
+// relay performs the session engine's member calls (Center.relay) through
+// the centers: one scatter in which each center is sent ONE cluster.forward
+// carrying the calls of the sources it owns. A center whose transport fails
+// is failed over by scatter and the retry forwards only the calls still
+// unanswered, to their new owners; any other failure is the call's own.
+func (cl *Cluster) relay(ctx context.Context, calls []memberCall) []error {
+	errs := make([]error, len(calls))
+	done := make([]bool, len(calls))
+	_, err := scatter(ctx, cl, func(ctx context.Context, c *clusterCenter) (struct{}, error) {
+		var idx []int
+		for i := range calls {
+			// Ownership first: only its owner's goroutine touches done[i].
+			if cl.owner[calls[i].m.summary.Name] == c && !done[i] {
+				idx = append(idx, i)
+			}
+		}
+		if len(idx) == 0 {
+			return struct{}{}, nil
+		}
+		return struct{}{}, forward(ctx, c, calls, idx, errs, done)
+	})
+	if err == nil {
+		err = ErrNoCenters // the source lost its home mid-query
+	}
+	for i := range calls {
+		if !done[i] {
+			errs[i] = err
+		}
+	}
+	return errs
 }
 
-// excludeWire flattens the exclusion map deterministically (sorted by
-// source) for the wire.
-func excludeWire(excluded map[string][]int) []SourceExclude {
-	out := make([]SourceExclude, 0, len(excluded))
-	for _, src := range slices.Sorted(maps.Keys(excluded)) {
-		out = append(out, SourceExclude{Source: src, IDs: excluded[src]})
+// forward sends the calls at idx to one center in a single cluster.forward
+// and distributes the replies: responses decode into the calls, per-source
+// failures land in errs, and either way the call is done. The returned
+// error is the center's own.
+func forward(ctx context.Context, c *clusterCenter, calls []memberCall, idx []int, errs []error, done []bool) error {
+	req := ClusterForwardRequest{Calls: make([]ForwardCall, len(idx))}
+	for j, i := range idx {
+		body, _ := BinaryCodec.Append(nil, calls[i].req) // native encodings cannot fail
+		req.Calls[j] = ForwardCall{Source: calls[i].m.summary.Name, Method: calls[i].method, Body: body}
 	}
-	return out
+	var resp ClusterForwardResponse
+	if err := c.peer.Call(ctx, MethodClusterForward, &req, &resp); err != nil {
+		return fmt.Errorf("federation: cluster forward at %s: %w", c.name, err)
+	}
+	if len(resp.Replies) != len(idx) {
+		return fmt.Errorf("federation: cluster forward at %s: %d replies for %d calls", c.name, len(resp.Replies), len(idx))
+	}
+	for j, i := range idx {
+		done[i] = true
+		switch r := resp.Replies[j]; {
+		case r.Transport:
+			errs[i] = errors.New(r.Err)
+		case r.Err != "":
+			errs[i] = &transport.RemoteError{Source: req.Calls[j].Source, Msg: r.Err}
+		case calls[i].resp != nil:
+			errs[i] = BinaryCodec.Decode(r.Body, calls[i].resp)
+		}
+	}
+	return nil
 }
 
 // mutate routes one mutation to the center owning the source, failing the
 // owner over (and retrying at the re-homed owner) on a transport failure.
-func (cl *Cluster) mutate(ctx context.Context, source string, method string, req any) (ClusterMutateResponse, error) {
+func (cl *Cluster) mutate(ctx context.Context, source string, id int, method string, req any) (MutateResult, error) {
 	cl.mu.RLock()
 	_, known := cl.sources[source]
 	cl.mu.RUnlock()
 	if !known {
-		return ClusterMutateResponse{}, fmt.Errorf("%w: %q", ErrUnknownSource, source)
+		return MutateResult{}, fmt.Errorf("%w: %q", ErrUnknownSource, source)
 	}
 	for range len(cl.centers) + 1 {
+		ep := cl.view.epoch.Load()
 		cl.mu.RLock()
 		owner := cl.owner[source]
 		if owner != nil && !owner.healthy.Load() {
@@ -488,58 +548,42 @@ func (cl *Cluster) mutate(ctx context.Context, source string, method string, req
 		cl.mu.RUnlock()
 		if err == nil {
 			if resp.Unknown {
-				return resp, fmt.Errorf("%w: %q", ErrUnknownSource, source)
+				return MutateResult{}, fmt.Errorf("%w: %q", ErrUnknownSource, source)
 			}
 			cl.mutations.Add(1)
-			cl.noteVersion(source, resp.Version)
-			return resp, nil
+			if method != MethodClusterDelete || resp.Found {
+				// Into the view before the acknowledgement goes out: the
+				// caller's next query prunes on the extent it just wrote.
+				cl.view.noteMutation(ep, source, resp.MutateResponse)
+			}
+			return MutateResult{Source: source, ID: id, MutateResponse: resp.MutateResponse}, nil
 		}
 		if errors.Is(err, ErrNoCenters) {
-			// The owner died and re-homing could not place the source (or
-			// is not reflected yet). Re-run a failover pass to reconcile,
-			// then retry.
+			// The owner died and re-homing could not place the source:
+			// re-run the pass, then retry.
 			if cl.reconcileOwner(source) {
 				continue
 			}
-			return ClusterMutateResponse{}, ErrNoCenters
+			return MutateResult{}, ErrNoCenters
 		}
 		if !isTransportFailure(ctx, err) {
-			return ClusterMutateResponse{}, err
+			return MutateResult{}, err
 		}
 		cl.failoverTraced(ctx, owner)
 	}
-	return ClusterMutateResponse{}, ErrNoCenters
+	return MutateResult{}, ErrNoCenters
 }
 
-// reconcileOwner attempts to (re-)home one un-owned source; reports
-// whether the source now has a healthy owner.
+// reconcileOwner re-runs the re-homing pass for a source left without an
+// owner; reports whether the source now has a healthy one.
 func (cl *Cluster) reconcileOwner(source string) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if o := cl.owner[source]; o != nil && o.healthy.Load() {
-		return true
+	if o := cl.owner[source]; o == nil || !o.healthy.Load() {
+		cl.rehomeLocked()
 	}
-	next := cl.centerNamed(cl.ring.Assign(source))
-	if next == nil {
-		return false
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), rehomeTimeout)
-	defer cancel()
-	if err := registerAt(ctx, next, cl.sources[source]); err != nil {
-		return false
-	}
-	cl.owner[source] = next
-	cl.rehomed.Add(1)
-	return true
-}
-
-// noteVersion records an acknowledged mutation's data version.
-func (cl *Cluster) noteVersion(source string, version uint64) {
-	cl.vmu.Lock()
-	if version > cl.versions[source] {
-		cl.versions[source] = version
-	}
-	cl.vmu.Unlock()
+	o := cl.owner[source]
+	return o != nil && o.healthy.Load()
 }
 
 // PutDataset durably upserts one dataset through the owning center.
@@ -547,20 +591,12 @@ func (cl *Cluster) PutDataset(ctx context.Context, source string, id int, name s
 	if cells.IsEmpty() {
 		return MutateResult{}, fmt.Errorf("federation: dataset %d has no cells", id)
 	}
-	resp, err := cl.mutate(ctx, source, MethodClusterPut, &ClusterPutRequest{Source: source, ID: id, Name: name, Cells: cells})
-	if err != nil {
-		return MutateResult{}, err
-	}
-	return MutateResult{Source: source, ID: id, Found: resp.Found, Version: resp.Version, NumDatasets: resp.NumDatasets}, nil
+	return cl.mutate(ctx, source, id, MethodClusterPut, &ClusterPutRequest{Source: source, ID: id, Name: name, Cells: cells})
 }
 
 // DeleteDataset durably removes one dataset through the owning center.
 func (cl *Cluster) DeleteDataset(ctx context.Context, source string, id int) (MutateResult, error) {
-	resp, err := cl.mutate(ctx, source, MethodClusterDelete, &ClusterDeleteRequest{Source: source, ID: id})
-	if err != nil {
-		return MutateResult{}, err
-	}
-	return MutateResult{Source: source, ID: id, Found: resp.Found, Version: resp.Version, NumDatasets: resp.NumDatasets}, nil
+	return cl.mutate(ctx, source, id, MethodClusterDelete, &ClusterDeleteRequest{Source: source, ID: id})
 }
 
 // NumSources returns the roster size.
@@ -579,14 +615,10 @@ func (cl *Cluster) Generation() uint64 { return cl.gen.Load() }
 // version exactly as in single-center mode.
 func (cl *Cluster) CacheInvalidations() int64 { return cl.mutations.Load() }
 
-// SourceVersions returns the cluster's acked data-version vector.
-func (cl *Cluster) SourceVersions() map[string]uint64 {
-	cl.vmu.Lock()
-	defer cl.vmu.Unlock()
-	out := make(map[string]uint64, len(cl.versions))
-	maps.Copy(out, cl.versions)
-	return out
-}
+// SourceVersions returns the cluster's acked data-version vector: the
+// highest version any mutation acknowledgement (or probe) reported per
+// source.
+func (cl *Cluster) SourceVersions() map[string]uint64 { return cl.view.SourceVersions() }
 
 // PeerWire reports the negotiated wire parameters of every center peer
 // that knows them, keyed by center name.
@@ -630,19 +662,15 @@ func (cl *Cluster) Stats() ClusterStats {
 	return st
 }
 
-// Close releases every closable center peer.
+// Close releases every center peer.
 func (cl *Cluster) Close() error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	var first error
+	var errs []error
 	for _, c := range cl.centers {
-		if closer, ok := c.peer.(interface{ Close() error }); ok {
-			if err := closer.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
+		errs = append(errs, c.peer.Close())
 	}
-	return first
+	return errors.Join(errs...)
 }
 
 // Shards returns the current assignment of roster sources to healthy

@@ -66,6 +66,8 @@ const (
 	msgVersionReq
 	msgVersionResp
 	msgSourceSummary
+	msgClusterForwardReq
+	msgClusterForwardResp
 )
 
 // BinaryCodec is the federation's binary wire codec.
@@ -187,6 +189,20 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 	case *dits.SourceSummary:
 		dst = append(dst, tagBin, msgSourceSummary)
 		return appendSummary(dst, m), nil
+	case *ClusterForwardRequest:
+		dst = append(dst, tagBin, msgClusterForwardReq)
+		dst = binary.AppendUvarint(dst, uint64(len(m.Calls)))
+		for _, c := range m.Calls {
+			dst = appendString(appendString(appendString(dst, c.Source), c.Method), c.Body)
+		}
+		return dst, nil
+	case *ClusterForwardResponse:
+		dst = append(dst, tagBin, msgClusterForwardResp)
+		dst = binary.AppendUvarint(dst, uint64(len(m.Replies)))
+		for _, r := range m.Replies {
+			dst = appendBool(appendString(appendString(dst, r.Body), r.Err), r.Transport)
+		}
+		return dst, nil
 	default:
 		// No native encoding: carry the value as a tagged gob stream so
 		// new message types keep working over binary connections.
@@ -321,6 +337,24 @@ func (binCodec) Decode(data []byte, v any) error {
 	case *dits.SourceSummary:
 		r.expect(msg, msgSourceSummary)
 		r.summary(m)
+	case *ClusterForwardRequest:
+		r.expect(msg, msgClusterForwardReq)
+		m.Calls = nil
+		if n := r.sliceLen(); n > 0 {
+			m.Calls = make([]ForwardCall, n)
+		}
+		for i := range m.Calls {
+			m.Calls[i] = ForwardCall{Source: r.string(), Method: r.string(), Body: r.bytes()}
+		}
+	case *ClusterForwardResponse:
+		r.expect(msg, msgClusterForwardResp)
+		m.Replies = nil
+		if n := r.sliceLen(); n > 0 {
+			m.Replies = make([]ForwardReply, n)
+		}
+		for i := range m.Replies {
+			m.Replies[i] = ForwardReply{Body: r.bytes(), Err: r.string(), Transport: r.bool()}
+		}
 	default:
 		return fmt.Errorf("federation: codec: no binary decoding for %T", v)
 	}
@@ -347,7 +381,7 @@ func appendF64(dst []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
-func appendString(dst []byte, s string) []byte {
+func appendString[S string | []byte](dst []byte, s S) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
@@ -473,6 +507,18 @@ func (r *wireReader) string() string {
 	s := string(r.data[:n])
 	r.data = r.data[n:]
 	return s
+}
+
+// bytes reads a length-prefixed byte string into memory of its own (the
+// frame buffer is reused); empty decodes as nil.
+func (r *wireReader) bytes() []byte {
+	n := r.sliceLen()
+	if n == 0 {
+		return nil
+	}
+	b := append([]byte(nil), r.data[:n]...)
+	r.data = r.data[n:]
+	return b
 }
 
 // sliceLen reads a slice length, bounds-checked against the remaining

@@ -67,6 +67,12 @@ func codecTestMessages() []any {
 		&VersionRequest{},
 		&VersionResponse{Name: "v", Version: 3, Durable: true},
 		&summary,
+		&ClusterForwardRequest{Calls: []ForwardCall{
+			{Source: "src-α", Method: MethodCoverageRound, Body: []byte{tagBin, msgCoverageRoundReq, 0}},
+			{Source: "b", Method: MethodSessionClose},
+		}},
+		&ClusterForwardRequest{},
+		&ClusterForwardResponse{Replies: []ForwardReply{{Body: []byte{1, 2, 3}}, {Err: "boom", Transport: true}, {}}},
 	}
 }
 

@@ -1,10 +1,12 @@
 package federation
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -52,6 +54,67 @@ func bruteGreedy(nodes []*dataset.Node, q cellset.Set, delta float64, k int) (pi
 		merged = merged.Union(best.Cells)
 	}
 	return picks, tied
+}
+
+// bruteTopK is OJSP over plain sets: every dataset's exact overlap with the
+// query, ranked by (overlap descending, ID) — the federation's order when
+// source names sort like their ID ranges.
+func bruteTopK(nodes []*dataset.Node, q cellset.Set, k int) []pick {
+	var out []pick
+	for _, nd := range nodes {
+		if o := q.IntersectCount(nd.Cells); o > 0 {
+			out = append(out, pick{nd.ID, o})
+		}
+	}
+	slices.SortFunc(out, func(a, b pick) int {
+		return cmp.Or(cmp.Compare(b.Gain, a.Gain), cmp.Compare(a.ID, b.ID))
+	})
+	return out[:min(k, len(out))]
+}
+
+// enginePlaneSources name the five sources of the differential's clustered
+// arm. They sort like the ID ranges they are given, and the ring puts three
+// of them on one center and none on another of three.
+var enginePlaneSources = []string{"sa", "sb", "se", "sf", "sj"}
+
+// enginePlanes shards the nodes over five sources by ID range — with tied
+// set, the two tie blocks go to the last two sources — and stands a 2- and
+// a 3-center cluster over them.
+func enginePlanes(t *testing.T, nodes []*dataset.Node, tied bool) []*Cluster {
+	t.Helper()
+	parts := make([][]*dataset.Node, len(enginePlaneSources))
+	for _, nd := range nodes {
+		var s int
+		switch {
+		case nd.ID == 9001:
+			s = 4
+		case nd.ID == 9000:
+			s = 3
+		case tied:
+			s = nd.ID * 4 / 160
+		default:
+			s = nd.ID * 5 / 160
+		}
+		parts[s] = append(parts[s], nd)
+	}
+	var servers []*SourceServer
+	for i, name := range enginePlaneSources {
+		servers = append(servers, NewSourceServerWithGrid(name, dits.Build(worldGrid(), parts[i], 8)))
+	}
+	var out []*Cluster
+	for _, centers := range []int{2, 3} {
+		cl := newPlane(t, planeConfig{centers: centers, servers: servers}).cluster
+		owned := map[string]int{}
+		owners := cl.Stats().SourceOwners
+		for _, c := range owners {
+			owned[c]++
+		}
+		if owned["center-1"] != 3 || len(owned) != 2 || owners["sf"] == owners["sj"] {
+			t.Fatalf("%d centers: owners %v — want uneven shards with the tie sources apart", centers, owners)
+		}
+		out = append(out, cl)
+	}
+	return out
 }
 
 // picksOf replays a searcher's pick order against the query to recover the
@@ -109,9 +172,12 @@ func sessionPicks(t *testing.T, srv *SourceServer, sess uint64, q cellset.Set, d
 // seeds, the incremental source session (both delta paths), the
 // incremental Executor.CoverageSearch at 1 and 4 workers and the paper's
 // DITSSearcher, each over the heap index and over the same index mmap'd
-// from a snapshot, must return the brute-force greedy's (ID, gain)
-// sequence exactly — including on seeds built so that two candidates tie
-// on the winning gain.
+// from a snapshot, and the cluster's relayed session engine at 2 and 3
+// centers with uneven shards, must return the brute-force greedy's (ID,
+// gain) sequence exactly — including on seeds built so that two candidates
+// tie on the winning gain, which the cluster holds at different centers
+// and is also asked for at k=1, where the tie is the k-th pick. The
+// cluster's pruned OJSP is held to the brute-force top-k the same way.
 func TestCoverageEnginesAgree(t *testing.T) {
 	g := worldGrid()
 	side := 1 << theta
@@ -160,10 +226,43 @@ func TestCoverageEnginesAgree(t *testing.T) {
 
 		qn := dataset.NewNodeFromCells(-1, "query", q)
 		k := 1 + rng.Intn(8)
+		planes := enginePlanes(t, nodes, seed%3 == 0)
+		for i, cl := range planes {
+			// OJSP from the query, from a dataset's own cells, and from a
+			// corner no source reaches (every center pruned).
+			for _, oq := range []cellset.Set{q, nodes[int(seed)].Cells, cellBlock(1, 1, 3, 3)} {
+				rs, err := cl.OverlapSearch(context.Background(), oq, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]pick, len(rs))
+				for j, r := range rs {
+					got[j] = pick{r.ID, r.Overlap}
+				}
+				if want := bruteTopK(nodes, oq, k); !slices.Equal(got, want) {
+					t.Fatalf("seed %d k=%d plane %d: cluster OJSP %v, brute force %v", seed, k, i, got, want)
+				}
+			}
+		}
 		for _, delta := range []float64{0, 2.5, 6} {
 			want, tied := bruteGreedy(nodes, q, delta, k)
 			if tied {
 				tiedSeeds++
+			}
+			for i, cl := range planes {
+				for _, kk := range []int{k, 1} {
+					res, err := cl.CoverageSearch(context.Background(), q, delta, kk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := make([]pick, len(res.Picked))
+					for j, r := range res.Picked {
+						got[j] = pick{r.ID, r.Overlap}
+					}
+					if w := want[:min(kk, len(want))]; !slices.Equal(got, w) {
+						t.Fatalf("seed %d δ=%v k=%d plane %d: cluster picked %v, brute force %v", seed, delta, kk, i, got, w)
+					}
+				}
 			}
 			for name, idx := range map[string]*dits.Local{"heap": heap, "mmap": rd.Index()} {
 				check := func(engine string, got []pick) {

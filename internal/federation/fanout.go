@@ -17,13 +17,13 @@ const (
 	SkipFailed
 )
 
-// fanOut runs fn against every member concurrently and collects results
-// and errors in member order. Each member (and thus each peer connection)
-// is driven by exactly one goroutine, so peers only need to be safe for
-// sequential use. All calls run to completion before fanOut returns,
-// keeping connection state consistent; the caller applies its failure
-// policy to the aligned error slice.
-func fanOut[T any](members []*member, fn func(*member) (T, error)) ([]T, []error) {
+// fanOut runs fn against every member (or per-member call) concurrently
+// and collects results and errors in member order. Each member (and thus
+// each peer connection) is driven by exactly one goroutine, so peers only
+// need to be safe for sequential use. All calls run to completion before
+// fanOut returns, keeping connection state consistent; the caller applies
+// its failure policy to the aligned error slice.
+func fanOut[M, T any](members []M, fn func(M) (T, error)) ([]T, []error) {
 	outs := make([]T, len(members))
 	errs := make([]error, len(members))
 	if len(members) == 1 {
@@ -34,7 +34,7 @@ func fanOut[T any](members []*member, fn func(*member) (T, error)) ([]T, []error
 	var wg sync.WaitGroup
 	for i, m := range members {
 		wg.Add(1)
-		go func(i int, m *member) {
+		go func(i int, m M) {
 			defer wg.Done()
 			outs[i], errs[i] = fn(m)
 		}(i, m)

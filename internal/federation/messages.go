@@ -71,12 +71,13 @@ const (
 )
 
 // Method names of the cluster protocol — the surface a CenterServer
-// exposes to the gateway's scatter/gather plane. All cluster request and
-// response types ride the transports' gob passthrough, so they need no
-// per-codec support.
+// exposes to the gateway's scatter/gather plane. Apart from cluster.forward,
+// the cluster request and response types ride the transports' gob
+// passthrough, so they need no per-codec support.
 const (
 	// MethodClusterInfo is the health probe and shard audit: it reports the
-	// center's name, membership generation, and registered source names.
+	// center's name, membership generation, and every registered source's
+	// root summary and data version.
 	MethodClusterInfo = "cluster.info"
 	// MethodClusterRegister tells a center to adopt a source: the center
 	// dials the source (and its replicas), fetches its summary, and
@@ -89,10 +90,10 @@ const (
 	MethodClusterOverlap = "cluster.overlap"
 	// MethodClusterBatch answers a batch of OJSP queries over the shard.
 	MethodClusterBatch = "cluster.batch"
-	// MethodClusterCovStep runs ONE greedy CJSP iteration over the shard:
-	// the gateway drives the cross-center greedy loop, each round asking
-	// every center for its shard's best offer and merging the global winner.
-	MethodClusterCovStep = "cluster.covstep"
+	// MethodClusterForward relays session-protocol calls (coverage.round,
+	// coverage.fetch, coverage.close) to sources of the center's shard: the
+	// gateway runs the CJSP engine, the center owns the connections.
+	MethodClusterForward = "cluster.forward"
 	// MethodClusterPut / MethodClusterDelete route a dataset mutation
 	// through the center owning the source.
 	MethodClusterPut    = "cluster.put"
@@ -115,11 +116,20 @@ type WALShipResponse struct {
 	TooOld  bool
 }
 
-// ClusterInfoResponse answers the gateway's health probe.
+// ClusterInfoResponse answers the gateway's health probe. Shard carries
+// the center's current (summary, data version) per source, which the
+// gateway folds into its DITS-G exactly like a mutation acknowledgement —
+// the repair path for an acknowledgement that was lost on the way back.
 type ClusterInfoResponse struct {
 	Name       string
 	Generation uint64
-	Sources    []string // registered source names, sorted
+	Shard      []ShardSource // registered sources, name-sorted
+}
+
+// ShardSource is one source as its owner center sees it.
+type ShardSource struct {
+	Summary dits.SourceSummary
+	Version uint64 // 0 when no mutation passed through this center
 }
 
 // ClusterRegisterRequest tells a center to dial and register one source.
@@ -131,9 +141,12 @@ type ClusterRegisterRequest struct {
 	Replicas []string
 }
 
-// ClusterRegisterResponse acknowledges a registration.
+// ClusterRegisterResponse acknowledges a registration with the root
+// summary the center fetched from the source, which the gateway enters
+// into its own DITS-G.
 type ClusterRegisterResponse struct {
 	NumSources int
+	Summary    dits.SourceSummary
 }
 
 // ClusterUnregisterRequest removes one source from the center's shard.
@@ -170,33 +183,34 @@ type ClusterBatchResponse struct {
 	Results [][]SourceResult
 }
 
-// SourceExclude lists the dataset IDs already picked from one source
-// during a cluster CJSP (the cross-center analogue of CoverageRequest's
-// Exclude).
-type SourceExclude struct {
+// ForwardCall is one relayed session-protocol exchange: the source it is
+// for, the method (coverage.round, coverage.fetch or coverage.close) and
+// the request encoded by BinaryCodec — whatever codec the gateway→center
+// connection negotiated, cell sets cross it in dits-bin/1 form.
+type ForwardCall struct {
 	Source string
-	IDs    []int
+	Method string
+	Body   []byte
 }
 
-// ClusterCovStepRequest asks one center for its shard's best offer in one
-// greedy CJSP iteration, given the gateway's merged state so far.
-type ClusterCovStepRequest struct {
-	Merged  cellset.Set
-	Delta   float64
-	Exclude []SourceExclude
+// ClusterForwardRequest relays a fan-out's calls for one center's shard.
+type ClusterForwardRequest struct {
+	Calls []ForwardCall
 }
 
-// ClusterCovStepResponse is the shard's best offer; Found is false when no
-// source in the shard has a remaining connected dataset. Cells is the full
-// cell set of the offered dataset, so the gateway can merge the global
-// winner without a second exchange.
-type ClusterCovStepResponse struct {
-	Found  bool
-	Source string
-	ID     int
-	Name   string
-	Gain   int
-	Cells  cellset.Set
+// ForwardReply answers one ForwardCall: the BinaryCodec-encoded response,
+// or the error text. Transport is set when the source's connection failed
+// (rather than its handler answering with an error) — either way it is
+// that source's error, not the center's.
+type ForwardReply struct {
+	Body      []byte
+	Err       string
+	Transport bool
+}
+
+// ClusterForwardResponse carries one reply per call, in request order.
+type ClusterForwardResponse struct {
+	Replies []ForwardReply
 }
 
 // ClusterPutRequest routes a durable dataset upsert through the center
@@ -214,15 +228,14 @@ type ClusterDeleteRequest struct {
 	ID     int
 }
 
-// ClusterMutateResponse answers both cluster mutation methods. Unknown
-// reports the source is not registered at this center — a roster/shard
-// disagreement the gateway maps back to ErrUnknownSource rather than a
-// transport failure.
+// ClusterMutateResponse answers both cluster mutation methods with the
+// source's own answer — its post-mutation summary included, which the
+// gateway folds into its DITS-G. Unknown reports the source is not
+// registered at this center — a roster/shard disagreement the gateway maps
+// back to ErrUnknownSource rather than a transport failure.
 type ClusterMutateResponse struct {
-	Unknown     bool
-	Found       bool
-	Version     uint64
-	NumDatasets int
+	Unknown bool
+	MutateResponse
 }
 
 // OverlapRequest asks a source for its local top-k overlap results. Cells

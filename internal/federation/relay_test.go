@@ -1,0 +1,432 @@
+package federation
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"dits/internal/cellset"
+	"dits/internal/dataset"
+	"dits/internal/geo"
+	"dits/internal/index/dits"
+	"dits/internal/transport"
+)
+
+// plane is an in-process cluster over given source servers with every link
+// on the binary codec and counted: hop is the gateway→center traffic,
+// links the center→source traffic.
+type plane struct {
+	cluster *Cluster
+	hop     *transport.Metrics
+	links   *transport.Metrics
+	centers map[string]*switchPeer
+}
+
+// planeConfig describes a plane; the wrap hooks (nil for none) sit between
+// a caller and the in-process peer it would otherwise use.
+type planeConfig struct {
+	centers    int
+	servers    []*SourceServer
+	wrapSource func(source string, p transport.Peer) transport.Peer
+	wrapCenter func(center string, p transport.Peer) transport.Peer
+}
+
+func newPlane(t *testing.T, cfg planeConfig) *plane {
+	t.Helper()
+	g := worldGrid()
+	byName := make(map[string]*SourceServer, len(cfg.servers))
+	for _, s := range cfg.servers {
+		byName[s.Name] = s
+	}
+	p := &plane{hop: &transport.Metrics{}, links: &transport.Metrics{}, centers: map[string]*switchPeer{}}
+	peers := make(map[string]transport.Peer, cfg.centers)
+	for i := 0; i < cfg.centers; i++ {
+		name := fmt.Sprintf("center-%d", i)
+		cs, err := NewCenterServer(name, NewCenter(g, DefaultOptions()), CenterServerOptions{
+			Dial: func(addr string) (transport.Peer, error) {
+				srv, ok := byName[addr]
+				if !ok {
+					return nil, fmt.Errorf("no source at %q", addr)
+				}
+				var peer transport.Peer = &transport.InProc{Name: addr, Handler: srv.Handler(), Metrics: p.links, Codec: BinaryCodec}
+				if cfg.wrapSource != nil {
+					peer = cfg.wrapSource(addr, peer)
+				}
+				return peer, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cs.Close() })
+		sw := &switchPeer{inner: &transport.InProc{Name: name, Handler: cs.Handler(), Metrics: p.hop, Codec: BinaryCodec}}
+		p.centers[name] = sw
+		peers[name] = sw
+		if cfg.wrapCenter != nil {
+			peers[name] = cfg.wrapCenter(name, sw)
+		}
+	}
+	p.cluster = NewCluster(g, peers)
+	for _, srv := range cfg.servers {
+		if err := p.cluster.AddSource(context.Background(), ClusterSource{Name: srv.Name, Addr: srv.Name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// calls returns how many exchanges of the method the metrics have seen.
+func calls(m *transport.Metrics, method string) int64 { return m.PerMethod()[method].Calls }
+
+// cornerServers builds three small mutable sources far apart — a bottom
+// left, b top right, c top left — so that a query inside one of them has no
+// other candidate, even under DITS-G's ball bound, and the bottom right
+// corner belongs to nobody.
+func cornerServers(t *testing.T) []*SourceServer {
+	t.Helper()
+	var servers []*SourceServer
+	for i, at := range [][2]int{{8, 8}, {110, 110}, {8, 110}} {
+		var nodes []*dataset.Node
+		for j := 0; j < 4; j++ {
+			nodes = append(nodes, dataset.NewNodeFromCells((i+1)*100+j, "corner", cellsNear(at[0]+2*j, at[1]+j, 8)))
+		}
+		srv := NewSourceServerWithGrid(srcName(i), dits.Build(worldGrid(), nodes, 4))
+		enableIngest(t, srv)
+		servers = append(servers, srv)
+	}
+	return servers
+}
+
+// funcPeer is a transport.Peer whose Call is a closure over the peer it
+// wraps: the fault injectors below are one function each.
+type funcPeer struct {
+	inner transport.Peer
+	call  func(ctx context.Context, inner transport.Peer, method string, req, resp any) error
+}
+
+func (p *funcPeer) Call(ctx context.Context, method string, req, resp any) error {
+	return p.call(ctx, p.inner, method, req, resp)
+}
+func (p *funcPeer) Close() error { return p.inner.Close() }
+
+// TestCloseSessionsIsBounded: a source that accepts coverage.close and never
+// answers must not hold a finished CJSP — through one center or through the
+// cluster's relay, the search returns its answer within the close bound.
+func TestCloseSessionsIsBounded(t *testing.T) {
+	hang := func(_ string, p transport.Peer) transport.Peer {
+		return &funcPeer{inner: p, call: func(ctx context.Context, inner transport.Peer, method string, req, resp any) error {
+			if method == MethodSessionClose {
+				<-ctx.Done() // context.Background() would park this forever
+				return ctx.Err()
+			}
+			return inner.Call(ctx, method, req, resp)
+		}}
+	}
+	oracle, _, servers := buildFederation(rand.New(rand.NewSource(61)), 3, 60, DefaultOptions())
+	single := NewCenter(worldGrid(), DefaultOptions())
+	for _, srv := range servers {
+		single.Register(srv.Summary(), hang(srv.Name, &transport.InProc{Name: srv.Name, Handler: srv.Handler()}))
+	}
+	clustered := newPlane(t, planeConfig{centers: 2, servers: servers, wrapSource: hang}).cluster
+	q := servers[1].Index.Get(10000).Cells
+	want, err := oracle.CoverageSearch(context.Background(), q, 4, 3)
+	if err != nil || len(want.Picked) == 0 {
+		t.Fatalf("oracle: %v picks, err %v", len(want.Picked), err)
+	}
+	for name, search := range map[string]func(context.Context) (CoverageResult, error){
+		"single":    func(ctx context.Context) (CoverageResult, error) { return single.CoverageSearch(ctx, q, 4, 3) },
+		"clustered": func(ctx context.Context) (CoverageResult, error) { return clustered.CoverageSearch(ctx, q, 4, 3) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			start := time.Now()
+			got, err := search(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, "picks", got.Picked, want.Picked)
+			if took := time.Since(start); took > sessionCloseTimeout+5*time.Second {
+				t.Errorf("search took %v with a hung coverage.close, bound is %v", took, sessionCloseTimeout)
+			}
+		})
+	}
+}
+
+// TestProbeRepairsLostMutationAck: a put whose acknowledgement is lost
+// between center and gateway leaves the gateway pruning on the old extent —
+// an OJSP in the newly covered area misses the dataset — until the next
+// Probe folds the center's (summary, version) into the view.
+func TestProbeRepairsLostMutationAck(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	p := newPlane(t, planeConfig{centers: 2, servers: cornerServers(t),
+		wrapCenter: func(_ string, inner transport.Peer) transport.Peer {
+			return &funcPeer{inner: inner, call: func(cctx context.Context, inner transport.Peer, method string, req, resp any) error {
+				err := inner.Call(cctx, method, req, resp)
+				if method == MethodClusterPut {
+					// Delivered and applied; the caller gives up before the
+					// reply arrives (a timeout, not a dead center).
+					once.Do(func() { cancel(); err = ctx.Err() })
+				}
+				return err
+			}}
+		}})
+	fresh := cellsNear(110, 8, 8) // the corner nobody covers
+	if _, err := p.cluster.PutDataset(ctx, "a", 777, "lost-ack", fresh); !errors.Is(err, context.Canceled) {
+		t.Fatalf("put with a dropped reply: err = %v, want context.Canceled", err)
+	}
+	if st := p.cluster.Stats(); st.Failovers != 0 {
+		t.Fatalf("a caller-side timeout failed a center over: %+v", st)
+	}
+	bg := context.Background()
+	before := calls(p.hop, MethodClusterOverlap)
+	rs, err := p.cluster.OverlapSearch(bg, fresh, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 0 || calls(p.hop, MethodClusterOverlap) != before {
+		t.Fatalf("before the probe the gateway should still prune on the old extent; got %v", rs)
+	}
+	if downed := p.cluster.Probe(bg); downed != 0 {
+		t.Fatalf("probe marked %d centers down", downed)
+	}
+	rs, err = p.cluster.OverlapSearch(bg, fresh, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 || rs[0].Source != "a" || rs[0].ID != 777 {
+		t.Fatalf("after the probe the dataset must be found; got %v", rs)
+	}
+	if got := p.cluster.SourceVersions()["a"]; got == 0 {
+		t.Fatal("probe did not fold the source's data version into the view")
+	}
+}
+
+// TestRelaySurvivesCenterKillMidRound kills the owner center between a
+// coverage.round and its coverage.fetch. The session lives at the source,
+// so the query neither fails nor restarts: same picks as the single center,
+// one failover, and no source is sent a second Base.
+func TestRelaySurvivesCenterKillMidRound(t *testing.T) {
+	oracle, _, servers := buildFederation(rand.New(rand.NewSource(71)), 5, 80, DefaultOptions())
+	var mu sync.Mutex
+	bases := map[string]int{}
+	var p *plane
+	var killed string
+	p = newPlane(t, planeConfig{centers: 3, servers: servers,
+		wrapSource: func(source string, inner transport.Peer) transport.Peer {
+			return &funcPeer{inner: inner, call: func(ctx context.Context, inner transport.Peer, method string, req, resp any) error {
+				if r, ok := req.(*CoverageRoundRequest); ok && !r.Base.IsEmpty() {
+					mu.Lock()
+					bases[fmt.Sprintf("%s/%d", source, r.Session)]++
+					mu.Unlock()
+				}
+				return inner.Call(ctx, method, req, resp)
+			}}
+		},
+		wrapCenter: func(center string, inner transport.Peer) transport.Peer {
+			return &funcPeer{inner: inner, call: func(ctx context.Context, inner transport.Peer, method string, req, resp any) error {
+				if fwd, ok := req.(*ClusterForwardRequest); ok && killed == "" && fwd.Calls[0].Method == MethodFetchCells {
+					killed = center
+					p.centers[center].down.Store(true)
+				}
+				return inner.Call(ctx, method, req, resp)
+			}}
+		}})
+	ctx := context.Background()
+	q := randomQuery(rand.New(rand.NewSource(72)))
+	want, err := oracle.CoverageSearch(ctx, q, 6, 5)
+	if err != nil || len(want.Picked) < 2 {
+		t.Fatalf("oracle: %d picks, err %v — the query must run several rounds", len(want.Picked), err)
+	}
+	got, err := p.cluster.CoverageSearch(ctx, q, 6, 5)
+	if err != nil {
+		t.Fatalf("CJSP across a center kill: %v", err)
+	}
+	sameResults(t, "picks", got.Picked, want.Picked)
+	if got.Coverage != want.Coverage {
+		t.Fatalf("coverage %d, oracle %d", got.Coverage, want.Coverage)
+	}
+	if st := p.cluster.Stats(); killed == "" || st.Failovers != 1 || st.Healthy != 2 {
+		t.Fatalf("killed %q, stats %+v: want exactly one failover", killed, st)
+	}
+	for key, n := range bases {
+		if n > 1 {
+			t.Errorf("session %s was sent %d Bases: it did not outlive its relay", key, n)
+		}
+	}
+	for _, srv := range servers {
+		if n := srv.NumSessions(); n != 0 {
+			t.Errorf("source %s still holds %d sessions", srv.Name, n)
+		}
+	}
+}
+
+// TestRelaySourceErrorIsPerSource: a source whose connection fails behind a
+// healthy center is that source's error — under SkipFailed the query
+// degrades exactly as a single center's would, under FailFast it fails, and
+// in neither case is the center failed over.
+func TestRelaySourceErrorIsPerSource(t *testing.T) {
+	_, _, servers := buildFederation(rand.New(rand.NewSource(81)), 4, 80, DefaultOptions())
+	broken := func(source string, inner transport.Peer) transport.Peer {
+		return &funcPeer{inner: inner, call: func(ctx context.Context, inner transport.Peer, method string, req, resp any) error {
+			if source == "b" && method == MethodCoverageRound {
+				return errors.New("connection reset by peer")
+			}
+			return inner.Call(ctx, method, req, resp)
+		}}
+	}
+	opts := DefaultOptions()
+	opts.OnSourceError = SkipFailed
+	oracle := NewCenter(worldGrid(), opts)
+	for _, srv := range servers {
+		oracle.Register(srv.Summary(), broken(srv.Name, &transport.InProc{Name: srv.Name, Handler: srv.Handler()}))
+	}
+	p := newPlane(t, planeConfig{centers: 3, servers: servers, wrapSource: broken})
+	ctx := context.Background()
+	q := servers[1].Index.Get(10000).Cells // inside b's band: b is a candidate from round one
+	if _, err := p.cluster.CoverageSearch(ctx, q, 6, 4); err == nil {
+		t.Fatal("FailFast: a failed source must fail the query")
+	}
+	p.cluster.view.Options.OnSourceError = SkipFailed
+	want, err := oracle.CoverageSearch(ctx, q, 6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.cluster.CoverageSearch(ctx, q, 6, 4)
+	if err != nil {
+		t.Fatalf("SkipFailed: %v", err)
+	}
+	sameResults(t, "degraded picks", got.Picked, want.Picked)
+	for _, r := range got.Picked {
+		if r.Source == "b" {
+			t.Fatalf("picked %+v from the failed source", r)
+		}
+	}
+	if st := p.cluster.Stats(); st.Failovers != 0 || st.Healthy != 3 {
+		t.Fatalf("a source's failure failed a center over: %+v", st)
+	}
+	if p.cluster.view.Metrics.Failures()["b"] == 0 {
+		t.Error("the skipped source's failure was not recorded")
+	}
+}
+
+// TestClusterCommBudget is TestSessionCutsCoverageBytes' successor for the
+// clustered path, on in-process links with the binary codec so every count
+// is exact: a fan-out costs at most one gateway→center message per center,
+// a clustered CJSP at most 2.2× the bytes of the same session through one
+// center, and an OJSP contacts only centers owning a candidate — including
+// the owner of an extent a put through the cluster has just grown.
+func TestClusterCommBudget(t *testing.T) {
+	// Datasets and queries of a few hundred cells, as real ones are: the
+	// relay adds a source and a method name per call, which only payloads
+	// of a handful of cells would make look expensive.
+	rng := rand.New(rand.NewSource(24))
+	blob := func(cx, cy int) cellset.Set {
+		ids := make([]uint64, 100+rng.Intn(300))
+		for j := range ids {
+			ids[j] = geo.ZEncode(uint32(clamp(cx+rng.Intn(25)-12, 0, 127)), uint32(clamp(cy+rng.Intn(25)-12, 0, 127)))
+		}
+		return cellset.New(ids...)
+	}
+	var servers []*SourceServer
+	for s := 0; s < 4; s++ {
+		var nodes []*dataset.Node
+		for i := 0; i < 60; i++ {
+			nodes = append(nodes, dataset.NewNodeFromCells(s*10000+i, "", blob(rng.Intn(128), s*32+rng.Intn(48))))
+		}
+		servers = append(servers, NewSourceServerWithGrid(srcName(s), dits.Build(worldGrid(), nodes, 8)))
+	}
+	single := NewCenter(worldGrid(), DefaultOptions())
+	for _, srv := range servers {
+		single.Register(srv.Summary(), &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: single.Metrics, Codec: BinaryCodec})
+	}
+	p := newPlane(t, planeConfig{centers: 3, servers: servers})
+	fanouts := 0
+	p.cluster.view.relay = func(ctx context.Context, cs []memberCall) []error {
+		before := calls(p.hop, MethodClusterForward)
+		errs := p.cluster.relay(ctx, cs)
+		owners := map[*clusterCenter]bool{}
+		for _, c := range cs {
+			owners[p.cluster.owner[c.m.summary.Name]] = true
+		}
+		if sent := calls(p.hop, MethodClusterForward) - before; len(cs) > 0 && sent != int64(len(owners)) {
+			t.Errorf("a fan-out of %d calls to %d centers cost %d cluster.forward messages", len(cs), len(owners), sent)
+		}
+		fanouts++
+		return errs
+	}
+	ctx := context.Background()
+	registration := p.hop.Bytes() + p.links.Bytes()
+	for trial := 0; trial < 15; trial++ {
+		q := blob(rng.Intn(128), rng.Intn(128))
+		want, err := single.CoverageSearch(ctx, q, 4, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.cluster.CoverageSearch(ctx, q, 4, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, fmt.Sprintf("trial %d picks", trial), got.Picked, want.Picked)
+	}
+	if fanouts == 0 {
+		t.Fatal("no fan-out went through the relay")
+	}
+	sb, cb := single.Metrics.Bytes(), p.hop.Bytes()+p.links.Bytes()-registration
+	t.Logf("15 CJSPs: %d bytes through one center, %d through the cluster (%.2f×), %d fan-outs", sb, cb, float64(cb)/float64(sb), fanouts)
+	if float64(cb) > 2.2*float64(sb) {
+		t.Errorf("clustered CJSPs shipped %d bytes, more than 2.2× the single center's %d", cb, sb)
+	}
+	// The source tier sees the session protocol, message for message.
+	for _, method := range []string{MethodCoverageRound, MethodFetchCells, MethodSessionClose} {
+		if a, b := calls(single.Metrics, method), calls(p.links, method); a != b {
+			t.Errorf("%s: %d calls through one center, %d through the cluster", method, a, b)
+		}
+	}
+	if n := calls(p.links, MethodCoverage); n != 0 {
+		t.Errorf("the clustered path made %d stateless coverage.best calls", n)
+	}
+
+	// OJSP pruning, on sources compact enough that candidates are certain.
+	cp := newPlane(t, planeConfig{centers: 3, servers: cornerServers(t)})
+	overlapCalls := func(q func()) int64 {
+		before := calls(cp.hop, MethodClusterOverlap)
+		q()
+		return calls(cp.hop, MethodClusterOverlap) - before
+	}
+	if n := overlapCalls(func() {
+		if rs, err := cp.cluster.OverlapSearch(ctx, cellsNear(8, 8, 8), 3); err != nil || len(rs) == 0 {
+			t.Fatalf("query inside a: %v, err %v", rs, err)
+		}
+	}); n != 1 {
+		t.Errorf("a query inside exactly one source's extent made %d cluster.overlap calls, want 1", n)
+	}
+	grown := cellsNear(110, 8, 8)
+	if n := overlapCalls(func() { cp.cluster.OverlapSearch(ctx, grown, 3) }); n != 0 {
+		t.Errorf("a query meeting no source's extent made %d cluster.overlap calls, want 0", n)
+	}
+	if _, err := cp.cluster.PutDataset(ctx, "a", 888, "grown", grown); err != nil {
+		t.Fatal(err)
+	}
+	if n := overlapCalls(func() {
+		rs, err := cp.cluster.OverlapSearch(ctx, grown, 3)
+		if err != nil || len(rs) != 1 || rs[0].ID != 888 {
+			t.Fatalf("query in the grown extent: %v, err %v", rs, err)
+		}
+	}); n < 1 {
+		t.Error("a query in an extent a put just grew did not contact its owner")
+	}
+	batch := []BatchQuery{{Cells: cellsNear(8, 8, 8), K: 2}, {Cells: cellsNear(9, 9, 8), K: 2}}
+	before := calls(cp.hop, MethodClusterBatch)
+	if _, err := cp.cluster.OverlapSearchBatch(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls(cp.hop, MethodClusterBatch) - before; n != 1 {
+		t.Errorf("a batch whose queries all sit in one source made %d cluster.batch calls, want 1", n)
+	}
+}

@@ -233,67 +233,33 @@ func (s *SourceServer) Handler() transport.Handler {
 	return func(ctx context.Context, codec transport.Codec, method string, body []byte) (any, error) {
 		switch method {
 		case MethodOverlap:
-			var req OverlapRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			resp := s.handleOverlap(ctx, req)
-			return &resp, nil
+			return serve(codec, body, func(req OverlapRequest) (OverlapResponse, error) {
+				return s.handleOverlap(ctx, req), nil
+			})
 		case MethodSearchBatch:
-			var req SearchBatchRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			resp := s.handleSearchBatch(ctx, req)
-			return &resp, nil
+			return serve(codec, body, func(req SearchBatchRequest) (SearchBatchResponse, error) {
+				return s.handleSearchBatch(ctx, req), nil
+			})
 		case MethodCoverage:
-			var req CoverageRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			resp := s.handleCoverage(ctx, req)
-			return &resp, nil
+			return serve(codec, body, func(req CoverageRequest) (CoverageCandidate, error) {
+				return s.handleCoverage(ctx, req), nil
+			})
 		case MethodCoverageRound:
-			var req CoverageRoundRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			resp := s.handleCoverageRound(ctx, req)
-			return &resp, nil
+			return serve(codec, body, func(req CoverageRoundRequest) (CoverageRoundResponse, error) {
+				return s.handleCoverageRound(ctx, req), nil
+			})
 		case MethodFetchCells:
-			var req FetchCellsRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			resp := s.handleFetchCells(req)
-			return &resp, nil
+			return serve(codec, body, func(req FetchCellsRequest) (FetchCellsResponse, error) {
+				return s.handleFetchCells(req), nil
+			})
 		case MethodSessionClose:
-			var req SessionCloseRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			resp := s.handleSessionClose(req)
-			return &resp, nil
+			return serve(codec, body, func(req SessionCloseRequest) (SessionCloseResponse, error) {
+				return s.handleSessionClose(req), nil
+			})
 		case MethodDatasetPut:
-			var req DatasetPutRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			resp, err := s.handleDatasetPut(req)
-			if err != nil {
-				return nil, err
-			}
-			return &resp, nil
+			return serve(codec, body, s.handleDatasetPut)
 		case MethodDatasetDelete:
-			var req DatasetDeleteRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			resp, err := s.handleDatasetDelete(req)
-			if err != nil {
-				return nil, err
-			}
-			return &resp, nil
+			return serve(codec, body, s.handleDatasetDelete)
 		case MethodWALShip:
 			var req WALShipRequest
 			if err := codec.Decode(body, &req); err != nil {
