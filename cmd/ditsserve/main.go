@@ -2,10 +2,11 @@
 // generated by datagen, builds its DITS-L index, and serves the federation
 // protocol (overlap.search, search.batch, coverage.best, the coverage.*
 // session methods, dataset.put/delete, source.version, source.summary,
-// source.stats) over TCP until interrupted. With -workers > 1 each query's
-// traversal is verified by a bounded worker pool and batched requests
-// share one tree pass (internal/search/exec); results are identical to
-// sequential execution.
+// source.stats) over TCP until interrupted. Every search runs on the query
+// executor (internal/search/exec) and batched requests share one tree
+// pass; -workers only sizes the executor's per-query pool (1, the default,
+// runs it in line), so the code served and its results are the same at
+// every value.
 //
 // With -wal-dir the source becomes mutable and durable: dataset mutations
 // are WAL-logged before they touch the live index (-fsync picks the flush
@@ -67,7 +68,7 @@ func main() {
 	theta := flag.Int("theta", 12, "grid resolution θ (must match the federation)")
 	f := flag.Int("f", 30, "DITS-L leaf capacity")
 	boundsFlag := flag.String("bounds", "", "shared world bounds minX,minY,maxX,maxY (default: this source's own)")
-	workers := flag.Int("workers", 1, "worker pool per query traversal; 1 = sequential")
+	workers := flag.Int("workers", 1, "size of the per-query worker pool; it selects no other code path (1 = run the executor in line)")
 	walDir := flag.String("wal-dir", "", "durable ingest state directory (WAL + snapshots); empty = read-only source")
 	fsyncMode := flag.String("fsync", "always", "WAL flush policy with -wal-dir: always | never")
 	snapEvery := flag.Int("snapshot-every", 256, "mutations between background snapshots with -wal-dir (-1 disables)")

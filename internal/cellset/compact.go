@@ -240,6 +240,37 @@ func (c *Compact) IntersectCount(o *Compact) int {
 	return n
 }
 
+// AppendIntersectRanks appends to dst, in ascending order, the rank in c —
+// the index in c.Set() — of every cell c shares with o, and returns the
+// extended slice: IntersectCount's chunk-wise merge, carrying the number of
+// c's cells that precede the chunk at hand. The appended length equals
+// c.IntersectCount(o). A DITS-L leaf keys its posting lists by rank in the
+// leaf's cell union, so one call yields both the Lemma 2 bound and the
+// lists to count. Allocation-free once dst has the capacity; c must hold
+// fewer than 2^32 cells.
+func (c *Compact) AppendIntersectRanks(o *Compact, dst []uint32) []uint32 {
+	if c.Len() == 0 || o.Len() == 0 {
+		return dst
+	}
+	base := uint32(0) // cells of c in the chunks before keys[i]
+	i, j := 0, 0
+	for i < len(c.keys) && j < len(o.keys) {
+		switch {
+		case c.keys[i] == o.keys[j]:
+			dst = appendRanks(dst, base, &c.cts[i], &o.cts[j])
+			base += uint32(c.cts[i].n)
+			i++
+			j++
+		case c.keys[i] < o.keys[j]:
+			base += uint32(c.cts[i].n)
+			i++
+		default:
+			j++
+		}
+	}
+	return dst
+}
+
 // UnionCount returns |c ∪ o| without materializing the union.
 func (c *Compact) UnionCount(o *Compact) int {
 	return c.Len() + o.Len() - c.IntersectCount(o)
@@ -435,6 +466,108 @@ func arrIntersectCount(a, b []uint16) int {
 		}
 	}
 	return n
+}
+
+// appendRanks appends base plus the rank within a of every value a shares
+// with b, ascending.
+func appendRanks(dst []uint32, base uint32, a, b *container) []uint32 {
+	switch {
+	case a.bm != nil && b.bm != nil:
+		for w, aw := range a.bm {
+			for and := aw & b.bm[w]; and != 0; and &= and - 1 {
+				bit := and & -and
+				dst = append(dst, base+uint32(bits.OnesCount64(aw&(bit-1))))
+			}
+			base += uint32(bits.OnesCount64(aw))
+		}
+	case a.bm != nil:
+		w := 0 // base counts a's values in the words before w
+		for _, v := range b.arr {
+			for ; w < int(v>>6); w++ {
+				base += uint32(bits.OnesCount64(a.bm[w]))
+			}
+			if bit := uint64(1) << (v & 63); a.bm[w]&bit != 0 {
+				dst = append(dst, base+uint32(bits.OnesCount64(a.bm[w]&(bit-1))))
+			}
+		}
+	case b.bm != nil:
+		for i, v := range a.arr {
+			if b.bm[v>>6]>>(v&63)&1 == 1 {
+				dst = append(dst, base+uint32(i))
+			}
+		}
+	default:
+		dst = arrAppendRanks(dst, base, a.arr, b.arr)
+	}
+	return dst
+}
+
+// gallopRatio is the size skew from which arrAppendRanks probes the longer
+// array by exponential search instead of merging through it.
+const gallopRatio = 8
+
+// arrAppendRanks is appendRanks for two sorted arrays.
+func arrAppendRanks(dst []uint32, base uint32, a, b []uint16) []uint32 {
+	switch {
+	case len(b)*gallopRatio <= len(a):
+		lo := 0
+		for _, v := range b {
+			lo += gallop(a[lo:], v)
+			if lo == len(a) {
+				break
+			}
+			if a[lo] == v {
+				dst = append(dst, base+uint32(lo))
+				lo++
+			}
+		}
+	case len(a)*gallopRatio <= len(b):
+		lo := 0
+		for i, v := range a {
+			lo += gallop(b[lo:], v)
+			if lo == len(b) {
+				break
+			}
+			if b[lo] == v {
+				dst = append(dst, base+uint32(i))
+				lo++
+			}
+		}
+	default:
+		i, j := 0, 0
+		for i < len(a) && j < len(b) {
+			switch {
+			case a[i] == b[j]:
+				dst = append(dst, base+uint32(i))
+				i++
+				j++
+			case a[i] < b[j]:
+				i++
+			default:
+				j++
+			}
+		}
+	}
+	return dst
+}
+
+// gallop returns the index of the first element of sorted s that is >= v
+// (len(s) when none is), doubling its stride from the front so that a
+// target near the front costs O(log distance), not O(log len(s)).
+func gallop(s []uint16, v uint16) int {
+	lo, hi := 0, 1 // s[:lo] < v
+	for hi <= len(s) && s[hi-1] < v {
+		lo, hi = hi, hi<<1
+	}
+	hi = min(hi, len(s))
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // unionContainers returns the canonical union of two containers.

@@ -219,6 +219,7 @@ func TestSetOpAllocs(t *testing.T) {
 	s := clusteredSet(rng, 4, 3000)
 	u := clusteredSet(rng, 4, 3000).Union(s[:len(s)/3].Clone())
 	cs, cu := FromSet(s), FromSet(u)
+	ranks := make([]uint32, 0, cs.IntersectCount(cu))
 	checks := []struct {
 		name string
 		fn   func()
@@ -229,6 +230,7 @@ func TestSetOpAllocs(t *testing.T) {
 		{"Compact.UnionCount", func() { cs.UnionCount(cu) }},
 		{"Compact.MarginalGain", func() { cs.MarginalGain(cu) }},
 		{"Compact.Contains", func() { cs.Contains(u[0]) }},
+		{"Compact.AppendIntersectRanks", func() { ranks = cs.AppendIntersectRanks(cu, ranks[:0]) }},
 	}
 	for _, c := range checks {
 		if avg := testing.AllocsPerRun(100, c.fn); avg != 0 {

@@ -44,8 +44,8 @@ type SourceServer struct {
 	// Workers sizes the per-query execution pool (search/exec): a single
 	// traversal is verified by up to Workers goroutines, and batched
 	// requests (MethodSearchBatch) share one tree pass across the pool.
-	// Zero or one keeps every query on the sequential path. Results are
-	// identical either way.
+	// Zero or one runs the same executor in line, with no goroutines.
+	// Every value serves the same code and returns the same results.
 	Workers int
 
 	// MaxSessions and SessionTTL override the eviction defaults when >0.
@@ -311,8 +311,8 @@ func (s *SourceServer) Handler() transport.Handler {
 	}
 }
 
-// executor returns the source's query executor: sequential unless the
-// server was configured with Workers > 1.
+// executor returns the source's query executor, the one path every search
+// request takes: in line for Workers <= 1, on a pool of Workers beyond.
 func (s *SourceServer) executor() *exec.Executor {
 	w := s.Workers
 	if w < 1 {
@@ -365,8 +365,8 @@ func (s *SourceServer) mutateResponse(found bool, version uint64) MutateResponse
 	return resp
 }
 
-// handleOverlap runs the local OverlapSearch (Algorithm 2), parallelizing
-// the traversal across the configured worker pool.
+// handleOverlap runs the local OverlapSearch (Algorithm 2) on the source's
+// executor.
 func (s *SourceServer) handleOverlap(ctx context.Context, req OverlapRequest) OverlapResponse {
 	q := dataset.NewNodeFromCells(-1, "query", req.Cells)
 	if q == nil || req.K <= 0 {
@@ -375,11 +375,7 @@ func (s *SourceServer) handleOverlap(ctx context.Context, req OverlapRequest) Ov
 	var rs []overlap.Result
 	_, sp := obs.StartSpan(ctx, "exec.overlap")
 	s.view(func(idx *dits.Local) {
-		if s.Workers > 1 {
-			rs, _ = s.executor().OverlapTopK(ctx, idx, q, req.K)
-		} else {
-			rs = (&overlap.DITSSearcher{Index: idx}).TopK(q, req.K)
-		}
+		rs, _ = s.executor().OverlapTopK(ctx, idx, q, req.K)
 	})
 	sp.End()
 	return overlapResponse(rs)
@@ -443,44 +439,24 @@ func (s *SourceServer) handleCoverage(ctx context.Context, req CoverageRequest) 
 	return out
 }
 
-// findConnectSet runs the connectivity walk, on the worker pool when the
-// server is configured for parallel execution. Both paths return the same
-// datasets in the same order. The caller holds the index's shared lock.
+// findConnectSet runs the connectivity walk on the source's executor. The
+// caller holds the index's shared lock.
 func (s *SourceServer) findConnectSet(ctx context.Context, idx *dits.Local, qn *dataset.Node, delta float64, qIdx *cellset.DistIndex) []*dataset.Node {
 	_, sp := obs.StartSpan(ctx, "exec.connect")
 	defer sp.End()
-	if s.Workers > 1 {
-		return s.executor().FindConnectSet(ctx, idx.Root, qn, delta, qIdx)
-	}
-	return coverage.FindConnectSetWithIndex(idx.Root, qn, delta, qIdx)
+	return s.executor().FindConnectSet(ctx, idx.Root, qn, delta, qIdx)
 }
 
 // pickBest selects the maximum-marginal-gain dataset among cands against
 // the merged state, skipping excluded IDs, with the deterministic
-// smallest-ID tie-break shared by both protocol variants. With Workers >
-// 1 the marginal gains are computed across the pool (search/exec);
-// results are identical.
+// smallest-ID tie-break shared by both protocol variants (exec.PickBest).
 func (s *SourceServer) pickBest(cands []*dataset.Node, mergedC *cellset.Compact, exclude []int) (*dataset.Node, int) {
 	excluded := make(map[int]bool, len(exclude))
 	for _, id := range exclude {
 		excluded[id] = true
 	}
-	if s.Workers > 1 {
-		return s.executor().PickBest(context.Background(), cands,
-			func(id int) bool { return excluded[id] }, mergedC)
-	}
-	var best *dataset.Node
-	bestGain := -1
-	for _, nd := range cands {
-		if excluded[nd.ID] || nd.Coverage() < bestGain {
-			continue
-		}
-		g := mergedC.MarginalGain(nd.CompactCells())
-		if g > bestGain || (g == bestGain && best != nil && nd.ID < best.ID) {
-			best, bestGain = nd, g
-		}
-	}
-	return best, bestGain
+	return s.executor().PickBest(context.Background(), cands,
+		func(id int) bool { return excluded[id] }, mergedC)
 }
 
 // handleCoverageRound answers one session round: update the session state

@@ -2,52 +2,103 @@ package dits
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
+
+	"dits/internal/cellset"
+	"dits/internal/dataset"
+	"dits/internal/geo"
 )
 
-// TestAppendOverlapCountsParity: the Append variants must equal the
-// allocating originals for every leaf, and reuse the scratch buffer.
+// bruteCounts is the oracle for OverlapCounts: |S_Q ∩ S_D| of every child
+// of the leaf, counted over plain sets with no index involved.
+func bruteCounts(leaf *TreeNode, q cellset.Set) []int {
+	leaf.EnsureLoaded()
+	in := make(map[uint64]bool, len(q))
+	for _, c := range q {
+		in[c] = true
+	}
+	counts := make([]int, len(leaf.Children))
+	for i, d := range leaf.Children {
+		for _, c := range d.FlatCells() {
+			if in[c] {
+				counts[i]++
+			}
+		}
+	}
+	return counts
+}
+
+// allCounts is OverlapCounts with nothing to prune against: a nil answer
+// (no query cell in the leaf at all) reads as all-zero counts.
+func allCounts(leaf *TreeNode, q LeafQuery, s *LeafScratch) []int {
+	if counts := leaf.OverlapCounts(q, 0, s); counts != nil {
+		return counts
+	}
+	return make([]int, len(leaf.Children))
+}
+
+// densePatch returns the side×side block of cells at (x0, y0): past
+// sparseDensity cells per chunk, a query the chunk merge verifies.
+func densePatch(x0, y0, side int) *dataset.Node {
+	var ids []uint64
+	for x := x0; x < x0+side; x++ {
+		for y := y0; y < y0+side; y++ {
+			ids = append(ids, geo.ZEncode(uint32(x), uint32(y)))
+		}
+	}
+	return dataset.NewNodeFromCells(-1, "", cellset.New(ids...))
+}
+
+// TestAppendOverlapCountsParity: one scratch carried from leaf to leaf must
+// give every leaf the counts a fresh scratch gives it, and the oracle's.
 func TestAppendOverlapCountsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l := Build(testGrid(8), randomNodes(rng, 300, 8), 10)
-	q := randomNodes(rng, 1, 8)[0]
-	qc := q.CompactCells()
-	var scratch []int
-	l.Root.visitLeaves(func(n *TreeNode) {
-		scratch = n.AppendOverlapCounts(q.Cells, scratch)
-		if want := n.OverlapCounts(q.Cells); !reflect.DeepEqual(scratch, want) {
-			t.Fatalf("AppendOverlapCounts diverged: %v != %v", scratch, want)
-		}
-		scratch = n.AppendOverlapCountsCompact(qc, scratch)
-		if want := n.OverlapCountsCompact(qc); !reflect.DeepEqual(scratch, want) {
-			t.Fatalf("AppendOverlapCountsCompact diverged: %v != %v", scratch, want)
-		}
-	})
+	for _, q := range []*dataset.Node{randomNodes(rng, 1, 8)[0], densePatch(90, 90, 40)} {
+		lq := NewLeafQuery(q)
+		var scratch LeafScratch
+		l.Root.visitLeaves(func(n *TreeNode) {
+			got := allCounts(n, lq, &scratch)
+			if want := allCounts(n, lq, new(LeafScratch)); !slices.Equal(got, want) {
+				t.Fatalf("reused scratch diverged: %v != %v", got, want)
+			}
+			if want := bruteCounts(n, q.Cells); !slices.Equal(got, want) {
+				t.Fatalf("OverlapCounts = %v, brute force = %v", got, want)
+			}
+		})
+	}
 }
 
-// TestAppendOverlapCountsZeroAlloc: with a warm scratch buffer the leaf
-// counting kernels — the executor's inner loop — must not allocate.
+// TestAppendOverlapCountsZeroAlloc: with a warm scratch, OverlapCounts —
+// the executor's inner loop — must not allocate on any of its passes: the
+// rank pass (sparse query, leaves at rest), the chunk merge (dense query)
+// and the map pass (sparse query, mutated leaves).
 func TestAppendOverlapCountsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	l := Build(testGrid(8), randomNodes(rng, 300, 8), 10)
-	q := randomNodes(rng, 1, 8)[0]
-	qc := q.CompactCells()
 	var leaves []*TreeNode
 	l.Root.visitLeaves(func(n *TreeNode) { leaves = append(leaves, n) })
-	scratch := make([]int, 0, 64)
-	if allocs := testing.AllocsPerRun(50, func() {
-		for _, n := range leaves {
-			scratch = n.AppendOverlapCounts(q.Cells, scratch)
+	sparse, dense := NewLeafQuery(densePatch(100, 100, 12)), NewLeafQuery(densePatch(90, 90, 40))
+	var scratch LeafScratch
+	sweep := func(q LeafQuery) func() {
+		return func() {
+			for _, n := range leaves {
+				n.OverlapCounts(q, 0, &scratch)
+			}
 		}
-	}); allocs != 0 {
-		t.Errorf("AppendOverlapCounts allocated %.1f times per sweep", allocs)
 	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		for _, n := range leaves {
-			scratch = n.AppendOverlapCountsCompact(qc, scratch)
+	check := func(pass string, q LeafQuery) {
+		t.Helper()
+		sweep(q)() // warm-up: grows the scratch to the widest leaf
+		if allocs := testing.AllocsPerRun(50, sweep(q)); allocs != 0 {
+			t.Errorf("%s allocated %.1f times per sweep", pass, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("AppendOverlapCountsCompact allocated %.1f times per sweep", allocs)
 	}
+	check("rank pass", sparse)
+	check("chunk merge", dense)
+	for _, n := range leaves {
+		n.ensureInv()
+	}
+	check("map pass", sparse)
 }

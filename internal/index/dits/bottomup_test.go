@@ -32,11 +32,13 @@ func TestBuildBottomUpAnswersLikeTopDown(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		q := randomNodes(rng, 1, 7)[0]
 		var topTotal, bottomTotal int
+		lq := NewLeafQuery(q)
+		var scratch LeafScratch
 		top.Root.visitLeaves(func(leaf *TreeNode) {
-			topTotal += sumCounts(leaf.OverlapCounts(q.Cells))
+			topTotal += sumCounts(leaf.OverlapCounts(lq, 0, &scratch))
 		})
 		bottom.Root.visitLeaves(func(leaf *TreeNode) {
-			bottomTotal += sumCounts(leaf.OverlapCounts(q.Cells))
+			bottomTotal += sumCounts(leaf.OverlapCounts(lq, 0, &scratch))
 		})
 		if topTotal != bottomTotal {
 			t.Fatalf("trial %d: total overlaps differ: %d vs %d", trial, topTotal, bottomTotal)

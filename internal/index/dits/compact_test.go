@@ -2,6 +2,7 @@ package dits
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dits/internal/cellset"
@@ -9,31 +10,35 @@ import (
 	"dits/internal/geo"
 )
 
-// TestLeafCompactParity differentially checks the container-engine leaf
-// kernels against the posting-list reference on random builds, and again
-// after update sequences: identical bounds and identical exact counts for
-// every leaf and query.
+// TestLeafCompactParity differentially checks OverlapCounts and the
+// container-engine Lemma 2/3 bounds against the plain-set oracle on random
+// builds, and again after update sequences: valid bounds, the documented
+// pruning rule and identical exact counts for every leaf and query.
 func TestLeafCompactParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	var scratch LeafScratch
 	checkAllLeaves := func(l *Local, label string) {
 		t.Helper()
 		for trial := 0; trial < 20; trial++ {
 			q := randomNodes(rng, 1, 8)[0]
-			qc := q.CompactCells()
+			lq := NewLeafQuery(q)
 			l.Root.visitLeaves(func(leaf *TreeNode) {
-				flb, fub := leaf.OverlapBounds(q.Cells)
-				clb, cub := leaf.OverlapBoundsCompact(qc)
-				if flb != clb || fub != cub {
-					t.Fatalf("%s: OverlapBounds flat (%d,%d) != compact (%d,%d)",
-						label, flb, fub, clb, cub)
+				want := bruteCounts(leaf, q.Cells)
+				if got := allCounts(leaf, lq, &scratch); !slices.Equal(got, want) {
+					t.Fatalf("%s: OverlapCounts = %v, brute force = %v", label, got, want)
 				}
-				fc := leaf.OverlapCounts(q.Cells)
-				cc := leaf.OverlapCountsCompact(qc)
-				for i := range fc {
-					if fc[i] != cc[i] {
-						t.Fatalf("%s: OverlapCounts[%d] flat %d != compact %d",
-							label, i, fc[i], cc[i])
+				lb, ub := leafBounds(leaf, lq.Cells)
+				for i, n := range want {
+					if n < lb || n > ub {
+						t.Fatalf("%s: count[%d] = %d outside [lb=%d, ub=%d]", label, i, n, lb, ub)
 					}
+				}
+				// Pruning is strict: a leaf tying the threshold survives.
+				if ub > 0 && leaf.OverlapCounts(lq, ub, &scratch) == nil {
+					t.Fatalf("%s: leaf with ub %d pruned at threshold %d", label, ub, ub)
+				}
+				if leaf.OverlapCounts(lq, ub+1, &scratch) != nil {
+					t.Fatalf("%s: leaf with ub %d survived threshold %d", label, ub, ub+1)
 				}
 			})
 		}
@@ -74,17 +79,22 @@ func TestLeafCompactParityHandBuiltQuery(t *testing.T) {
 	l := Build(testGrid(8), randomNodes(rng, 50, 8), 5)
 	cells := cellset.New(geo.ZEncode(3, 4), geo.ZEncode(5, 6), geo.ZEncode(200, 200))
 	q := &dataset.Node{ID: -1, Cells: cells} // no Compact field
-	qc := q.CompactCells()
-	if qc == nil || qc.Len() != cells.Len() {
-		t.Fatalf("CompactCells fallback = %v", qc)
+	lq := NewLeafQuery(q)
+	if lq.Cells == nil || lq.Cells.Len() != cells.Len() {
+		t.Fatalf("CompactCells fallback = %v", lq.Cells)
 	}
+	var scratch LeafScratch
 	l.Root.visitLeaves(func(leaf *TreeNode) {
-		fc := leaf.OverlapCounts(cells)
-		cc := leaf.OverlapCountsCompact(qc)
-		for i := range fc {
-			if fc[i] != cc[i] {
-				t.Fatalf("counts diverge: flat %v compact %v", fc, cc)
-			}
+		want := bruteCounts(leaf, cells)
+		if got := allCounts(leaf, lq, &scratch); !slices.Equal(got, want) {
+			t.Fatalf("counts diverge: OverlapCounts %v, brute force %v", got, want)
 		}
 	})
+}
+
+// leafBounds returns the Lemma 3 lower and Lemma 2 upper bound on the
+// overlap of q with any dataset of the leaf, from its compact summaries.
+func leafBounds(leaf *TreeNode, q *cellset.Compact) (lb, ub int) {
+	union, all := leaf.LeafSummaries()
+	return q.IntersectCount(all), q.IntersectCount(union)
 }

@@ -14,14 +14,15 @@ import (
 // SKELETON of a snapshot eagerly — node geometry, child links, MaxCells,
 // and stub dataset nodes with ID/Name/MBR — and arms each leaf with a
 // loader that materializes the heavy payload (children cell containers,
-// union/all summaries, posting lists) on first touch. The Lemma 2/3
-// kernels below call EnsureLoaded themselves, so every consumer of the
-// leaf access interface (search/exec, the sequential searchers, coverage
+// union/all summaries, posting lists) on first touch. OverlapCounts and
+// the other leaf accessors call EnsureLoaded themselves, so every consumer
+// of the leaf access interface (search/exec, the sequential searchers, coverage
 // sessions, batch) works against a file-backed index unchanged: a leaf
 // pruned by the tree walk never faults its pages in.
 
 // LeafData is everything a file-backed leaf materializes on first touch.
-// ChildCells aligns with the leaf's Children slice.
+// ChildCells aligns with the leaf's Children slice; Post must carry one
+// posting list per cell of Union, in cell order (see LeafPostings).
 type LeafData struct {
 	ChildCells []*cellset.Compact
 	Union, All *cellset.Compact
@@ -30,9 +31,11 @@ type LeafData struct {
 
 // LeafPostings is the flat, possibly file-aliased form of a leaf's
 // inverted index: for CellList[i], the child positions holding that cell
-// are Entries[Ends[i-1]:Ends[i]]. It is the one form a leaf's postings take
-// at rest, heap-built or file-backed, until a mutation forces the Inv map
-// to be built (ensureInv).
+// are Entries[Ends[i-1]:Ends[i]]. CellList is the leaf's cell union in
+// order, so i is the cell's rank in the union summary — OverlapCounts reads
+// the lists by rank and never searches CellList. It is the one form a
+// leaf's postings take at rest, heap-built or file-backed, until a mutation
+// forces the Inv map to be built (ensureInv).
 type LeafPostings struct {
 	CellList []uint64 // distinct cells, strictly ascending
 	Ends     []uint32 // prefix end offsets into Entries, len == len(CellList)
@@ -230,78 +233,8 @@ func (n *TreeNode) ensureInv() {
 	n.post = nil
 }
 
-// overlapBoundsPost is OverlapBounds against the flat posting lists of a
-// file-backed leaf; results are identical to the Inv-map path.
-func (n *TreeNode) overlapBoundsPost(q cellset.Set) (lb, ub int) {
-	p := n.post
-	full := len(n.Children)
-	if len(p.CellList) < len(q) {
-		for i, c := range p.CellList {
-			if !q.Contains(c) {
-				continue
-			}
-			ub++
-			if n.postLen(i) == full {
-				lb++
-			}
-		}
-		return lb, ub
-	}
-	lo := 0
-	for _, c := range q {
-		if !n.inRect(c) {
-			continue
-		}
-		i, found := slices.BinarySearch(p.CellList[lo:], c)
-		lo += i
-		if !found {
-			continue
-		}
-		ub++
-		if n.postLen(lo) == full {
-			lb++
-		}
-		lo++
-	}
-	return lb, ub
-}
-
-// appendOverlapCountsPost is AppendOverlapCounts against the flat posting
-// lists; counts must already be sized to len(Children).
-func (n *TreeNode) appendOverlapCountsPost(q cellset.Set, counts []int) []int {
-	p := n.post
-	if len(p.CellList) < len(q) {
-		for i, c := range p.CellList {
-			if !q.Contains(c) {
-				continue
-			}
-			for _, pos := range n.postList(i) {
-				counts[pos]++
-			}
-		}
-		return counts
-	}
-	lo := 0
-	for _, c := range q {
-		if !n.inRect(c) {
-			continue
-		}
-		i, found := slices.BinarySearch(p.CellList[lo:], c)
-		lo += i
-		if !found {
-			continue
-		}
-		for _, pos := range n.postList(lo) {
-			counts[pos]++
-		}
-		lo++
-	}
-	return counts
-}
-
-// postList returns the child positions holding the i-th posting cell.
-func (n *TreeNode) postList(i int) []uint16 {
-	p := n.post
+// list returns the child positions holding the i-th cell of the union.
+func (p *LeafPostings) list(i int) []uint16 {
 	start := uint32(0)
 	if i > 0 {
 		start = p.Ends[i-1]
@@ -339,7 +272,7 @@ func (n *TreeNode) checkPostings(c *dataset.Node, pos int) error {
 			}
 			i, hit := slices.BinarySearch(n.post.CellList, cell)
 			if hit {
-				hit = slices.Contains(n.postList(i), uint16(pos))
+				hit = slices.Contains(n.post.list(i), uint16(pos))
 			}
 			if !hit {
 				ok, missing = false, cell
@@ -352,14 +285,4 @@ func (n *TreeNode) checkPostings(c *dataset.Node, pos int) error {
 		return fmt.Errorf("dits: cell %d of dataset %d missing from inverted index", missing, c.ID)
 	}
 	return nil
-}
-
-// postLen returns the posting-list length of the i-th cell.
-func (n *TreeNode) postLen(i int) int {
-	p := n.post
-	start := uint32(0)
-	if i > 0 {
-		start = p.Ends[i-1]
-	}
-	return int(p.Ends[i] - start)
 }

@@ -2,6 +2,7 @@ package dits
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dits/internal/cellset"
@@ -97,14 +98,16 @@ func TestOverlapBoundsLemmas(t *testing.T) {
 	// intersection ∈ [LB, UB] for all datasets in the leaf.
 	rng := rand.New(rand.NewSource(2))
 	l := Build(testGrid(6), randomNodes(rng, 200, 6), 8)
+	var scratch LeafScratch
 	for trial := 0; trial < 100; trial++ {
 		q := randomNodes(rng, 1, 6)[0]
+		lq := NewLeafQuery(q)
 		l.Root.visitLeaves(func(leaf *TreeNode) {
-			lb, ub := leaf.OverlapBounds(q.Cells)
+			lb, ub := leafBounds(leaf, lq.Cells)
 			if lb > ub {
 				t.Fatalf("lb %d > ub %d", lb, ub)
 			}
-			counts := leaf.OverlapCounts(q.Cells)
+			counts := allCounts(leaf, lq, &scratch)
 			for i, c := range leaf.Children {
 				exact := c.Cells.IntersectCount(q.Cells)
 				if counts[i] != exact {
@@ -130,9 +133,19 @@ func TestOverlapBoundsFig5Example(t *testing.T) {
 	if !leaf.IsLeaf() {
 		t.Fatal("expected single leaf")
 	}
-	lb, ub := leaf.OverlapBounds(cellset.New(3, 9))
+	q := NewLeafQuery(dataset.NewNodeFromCells(-1, "", cellset.New(3, 9)))
+	lb, ub := leafBounds(leaf, q.Cells)
 	if lb != 1 || ub != 1 {
 		t.Errorf("bounds = (lb=%d, ub=%d), want (1, 1)", lb, ub)
+	}
+	// The one entry point reads the same bound off its intersection: the
+	// leaf survives a threshold of 1 and is pruned at 2.
+	var scratch LeafScratch
+	if got := leaf.OverlapCounts(q, 1, &scratch); !slices.Equal(got, []int{1, 1}) {
+		t.Errorf("OverlapCounts at threshold 1 = %v, want [1 1]", got)
+	}
+	if got := leaf.OverlapCounts(q, 2, &scratch); got != nil {
+		t.Errorf("OverlapCounts at threshold 2 = %v, want the leaf pruned", got)
 	}
 }
 

@@ -59,8 +59,8 @@ type TreeNode struct {
 	// engine: the union of the children's cells (a query cell outside it
 	// cannot contribute — Lemma 2) and the cells present in every child
 	// (a query cell inside it is guaranteed in all of them — Lemma 3).
-	// They turn OverlapBoundsCompact into two word-parallel intersection
-	// counts. Maintained by refreshGeometry and the Insert fast path.
+	// unionC is also what the at-rest posting lists are keyed by (post).
+	// Maintained by refreshGeometry and the Insert fast path.
 	unionC, allC *cellset.Compact
 
 	// post is the inverted index at rest (lazy.go): flat posting lists,
@@ -194,139 +194,122 @@ func (n *TreeNode) moveInv(nd *dataset.Node, from, to int) {
 
 // inRect reports whether cell c's grid coordinates fall inside the node's
 // MBR. Decoding is a handful of bit operations, much cheaper than a map
-// lookup, so bounds and verification clip query cells against the leaf
-// rectangle first.
+// lookup, so the map pass of OverlapCounts clips query cells against the
+// leaf rectangle first.
 func (n *TreeNode) inRect(c uint64) bool {
 	x, y := geo.ZDecode(c)
 	fx, fy := float64(x), float64(y)
 	return fx >= n.Rect.MinX && fx <= n.Rect.MaxX && fy >= n.Rect.MinY && fy <= n.Rect.MaxY
 }
 
-// OverlapBounds returns the Lemma 2 upper bound and Lemma 3 lower bound on
-// the set intersection between the query cells and any dataset in this
-// leaf: ub counts query cells present in the inverted index at all, lb
-// counts query cells whose posting list covers every child of the leaf.
-// It iterates whichever side is smaller: the query's cells (clipped to the
-// leaf MBR) or the leaf's posting keys.
-func (n *TreeNode) OverlapBounds(q cellset.Set) (lb, ub int) {
-	n.EnsureLoaded()
-	if n.Inv == nil && n.post != nil {
-		return n.overlapBoundsPost(q)
-	}
-	full := len(n.Children)
-	if len(n.Inv) < len(q) {
-		for c, pl := range n.Inv {
-			if !q.Contains(c) {
-				continue
-			}
-			ub++
-			if len(pl) == full {
-				lb++
-			}
-		}
-		return lb, ub
-	}
-	for _, c := range q {
-		if !n.inRect(c) {
-			continue
-		}
-		pl, ok := n.Inv[c]
-		if !ok {
-			continue
-		}
-		ub++
-		if len(pl) == full {
-			lb++
-		}
-	}
-	return lb, ub
+// sparseDensity is the cells-per-chunk threshold below which a query is
+// verified from the leaf's inverted index. The chunk merge's word-parallel
+// advantage needs dense (bitmap) chunks — real clustered datasets sit
+// around 30–170 cells per chunk, where repeating a sparse chunk merge per
+// leaf child loses to one pass over the postings; synthetic dense patches
+// sit in the thousands, where the chunk merge wins by an order of
+// magnitude. Every pass returns the same counts, so this is purely a cost
+// choice.
+const sparseDensity = 512
+
+// minKernelChildren is the leaf size below which the map pass is not worth
+// it: with very few children the chunk merge's per-child cost is already
+// minimal.
+const minKernelChildren = 4
+
+// LeafQuery is one OJSP query in the forms leaf verification reads: the
+// container form every pass starts from and, when the caller holds one, the
+// flat set the map pass of a mutated leaf walks.
+type LeafQuery struct {
+	Cells *cellset.Compact
+	Flat  cellset.Set // may be nil: mutated leaves then take the chunk merge
 }
 
-// OverlapCounts computes, via one pass over the leaf's posting lists, the
-// exact |S_Q ∩ S_D| for every dataset node in the leaf. The returned slice
-// is indexed like Children. This is the verification step of Algorithm 2.
-func (n *TreeNode) OverlapCounts(q cellset.Set) []int {
-	return n.AppendOverlapCounts(q, nil)
+// NewLeafQuery prepares q once per query; CompactCells converts a
+// hand-built node here rather than at every leaf.
+func NewLeafQuery(q *dataset.Node) LeafQuery {
+	return LeafQuery{Cells: q.CompactCells(), Flat: q.Cells}
 }
 
-// AppendOverlapCounts is OverlapCounts writing into counts' backing array
-// when it has the capacity — the zero-alloc variant the executor's leaf
-// hot loop threads a per-worker scratch slice through. The returned slice
-// has exactly len(Children) entries and replaces counts.
-func (n *TreeNode) AppendOverlapCounts(q cellset.Set, counts []int) []int {
+// LeafScratch is the working memory of OverlapCounts. Each worker owns one
+// and passes it to every leaf it verifies, so after the buffers have grown
+// to the widest leaf the verification loop allocates nothing. The zero
+// value is ready to use.
+type LeafScratch struct {
+	counts []int
+	ranks  []uint32
+}
+
+// OverlapCounts is the verification step of Algorithm 2 for one leaf: the
+// Lemma 2 bound |S_Q ∩ ∪children| and, for a leaf the bound does not prune,
+// the exact |S_Q ∩ S_D| of every child, indexed like Children. It returns
+// nil for a pruned leaf — one whose bound is zero or strictly below
+// threshold, the caller's running k-th best overlap (a tie survives, so ID
+// tie-breaks are unaffected; a threshold of 0 never prunes a leaf that can
+// contribute). The returned slice lives in s until the next call.
+//
+// At rest the leaf's posting lists are keyed by rank in the children's cell
+// union, so one AppendIntersectRanks against that union yields the bound —
+// the number of ranks — and the lists to count. A leaf a mutation has
+// switched to the Inv map takes the bound from the union summary and the
+// counts from the map; a dense query (sparseDensity) takes the word-parallel
+// chunk merge per child. All three return identical counts.
+func (n *TreeNode) OverlapCounts(q LeafQuery, threshold int, s *LeafScratch) []int {
 	n.EnsureLoaded()
-	counts = resizeCounts(counts, len(n.Children))
-	if n.Inv == nil && n.post != nil {
-		return n.appendOverlapCountsPost(q, counts)
+	sparse := q.Cells.Len() < sparseDensity*q.Cells.NumChunks()
+	if p := n.post; sparse && n.Inv == nil && p != nil {
+		s.ranks = n.unionC.AppendIntersectRanks(q.Cells, s.ranks[:0])
+		if ub := len(s.ranks); ub == 0 || ub < threshold {
+			return nil
+		}
+		counts := s.zeroedCounts(len(n.Children))
+		for _, r := range s.ranks {
+			for _, pos := range p.list(int(r)) {
+				counts[pos]++
+			}
+		}
+		return counts
 	}
-	if len(n.Inv) < len(q) {
+	if ub := q.Cells.IntersectCount(n.unionC); ub == 0 || ub < threshold {
+		return nil
+	}
+	counts := s.zeroedCounts(len(n.Children))
+	switch {
+	case !sparse || n.Inv == nil || len(q.Flat) == 0 || len(n.Children) < minKernelChildren:
+		for i, d := range n.Children {
+			counts[i] = q.Cells.IntersectCount(d.CompactCells())
+		}
+	case len(n.Inv) < len(q.Flat):
 		for c, pl := range n.Inv {
-			if !q.Contains(c) {
+			if !q.Flat.Contains(c) {
 				continue
 			}
 			for _, idx := range pl {
 				counts[idx]++
 			}
 		}
-		return counts
-	}
-	for _, c := range q {
-		if !n.inRect(c) {
-			continue
+	default:
+		for _, c := range q.Flat {
+			if !n.inRect(c) {
+				continue
+			}
+			for _, idx := range n.Inv[c] {
+				counts[idx]++
+			}
 		}
-		for _, idx := range n.Inv[c] {
-			counts[idx]++
-		}
 	}
 	return counts
 }
 
-// OverlapBoundsCompact is OverlapBounds on the container engine: the
-// Lemma 2 upper bound is |q ∩ ∪children| against the cached union summary
-// and the Lemma 3 lower bound |q ∩ ∩children| against the cached
-// all-children summary — two word-parallel intersection counts instead of
-// a per-cell posting-list walk. Results are identical to OverlapBounds.
-func (n *TreeNode) OverlapBoundsCompact(q *cellset.Compact) (lb, ub int) {
-	n.EnsureLoaded()
-	return q.IntersectCount(n.allC), q.IntersectCount(n.unionC)
-}
-
-// OverlapUBCompact returns only the Lemma 2 upper bound. The top-k
-// searcher prunes on ub alone (the lower bound is subsumed by the exact
-// counting that follows), so it skips the allC intersection that
-// OverlapBoundsCompact would waste on the hot path.
-func (n *TreeNode) OverlapUBCompact(q *cellset.Compact) int {
-	n.EnsureLoaded()
-	return q.IntersectCount(n.unionC)
-}
-
-// OverlapCountsCompact is OverlapCounts on the container engine: the exact
-// |S_Q ∩ S_D| for every dataset node in the leaf, one chunk-wise
-// intersection count per child. Results are identical to OverlapCounts.
-func (n *TreeNode) OverlapCountsCompact(q *cellset.Compact) []int {
-	return n.AppendOverlapCountsCompact(q, nil)
-}
-
-// AppendOverlapCountsCompact is OverlapCountsCompact reusing counts'
-// backing array when capacity allows; see AppendOverlapCounts.
-func (n *TreeNode) AppendOverlapCountsCompact(q *cellset.Compact, counts []int) []int {
-	n.EnsureLoaded()
-	counts = resizeCounts(counts, len(n.Children))
-	for i, d := range n.Children {
-		counts[i] = q.IntersectCount(d.CompactCells())
+// zeroedCounts returns the count buffer resized to n and zeroed, regrowing
+// it only when a wider leaf than any before comes along.
+func (s *LeafScratch) zeroedCounts(n int) []int {
+	if cap(s.counts) < n {
+		s.counts = make([]int, n)
 	}
-	return counts
-}
-
-// resizeCounts returns counts resized to n and zeroed, reusing the
-// backing array when it is big enough.
-func resizeCounts(counts []int, n int) []int {
-	if cap(counts) < n {
-		return make([]int, n)
-	}
-	counts = counts[:n]
-	clear(counts)
-	return counts
+	s.counts = s.counts[:n]
+	clear(s.counts)
+	return s.counts
 }
 
 // visitLeaves calls fn for every leaf under n.

@@ -3,6 +3,8 @@ package exec
 import (
 	"math/rand"
 	"testing"
+
+	"dits/internal/index/dits"
 )
 
 // TestVerifyLoopZeroAlloc: after warm-up (scratch grown, stripe heap
@@ -16,17 +18,17 @@ func TestVerifyLoopZeroAlloc(t *testing.T) {
 	if len(cands) == 0 {
 		t.Fatal("query reached no leaves")
 	}
-	qc := newQueryCtx(q)
+	lq := dits.NewLeafQuery(q)
 	topk := newStripedTopK(5, 1)
-	var scratch []int
+	var scratch dits.LeafScratch
 	// Warm-up sweep: grows the scratch to the widest leaf and fills the
 	// stripe heap to k.
 	for _, c := range cands {
-		scratch = verifyLeaf(topk, 0, c, qc, scratch)
+		verifyLeaf(topk, 0, c.leaf, lq, &scratch)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		for _, c := range cands {
-			scratch = verifyLeaf(topk, 0, c, qc, scratch)
+			verifyLeaf(topk, 0, c.leaf, lq, &scratch)
 		}
 	}); allocs != 0 {
 		t.Errorf("warm verification sweep allocated %.1f times", allocs)

@@ -54,7 +54,7 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 
 	// Per-query execution state, only for usable queries.
 	type qstate struct {
-		qc  *queryCtx
+		q   dits.LeafQuery
 		t   *stripedTopK
 		cov int
 	}
@@ -64,7 +64,7 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 		if bq.Q == nil || bq.K <= 0 || bq.Q.Coverage() == 0 {
 			continue
 		}
-		states[i] = &qstate{qc: newQueryCtx(bq.Q), t: newStripedTopK(bq.K, 1), cov: bq.Q.Coverage()}
+		states[i] = &qstate{q: dits.NewLeafQuery(bq.Q), t: newStripedTopK(bq.K, 1), cov: bq.Q.Coverage()}
 		active = append(active, int32(i))
 	}
 	if len(active) == 0 {
@@ -127,7 +127,7 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 		w = 1
 	}
 	runWorkers(w, func(wk int) {
-		var scratch []int // per-worker count buffer, reused leaf to leaf
+		var scratch dits.LeafScratch // per worker, reused leaf to leaf
 		for !cancelled.Load() {
 			li := int(cursor.Add(1)) - 1
 			if li >= len(leaves) {
@@ -143,7 +143,7 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 				if int(bl.ubs[j]) < st.t.threshold() {
 					continue // this query can no longer gain from this leaf
 				}
-				scratch = verifyLeaf(st.t, 0, leafCand{leaf: bl.leaf, ub: int(bl.ubs[j])}, st.qc, scratch)
+				verifyLeaf(st.t, 0, bl.leaf, st.q, &scratch)
 			}
 		}
 	})

@@ -3,7 +3,12 @@
 // worker pool and executes batches of queries in one shared pass over the
 // tree, while producing results byte-identical to the sequential
 // `search/overlap` and `search/coverage` paths (enforced by differential
-// and fuzz tests).
+// and fuzz tests). It is the path a source serves (federation.SourceServer)
+// whatever its pool size: Workers == 1 runs the same code in line, without
+// goroutines. Leaf verification is dits.TreeNode.OverlapCounts, the call
+// the sequential searcher makes too; each worker threads its own
+// dits.LeafScratch through it, so the verification loop allocates nothing
+// after warm-up.
 //
 // # Concurrency and ownership contracts
 //

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"dits/internal/cellset"
 	"dits/internal/dataset"
 	"dits/internal/index/dits"
 	"dits/internal/search/overlap"
@@ -61,62 +60,19 @@ func sortLeaves(cands []leafCand) []leafCand {
 	return cands
 }
 
-// sparseDensity is the cells-per-chunk threshold below which a query is
-// verified with the posting-list kernel. The chunk kernel's word-parallel
-// advantage needs dense (bitmap) chunks — real clustered datasets sit
-// around 30–170 cells per chunk, where repeating a sparse chunk merge per
-// leaf child loses to one posting pass; synthetic dense patches sit in the
-// thousands, where the chunk kernel wins by an order of magnitude. The
-// two kernels return identical counts, so this is purely a cost choice.
-const sparseDensity = 512
-
-// minKernelChildren is the leaf size below which the posting kernel is
-// not worth it: with very few children the chunk kernel's per-child cost
-// is already minimal.
-const minKernelChildren = 4
-
-// queryCtx is the per-query state a verification task needs: both cell
-// forms plus the precomputed kernel choice.
-type queryCtx struct {
-	qc     *cellset.Compact
-	flat   cellset.Set
-	sparse bool // posting-list kernel preferred
-}
-
-// newQueryCtx precomputes the kernel choice for one query.
-func newQueryCtx(q *dataset.Node) *queryCtx {
-	qc := q.CompactCells()
-	return &queryCtx{
-		qc:     qc,
-		flat:   q.Cells,
-		sparse: len(q.Cells) > 0 && qc.Len() < sparseDensity*qc.NumChunks(),
-	}
-}
-
-// verifyLeaf runs the Lemma 2 bound check and, if it survives, the exact
-// per-dataset counting of one leaf, offering positive overlaps into the
-// shared top-k. It is the unit of work a worker executes. The counting
-// kernel is chosen adaptively: sparse queries take the posting-list pass
-// (one min(|q|, |Inv|) sweep shared by every child), dense queries the
-// word-parallel chunk merge per child. The count buffer is the caller's
-// scratch, reused across every leaf a worker verifies (returned possibly
-// regrown) — after warm-up the loop allocates nothing.
-func verifyLeaf(t *stripedTopK, w int, c leafCand, q *queryCtx, scratch []int) []int {
-	th := t.threshold()
-	if ub := c.leaf.OverlapUBCompact(q.qc); ub == 0 || ub < th {
-		return scratch
-	}
-	if q.sparse && len(c.leaf.Children) >= minKernelChildren {
-		scratch = c.leaf.AppendOverlapCounts(q.flat, scratch)
-	} else {
-		scratch = c.leaf.AppendOverlapCountsCompact(q.qc, scratch)
-	}
-	for i, d := range c.leaf.Children {
-		if scratch[i] > 0 {
-			t.offer(w, overlap.Result{ID: d.ID, Name: d.Name, Overlap: scratch[i]})
+// verifyLeaf verifies one leaf for one query — the unit of work a worker
+// executes: dits.OverlapCounts prunes the leaf on the Lemma 2 bound against
+// the shared threshold or returns the exact per-dataset counts, whose
+// positive entries are offered into the shared top-k. s is the worker's own
+// scratch, reused across every leaf it verifies — after warm-up the loop
+// allocates nothing.
+func verifyLeaf(t *stripedTopK, w int, leaf *dits.TreeNode, q dits.LeafQuery, s *dits.LeafScratch) {
+	for i, n := range leaf.OverlapCounts(q, t.threshold(), s) {
+		if n > 0 {
+			d := leaf.Children[i]
+			t.offer(w, overlap.Result{ID: d.ID, Name: d.Name, Overlap: n})
 		}
 	}
-	return scratch
 }
 
 // OverlapTopK answers one OJSP query (Algorithm 2) over the index,
@@ -132,15 +88,15 @@ func (e *Executor) OverlapTopK(ctx context.Context, idx *dits.Local, q *dataset.
 		return nil, nil
 	}
 	cands := sortLeaves(collectLeaves(idx.Root, q, nil))
-	return e.verifyCands(ctx, cands, newQueryCtx(q), k)
+	return e.verifyCands(ctx, cands, dits.NewLeafQuery(q), k)
 }
 
 // verifyCands drives the ordered verification of one query's candidate
 // leaves across the pool.
-func (e *Executor) verifyCands(ctx context.Context, cands []leafCand, qc *queryCtx, k int) ([]overlap.Result, error) {
+func (e *Executor) verifyCands(ctx context.Context, cands []leafCand, q dits.LeafQuery, k int) ([]overlap.Result, error) {
 	w := e.workers()
 	if w == 1 || len(cands) < minParallelLeaves {
-		return verifySequential(ctx, cands, qc, k)
+		return verifySequential(ctx, cands, q, k)
 	}
 	nstripes := w
 	if nstripes > 8 {
@@ -153,7 +109,7 @@ func (e *Executor) verifyCands(ctx context.Context, cands []leafCand, qc *queryC
 		cancelled atomic.Bool
 	)
 	runWorkers(w, func(wk int) {
-		var scratch []int // per-worker count buffer, reused leaf to leaf
+		var scratch dits.LeafScratch // per worker, reused leaf to leaf
 		for !exhausted.Load() && !cancelled.Load() {
 			i := int(cursor.Add(1)) - 1
 			if i >= len(cands) {
@@ -170,7 +126,7 @@ func (e *Executor) verifyCands(ctx context.Context, cands []leafCand, qc *queryC
 				exhausted.Store(true)
 				return
 			}
-			scratch = verifyLeaf(t, wk, c, qc, scratch)
+			verifyLeaf(t, wk, c.leaf, q, &scratch)
 		}
 	})
 	if cancelled.Load() {
@@ -182,9 +138,9 @@ func (e *Executor) verifyCands(ctx context.Context, cands []leafCand, qc *queryC
 // verifySequential is the in-line path, structured exactly like the
 // sequential searcher's verification loop (shared prune logic, one
 // stripe).
-func verifySequential(ctx context.Context, cands []leafCand, qc *queryCtx, k int) ([]overlap.Result, error) {
+func verifySequential(ctx context.Context, cands []leafCand, q dits.LeafQuery, k int) ([]overlap.Result, error) {
 	t := newStripedTopK(k, 1)
-	var scratch []int
+	var scratch dits.LeafScratch
 	for i, c := range cands {
 		if i%64 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -194,7 +150,7 @@ func verifySequential(ctx context.Context, cands []leafCand, qc *queryCtx, k int
 		if c.ub < t.threshold() {
 			break
 		}
-		scratch = verifyLeaf(t, 0, c, qc, scratch)
+		verifyLeaf(t, 0, c.leaf, q, &scratch)
 	}
 	return t.ranked(), nil
 }

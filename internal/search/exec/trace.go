@@ -29,15 +29,15 @@ func TraceOverlap(idx *dits.Local, q *dataset.Node, k int) OverlapTrace {
 	start := time.Now()
 	cands := sortLeaves(collectLeaves(idx.Root, q, nil))
 	tr.SerialNs = float64(time.Since(start).Nanoseconds())
-	qc := newQueryCtx(q)
+	lq := dits.NewLeafQuery(q)
 	t := newStripedTopK(k, 1)
-	var scratch []int
+	var scratch dits.LeafScratch
 	for _, c := range cands {
 		if c.ub < t.threshold() {
 			break
 		}
 		ts := time.Now()
-		scratch = verifyLeaf(t, 0, c, qc, scratch)
+		verifyLeaf(t, 0, c.leaf, lq, &scratch)
 		tr.TaskNs = append(tr.TaskNs, float64(time.Since(ts).Nanoseconds()))
 	}
 	start = time.Now()

@@ -11,17 +11,18 @@ import (
 // DITSSearcher implements OverlapSearch (Algorithm 2) on a DITS-L index:
 // a branch-and-bound pass prunes subtrees whose MBR misses the query and
 // collects the surviving leaves; those are verified best-upper-bound-first
-// against the running k-th best overlap, with the Lemma 2/3 posting-list
-// bounds giving each leaf a second chance to be skipped before the exact
-// per-dataset counting. Whole leaves prune in batch, and verification
-// stops as soon as no remaining leaf can improve the result.
+// against the running k-th best overlap, with the Lemma 2 bound that
+// dits.TreeNode.OverlapCounts reads off its intersection giving each leaf a
+// second chance to be skipped before the exact per-dataset counting. Whole
+// leaves prune in batch, and verification stops as soon as no remaining
+// leaf can improve the result.
 type DITSSearcher struct {
 	Index *dits.Local
 
-	// DisableBounds switches off the Lemma 2/3 leaf bounds and the batch
-	// pruning built on them, so every MBR-intersecting leaf is verified.
-	// It exists for the ablation benchmark; results are identical either
-	// way, only the work done differs.
+	// DisableBounds switches off pruning on the Lemma 2 leaf bound, so
+	// every leaf the free MaxCells bound lets through is counted. It exists
+	// for the ablation benchmark; results are identical either way, only
+	// the work done differs.
 	DisableBounds bool
 }
 
@@ -45,10 +46,7 @@ func (s *DITSSearcher) TopK(q *dataset.Node, k int) []Result {
 	if q == nil || k <= 0 || s.Index.Root == nil {
 		return nil
 	}
-	// All bound and verification arithmetic runs on the container engine;
-	// CompactCells falls back to a one-off conversion for hand-built
-	// query nodes.
-	qc := q.CompactCells()
+	lq := dits.NewLeafQuery(q)
 	// Filter step: collect the leaves whose MBR intersects the query MBR
 	// (internal-node pruning of Algorithm 2, lines 24-26). Each carries
 	// the free upper bound min(|S_Q|, MaxCells).
@@ -76,27 +74,24 @@ func (s *DITSSearcher) TopK(q *dataset.Node, k int) []Result {
 	// Verification in decreasing upper-bound order: once k results are
 	// held, a leaf whose bound is below the running k-th best — and, as
 	// the leaves are sorted, every later leaf — can be pruned in batch.
-	// For surviving leaves the Lemma 2/3 bounds give a second, tighter
-	// chance to skip before the exact per-dataset counting.
+	// For surviving leaves dits.OverlapCounts gives Lemma 2 a second,
+	// tighter chance to skip before the exact per-dataset counting; with
+	// DisableBounds its threshold stays 0, which never prunes.
 	slices.SortFunc(cands, func(a, b candidateLeaf) int { return cmp.Compare(b.ub, a.ub) })
 	res := newTopK(k)
+	var scratch dits.LeafScratch
 	for _, c := range cands {
 		if res.full() && c.ub < res.kthOverlap() {
 			break // every later leaf has an even smaller upper bound
 		}
-		if !s.DisableBounds {
-			// Lemma 2's ub skips the exact counting when nothing in the
-			// leaf can improve the top-k; Lemma 3's lb is subsumed by the
-			// counting that follows for surviving leaves.
-			if ub := c.leaf.OverlapUBCompact(qc); ub == 0 ||
-				(res.full() && ub < res.kthOverlap()) {
-				continue
-			}
+		th := 0
+		if !s.DisableBounds && res.full() {
+			th = res.kthOverlap()
 		}
-		counts := c.leaf.OverlapCountsCompact(qc)
-		for i, d := range c.leaf.Children {
-			if counts[i] > 0 {
-				res.offer(Result{ID: d.ID, Name: d.Name, Overlap: counts[i]})
+		for i, n := range c.leaf.OverlapCounts(lq, th, &scratch) {
+			if n > 0 {
+				d := c.leaf.Children[i]
+				res.offer(Result{ID: d.ID, Name: d.Name, Overlap: n})
 			}
 		}
 	}

@@ -8,7 +8,11 @@
 // ties broken toward smaller dataset IDs, and only datasets with positive
 // overlap are returned (a dataset sharing no cell with the query is not
 // joinable). Better is the single definition of that ranking, shared with
-// the parallel executor (search/exec) and the federation's result merge.
+// the query executor (search/exec) and the federation's result merge.
+// DITSSearcher is the sequential reference and the one ditsquery and the
+// paper figures run; a source serves search/exec. Both verify a leaf with
+// the same call, dits.TreeNode.OverlapCounts, so they cannot count
+// differently.
 //
 // # Concurrency and ownership
 //
