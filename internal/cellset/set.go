@@ -22,6 +22,13 @@ func New(ids ...uint64) Set {
 	return s.normalize()
 }
 
+// Normalize turns ids into a Set in place — sorted, duplicates dropped —
+// sparing New's copy. The caller hands ids over: it is reordered and the
+// result aliases it.
+func Normalize(ids []uint64) Set {
+	return Set(ids).normalize()
+}
+
 // FromPoints builds the cell-based dataset S_{D,Cθ} of the given points
 // under grid g.
 func FromPoints(g geo.Grid, pts []geo.Point) Set {

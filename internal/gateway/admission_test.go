@@ -148,6 +148,23 @@ func TestAdmissionBehavior(t *testing.T) {
 			wantBody:   "bad request body",
 		},
 		{
+			name: "bytes after the body are 400",
+			run: func(t *testing.T, url string) (*http.Response, string) {
+				return do(t, "POST", url+"/search/overlap", append(searchBody(), "garbage"...), "")
+			},
+			wantStatus: http.StatusBadRequest,
+			wantBody:   "trailing data",
+		},
+		{
+			name: "batch over the limit fails at its 257th member",
+			run: func(t *testing.T, url string) (*http.Response, string) {
+				big := []byte(`{"queries":[` + strings.Repeat(`{"cells":[1]},`, 10000) + `{"cells":[1]}]}`)
+				return do(t, "POST", url+"/search/batch", big, "")
+			},
+			wantStatus: http.StatusBadRequest,
+			wantBody:   "query 256: batch holds more than 256 queries",
+		},
+		{
 			name: "oversized body is 413",
 			run: func(t *testing.T, url string) (*http.Response, string) {
 				big := append([]byte(`{"points":[`), bytes.Repeat([]byte("[1,1],"), maxBodyBytes/6+1)...)

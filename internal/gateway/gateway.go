@@ -22,6 +22,11 @@
 // overlap.search per query per source, with the per-query answers
 // identical to the single-query endpoint's.
 //
+// Request bodies are read once and walked once by the package's own
+// decoder (decode.go), which grids each point as it parses it: a query is
+// a spatial dataset, and the cell set is all of it the gateway keeps.
+// Responses are written with encoding/json.
+//
 // The /ingest endpoints mutate a running source through its durable write
 // path (dataset.put / dataset.delete): the mutation is WAL-logged at the
 // source before it is acknowledged, and the center's result cache is
@@ -338,17 +343,6 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// SearchRequest is the body of both search endpoints. Exactly one of
-// Points and Cells must be non-empty: Points are raw coordinates gridded
-// under the federation's shared grid; Cells are precomputed z-order cell
-// IDs for clients that grid locally.
-type SearchRequest struct {
-	Points [][2]float64 `json:"points,omitempty"`
-	Cells  []uint64     `json:"cells,omitempty"`
-	K      int          `json:"k,omitempty"`
-	Delta  *float64     `json:"delta,omitempty"` // coverage only; default 10
-}
-
 // OverlapResult is one ranked dataset in an overlap response.
 type OverlapResult struct {
 	Source  string `json:"source"`
@@ -457,8 +451,8 @@ func (g *Gateway) badRequest(w http.ResponseWriter, format string, args ...any) 
 	g.writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeError maps a body-decoding failure: an oversized body is 413 (the
-// client must not retry the same payload), anything else malformed is 400.
+// decodeError maps a failure to read the body: an oversized body is 413
+// (the client must not retry the same payload), anything else is 400.
 func (g *Gateway) decodeError(w http.ResponseWriter, err error) {
 	var maxErr *http.MaxBytesError
 	if errors.As(err, &maxErr) {
@@ -488,76 +482,15 @@ func (g *Gateway) writeSearchError(w http.ResponseWriter, r *http.Request, err e
 	g.writeJSON(w, http.StatusBadGateway, errorResponse{Error: err.Error(), TraceID: traceID(r)})
 }
 
-// gridInput validates and grids a points-or-cells payload — shared by
-// the search endpoints and the ingest upsert, so query data and ingested
-// data are always gridded identically. The returned error text is safe
-// to surface to clients.
-func (g *Gateway) gridInput(points [][2]float64, cellIDs []uint64) (cellset.Set, error) {
-	if len(points) == 0 && len(cellIDs) == 0 {
-		return nil, fmt.Errorf("request must set points or cells")
-	}
-	if len(points) > 0 && len(cellIDs) > 0 {
-		return nil, fmt.Errorf("request must set points or cells, not both")
-	}
-	var cells cellset.Set
-	if len(cellIDs) > 0 {
-		cells = cellset.New(cellIDs...)
-	} else {
-		pts := make([]geo.Point, len(points))
-		for i, p := range points {
-			pts[i] = geo.Point{X: p[0], Y: p[1]}
-		}
-		cells = cellset.FromPoints(g.grid, pts)
-	}
-	if cells.IsEmpty() {
-		return nil, fmt.Errorf("input gridded to zero cells")
-	}
-	return cells, nil
-}
-
-// validateQuery validates one search request and grids it to query cells.
-// It mutates req to apply the k default. The returned error text is safe
-// to surface to clients.
-func (g *Gateway) validateQuery(req *SearchRequest) (cellset.Set, error) {
-	if req.K == 0 {
-		req.K = defaultK
-	}
-	if req.K < 0 || req.K > maxK {
-		return nil, fmt.Errorf("k must be in [1, %d], got %d", maxK, req.K)
-	}
-	if req.Delta != nil && (*req.Delta < 0 || *req.Delta != *req.Delta) {
-		return nil, fmt.Errorf("delta must be a non-negative number")
-	}
-	return g.gridInput(req.Points, req.Cells)
-}
-
-// decodeQuery parses and validates a search request into query cells.
-func (g *Gateway) decodeQuery(w http.ResponseWriter, r *http.Request) (cellset.Set, SearchRequest, bool) {
-	var req SearchRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		g.decodeError(w, err)
-		return nil, req, false
-	}
-	cells, err := g.validateQuery(&req)
-	if err != nil {
-		g.badRequest(w, "%v", err)
-		return nil, req, false
-	}
-	return cells, req, true
-}
-
 func (g *Gateway) handleOverlap(w http.ResponseWriter, r *http.Request) {
-	cells, req, ok := g.decodeQuery(w, r)
+	q, ok := decodeBody(g, w, r, decodeSearch)
 	if !ok {
 		return
 	}
 	g.overlapQueries.Add(1)
 	start := time.Now()
 	defer g.observe("overlap", start)
-	rs, err := g.backend.OverlapSearch(r.Context(), cells, req.K)
+	rs, err := g.backend.OverlapSearch(r.Context(), q.cells, q.k)
 	if err != nil {
 		g.writeSearchError(w, r, err)
 		return
@@ -573,18 +506,18 @@ func (g *Gateway) handleOverlap(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleCoverage(w http.ResponseWriter, r *http.Request) {
-	cells, req, ok := g.decodeQuery(w, r)
+	q, ok := decodeBody(g, w, r, decodeSearch)
 	if !ok {
 		return
 	}
 	delta := defaultDelta
-	if req.Delta != nil {
-		delta = *req.Delta
+	if q.hasDelta {
+		delta = q.delta
 	}
 	g.coverageQueries.Add(1)
 	start := time.Now()
 	defer g.observe("coverage", start)
-	res, err := g.backend.CoverageSearch(r.Context(), cells, delta, req.K)
+	res, err := g.backend.CoverageSearch(r.Context(), q.cells, delta, q.k)
 	if err != nil {
 		g.writeSearchError(w, r, err)
 		return
@@ -601,13 +534,6 @@ func (g *Gateway) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	g.writeJSON(w, http.StatusOK, resp)
 }
 
-// BatchSearchRequest is the body of POST /search/batch: up to
-// maxBatchQueries overlap queries, each validated like a single
-// /search/overlap body (delta is rejected — a batch is overlap-only).
-type BatchSearchRequest struct {
-	Queries []SearchRequest `json:"queries"`
-}
-
 // BatchSearchResponse answers a batch: Results[i] holds query i's ranked
 // datasets, exactly what /search/overlap would have returned for it.
 type BatchSearchResponse struct {
@@ -615,35 +541,13 @@ type BatchSearchResponse struct {
 	TookMs  float64           `json:"tookMs"`
 }
 
+// handleBatch serves POST /search/batch: up to maxBatchQueries overlap
+// queries, each validated like a single /search/overlap body (delta is
+// rejected — a batch is overlap-only).
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchSearchRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		g.decodeError(w, err)
+	batch, ok := decodeBody(g, w, r, decodeBatch)
+	if !ok {
 		return
-	}
-	if len(req.Queries) == 0 {
-		g.badRequest(w, "batch must contain at least one query")
-		return
-	}
-	if len(req.Queries) > maxBatchQueries {
-		g.badRequest(w, "batch holds %d queries, max %d", len(req.Queries), maxBatchQueries)
-		return
-	}
-	batch := make([]federation.BatchQuery, len(req.Queries))
-	for i := range req.Queries {
-		if req.Queries[i].Delta != nil {
-			g.badRequest(w, "query %d: batch queries are overlap-only and must not set delta", i)
-			return
-		}
-		cells, err := g.validateQuery(&req.Queries[i])
-		if err != nil {
-			g.badRequest(w, "query %d: %v", i, err)
-			return
-		}
-		batch[i] = federation.BatchQuery{Cells: cells, K: req.Queries[i].K}
 	}
 	g.batchRequests.Add(1)
 	g.batchQueries.Add(int64(len(batch)))
@@ -667,10 +571,11 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.writeJSON(w, http.StatusOK, resp)
 }
 
-// IngestRequest is the body of POST /ingest/dataset: the target source,
-// the dataset ID (upsert: insert when new, replace when it exists), and
-// the data as raw points (gridded under the federation's shared grid) or
-// precomputed cell IDs — exactly one of the two.
+// IngestRequest is the body of POST /ingest/dataset as a Go client
+// marshals it: the target source, the dataset ID (upsert: insert when new,
+// replace when it exists), and the data as raw points (gridded under the
+// federation's shared grid) or precomputed cell IDs — exactly one of the
+// two. The gateway does not decode into it; decodeIngest reads the body.
 type IngestRequest struct {
 	Source string       `json:"source"`
 	ID     int          `json:"id"`
@@ -692,26 +597,13 @@ type IngestResponse struct {
 }
 
 func (g *Gateway) handleIngestPut(w http.ResponseWriter, r *http.Request) {
-	var req IngestRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		g.decodeError(w, err)
-		return
-	}
-	if req.Source == "" {
-		g.badRequest(w, "request must set source")
-		return
-	}
-	cells, err := g.gridInput(req.Points, req.Cells)
-	if err != nil {
-		g.badRequest(w, "%v", err)
+	in, ok := decodeBody(g, w, r, decodeIngest)
+	if !ok {
 		return
 	}
 	start := time.Now()
 	defer g.observe("ingest", start)
-	res, err := g.backend.PutDataset(r.Context(), req.Source, req.ID, req.Name, cells)
+	res, err := g.backend.PutDataset(r.Context(), in.source, in.id, in.name, in.cells)
 	if err != nil {
 		g.writeMutationError(w, r, err)
 		return

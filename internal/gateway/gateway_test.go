@@ -160,6 +160,8 @@ func TestValidation(t *testing.T) {
 		{"negative k", SearchRequest{Points: [][2]float64{{1, 1}}, K: -1}},
 		{"huge k", SearchRequest{Points: [][2]float64{{1, 1}}, K: 100000}},
 		{"unknown field", map[string]any{"pts": [][2]float64{{1, 1}}}},
+		{"short point", json.RawMessage(`{"points":[[1,1],[1.5]]}`)},
+		{"long point", json.RawMessage(`{"points":[[1,2,3]]}`)},
 	}
 	for _, tc := range cases {
 		var er struct {
@@ -273,13 +275,6 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestBatchEndpoint(t *testing.T) {
 	hs, center, qp := newTestGateway(t)
 	// Disable the result cache: batched and single queries share it, so
@@ -339,6 +334,8 @@ func TestBatchValidation(t *testing.T) {
 		{"delta in batch", BatchSearchRequest{Queries: []SearchRequest{{Points: qp, Delta: &delta}}}},
 		{"bad entry", BatchSearchRequest{Queries: []SearchRequest{{Points: qp}, {}}}},
 		{"unknown field", map[string]any{"qs": []SearchRequest{{Points: qp}}}},
+		{"short point", json.RawMessage(`{"queries":[{"points":[[1,1]]},{"points":[[1.5]]}]}`)},
+		{"long point", json.RawMessage(`{"queries":[{"points":[[1,2,3]]}]}`)},
 	}
 	for _, tc := range cases {
 		var er struct {

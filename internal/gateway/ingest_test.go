@@ -185,13 +185,15 @@ func TestIngestValidation(t *testing.T) {
 	hs, queryCells := newMutableGateway(t)
 	cases := []struct {
 		name string
-		req  IngestRequest
+		req  any
 		code int
 	}{
 		{"no source", IngestRequest{ID: 1, Cells: queryCells}, http.StatusBadRequest},
 		{"no data", IngestRequest{Source: "src0", ID: 1}, http.StatusBadRequest},
 		{"both", IngestRequest{Source: "src0", ID: 1, Cells: queryCells, Points: [][2]float64{{1, 1}}}, http.StatusBadRequest},
 		{"unknown source", IngestRequest{Source: "elsewhere", ID: 1, Cells: queryCells}, http.StatusNotFound},
+		{"short point", json.RawMessage(`{"source":"src0","id":1,"points":[[1.5]]}`), http.StatusBadRequest},
+		{"long point", json.RawMessage(`{"source":"src0","id":1,"points":[[1,2,3]]}`), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if code := postJSON(t, hs.URL+"/ingest/dataset", tc.req, nil); code != tc.code {

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"dits/internal/geo"
 	"dits/internal/obs"
 )
 
@@ -23,5 +24,25 @@ func BenchmarkTracedMiddleware(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
+	}
+}
+
+// BenchmarkDecodeQuery decodes a 1,000-point search body: the decoder the
+// gateway serves with, and beside it the encoding/json path it replaced.
+func BenchmarkDecodeQuery(b *testing.B) {
+	grid, body := testGrid(), pointsBody(1000)
+	for _, bc := range []struct {
+		name   string
+		decode func(geo.Grid, []byte) (query, error)
+	}{{"decoder", decodeSearch}, {"encoding-json", oracleSearch}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.decode(grid, body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

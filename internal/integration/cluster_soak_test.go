@@ -187,7 +187,7 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 	centerTS[victim].Close()
 
 	// The very next uncached query must succeed: failover is in-band.
-	probe := gateway.SearchRequest{Points: cellPoints(grid, staticNodes[0]), K: 9}
+	probe := searchRequest{Points: cellPoints(grid, staticNodes[0]), K: 9}
 	var probeResp gateway.OverlapResponse
 	if code := soakPost(t, hs.URL+"/search/overlap", probe, &probeResp); code != http.StatusOK {
 		t.Fatalf("first query after center kill = %d, want 200", code)
@@ -240,7 +240,7 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 	// primary's acked version, then kill the primary under search-only
 	// load. The replica takes over with the exact acked history, so the
 	// marker must be visible on the very next read — no stale reads.
-	fixed := gateway.SearchRequest{Points: cellPoints(grid, alphaNodes[0]), K: 8}
+	fixed := searchRequest{Points: cellPoints(grid, alphaNodes[0]), K: 8}
 	const freshID = 888_888
 	ing := map[string]any{"source": "alpha", "id": freshID, "name": "cluster-fresh", "points": fixed.Points}
 	if code := soakPost(t, hs.URL+"/ingest/dataset", ing, nil); code != http.StatusOK {

@@ -62,6 +62,14 @@ func cellPoints(g geo.Grid, nd *dataset.Node) [][2]float64 {
 	return pts
 }
 
+// searchRequest is a /search/overlap or /search/coverage body as a client
+// marshals it.
+type searchRequest struct {
+	Points [][2]float64 `json:"points"`
+	K      int          `json:"k"`
+	Delta  *float64     `json:"delta,omitempty"`
+}
+
 // soakPost POSTs JSON and decodes the response, returning the status.
 func soakPost(t *testing.T, url string, body any, out any) int {
 	t.Helper()
@@ -179,8 +187,8 @@ func TestSoakKillAndRestartSourceUnderLoad(t *testing.T) {
 
 	// Phase 2 — kill bravo mid-load.
 	tsB.Close()
-	bravoQuery := gateway.SearchRequest{Points: cellPoints(grid, bravoNodes[0]), K: 8}
-	alphaQuery := gateway.SearchRequest{Points: cellPoints(grid, alphaNodes[0]), K: 8}
+	bravoQuery := searchRequest{Points: cellPoints(grid, bravoNodes[0]), K: 8}
+	alphaQuery := searchRequest{Points: cellPoints(grid, alphaNodes[0]), K: 8}
 	for i := 0; i < 5; i++ {
 		// Vary k so each probe misses the cache and must touch the fan-out
 		// path; degraded answers are never cached.

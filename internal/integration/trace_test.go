@@ -168,7 +168,7 @@ func TestClusterFailoverSingleTrace(t *testing.T) {
 	}
 	centerTS[victim].Close()
 
-	req := gateway.SearchRequest{Points: cellPoints(grid, probeNode), K: 5}
+	req := searchRequest{Points: cellPoints(grid, probeNode), K: 5}
 	code, body, traceID := tracedPost(t, hs.URL+"/search/overlap", req)
 	if code != http.StatusOK {
 		t.Fatalf("query across center kill = %d: %s", code, body)
@@ -309,10 +309,10 @@ func TestTracedDifferentialAcrossCodecs(t *testing.T) {
 			delta := 6.0
 			for pi, probe := range []struct {
 				path string
-				req  gateway.SearchRequest
+				req  searchRequest
 			}{
-				{"/search/overlap", gateway.SearchRequest{Points: cellPoints(grid, nd), K: 4}},
-				{"/search/coverage", gateway.SearchRequest{Points: cellPoints(grid, nd), K: 3, Delta: &delta}},
+				{"/search/overlap", searchRequest{Points: cellPoints(grid, nd), K: 4}},
+				{"/search/coverage", searchRequest{Points: cellPoints(grid, nd), K: 3, Delta: &delta}},
 			} {
 				code, body, traceID := tracedPost(t, hs.URL+probe.path, probe.req)
 				if code != http.StatusOK {
