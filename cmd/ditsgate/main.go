@@ -63,7 +63,6 @@ func main() {
 	cacheSize := flag.Int("cache", 4096, "result cache capacity in entries (0 disables)")
 	noFilter := flag.Bool("no-filter", false, "disable DITS-G candidate filtering")
 	noClip := flag.Bool("no-clip", false, "disable per-source query clipping")
-	stateless := flag.Bool("stateless", false, "disable the CJSP session protocol (ship full state every round)")
 	tolerant := flag.Bool("tolerant", false, "skip failed sources mid-query instead of failing the query")
 	workers := flag.Int("workers", 0, "center-side worker pool for POST /search/batch prep and merge (0 = GOMAXPROCS)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client request rate limit in req/s (0 disables)")
@@ -72,7 +71,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "max requests queued for an in-flight slot before shedding")
 	deadline := flag.Duration("deadline", 0, "per-request deadline propagated to the sources (0 = none)")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-	codecFlag := flag.String("codec", "", "force one wire codec by name instead of negotiating the best (empty = negotiate)")
 	noCompress := flag.Bool("no-compress", false, "do not offer gzip compression when dialing sources")
 	logFile := flag.String("log-file", "", "append operational logs to this file instead of stderr")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
@@ -102,13 +100,7 @@ func main() {
 	}
 	grid := geo.NewGrid(*theta, bounds)
 
-	dialCfg := transport.DialConfig{Codec: *codecFlag, NoCompress: *noCompress, NoTrace: *noTrace}
-	if *codecFlag != "" {
-		if _, ok := transport.LookupCodec(*codecFlag); !ok {
-			fail(fmt.Errorf("-codec: unknown codec %q (registered: %s)",
-				*codecFlag, strings.Join(transport.CodecNames(), ", ")))
-		}
-	}
+	dialCfg := transport.DialConfig{NoCompress: *noCompress, NoTrace: *noTrace}
 	gwOpts := gateway.Options{
 		Admission: admission.Config{
 			Rate:        *rateLimit,
@@ -150,7 +142,7 @@ func main() {
 		st := cluster.Stats()
 		describe = fmt.Sprintf("%d sources sharded over %d centers", cluster.NumSources(), st.Centers)
 	} else {
-		opts := federation.Options{GlobalFilter: !*noFilter, ClipQuery: !*noClip, Sessions: !*stateless, Workers: *workers}
+		opts := federation.Options{GlobalFilter: !*noFilter, ClipQuery: !*noClip, Sessions: true, Workers: *workers}
 		if *tolerant {
 			opts.OnSourceError = federation.SkipFailed
 		}
@@ -166,7 +158,7 @@ func main() {
 			wi := pool.WireInfo()
 			logger.Info("registered source",
 				"source", summary.Name, "addr", a, "pool", *poolSize,
-				"codec", wi.Codec, "compression", wi.Compression, "trace", wi.Trace)
+				"compression", wi.Compression, "trace", wi.Trace)
 		}
 		gw = gateway.NewWithOptions(center, gwOpts)
 		describe = fmt.Sprintf("%d sources", center.NumSources())

@@ -79,7 +79,6 @@ func main() {
 	logFile := flag.String("log-file", "", "append operational logs to this file instead of stderr")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text exposition, pprof, and /debug/traces at this address (empty = off)")
-	codecsFlag := flag.String("codecs", "", "comma-separated wire codecs offered to dialers (empty = all registered; gob is always allowed)")
 	noCompress := flag.Bool("no-compress", false, "refuse gzip compression during connection negotiation")
 	slowQuery := flag.Duration("slow-query", 0, "log any served request whose trace lasts at least this long, with its full span tree (0 disables)")
 	flag.Parse()
@@ -205,18 +204,7 @@ func main() {
 		logger.Info("metrics listener up", "addr", *metricsAddr)
 	}
 
-	srvCfg := transport.ServeConfig{NoCompress: *noCompress, Recorder: rec}
-	if *codecsFlag != "" {
-		for _, name := range strings.Split(*codecsFlag, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := transport.LookupCodec(name); !ok {
-				fail(fmt.Errorf("-codecs: unknown codec %q (registered: %s)",
-					name, strings.Join(transport.CodecNames(), ", ")))
-			}
-			srvCfg.Codecs = append(srvCfg.Codecs, name)
-		}
-	}
-	ts, err := transport.ServeWith(*addr, server.Handler(), srvCfg)
+	ts, err := transport.ServeWith(*addr, server.Handler(), transport.ServeConfig{NoCompress: *noCompress, Recorder: rec})
 	if err != nil {
 		fail(err)
 	}

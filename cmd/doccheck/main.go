@@ -17,10 +17,12 @@
 //   - every Prometheus metric registered under internal/ or cmd/ (any
 //     "dits_*" name passed to a registration call) must be documented in
 //     docs/OPERATIONS.md;
-//   - no file under internal/ or cmd/ may use the unstructured standard
-//     "log" package — operational output goes through log/slog
-//     (internal/obs.OpenLogger), so every record carries fields and can
-//     carry a trace ID.
+//   - no non-test file under internal/ or cmd/ may import a banned
+//     package (bannedImports): the unstructured standard "log" —
+//     operational output goes through log/slog (internal/obs.OpenLogger),
+//     so every record carries fields and can carry a trace ID — and
+//     "encoding/gob" outside its allow-list, so a second wire encoding or
+//     snapshot format cannot grow back.
 //
 // The checker parses the Go source (go/ast), so new methods, flags, and
 // metrics are picked up without maintaining a list here.
@@ -109,10 +111,7 @@ func main() {
 		missing = append(missing, "found no dits_* metric registrations (checker broken?)")
 	}
 
-	for _, use := range stdlogUses([]string{filepath.Join(*root, "internal"), filepath.Join(*root, "cmd")}) {
-		missing = append(missing,
-			fmt.Sprintf("%s imports the unstructured \"log\" package; use log/slog via internal/obs.OpenLogger", use))
-	}
+	missing = append(missing, bannedImportUses(*root)...)
 
 	if len(missing) > 0 {
 		for _, m := range missing {
@@ -161,19 +160,47 @@ func metricNames(dirs []string) []metric {
 	return out
 }
 
-// stdlogUses returns the non-test files under dirs that import the
-// unstructured standard "log" package ("log/slog" is fine).
-func stdlogUses(dirs []string) []string {
+// bannedImports are the packages non-test code under internal/ and cmd/
+// must not import, each with the files or directories (slash paths from
+// the repository root) still allowed to, and what to use instead.
+var bannedImports = []struct {
+	path, instead string
+	allow         []string
+}{
+	{"log", "use log/slog via internal/obs.OpenLogger", nil},
+	{"encoding/gob", "wire payloads are dits-bin/1 (internal/federation/codec.go), index snapshots dsnap/1 (internal/index/ditsfile)",
+		[]string{"internal/federation/memberlog.go", "cmd/datagen", "cmd/ditsserve", "cmd/ditsquery"}},
+}
+
+// bannedImportUses reports every non-test file under internal/ and cmd/
+// importing a banned package outside its allow-list.
+func bannedImportUses(root string) []string {
 	var out []string
-	walkGoFiles(dirs, func(path string, file *ast.File, _ *token.FileSet) {
+	walkGoFiles([]string{filepath.Join(root, "internal"), filepath.Join(root, "cmd")}, func(path string, file *ast.File, _ *token.FileSet) {
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
 		for _, imp := range file.Imports {
-			if imp.Path.Value == `"log"` {
-				out = append(out, path)
+			for _, b := range bannedImports {
+				if imp.Path.Value != strconv.Quote(b.path) || allowed(rel, b.allow) {
+					continue
+				}
+				out = append(out, fmt.Sprintf("%s imports %q; %s", path, b.path, b.instead))
 			}
 		}
 	})
 	sort.Strings(out)
 	return out
+}
+
+// allowed reports whether rel is one of the allow-list's files or lies
+// under one of its directories.
+func allowed(rel string, allow []string) bool {
+	for _, a := range allow {
+		if rel == a || strings.HasPrefix(rel, a+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 // walkGoFiles parses every non-test .go file under the given directories

@@ -50,14 +50,11 @@ func buildSourceServers(cfg Config) ([]*federation.SourceServer, geo.Grid, []sou
 }
 
 // newFederation wires the servers into a fresh center with the given
-// options over in-process peers speaking the given codec (nil = gob).
-func newFederation(g geo.Grid, servers []*federation.SourceServer, opts federation.Options, codec transport.Codec) *federation.Center {
+// options over in-process peers.
+func newFederation(g geo.Grid, servers []*federation.SourceServer, opts federation.Options) *federation.Center {
 	c := federation.NewCenter(g, opts)
 	for _, srv := range servers {
-		c.Register(srv.Summary(), &transport.InProc{
-			Name: srv.Name, Handler: srv.Handler(), Metrics: c.Metrics,
-			Codec: codec,
-		})
+		c.Register(srv.Summary(), &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: c.Metrics})
 	}
 	return c
 }
@@ -68,7 +65,7 @@ func buildFederations(cfg Config) ([]*federation.Center, geo.Grid, []sourceData)
 	servers, g, sds := buildSourceServers(cfg)
 	var centers []*federation.Center
 	for _, v := range commVariants {
-		centers = append(centers, newFederation(g, servers, v.opts, federation.BinaryCodec))
+		centers = append(centers, newFederation(g, servers, v.opts))
 	}
 	return centers, g, sds
 }

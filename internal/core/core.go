@@ -193,7 +193,6 @@ func NewFederation(sources []*dataset.Source, cfg Config) (*Federation, error) {
 		f.servers = append(f.servers, srv)
 		center.Register(srv.Summary(), &transport.InProc{
 			Name: src.Name, Handler: srv.Handler(), Metrics: center.Metrics,
-			Codec: federation.BinaryCodec,
 		})
 	}
 	return f, nil

@@ -17,11 +17,9 @@ import (
 )
 
 // BatchQuery is one OJSP query of a batched federated search: its cell
-// set and its own k.
-type BatchQuery struct {
-	Cells cellset.Set
-	K     int
-}
+// set and its own k — the shape a source receives, so a cluster.batch
+// ships the caller's batch as it is.
+type BatchQuery = OverlapRequest
 
 // centerWorkers resolves the center-side pool size for batched execution.
 func (c *Center) centerWorkers() int {

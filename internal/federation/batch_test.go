@@ -285,24 +285,24 @@ func TestSearchBatchSourceHandler(t *testing.T) {
 	}
 }
 
-// callHandler drives a source handler at the wire level through gob: the
-// request is encoded, dispatched, and the handler's answer decoded into
-// resp, exactly as an unnegotiated connection would carry it.
+// callHandler drives a source handler at the wire level: the request is
+// encoded, dispatched, and the handler's answer decoded into resp,
+// exactly as a connection would carry it.
 func callHandler(t *testing.T, h transport.Handler, method string, req, resp any) {
 	t.Helper()
-	body, err := transport.Encode(req)
+	body, err := BinaryCodec.Append(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ret, err := h(context.Background(), transport.GobCodec, method, body)
+	ret, err := h(context.Background(), BinaryCodec, method, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := transport.GobCodec.Append(nil, ret)
+	payload, err := BinaryCodec.Append(nil, ret)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := transport.Decode(payload, resp); err != nil {
+	if err := BinaryCodec.Decode(payload, resp); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -36,8 +36,9 @@ type Options struct {
 	// each source, delta-shipped rounds, and two-phase candidate offers
 	// where only the round's winner ships its cells. Off, every round
 	// ships the whole merged state to every candidate and every candidate
-	// ships its cells back (the stateless protocol, kept as fallback and
-	// baseline).
+	// ships its cells back (the stateless protocol: no command runs it;
+	// it is the oracle the tests and the benchmark's answer check compare
+	// the session protocol against).
 	Sessions bool
 	// OnSourceError picks the failure policy for mid-query peer errors:
 	// FailFast (zero value) aborts the query, SkipFailed answers from the
@@ -241,8 +242,7 @@ func (c *Center) RegisterRemote(ctx context.Context, peer transport.Peer) (dits.
 
 // PeerWire reports the negotiated wire parameters of every registered
 // source whose peer knows them (transport.Wired), keyed by source name —
-// the observability surface a mixed-codec rolling upgrade is watched
-// through (GET /stats).
+// which connections negotiated compression and tracing (GET /stats).
 func (c *Center) PeerWire() map[string]transport.WireInfo {
 	ep := c.epoch.Load()
 	out := make(map[string]transport.WireInfo, len(ep.ordered))

@@ -151,28 +151,24 @@ func (cs *CenterServer) adopt(ctx context.Context, ev MemberEvent) (dits.SourceS
 	return summary, nil
 }
 
-// handleRegister adopts a source and logs the join before acknowledging.
-func (cs *CenterServer) handleRegister(ctx context.Context, req ClusterRegisterRequest) (ClusterRegisterResponse, error) {
+// handleRegister adopts a source and logs the join before acknowledging
+// with the source's summary.
+func (cs *CenterServer) handleRegister(ctx context.Context, req ClusterRegisterRequest) (dits.SourceSummary, error) {
 	if req.Name == "" || req.Addr == "" {
-		return ClusterRegisterResponse{}, fmt.Errorf("federation: cluster.register needs a source name and address")
+		return dits.SourceSummary{}, fmt.Errorf("federation: cluster.register needs a source name and address")
 	}
 	ev := MemberEvent{Op: MemberJoin, Name: req.Name, Addr: req.Addr, Replicas: slices.Clone(req.Replicas)}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	summary, err := cs.adopt(ctx, ev)
-	if err != nil {
-		return ClusterRegisterResponse{}, err
+	if err == nil && cs.log != nil {
+		err = cs.log.Append(ev)
 	}
-	if cs.log != nil {
-		if err := cs.log.Append(ev); err != nil {
-			return ClusterRegisterResponse{}, err
-		}
-	}
-	return ClusterRegisterResponse{NumSources: cs.center.NumSources(), Summary: summary}, nil
+	return summary, err
 }
 
 // handleUnregister removes a source and logs the leave.
-func (cs *CenterServer) handleUnregister(req ClusterUnregisterRequest) (ClusterUnregisterResponse, error) {
+func (cs *CenterServer) handleUnregister(req ClusterUnregisterRequest) error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if peer, ok := cs.peers[req.Name]; ok {
@@ -180,12 +176,10 @@ func (cs *CenterServer) handleUnregister(req ClusterUnregisterRequest) (ClusterU
 		peer.Close()
 		delete(cs.peers, req.Name)
 		if cs.log != nil {
-			if err := cs.log.Append(MemberEvent{Op: MemberLeave, Name: req.Name}); err != nil {
-				return ClusterUnregisterResponse{}, err
-			}
+			return cs.log.Append(MemberEvent{Op: MemberLeave, Name: req.Name})
 		}
 	}
-	return ClusterUnregisterResponse{NumSources: cs.center.NumSources()}, nil
+	return nil
 }
 
 // forwardTypes returns fresh request and response values for a method the
@@ -271,18 +265,22 @@ func (cs *CenterServer) Handler() transport.Handler {
 		case MethodClusterInfo:
 			return &ClusterInfoResponse{Name: cs.name, Generation: cs.center.Generation(), Shard: cs.center.Shard()}, nil
 		case MethodClusterRegister:
-			return serve(codec, body, func(req ClusterRegisterRequest) (ClusterRegisterResponse, error) {
+			return serve(codec, body, func(req ClusterRegisterRequest) (dits.SourceSummary, error) {
 				return cs.handleRegister(ctx, req)
 			})
 		case MethodClusterUnregister:
-			return serve(codec, body, cs.handleUnregister)
+			var req ClusterUnregisterRequest
+			if err := codec.Decode(body, &req); err != nil {
+				return nil, err
+			}
+			return nil, cs.handleUnregister(req)
 		case MethodClusterOverlap:
-			return serve(codec, body, func(req ClusterOverlapRequest) (ClusterOverlapResponse, error) {
+			return serve(codec, body, func(req OverlapRequest) (ClusterOverlapResponse, error) {
 				rs, err := cs.center.OverlapSearch(ctx, req.Cells, req.K)
 				return ClusterOverlapResponse{Results: rs}, err
 			})
 		case MethodClusterBatch:
-			return serve(codec, body, func(req ClusterBatchRequest) (ClusterBatchResponse, error) {
+			return serve(codec, body, func(req SearchBatchRequest) (ClusterBatchResponse, error) {
 				outs, err := cs.center.OverlapSearchBatch(ctx, req.Queries)
 				return ClusterBatchResponse{Results: outs}, err
 			})

@@ -149,11 +149,11 @@ func (cl *Cluster) AddSource(ctx context.Context, src ClusterSource) error {
 // source's root summary as the center fetched it.
 func registerAt(ctx context.Context, c *clusterCenter, src ClusterSource) (dits.SourceSummary, error) {
 	req := ClusterRegisterRequest{Name: src.Name, Addr: src.Addr, Replicas: src.Replicas}
-	var resp ClusterRegisterResponse
-	if err := c.peer.Call(ctx, MethodClusterRegister, &req, &resp); err != nil {
-		return resp.Summary, fmt.Errorf("federation: register %s at center %s: %w", src.Name, c.name, err)
+	var summary dits.SourceSummary
+	if err := c.peer.Call(ctx, MethodClusterRegister, &req, &summary); err != nil {
+		return summary, fmt.Errorf("federation: register %s at center %s: %w", src.Name, c.name, err)
 	}
-	return resp.Summary, nil
+	return summary, nil
 }
 
 // homed records a re-registration: the source's new owner, and its summary
@@ -180,8 +180,7 @@ func (cl *Cluster) RemoveSource(ctx context.Context, name string) error {
 	if owner == nil || !owner.healthy.Load() {
 		return nil
 	}
-	var resp ClusterUnregisterResponse
-	return owner.peer.Call(ctx, MethodClusterUnregister, &ClusterUnregisterRequest{Name: name}, &resp)
+	return owner.peer.Call(ctx, MethodClusterUnregister, &ClusterUnregisterRequest{Name: name}, nil)
 }
 
 // centerNamed resolves a healthy center by name; the caller holds a lock.
@@ -395,7 +394,7 @@ func (cl *Cluster) OverlapSearch(ctx context.Context, queryCells cellset.Set, k 
 		if !cl.ownsAny(c, cands) {
 			return nil, nil
 		}
-		req := ClusterOverlapRequest{Cells: queryCells, K: k}
+		req := OverlapRequest{Cells: queryCells, K: k}
 		var resp ClusterOverlapResponse
 		if err := c.peer.Call(ctx, MethodClusterOverlap, &req, &resp); err != nil {
 			return nil, fmt.Errorf("federation: cluster overlap at %s: %w", c.name, err)
@@ -426,7 +425,7 @@ func (cl *Cluster) OverlapSearchBatch(ctx context.Context, queries []BatchQuery)
 		if !cl.ownsAny(c, cands) {
 			return nil, nil
 		}
-		req := ClusterBatchRequest{Queries: queries}
+		req := SearchBatchRequest{Queries: queries}
 		var resp ClusterBatchResponse
 		if err := c.peer.Call(ctx, MethodClusterBatch, &req, &resp); err != nil {
 			return nil, fmt.Errorf("federation: cluster batch at %s: %w", c.name, err)

@@ -72,12 +72,8 @@ func buildClusterPlane(t *testing.T, seed int64, numCenters, m, perSource int) *
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cs.Close() })
-		var codec transport.Codec
-		if i%2 == 1 {
-			codec = BinaryCodec
-		}
 		sp := &switchPeer{inner: &transport.InProc{
-			Name: name, Handler: cs.Handler(), Metrics: &transport.Metrics{}, Codec: codec,
+			Name: name, Handler: cs.Handler(), Metrics: &transport.Metrics{},
 		}}
 		peers[name] = sp
 		switches[name] = sp
@@ -579,9 +575,12 @@ func TestCenterServerMemberLogRestart(t *testing.T) {
 	cs := open()
 	gate := &transport.InProc{Name: "c0", Handler: cs.Handler()}
 	for name := range byName {
-		var resp ClusterRegisterResponse
-		if err := gate.Call(ctx, MethodClusterRegister, &ClusterRegisterRequest{Name: name, Addr: name}, &resp); err != nil {
+		var summary dits.SourceSummary
+		if err := gate.Call(ctx, MethodClusterRegister, &ClusterRegisterRequest{Name: name, Addr: name}, &summary); err != nil {
 			t.Fatal(err)
+		}
+		if summary.Name != name {
+			t.Fatalf("cluster.register answered the summary of %q, want %q", summary.Name, name)
 		}
 	}
 	if n := cs.Center().NumSources(); n != 2 {
@@ -606,12 +605,11 @@ func TestCenterServerMemberLogRestart(t *testing.T) {
 	}
 	// Unregister one and restart again: the leave is durable.
 	gate = &transport.InProc{Name: "c0", Handler: cs.Handler()}
-	var unresp ClusterUnregisterResponse
-	if err := gate.Call(ctx, MethodClusterUnregister, &ClusterUnregisterRequest{Name: srcName(0)}, &unresp); err != nil {
+	if err := gate.Call(ctx, MethodClusterUnregister, &ClusterUnregisterRequest{Name: srcName(0)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if unresp.NumSources != 1 {
-		t.Fatalf("after unregister NumSources = %d", unresp.NumSources)
+	if n := cs.Center().NumSources(); n != 1 {
+		t.Fatalf("after unregister NumSources = %d", n)
 	}
 	cs.Close()
 	cs = open()

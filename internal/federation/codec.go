@@ -12,16 +12,13 @@ import (
 	"dits/internal/transport"
 )
 
-// The versioned binary wire codec for the federation protocol —
-// negotiated per connection by the transport.hello handshake (wire name
-// BinaryCodecName), with gob remaining the fallback for legacy peers.
+// The binary wire codec of the federation protocol, dits-bin/1 — the only
+// encoding payloads travel in. The transport installs it for every
+// connection; the hello magic (transport's dits-hello/2) versions it.
 //
-// Every payload opens with one content tag: tagBin means a hand-written
-// binary message follows — a message-type byte (so a frame decoded as the
-// wrong type errors instead of misparsing) and then the message fields in
-// struct order — while tagGob means a gob stream follows, which is how
-// the binary codec carries any message type it has no native encoding
-// for (a method added later still works over a binary connection).
+// Every payload opens with a message-type byte, so a frame decoded as the
+// wrong type errors instead of misparsing, and then the message fields
+// in struct order. A type with no case here cannot be sent: Append fails.
 //
 // Field primitives: unsigned ints are uvarints, signed ints are zigzag
 // varints, floats are 8 little-endian bytes of their IEEE-754 bits,
@@ -33,16 +30,6 @@ import (
 // The decoder is defensive end to end: every length is validated against
 // the remaining input before allocation and corrupt or truncated frames
 // return errors, never panic (FuzzCodec exercises exactly this).
-
-// BinaryCodecName is the binary codec's wire name. The trailing /1
-// versions the encoding itself: an incompatible revision would register
-// under /2 and negotiate independently.
-const BinaryCodecName = "dits-bin/1"
-
-const (
-	tagBin = 'B'
-	tagGob = 'G'
-)
 
 // Message-type bytes, one per wire struct. Append-only: reusing a
 // retired value would let two builds misparse each other's frames.
@@ -68,16 +55,24 @@ const (
 	msgSourceSummary
 	msgClusterForwardReq
 	msgClusterForwardResp
+	msgClusterInfoResp
+	msgClusterRegisterReq
+	msgClusterUnregisterReq
+	msgClusterOverlapResp
+	msgClusterBatchResp
+	msgClusterPutReq
+	msgClusterDeleteReq
+	msgClusterMutateResp
+	msgWALShipReq
+	msgWALShipResp
 )
 
-// BinaryCodec is the federation's binary wire codec.
+// BinaryCodec is the federation's wire codec.
 var BinaryCodec transport.Codec = binCodec{}
 
-func init() { transport.RegisterCodec(BinaryCodec) }
+func init() { transport.SetCodec(BinaryCodec) }
 
 type binCodec struct{}
-
-func (binCodec) Name() string { return BinaryCodecName }
 
 // maxWireSlice caps decoded slice lengths as a pre-allocation sanity
 // bound; every element costs at least one byte on the wire, so the
@@ -89,14 +84,14 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 	case nil:
 		return dst, nil
 	case *OverlapRequest:
-		dst = append(dst, tagBin, msgOverlapReq)
+		dst = append(dst, msgOverlapReq)
 		dst = m.Cells.AppendWire(dst)
 		return binary.AppendVarint(dst, int64(m.K)), nil
 	case *OverlapResponse:
-		dst = append(dst, tagBin, msgOverlapResp)
+		dst = append(dst, msgOverlapResp)
 		return appendOverlapItems(dst, m.Results), nil
 	case *SearchBatchRequest:
-		dst = append(dst, tagBin, msgSearchBatchReq)
+		dst = append(dst, msgSearchBatchReq)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Queries)))
 		for i := range m.Queries {
 			dst = m.Queries[i].Cells.AppendWire(dst)
@@ -104,33 +99,33 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 		}
 		return dst, nil
 	case *SearchBatchResponse:
-		dst = append(dst, tagBin, msgSearchBatchResp)
+		dst = append(dst, msgSearchBatchResp)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Results)))
 		for i := range m.Results {
 			dst = appendOverlapItems(dst, m.Results[i].Results)
 		}
 		return dst, nil
 	case *CoverageRequest:
-		dst = append(dst, tagBin, msgCoverageReq)
+		dst = append(dst, msgCoverageReq)
 		dst = m.Merged.AppendWire(dst)
 		dst = appendF64(dst, m.Delta)
 		return appendInts(dst, m.Exclude), nil
 	case *CoverageCandidate:
-		dst = append(dst, tagBin, msgCoverageCand)
+		dst = append(dst, msgCoverageCand)
 		dst = appendBool(dst, m.Found)
 		dst = binary.AppendVarint(dst, int64(m.ID))
 		dst = appendString(dst, m.Name)
 		dst = binary.AppendVarint(dst, int64(m.Gain))
 		return m.Cells.AppendWire(dst), nil
 	case *CoverageRoundRequest:
-		dst = append(dst, tagBin, msgCoverageRoundReq)
+		dst = append(dst, msgCoverageRoundReq)
 		dst = binary.AppendUvarint(dst, m.Session)
 		dst = m.Base.AppendWire(dst)
 		dst = m.Added.AppendWire(dst)
 		dst = appendF64(dst, m.Delta)
 		return appendInts(dst, m.Exclude), nil
 	case *CoverageRoundResponse:
-		dst = append(dst, tagBin, msgCoverageRoundResp)
+		dst = append(dst, msgCoverageRoundResp)
 		dst = appendBool(dst, m.SessionMiss)
 		dst = appendBool(dst, m.Stateless)
 		dst = appendBool(dst, m.Found)
@@ -138,22 +133,22 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 		dst = appendString(dst, m.Name)
 		return binary.AppendVarint(dst, int64(m.Gain)), nil
 	case *FetchCellsRequest:
-		dst = append(dst, tagBin, msgFetchCellsReq)
+		dst = append(dst, msgFetchCellsReq)
 		dst = binary.AppendUvarint(dst, m.Session)
 		return binary.AppendVarint(dst, int64(m.ID)), nil
 	case *FetchCellsResponse:
-		dst = append(dst, tagBin, msgFetchCellsResp)
+		dst = append(dst, msgFetchCellsResp)
 		dst = appendBool(dst, m.Found)
 		dst = appendBool(dst, m.Committed)
 		return m.Cells.AppendWire(dst), nil
 	case *SessionCloseRequest:
-		dst = append(dst, tagBin, msgSessionCloseReq)
+		dst = append(dst, msgSessionCloseReq)
 		return binary.AppendUvarint(dst, m.Session), nil
 	case *SessionCloseResponse:
-		dst = append(dst, tagBin, msgSessionCloseResp)
+		dst = append(dst, msgSessionCloseResp)
 		return appendBool(dst, m.Closed), nil
 	case *StatsResponse:
-		dst = append(dst, tagBin, msgStatsResp)
+		dst = append(dst, msgStatsResp)
 		dst = appendString(dst, m.Name)
 		dst = binary.AppendVarint(dst, int64(m.NumDatasets))
 		dst = binary.AppendVarint(dst, int64(m.TreeNodes))
@@ -166,47 +161,82 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 		dst = binary.AppendVarint(dst, m.ResidentBytes)
 		return binary.AppendVarint(dst, int64(m.OverlayMutations)), nil
 	case *DatasetPutRequest:
-		dst = append(dst, tagBin, msgDatasetPutReq)
+		dst = append(dst, msgDatasetPutReq)
 		dst = binary.AppendVarint(dst, int64(m.ID))
 		dst = appendString(dst, m.Name)
 		return m.Cells.AppendWire(dst), nil
 	case *DatasetDeleteRequest:
-		dst = append(dst, tagBin, msgDatasetDeleteReq)
+		dst = append(dst, msgDatasetDeleteReq)
 		return binary.AppendVarint(dst, int64(m.ID)), nil
 	case *MutateResponse:
-		dst = append(dst, tagBin, msgMutateResp)
-		dst = appendBool(dst, m.Found)
-		dst = binary.AppendUvarint(dst, m.Version)
-		dst = binary.AppendVarint(dst, int64(m.NumDatasets))
-		return appendSummary(dst, &m.Summary), nil
+		return appendMutate(append(dst, msgMutateResp), m), nil
 	case *VersionRequest:
-		return append(dst, tagBin, msgVersionReq), nil
+		return append(dst, msgVersionReq), nil
 	case *VersionResponse:
-		dst = append(dst, tagBin, msgVersionResp)
+		dst = append(dst, msgVersionResp)
 		dst = appendString(dst, m.Name)
 		dst = binary.AppendUvarint(dst, m.Version)
 		return appendBool(dst, m.Durable), nil
 	case *dits.SourceSummary:
-		dst = append(dst, tagBin, msgSourceSummary)
+		dst = append(dst, msgSourceSummary)
 		return appendSummary(dst, m), nil
 	case *ClusterForwardRequest:
-		dst = append(dst, tagBin, msgClusterForwardReq)
+		dst = append(dst, msgClusterForwardReq)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Calls)))
 		for _, c := range m.Calls {
 			dst = appendString(appendString(appendString(dst, c.Source), c.Method), c.Body)
 		}
 		return dst, nil
 	case *ClusterForwardResponse:
-		dst = append(dst, tagBin, msgClusterForwardResp)
+		dst = append(dst, msgClusterForwardResp)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Replies)))
 		for _, r := range m.Replies {
 			dst = appendBool(appendString(appendString(dst, r.Body), r.Err), r.Transport)
 		}
 		return dst, nil
+	case *ClusterInfoResponse:
+		dst = appendString(append(dst, msgClusterInfoResp), m.Name)
+		dst = binary.AppendUvarint(dst, m.Generation)
+		dst = binary.AppendUvarint(dst, uint64(len(m.Shard)))
+		for i := range m.Shard {
+			dst = binary.AppendUvarint(appendSummary(dst, &m.Shard[i].Summary), m.Shard[i].Version)
+		}
+		return dst, nil
+	case *ClusterRegisterRequest:
+		dst = appendString(appendString(append(dst, msgClusterRegisterReq), m.Name), m.Addr)
+		dst = binary.AppendUvarint(dst, uint64(len(m.Replicas)))
+		for _, r := range m.Replicas {
+			dst = appendString(dst, r)
+		}
+		return dst, nil
+	case *ClusterUnregisterRequest:
+		return appendString(append(dst, msgClusterUnregisterReq), m.Name), nil
+	case *ClusterOverlapResponse:
+		return appendSourceResults(append(dst, msgClusterOverlapResp), m.Results), nil
+	case *ClusterBatchResponse:
+		dst = binary.AppendUvarint(append(dst, msgClusterBatchResp), uint64(len(m.Results)))
+		for _, rs := range m.Results {
+			dst = appendSourceResults(dst, rs)
+		}
+		return dst, nil
+	case *ClusterPutRequest:
+		dst = appendString(append(dst, msgClusterPutReq), m.Source)
+		dst = appendString(binary.AppendVarint(dst, int64(m.ID)), m.Name)
+		return m.Cells.AppendWire(dst), nil
+	case *ClusterDeleteRequest:
+		dst = appendString(append(dst, msgClusterDeleteReq), m.Source)
+		return binary.AppendVarint(dst, int64(m.ID)), nil
+	case *ClusterMutateResponse:
+		dst = appendBool(append(dst, msgClusterMutateResp), m.Unknown)
+		return appendMutate(dst, &m.MutateResponse), nil
+	case *WALShipRequest:
+		return binary.AppendUvarint(append(dst, msgWALShipReq), m.After), nil
+	case *WALShipResponse:
+		dst = appendString(append(dst, msgWALShipResp), m.Frames)
+		dst = binary.AppendUvarint(dst, m.Version)
+		return appendBool(dst, m.TooOld), nil
 	default:
-		// No native encoding: carry the value as a tagged gob stream so
-		// new message types keep working over binary connections.
-		return transport.GobCodec.Append(append(dst, tagGob), v)
+		return dst, fmt.Errorf("federation: codec: no binary encoding for %T", v)
 	}
 }
 
@@ -216,16 +246,6 @@ func (binCodec) Decode(data []byte, v any) error {
 	}
 	if len(data) < 1 {
 		return errors.New("federation: codec: empty payload")
-	}
-	tag, data := data[0], data[1:]
-	if tag == tagGob {
-		return transport.GobCodec.Decode(data, v)
-	}
-	if tag != tagBin {
-		return fmt.Errorf("federation: codec: unknown content tag %d", tag)
-	}
-	if len(data) < 1 {
-		return errors.New("federation: codec: missing message type")
 	}
 	msg, data := data[0], data[1:]
 	r := wireReader{data: data}
@@ -323,10 +343,7 @@ func (binCodec) Decode(data []byte, v any) error {
 		m.ID = r.int()
 	case *MutateResponse:
 		r.expect(msg, msgMutateResp)
-		m.Found = r.bool()
-		m.Version = r.uvarint()
-		m.NumDatasets = r.int()
-		r.summary(&m.Summary)
+		r.mutate(m)
 	case *VersionRequest:
 		r.expect(msg, msgVersionReq)
 	case *VersionResponse:
@@ -355,6 +372,66 @@ func (binCodec) Decode(data []byte, v any) error {
 		for i := range m.Replies {
 			m.Replies[i] = ForwardReply{Body: r.bytes(), Err: r.string(), Transport: r.bool()}
 		}
+	case *ClusterInfoResponse:
+		r.expect(msg, msgClusterInfoResp)
+		m.Name = r.string()
+		m.Generation = r.uvarint()
+		m.Shard = nil
+		if n := r.sliceLen(); n > 0 {
+			m.Shard = make([]ShardSource, n)
+		}
+		for i := range m.Shard {
+			r.summary(&m.Shard[i].Summary)
+			m.Shard[i].Version = r.uvarint()
+		}
+	case *ClusterRegisterRequest:
+		r.expect(msg, msgClusterRegisterReq)
+		m.Name = r.string()
+		m.Addr = r.string()
+		m.Replicas = nil
+		if n := r.sliceLen(); n > 0 {
+			m.Replicas = make([]string, n)
+		}
+		for i := range m.Replicas {
+			m.Replicas[i] = r.string()
+		}
+	case *ClusterUnregisterRequest:
+		r.expect(msg, msgClusterUnregisterReq)
+		m.Name = r.string()
+	case *ClusterOverlapResponse:
+		r.expect(msg, msgClusterOverlapResp)
+		m.Results = r.sourceResults()
+	case *ClusterBatchResponse:
+		r.expect(msg, msgClusterBatchResp)
+		m.Results = nil
+		if n := r.sliceLen(); n > 0 {
+			m.Results = make([][]SourceResult, n)
+		}
+		for i := range m.Results {
+			m.Results[i] = r.sourceResults()
+		}
+	case *ClusterPutRequest:
+		r.expect(msg, msgClusterPutReq)
+		m.Source = r.string()
+		m.ID = r.int()
+		m.Name = r.string()
+		m.Cells = r.set()
+	case *ClusterDeleteRequest:
+		r.expect(msg, msgClusterDeleteReq)
+		m.Source = r.string()
+		m.ID = r.int()
+	case *ClusterMutateResponse:
+		r.expect(msg, msgClusterMutateResp)
+		m.Unknown = r.bool()
+		r.mutate(&m.MutateResponse)
+	case *WALShipRequest:
+		r.expect(msg, msgWALShipReq)
+		m.After = r.uvarint()
+	case *WALShipResponse:
+		r.expect(msg, msgWALShipResp)
+		m.Frames = r.bytes()
+		m.Version = r.uvarint()
+		m.TooOld = r.bool()
 	default:
 		return fmt.Errorf("federation: codec: no binary decoding for %T", v)
 	}
@@ -402,6 +479,22 @@ func appendOverlapItems(dst []byte, items []OverlapItem) []byte {
 		dst = binary.AppendVarint(dst, int64(items[i].Overlap))
 	}
 	return dst
+}
+
+func appendSourceResults(dst []byte, rs []SourceResult) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(rs)))
+	for i := range rs {
+		dst = appendString(dst, rs[i].Source)
+		dst = appendString(binary.AppendVarint(dst, int64(rs[i].ID)), rs[i].Name)
+		dst = binary.AppendVarint(dst, int64(rs[i].Overlap))
+	}
+	return dst
+}
+
+func appendMutate(dst []byte, m *MutateResponse) []byte {
+	dst = binary.AppendUvarint(appendBool(dst, m.Found), m.Version)
+	dst = binary.AppendVarint(dst, int64(m.NumDatasets))
+	return appendSummary(dst, &m.Summary)
 }
 
 func appendSummary(dst []byte, s *dits.SourceSummary) []byte {
@@ -510,9 +603,22 @@ func (r *wireReader) string() string {
 }
 
 // bytes reads a length-prefixed byte string into memory of its own (the
-// frame buffer is reused); empty decodes as nil.
+// frame buffer is reused); empty decodes as nil. Like string, it is
+// bounded by the remaining input only, not maxWireSlice: the copy is
+// made after the check, and a wal.ship batch may legally exceed 16 MiB
+// (ingest caps a batch softly and a single record at 64 MiB).
 func (r *wireReader) bytes() []byte {
-	n := r.sliceLen()
+	if r.err != nil {
+		return nil
+	}
+	n := r.uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.data)) {
+		r.fail("byte string length %d exceeds input", n)
+		return nil
+	}
 	if n == 0 {
 		return nil
 	}
@@ -578,6 +684,28 @@ func (r *wireReader) overlapItems() []OverlapItem {
 		return nil
 	}
 	return items
+}
+
+func (r *wireReader) sourceResults() []SourceResult {
+	n := r.sliceLen()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	rs := make([]SourceResult, n)
+	for i := range rs {
+		rs[i] = SourceResult{Source: r.string(), ID: r.int(), Name: r.string(), Overlap: r.int()}
+	}
+	if r.err != nil {
+		return nil
+	}
+	return rs
+}
+
+func (r *wireReader) mutate(m *MutateResponse) {
+	m.Found = r.bool()
+	m.Version = r.uvarint()
+	m.NumDatasets = r.int()
+	r.summary(&m.Summary)
 }
 
 func (r *wireReader) summary(s *dits.SourceSummary) {

@@ -1,21 +1,27 @@
 package federation
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dits/internal/cellset"
 	"dits/internal/geo"
 	"dits/internal/index/dits"
-	"dits/internal/transport"
 )
 
-// codecTestMessages is one populated instance of every federation wire
-// message — the corpus for the gob/binary differential tests and the
-// fuzz seeds. Fields cover the edge shapes: nil and huge cell sets,
-// negative ints, empty and non-ASCII strings.
+// codecTestMessages is at least one populated instance of every
+// federation wire message — the corpus for the gob/binary differential
+// tests and the fuzz seeds. Fields cover the edge shapes: nil and huge
+// cell sets, negative ints, empty and non-ASCII strings.
 func codecTestMessages() []any {
 	big := make([]uint64, 0, 6000)
 	for i := 0; i < 6000; i++ { // one bitmap chunk plus array chunks
@@ -68,11 +74,148 @@ func codecTestMessages() []any {
 		&VersionResponse{Name: "v", Version: 3, Durable: true},
 		&summary,
 		&ClusterForwardRequest{Calls: []ForwardCall{
-			{Source: "src-α", Method: MethodCoverageRound, Body: []byte{tagBin, msgCoverageRoundReq, 0}},
+			{Source: "src-α", Method: MethodCoverageRound, Body: []byte{msgCoverageRoundReq, 0}},
 			{Source: "b", Method: MethodSessionClose},
 		}},
 		&ClusterForwardRequest{},
 		&ClusterForwardResponse{Replies: []ForwardReply{{Body: []byte{1, 2, 3}}, {Err: "boom", Transport: true}, {}}},
+		&ClusterInfoResponse{Name: "c1", Generation: 9, Shard: []ShardSource{{Summary: summary, Version: 4}, {}}},
+		&ClusterInfoResponse{},
+		&ClusterRegisterRequest{Name: "src-α", Addr: "127.0.0.1:7201", Replicas: []string{"127.0.0.1:7211", ""}},
+		&ClusterRegisterRequest{Name: "s", Addr: "a"},
+		&ClusterUnregisterRequest{Name: "src-α"},
+		&ClusterOverlapResponse{Results: []SourceResult{{Source: "s", ID: -3, Name: "名", Overlap: 12}, {}}},
+		&ClusterOverlapResponse{},
+		&ClusterBatchResponse{Results: [][]SourceResult{{{Source: "s", ID: 1 << 40, Overlap: 2}}, {{Source: "t"}}}},
+		&ClusterBatchResponse{},
+		&ClusterPutRequest{Source: "s", ID: 7, Name: "d", Cells: bigSet},
+		&ClusterDeleteRequest{Source: "src-α", ID: -1},
+		&ClusterMutateResponse{Unknown: true},
+		&ClusterMutateResponse{MutateResponse: MutateResponse{Found: true, Version: 3, NumDatasets: 1, Summary: summary}},
+		&WALShipRequest{After: 1 << 40},
+		&WALShipResponse{Frames: []byte{0, 1, 2, 255}, Version: 12, TooOld: true},
+		&WALShipResponse{},
+	}
+}
+
+// wireTypes maps every federation method to its request and response
+// types (nil: the payload is empty). Each must have a native binary case.
+var wireTypes = map[string][2]any{
+	MethodOverlap:           {new(OverlapRequest), new(OverlapResponse)},
+	MethodCoverage:          {new(CoverageRequest), new(CoverageCandidate)},
+	MethodStats:             {nil, new(StatsResponse)},
+	MethodSummary:           {nil, new(dits.SourceSummary)},
+	MethodCoverageRound:     {new(CoverageRoundRequest), new(CoverageRoundResponse)},
+	MethodFetchCells:        {new(FetchCellsRequest), new(FetchCellsResponse)},
+	MethodSessionClose:      {new(SessionCloseRequest), new(SessionCloseResponse)},
+	MethodSearchBatch:       {new(SearchBatchRequest), new(SearchBatchResponse)},
+	MethodDatasetPut:        {new(DatasetPutRequest), new(MutateResponse)},
+	MethodDatasetDelete:     {new(DatasetDeleteRequest), new(MutateResponse)},
+	MethodSourceVersion:     {new(VersionRequest), new(VersionResponse)},
+	MethodWALShip:           {new(WALShipRequest), new(WALShipResponse)},
+	MethodClusterInfo:       {nil, new(ClusterInfoResponse)},
+	MethodClusterRegister:   {new(ClusterRegisterRequest), new(dits.SourceSummary)},
+	MethodClusterUnregister: {new(ClusterUnregisterRequest), nil},
+	MethodClusterOverlap:    {new(OverlapRequest), new(ClusterOverlapResponse)},
+	MethodClusterBatch:      {new(SearchBatchRequest), new(ClusterBatchResponse)},
+	MethodClusterForward:    {new(ClusterForwardRequest), new(ClusterForwardResponse)},
+	MethodClusterPut:        {new(ClusterPutRequest), new(ClusterMutateResponse)},
+	MethodClusterDelete:     {new(ClusterDeleteRequest), new(ClusterMutateResponse)},
+}
+
+// gobRoundTrip is the differential oracle: m through encoding/gob.
+func gobRoundTrip(t testing.TB, m any) any {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		t.Fatalf("%T: gob encode: %v", m, err)
+	}
+	got := fresh(m)
+	if err := gob.NewDecoder(&buf).Decode(got); err != nil {
+		t.Fatalf("%T: gob decode: %v", m, err)
+	}
+	return got
+}
+
+// methodValues parses this package's sources for every Method* string
+// constant, so a method added without a wireTypes row fails the test.
+func methodValues(t *testing.T) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	nonTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(fset, ".", nonTest, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				vs, ok := n.(*ast.ValueSpec)
+				if !ok {
+					return true
+				}
+				for i, id := range vs.Names {
+					if !strings.HasPrefix(id.Name, "Method") || i >= len(vs.Values) {
+						continue
+					}
+					if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						v, _ := strconv.Unquote(lit.Value)
+						out = append(out, v)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// TestCodecEveryWireTypeNative: every method's request and response type
+// round-trips through BinaryCodec to exactly what gob — the oracle, and
+// nothing more — makes of it, on every corpus instance of the type; and
+// a type with no native case cannot be encoded at all.
+func TestCodecEveryWireTypeNative(t *testing.T) {
+	methods := methodValues(t)
+	if len(methods) != len(wireTypes) {
+		t.Errorf("%d Method* constants, %d wireTypes rows", len(methods), len(wireTypes))
+	}
+	byType := map[reflect.Type][]any{}
+	for _, m := range codecTestMessages() {
+		byType[reflect.TypeOf(m)] = append(byType[reflect.TypeOf(m)], m)
+	}
+	for _, method := range methods {
+		types, ok := wireTypes[method]
+		if !ok {
+			t.Errorf("method %q has no wireTypes row", method)
+			continue
+		}
+		for _, typ := range types {
+			if typ == nil {
+				continue
+			}
+			corpus := byType[reflect.TypeOf(typ)]
+			if len(corpus) == 0 {
+				t.Errorf("%s: %T has no codecTestMessages instance", method, typ)
+			}
+			for _, m := range corpus {
+				wire, err := BinaryCodec.Append(nil, m)
+				if err != nil {
+					t.Fatalf("%s: %T: %v", method, m, err)
+				}
+				got := fresh(m)
+				if err := BinaryCodec.Decode(wire, got); err != nil {
+					t.Fatalf("%s: %T: decode: %v", method, m, err)
+				}
+				if want := gobRoundTrip(t, m); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: %T diverged from gob:\n got %+v\nwant %+v", method, m, got, want)
+				}
+			}
+		}
+	}
+	type unlisted struct{ A, B string }
+	if _, err := BinaryCodec.Append(nil, &unlisted{A: "x"}); err == nil {
+		t.Error("a type with no native case encoded")
 	}
 }
 
@@ -82,23 +225,24 @@ func fresh(m any) any {
 }
 
 // TestCodecDifferential: every message must round-trip identically
-// through the gob codec and through the binary codec — the binary wire
-// form may differ, but the decoded value must not.
+// through gob and through the binary codec — the binary wire form may
+// differ, but the decoded value must not.
 func TestCodecDifferential(t *testing.T) {
 	for _, m := range codecTestMessages() {
 		name := fmt.Sprintf("%T", m)
-		for _, codec := range []transport.Codec{transport.GobCodec, BinaryCodec} {
-			wire, err := codec.Append(nil, m)
-			if err != nil {
-				t.Fatalf("%s/%s: encode: %v", name, codec.Name(), err)
-			}
-			got := fresh(m)
-			if err := codec.Decode(wire, got); err != nil {
-				t.Fatalf("%s/%s: decode: %v", name, codec.Name(), err)
-			}
-			if !reflect.DeepEqual(got, m) {
-				t.Errorf("%s/%s: round trip diverged:\n got %+v\nwant %+v", name, codec.Name(), got, m)
-			}
+		if got := gobRoundTrip(t, m); !reflect.DeepEqual(got, m) {
+			t.Errorf("%s/gob: round trip diverged:\n got %+v\nwant %+v", name, got, m)
+		}
+		wire, err := BinaryCodec.Append(nil, m)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		got := fresh(m)
+		if err := BinaryCodec.Decode(wire, got); err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("%s: round trip diverged:\n got %+v\nwant %+v", name, got, m)
 		}
 	}
 }
@@ -107,8 +251,8 @@ func TestCodecDifferential(t *testing.T) {
 // must undercut gob — the whole point of the codec.
 func TestCodecBinarySmaller(t *testing.T) {
 	for _, m := range codecTestMessages() {
-		gob, err := transport.GobCodec.Append(nil, m)
-		if err != nil {
+		var gobBuf bytes.Buffer
+		if err := gob.NewEncoder(&gobBuf).Encode(m); err != nil {
 			t.Fatal(err)
 		}
 		bin, err := BinaryCodec.Append(nil, m)
@@ -117,46 +261,23 @@ func TestCodecBinarySmaller(t *testing.T) {
 		}
 		// Gob amortizes type descriptors across a stream; per-frame it
 		// re-ships them, so binary should never lose by more than noise.
-		if len(bin) > len(gob) {
-			t.Errorf("%T: binary %dB > gob %dB", m, len(bin), len(gob))
+		if len(bin) > gobBuf.Len() {
+			t.Errorf("%T: binary %dB > gob %dB", m, len(bin), gobBuf.Len())
 		}
 	}
 }
 
-// TestCodecGobPassthrough: a type without a native binary encoding rides
-// a binary connection as a tagged gob stream.
-func TestCodecGobPassthrough(t *testing.T) {
-	type exotic struct{ A, B string }
-	wire, err := BinaryCodec.Append(nil, &exotic{A: "x", B: "y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wire[0] != tagGob {
-		t.Fatalf("exotic type not gob-tagged: %q", wire[0])
-	}
-	var got exotic
-	if err := BinaryCodec.Decode(wire, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.A != "x" || got.B != "y" {
-		t.Fatalf("gob passthrough corrupted: %+v", got)
-	}
-}
-
-// TestCodecRejectsCorrupt: wrong tags, wrong message types, trailing
-// garbage, and truncation all error.
+// TestCodecRejectsCorrupt: wrong message types, trailing garbage, and
+// truncation all error.
 func TestCodecRejectsCorrupt(t *testing.T) {
 	var resp OverlapResponse
 	if err := BinaryCodec.Decode(nil, &resp); err == nil {
 		t.Error("empty payload accepted")
 	}
 	if err := BinaryCodec.Decode([]byte{'Z', 1}, &resp); err == nil {
-		t.Error("unknown content tag accepted")
+		t.Error("unknown message type accepted")
 	}
-	if err := BinaryCodec.Decode([]byte{tagBin}, &resp); err == nil {
-		t.Error("missing message type accepted")
-	}
-	if err := BinaryCodec.Decode([]byte{tagBin, msgOverlapReq}, &resp); err == nil {
+	if err := BinaryCodec.Decode([]byte{msgOverlapReq}, &resp); err == nil {
 		t.Error("wrong message type accepted")
 	}
 	wire, err := BinaryCodec.Append(nil, &OverlapRequest{Cells: cellset.New(1, 2), K: 5})
@@ -172,6 +293,31 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 		if err := BinaryCodec.Decode(wire[:cut], &req); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestCodecLargeWALShip: a wal.ship batch over maxWireSlice bytes is
+// legal (ingest caps a batch softly, a single record at 64 MiB) and must
+// decode; a byte string claiming more than the input must not.
+func TestCodecLargeWALShip(t *testing.T) {
+	frames := make([]byte, maxWireSlice+1<<20)
+	for i := range frames {
+		frames[i] = byte(i * 7)
+	}
+	m := &WALShipResponse{Frames: frames, Version: 99}
+	wire, err := BinaryCodec.Append(nil, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got WALShipResponse
+	if err := BinaryCodec.Decode(wire, &got); err != nil {
+		t.Fatalf("%d-byte frames: %v", len(frames), err)
+	}
+	if !bytes.Equal(got.Frames, frames) || got.Version != 99 || got.TooOld {
+		t.Fatalf("round trip diverged: %d frames bytes, version %d", len(got.Frames), got.Version)
+	}
+	if err := BinaryCodec.Decode(wire[:len(wire)/2], &got); err == nil {
+		t.Error("truncated frames accepted")
 	}
 }
 
@@ -206,8 +352,8 @@ func FuzzCodec(f *testing.F) {
 		}
 		f.Add(wire)
 	}
-	f.Add([]byte{tagBin, msgOverlapReq, 0, 2})
-	f.Add([]byte{tagGob, 0xff, 0x81})
+	f.Add([]byte{msgOverlapReq, 0, 2})
+	f.Add([]byte{msgWALShipResp, 0xff, 0x81})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, m := range msgs {
 			v := fresh(m)

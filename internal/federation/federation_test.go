@@ -55,15 +55,8 @@ func buildFederation(rng *rand.Rand, m, perSource int, opts Options) (*Center, [
 		idx := dits.Build(g, nodes, 8)
 		srv := NewSourceServerWithGrid(srcName(s), idx)
 		servers = append(servers, srv)
-		// Every second source speaks the binary codec so the whole suite
-		// runs mixed-codec federations end to end.
-		var codec transport.Codec
-		if s%2 == 0 {
-			codec = BinaryCodec
-		}
 		center.Register(srv.Summary(), &transport.InProc{
 			Name: srv.Name, Handler: srv.Handler(), Metrics: center.Metrics,
-			Codec: codec,
 		})
 	}
 	return center, pooled, servers

@@ -71,9 +71,7 @@ const (
 )
 
 // Method names of the cluster protocol — the surface a CenterServer
-// exposes to the gateway's scatter/gather plane. Apart from cluster.forward,
-// the cluster request and response types ride the transports' gob
-// passthrough, so they need no per-codec support.
+// exposes to the gateway's scatter/gather plane.
 const (
 	// MethodClusterInfo is the health probe and shard audit: it reports the
 	// center's name, membership generation, and every registered source's
@@ -82,13 +80,20 @@ const (
 	// MethodClusterRegister tells a center to adopt a source: the center
 	// dials the source (and its replicas), fetches its summary, and
 	// registers it — appending the event to its membership log first, so a
-	// restarted center re-joins with the same shard.
+	// restarted center re-joins with the same shard. It answers the root
+	// summary the center fetched, which the gateway enters into its DITS-G.
 	MethodClusterRegister = "cluster.register"
-	// MethodClusterUnregister removes a source from the center's shard.
+	// MethodClusterUnregister removes a source from the center's shard; it
+	// answers nothing.
 	MethodClusterUnregister = "cluster.unregister"
-	// MethodClusterOverlap answers a federated OJSP over the center's shard.
+	// MethodClusterOverlap answers a federated OJSP (an OverlapRequest)
+	// over the center's shard: the center answers its shard's top-k and
+	// the gateway merges the shards with the same total order a single
+	// center uses, making the merged answer byte-identical to the
+	// unsharded one.
 	MethodClusterOverlap = "cluster.overlap"
-	// MethodClusterBatch answers a batch of OJSP queries over the shard.
+	// MethodClusterBatch answers a batch of OJSP queries (a
+	// SearchBatchRequest) over the shard.
 	MethodClusterBatch = "cluster.batch"
 	// MethodClusterForward relays session-protocol calls (coverage.round,
 	// coverage.fetch, coverage.close) to sources of the center's shard: the
@@ -141,41 +146,14 @@ type ClusterRegisterRequest struct {
 	Replicas []string
 }
 
-// ClusterRegisterResponse acknowledges a registration with the root
-// summary the center fetched from the source, which the gateway enters
-// into its own DITS-G.
-type ClusterRegisterResponse struct {
-	NumSources int
-	Summary    dits.SourceSummary
-}
-
 // ClusterUnregisterRequest removes one source from the center's shard.
 type ClusterUnregisterRequest struct {
 	Name string
 }
 
-// ClusterUnregisterResponse acknowledges the removal.
-type ClusterUnregisterResponse struct {
-	NumSources int
-}
-
-// ClusterOverlapRequest is a federated OJSP scattered to one center; the
-// center answers its shard's top-k and the gateway merges the shards with
-// the same total order a single center uses, making the merged answer
-// byte-identical to the unsharded one.
-type ClusterOverlapRequest struct {
-	Cells cellset.Set
-	K     int
-}
-
 // ClusterOverlapResponse carries one shard's top-k.
 type ClusterOverlapResponse struct {
 	Results []SourceResult
-}
-
-// ClusterBatchRequest scatters a whole OJSP batch to one center.
-type ClusterBatchRequest struct {
-	Queries []BatchQuery
 }
 
 // ClusterBatchResponse carries the shard's per-query top-k, request order.
@@ -185,8 +163,7 @@ type ClusterBatchResponse struct {
 
 // ForwardCall is one relayed session-protocol exchange: the source it is
 // for, the method (coverage.round, coverage.fetch or coverage.close) and
-// the request encoded by BinaryCodec — whatever codec the gateway→center
-// connection negotiated, cell sets cross it in dits-bin/1 form.
+// the request encoded by BinaryCodec.
 type ForwardCall struct {
 	Source string
 	Method string

@@ -52,7 +52,7 @@ func newPlane(t *testing.T, cfg planeConfig) *plane {
 				if !ok {
 					return nil, fmt.Errorf("no source at %q", addr)
 				}
-				var peer transport.Peer = &transport.InProc{Name: addr, Handler: srv.Handler(), Metrics: p.links, Codec: BinaryCodec}
+				var peer transport.Peer = &transport.InProc{Name: addr, Handler: srv.Handler(), Metrics: p.links}
 				if cfg.wrapSource != nil {
 					peer = cfg.wrapSource(addr, peer)
 				}
@@ -63,7 +63,7 @@ func newPlane(t *testing.T, cfg planeConfig) *plane {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cs.Close() })
-		sw := &switchPeer{inner: &transport.InProc{Name: name, Handler: cs.Handler(), Metrics: p.hop, Codec: BinaryCodec}}
+		sw := &switchPeer{inner: &transport.InProc{Name: name, Handler: cs.Handler(), Metrics: p.hop}}
 		p.centers[name] = sw
 		peers[name] = sw
 		if cfg.wrapCenter != nil {
@@ -343,7 +343,7 @@ func TestClusterCommBudget(t *testing.T) {
 	}
 	single := NewCenter(worldGrid(), DefaultOptions())
 	for _, srv := range servers {
-		single.Register(srv.Summary(), &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: single.Metrics, Codec: BinaryCodec})
+		single.Register(srv.Summary(), &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: single.Metrics})
 	}
 	p := newPlane(t, planeConfig{centers: 3, servers: servers})
 	fanouts := 0

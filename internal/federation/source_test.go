@@ -51,16 +51,16 @@ func TestHandlerSummary(t *testing.T) {
 func TestHandlerErrors(t *testing.T) {
 	srv := testServer(t)
 	h := srv.Handler()
-	if _, err := h(context.Background(), transport.GobCodec, "no.such.method", nil); err == nil {
+	if _, err := h(context.Background(), BinaryCodec, "no.such.method", nil); err == nil {
 		t.Error("unknown method should error")
 	}
-	if _, err := h(context.Background(), transport.GobCodec, MethodOverlap, []byte("garbage")); err == nil {
+	if _, err := h(context.Background(), BinaryCodec, MethodOverlap, []byte("garbage")); err == nil {
 		t.Error("garbage overlap body should error")
 	}
-	if _, err := h(context.Background(), transport.GobCodec, MethodCoverage, []byte("garbage")); err == nil {
+	if _, err := h(context.Background(), BinaryCodec, MethodCoverage, []byte("garbage")); err == nil {
 		t.Error("garbage coverage body should error")
 	}
-	if _, err := h(context.Background(), BinaryCodec, MethodOverlap, []byte{'B', 99}); err == nil {
+	if _, err := h(context.Background(), BinaryCodec, MethodOverlap, []byte{99}); err == nil {
 		t.Error("wrong binary message type should error")
 	}
 }

@@ -403,9 +403,8 @@ type StatsResponse struct {
 	// SourceFailures counts failed exchanges per source, populated when
 	// the center runs the skip-and-record failure policy.
 	SourceFailures map[string]int64 `json:"sourceFailures,omitempty"`
-	// PeerWire reports, per source, the wire parameters the connection
-	// negotiated (codec name and compression) — the surface to watch
-	// during a mixed-codec rolling upgrade.
+	// PeerWire reports, per source, the options the connection
+	// negotiated (compression, trace propagation).
 	PeerWire map[string]transport.WireInfo `json:"peerWire,omitempty"`
 	// PeerCompressRawBytes/PeerCompressWireBytes total payload bytes
 	// before and after compression framing on compression-negotiated

@@ -165,8 +165,8 @@ func (r *Reader) Close() error {
 }
 
 // LoadHeap fully materializes a snapshot into an ordinary heap-resident
-// index and closes the file: the gob-replacement load path for stores
-// running without -mmap. It is strict — data CRCs are verified and any
+// index and closes the file: the load path for stores running without
+// -mmap. It is strict — data CRCs are verified and any
 // leaf that fails validation fails the load.
 func LoadHeap(path string) (*dits.Local, error) {
 	r, err := Open(path, Options{VerifyData: true})

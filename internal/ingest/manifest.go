@@ -16,9 +16,9 @@ const manifestSchema = "dits-ingest-manifest/1"
 // manifestName is the manifest's filename inside the store directory.
 const manifestName = "MANIFEST"
 
-// formatDSnap marks a snapshot in the binary ditsfile format. The empty
-// string is the legacy gob encoding: manifests written before the format
-// field existed carry no format, and those snapshots must keep loading.
+// formatDSnap marks a snapshot in the binary ditsfile format, the only
+// one a store reads. A manifest without it predates the format (its
+// snapshot is gob) and is refused: reseed such a store from its source.
 const formatDSnap = "dsnap/1"
 
 // manifest commits a snapshot: it names the snapshot file and records the
@@ -28,7 +28,7 @@ const formatDSnap = "dsnap/1"
 type manifest struct {
 	Schema   string `json:"schema"`
 	Snapshot string `json:"snapshot"`         // snapshot filename within the store dir
-	Format   string `json:"format,omitempty"` // snapshot encoding; "" = legacy gob
+	Format   string `json:"format,omitempty"` // snapshot encoding: formatDSnap
 	Seq      uint64 `json:"seq"`              // last mutation included in the snapshot
 	Version  uint64 `json:"version"`          // data version at the snapshot point
 }
@@ -53,8 +53,8 @@ func readManifest(dir string) (*manifest, error) {
 	if m.Snapshot == "" || m.Snapshot != filepath.Base(m.Snapshot) {
 		return nil, fmt.Errorf("ingest: manifest names invalid snapshot %q", m.Snapshot)
 	}
-	if m.Format != "" && m.Format != formatDSnap {
-		return nil, fmt.Errorf("ingest: manifest has unknown snapshot format %q", m.Format)
+	if m.Format != formatDSnap {
+		return nil, fmt.Errorf("ingest: manifest has snapshot format %q, want %q", m.Format, formatDSnap)
 	}
 	return &m, nil
 }

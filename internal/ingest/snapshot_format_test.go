@@ -5,92 +5,33 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// TestLegacyGobSnapshotLoads pins backward compatibility: a store
-// directory whose manifest predates the binary snapshot format (no format
-// field, snap-<seq>.gob payload) must recover, and its next compaction
-// must migrate it to the binary format.
-func TestLegacyGobSnapshotLoads(t *testing.T) {
-	dir := t.TempDir()
-	idx, err := bootstrap(testSeedDatasets, testSeed)()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := searchFingerprint(t, idx)
-
-	// Hand-build the legacy layout: gob snapshot + format-less manifest.
-	snapName := fmt.Sprintf("snap-%016d.gob", 0)
-	f, err := os.Create(filepath.Join(dir, snapName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeManifest(dir, manifest{Snapshot: snapName, Seq: 0, Version: 0}); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := Open(dir, Options{Fsync: FsyncNever, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatalf("open legacy store: %v", err)
-	}
-	if got := searchFingerprint(t, st.Index()); !reflect.DeepEqual(got, want) {
-		t.Fatal("legacy gob snapshot recovered different results")
-	}
-	// Mutate and compact: the store must move to the binary format and
-	// clean the legacy file up.
-	applyToStore(t, st, genMutations(10, 8, testSeedDatasets), 10)
-	if err := st.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	afterSnap := searchFingerprint(t, st.Index())
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	man, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Format != formatDSnap {
-		t.Fatalf("post-compaction manifest format = %q, want %q", man.Format, formatDSnap)
-	}
-	if gobs, _ := filepath.Glob(filepath.Join(dir, "snap-*.gob")); len(gobs) != 0 {
-		t.Fatalf("legacy snapshots not reclaimed: %v", gobs)
-	}
-	re, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := searchFingerprint(t, re.Index()); !reflect.DeepEqual(got, afterSnap) {
-		t.Fatal("migrated store recovered different results")
-	}
-}
-
 // TestUnknownManifestFormatRejected: a manifest naming a format this
-// binary does not understand must fail loudly, not misparse the snapshot.
+// binary does not understand — a future one, or none at all, as a store
+// from before dsnap/1 wrote — must fail loudly with an error naming the
+// format, not misparse the snapshot.
 func TestUnknownManifestFormatRejected(t *testing.T) {
-	dir := t.TempDir()
-	st := openTestStore(t, dir, Options{Fsync: FsyncNever})
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	man, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man.Format = "dsnap/999"
-	if err := writeManifest(dir, *man); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("unknown snapshot format must be rejected")
+	for _, format := range []string{"dsnap/999", ""} {
+		dir := t.TempDir()
+		st := openTestStore(t, dir, Options{Fsync: FsyncNever})
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		man, err := readManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man.Format = format
+		if err := writeManifest(dir, *man); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(dir, Options{})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format %q", format)) {
+			t.Fatalf("format %q: Open = %v, want an error naming the format", format, err)
+		}
 	}
 }
 

@@ -179,42 +179,28 @@ func Open(dir string, opts Options) (*Store, error) {
 	return st, nil
 }
 
-// loadSnapshot recovers the index from the manifest's snapshot file,
-// dispatching on the recorded format. Corruption surfaces as a clean
-// error here — snapshots commit via rename, so a torn WRITE leaves the
-// previous manifest intact (that crash recovers from the old snapshot
-// plus the full WAL); an error on a committed snapshot means real damage
-// and refuses to serve rather than serving wrong data.
+// loadSnapshot recovers the index from the manifest's dsnap snapshot
+// file. Corruption surfaces as a clean error here — snapshots commit via
+// rename, so a torn WRITE leaves the previous manifest intact (that crash
+// recovers from the old snapshot plus the full WAL); an error on a
+// committed snapshot means real damage and refuses to serve rather than
+// serving wrong data.
 func (st *Store) loadSnapshot(man *manifest) error {
 	path := filepath.Join(st.dir, man.Snapshot)
-	switch man.Format {
-	case formatDSnap:
-		if st.opts.MMap {
-			r, err := ditsfile.Open(path, ditsfile.Options{MMap: true, VerifyData: true})
-			if err != nil {
-				return fmt.Errorf("ingest: load snapshot %s: %w", man.Snapshot, err)
-			}
-			st.idx, st.reader = r.Index(), r
-			return nil
-		}
-		idx, err := ditsfile.LoadHeap(path)
+	if st.opts.MMap {
+		r, err := ditsfile.Open(path, ditsfile.Options{MMap: true, VerifyData: true})
 		if err != nil {
 			return fmt.Errorf("ingest: load snapshot %s: %w", man.Snapshot, err)
 		}
-		st.idx = idx
-		return nil
-	default: // legacy gob snapshot from before the binary format
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("ingest: open snapshot %s: %w", man.Snapshot, err)
-		}
-		st.idx, err = dits.Load(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("ingest: load snapshot %s: %w", man.Snapshot, err)
-		}
+		st.idx, st.reader = r.Index(), r
 		return nil
 	}
+	idx, err := ditsfile.LoadHeap(path)
+	if err != nil {
+		return fmt.Errorf("ingest: load snapshot %s: %w", man.Snapshot, err)
+	}
+	st.idx = idx
+	return nil
 }
 
 // apply performs one mutation on the in-memory index. Put is an upsert;
@@ -372,8 +358,7 @@ func (st *Store) Snapshot() error {
 }
 
 // commitSnapshot writes the index as snap-<seq>.dsnap (the binary
-// ditsfile format; legacy .gob snapshots are read-only history) and
-// commits the manifest pointing at it. The caller holds writeMu (or,
+// ditsfile format) and commits the manifest pointing at it. The caller holds writeMu (or,
 // during Open, has exclusive ownership). Crash windows: before the
 // manifest commit the old manifest + full WAL still recover everything;
 // after it, leftover WAL records at or below seq are skipped by their
@@ -416,12 +401,10 @@ func (st *Store) commitSnapshot(seq, version uint64) error {
 	st.swapReader(path)
 	// Old snapshots are now unreachable from the manifest; reclaim them.
 	// (A retired reader's unlinked mapping stays valid until it unmaps.)
-	for _, pat := range []string{"snap-*.gob", "snap-*.dsnap"} {
-		if olds, err := filepath.Glob(filepath.Join(st.dir, pat)); err == nil {
-			for _, old := range olds {
-				if filepath.Base(old) != name {
-					os.Remove(old)
-				}
+	if olds, err := filepath.Glob(filepath.Join(st.dir, "snap-*.dsnap")); err == nil {
+		for _, old := range olds {
+			if filepath.Base(old) != name {
+				os.Remove(old)
 			}
 		}
 	}

@@ -11,7 +11,7 @@
 // On-disk layout (one directory per source, see docs/OPERATIONS.md):
 //
 //	wal.log            append-only mutation log
-//	snap-<seq>.gob     index snapshot covering mutations 1..seq (persist.go)
+//	snap-<seq>.dsnap   index snapshot covering mutations 1..seq (ditsfile)
 //	MANIFEST           points at the newest committed snapshot
 //
 // Recovery loads the manifest's snapshot, replays the WAL records with

@@ -124,7 +124,6 @@ func TestFederationSourceChurn(t *testing.T) {
 	reg := func(s *federation.SourceServer) {
 		center.Register(s.Summary(), &transport.InProc{
 			Name: s.Name, Handler: s.Handler(), Metrics: center.Metrics,
-			Codec: federation.BinaryCodec,
 		})
 	}
 	reg(a)

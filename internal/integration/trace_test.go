@@ -230,13 +230,14 @@ func TestClusterFailoverSingleTrace(t *testing.T) {
 	}
 }
 
-// TestTracedDifferentialAcrossCodecs queries three federations over the
-// same sources — all-gob, all dits-bin/1, and a mixed plane where one
-// source is dialed as a legacy pre-negotiation peer — and requires
-// byte-identical answers from all three. The traced mixed federation must
-// mark where visibility ends: the legacy peer's RPCs carry an explicit
-// "untraced" span, while the fully negotiated federation has none.
-func TestTracedDifferentialAcrossCodecs(t *testing.T) {
+// TestTracedDifferentialAcrossWireOptions queries three federations over
+// the same sources — every option negotiated, compression withheld, and a
+// mixed plane where one source is dialed without trace propagation — and
+// requires byte-identical answers from all three. The traced mixed
+// federation must mark where visibility ends: the untraced peer's RPCs
+// carry an explicit "untraced" span, while the fully negotiated
+// federation has none.
+func TestTracedDifferentialAcrossWireOptions(t *testing.T) {
 	grid := geo.NewGrid(soakTheta, geo.Rect{MinX: 0, MinY: 0, MaxX: soakSide, MaxY: soakSide})
 
 	type sourceSpec struct {
@@ -265,19 +266,14 @@ func TestTracedDifferentialAcrossCodecs(t *testing.T) {
 		sources = append(sources, sourceSpec{name: spec.name, addr: ts.Addr()})
 	}
 
-	legacySource := sources[0].name
+	untracedSource := sources[0].name
 	federations := []struct {
 		name string
 		dial func(i int) transport.DialConfig
 	}{
-		{"gob", func(int) transport.DialConfig { return transport.DialConfig{Codec: "gob"} }},
-		{"binary", func(int) transport.DialConfig { return transport.DialConfig{Codec: federation.BinaryCodecName} }},
-		{"mixed-legacy", func(i int) transport.DialConfig {
-			if i == 0 {
-				return transport.DialConfig{NoNegotiate: true}
-			}
-			return transport.DialConfig{}
-		}},
+		{"negotiated", func(int) transport.DialConfig { return transport.DialConfig{} }},
+		{"uncompressed", func(int) transport.DialConfig { return transport.DialConfig{NoCompress: true} }},
+		{"mixed-untraced", func(i int) transport.DialConfig { return transport.DialConfig{NoTrace: i == 0} }},
 	}
 
 	type answer struct {
@@ -340,31 +336,31 @@ func TestTracedDifferentialAcrossCodecs(t *testing.T) {
 		}
 	}
 
-	// The mixed federation's traces mark the legacy peer explicitly.
+	// The mixed federation's traces mark the untraced peer explicitly.
 	sawUntraced := false
-	for _, id := range traceIDs["mixed-legacy"] {
-		detail := fetchTrace(t, gatewayURL["mixed-legacy"], id)
+	for _, id := range traceIDs["mixed-untraced"] {
+		detail := fetchTrace(t, gatewayURL["mixed-untraced"], id)
 		for _, n := range flattenTree(detail.Tree) {
 			if n.Name == "untraced" {
 				sawUntraced = true
-				if n.Source != legacySource {
-					t.Errorf("untraced marker names source %q, want %q", n.Source, legacySource)
+				if n.Source != untracedSource {
+					t.Errorf("untraced marker names source %q, want %q", n.Source, untracedSource)
 				}
 				if strings.HasPrefix(n.Name, "serve:") {
-					t.Error("legacy peer must not ship serve spans")
+					t.Error("untraced peer must not ship serve spans")
 				}
 			}
 		}
 	}
 	if !sawUntraced {
-		t.Error("mixed federation recorded no untraced marker for the legacy peer")
+		t.Error("mixed federation recorded no untraced marker for the untraced peer")
 	}
 
 	// The fully negotiated federation has no visibility gap: no untraced
 	// markers, and the sources' serve-side spans come back into the trace.
 	sawRemote := false
-	for _, id := range traceIDs["binary"] {
-		detail := fetchTrace(t, gatewayURL["binary"], id)
+	for _, id := range traceIDs["negotiated"] {
+		detail := fetchTrace(t, gatewayURL["negotiated"], id)
 		for _, n := range flattenTree(detail.Tree) {
 			if n.Name == "untraced" {
 				t.Error("negotiated federation recorded an untraced marker")

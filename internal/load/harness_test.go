@@ -89,7 +89,6 @@ func StartLocal(opts LocalOptions) (*LocalGateway, error) {
 		}
 		peer := &transport.InProc{
 			Name: src.Name, Handler: srv.Handler(), Metrics: center.Metrics,
-			Codec: federation.BinaryCodec,
 		}
 		if _, err := center.RegisterRemote(context.Background(), peer); err != nil {
 			return fail(fmt.Errorf("load: register %s: %w", src.Name, err))

@@ -1,19 +1,10 @@
 package transport
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"slices"
-	"sync"
-)
-
-// Codec turns request/response values into payload bytes and back. The
-// wire codec is a per-connection property negotiated at dial time (see
-// the transport.hello exchange in tcp.go): both ends of a connection
-// always agree on one codec, and a center talking to a mixed fleet may
-// hold binary connections to upgraded sources and gob connections to
-// legacy ones at the same time.
+// Codec turns request/response values into payload bytes and back. There
+// is one wire codec, installed with SetCodec by the package that defines
+// it (the federation package installs dits-bin/1 from init); transport
+// cannot name it itself, as the codec encodes the federation's messages.
+// It is fixed by the hello magic, never negotiated (see tcp.go).
 //
 // Append appends the encoding of v to dst and returns the extended
 // slice, so hot paths can reuse one buffer across calls without
@@ -21,95 +12,26 @@ import (
 // unmarshals a payload into v; decoding into nil discards the payload.
 // Implementations must be safe for concurrent use.
 type Codec interface {
-	Name() string
 	Append(dst []byte, v any) ([]byte, error)
 	Decode(data []byte, v any) error
 }
 
-// CodecGob is the wire name of the gob codec — the protocol's original
-// encoding and the fallback every peer must speak.
-const CodecGob = "gob"
+var wireCodec Codec
 
-// GobCodec encodes payloads with encoding/gob. It is the codec of every
-// connection whose handshake did not (or could not) negotiate anything
-// better, which keeps legacy peers interoperable.
-var GobCodec Codec = gobCodec{}
-
-type gobCodec struct{}
-
-func (gobCodec) Name() string { return CodecGob }
-
-func (gobCodec) Append(dst []byte, v any) ([]byte, error) {
-	if v == nil {
-		return dst, nil
+// SetCodec installs the wire codec every TCP connection speaks and every
+// InProc peer without its own Codec uses. It is called once, at init;
+// a second call panics.
+func SetCodec(c Codec) {
+	if wireCodec != nil {
+		panic("transport: wire codec installed twice")
 	}
-	buf := bytes.NewBuffer(dst)
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return dst, fmt.Errorf("transport: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+	wireCodec = c
 }
 
-func (gobCodec) Decode(data []byte, v any) error {
-	if v == nil {
-		return nil
+// theCodec returns the installed wire codec.
+func theCodec() Codec {
+	if wireCodec == nil {
+		panic("transport: no wire codec installed (the federation package installs it)")
 	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("transport: decode: %w", err)
-	}
-	return nil
-}
-
-var (
-	codecMu sync.RWMutex
-	codecs  = map[string]Codec{CodecGob: GobCodec}
-)
-
-// RegisterCodec makes a codec available for connection negotiation under
-// its Name. Packages that define codecs register them from init (the
-// federation package registers its binary codec this way); registering
-// two codecs with the same name panics.
-func RegisterCodec(c Codec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	if _, dup := codecs[c.Name()]; dup && c.Name() != CodecGob {
-		panic("transport: duplicate codec " + c.Name())
-	}
-	codecs[c.Name()] = c
-}
-
-// LookupCodec returns the registered codec with the given wire name.
-func LookupCodec(name string) (Codec, bool) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	c, ok := codecs[name]
-	return c, ok
-}
-
-// CodecNames returns every registered codec name in the default
-// negotiation-preference order: non-gob codecs first (sorted, so the
-// order is deterministic regardless of registration order), gob last.
-func CodecNames() []string {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	names := make([]string, 0, len(codecs))
-	for name := range codecs {
-		if name != CodecGob {
-			names = append(names, name)
-		}
-	}
-	slices.Sort(names)
-	return append(names, CodecGob)
-}
-
-// Encode gob-encodes a value into a payload. It is the codec-less helper
-// kept for persistence formats and tests; wire traffic goes through the
-// connection's negotiated Codec instead.
-func Encode(v any) ([]byte, error) {
-	return GobCodec.Append(nil, v)
-}
-
-// Decode gob-decodes a payload into v.
-func Decode(body []byte, v any) error {
-	return GobCodec.Decode(body, v)
+	return wireCodec
 }

@@ -44,7 +44,7 @@ type Pool struct {
 	// wire is the negotiated wire info of the most recently dialed
 	// connection (nil until the first dial). All of a pool's connections
 	// negotiate against the same server, so they agree in steady state;
-	// during a rolling upgrade of the server a redial may change it.
+	// a redial to a restarted server with other limits may change it.
 	wire atomic.Pointer[WireInfo]
 }
 
@@ -68,7 +68,7 @@ func DialPool(name, addr string, size int, metrics *Metrics) *Pool {
 	return DialPoolWith(name, addr, size, metrics, DialConfig{})
 }
 
-// DialPoolWith is DialPool with explicit negotiation preferences, applied
+// DialPoolWith is DialPool with explicit option preferences, applied
 // to every connection the pool opens.
 func DialPoolWith(name, addr string, size int, metrics *Metrics, cfg DialConfig) *Pool {
 	return NewPool(name, size, func() (Peer, error) {

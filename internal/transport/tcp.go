@@ -31,14 +31,12 @@ import (
 // is abandoned at the source too.
 //
 // The first request a dialer sends is a transport.hello exchange that
-// negotiates the connection's codec and options (see hello below);
-// everything after it is encoded with the negotiated codec, and on
-// compression-negotiated connections bodies and OK payloads carry the
-// one-byte compression flag (compress.go). A legacy server answers the
-// hello with status 1 ("unknown method"), which the dialer takes as
-// "speak gob, uncompressed" — and a legacy dialer never sends a hello,
-// which leaves the server side at the same default. Error payloads are
-// always raw text.
+// checks both ends speak the same wire version and negotiates the
+// connection's options (see helloMagic below). Payloads are always in the
+// installed codec; on compression-negotiated connections bodies and OK
+// payloads carry the one-byte compression flag (compress.go). A peer
+// that refuses the hello, or answers it with another version, fails the
+// dial. Error payloads are always raw text.
 //
 // When both ends negotiate the "trace" option, every post-hello exchange
 // grows one extra frame per direction: requests append a trace-context
@@ -46,41 +44,66 @@ import (
 // body, and responses append a span frame (obs.AppendSpans — the spans
 // the server completed while handling the request, empty when untraced)
 // after the payload, on both OK and error responses. A connection that
-// did not negotiate "trace" carries exactly the pre-trace framing, so
-// legacy peers interoperate untouched — the caller then records an
-// explicit "untraced" span instead (see Call).
+// did not negotiate "trace" carries neither frame — the caller then
+// records an explicit "untraced" span instead (see Call).
 
 // maxFrame caps a frame payload to guard against corrupt length prefixes.
 const maxFrame = 1 << 30
 
-// MethodHello is the reserved method name of the codec negotiation
-// exchange. Servers intercept it before application dispatch; it never
-// reaches a Handler on a server that understands it.
+// MethodHello is the reserved method name of the handshake exchange.
+// Servers intercept it before application dispatch; it never reaches a
+// Handler.
 const MethodHello = "transport.hello"
 
-// helloMagic versions the hello body format itself. The body is ASCII:
+// helloMagic versions the whole wire — framing, options and the payload
+// codec (dits-bin/1). The hello body and its reply share one ASCII
+// grammar:
 //
-//	dits-hello/1 <codec1,codec2,...> <option1,option2,...|->
+//	dits-hello/2 <option1,option2,...|->
 //
-// and the reply payload is "<codec>" or "<codec> gzip". Unknown magics,
-// codecs, and options are ignored, so future dialers degrade gracefully
-// against this server.
-const helloMagic = "dits-hello/1"
+// where the request lists the options the dialer proposes and the reply
+// the subset the server accepted. Unknown options are ignored; a magic
+// other than this one is an error on either side.
+const helloMagic = "dits-hello/2"
 
-// ServeConfig tunes a server's negotiation behavior.
+// helloBody returns a hello body naming the given options.
+func helloBody(compress, trace bool) []byte {
+	opts := []string{}
+	if compress {
+		opts = append(opts, "gzip")
+	}
+	if trace {
+		opts = append(opts, "trace")
+	}
+	if len(opts) == 0 {
+		opts = append(opts, "-")
+	}
+	return []byte(helloMagic + " " + strings.Join(opts, ","))
+}
+
+// parseHello reads a hello body and reports which options it names.
+func parseHello(body []byte) (compress, trace bool, err error) {
+	fields := strings.Fields(string(body))
+	if len(fields) != 2 || fields[0] != helloMagic {
+		return false, false, fmt.Errorf("%q is not a %s hello", body, helloMagic)
+	}
+	for _, opt := range strings.Split(fields[1], ",") {
+		switch opt {
+		case "gzip":
+			compress = true
+		case "trace":
+			trace = true
+		}
+	}
+	return compress, trace, nil
+}
+
+// ServeConfig limits the options a server accepts and names where it
+// keeps its traces.
 type ServeConfig struct {
-	// Codecs is the allow-list of codec names offered to dialers; nil
-	// allows every registered codec. Gob is always allowed — it is the
-	// floor every peer can speak.
-	Codecs []string
 	// NoCompress refuses the compression option regardless of what
 	// dialers propose.
 	NoCompress bool
-	// NoNegotiate makes the server behave like a legacy build: hello
-	// requests fall through to the application handler (which rejects
-	// them as an unknown method), so dialers fall back to gob. It exists
-	// for interop tests and emergency rollback to the old wire behavior.
-	NoNegotiate bool
 	// NoTrace refuses the trace option: requests are served untraced
 	// even when the dialer proposes trace propagation.
 	NoTrace bool
@@ -88,19 +111,6 @@ type ServeConfig struct {
 	// for this process's own GET /debug/traces (ditsserve and ditscenter
 	// wire their -metrics-addr recorder here).
 	Recorder *obs.Recorder
-}
-
-// allows reports whether the server may pick the named codec.
-func (cfg *ServeConfig) allows(name string) bool {
-	if name == CodecGob || cfg.Codecs == nil {
-		return true
-	}
-	for _, n := range cfg.Codecs {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Server serves one data source's Handler over TCP.
@@ -116,12 +126,12 @@ type Server struct {
 }
 
 // Serve starts a TCP server on addr (e.g. "127.0.0.1:0") for the handler,
-// negotiating freely: every registered codec, compression allowed.
+// accepting every option a dialer proposes.
 func Serve(addr string, handler Handler) (*Server, error) {
 	return ServeWith(addr, handler, ServeConfig{})
 }
 
-// ServeWith starts a TCP server with explicit negotiation limits.
+// ServeWith starts a TCP server with explicit option limits.
 func ServeWith(addr string, handler Handler, cfg ServeConfig) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -195,7 +205,7 @@ func (s *Server) acceptLoop() {
 func (s *Server) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	codec := GobCodec
+	codec := theCodec()
 	compress := false
 	traced := false // the connection negotiated the trace option
 	var methodBuf, bodyBuf, respBuf, cmpBuf, traceBuf, spansBuf []byte
@@ -236,10 +246,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			method = string(methodBuf)
 			names[method] = method
 		}
-		if method == MethodHello && !s.cfg.NoNegotiate && !traced {
-			var reply []byte
-			reply, codec, compress, traced = s.negotiate(bodyBuf)
-			if err := writeResponse(w, 0, reply); err != nil {
+		if method == MethodHello && !traced {
+			if compress, traced, err = s.negotiate(bodyBuf); err != nil {
+				// A peer of another wire version gets the refusal, then
+				// the connection closes: nothing it sends next can parse.
+				writeResponse(w, 1, []byte("transport: "+err.Error()))
+				return
+			}
+			if err := writeResponse(w, 0, helloBody(compress, traced)); err != nil {
 				return
 			}
 			continue
@@ -305,47 +319,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// negotiate picks the connection's codec and options from a hello body:
-// the first proposed codec that is registered and allowed wins, and an
-// option (gzip compression, trace propagation) turns on iff proposed and
-// permitted. Anything unparseable falls back to gob uncompressed — never
-// an error, so a malformed or future hello still yields a working
-// connection. The reply lists the accepted options space-separated after
-// the codec ("gob gzip trace"): a pre-trace dialer looks only for "gzip"
-// in the second field and never proposes "trace", so it is never
-// surprised by the extra token.
-func (s *Server) negotiate(body []byte) (reply []byte, codec Codec, compress, trace bool) {
-	codec = GobCodec
-	fields := strings.Fields(string(body))
-	if len(fields) >= 2 && fields[0] == helloMagic {
-		for _, name := range strings.Split(fields[1], ",") {
-			if !s.cfg.allows(name) {
-				continue
-			}
-			if c, ok := LookupCodec(name); ok {
-				codec = c
-				break
-			}
-		}
-		if len(fields) >= 3 {
-			for _, opt := range strings.Split(fields[2], ",") {
-				switch {
-				case opt == "gzip" && !s.cfg.NoCompress:
-					compress = true
-				case opt == "trace" && !s.cfg.NoTrace:
-					trace = true
-				}
-			}
-		}
-	}
-	resp := codec.Name()
-	if compress {
-		resp += " gzip"
-	}
-	if trace {
-		resp += " trace"
-	}
-	return []byte(resp), codec, compress, trace
+// negotiate answers a hello body with the options to turn on: an option
+// (gzip compression, trace propagation) is on iff the dialer proposed it
+// and the config does not refuse it. A body of another wire version is
+// an error, which the dialer fails on.
+func (s *Server) negotiate(body []byte) (compress, trace bool, err error) {
+	compress, trace, err = parseHello(body)
+	return compress && !s.cfg.NoCompress, trace && !s.cfg.NoTrace, err
 }
 
 // readFrameReuse reads one length-prefixed frame into buf, growing it
@@ -391,17 +371,10 @@ func writeResponse(w *bufio.Writer, status byte, payload []byte) error {
 	return w.Flush()
 }
 
-// DialConfig tunes a dialer's negotiation behavior.
+// DialConfig limits the options a dialer proposes.
 type DialConfig struct {
-	// Codec proposes exactly one codec by name instead of the default
-	// preference list (every registered codec, gob last).
-	Codec string
 	// NoCompress withholds the gzip option from the handshake.
 	NoCompress bool
-	// NoNegotiate skips the handshake entirely and speaks legacy gob —
-	// how a pre-handshake dialer behaves. It exists for interop tests and
-	// emergency rollback to the old wire behavior.
-	NoNegotiate bool
 	// NoTrace withholds the trace option from the handshake; calls on
 	// the connection are then recorded with an "untraced" marker span.
 	NoTrace bool
@@ -424,14 +397,12 @@ type TCPPeer struct {
 	trace    bool // the connection negotiated trace propagation
 }
 
-// Dial connects to a source server and negotiates the wire codec: the
-// best registered codec both ends speak, compression allowed, with
-// graceful fallback to uncompressed gob against a legacy server.
+// Dial connects to a source server and negotiates every option.
 func Dial(name, addr string, metrics *Metrics) (*TCPPeer, error) {
 	return DialWith(name, addr, metrics, DialConfig{})
 }
 
-// DialWith connects with explicit negotiation preferences.
+// DialWith connects with explicit option preferences.
 func DialWith(name, addr string, metrics *Metrics, cfg DialConfig) (*TCPPeer, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -443,44 +414,20 @@ func DialWith(name, addr string, metrics *Metrics, cfg DialConfig) (*TCPPeer, er
 		conn:    conn,
 		r:       bufio.NewReader(conn),
 		w:       bufio.NewWriter(conn),
-		codec:   GobCodec,
+		codec:   theCodec(),
 	}
-	if !cfg.NoNegotiate {
-		if err := p.hello(cfg); err != nil {
-			conn.Close()
-			return nil, err
-		}
+	if err := p.hello(cfg); err != nil {
+		conn.Close()
+		return nil, err
 	}
 	return p, nil
 }
 
-// hello runs the codec negotiation as the connection's first exchange. A
-// status-1 reply means the server predates negotiation (it rejected the
-// method); the peer then speaks uncompressed gob, exactly as before the
-// handshake existed.
+// hello runs the handshake as the connection's first exchange. A peer
+// that refuses it (status 1) or answers for another wire version fails
+// the dial: it cannot be spoken to.
 func (p *TCPPeer) hello(cfg DialConfig) error {
-	names := CodecNames()
-	if cfg.Codec != "" {
-		// A forced codec is strict: it must exist locally and the server
-		// must accept it — no silent fallback, so an operator pinning a
-		// codec finds out immediately when a peer cannot speak it.
-		if _, ok := LookupCodec(cfg.Codec); !ok {
-			return fmt.Errorf("transport: hello %s: unknown codec %q", p.Name, cfg.Codec)
-		}
-		names = []string{cfg.Codec}
-	}
-	var propose []string
-	if !cfg.NoCompress {
-		propose = append(propose, "gzip")
-	}
-	if !cfg.NoTrace {
-		propose = append(propose, "trace")
-	}
-	opts := "-"
-	if len(propose) > 0 {
-		opts = strings.Join(propose, ",")
-	}
-	body := []byte(helloMagic + " " + strings.Join(names, ",") + " " + opts)
+	body := helloBody(!cfg.NoCompress, !cfg.NoTrace)
 	p.conn.SetDeadline(time.Now().Add(helloTimeout))
 	defer p.conn.SetDeadline(time.Time{})
 	if err := writeFrame(p.w, []byte(MethodHello)); err != nil {
@@ -505,42 +452,17 @@ func (p *TCPPeer) hello(cfg DialConfig) error {
 		return fmt.Errorf("transport: hello %s: %w", p.Name, err)
 	}
 	if status != 0 {
-		if cfg.Codec != "" && cfg.Codec != CodecGob {
-			return fmt.Errorf("transport: hello %s: server cannot negotiate forced codec %q", p.Name, cfg.Codec)
-		}
-		// Legacy server: it saw an unknown method. Speak gob, plain.
-		p.codec, p.compress = GobCodec, false
-		return nil
+		return fmt.Errorf("transport: hello %s: peer refused the handshake: %s", p.Name, payload)
 	}
-	fields := strings.Fields(string(payload))
-	if len(fields) == 0 {
-		return fmt.Errorf("transport: hello %s: empty negotiation reply", p.Name)
-	}
-	if cfg.Codec != "" && fields[0] != cfg.Codec {
-		return fmt.Errorf("transport: hello %s: server refused forced codec %q (offered %q)", p.Name, cfg.Codec, fields[0])
-	}
-	codec, ok := LookupCodec(fields[0])
-	if !ok {
-		return fmt.Errorf("transport: hello %s: server chose unknown codec %q", p.Name, fields[0])
-	}
-	p.codec = codec
-	p.compress, p.trace = false, false
-	for _, f := range fields[1:] {
-		for _, opt := range strings.Split(f, ",") {
-			switch opt {
-			case "gzip":
-				p.compress = true
-			case "trace":
-				p.trace = true
-			}
-		}
+	if p.compress, p.trace, err = parseHello(payload); err != nil {
+		return fmt.Errorf("transport: hello %s: %w", p.Name, err)
 	}
 	return nil
 }
 
 // WireInfo implements Wired.
 func (p *TCPPeer) WireInfo() WireInfo {
-	return WireInfo{Codec: p.codec.Name(), Compression: p.compress, Trace: p.trace}
+	return WireInfo{Compression: p.compress, Trace: p.trace}
 }
 
 // Call implements Peer. A context deadline bounds the whole exchange (the
@@ -553,7 +475,7 @@ func (p *TCPPeer) WireInfo() WireInfo {
 // On a traced context the exchange is recorded as an "rpc:<method>" span.
 // When the connection negotiated trace propagation the trace follows the
 // request to the server and the server's spans come back merged into the
-// caller's trace; against a legacy (or NoTrace) connection the rpc span
+// caller's trace; against a NoTrace connection (either side) the rpc span
 // instead gets an explicit "untraced" child marking where visibility
 // ends.
 func (p *TCPPeer) Call(ctx context.Context, method string, req, resp any) error {

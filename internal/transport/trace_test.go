@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -13,11 +12,6 @@ import (
 // tracingHandler records one handler-side span, so propagation tests can
 // assert that server work shows up in the caller's trace.
 func tracingHandler(ctx context.Context, codec Codec, method string, body []byte) (any, error) {
-	if method == MethodHello {
-		// A real application handler rejects the hello as an unknown
-		// method — that status-1 reply is the legacy fallback signal.
-		return nil, errors.New("unknown method")
-	}
 	_, sp := obs.StartSpan(ctx, "handler.work")
 	time.Sleep(time.Millisecond)
 	sp.End()
@@ -125,8 +119,6 @@ func TestTCPTraceLegacyPeerGetsUntracedMarker(t *testing.T) {
 	}{
 		{"server refuses trace", ServeConfig{NoTrace: true}, DialConfig{}},
 		{"dialer withholds trace", ServeConfig{}, DialConfig{NoTrace: true}},
-		{"legacy server", ServeConfig{NoNegotiate: true}, DialConfig{}},
-		{"legacy dialer", ServeConfig{}, DialConfig{NoNegotiate: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,7 +150,7 @@ func TestTCPTraceLegacyPeerGetsUntracedMarker(t *testing.T) {
 				t.Fatalf("missing or wrong untraced marker; have %v", spans)
 			}
 			if _, ok := spans["serve:work"]; ok {
-				t.Error("legacy connection should not merge server spans")
+				t.Error("untraced connection should not merge server spans")
 			}
 		})
 	}
@@ -211,17 +203,25 @@ func TestInProcTraceSpans(t *testing.T) {
 	}
 }
 
-func TestHelloReplyBackwardCompatible(t *testing.T) {
-	// A trace-negotiating server's hello reply must keep the codec first
-	// and "gzip" as a standalone token, exactly where a pre-trace dialer
-	// looks for them.
-	s := &Server{cfg: ServeConfig{}}
-	reply, _, compress, trace := s.negotiate([]byte(helloMagic + " gob gzip,trace"))
-	if !compress || !trace {
-		t.Fatalf("negotiate: compress=%v trace=%v", compress, trace)
+// TestHelloNegotiate pins the hello grammar: a body round-trips its
+// options, the server accepts only what was proposed and not refused, and
+// a body of another wire version is an error rather than a fallback.
+func TestHelloNegotiate(t *testing.T) {
+	for _, c := range []bool{false, true} {
+		for _, tr := range []bool{false, true} {
+			gc, gt, err := parseHello(helloBody(c, tr))
+			if err != nil || gc != c || gt != tr {
+				t.Fatalf("hello(%v, %v) parsed as %v, %v, %v", c, tr, gc, gt, err)
+			}
+		}
 	}
-	fields := strings.Fields(string(reply))
-	if len(fields) != 3 || fields[0] != "gob" || fields[1] != "gzip" || fields[2] != "trace" {
-		t.Fatalf("reply = %q", reply)
+	s := &Server{cfg: ServeConfig{NoCompress: true}}
+	if c, tr, err := s.negotiate(helloBody(true, true)); err != nil || c || !tr {
+		t.Fatalf("NoCompress server negotiated compress=%v trace=%v err=%v", c, tr, err)
+	}
+	for _, body := range []string{"dits-hello/1 gob gzip,trace", "gob gzip", "", helloMagic} {
+		if _, _, err := s.negotiate([]byte(body)); err == nil {
+			t.Errorf("hello %q accepted", body)
+		}
 	}
 }

@@ -7,10 +7,9 @@
 // several TCP connections to one source. Transmission time over a given
 // bandwidth follows the paper's model: time = bytes / bandwidth.
 //
-// Payload encoding is a per-connection property: TCP connections
-// negotiate a Codec (and optional compression) in a transport.hello
-// exchange at dial time, falling back to gob against legacy peers, so a
-// rolling upgrade can mix codecs freely — see docs/PROTOCOL.md.
+// Every payload is in the one installed Codec (see SetCodec); TCP
+// connections negotiate only options — compression, trace propagation —
+// in a transport.hello exchange at dial time (see docs/PROTOCOL.md).
 //
 // Every Call carries a context: a deadline set by the caller (the
 // gateway's per-request admission deadline, typically) propagates over
@@ -28,9 +27,9 @@ import (
 	"dits/internal/obs"
 )
 
-// Handler serves one source's requests: it receives the connection's
-// negotiated codec, a method name, and the encoded request body, and
-// returns a response value the transport encodes with the same codec (a
+// Handler serves one source's requests: it receives the wire codec, a
+// method name, and the encoded request body, and returns a response
+// value the transport encodes with the same codec (a
 // nil response encodes as an empty payload). The context carries the
 // caller's remaining deadline (propagated over the wire for TCP
 // transports); handlers pass it to cancellable work like the parallel
@@ -54,7 +53,7 @@ func (e *RemoteError) Error() string {
 // Peer is a connection to one data source.
 type Peer interface {
 	// Call sends req and decodes the source's answer into resp, both
-	// through the connection's negotiated codec (a nil req sends an empty
+	// through the wire codec (a nil req sends an empty
 	// body; a nil resp discards the payload). The context's deadline
 	// bounds the whole exchange and is shipped to the source.
 	Call(ctx context.Context, method string, req, resp any) error
@@ -62,19 +61,15 @@ type Peer interface {
 	Close() error
 }
 
-// WireInfo describes the wire parameters a connection negotiated: the
-// codec name, whether payload compression is on, and whether trace
-// propagation is on. Zero Codec means the peer has not dialed (and
-// therefore negotiated) yet.
+// WireInfo describes the options a connection negotiated: whether
+// payload compression is on, and whether trace propagation is on.
 type WireInfo struct {
-	Codec       string `json:"codec"`
-	Compression bool   `json:"compression"`
-	Trace       bool   `json:"trace,omitempty"`
+	Compression bool `json:"compression"`
+	Trace       bool `json:"trace,omitempty"`
 }
 
-// Wired is implemented by peers that know their negotiated wire
-// parameters; observability surfaces (GET /stats) use it to report the
-// per-peer codec during mixed-codec rolling upgrades.
+// Wired is implemented by peers that know their negotiated options;
+// observability surfaces (GET /stats) report them per peer.
 type Wired interface {
 	WireInfo() WireInfo
 }
@@ -268,9 +263,8 @@ type InProc struct {
 	Name    string
 	Handler Handler
 	Metrics *Metrics
-	// Codec selects the encoding payloads cross the boundary in; nil
-	// means gob, matching an unnegotiated TCP connection. Benchmarks set
-	// it to measure both codecs on the same workload.
+	// Codec is the encoding payloads cross the boundary in; nil means
+	// the installed wire codec (SetCodec).
 	Codec Codec
 }
 
@@ -278,7 +272,7 @@ func (p *InProc) codec() Codec {
 	if p.Codec != nil {
 		return p.Codec
 	}
-	return GobCodec
+	return theCodec()
 }
 
 // Call implements Peer. The context (trace included) flows directly into
@@ -322,7 +316,7 @@ func (p *InProc) call(ctx context.Context, method string, req, resp any) error {
 
 // WireInfo implements Wired. Trace is always true: the context crosses
 // the in-process boundary intact.
-func (p *InProc) WireInfo() WireInfo { return WireInfo{Codec: p.codec().Name(), Trace: true} }
+func (p *InProc) WireInfo() WireInfo { return WireInfo{Trace: true} }
 
 // Close implements Peer.
 func (p *InProc) Close() error { return nil }

@@ -1,8 +1,13 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -37,29 +42,6 @@ func echo(t *testing.T, p Peer, method, payload string) string {
 	return resp
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	type msg struct {
-		K     int
-		Cells []uint64
-		Name  string
-	}
-	in := msg{K: 7, Cells: []uint64{1, 5, 9}, Name: "q"}
-	b, err := Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out msg
-	if err := Decode(b, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.K != in.K || out.Name != in.Name || len(out.Cells) != 3 || out.Cells[2] != 9 {
-		t.Fatalf("round trip mismatch: %+v", out)
-	}
-	if err := Decode([]byte("garbage"), &out); err == nil {
-		t.Error("Decode of garbage should error")
-	}
-}
-
 func TestInProcCountsBytes(t *testing.T) {
 	m := &Metrics{}
 	p := &InProc{Name: "s1", Handler: echoHandler, Metrics: m}
@@ -69,11 +51,12 @@ func TestInProcCountsBytes(t *testing.T) {
 	if m.Messages() != 1 {
 		t.Errorf("Messages = %d, want 1", m.Messages())
 	}
-	reqBytes, _ := Encode("world")
+	world, hello := "world", "hello:world"
+	reqBytes, _ := gobCodec{}.Append(nil, &world)
 	if m.BytesSent() != int64(len(reqBytes)+len("hello")) {
 		t.Errorf("BytesSent = %d", m.BytesSent())
 	}
-	respBytes, _ := Encode("hello:world")
+	respBytes, _ := gobCodec{}.Append(nil, &hello)
 	if m.BytesReceived() != int64(len(respBytes)) {
 		t.Errorf("BytesReceived = %d", m.BytesReceived())
 	}
@@ -84,8 +67,8 @@ func TestInProcCountsBytes(t *testing.T) {
 	if m.Messages() != 1 {
 		t.Errorf("failed call counted: %d", m.Messages())
 	}
-	if info := p.WireInfo(); info.Codec != CodecGob || info.Compression {
-		t.Errorf("WireInfo = %+v, want plain gob", info)
+	if info := p.WireInfo(); info.Compression || !info.Trace {
+		t.Errorf("WireInfo = %+v, want uncompressed and traced", info)
 	}
 	p.Close()
 }
@@ -190,93 +173,130 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 // TestTCPNegotiation pins the handshake outcomes: a default dial against a
-// default server negotiates the preferred non-gob codec with compression,
-// and both sides expose the agreement through WireInfo.
+// default server turns every option on, and a refusal on either side
+// turns that option off — the connection still works either way.
 func TestTCPNegotiation(t *testing.T) {
-	reverse := reverseCodec{}
-	RegisterCodec(reverse)
-	srv, err := Serve("127.0.0.1:0", func(ctx context.Context, codec Codec, method string, body []byte) (any, error) {
-		var s string
-		if err := codec.Decode(body, &s); err != nil {
-			return nil, err
-		}
-		out := method + ":" + s
-		return &out, nil
-	})
+	cases := []struct {
+		name            string
+		scfg            ServeConfig
+		dcfg            DialConfig
+		compress, trace bool
+	}{
+		{"default", ServeConfig{}, DialConfig{}, true, true},
+		{"dialer withholds gzip", ServeConfig{}, DialConfig{NoCompress: true}, false, true},
+		{"server refuses gzip", ServeConfig{NoCompress: true}, DialConfig{}, false, true},
+		{"nothing", ServeConfig{NoTrace: true}, DialConfig{NoCompress: true}, false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := ServeWith("127.0.0.1:0", echoHandler, tc.scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			peer, err := DialWith("s1", srv.Addr(), &Metrics{}, tc.dcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Close()
+			if info := peer.WireInfo(); info.Compression != tc.compress || info.Trace != tc.trace {
+				t.Fatalf("WireInfo = %+v, want compression=%v trace=%v", info, tc.compress, tc.trace)
+			}
+			if got := echo(t, peer, "m", "payload"); got != "m:payload" {
+				t.Fatalf("resp = %q", got)
+			}
+		})
+	}
+}
+
+// TestTCPLegacyInterop: a legacy peer that refuses the hello (status 1, as
+// a server without the handshake answers an unknown method) or answers it
+// for another wire version fails the dial with an error naming the peer —
+// never a silent downgrade to some other framing.
+func TestTCPLegacyInterop(t *testing.T) {
+	cases := []struct {
+		name   string
+		status byte
+		reply  string
+	}{
+		{"legacy server", 1, "unknown method \"transport.hello\""},
+		{"other version", 0, "gob gzip trace"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				var deadline [8]byte
+				if _, err := readFrameReuse(r, nil); err != nil {
+					return
+				}
+				if _, err := io.ReadFull(r, deadline[:]); err != nil {
+					return
+				}
+				if _, err := readFrameReuse(r, nil); err != nil {
+					return
+				}
+				writeResponse(bufio.NewWriter(conn), tc.status, []byte(tc.reply))
+			}()
+			peer, err := Dial("legacy-src", ln.Addr().String(), &Metrics{})
+			if err == nil {
+				peer.Close()
+				t.Fatal("dial succeeded against a peer that cannot speak " + helloMagic)
+			}
+			if !strings.Contains(err.Error(), "legacy-src") {
+				t.Errorf("dial error does not name the peer: %v", err)
+			}
+			ln.Close()
+			<-done
+		})
+	}
+}
+
+// TestTCPForeignHelloClosesConn: a dialer of another wire version gets a
+// status-1 refusal and then the connection closes, so whatever it sends
+// next fails at once instead of call by call.
+func TestTCPForeignHelloClosesConn(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	peer, err := DialWith("s1", srv.Addr(), &Metrics{}, DialConfig{Codec: reverse.Name()})
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer peer.Close()
-	if info := peer.WireInfo(); info.Codec != reverse.Name() || !info.Compression {
-		t.Fatalf("WireInfo = %+v, want %s with compression", info, reverse.Name())
-	}
-	if got := echo(t, peer, "m", "payload"); got != "m:payload" {
-		t.Fatalf("resp = %q", got)
-	}
-
-	// Unknown forced codec must fail the dial, not silently fall back.
-	if _, err := DialWith("s1", srv.Addr(), &Metrics{}, DialConfig{Codec: "no-such-codec/9"}); err == nil {
-		t.Fatal("dial with unknown codec should error")
-	}
-
-	// NoCompress on either side disables compression but keeps the codec.
-	plain, err := DialWith("s1", srv.Addr(), &Metrics{}, DialConfig{NoCompress: true})
-	if err != nil {
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	w := bufio.NewWriter(conn)
+	writeFrame(w, []byte(MethodHello))
+	w.Write(make([]byte, 8)) // no deadline
+	writeFrame(w, []byte("dits-hello/1 gob gzip,trace"))
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
-	if info := plain.WireInfo(); info.Compression {
-		t.Fatalf("NoCompress dial negotiated compression: %+v", info)
+	r := bufio.NewReader(conn)
+	status, err := r.ReadByte()
+	if err != nil || status != 1 {
+		t.Fatalf("hello reply status = %d, %v; want 1", status, err)
 	}
-}
-
-// TestTCPLegacyInterop pins the gob fallback in both directions: a modern
-// dialer against a server that predates the handshake (NoNegotiate) and a
-// legacy dialer (NoNegotiate) against a modern server both land on plain
-// gob and still exchange requests.
-func TestTCPLegacyInterop(t *testing.T) {
-	t.Run("legacy server", func(t *testing.T) {
-		srv, err := ServeWith("127.0.0.1:0", echoHandler, ServeConfig{NoNegotiate: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		peer, err := Dial("s1", srv.Addr(), &Metrics{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer peer.Close()
-		if info := peer.WireInfo(); info.Codec != CodecGob || info.Compression {
-			t.Fatalf("WireInfo = %+v, want plain gob fallback", info)
-		}
-		if got := echo(t, peer, "m", "x"); got != "m:x" {
-			t.Fatalf("resp = %q", got)
-		}
-	})
-	t.Run("legacy dialer", func(t *testing.T) {
-		srv, err := Serve("127.0.0.1:0", echoHandler)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		peer, err := DialWith("s1", srv.Addr(), &Metrics{}, DialConfig{NoNegotiate: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer peer.Close()
-		if info := peer.WireInfo(); info.Codec != CodecGob || info.Compression {
-			t.Fatalf("WireInfo = %+v, want plain gob", info)
-		}
-		if got := echo(t, peer, "m", "x"); got != "m:x" {
-			t.Fatalf("resp = %q", got)
-		}
-	})
+	if _, err := readFrameReuse(r, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadByte(); err != io.EOF {
+		t.Fatalf("after the refusal read = %v, want EOF", err)
+	}
 }
 
 // TestTCPCompressionRoundTrip ships a payload far above compressMin and
@@ -425,29 +445,24 @@ func TestTCPServerClosedRejects(t *testing.T) {
 	peer.Close()
 }
 
-// reverseCodec is a registrable toy codec for negotiation tests: gob with
-// every payload byte-reversed, so accidental gob fallback is detectable.
-type reverseCodec struct{}
+// gobCodec is the wire codec of this package's tests: the federation
+// package installs the real one, which transport cannot import.
+type gobCodec struct{}
 
-func (reverseCodec) Name() string { return "test-reverse/1" }
+func init() { SetCodec(gobCodec{}) }
 
-func (reverseCodec) Append(dst []byte, v any) ([]byte, error) {
-	start := len(dst)
-	out, err := GobCodec.Append(dst, v)
-	if err != nil {
-		return dst, err
+func (gobCodec) Append(dst []byte, v any) ([]byte, error) {
+	if v == nil {
+		return dst, nil
 	}
-	tail := out[start:]
-	for i, j := 0, len(tail)-1; i < j; i, j = i+1, j-1 {
-		tail[i], tail[j] = tail[j], tail[i]
-	}
-	return out, nil
+	buf := bytes.NewBuffer(dst)
+	err := gob.NewEncoder(buf).Encode(v)
+	return buf.Bytes(), err
 }
 
-func (reverseCodec) Decode(data []byte, v any) error {
-	rev := make([]byte, len(data))
-	for i, b := range data {
-		rev[len(data)-1-i] = b
+func (gobCodec) Decode(data []byte, v any) error {
+	if v == nil {
+		return nil
 	}
-	return GobCodec.Decode(rev, v)
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
