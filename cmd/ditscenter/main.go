@@ -1,9 +1,10 @@
 // Command ditscenter runs one federation center of a sharded cluster: it
 // serves the cluster protocol (cluster.info, cluster.register/unregister,
-// cluster.overlap/batch/forward, cluster.put/delete) over TCP, dials the
-// sources a gateway assigns to its shard, answers OJSP scatter/gather
-// queries over exactly those sources, and relays the gateway's CJSP
-// session rounds to them (cluster.forward).
+// cluster.forward) over TCP, dials the sources a gateway assigns to its
+// shard, and relays the gateway's calls to them over those connections.
+// It runs no query of its own — pruning, clipping, the failure policy,
+// the result cache and the merge all live in the gateway — so it needs no
+// grid and no query options.
 //
 // With -memberlog the accepted membership is persisted through the same
 // torn-tail-tolerant framed log the ingest WAL uses: a restarted center
@@ -14,14 +15,12 @@
 //
 // Usage:
 //
-//	ditsserve -source data/Transit.gob -addr 127.0.0.1:7101 -bounds=-180,-90,180,90 -theta 12
-//	ditscenter -addr 127.0.0.1:7201 -name center-a \
-//	           -bounds=-180,-90,180,90 -theta 12 -memberlog state/center-a/members.log
+//	ditscenter -addr 127.0.0.1:7201 -name center-a -memberlog state/center-a/members.log
 //	ditsgate -addr 127.0.0.1:8080 -cluster center-a=127.0.0.1:7201,center-b=127.0.0.1:7202 \
 //	         -cluster-sources Transit=127.0.0.1:7101 -bounds=-180,-90,180,90 -theta 12
 //
-// -bounds and -theta must match the sources and the gateway: the grid
-// derived from them defines the cell IDs the whole federation shares.
+// The sources are ditsserve processes started exactly as for a
+// single-center gateway; the gateway and the sources share the grid.
 package main
 
 import (
@@ -31,12 +30,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"dits/internal/cache"
 	"dits/internal/federation"
 	"dits/internal/geo"
 	"dits/internal/metrics"
@@ -47,17 +44,9 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
 	name := flag.String("name", "", "this center's cluster name (required; the gateway addresses shards by it)")
-	theta := flag.Int("theta", 12, "grid resolution θ (must match the federation)")
-	boundsFlag := flag.String("bounds", "", "shared world bounds minX,minY,maxX,maxY (required; must match the sources)")
 	memberLog := flag.String("memberlog", "", "membership log path; empty = membership is lost on restart")
 	fsyncFlag := flag.Bool("fsync", true, "flush every membership append before acknowledging it")
 	poolSize := flag.Int("pool", 8, "TCP connections per source")
-	cacheSize := flag.Int("cache", 4096, "result cache capacity in entries (0 disables)")
-	workers := flag.Int("workers", 0, "worker pool for batch prep and merge (0 = GOMAXPROCS)")
-	noFilter := flag.Bool("no-filter", false, "disable DITS-G candidate filtering")
-	noClip := flag.Bool("no-clip", false, "disable per-source query clipping")
-	stateless := flag.Bool("stateless", false, "disable the CJSP session protocol (ship full state every round)")
-	tolerant := flag.Bool("tolerant", false, "skip failed sources mid-query instead of failing the query")
 	logFile := flag.String("log-file", "", "append operational logs to this file instead of stderr")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text exposition, pprof, and /debug/traces at this address (empty = off)")
@@ -73,20 +62,9 @@ func main() {
 	if *name == "" {
 		fail(fmt.Errorf("-name is required (the cluster addresses shards by center name)"))
 	}
-	if *boundsFlag == "" {
-		fail(fmt.Errorf("-bounds is required and must match the sources' -bounds"))
-	}
-	bounds, err := parseBounds(*boundsFlag)
-	if err != nil {
-		fail(err)
-	}
-
-	opts := federation.Options{GlobalFilter: !*noFilter, ClipQuery: !*noClip, Sessions: !*stateless, Workers: *workers}
-	if *tolerant {
-		opts.OnSourceError = federation.SkipFailed
-	}
-	center := federation.NewCenter(geo.NewGrid(*theta, bounds), opts)
-	center.SetCache(cache.New(*cacheSize))
+	// The center is the shard's roster; it answers no query, so its grid
+	// and options go unused.
+	center := federation.NewCenter(geo.Grid{}, federation.Options{})
 
 	cs, err := federation.NewCenterServer(*name, center, federation.CenterServerOptions{
 		MemberLog: *memberLog,
@@ -130,32 +108,12 @@ func main() {
 	defer ts.Close()
 	logger.Info("center serving",
 		"center", *name, "sources", center.NumSources(), "addr", ts.Addr(),
-		"memberlog", *memberLog, "cache", *cacheSize)
+		"memberlog", *memberLog)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	logger.Info("shutting down")
-}
-
-func parseBounds(s string) (geo.Rect, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return geo.Rect{}, fmt.Errorf("bounds must be minX,minY,maxX,maxY, got %q", s)
-	}
-	vals := make([]float64, 4)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return geo.Rect{}, fmt.Errorf("bad bounds component %q: %w", p, err)
-		}
-		vals[i] = v
-	}
-	r := geo.Rect{MinX: vals[0], MinY: vals[1], MaxX: vals[2], MaxY: vals[3]}
-	if r.IsEmpty() {
-		return geo.Rect{}, fmt.Errorf("bounds %q are empty", s)
-	}
-	return r, nil
 }
 
 func fail(err error) {

@@ -16,13 +16,15 @@
 //	     -d '{"points":[[116.3,39.9],[116.4,39.95]],"k":5}'
 //
 // With -cluster the gateway fronts a sharded plane of ditscenter
-// processes instead of one built-in center: the -cluster-sources roster is
-// partitioned across the centers by consistent hash, queries scatter to
-// every healthy center and merge at the gateway (byte-identical to the
-// single-center answers), and a center that stops answering is failed over
-// — its shard re-homes onto the survivors. A source listed with
-// `Name=primary+replica` addresses is served through its replica when the
-// primary dies.
+// processes instead of dialing the sources itself: the -cluster-sources
+// roster is partitioned across the centers by consistent hash, the
+// gateway still runs every query and mutation (so -cache, -workers,
+// -no-filter, -no-clip and -tolerant apply in both modes, and answers are
+// byte-identical to the single-center ones), and each source call is
+// relayed by the source's owner center. A center that stops answering is
+// failed over — its shard re-homes onto the survivors. A source listed
+// with `Name=primary+replica` addresses is served through its replica when
+// the primary dies.
 //
 // -bounds and -theta must match the values the ditsserve sources were
 // started with: the grid derived from them defines the cell IDs the whole
@@ -64,7 +66,7 @@ func main() {
 	noFilter := flag.Bool("no-filter", false, "disable DITS-G candidate filtering")
 	noClip := flag.Bool("no-clip", false, "disable per-source query clipping")
 	tolerant := flag.Bool("tolerant", false, "skip failed sources mid-query instead of failing the query")
-	workers := flag.Int("workers", 0, "center-side worker pool for POST /search/batch prep and merge (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker pool for POST /search/batch prep and merge (0 = GOMAXPROCS)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client request rate limit in req/s (0 disables)")
 	burst := flag.Int("burst", 0, "per-client burst size (0 = ceil(rate-limit))")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently executing requests (0 = unbounded)")
@@ -116,6 +118,10 @@ func main() {
 		Logger:         logger,
 	}
 
+	opts := federation.Options{GlobalFilter: !*noFilter, ClipQuery: !*noClip, Sessions: true, Workers: *workers}
+	if *tolerant {
+		opts.OnSourceError = federation.SkipFailed
+	}
 	var gw *gateway.Gateway
 	var describe string
 	if *clusterFlag != "" {
@@ -123,6 +129,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+		cluster.SetOptions(opts)
+		cluster.SetCache(cache.New(*cacheSize))
 		defer cluster.Close()
 		if *healthInterval > 0 {
 			go func() {
@@ -142,10 +150,6 @@ func main() {
 		st := cluster.Stats()
 		describe = fmt.Sprintf("%d sources sharded over %d centers", cluster.NumSources(), st.Centers)
 	} else {
-		opts := federation.Options{GlobalFilter: !*noFilter, ClipQuery: !*noClip, Sessions: true, Workers: *workers}
-		if *tolerant {
-			opts.OnSourceError = federation.SkipFailed
-		}
 		center := federation.NewCenter(grid, opts)
 		center.SetCache(cache.New(*cacheSize))
 		for _, a := range strings.Split(*remote, ",") {

@@ -8,7 +8,9 @@
 //
 //   - every exported Method* constant in internal/federation (the
 //     federation RPC methods) must have its wire name documented in
-//     docs/PROTOCOL.md;
+//     docs/PROTOCOL.md — and, the other way round, every backticked name
+//     in the first column of a PROTOCOL.md method table must be the value
+//     of such a constant, so a removed method cannot linger in the tables;
 //   - every flag registered by a command under cmd/ must appear, as
 //     "-name", in README.md or one of the docs/*.md files — and, the
 //     other way round, every backticked `-name` in README.md's "Command
@@ -57,7 +59,9 @@ func main() {
 	var missing []string
 
 	methods := methodConstants(filepath.Join(*root, "internal", "federation"))
+	isMethod := map[string]bool{}
 	for _, m := range methods {
+		isMethod[m.value] = true
 		if *verbose {
 			fmt.Printf("method %-18s = %q\n", m.name, m.value)
 		}
@@ -68,6 +72,16 @@ func main() {
 	}
 	if len(methods) == 0 {
 		missing = append(missing, "found no Method* constants in internal/federation (checker broken?)")
+	}
+	tabled := tableMethods(protocol)
+	for _, name := range tabled {
+		if !isMethod[name] {
+			missing = append(missing,
+				fmt.Sprintf("docs/PROTOCOL.md's method tables list %q, which is no Method* constant in internal/federation", name))
+		}
+	}
+	if len(tabled) == 0 {
+		missing = append(missing, "found no method tables in docs/PROTOCOL.md (checker broken?)")
 	}
 
 	flags := cmdFlags(filepath.Join(*root, "cmd"))
@@ -262,6 +276,35 @@ func methodConstants(dir string) []method {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// backticked matches one backticked name.
+var backticked = regexp.MustCompile("`([^`]+)`")
+
+// tableMethods returns the backticked names in the first column of every
+// method table of the protocol document: a Markdown table whose header's
+// first cell is "method".
+func tableMethods(doc string) []string {
+	var out []string
+	inTable := false
+	for _, line := range strings.Split(doc, "\n") {
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 3 {
+			inTable = false
+			continue
+		}
+		first := strings.TrimSpace(cells[1])
+		if first == "method" {
+			inTable = true
+			continue
+		}
+		if inTable {
+			for _, m := range backticked.FindAllStringSubmatch(first, -1) {
+				out = append(out, m[1])
+			}
+		}
+	}
 	return out
 }
 

@@ -3,22 +3,18 @@ package federation
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"dits/internal/cache"
 	"dits/internal/cellset"
-	"dits/internal/transport"
 )
 
 // BatchQuery is one OJSP query of a batched federated search: its cell
-// set and its own k — the shape a source receives, so a cluster.batch
-// ships the caller's batch as it is.
+// set and its own k — the shape a source receives in a search.batch.
 type BatchQuery = OverlapRequest
 
 // centerWorkers resolves the center-side pool size for batched execution.
@@ -54,12 +50,8 @@ type subEntry struct {
 // of the result aligns with queries[i], and each entry is identical to
 // what OverlapSearch(queries[i].Cells, queries[i].K) returns — the batch
 // shares the same result cache, so mixed single/batched traffic
-// deduplicates.
-//
-// A source that predates MethodSearchBatch (its handler rejects the
-// method as unknown) is transparently retried query-by-query over
-// MethodOverlap on the same connection; other failures follow
-// Options.OnSourceError like every federated query.
+// deduplicates. A failed source follows Options.OnSourceError like every
+// federated query.
 func (c *Center) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) ([][]SourceResult, error) {
 	out := make([][]SourceResult, len(queries))
 	if len(queries) == 0 {
@@ -112,30 +104,35 @@ func (c *Center) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) (
 		return cmp.Compare(a.summary.Name, b.summary.Name)
 	})
 
-	// Phase 3: one exchange per source (per-query fallback for sources
-	// that don't speak search.batch), each on its own goroutine.
-	answers, errs := fanOut(contact, func(m *member) ([]OverlapResponse, error) {
-		return c.callSearchBatch(ctx, m, sub[m], queries)
-	})
-	if err := c.resolve(contact, errs, nil); err != nil {
+	// Phase 3: one search.batch per source, in one fan-out.
+	calls := make([]memberCall, len(contact))
+	for i, m := range contact {
+		req := &SearchBatchRequest{Queries: make([]OverlapRequest, len(sub[m]))}
+		for j, e := range sub[m] {
+			req.Queries[j] = OverlapRequest{Cells: e.clip, K: queries[e.qi].K}
+		}
+		calls[i] = memberCall{m: m, method: MethodSearchBatch, req: req, resp: new(SearchBatchResponse)}
+	}
+	errs := c.callMembers(ctx, calls)
+	for i, call := range calls {
+		if n := len(call.resp.(*SearchBatchResponse).Results); errs[i] == nil && n != len(sub[call.m]) {
+			errs[i] = fmt.Errorf("federation: search.batch at %s: %d answers for %d queries", call.m.summary.Name, n, len(sub[call.m]))
+		}
+	}
+	if err := c.resolve(calls, errs, nil); err != nil {
 		return nil, err
 	}
 
 	// Phase 4: merge per query; queries touched by a failed source are
 	// degraded and never cached (the source may recover).
 	degraded := make([]bool, len(queries))
-	for i, resps := range answers {
-		if errs[i] != nil {
-			for _, e := range sub[contact[i]] {
+	for i, call := range calls {
+		for j, e := range sub[call.m] {
+			if errs[i] != nil {
 				degraded[e.qi] = true
+				continue
 			}
-			continue
-		}
-		name := contact[i].summary.Name
-		for j, e := range sub[contact[i]] {
-			for _, r := range resps[j].Results {
-				out[e.qi] = append(out[e.qi], SourceResult{Source: name, ID: r.ID, Name: r.Name, Overlap: r.Overlap})
-			}
+			out[e.qi] = appendResults(out[e.qi], call.m.summary.Name, &call.resp.(*SearchBatchResponse).Results[j])
 		}
 	}
 	for i := range out {
@@ -184,52 +181,6 @@ func (c *Center) prepQuery(ep *epochSnap, rc *cache.Cache, q BatchQuery, slot *[
 		p.clips = append(p.clips, clip)
 	}
 	return p
-}
-
-// callSearchBatch performs one source's batched exchange, falling back to
-// query-at-a-time MethodOverlap calls when the source predates the batch
-// method. It runs inside the source's fan-out goroutine, preserving the
-// one-goroutine-per-peer invariant. The returned slice aligns with
-// entries.
-func (c *Center) callSearchBatch(ctx context.Context, m *member, entries []subEntry, queries []BatchQuery) ([]OverlapResponse, error) {
-	req := SearchBatchRequest{Queries: make([]OverlapRequest, len(entries))}
-	for i, e := range entries {
-		req.Queries[i] = OverlapRequest{Cells: e.clip, K: queries[e.qi].K}
-	}
-	var resp SearchBatchResponse
-	err := m.peer.Call(ctx, MethodSearchBatch, &req, &resp)
-	if isUnknownMethod(err) {
-		return c.perQueryFallback(ctx, m, entries, queries)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("federation: search batch at %s: %w", m.summary.Name, err)
-	}
-	if len(resp.Results) != len(entries) {
-		return nil, fmt.Errorf("federation: search batch at %s: %d answers for %d queries",
-			m.summary.Name, len(resp.Results), len(entries))
-	}
-	return resp.Results, nil
-}
-
-// perQueryFallback answers a sub-batch one MethodOverlap call at a time —
-// the compatibility path for sources that do not implement
-// MethodSearchBatch.
-func (c *Center) perQueryFallback(ctx context.Context, m *member, entries []subEntry, queries []BatchQuery) ([]OverlapResponse, error) {
-	resps := make([]OverlapResponse, len(entries))
-	for i, e := range entries {
-		req := OverlapRequest{Cells: e.clip, K: queries[e.qi].K}
-		if err := m.peer.Call(ctx, MethodOverlap, &req, &resps[i]); err != nil {
-			return nil, fmt.Errorf("federation: overlap at %s: %w", m.summary.Name, err)
-		}
-	}
-	return resps, nil
-}
-
-// isUnknownMethod reports whether err is a source rejecting an RPC method
-// it does not implement — the signal for protocol-version fallback.
-func isUnknownMethod(err error) bool {
-	var re *transport.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "unknown method")
 }
 
 // topK ranks federated overlap results the canonical way — overlap

@@ -145,48 +145,6 @@ func TestOverlapSearchBatchRoundTrips(t *testing.T) {
 	}
 }
 
-// legacyPeer wraps a peer and rejects MethodSearchBatch the way a source
-// predating the method would, so the center's fallback path is exercised
-// over a realistic error.
-type legacyPeer struct {
-	transport.Peer
-}
-
-func (p *legacyPeer) Call(ctx context.Context, method string, req, resp any) error {
-	if method == MethodSearchBatch {
-		return &transport.RemoteError{Source: "legacy", Msg: `federation: unknown method "search.batch"`}
-	}
-	return p.Peer.Call(ctx, method, req, resp)
-}
-
-// TestOverlapSearchBatchLegacyFallback: a source rejecting search.batch is
-// transparently served query-by-query, with identical results.
-func TestOverlapSearchBatchLegacyFallback(t *testing.T) {
-	f := newTestFederation(t, Options{GlobalFilter: true, ClipQuery: true})
-	// Re-register the first source behind a method-rejecting peer.
-	legacy := f.servers[0]
-	f.center.Register(legacy.Summary(), &legacyPeer{Peer: &transport.InProc{
-		Name: legacy.Name, Handler: legacy.Handler(), Metrics: f.center.Metrics,
-	}})
-	qs := batchTestQueries(t, f, 6)
-	got, err := f.center.OverlapSearchBatch(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range qs {
-		want, err := f.center.OverlapSearch(context.Background(), q.Cells, q.K)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("query %d diverged under legacy fallback", i)
-		}
-	}
-	if calls := f.center.Metrics.PerMethod()[MethodOverlap].Calls; calls == 0 {
-		t.Fatal("legacy source was never served over overlap.search")
-	}
-}
-
 // failingBatchPeer fails every call once armed.
 type failingBatchPeer struct {
 	transport.Peer

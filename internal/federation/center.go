@@ -117,8 +117,8 @@ type Center struct {
 	// and are dropped; notes merely racing an unrelated epoch swap pass.
 	regGen map[string]uint64
 
-	// relay, when set, performs the session engine's member calls in place
-	// of the members' own peers: a cluster gateway's view registers its
+	// relay, when set, performs every member call (callMembers) in place of
+	// the members' own peers: a cluster gateway's view registers its
 	// sources without connections and reaches them through their owner
 	// centers (Cluster.relay).
 	relay func(ctx context.Context, calls []memberCall) []error
@@ -452,35 +452,26 @@ func (c *Center) OverlapSearch(ctx context.Context, queryCells cellset.Set, k in
 		}
 	}
 	// Fan out to candidate sources in parallel: sources are independent
-	// machines, so their local searches overlap in time. Each peer is
-	// driven by exactly one goroutine.
-	outs, errs := fanOut(members, func(m *member) ([]SourceResult, error) {
-		cells := c.clipFor(m, queryCells, 0)
-		if cells.IsEmpty() {
-			return nil, nil
+	// machines, so their local searches overlap in time.
+	var calls []memberCall
+	for _, m := range members {
+		if cells := c.clipFor(m, queryCells, 0); !cells.IsEmpty() {
+			calls = append(calls, memberCall{m: m, method: MethodOverlap,
+				req: &OverlapRequest{Cells: cells, K: k}, resp: new(OverlapResponse)})
 		}
-		req := OverlapRequest{Cells: cells, K: k}
-		var resp OverlapResponse
-		if err := m.peer.Call(ctx, MethodOverlap, &req, &resp); err != nil {
-			return nil, fmt.Errorf("federation: overlap at %s: %w", m.summary.Name, err)
-		}
-		rs := make([]SourceResult, len(resp.Results))
-		for i, r := range resp.Results {
-			rs[i] = SourceResult{Source: m.summary.Name, ID: r.ID, Name: r.Name, Overlap: r.Overlap}
-		}
-		return rs, nil
-	})
-	if err := c.resolve(members, errs, nil); err != nil {
+	}
+	errs := c.callMembers(ctx, calls)
+	if err := c.resolve(calls, errs, nil); err != nil {
 		return nil, err
 	}
 	degraded := false
 	var all []SourceResult
-	for i, rs := range outs {
+	for i, call := range calls {
 		if errs[i] != nil {
 			degraded = true
 			continue
 		}
-		all = append(all, rs...)
+		all = appendResults(all, call.m.summary.Name, call.resp.(*OverlapResponse))
 	}
 	all = topK(all, k) // aggregate: global top-k, deterministic tie-break
 	if rc != nil && !degraded {
@@ -490,6 +481,14 @@ func (c *Center) OverlapSearch(ctx context.Context, queryCells cellset.Set, k in
 		rc.Put(key, append([]SourceResult(nil), all...))
 	}
 	return all, nil
+}
+
+// appendResults appends one source's local top-k as federated results.
+func appendResults(dst []SourceResult, source string, resp *OverlapResponse) []SourceResult {
+	for _, r := range resp.Results {
+		dst = append(dst, SourceResult{Source: source, ID: r.ID, Name: r.Name, Overlap: r.Overlap})
+	}
+	return dst
 }
 
 // CoverageResult is the outcome of a federated CJSP search.
@@ -581,38 +580,26 @@ func (c *Center) coverageStateless(ctx context.Context, ep *epochSnap, queryCell
 		members = slices.DeleteFunc(slices.Clone(members), func(m *member) bool {
 			return failed[m.summary.Name]
 		})
-		offers, errs := fanOut(members, func(m *member) (*offer, error) {
-			cells := c.clipFor(m, merged, delta+1)
-			if cells.IsEmpty() {
-				return nil, nil
+		var calls []memberCall
+		for _, m := range members {
+			if cells := c.clipFor(m, merged, delta+1); !cells.IsEmpty() {
+				req := &CoverageRequest{Merged: cells, Delta: delta, Exclude: excluded[m.summary.Name]}
+				calls = append(calls, memberCall{m: m, method: MethodCoverage, req: req, resp: new(CoverageCandidate)})
 			}
-			req := CoverageRequest{
-				Merged:  cells,
-				Delta:   delta,
-				Exclude: excluded[m.summary.Name],
-			}
-			var cand CoverageCandidate
-			if err := m.peer.Call(rctx, MethodCoverage, &req, &cand); err != nil {
-				return nil, fmt.Errorf("federation: coverage at %s: %w", m.summary.Name, err)
-			}
-			if !cand.Found {
-				return nil, nil
-			}
-			return &offer{src: m.summary.Name, cand: cand}, nil
-		})
-		if err := c.resolve(members, errs, func(i int) {
-			failed[members[i].summary.Name] = true
+		}
+		errs := c.callMembers(rctx, calls)
+		if err := c.resolve(calls, errs, func(i int) {
+			failed[calls[i].m.summary.Name] = true
 		}); err != nil {
 			rsp.EndErr(err)
 			return res, len(failed) > 0, err
 		}
 		var best *offer
-		for i, o := range offers {
-			if o == nil || errs[i] != nil {
-				continue
-			}
-			if best == nil || betterOffer(*o, *best) {
-				best = o
+		for i, call := range calls {
+			if cand := call.resp.(*CoverageCandidate); errs[i] == nil && cand.Found {
+				if o := (offer{src: call.m.summary.Name, cand: *cand}); best == nil || betterOffer(o, *best) {
+					best = &o
+				}
 			}
 		}
 		rsp.End()
@@ -675,7 +662,6 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 	// it is not — and records every answer as that source's current offer.
 	var ask func(rctx context.Context, members []*member) error
 	ask = func(rctx context.Context, members []*member) error {
-		var contact []*member
 		var calls []memberCall
 		for _, m := range members {
 			name := m.summary.Name
@@ -693,22 +679,22 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 					continue // nothing of the merged state near this source yet
 				}
 			}
-			contact = append(contact, m)
 			calls = append(calls, memberCall{m: m, method: MethodCoverageRound, req: req, resp: new(CoverageRoundResponse)})
 		}
 		errs := c.callMembers(rctx, calls)
-		if err := c.resolve(contact, errs, func(i int) {
-			st := states[contact[i].summary.Name]
+		if err := c.resolve(calls, errs, func(i int) {
+			st := states[calls[i].m.summary.Name]
 			st.failed, st.open = true, false
 		}); err != nil {
 			return err
 		}
 		var missed []*member
-		for i, m := range contact {
+		for i, call := range calls {
 			if errs[i] != nil {
 				continue
 			}
-			st, out := states[m.summary.Name], calls[i].resp.(*CoverageRoundResponse)
+			m := call.m
+			st, out := states[m.summary.Name], call.resp.(*CoverageRoundResponse)
 			if out.SessionMiss {
 				// Stateless fallback: the source evicted the session; ask it
 				// again with the full clipped state, which re-opens it.
@@ -849,8 +835,8 @@ rounds:
 	return res, anyFailed(), nil
 }
 
-// memberCall is one session-protocol exchange with one member: resp (nil
-// to discard the answer) receives the member's reply to req.
+// memberCall is one exchange with one member: resp (nil to discard the
+// answer) receives the member's reply to req.
 type memberCall struct {
 	m         *member
 	method    string
@@ -858,9 +844,14 @@ type memberCall struct {
 }
 
 // callMembers performs a fan-out's calls and returns their errors in call
-// order. It is the session engine's only way to a source: by default one
-// goroutine per member on the member's own peer, through relay when set.
+// order. It is the center's only way to a member — every query class and
+// every mutation goes through it: by default one goroutine per call on the
+// member's own peer (so each peer is driven by exactly one goroutine per
+// fan-out), through relay when set.
 func (c *Center) callMembers(ctx context.Context, calls []memberCall) []error {
+	if len(calls) == 0 {
+		return nil
+	}
 	var errs []error
 	if c.relay != nil {
 		errs = c.relay(ctx, calls)
@@ -952,8 +943,8 @@ func (c *Center) mutate(ctx context.Context, source string, id int, method strin
 		return MutateResult{}, fmt.Errorf("%w: %q", ErrUnknownSource, source)
 	}
 	var resp MutateResponse
-	if err := m.peer.Call(ctx, method, req, &resp); err != nil {
-		return MutateResult{}, fmt.Errorf("federation: %s at %s: %w", method, source, err)
+	if err := c.callMembers(ctx, []memberCall{{m: m, method: method, req: req, resp: &resp}})[0]; err != nil {
+		return MutateResult{}, err
 	}
 	res := MutateResult{Source: source, ID: id, MutateResponse: resp}
 	if method == MethodDatasetDelete && !resp.Found {

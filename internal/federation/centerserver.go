@@ -11,16 +11,21 @@ import (
 	"dits/internal/transport"
 )
 
-// CenterServer exposes one Center to the cluster plane: it serves the
-// cluster.* protocol (ditscenter), dials sources on the gateway's behalf,
-// and persists every accepted Register/Unregister in a membership log so a
-// restarted center re-adopts its shard without operator involvement.
+// CenterServer is one center of the cluster plane (ditscenter): it holds
+// its shard's source connections and relays the gateway's calls over them
+// (cluster.forward), and persists every accepted Register/Unregister in a
+// membership log so a restarted center re-adopts its shard without operator
+// involvement. It runs no query of its own: the gateway prunes, clips,
+// applies the failure policy and merges for every query class.
 //
 // The server is safe for concurrent use: membership RPCs serialize under
-// its mutex (and through it, log appends), while query RPCs go straight to
-// the Center's lock-free epoch snapshots.
+// its mutex (and through it, log appends), while relayed calls go straight
+// to the roster's lock-free epoch snapshots.
 type CenterServer struct {
-	name   string
+	name string
+	// center is the shard's roster: each source's connection, root summary
+	// and last relayed data version (what cluster.info reports), and the
+	// metrics of the source pools.
 	center *Center
 	dial   func(addr string) (transport.Peer, error)
 
@@ -45,7 +50,9 @@ type CenterServerOptions struct {
 	PoolSize int
 }
 
-// NewCenterServer wraps a center for cluster serving. With a membership
+// NewCenterServer serves the cluster protocol with center as the shard's
+// roster (its Metrics observe the source pools the default dialer opens;
+// its Options and cache go unused). With a membership
 // log, the logged roster is replayed and re-registered immediately: a
 // member whose source cannot be reached right now is skipped (and listed
 // by Skipped) rather than failing the boot — the gateway's health plane
@@ -91,7 +98,7 @@ func NewCenterServer(name string, center *Center, opts CenterServerOptions) (*Ce
 // Name returns the center's cluster name.
 func (cs *CenterServer) Name() string { return cs.name }
 
-// Center returns the wrapped center.
+// Center returns the roster center.
 func (cs *CenterServer) Center() *Center { return cs.center }
 
 // Skipped returns the names of logged members that could not be re-dialed
@@ -129,10 +136,20 @@ func (cs *CenterServer) connect(ev MemberEvent) (transport.Peer, error) {
 // returns the summary the source reported. The caller appends to the
 // membership log (adopt is also the boot-replay path, which must not
 // re-append). Callers serialize via cs.mu except during construction.
+//
+// The roster is seeded with the source's data version, asked before its
+// summary so the summary is at least that new: a center adopting a source
+// on failover then reports a version the gateway has not seen yet, and
+// cluster.info repairs an acknowledgement its previous owner lost.
 func (cs *CenterServer) adopt(ctx context.Context, ev MemberEvent) (dits.SourceSummary, error) {
 	peer, err := cs.connect(ev)
 	if err != nil {
 		return dits.SourceSummary{}, err
+	}
+	var ver VersionResponse
+	if err := peer.Call(ctx, MethodSourceVersion, nil, &ver); err != nil {
+		peer.Close()
+		return dits.SourceSummary{}, fmt.Errorf("federation: fetch version: %w", err)
 	}
 	summary, err := cs.center.RegisterRemote(ctx, peer)
 	if err != nil {
@@ -144,6 +161,7 @@ func (cs *CenterServer) adopt(ctx context.Context, ev MemberEvent) (dits.SourceS
 		peer.Close()
 		return summary, fmt.Errorf("federation: source at %s calls itself %q, registered as %q", ev.Addr, summary.Name, ev.Name)
 	}
+	cs.center.noteMutation(cs.center.epoch.Load(), ev.Name, MutateResponse{Version: ver.Version, Summary: summary})
 	if old, ok := cs.peers[ev.Name]; ok {
 		old.Close()
 	}
@@ -183,15 +201,24 @@ func (cs *CenterServer) handleUnregister(req ClusterUnregisterRequest) error {
 }
 
 // forwardTypes returns fresh request and response values for a method the
-// relay accepts — the session protocol's three — and nil for any other.
+// relay accepts — every source method a query or mutation sends — and nil
+// for any other.
 func forwardTypes(method string) (req, resp any) {
 	switch method {
+	case MethodOverlap:
+		return new(OverlapRequest), new(OverlapResponse)
+	case MethodSearchBatch:
+		return new(SearchBatchRequest), new(SearchBatchResponse)
 	case MethodCoverageRound:
 		return new(CoverageRoundRequest), new(CoverageRoundResponse)
 	case MethodFetchCells:
 		return new(FetchCellsRequest), new(FetchCellsResponse)
 	case MethodSessionClose:
 		return new(SessionCloseRequest), new(SessionCloseResponse)
+	case MethodDatasetPut:
+		return new(DatasetPutRequest), new(MutateResponse)
+	case MethodDatasetDelete:
+		return new(DatasetDeleteRequest), new(MutateResponse)
 	}
 	return nil, nil
 }
@@ -207,13 +234,16 @@ func (cs *CenterServer) handleForward(ctx context.Context, req ClusterForwardReq
 
 // forwardOne performs one relayed call. Whatever goes wrong is that call's
 // reply, never the handler's error: it is the source's failure, for the
-// gateway's per-source policy, and must not look like a dead center.
+// gateway's per-source policy, and must not look like a dead center. A
+// relayed mutation's answer is noted into the roster, so cluster.info
+// reports it even if the reply is lost on the way back to the gateway.
 func (cs *CenterServer) forwardOne(ctx context.Context, call ForwardCall) ForwardReply {
 	req, resp := forwardTypes(call.Method)
 	if req == nil {
 		return ForwardReply{Err: fmt.Sprintf("federation: cluster.forward does not relay %q", call.Method)}
 	}
-	m, ok := cs.center.epoch.Load().members[call.Source]
+	ep := cs.center.epoch.Load()
+	m, ok := ep.members[call.Source]
 	if !ok {
 		return ForwardReply{Err: fmt.Sprintf("%v: %q", ErrUnknownSource, call.Source)}
 	}
@@ -227,21 +257,11 @@ func (cs *CenterServer) forwardOne(ctx context.Context, call ForwardCall) Forwar
 		}
 		return ForwardReply{Err: err.Error(), Transport: true}
 	}
+	if mr, ok := resp.(*MutateResponse); ok && (call.Method == MethodDatasetPut || mr.Found) {
+		cs.center.noteMutation(ep, call.Source, *mr)
+	}
 	body, _ := BinaryCodec.Append(nil, resp) // native encodings cannot fail
 	return ForwardReply{Body: body}
-}
-
-// mutateResponse maps a center mutation outcome onto the cluster wire,
-// folding ErrUnknownSource into the Unknown flag so the gateway can
-// distinguish a roster disagreement from a transport failure.
-func mutateResponse(res MutateResult, err error) (ClusterMutateResponse, error) {
-	if err != nil {
-		if errors.Is(err, ErrUnknownSource) {
-			return ClusterMutateResponse{Unknown: true}, nil
-		}
-		return ClusterMutateResponse{}, err
-	}
-	return ClusterMutateResponse{MutateResponse: res.MutateResponse}, nil
 }
 
 // serve decodes a request of type Req and answers it with fn — the shape of
@@ -274,27 +294,9 @@ func (cs *CenterServer) Handler() transport.Handler {
 				return nil, err
 			}
 			return nil, cs.handleUnregister(req)
-		case MethodClusterOverlap:
-			return serve(codec, body, func(req OverlapRequest) (ClusterOverlapResponse, error) {
-				rs, err := cs.center.OverlapSearch(ctx, req.Cells, req.K)
-				return ClusterOverlapResponse{Results: rs}, err
-			})
-		case MethodClusterBatch:
-			return serve(codec, body, func(req SearchBatchRequest) (ClusterBatchResponse, error) {
-				outs, err := cs.center.OverlapSearchBatch(ctx, req.Queries)
-				return ClusterBatchResponse{Results: outs}, err
-			})
 		case MethodClusterForward:
 			return serve(codec, body, func(req ClusterForwardRequest) (ClusterForwardResponse, error) {
 				return cs.handleForward(ctx, req), nil
-			})
-		case MethodClusterPut:
-			return serve(codec, body, func(req ClusterPutRequest) (ClusterMutateResponse, error) {
-				return mutateResponse(cs.center.PutDataset(ctx, req.Source, req.ID, req.Name, req.Cells))
-			})
-		case MethodClusterDelete:
-			return serve(codec, body, func(req ClusterDeleteRequest) (ClusterMutateResponse, error) {
-				return mutateResponse(cs.center.DeleteDataset(ctx, req.Source, req.ID))
 			})
 		default:
 			return nil, fmt.Errorf("federation: unknown method %q", method)

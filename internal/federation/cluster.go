@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dits/internal/cache"
 	"dits/internal/cellset"
 	"dits/internal/geo"
 	"dits/internal/index/dits"
@@ -18,13 +19,14 @@ import (
 )
 
 // Cluster is the gateway-side federation plane over N sharded centers:
-// sources are assigned to centers by consistent hash (ShardMap) and
-// mutations route to the center owning the source. The gateway holds its
-// own DITS-G over the sources' root summaries (view): an OJSP scatters only
-// to centers owning a candidate and gathers under the total order a single
-// center uses, and a CJSP is the one session engine over all the sources,
-// each reached through its owner's relay — so either answer is
-// byte-identical to what one center over all the sources would return.
+// sources are assigned to centers by consistent hash (ShardMap), and each
+// center holds its shard's source connections. The gateway runs the one
+// query engine (view, a Center over every source's root summary): every
+// query class and every mutation is pruned, clipped, policed and merged
+// there exactly as one center over all the sources would, and each
+// fan-out reaches the sources through their owners' relays
+// (cluster.forward) — so every answer is byte-identical to a single
+// center's.
 //
 // The plane is leaderless. The gateway health-checks centers (in-band on
 // every transport failure, plus the optional Probe loop); when a center
@@ -34,20 +36,20 @@ import (
 // never fail over past a live center that answered with an error — a
 // RemoteError means the center is healthy and the query genuinely failed.
 //
-// Concurrency: queries and mutations scatter under a read lock; failover
-// (mark down, rebuild ring, re-home the shard) runs under the write lock,
-// so no query can observe a half-re-homed topology — the merged answer is
-// always computed against a ring whose shards partition the full roster.
+// Concurrency: relayed fan-outs run under a read lock; failover (mark
+// down, rebuild ring, re-home the shard) runs under the write lock, so no
+// fan-out can observe a half-re-homed topology — every call goes to an
+// owner of a ring whose shards partition the full roster.
 type Cluster struct {
 	Grid geo.Grid
 	// Metrics observes the gateway→center exchanges (shared by the center
 	// peers' pools).
 	Metrics *transport.Metrics
 
-	// view is the gateway's DITS-G, kept exactly as a Center keeps its
-	// members — epoch snapshots, version-ordered mutation notes — by being
-	// one: every homed source is registered in it without a connection, and
-	// its session engine reaches them through relay. Lock order: mu, then
+	// view is the gateway's DITS-G and query engine, kept exactly as a
+	// Center keeps its members — epoch snapshots, version-ordered mutation
+	// notes — by being one: every homed source is registered in it without
+	// a connection, and it reaches them through relay. Lock order: mu, then
 	// the view's own.
 	view *Center
 
@@ -60,7 +62,6 @@ type Cluster struct {
 	gen       atomic.Uint64 // bumps when a completed failover publishes a new topology
 	failovers atomic.Int64  // centers marked down
 	rehomed   atomic.Int64  // sources re-registered by failovers
-	mutations atomic.Int64  // acknowledged mutations routed through the cluster
 }
 
 // ClusterSource is one roster entry: the source's stable name, its
@@ -112,6 +113,17 @@ func NewCluster(grid geo.Grid, centers map[string]transport.Peer) *Cluster {
 	cl.ring = NewShardMap(names)
 	return cl
 }
+
+// SetOptions configures the view's distribution strategies, failure policy
+// and batch pool, as Options configure a single center. Call it before the
+// cluster serves.
+func (cl *Cluster) SetOptions(opts Options) { cl.view.Options = opts }
+
+// SetCache installs the view's result cache (nil disables it).
+func (cl *Cluster) SetCache(rc *cache.Cache) { cl.view.SetCache(rc) }
+
+// Cache returns the view's result cache (nil when disabled).
+func (cl *Cluster) Cache() *cache.Cache { return cl.view.Cache() }
 
 // AddSource adds a roster entry and registers it at its ring owner. On a
 // transport failure the owner is failed over and registration retries at
@@ -284,7 +296,9 @@ rebuild:
 // dies between queries is detected before the next request pays for it.
 // Each answer's (summary, data version) pairs are folded into the view like
 // mutation acknowledgements, so an extent whose acknowledgement was lost is
-// stale for one probe interval at most.
+// stale for one probe interval at most — two when its owner failed over in
+// between, as the new owner is probed on the next pass (it seeds the
+// source's version at adoption, so its report is not dropped as stale).
 func (cl *Cluster) Probe(ctx context.Context) int {
 	cl.mu.RLock()
 	targets := cl.healthySnapshot()
@@ -305,19 +319,20 @@ func (cl *Cluster) Probe(ctx context.Context) int {
 	return downed
 }
 
-// scatter fans one exchange out to every healthy center and classifies the
-// outcome: transport-failed centers are failed over and the exchange
-// retried against the new topology (bounded by the center count); a
-// RemoteError aborts with that error. fn runs once per center, concurrent.
-func scatter[T any](ctx context.Context, cl *Cluster, fn func(ctx context.Context, c *clusterCenter) (T, error)) ([]T, error) {
+// scatter fans one exchange out to every healthy center: transport-failed
+// centers are failed over and the exchange retried against the new topology
+// (bounded by the center count); a RemoteError aborts with that error. fn
+// runs once per center, concurrently, under the read lock — so ownership
+// is the retried topology's after a failover.
+func (cl *Cluster) scatter(ctx context.Context, fn func(ctx context.Context, c *clusterCenter) error) error {
 	for range len(cl.centers) + 1 {
 		cl.mu.RLock()
 		targets := cl.healthySnapshot()
 		if len(targets) == 0 {
 			cl.mu.RUnlock()
-			return nil, ErrNoCenters
+			return ErrNoCenters
 		}
-		outs, errs := fanOut(targets, func(c *clusterCenter) (T, error) { return fn(ctx, c) })
+		_, errs := fanOut(targets, func(c *clusterCenter) (struct{}, error) { return struct{}{}, fn(ctx, c) })
 		cl.mu.RUnlock()
 		var dead []*clusterCenter
 		for i, err := range errs {
@@ -325,18 +340,18 @@ func scatter[T any](ctx context.Context, cl *Cluster, fn func(ctx context.Contex
 				continue
 			}
 			if !isTransportFailure(ctx, err) {
-				return nil, err
+				return err
 			}
 			dead = append(dead, targets[i])
 		}
 		if len(dead) == 0 {
-			return outs, nil
+			return nil
 		}
 		for _, c := range dead {
 			cl.failoverTraced(ctx, c)
 		}
 	}
-	return nil, ErrNoCenters
+	return ErrNoCenters
 }
 
 // failoverTraced runs failover under a failover.rehome span, so a traced
@@ -349,105 +364,20 @@ func (cl *Cluster) failoverTraced(ctx context.Context, dead *clusterCenter) {
 	sp.End()
 }
 
-// candidateSources returns the sources whose root MBR meets at least one of
-// the queries (§VI-A's first distribution strategy, on the gateway's own
-// DITS-G). A center owning none of them would conclude the same from its
-// own DITS-G after the round trip and answer an empty shard top-k.
-func (cl *Cluster) candidateSources(queries []BatchQuery) map[string]bool {
-	ep := cl.view.epoch.Load()
-	names := make(map[string]bool)
-	for _, q := range queries {
-		if qn, ok := cl.view.queryNode(q.Cells); ok && q.K > 0 {
-			for _, m := range cl.view.candidates(ep, qn, 0) {
-				names[m.summary.Name] = true
-			}
-		}
-	}
-	return names
-}
-
-// ownsAny reports whether the center owns one of the sources. The caller
-// holds a lock (scatter's callback runs under the read lock), so ownership
-// is the retried topology's after a failover.
-func (cl *Cluster) ownsAny(c *clusterCenter, sources map[string]bool) bool {
-	for name := range sources {
-		if cl.owner[name] == c {
-			return true
-		}
-	}
-	return false
-}
-
-// OverlapSearch answers the federated OJSP across the shards holding a
-// candidate source: scatter to their centers, merge the per-shard top-k
-// under the canonical total order, truncate to k. Identical to a single
-// center over all sources — the shards partition the sources, each shard's
-// top-k retains every result that can reach the global top-k, and
-// topK's is a total order, so the merge is deterministic down
-// to the byte.
+// OverlapSearch answers the federated OJSP: the view prunes with DITS-G,
+// clips the query per candidate source and merges the top-k exactly as one
+// center over all the sources does, and relay carries the fan-out through
+// the candidates' owners.
 func (cl *Cluster) OverlapSearch(ctx context.Context, queryCells cellset.Set, k int) ([]SourceResult, error) {
-	if k <= 0 || queryCells.IsEmpty() {
-		return nil, nil
-	}
-	cands := cl.candidateSources([]BatchQuery{{Cells: queryCells, K: k}})
-	outs, err := scatter(ctx, cl, func(ctx context.Context, c *clusterCenter) ([]SourceResult, error) {
-		if !cl.ownsAny(c, cands) {
-			return nil, nil
-		}
-		req := OverlapRequest{Cells: queryCells, K: k}
-		var resp ClusterOverlapResponse
-		if err := c.peer.Call(ctx, MethodClusterOverlap, &req, &resp); err != nil {
-			return nil, fmt.Errorf("federation: cluster overlap at %s: %w", c.name, err)
-		}
-		return resp.Results, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var all []SourceResult
-	for _, rs := range outs {
-		all = append(all, rs...)
-	}
-	return topK(all, k), nil
+	return cl.view.OverlapSearch(ctx, queryCells, k)
 }
 
-// OverlapSearchBatch answers a batch across the shards holding a candidate
-// of any of its queries: one cluster.batch exchange per such center,
-// per-query merge. Entry i aligns with queries[i] and equals what
-// OverlapSearch(queries[i]) returns.
+// OverlapSearchBatch answers a batch the same way: one search.batch per
+// candidate source, relayed in one cluster.forward per owner center. Entry
+// i aligns with queries[i] and equals what OverlapSearch(queries[i])
+// returns.
 func (cl *Cluster) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) ([][]SourceResult, error) {
-	out := make([][]SourceResult, len(queries))
-	if len(queries) == 0 {
-		return out, nil
-	}
-	cands := cl.candidateSources(queries)
-	outs, err := scatter(ctx, cl, func(ctx context.Context, c *clusterCenter) ([][]SourceResult, error) {
-		if !cl.ownsAny(c, cands) {
-			return nil, nil
-		}
-		req := SearchBatchRequest{Queries: queries}
-		var resp ClusterBatchResponse
-		if err := c.peer.Call(ctx, MethodClusterBatch, &req, &resp); err != nil {
-			return nil, fmt.Errorf("federation: cluster batch at %s: %w", c.name, err)
-		}
-		if len(resp.Results) != len(queries) {
-			return nil, fmt.Errorf("federation: cluster batch at %s: %d answers for %d queries",
-				c.name, len(resp.Results), len(queries))
-		}
-		return resp.Results, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range queries {
-		for _, shard := range outs {
-			if shard != nil {
-				out[i] = append(out[i], shard[i]...)
-			}
-		}
-		out[i] = topK(out[i], queries[i].K)
-	}
-	return out, nil
+	return cl.view.OverlapSearchBatch(ctx, queries)
 }
 
 // CoverageSearch answers the federated CJSP: the view runs the session
@@ -458,15 +388,15 @@ func (cl *Cluster) CoverageSearch(ctx context.Context, queryCells cellset.Set, d
 	return cl.view.CoverageSearch(ctx, queryCells, delta, k)
 }
 
-// relay performs the session engine's member calls (Center.relay) through
-// the centers: one scatter in which each center is sent ONE cluster.forward
+// relay performs the view's member calls (Center.relay) through the
+// centers: one scatter in which each center is sent ONE cluster.forward
 // carrying the calls of the sources it owns. A center whose transport fails
 // is failed over by scatter and the retry forwards only the calls still
 // unanswered, to their new owners; any other failure is the call's own.
 func (cl *Cluster) relay(ctx context.Context, calls []memberCall) []error {
 	errs := make([]error, len(calls))
 	done := make([]bool, len(calls))
-	_, err := scatter(ctx, cl, func(ctx context.Context, c *clusterCenter) (struct{}, error) {
+	err := cl.scatter(ctx, func(ctx context.Context, c *clusterCenter) error {
 		var idx []int
 		for i := range calls {
 			// Ownership first: only its owner's goroutine touches done[i].
@@ -475,9 +405,9 @@ func (cl *Cluster) relay(ctx context.Context, calls []memberCall) []error {
 			}
 		}
 		if len(idx) == 0 {
-			return struct{}{}, nil
+			return nil
 		}
-		return struct{}{}, forward(ctx, c, calls, idx, errs, done)
+		return forward(ctx, c, calls, idx, errs, done)
 	})
 	if err == nil {
 		err = ErrNoCenters // the source lost its home mid-query
@@ -521,56 +451,40 @@ func forward(ctx context.Context, c *clusterCenter, calls []memberCall, idx []in
 	return nil
 }
 
-// mutate routes one mutation to the center owning the source, failing the
-// owner over (and retrying at the re-homed owner) on a transport failure.
-func (cl *Cluster) mutate(ctx context.Context, source string, id int, method string, req any) (MutateResult, error) {
+// PutDataset durably upserts one dataset: the view sends dataset.put
+// through the source's owner and folds the acknowledgement into its DITS-G
+// before returning, so the caller's next query prunes on the extent it
+// just wrote.
+func (cl *Cluster) PutDataset(ctx context.Context, source string, id int, name string, cells cellset.Set) (MutateResult, error) {
+	if err := cl.home(source); err != nil {
+		return MutateResult{}, err
+	}
+	return cl.view.PutDataset(ctx, source, id, name, cells)
+}
+
+// DeleteDataset durably removes one dataset, routed like PutDataset.
+func (cl *Cluster) DeleteDataset(ctx context.Context, source string, id int) (MutateResult, error) {
+	if err := cl.home(source); err != nil {
+		return MutateResult{}, err
+	}
+	return cl.view.DeleteDataset(ctx, source, id)
+}
+
+// home readies a mutation's source: off the roster it is unknown, and a
+// roster source left without a healthy owner (a failover could not place
+// it) re-runs the re-homing pass first.
+func (cl *Cluster) home(source string) error {
 	cl.mu.RLock()
 	_, known := cl.sources[source]
+	owner := cl.owner[source]
 	cl.mu.RUnlock()
-	if !known {
-		return MutateResult{}, fmt.Errorf("%w: %q", ErrUnknownSource, source)
+	switch {
+	case !known:
+		return fmt.Errorf("%w: %q", ErrUnknownSource, source)
+	case owner != nil && owner.healthy.Load(), cl.reconcileOwner(source):
+		return nil
 	}
-	for range len(cl.centers) + 1 {
-		ep := cl.view.epoch.Load()
-		cl.mu.RLock()
-		owner := cl.owner[source]
-		if owner != nil && !owner.healthy.Load() {
-			owner = nil
-		}
-		var resp ClusterMutateResponse
-		var err error
-		if owner == nil {
-			err = ErrNoCenters
-		} else {
-			err = owner.peer.Call(ctx, method, req, &resp)
-		}
-		cl.mu.RUnlock()
-		if err == nil {
-			if resp.Unknown {
-				return MutateResult{}, fmt.Errorf("%w: %q", ErrUnknownSource, source)
-			}
-			cl.mutations.Add(1)
-			if method != MethodClusterDelete || resp.Found {
-				// Into the view before the acknowledgement goes out: the
-				// caller's next query prunes on the extent it just wrote.
-				cl.view.noteMutation(ep, source, resp.MutateResponse)
-			}
-			return MutateResult{Source: source, ID: id, MutateResponse: resp.MutateResponse}, nil
-		}
-		if errors.Is(err, ErrNoCenters) {
-			// The owner died and re-homing could not place the source:
-			// re-run the pass, then retry.
-			if cl.reconcileOwner(source) {
-				continue
-			}
-			return MutateResult{}, ErrNoCenters
-		}
-		if !isTransportFailure(ctx, err) {
-			return MutateResult{}, err
-		}
-		cl.failoverTraced(ctx, owner)
-	}
-	return MutateResult{}, ErrNoCenters
+	return ErrNoCenters
 }
 
 // reconcileOwner re-runs the re-homing pass for a source left without an
@@ -585,19 +499,6 @@ func (cl *Cluster) reconcileOwner(source string) bool {
 	return o != nil && o.healthy.Load()
 }
 
-// PutDataset durably upserts one dataset through the owning center.
-func (cl *Cluster) PutDataset(ctx context.Context, source string, id int, name string, cells cellset.Set) (MutateResult, error) {
-	if cells.IsEmpty() {
-		return MutateResult{}, fmt.Errorf("federation: dataset %d has no cells", id)
-	}
-	return cl.mutate(ctx, source, id, MethodClusterPut, &ClusterPutRequest{Source: source, ID: id, Name: name, Cells: cells})
-}
-
-// DeleteDataset durably removes one dataset through the owning center.
-func (cl *Cluster) DeleteDataset(ctx context.Context, source string, id int) (MutateResult, error) {
-	return cl.mutate(ctx, source, id, MethodClusterDelete, &ClusterDeleteRequest{Source: source, ID: id})
-}
-
 // NumSources returns the roster size.
 func (cl *Cluster) NumSources() int {
 	cl.mu.RLock()
@@ -609,10 +510,9 @@ func (cl *Cluster) NumSources() int {
 // completed failover publishes a re-homed ring.
 func (cl *Cluster) Generation() uint64 { return cl.gen.Load() }
 
-// CacheInvalidations reports acknowledged mutations routed through the
-// cluster — result caches live at the centers, which invalidate by data
-// version exactly as in single-center mode.
-func (cl *Cluster) CacheInvalidations() int64 { return cl.mutations.Load() }
+// CacheInvalidations reports the view's cache-invalidation events: one per
+// acknowledged mutation and one per membership change.
+func (cl *Cluster) CacheInvalidations() int64 { return cl.view.CacheInvalidations() }
 
 // SourceVersions returns the cluster's acked data-version vector: the
 // highest version any mutation acknowledgement (or probe) reported per

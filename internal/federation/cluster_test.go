@@ -300,14 +300,15 @@ func TestClusterCenterFailover(t *testing.T) {
 	}
 	check("before failover")
 
-	// Kill a center that owns at least one source; the next query detects
-	// the dead center in-band, re-homes its shard, and still answers.
-	owners := p.cluster.Stats().SourceOwners
-	var victim, movedSource string
-	for src, c := range owners {
-		victim, movedSource = c, src
-		break
+	// Kill the center owning the source of q's best answer, so the next
+	// query's fan-out must reach it: it detects the dead center in-band,
+	// re-homes its shard, and still answers.
+	best, err := p.oracle.OverlapSearch(ctx, q, 1)
+	if err != nil || len(best) == 0 {
+		t.Fatalf("oracle: %v, err %v", best, err)
 	}
+	movedSource := best[0].Source
+	victim := p.cluster.Stats().SourceOwners[movedSource]
 	p.switches[victim].down.Store(true)
 	check("after in-band failover")
 	st := p.cluster.Stats()

@@ -58,12 +58,8 @@ const (
 	msgClusterInfoResp
 	msgClusterRegisterReq
 	msgClusterUnregisterReq
-	msgClusterOverlapResp
-	msgClusterBatchResp
-	msgClusterPutReq
-	msgClusterDeleteReq
-	msgClusterMutateResp
-	msgWALShipReq
+	// 25–29 are retired.
+	msgWALShipReq byte = iota + 6
 	msgWALShipResp
 )
 
@@ -211,24 +207,6 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 		return dst, nil
 	case *ClusterUnregisterRequest:
 		return appendString(append(dst, msgClusterUnregisterReq), m.Name), nil
-	case *ClusterOverlapResponse:
-		return appendSourceResults(append(dst, msgClusterOverlapResp), m.Results), nil
-	case *ClusterBatchResponse:
-		dst = binary.AppendUvarint(append(dst, msgClusterBatchResp), uint64(len(m.Results)))
-		for _, rs := range m.Results {
-			dst = appendSourceResults(dst, rs)
-		}
-		return dst, nil
-	case *ClusterPutRequest:
-		dst = appendString(append(dst, msgClusterPutReq), m.Source)
-		dst = appendString(binary.AppendVarint(dst, int64(m.ID)), m.Name)
-		return m.Cells.AppendWire(dst), nil
-	case *ClusterDeleteRequest:
-		dst = appendString(append(dst, msgClusterDeleteReq), m.Source)
-		return binary.AppendVarint(dst, int64(m.ID)), nil
-	case *ClusterMutateResponse:
-		dst = appendBool(append(dst, msgClusterMutateResp), m.Unknown)
-		return appendMutate(dst, &m.MutateResponse), nil
 	case *WALShipRequest:
 		return binary.AppendUvarint(append(dst, msgWALShipReq), m.After), nil
 	case *WALShipResponse:
@@ -398,32 +376,6 @@ func (binCodec) Decode(data []byte, v any) error {
 	case *ClusterUnregisterRequest:
 		r.expect(msg, msgClusterUnregisterReq)
 		m.Name = r.string()
-	case *ClusterOverlapResponse:
-		r.expect(msg, msgClusterOverlapResp)
-		m.Results = r.sourceResults()
-	case *ClusterBatchResponse:
-		r.expect(msg, msgClusterBatchResp)
-		m.Results = nil
-		if n := r.sliceLen(); n > 0 {
-			m.Results = make([][]SourceResult, n)
-		}
-		for i := range m.Results {
-			m.Results[i] = r.sourceResults()
-		}
-	case *ClusterPutRequest:
-		r.expect(msg, msgClusterPutReq)
-		m.Source = r.string()
-		m.ID = r.int()
-		m.Name = r.string()
-		m.Cells = r.set()
-	case *ClusterDeleteRequest:
-		r.expect(msg, msgClusterDeleteReq)
-		m.Source = r.string()
-		m.ID = r.int()
-	case *ClusterMutateResponse:
-		r.expect(msg, msgClusterMutateResp)
-		m.Unknown = r.bool()
-		r.mutate(&m.MutateResponse)
 	case *WALShipRequest:
 		r.expect(msg, msgWALShipReq)
 		m.After = r.uvarint()
@@ -477,16 +429,6 @@ func appendOverlapItems(dst []byte, items []OverlapItem) []byte {
 		dst = binary.AppendVarint(dst, int64(items[i].ID))
 		dst = appendString(dst, items[i].Name)
 		dst = binary.AppendVarint(dst, int64(items[i].Overlap))
-	}
-	return dst
-}
-
-func appendSourceResults(dst []byte, rs []SourceResult) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(rs)))
-	for i := range rs {
-		dst = appendString(dst, rs[i].Source)
-		dst = appendString(binary.AppendVarint(dst, int64(rs[i].ID)), rs[i].Name)
-		dst = binary.AppendVarint(dst, int64(rs[i].Overlap))
 	}
 	return dst
 }
@@ -684,21 +626,6 @@ func (r *wireReader) overlapItems() []OverlapItem {
 		return nil
 	}
 	return items
-}
-
-func (r *wireReader) sourceResults() []SourceResult {
-	n := r.sliceLen()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	rs := make([]SourceResult, n)
-	for i := range rs {
-		rs[i] = SourceResult{Source: r.string(), ID: r.int(), Name: r.string(), Overlap: r.int()}
-	}
-	if r.err != nil {
-		return nil
-	}
-	return rs
 }
 
 func (r *wireReader) mutate(m *MutateResponse) {

@@ -36,7 +36,7 @@ func codecTestMessages() []any {
 		R:     99.5,
 		Theta: 12,
 	}
-	return []any{
+	msgs := []any{
 		&OverlapRequest{Cells: bigSet, K: 10},
 		&OverlapRequest{Cells: nil, K: -1},
 		&OverlapResponse{Results: []OverlapItem{
@@ -84,18 +84,28 @@ func codecTestMessages() []any {
 		&ClusterRegisterRequest{Name: "src-α", Addr: "127.0.0.1:7201", Replicas: []string{"127.0.0.1:7211", ""}},
 		&ClusterRegisterRequest{Name: "s", Addr: "a"},
 		&ClusterUnregisterRequest{Name: "src-α"},
-		&ClusterOverlapResponse{Results: []SourceResult{{Source: "s", ID: -3, Name: "名", Overlap: 12}, {}}},
-		&ClusterOverlapResponse{},
-		&ClusterBatchResponse{Results: [][]SourceResult{{{Source: "s", ID: 1 << 40, Overlap: 2}}, {{Source: "t"}}}},
-		&ClusterBatchResponse{},
-		&ClusterPutRequest{Source: "s", ID: 7, Name: "d", Cells: bigSet},
-		&ClusterDeleteRequest{Source: "src-α", ID: -1},
-		&ClusterMutateResponse{Unknown: true},
-		&ClusterMutateResponse{MutateResponse: MutateResponse{Found: true, Version: 3, NumDatasets: 1, Summary: summary}},
 		&WALShipRequest{After: 1 << 40},
 		&WALShipResponse{Frames: []byte{0, 1, 2, 255}, Version: 12, TooOld: true},
 		&WALShipResponse{},
 	}
+	// cluster.forward frames as a query's or a mutation's relay ships
+	// them: one call each way per relayed OJSP, batch and mutation method.
+	for _, rr := range []struct {
+		method    string
+		req, resp any
+	}{
+		{MethodOverlap, &OverlapRequest{Cells: small, K: 3}, &OverlapResponse{Results: []OverlapItem{{ID: 4, Name: "o", Overlap: 2}}}},
+		{MethodSearchBatch, &SearchBatchRequest{Queries: []OverlapRequest{{Cells: small, K: 1}, {}}}, &SearchBatchResponse{Results: []OverlapResponse{{}, {}}}},
+		{MethodDatasetPut, &DatasetPutRequest{ID: 5, Name: "p", Cells: bigSet}, &MutateResponse{Found: true, Version: 2, NumDatasets: 9, Summary: summary}},
+		{MethodDatasetDelete, &DatasetDeleteRequest{ID: 5}, &MutateResponse{Version: 3, Summary: summary}},
+	} {
+		req, _ := BinaryCodec.Append(nil, rr.req)
+		resp, _ := BinaryCodec.Append(nil, rr.resp)
+		msgs = append(msgs,
+			&ClusterForwardRequest{Calls: []ForwardCall{{Source: "src-α", Method: rr.method, Body: req}}},
+			&ClusterForwardResponse{Replies: []ForwardReply{{Body: resp}}})
+	}
+	return msgs
 }
 
 // wireTypes maps every federation method to its request and response
@@ -116,11 +126,7 @@ var wireTypes = map[string][2]any{
 	MethodClusterInfo:       {nil, new(ClusterInfoResponse)},
 	MethodClusterRegister:   {new(ClusterRegisterRequest), new(dits.SourceSummary)},
 	MethodClusterUnregister: {new(ClusterUnregisterRequest), nil},
-	MethodClusterOverlap:    {new(OverlapRequest), new(ClusterOverlapResponse)},
-	MethodClusterBatch:      {new(SearchBatchRequest), new(ClusterBatchResponse)},
 	MethodClusterForward:    {new(ClusterForwardRequest), new(ClusterForwardResponse)},
-	MethodClusterPut:        {new(ClusterPutRequest), new(ClusterMutateResponse)},
-	MethodClusterDelete:     {new(ClusterDeleteRequest), new(ClusterMutateResponse)},
 }
 
 // gobRoundTrip is the differential oracle: m through encoding/gob.

@@ -43,12 +43,13 @@ func fanOut[M, T any](members []M, fn func(M) (T, error)) ([]T, []error) {
 	return outs, errs
 }
 
-// resolve applies the center's failure policy to a fan-out's aligned error
-// slice: under FailFast the first error (in member order) is returned;
-// under SkipFailed each failure is recorded against its source in Metrics
-// and reported through onSkip (which may be nil), and the query proceeds
-// on the survivors. The caller must ignore outs[i] whenever errs[i] != nil.
-func (c *Center) resolve(members []*member, errs []error, onSkip func(i int)) error {
+// resolve applies the center's failure policy to a fan-out's errors, aligned
+// with its calls: under FailFast the first error (in call order) is
+// returned; under SkipFailed each failure is recorded against its source in
+// Metrics and reported through onSkip (which may be nil), and the query
+// proceeds on the survivors. The caller must ignore calls[i].resp whenever
+// errs[i] != nil.
+func (c *Center) resolve(calls []memberCall, errs []error, onSkip func(i int)) error {
 	for i, err := range errs {
 		if err == nil {
 			continue
@@ -56,7 +57,7 @@ func (c *Center) resolve(members []*member, errs []error, onSkip func(i int)) er
 		if c.Options.OnSourceError == FailFast {
 			return err
 		}
-		c.Metrics.RecordFailure(members[i].summary.Name)
+		c.Metrics.RecordFailure(calls[i].m.summary.Name)
 		if onSkip != nil {
 			onSkip(i)
 		}

@@ -71,7 +71,7 @@ const (
 )
 
 // Method names of the cluster protocol — the surface a CenterServer
-// exposes to the gateway's scatter/gather plane.
+// exposes to the gateway.
 const (
 	// MethodClusterInfo is the health probe and shard audit: it reports the
 	// center's name, membership generation, and every registered source's
@@ -86,23 +86,10 @@ const (
 	// MethodClusterUnregister removes a source from the center's shard; it
 	// answers nothing.
 	MethodClusterUnregister = "cluster.unregister"
-	// MethodClusterOverlap answers a federated OJSP (an OverlapRequest)
-	// over the center's shard: the center answers its shard's top-k and
-	// the gateway merges the shards with the same total order a single
-	// center uses, making the merged answer byte-identical to the
-	// unsharded one.
-	MethodClusterOverlap = "cluster.overlap"
-	// MethodClusterBatch answers a batch of OJSP queries (a
-	// SearchBatchRequest) over the shard.
-	MethodClusterBatch = "cluster.batch"
-	// MethodClusterForward relays session-protocol calls (coverage.round,
-	// coverage.fetch, coverage.close) to sources of the center's shard: the
-	// gateway runs the CJSP engine, the center owns the connections.
+	// MethodClusterForward relays source calls — every query's and every
+	// mutation's — to sources of the center's shard: the gateway runs the
+	// query engine, the center owns the connections.
 	MethodClusterForward = "cluster.forward"
-	// MethodClusterPut / MethodClusterDelete route a dataset mutation
-	// through the center owning the source.
-	MethodClusterPut    = "cluster.put"
-	MethodClusterDelete = "cluster.delete"
 )
 
 // WALShipRequest asks a durable source for the WAL tail beyond the
@@ -134,7 +121,7 @@ type ClusterInfoResponse struct {
 // ShardSource is one source as its owner center sees it.
 type ShardSource struct {
 	Summary dits.SourceSummary
-	Version uint64 // 0 when no mutation passed through this center
+	Version uint64 // at adoption, or of the last mutation relayed since
 }
 
 // ClusterRegisterRequest tells a center to dial and register one source.
@@ -151,19 +138,8 @@ type ClusterUnregisterRequest struct {
 	Name string
 }
 
-// ClusterOverlapResponse carries one shard's top-k.
-type ClusterOverlapResponse struct {
-	Results []SourceResult
-}
-
-// ClusterBatchResponse carries the shard's per-query top-k, request order.
-type ClusterBatchResponse struct {
-	Results [][]SourceResult
-}
-
-// ForwardCall is one relayed session-protocol exchange: the source it is
-// for, the method (coverage.round, coverage.fetch or coverage.close) and
-// the request encoded by BinaryCodec.
+// ForwardCall is one relayed source exchange: the source it is for, the
+// source method (see forwardTypes) and the request encoded by BinaryCodec.
 type ForwardCall struct {
 	Source string
 	Method string
@@ -188,31 +164,6 @@ type ForwardReply struct {
 // ClusterForwardResponse carries one reply per call, in request order.
 type ClusterForwardResponse struct {
 	Replies []ForwardReply
-}
-
-// ClusterPutRequest routes a durable dataset upsert through the center
-// owning the source; ClusterDeleteRequest likewise for removal.
-type ClusterPutRequest struct {
-	Source string
-	ID     int
-	Name   string
-	Cells  cellset.Set
-}
-
-// ClusterDeleteRequest removes one dataset at a source through its center.
-type ClusterDeleteRequest struct {
-	Source string
-	ID     int
-}
-
-// ClusterMutateResponse answers both cluster mutation methods with the
-// source's own answer — its post-mutation summary included, which the
-// gateway folds into its DITS-G. Unknown reports the source is not
-// registered at this center — a roster/shard disagreement the gateway maps
-// back to ErrUnknownSource rather than a transport failure.
-type ClusterMutateResponse struct {
-	Unknown bool
-	MutateResponse
 }
 
 // OverlapRequest asks a source for its local top-k overlap results. Cells

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -158,52 +159,67 @@ func TestCloseSessionsIsBounded(t *testing.T) {
 
 // TestProbeRepairsLostMutationAck: a put whose acknowledgement is lost
 // between center and gateway leaves the gateway pruning on the old extent —
-// an OJSP in the newly covered area misses the dataset — until the next
-// Probe folds the center's (summary, version) into the view.
+// an OJSP in the newly covered area misses the dataset — until a Probe
+// folds a center's (summary, version) into the view: the center that
+// relayed the put, or, when that center has died since, the one the source
+// re-homed to, which seeds the version from the source when it adopts it.
 func TestProbeRepairsLostMutationAck(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	p := newPlane(t, planeConfig{centers: 2, servers: cornerServers(t),
-		wrapCenter: func(_ string, inner transport.Peer) transport.Peer {
-			return &funcPeer{inner: inner, call: func(cctx context.Context, inner transport.Peer, method string, req, resp any) error {
-				err := inner.Call(cctx, method, req, resp)
-				if method == MethodClusterPut {
-					// Delivered and applied; the caller gives up before the
-					// reply arrives (a timeout, not a dead center).
-					once.Do(func() { cancel(); err = ctx.Err() })
-				}
-				return err
-			}}
-		}})
-	fresh := cellsNear(110, 8, 8) // the corner nobody covers
-	if _, err := p.cluster.PutDataset(ctx, "a", 777, "lost-ack", fresh); !errors.Is(err, context.Canceled) {
-		t.Fatalf("put with a dropped reply: err = %v, want context.Canceled", err)
-	}
-	if st := p.cluster.Stats(); st.Failovers != 0 {
-		t.Fatalf("a caller-side timeout failed a center over: %+v", st)
-	}
-	bg := context.Background()
-	before := calls(p.hop, MethodClusterOverlap)
-	rs, err := p.cluster.OverlapSearch(bg, fresh, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 0 || calls(p.hop, MethodClusterOverlap) != before {
-		t.Fatalf("before the probe the gateway should still prune on the old extent; got %v", rs)
-	}
-	if downed := p.cluster.Probe(bg); downed != 0 {
-		t.Fatalf("probe marked %d centers down", downed)
-	}
-	rs, err = p.cluster.OverlapSearch(bg, fresh, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 1 || rs[0].Source != "a" || rs[0].ID != 777 {
-		t.Fatalf("after the probe the dataset must be found; got %v", rs)
-	}
-	if got := p.cluster.SourceVersions()["a"]; got == 0 {
-		t.Fatal("probe did not fold the source's data version into the view")
+	for _, failover := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failover=%v", failover), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var once sync.Once
+			p := newPlane(t, planeConfig{centers: 2, servers: cornerServers(t),
+				wrapCenter: func(_ string, inner transport.Peer) transport.Peer {
+					return &funcPeer{inner: inner, call: func(cctx context.Context, inner transport.Peer, method string, req, resp any) error {
+						err := inner.Call(cctx, method, req, resp)
+						if fwd, ok := req.(*ClusterForwardRequest); ok && fwd.Calls[0].Method == MethodDatasetPut {
+							// Delivered and applied; the caller gives up before
+							// the reply arrives (a timeout, not a dead center).
+							once.Do(func() { cancel(); err = ctx.Err() })
+						}
+						return err
+					}}
+				}})
+			fresh := cellsNear(110, 8, 8) // the corner nobody covers
+			if _, err := p.cluster.PutDataset(ctx, "a", 777, "lost-ack", fresh); !errors.Is(err, context.Canceled) {
+				t.Fatalf("put with a dropped reply: err = %v, want context.Canceled", err)
+			}
+			if st := p.cluster.Stats(); st.Failovers != 0 {
+				t.Fatalf("a caller-side timeout failed a center over: %+v", st)
+			}
+			bg := context.Background()
+			before := calls(p.hop, MethodClusterForward)
+			rs, err := p.cluster.OverlapSearch(bg, fresh, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rs) != 0 || calls(p.hop, MethodClusterForward) != before {
+				t.Fatalf("before the probe the gateway should still prune on the old extent; got %v", rs)
+			}
+			probes, wantDowned := 1, 0
+			if failover {
+				p.centers[p.cluster.Stats().SourceOwners["a"]].down.Store(true)
+				probes, wantDowned = 2, 1
+			}
+			downed := 0
+			for range probes {
+				downed += p.cluster.Probe(bg)
+			}
+			if downed != wantDowned {
+				t.Fatalf("probes marked %d centers down, want %d", downed, wantDowned)
+			}
+			rs, err = p.cluster.OverlapSearch(bg, fresh, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rs) != 1 || rs[0].Source != "a" || rs[0].ID != 777 {
+				t.Fatalf("after the probe the dataset must be found; got %v", rs)
+			}
+			if got := p.cluster.SourceVersions()["a"]; got == 0 {
+				t.Fatal("probe did not fold the source's data version into the view")
+			}
+		})
 	}
 }
 
@@ -266,15 +282,23 @@ func TestRelaySurvivesCenterKillMidRound(t *testing.T) {
 	}
 }
 
+// searcher is the query surface a Center and a Cluster share.
+type searcher interface {
+	OverlapSearch(ctx context.Context, queryCells cellset.Set, k int) ([]SourceResult, error)
+	OverlapSearchBatch(ctx context.Context, queries []BatchQuery) ([][]SourceResult, error)
+	CoverageSearch(ctx context.Context, queryCells cellset.Set, delta float64, k int) (CoverageResult, error)
+}
+
 // TestRelaySourceErrorIsPerSource: a source whose connection fails behind a
-// healthy center is that source's error — under SkipFailed the query
-// degrades exactly as a single center's would, under FailFast it fails, and
-// in neither case is the center failed over.
+// healthy center is that source's error — for an OJSP, a batch and a CJSP
+// alike: under SkipFailed the query degrades exactly as a single center's
+// would, under FailFast it fails, and in neither case is the center failed
+// over.
 func TestRelaySourceErrorIsPerSource(t *testing.T) {
 	_, _, servers := buildFederation(rand.New(rand.NewSource(81)), 4, 80, DefaultOptions())
 	broken := func(source string, inner transport.Peer) transport.Peer {
 		return &funcPeer{inner: inner, call: func(ctx context.Context, inner transport.Peer, method string, req, resp any) error {
-			if source == "b" && method == MethodCoverageRound {
+			if source == "b" && method != MethodSummary && method != MethodSourceVersion {
 				return errors.New("connection reset by peer")
 			}
 			return inner.Call(ctx, method, req, resp)
@@ -289,23 +313,44 @@ func TestRelaySourceErrorIsPerSource(t *testing.T) {
 	p := newPlane(t, planeConfig{centers: 3, servers: servers, wrapSource: broken})
 	ctx := context.Background()
 	q := servers[1].Index.Get(10000).Cells // inside b's band: b is a candidate from round one
-	if _, err := p.cluster.CoverageSearch(ctx, q, 6, 4); err == nil {
-		t.Fatal("FailFast: a failed source must fail the query")
-	}
-	p.cluster.view.Options.OnSourceError = SkipFailed
-	want, err := oracle.CoverageSearch(ctx, q, 6, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.cluster.CoverageSearch(ctx, q, 6, 4)
-	if err != nil {
-		t.Fatalf("SkipFailed: %v", err)
-	}
-	sameResults(t, "degraded picks", got.Picked, want.Picked)
-	for _, r := range got.Picked {
-		if r.Source == "b" {
-			t.Fatalf("picked %+v from the failed source", r)
-		}
+	// The OJSP classes also reach into a's and c's bands, so the degraded
+	// answer is not empty.
+	wide := q.Union(servers[0].Index.Get(0).Cells).Union(servers[2].Index.Get(20000).Cells)
+	for _, class := range []struct {
+		name string
+		run  func(searcher) ([]SourceResult, error)
+	}{
+		{"ojsp", func(s searcher) ([]SourceResult, error) { return s.OverlapSearch(ctx, wide, 8) }},
+		{"batch", func(s searcher) ([]SourceResult, error) {
+			outs, err := s.OverlapSearchBatch(ctx, []BatchQuery{{Cells: wide, K: 5}, {Cells: q, K: 3}})
+			return slices.Concat(outs...), err
+		}},
+		{"cjsp", func(s searcher) ([]SourceResult, error) {
+			res, err := s.CoverageSearch(ctx, q, 6, 4)
+			return res.Picked, err
+		}},
+	} {
+		t.Run(class.name, func(t *testing.T) {
+			p.cluster.view.Options.OnSourceError = FailFast
+			if _, err := class.run(p.cluster); err == nil {
+				t.Fatal("FailFast: a failed source must fail the query")
+			}
+			p.cluster.view.Options.OnSourceError = SkipFailed
+			want, err := class.run(oracle)
+			if err != nil || len(want) == 0 {
+				t.Fatalf("oracle: %v, err %v", want, err)
+			}
+			got, err := class.run(p.cluster)
+			if err != nil {
+				t.Fatalf("SkipFailed: %v", err)
+			}
+			sameResults(t, "degraded answer", got, want)
+			for _, r := range got {
+				if r.Source == "b" {
+					t.Fatalf("answered %+v from the failed source", r)
+				}
+			}
+		})
 	}
 	if st := p.cluster.Stats(); st.Failovers != 0 || st.Healthy != 3 {
 		t.Fatalf("a source's failure failed a center over: %+v", st)
@@ -315,12 +360,36 @@ func TestRelaySourceErrorIsPerSource(t *testing.T) {
 	}
 }
 
-// TestClusterCommBudget is TestSessionCutsCoverageBytes' successor for the
-// clustered path, on in-process links with the binary codec so every count
-// is exact: a fan-out costs at most one gateway→center message per center,
-// a clustered CJSP at most 2.2× the bytes of the same session through one
-// center, and an OJSP contacts only centers owning a candidate — including
-// the owner of an extent a put through the cluster has just grown.
+// relayBudget makes every fan-out of the plane's view assert that it cost
+// exactly one cluster.forward per owner center, and counts the fan-outs by
+// source method.
+func relayBudget(t *testing.T, p *plane) map[string]int {
+	fanouts := map[string]int{}
+	p.cluster.view.relay = func(ctx context.Context, cs []memberCall) []error {
+		before := calls(p.hop, MethodClusterForward)
+		errs := p.cluster.relay(ctx, cs)
+		owners := map[*clusterCenter]bool{}
+		for _, c := range cs {
+			owners[p.cluster.owner[c.m.summary.Name]] = true
+		}
+		if sent := calls(p.hop, MethodClusterForward) - before; sent != int64(len(owners)) {
+			t.Errorf("a %s fan-out of %d calls to %d centers cost %d cluster.forward messages",
+				cs[0].method, len(cs), len(owners), sent)
+		}
+		fanouts[cs[0].method]++
+		return errs
+	}
+	return fanouts
+}
+
+// TestClusterCommBudget holds the clustered path to its message budget, on
+// in-process links with the binary codec so every count is exact: every
+// fan-out — OJSP, batch, CJSP round, mutation — costs exactly one
+// cluster.forward per owner center, the source tier sees what it sees
+// through one center, call for call, and a clustered CJSP ships at most
+// 2.2× the bytes of the same session through one center. A query that
+// meets no source's extent contacts no center, and one in an extent a put
+// has just grown reaches that source's owner.
 func TestClusterCommBudget(t *testing.T) {
 	// Datasets and queries of a few hundred cells, as real ones are: the
 	// relay adds a source and a method name per call, which only payloads
@@ -346,20 +415,7 @@ func TestClusterCommBudget(t *testing.T) {
 		single.Register(srv.Summary(), &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: single.Metrics})
 	}
 	p := newPlane(t, planeConfig{centers: 3, servers: servers})
-	fanouts := 0
-	p.cluster.view.relay = func(ctx context.Context, cs []memberCall) []error {
-		before := calls(p.hop, MethodClusterForward)
-		errs := p.cluster.relay(ctx, cs)
-		owners := map[*clusterCenter]bool{}
-		for _, c := range cs {
-			owners[p.cluster.owner[c.m.summary.Name]] = true
-		}
-		if sent := calls(p.hop, MethodClusterForward) - before; len(cs) > 0 && sent != int64(len(owners)) {
-			t.Errorf("a fan-out of %d calls to %d centers cost %d cluster.forward messages", len(cs), len(owners), sent)
-		}
-		fanouts++
-		return errs
-	}
+	fanouts := relayBudget(t, p)
 	ctx := context.Background()
 	registration := p.hop.Bytes() + p.links.Bytes()
 	for trial := 0; trial < 15; trial++ {
@@ -374,16 +430,40 @@ func TestClusterCommBudget(t *testing.T) {
 		}
 		sameResults(t, fmt.Sprintf("trial %d picks", trial), got.Picked, want.Picked)
 	}
-	if fanouts == 0 {
-		t.Fatal("no fan-out went through the relay")
-	}
 	sb, cb := single.Metrics.Bytes(), p.hop.Bytes()+p.links.Bytes()-registration
-	t.Logf("15 CJSPs: %d bytes through one center, %d through the cluster (%.2f×), %d fan-outs", sb, cb, float64(cb)/float64(sb), fanouts)
+	t.Logf("15 CJSPs: %d bytes through one center, %d through the cluster (%.2f×), %d fan-outs",
+		sb, cb, float64(cb)/float64(sb), fanouts[MethodCoverageRound])
 	if float64(cb) > 2.2*float64(sb) {
 		t.Errorf("clustered CJSPs shipped %d bytes, more than 2.2× the single center's %d", cb, sb)
 	}
-	// The source tier sees the session protocol, message for message.
-	for _, method := range []string{MethodCoverageRound, MethodFetchCells, MethodSessionClose} {
+	for trial := 0; trial < 15; trial++ {
+		q := blob(rng.Intn(128), rng.Intn(128))
+		want, err := single.OverlapSearch(ctx, q, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.cluster.OverlapSearch(ctx, q, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, fmt.Sprintf("trial %d top-k", trial), got, want)
+	}
+	batch := []BatchQuery{{Cells: blob(20, 20), K: 4}, {Cells: blob(100, 60), K: 8}, {Cells: blob(60, 110), K: 2}}
+	want, err := single.OverlapSearchBatch(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.cluster.OverlapSearchBatch(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range batch {
+		sameResults(t, fmt.Sprintf("batch query %d", i), got[i], want[i])
+	}
+	for _, method := range []string{MethodCoverageRound, MethodFetchCells, MethodSessionClose, MethodOverlap, MethodSearchBatch} {
+		if fanouts[method] == 0 {
+			t.Errorf("no %s fan-out went through the relay", method)
+		}
 		if a, b := calls(single.Metrics, method), calls(p.links, method); a != b {
 			t.Errorf("%s: %d calls through one center, %d through the cluster", method, a, b)
 		}
@@ -392,41 +472,60 @@ func TestClusterCommBudget(t *testing.T) {
 		t.Errorf("the clustered path made %d stateless coverage.best calls", n)
 	}
 
-	// OJSP pruning, on sources compact enough that candidates are certain.
+	// Pruning and mutations, on sources compact enough that candidates are
+	// certain.
 	cp := newPlane(t, planeConfig{centers: 3, servers: cornerServers(t)})
-	overlapCalls := func(q func()) int64 {
-		before := calls(cp.hop, MethodClusterOverlap)
+	cfan := relayBudget(t, cp)
+	centerCalls := func(q func()) (n int64) {
+		for _, sw := range cp.centers {
+			n -= sw.calls.Load()
+		}
 		q()
-		return calls(cp.hop, MethodClusterOverlap) - before
+		for _, sw := range cp.centers {
+			n += sw.calls.Load()
+		}
+		return n
 	}
-	if n := overlapCalls(func() {
+	if n := centerCalls(func() {
 		if rs, err := cp.cluster.OverlapSearch(ctx, cellsNear(8, 8, 8), 3); err != nil || len(rs) == 0 {
 			t.Fatalf("query inside a: %v, err %v", rs, err)
 		}
 	}); n != 1 {
-		t.Errorf("a query inside exactly one source's extent made %d cluster.overlap calls, want 1", n)
+		t.Errorf("a query inside exactly one source's extent made %d center calls, want 1", n)
+	}
+	inA := []BatchQuery{{Cells: cellsNear(8, 8, 8), K: 2}, {Cells: cellsNear(9, 9, 8), K: 2}}
+	if n := centerCalls(func() { cp.cluster.OverlapSearchBatch(ctx, inA) }); n != 1 {
+		t.Errorf("a batch whose queries all sit in one source made %d center calls, want 1", n)
 	}
 	grown := cellsNear(110, 8, 8)
-	if n := overlapCalls(func() { cp.cluster.OverlapSearch(ctx, grown, 3) }); n != 0 {
-		t.Errorf("a query meeting no source's extent made %d cluster.overlap calls, want 0", n)
+	if n := centerCalls(func() {
+		cp.cluster.OverlapSearch(ctx, grown, 3)
+		cp.cluster.OverlapSearchBatch(ctx, []BatchQuery{{Cells: grown, K: 3}})
+	}); n != 0 {
+		t.Errorf("queries meeting no source's extent made %d center calls, want 0", n)
 	}
-	if _, err := cp.cluster.PutDataset(ctx, "a", 888, "grown", grown); err != nil {
-		t.Fatal(err)
+	owner := cp.centers[cp.cluster.Stats().SourceOwners["a"]]
+	if n := centerCalls(func() {
+		if _, err := cp.cluster.PutDataset(ctx, "a", 888, "grown", grown); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("a put made %d center calls, want 1", n)
 	}
-	if n := overlapCalls(func() {
+	before := owner.calls.Load()
+	if n := centerCalls(func() {
 		rs, err := cp.cluster.OverlapSearch(ctx, grown, 3)
 		if err != nil || len(rs) != 1 || rs[0].ID != 888 {
 			t.Fatalf("query in the grown extent: %v, err %v", rs, err)
 		}
-	}); n < 1 {
-		t.Error("a query in an extent a put just grew did not contact its owner")
+	}); n != 1 || owner.calls.Load()-before != 1 {
+		t.Errorf("a query in an extent a put just grew made %d center calls, %d to the source's owner; want 1 and 1",
+			n, owner.calls.Load()-before)
 	}
-	batch := []BatchQuery{{Cells: cellsNear(8, 8, 8), K: 2}, {Cells: cellsNear(9, 9, 8), K: 2}}
-	before := calls(cp.hop, MethodClusterBatch)
-	if _, err := cp.cluster.OverlapSearchBatch(ctx, batch); err != nil {
+	if _, err := cp.cluster.DeleteDataset(ctx, "a", 888); err != nil {
 		t.Fatal(err)
 	}
-	if n := calls(cp.hop, MethodClusterBatch) - before; n != 1 {
-		t.Errorf("a batch whose queries all sit in one source made %d cluster.batch calls, want 1", n)
+	if cfan[MethodDatasetPut] != 1 || cfan[MethodDatasetDelete] != 1 {
+		t.Errorf("mutation fan-outs: %v, want one put and one delete", cfan)
 	}
 }

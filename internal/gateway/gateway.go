@@ -107,8 +107,8 @@ type Options struct {
 
 // Backend is the federation plane a gateway fronts: a single Center or a
 // sharded, replicated Cluster. Both produce identical answers for the
-// same corpus — the cluster's scatter/gather merges under the same total
-// orders a single center ranks with.
+// same corpus — the cluster runs a Center's engine over every source and
+// only relays its calls through the centers.
 type Backend interface {
 	OverlapSearch(ctx context.Context, queryCells cellset.Set, k int) ([]federation.SourceResult, error)
 	OverlapSearchBatch(ctx context.Context, queries []federation.BatchQuery) ([][]federation.SourceResult, error)
@@ -119,13 +119,8 @@ type Backend interface {
 	Generation() uint64
 	SourceVersions() map[string]uint64
 	PeerWire() map[string]transport.WireInfo
+	Cache() *cache.Cache // nil when disabled
 	CacheInvalidations() int64
-}
-
-// cached is the optional Backend facet exposing a result cache; the
-// cluster has none (caches live at the centers).
-type cached interface {
-	Cache() *cache.Cache
 }
 
 // Gateway serves the HTTP API over one federation backend.
@@ -168,9 +163,9 @@ func NewWithOptions(center *federation.Center, opts Options) *Gateway {
 	return newGateway(center, center.Grid, center.Metrics, nil, opts)
 }
 
-// NewCluster creates a gateway over a sharded cluster plane: queries
-// scatter across the cluster's centers and merge at the gateway, and the
-// cluster's health/failover counters join /stats and /healthz.
+// NewCluster creates a gateway over a sharded cluster plane: queries run
+// in the cluster's own engine and reach the sources through the centers,
+// and the cluster's health/failover counters join /stats and /healthz.
 func NewCluster(cl *federation.Cluster, opts Options) *Gateway {
 	return newGateway(cl, cl.Grid, cl.Metrics, cl, opts)
 }
@@ -206,15 +201,6 @@ func newGateway(b Backend, grid geo.Grid, pm *transport.Metrics, cl *federation.
 // disabled), e.g. for tests and the load harness.
 func (g *Gateway) Recorder() *obs.Recorder { return g.rec }
 
-// cache returns the backend's result cache, or a nil (fully inert) cache
-// for backends without one.
-func (g *Gateway) cache() *cache.Cache {
-	if c, ok := g.backend.(cached); ok {
-		return c.Cache()
-	}
-	return nil
-}
-
 // Admission exposes the gateway's admission controller, e.g. for tests and
 // the stats endpoint.
 func (g *Gateway) Admission() *admission.Controller { return g.ctl }
@@ -244,7 +230,7 @@ func (g *Gateway) register() {
 	g.reg.RegisterHistogramVec("dits_gateway_request_seconds",
 		"Request latency by endpoint", "endpoint", g.latency)
 	g.peerMetrics.Register(g.reg)
-	g.cache().Register(g.reg)
+	g.backend.Cache().Register(g.reg)
 	g.ctl.Register(g.reg)
 	if g.rec != nil {
 		g.rec.Register(g.reg)
@@ -662,7 +648,7 @@ func (g *Gateway) writeMutationError(w http.ResponseWriter, r *http.Request, err
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := g.cache().Stats()
+	st := g.backend.Cache().Stats()
 	resp := StatsResponse{
 		Sources:         g.backend.NumSources(),
 		UptimeSeconds:   time.Since(g.start).Seconds(),

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +22,11 @@ import (
 	"dits/internal/load"
 	"dits/internal/transport"
 )
+
+// midLoadAnswers is how many requests of a load phase the gateway must have
+// answered before the soak kills a tier: enough that the load is running,
+// far fewer than a phase serves, so the kill lands mid-load.
+const midLoadAnswers = 40
 
 // TestClusterSoakKillCenterAndSourceUnderLoad is the cluster chaos soak:
 // a three-center sharded plane over real TCP, one source replicated via
@@ -86,6 +92,7 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 	go repl.Run(replCtx)
 
 	// bravo and charlie: static sources on the middle and right thirds.
+	firstNode := map[string]*dataset.Node{"alpha": alphaNodes[0]}
 	staticSrvs := make(map[string]*federation.SourceServer)
 	staticAddr := make(map[string]string)
 	var staticNodes []*dataset.Node
@@ -100,6 +107,7 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 	} {
 		nodes := soakNodes(rand.New(rand.NewSource(spec.seed)), spec.idBase, spec.lo, spec.hi)
 		staticNodes = append(staticNodes, nodes...)
+		firstNode[spec.name] = nodes[0]
 		srv := federation.NewSourceServerWithGrid(spec.name, dits.Build(grid, nodes, 8))
 		staticSrvs[spec.name] = srv
 		ts, err := transport.Serve("127.0.0.1:0", srv.Handler())
@@ -149,8 +157,26 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 	gw := gateway.NewCluster(cluster, gateway.Options{
 		Admission: admission.Config{Rate: 5000, Burst: 1000, Deadline: 5 * time.Second},
 	})
-	hs := httptest.NewServer(gw.Handler())
+	// answered counts the requests the gateway has finished, so each kill
+	// below waits for its load phase to be under way instead of for a fixed
+	// time.
+	var answered atomic.Int64
+	h := gw.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		answered.Add(1)
+	}))
 	defer hs.Close()
+	midLoad := func(phase string, from int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); answered.Load() < from+midLoadAnswers; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the gateway answered %d requests in 5 s, want %d before the kill",
+					phase, answered.Load()-from, midLoadAnswers)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	// Phase 1 — mixed load (searches + ingest into alpha) across a center
 	// kill. The victim owns the largest shard, forcing the worst re-home.
@@ -159,6 +185,7 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 		err error
 	}
 	resCh := make(chan loadDone, 1)
+	phase1 := answered.Load()
 	go func() {
 		res, err := load.Run(ctx, load.Options{
 			Target:   hs.URL,
@@ -175,19 +202,20 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 		})
 		resCh <- loadDone{res, err}
 	}()
-	time.Sleep(400 * time.Millisecond)
+	midLoad("phase 1", phase1)
 
-	victim := ""
-	most := -1
+	victim, shard := "", []string(nil)
 	for name, srcs := range cluster.Shards() {
-		if len(srcs) > most {
-			victim, most = name, len(srcs)
+		if len(srcs) > len(shard) {
+			victim, shard = name, srcs
 		}
 	}
 	centerTS[victim].Close()
 
-	// The very next uncached query must succeed: failover is in-band.
-	probe := searchRequest{Points: cellPoints(grid, staticNodes[0]), K: 9}
+	// The very next uncached query must succeed: failover is in-band. It
+	// asks for a dataset of the victim's shard, so its fan-out reaches the
+	// dead center.
+	probe := searchRequest{Points: cellPoints(grid, firstNode[shard[0]]), K: 9}
 	var probeResp gateway.OverlapResponse
 	if code := soakPost(t, hs.URL+"/search/overlap", probe, &probeResp); code != http.StatusOK {
 		t.Fatalf("first query after center kill = %d, want 200", code)
@@ -254,6 +282,7 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 	}
 
 	resCh2 := make(chan loadDone, 1)
+	phase2 := answered.Load()
 	go func() {
 		res, err := load.Run(ctx, load.Options{
 			Target:   hs.URL,
@@ -268,7 +297,7 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 		})
 		resCh2 <- loadDone{res, err}
 	}()
-	time.Sleep(300 * time.Millisecond)
+	midLoad("phase 2", phase2)
 	tsAlpha.Close() // kill the replicated source's primary mid-load
 
 	var after gateway.OverlapResponse

@@ -153,18 +153,12 @@ func TestClusterFailoverSingleTrace(t *testing.T) {
 	hs := httptest.NewServer(gw.Handler())
 	defer hs.Close()
 
-	// Kill the center that owns at least one source, so the failover has a
-	// shard to re-home. The gateway has NOT probed: the very next query
+	// Kill the center that owns the probed dataset's source, so the query's
+	// fan-out must reach it. The gateway has NOT probed: the very next query
 	// discovers the corpse mid-flight.
-	victim := ""
-	for name, srcs := range cluster.Shards() {
-		if len(srcs) > 0 {
-			victim = name
-			break
-		}
-	}
+	victim := cluster.Stats().SourceOwners["alpha"]
 	if victim == "" {
-		t.Fatal("no center owns a source")
+		t.Fatal("no center owns alpha")
 	}
 	centerTS[victim].Close()
 
@@ -184,16 +178,16 @@ func TestClusterFailoverSingleTrace(t *testing.T) {
 	var failedRPC, rehome, retriedRPC *obs.SpanNode
 	for _, n := range flattenTree(detail.Tree) {
 		switch {
-		case n.Name == "rpc:"+federation.MethodClusterOverlap && n.Err != "":
+		case n.Name == "rpc:"+federation.MethodClusterForward && n.Err != "":
 			failedRPC = n
 		case n.Name == "failover.rehome":
 			rehome = n
-		case n.Name == "rpc:"+federation.MethodClusterOverlap && n.Err == "":
+		case n.Name == "rpc:"+federation.MethodClusterForward && n.Err == "":
 			retriedRPC = n
 		}
 	}
 	if failedRPC == nil {
-		t.Error("trace has no failed rpc:cluster.overlap span")
+		t.Error("trace has no failed rpc:cluster.forward span")
 	}
 	if rehome == nil {
 		t.Error("trace has no failover.rehome span")
@@ -201,7 +195,10 @@ func TestClusterFailoverSingleTrace(t *testing.T) {
 		t.Errorf("failover.rehome source = %q, want the killed center %q", rehome.Source, victim)
 	}
 	if retriedRPC == nil {
-		t.Error("trace has no successful retried rpc:cluster.overlap span")
+		t.Error("trace has no successful retried rpc:cluster.forward span")
+	} else if failedRPC != nil && retriedRPC.StartMs < failedRPC.StartMs+failedRPC.DurationMs {
+		t.Errorf("the successful rpc:cluster.forward (start %.3f ms) does not follow the failed one (end %.3f ms)",
+			retriedRPC.StartMs, failedRPC.StartMs+failedRPC.DurationMs)
 	}
 	if failedRPC != nil && failedRPC.Source != victim {
 		t.Errorf("failed rpc source = %q, want %q", failedRPC.Source, victim)
