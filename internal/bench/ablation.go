@@ -13,7 +13,7 @@ import (
 //     MBR-intersecting leaf),
 //   - the spatial merge strategy of CoverageSearch (vs SG+DITS, which is
 //     exactly CoverageSearch without the merge),
-//   - the bucketed connectivity kernel (DistIndex) behind FindConnectSet
+//   - the Morton-block connectivity kernel (DistIndex) behind FindConnectSet
 //     (vs the naive pairwise distance the plain SG baseline embodies).
 func Ablation(cfg Config) []Table {
 	t := Table{

@@ -1,6 +1,7 @@
 package cellset
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 )
@@ -554,7 +555,7 @@ func arrAppendRanks(dst []uint32, base uint32, a, b []uint16) []uint32 {
 // gallop returns the index of the first element of sorted s that is >= v
 // (len(s) when none is), doubling its stride from the front so that a
 // target near the front costs O(log distance), not O(log len(s)).
-func gallop(s []uint16, v uint16) int {
+func gallop[T cmp.Ordered](s []T, v T) int {
 	lo, hi := 0, 1 // s[:lo] < v
 	for hi <= len(s) && s[hi-1] < v {
 		lo, hi = hi, hi<<1

@@ -75,11 +75,13 @@ func decodeSorted(s Set) []cellXY {
 
 // WithinDist reports whether Dist(s, t) <= delta, i.e. whether the two
 // cell-based datasets are directly connected under threshold δ
-// (Definition 7). It buckets the smaller set into δ-sided squares and
-// probes the larger set's cells against the 3×3 bucket neighborhood,
-// stopping at the first pair within δ. The per-call index build keeps this
-// an honest pairwise kernel; callers that repeatedly test against the same
-// set should build one DistIndex instead.
+// (Definition 7). It indexes the smaller set by Morton block — 2^L × 2^L
+// cells, 2^L ≥ ⌈δ⌉ — together with the blocks near it, then walks the larger
+// set's sorted cells against the near blocks: cells in far blocks are jumped
+// over, and a cell in a near block is measured against the 3×3 blocks
+// around it, stopping at the first pair within δ. The per-call index build
+// keeps this an honest pairwise kernel; callers that repeatedly test
+// against the same set should build one DistIndex instead.
 func WithinDist(s, t Set, delta float64) bool {
 	if len(s) == 0 || len(t) == 0 || delta < 0 {
 		return false

@@ -1,6 +1,7 @@
 package cellset
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -18,6 +19,17 @@ func TestDistIndexMatchesNaive(t *testing.T) {
 			if got := ix.Connected(s); got != want {
 				t.Fatalf("trial %d δ=%v: Connected=%v, naive=%v\nq=%v\ns=%v",
 					trial, delta, got, want, q, s)
+			}
+		}
+	}
+	// Route-shaped sets over a 4096² grid: far blocks and far super-blocks
+	// to jump over on both sides.
+	q, cands := sparseDistFixture()
+	for _, delta := range []float64{3, 10, 100} {
+		ix := NewDistIndex(q, delta)
+		for i, s := range cands[:16] {
+			if got, want := ix.Connected(s), DistNaive(q, s) <= delta; got != want {
+				t.Fatalf("sparse candidate %d δ=%v: Connected=%v, naive=%v", i, delta, got, want)
 			}
 		}
 	}
@@ -130,7 +142,10 @@ func TestDistIndexEdgeCases(t *testing.T) {
 // grid (offset 63 is coordinate 2^32-1).
 var distIndexAnchors = []uint32{0, 1<<31 - 16, 1<<32 - 64}
 
-var distIndexDeltas = []float64{0, 0.5, 1, 2.5, 10}
+// distIndexDeltas cover every block level boundary the anchors can show:
+// 15, 16 and 17 straddle L = 4/5, 2^31 is L = 31 (two blocks a side, split
+// at the middle anchor) and +Inf is L = 32, where every cell is in block 0.
+var distIndexDeltas = []float64{0, 0.5, 1, 2.5, 10, 15, 16, 17, 1 << 31, math.Inf(1)}
 
 // anchoredCells decodes byte pairs as (x, y) offsets in 0..63 from anchor.
 // Repeated pairs are kept: New de-duplicates, the index entry points that
@@ -219,7 +234,9 @@ func FuzzDistIndexVsNaive(f *testing.F) {
 		f.Add([]byte{0, 0, 9, 9, 63, 63}, []byte{5, 5, 5, 5}, []byte{12, 0, 63, 62}, delta, uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, base, extra, probe []byte, delta float64, anchorSel uint8) {
-		if !(delta >= 0 && delta <= 200) || len(base)+len(extra)+len(probe) > 600 {
+		// Any finite δ: block levels up to 32. At +Inf the oracle's distance
+		// to an empty probe, +Inf, would count as connected.
+		if !(delta >= 0) || math.IsInf(delta, 1) || len(base)+len(extra)+len(probe) > 600 {
 			t.Skip()
 		}
 		anchor := distIndexAnchors[int(anchorSel)%len(distIndexAnchors)]
@@ -229,8 +246,8 @@ func FuzzDistIndexVsNaive(f *testing.F) {
 }
 
 // TestDistIndexProbeZeroAlloc: probing is the inner loop of connectivity
-// verification and must not allocate; building the flat index allocates
-// the index and its three arrays, nothing per cell or per bucket.
+// verification and must not allocate; building allocates the index and its
+// near list, nothing per cell or per block.
 func TestDistIndexProbeZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	q := randomGridSet(rng, 2000)
@@ -247,6 +264,62 @@ func TestDistIndexProbeZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { NewDistIndex(q, 3) }); allocs > 4 {
 		t.Errorf("NewDistIndex allocated %.1f times, want <= 4", allocs)
+	}
+}
+
+// trailSet returns n cells along a walk from (x, y) on a 4096² grid that
+// keeps its heading for a while before turning: the shape of a route
+// gridded at θ = 12.
+func trailSet(rng *rand.Rand, x, y, n int) Set {
+	ids := make([]uint64, 0, n)
+	dx, dy := 1, 0
+	for len(ids) < n {
+		if rng.Intn(16) == 0 {
+			dx, dy = rng.Intn(3)-1, rng.Intn(3)-1
+		}
+		x, y = min(max(x+dx, 0), 4095), min(max(y+dy, 0), 4095)
+		ids = append(ids, geo.ZEncode(uint32(x), uint32(y)))
+	}
+	return New(ids...)
+}
+
+// sparseDistFixture is a connectivity round's shape on cjsp-small: an
+// indexed delta of about 1,300 cells on four routes, and 64 candidate
+// datasets of about 600 cells, half starting near the delta (some connect)
+// and half anywhere on the grid.
+func sparseDistFixture() (q Set, cands []Set) {
+	rng := rand.New(rand.NewSource(27))
+	for range 4 {
+		q = q.Union(trailSet(rng, rng.Intn(4096), rng.Intn(4096), 330))
+	}
+	for i := range 64 {
+		x, y := rng.Intn(4096), rng.Intn(4096)
+		if i%2 == 0 {
+			cx, cy := geo.ZDecode(q[rng.Intn(len(q))])
+			x, y = int(cx)+rng.Intn(81)-40, int(cy)+rng.Intn(81)-40
+		}
+		cands = append(cands, trailSet(rng, x, y, 600))
+	}
+	return q, cands
+}
+
+func BenchmarkNewDistIndex(b *testing.B) {
+	q, _ := sparseDistFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewDistIndex(q, 10)
+	}
+}
+
+func BenchmarkDistIndexConnectedSparse(b *testing.B) {
+	q, cands := sparseDistFixture()
+	ix := NewDistIndex(q, 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range cands {
+			ix.Connected(s)
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package federation
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"dits/internal/geo"
 	"dits/internal/index/dits"
 	"dits/internal/transport"
+	"dits/internal/workload"
 )
 
 // registerAll wires the given servers into a fresh center over InProc
@@ -488,5 +491,70 @@ func TestCoverageEpochPinningMidQuery(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("churn-during-query changed the result: %+v, want %+v", got, want)
+	}
+}
+
+// TestCoverageRoundAllocBudget holds the bytes a source allocates per
+// coverage.round to a budget, on sessions shaped like cjsp-small's: its five
+// sources (scale 0.05, data seed 1, world grid at θ = 12), δ = 10, and per
+// query — a dataset translated by two cells — a session at every source: a
+// Base round, then a fetch and a delta round per pick up to k = 5. The
+// budget is what a round allocated while the connectivity index sorted
+// δ-sided buckets (43,442 B here), plus 10 %. Sessions run one after
+// another in line, and the least of three passes is taken: allocations
+// elsewhere in the process can only raise one.
+func TestCoverageRoundAllocBudget(t *testing.T) {
+	const budget = 43442 * 11 / 10
+	g := geo.NewGrid(12, geo.Rect{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90})
+	var servers []*SourceServer
+	var nodes []*dataset.Node
+	for _, src := range workload.GenerateAll(0.05, 1) {
+		nds := src.Nodes(g)
+		servers = append(servers, NewSourceServerWithGrid(src.Name, dits.Build(g, nds, 30)))
+		nodes = append(nodes, nds...)
+	}
+	rng := rand.New(rand.NewSource(61))
+	var queries []cellset.Set
+	for range 8 {
+		var ids []uint64
+		for _, c := range nodes[rng.Intn(len(nodes))].Cells {
+			x, y := geo.ZDecode(c)
+			ids = append(ids, geo.ZEncode(x+2, y+2))
+		}
+		queries = append(queries, cellset.New(ids...))
+	}
+
+	ctx := context.Background()
+	perRound, rounds := math.Inf(1), 0
+	for pass := uint64(0); pass < 3; pass++ {
+		var bytes uint64
+		rounds = 0
+		for i, q := range queries {
+			sess := pass<<8 | uint64(i)
+			for _, srv := range servers {
+				req := CoverageRoundRequest{Session: sess, Base: q, Delta: 10}
+				var exclude []int
+				for len(exclude) < 5 {
+					var ms0, ms1 runtime.MemStats
+					runtime.ReadMemStats(&ms0)
+					resp := srv.handleCoverageRound(ctx, req)
+					runtime.ReadMemStats(&ms1)
+					bytes += ms1.TotalAlloc - ms0.TotalAlloc
+					rounds++
+					if !resp.Found {
+						break
+					}
+					exclude = append(exclude, resp.ID)
+					srv.handleFetchCells(FetchCellsRequest{Session: sess, ID: resp.ID})
+					req = CoverageRoundRequest{Session: sess, Delta: 10, Exclude: exclude}
+				}
+				srv.handleSessionClose(SessionCloseRequest{Session: sess})
+			}
+		}
+		perRound = min(perRound, float64(bytes)/float64(rounds))
+	}
+	t.Logf("%.0f B per coverage.round over %d rounds, budget %d B", perRound, rounds, budget)
+	if perRound > budget {
+		t.Fatalf("a coverage.round allocates %.0f B, over the budget of %d B", perRound, budget)
 	}
 }

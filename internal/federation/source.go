@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -450,13 +451,10 @@ func (s *SourceServer) findConnectSet(ctx context.Context, idx *dits.Local, qn *
 // pickBest selects the maximum-marginal-gain dataset among cands against
 // the merged state, skipping excluded IDs, with the deterministic
 // smallest-ID tie-break shared by both protocol variants (exec.PickBest).
+// exclude holds at most k IDs, so a scan beats building a set per round.
 func (s *SourceServer) pickBest(cands []*dataset.Node, mergedC *cellset.Compact, exclude []int) (*dataset.Node, int) {
-	excluded := make(map[int]bool, len(exclude))
-	for _, id := range exclude {
-		excluded[id] = true
-	}
 	return s.executor().PickBest(context.Background(), cands,
-		func(id int) bool { return excluded[id] }, mergedC)
+		func(id int) bool { return slices.Contains(exclude, id) }, mergedC)
 }
 
 // handleCoverageRound answers one session round: update the session state

@@ -259,7 +259,7 @@ func collect(n *dits.TreeNode, out *[]*dataset.Node) {
 // container form for file-backed ones.
 func connectedTo(qIdx *cellset.DistIndex, nd *dataset.Node) bool {
 	if !qIdx.NearRect(nd.Rect) {
-		return false // no occupied bucket near the MBR: skip decoding the cells
+		return false // no near block in the MBR: skip decoding the cells
 	}
 	if nd.Cells != nil {
 		return qIdx.Connected(nd.Cells)
