@@ -168,5 +168,5 @@ func (n *Node) Merge(m *Node) *Node {
 
 // String implements fmt.Stringer.
 func (n *Node) String() string {
-	return fmt.Sprintf("Node{id=%d, |S|=%d, rect=%v}", n.ID, n.Cells.Len(), n.Rect)
+	return fmt.Sprintf("Node{id=%d, |S|=%d, rect=%v}", n.ID, n.Coverage(), n.Rect)
 }

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -106,6 +107,9 @@ func TestMerge(t *testing.T) {
 	}
 	if m.Cells != nil {
 		t.Error("merged node should carry the container form only")
+	}
+	if got, want := m.String(), fmt.Sprintf("Node{id=1, |S|=3, rect=%v}", m.Rect); got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 	if !m.Rect.ContainsRect(a.Rect) || !m.Rect.ContainsRect(b.Rect) {
 		t.Error("merged rect should contain both inputs")

@@ -31,7 +31,7 @@ func bruteCounts(leaf *TreeNode, q cellset.Set) []int {
 
 // allCounts is OverlapCounts with nothing to prune against: a nil answer
 // (no query cell in the leaf at all) reads as all-zero counts.
-func allCounts(leaf *TreeNode, q LeafQuery, s *LeafScratch) []int {
+func allCounts(leaf *TreeNode, q *cellset.Compact, s *LeafScratch) []int {
 	if counts := leaf.OverlapCounts(q, 0, s); counts != nil {
 		return counts
 	}
@@ -56,7 +56,7 @@ func TestAppendOverlapCountsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l := Build(testGrid(8), randomNodes(rng, 300, 8), 10)
 	for _, q := range []*dataset.Node{randomNodes(rng, 1, 8)[0], densePatch(90, 90, 40)} {
-		lq := NewLeafQuery(q)
+		lq := q.CompactCells()
 		var scratch LeafScratch
 		l.Root.visitLeaves(func(n *TreeNode) {
 			got := allCounts(n, lq, &scratch)
@@ -71,24 +71,23 @@ func TestAppendOverlapCountsParity(t *testing.T) {
 }
 
 // TestAppendOverlapCountsZeroAlloc: with a warm scratch, OverlapCounts —
-// the executor's inner loop — must not allocate on any of its passes: the
-// rank pass (sparse query, leaves at rest), the chunk merge (dense query)
-// and the map pass (sparse query, mutated leaves).
+// the executor's inner loop — must not allocate on either of its passes:
+// the rank pass (sparse query) and the chunk merge (dense query).
 func TestAppendOverlapCountsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	l := Build(testGrid(8), randomNodes(rng, 300, 8), 10)
 	var leaves []*TreeNode
 	l.Root.visitLeaves(func(n *TreeNode) { leaves = append(leaves, n) })
-	sparse, dense := NewLeafQuery(densePatch(100, 100, 12)), NewLeafQuery(densePatch(90, 90, 40))
+	sparse, dense := densePatch(100, 100, 12).Compact, densePatch(90, 90, 40).Compact
 	var scratch LeafScratch
-	sweep := func(q LeafQuery) func() {
+	sweep := func(q *cellset.Compact) func() {
 		return func() {
 			for _, n := range leaves {
 				n.OverlapCounts(q, 0, &scratch)
 			}
 		}
 	}
-	check := func(pass string, q LeafQuery) {
+	check := func(pass string, q *cellset.Compact) {
 		t.Helper()
 		sweep(q)() // warm-up: grows the scratch to the widest leaf
 		if allocs := testing.AllocsPerRun(50, sweep(q)); allocs != 0 {
@@ -97,8 +96,4 @@ func TestAppendOverlapCountsZeroAlloc(t *testing.T) {
 	}
 	check("rank pass", sparse)
 	check("chunk merge", dense)
-	for _, n := range leaves {
-		n.ensureInv()
-	}
-	check("map pass", sparse)
 }

@@ -69,7 +69,6 @@ func BuildBottomUp(g geo.Grid, nodes []*dataset.Node, f int) *Local {
 		}
 		leaf := &TreeNode{Children: append([]*dataset.Node(nil), c.data...)}
 		leaf.refreshGeometry()
-		leaf.post = newLeafPostings(leaf.Children, leaf.unionC)
 		for _, d := range c.data {
 			l.leafOf[d.ID] = leaf
 		}

@@ -32,7 +32,7 @@ func TestBuildBottomUpAnswersLikeTopDown(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		q := randomNodes(rng, 1, 7)[0]
 		var topTotal, bottomTotal int
-		lq := NewLeafQuery(q)
+		lq := q.CompactCells()
 		var scratch LeafScratch
 		top.Root.visitLeaves(func(leaf *TreeNode) {
 			topTotal += sumCounts(leaf.OverlapCounts(lq, 0, &scratch))

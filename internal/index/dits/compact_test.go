@@ -21,13 +21,13 @@ func TestLeafCompactParity(t *testing.T) {
 		t.Helper()
 		for trial := 0; trial < 20; trial++ {
 			q := randomNodes(rng, 1, 8)[0]
-			lq := NewLeafQuery(q)
+			lq := q.CompactCells()
 			l.Root.visitLeaves(func(leaf *TreeNode) {
 				want := bruteCounts(leaf, q.Cells)
 				if got := allCounts(leaf, lq, &scratch); !slices.Equal(got, want) {
 					t.Fatalf("%s: OverlapCounts = %v, brute force = %v", label, got, want)
 				}
-				lb, ub := leafBounds(leaf, lq.Cells)
+				lb, ub := leafBounds(leaf, lq)
 				for i, n := range want {
 					if n < lb || n > ub {
 						t.Fatalf("%s: count[%d] = %d outside [lb=%d, ub=%d]", label, i, n, lb, ub)
@@ -79,9 +79,9 @@ func TestLeafCompactParityHandBuiltQuery(t *testing.T) {
 	l := Build(testGrid(8), randomNodes(rng, 50, 8), 5)
 	cells := cellset.New(geo.ZEncode(3, 4), geo.ZEncode(5, 6), geo.ZEncode(200, 200))
 	q := &dataset.Node{ID: -1, Cells: cells} // no Compact field
-	lq := NewLeafQuery(q)
-	if lq.Cells == nil || lq.Cells.Len() != cells.Len() {
-		t.Fatalf("CompactCells fallback = %v", lq.Cells)
+	lq := q.CompactCells()
+	if lq == nil || lq.Len() != cells.Len() {
+		t.Fatalf("CompactCells fallback = %v", lq)
 	}
 	var scratch LeafScratch
 	l.Root.visitLeaves(func(leaf *TreeNode) {

@@ -10,10 +10,3 @@ var (
 	BruteCounts = bruteCounts
 	AllCounts   = allCounts
 )
-
-// ForceInvMap switches the leaf to the mutable Inv map, as the first
-// mutation to reach it would, leaving its content unchanged.
-func (n *TreeNode) ForceInvMap() {
-	n.EnsureLoaded()
-	n.ensureInv()
-}

@@ -11,12 +11,11 @@ import (
 	"dits/internal/index/ditsfile"
 )
 
-// TestLeafKernelsAgree: the three passes behind OverlapCounts — posting
-// ranks (leaves at rest), the Inv map (mutated leaves) and the per-child
-// chunk merge (dense queries) — must all return the brute-force counts over
-// plain sets, on a heap-built index, on the same index served from an
-// mmap'd snapshot, after inserts that split leaves, after deletes, and with
-// every leaf forced onto the map.
+// TestLeafKernelsAgree: the two passes behind OverlapCounts — posting ranks
+// (sparse queries) and the per-child chunk merge (dense queries) — must both
+// return the brute-force counts over plain sets, on a heap-built index, on
+// the same index served from an mmap'd snapshot, and on both after inserts
+// that split leaves, after deletes and after updates.
 func TestLeafKernelsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	nodes := dits.RandomNodes(rng, 240, 8)
@@ -30,27 +29,19 @@ func TestLeafKernelsAgree(t *testing.T) {
 		"sparse": dits.RandomNodes(rng, 12, 8),
 		"dense":  {dits.DensePatch(10, 10, 60), dits.DensePatch(100, 90, 40)},
 	}
-	// A query that carries only the container form: mutated leaves cannot
-	// walk its cells and fall back to the chunk merge.
-	bare := *dits.DensePatch(30, 30, 15)
-	flat := bare.Cells
-	bare.Cells = nil
 
 	var scratch dits.LeafScratch
 	check := func(label string, l *dits.Local) {
 		t.Helper()
-		verify := func(kind string, q dits.LeafQuery, leaf *dits.TreeNode, want []int) {
-			if got := dits.AllCounts(leaf, q, &scratch); !slices.Equal(got, want) {
-				t.Fatalf("%s, %s query: OverlapCounts = %v, brute force = %v", label, kind, got, want)
-			}
-		}
 		l.Root.VisitLeaves(func(leaf *dits.TreeNode) {
 			for kind, qs := range queries {
 				for _, q := range qs {
-					verify(kind, dits.NewLeafQuery(q), leaf, dits.BruteCounts(leaf, q.Cells))
+					want := dits.BruteCounts(leaf, q.Cells)
+					if got := dits.AllCounts(leaf, q.CompactCells(), &scratch); !slices.Equal(got, want) {
+						t.Fatalf("%s, %s query: OverlapCounts = %v, brute force = %v", label, kind, got, want)
+					}
 				}
 			}
-			verify("container-only", dits.NewLeafQuery(&bare), leaf, dits.BruteCounts(leaf, flat))
 		})
 	}
 
@@ -71,9 +62,10 @@ func TestLeafKernelsAgree(t *testing.T) {
 		t.Fatalf("%d leaves failed to load", n)
 	}
 
-	// Mutate both: the touched leaves switch to the map, split leaves come
-	// back at rest with fresh postings, untouched ones keep theirs.
-	for _, l := range []*dits.Local{heap, r.Index()} {
+	// Mutate both: touched leaves rebuild their postings, split leaves come
+	// back with fresh ones, untouched ones keep theirs.
+	both := []*dits.Local{heap, r.Index()}
+	for _, l := range both {
 		for i, nd := range dits.RandomNodes(rng, 80, 8) {
 			nd.ID = 1000 + i
 			if err := l.Insert(nd); err != nil {
@@ -83,7 +75,7 @@ func TestLeafKernelsAgree(t *testing.T) {
 	}
 	check("heap-built after inserts", heap)
 	check("mmap after inserts", r.Index())
-	for _, l := range []*dits.Local{heap, r.Index()} {
+	for _, l := range both {
 		for id := 0; id < 60; id++ {
 			if err := l.Delete(id); err != nil {
 				t.Fatal(err)
@@ -95,7 +87,25 @@ func TestLeafKernelsAgree(t *testing.T) {
 	}
 	check("heap-built after deletes", heap)
 	check("mmap after deletes", r.Index())
-
-	heap.Root.VisitLeaves(func(leaf *dits.TreeNode) { leaf.ForceInvMap() })
-	check("every leaf on the map", heap)
+	// Updates in place: dataset 500 shrinks from a bitmap-sized patch to a
+	// few cells, dataset 1050 grows into one.
+	updates := dits.RandomNodes(rng, 40, 8)
+	updates[0].ID = 500
+	for i, nd := range updates[1:] {
+		nd.ID = 1000 + i
+	}
+	updates = append(updates, dits.DensePatch(60, 60, 70))
+	updates[len(updates)-1].ID = 1050
+	for _, l := range both {
+		for _, nd := range updates {
+			if err := l.Update(dataset.NewNodeFromCells(nd.ID, "", nd.Cells)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("heap-built after updates", heap)
+	check("mmap after updates", r.Index())
 }

@@ -2,7 +2,6 @@ package dits
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"dits/internal/cellset"
@@ -22,54 +21,42 @@ import (
 
 // LeafData is everything a file-backed leaf materializes on first touch.
 // ChildCells aligns with the leaf's Children slice; Post must carry one
-// posting list per cell of Union, in cell order (see LeafPostings).
+// posting list per cell of Union, in rank order (see LeafPostings).
 type LeafData struct {
 	ChildCells []*cellset.Compact
 	Union, All *cellset.Compact
 	Post       *LeafPostings
 }
 
-// LeafPostings is the flat, possibly file-aliased form of a leaf's
-// inverted index: for CellList[i], the child positions holding that cell
-// are Entries[Ends[i-1]:Ends[i]]. CellList is the leaf's cell union in
-// order, so i is the cell's rank in the union summary — OverlapCounts reads
-// the lists by rank and never searches CellList. It is the one form a
-// leaf's postings take at rest, heap-built or file-backed, until a mutation
-// forces the Inv map to be built (ensureInv).
+// LeafPostings is a leaf's inverted index, heap-built or aliasing a
+// snapshot file: the child positions holding the cell of rank i in the
+// leaf's cell union (unionC) are Entries[Ends[i-1]:Ends[i]]. OverlapCounts
+// reads the lists by the ranks AppendIntersectRanks yields, so the cells
+// themselves are never stored. A mutation rebuilds the whole index from
+// the leaf's children.
 type LeafPostings struct {
-	CellList []uint64 // distinct cells, strictly ascending
-	Ends     []uint32 // prefix end offsets into Entries, len == len(CellList)
-	Entries  []uint16 // child positions, grouped per cell, ascending within a cell
+	Ends    []uint32 // prefix end offsets into Entries, one per union cell
+	Entries []uint16 // child positions, grouped per cell, ascending within a cell
 }
 
-// newLeafPostings flattens the inverted index of a leaf holding children,
-// whose cell union is union: one pass locates every (child, cell) pair in
-// the sorted union, a counting sort then groups the pairs by cell. Children
-// are visited in position order, so positions ascend within each cell.
+// newLeafPostings builds the inverted index of a leaf holding children,
+// whose cell union is union: one rank intersection per child locates all
+// its cells in the union, a counting sort then groups the pairs by cell.
+// Children are visited in position order, so positions ascend within each
+// cell. It costs O(the leaf's child-cell pairs).
 func newLeafPostings(children []*dataset.Node, union *cellset.Compact) *LeafPostings {
-	p := &LeafPostings{CellList: union.Set()}
-	p.Ends = make([]uint32, len(p.CellList))
 	total := 0
 	for _, c := range children {
 		total += c.Coverage()
 	}
-	// where[j] is the CellList index of the j-th pair in child order.
+	// where[j] is the union rank of the j-th pair in child order.
 	where := make([]uint32, 0, total)
-	var scratch cellset.Set
 	for _, c := range children {
-		cells := c.Cells
-		if cells == nil {
-			scratch = c.CompactCells().AppendCells(scratch[:0])
-			cells = scratch
-		}
-		lo := 0
-		for _, cell := range cells {
-			i, _ := slices.BinarySearch(p.CellList[lo:], cell)
-			lo += i
-			where = append(where, uint32(lo))
-			p.Ends[lo]++
-			lo++
-		}
+		where = union.AppendIntersectRanks(c.CompactCells(), where)
+	}
+	p := &LeafPostings{Ends: make([]uint32, union.Len()), Entries: make([]uint16, len(where))}
+	for _, r := range where {
+		p.Ends[r]++
 	}
 	// Counts -> start offsets; filling advances each start to its list's end.
 	sum := uint32(0)
@@ -77,7 +64,6 @@ func newLeafPostings(children []*dataset.Node, union *cellset.Compact) *LeafPost
 		p.Ends[i] = sum
 		sum += n
 	}
-	p.Entries = make([]uint16, total)
 	j := 0
 	for pos, c := range children {
 		for range c.Coverage() {
@@ -89,16 +75,12 @@ func newLeafPostings(children []*dataset.Node, union *cellset.Compact) *LeafPost
 	return p
 }
 
-// Postings returns the leaf's inverted index in flat form: the one it
-// carries at rest, or a fresh flattening when a mutation has replaced it
-// with the Inv map. It never modifies the leaf, so it is safe beside
-// concurrent searches (the snapshot writer runs under the shared lock).
+// Postings returns the leaf's inverted index, materializing a file-backed
+// leaf first. It never modifies the leaf, so it is safe beside concurrent
+// searches (the snapshot writer runs under the shared lock).
 func (n *TreeNode) Postings() *LeafPostings {
 	n.EnsureLoaded()
-	if n.post != nil {
-		return n.post
-	}
-	return newLeafPostings(n.Children, n.unionC)
+	return n.post
 }
 
 // lazyLeaf arms a leaf for one-shot materialization. The once gives every
@@ -209,30 +191,6 @@ func NewFromTree(g geo.Grid, f int, root *TreeNode) (*Local, error) {
 	return l, nil
 }
 
-// eachCell visits a child's cells whichever form the node carries: the
-// flat set for heap-built nodes, the container form for file-backed ones.
-func eachCell(nd *dataset.Node, fn func(uint64)) {
-	if nd.Cells != nil {
-		for _, c := range nd.Cells {
-			fn(c)
-		}
-		return
-	}
-	nd.CompactCells().ForEach(func(c uint64) bool { fn(c); return true })
-}
-
-// ensureInv guarantees the leaf carries the mutable Inv map, building it
-// from the materialized children when the leaf came off a file. Mutation
-// entry points call it (after EnsureLoaded) before touching postings; the
-// flat posting lists are dropped since they no longer agree after a write.
-func (n *TreeNode) ensureInv() {
-	if n.Inv != nil {
-		return
-	}
-	n.rebuildInv()
-	n.post = nil
-}
-
 // list returns the child positions holding the i-th cell of the union.
 func (p *LeafPostings) list(i int) []uint16 {
 	start := uint32(0)
@@ -240,49 +198,4 @@ func (p *LeafPostings) list(i int) []uint16 {
 		start = p.Ends[i-1]
 	}
 	return p.Entries[start:p.Ends[i]]
-}
-
-// checkPostings verifies that every cell of the child at position pos is
-// findable in the leaf's inverted index — the Inv map for heap leaves,
-// the flat posting lists for file-backed ones. CheckInvariants uses it.
-func (n *TreeNode) checkPostings(c *dataset.Node, pos int) error {
-	var missing uint64
-	ok := true
-	switch {
-	case n.Inv != nil:
-		eachCell(c, func(cell uint64) {
-			if !ok {
-				return
-			}
-			hit := false
-			for _, idx := range n.Inv[cell] {
-				if idx == int32(pos) {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				ok, missing = false, cell
-			}
-		})
-	case n.post != nil:
-		eachCell(c, func(cell uint64) {
-			if !ok {
-				return
-			}
-			i, hit := slices.BinarySearch(n.post.CellList, cell)
-			if hit {
-				hit = slices.Contains(n.post.list(i), uint16(pos))
-			}
-			if !hit {
-				ok, missing = false, cell
-			}
-		})
-	default:
-		return fmt.Errorf("dits: leaf at %v has neither inverted index nor postings", n.Rect)
-	}
-	if !ok {
-		return fmt.Errorf("dits: cell %d of dataset %d missing from inverted index", missing, c.ID)
-	}
-	return nil
 }

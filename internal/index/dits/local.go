@@ -85,7 +85,6 @@ func (l *Local) build(nds []*dataset.Node, parent *TreeNode) *TreeNode {
 	if len(nds) <= l.F {
 		root.Children = append([]*dataset.Node(nil), nds...)
 		root.refreshGeometry()
-		root.post = newLeafPostings(root.Children, root.unionC)
 		for _, c := range nds {
 			l.leafOf[c.ID] = root
 		}
@@ -203,11 +202,8 @@ func (l *Local) MemoryBytes() int64 {
 	const nodeSize = 96 // TreeNode header: rect + pivot + radius + pointers
 	var bytes int64
 	l.Root.visitLeaves(func(leaf *TreeNode) {
-		for _, pl := range leaf.Inv {
-			bytes += 8 + int64(len(pl))*4 // key + posting entries
-		}
 		if p := leaf.post; p != nil {
-			bytes += int64(len(p.CellList))*8 + int64(len(p.Ends))*4 + int64(len(p.Entries))*2
+			bytes += int64(len(p.Ends))*4 + int64(len(p.Entries))*2
 		}
 		for _, c := range leaf.Children {
 			bytes += int64(c.Cells.Len())*8 + 64 // cell set + node header
@@ -271,9 +267,6 @@ func (l *Local) CheckInvariants() error {
 					union = union.Union(cc)
 					all = all.Intersect(cc)
 				}
-				if err := n.checkPostings(c, i); err != nil {
-					return err
-				}
 			}
 			if n.MaxCells != maxCov {
 				return fmt.Errorf("dits: leaf MaxCells %d != max child coverage %d at %v", n.MaxCells, maxCov, n.Rect)
@@ -286,6 +279,15 @@ func (l *Local) CheckInvariants() error {
 			}
 			if !n.allC.Equal(all) {
 				return fmt.Errorf("dits: leaf all-children summary out of sync at %v", n.Rect)
+			}
+			// The postings must be exactly the ones the children imply: no
+			// missing, extra or misordered entry.
+			got, want := n.post, newLeafPostings(n.Children, union)
+			if got == nil {
+				got = &LeafPostings{}
+			}
+			if !slices.Equal(got.Ends, want.Ends) || !slices.Equal(got.Entries, want.Entries) {
+				return fmt.Errorf("dits: leaf postings out of sync at %v", n.Rect)
 			}
 			return nil
 		}

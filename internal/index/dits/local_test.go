@@ -101,9 +101,9 @@ func TestOverlapBoundsLemmas(t *testing.T) {
 	var scratch LeafScratch
 	for trial := 0; trial < 100; trial++ {
 		q := randomNodes(rng, 1, 6)[0]
-		lq := NewLeafQuery(q)
+		lq := q.CompactCells()
 		l.Root.visitLeaves(func(leaf *TreeNode) {
-			lb, ub := leafBounds(leaf, lq.Cells)
+			lb, ub := leafBounds(leaf, lq)
 			if lb > ub {
 				t.Fatalf("lb %d > ub %d", lb, ub)
 			}
@@ -133,8 +133,8 @@ func TestOverlapBoundsFig5Example(t *testing.T) {
 	if !leaf.IsLeaf() {
 		t.Fatal("expected single leaf")
 	}
-	q := NewLeafQuery(dataset.NewNodeFromCells(-1, "", cellset.New(3, 9)))
-	lb, ub := leafBounds(leaf, q.Cells)
+	q := cellset.FromSet(cellset.New(3, 9))
+	lb, ub := leafBounds(leaf, q)
 	if lb != 1 || ub != 1 {
 		t.Errorf("bounds = (lb=%d, ub=%d), want (1, 1)", lb, ub)
 	}

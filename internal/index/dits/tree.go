@@ -4,6 +4,13 @@
 // cell ID to the datasets containing it — and the centralized global index
 // DITS-G (§V-B) built over the sources' root-node summaries.
 //
+// A leaf's inverted index has one form, heap-built or mmap'd, at rest or
+// mutated: flat posting lists keyed by a cell's rank in the leaf's union
+// summary (LeafPostings). Verification (OverlapCounts) reads them through
+// the ranks one intersection with that union yields, or, for a dense
+// query, merges chunks per child instead. A mutation rebuilds the touched
+// leaf's postings from its children.
+//
 // # Concurrency and ownership
 //
 // A Local and everything reachable from it (tree nodes, leaf inverted
@@ -25,6 +32,9 @@
 package dits
 
 import (
+	"cmp"
+	"slices"
+
 	"dits/internal/cellset"
 	"dits/internal/dataset"
 	"dits/internal/geo"
@@ -32,10 +42,10 @@ import (
 
 // TreeNode is a node of the DITS-L tree. Internal nodes (Definition 13)
 // have Left and Right children; leaf nodes (Definition 14) hold up to F
-// dataset nodes in Children plus the inverted index — flat posting lists
-// at rest, the Inv map once a mutation has touched the leaf. All nodes carry
-// the MBR (in grid-coordinate space), pivot, radius, and a parent pointer —
-// the bidirectional structure Appendix C relies on for fast updates.
+// dataset nodes in Children plus the inverted index from cell to children.
+// All nodes carry the MBR (in grid-coordinate space), pivot, radius, and a
+// parent pointer — the bidirectional structure Appendix C relies on for
+// fast updates.
 type TreeNode struct {
 	Rect   geo.Rect
 	O      geo.Point
@@ -47,9 +57,6 @@ type TreeNode struct {
 
 	// Leaf node fields.
 	Children []*dataset.Node
-	// Inv maps cell ID -> positions in Children. It is nil until the first
-	// mutation of the leaf (ensureInv); until then post stands in for it.
-	Inv map[uint64][]int32
 	// MaxCells caches the largest |S_D| among Children: min(|S_Q|,
 	// MaxCells) is a free upper bound on any intersection in the leaf,
 	// checked before the O(|S_Q|) Lemma 2/3 bounds.
@@ -59,15 +66,15 @@ type TreeNode struct {
 	// engine: the union of the children's cells (a query cell outside it
 	// cannot contribute — Lemma 2) and the cells present in every child
 	// (a query cell inside it is guaranteed in all of them — Lemma 3).
-	// unionC is also what the at-rest posting lists are keyed by (post).
-	// Maintained by refreshGeometry and the Insert fast path.
+	// unionC is also what the posting lists are keyed by: by rank.
+	// Maintained, with post, by refreshGeometry and the Insert fast path.
 	unionC, allC *cellset.Compact
 
-	// post is the inverted index at rest (lazy.go): flat posting lists,
-	// built from the children for a heap-built leaf and aliasing the file
-	// for a file-backed one, dropped when a mutation builds Inv. lazy
-	// materializes a file-backed leaf's payload on first touch and is nil
-	// on heap-built leaves.
+	// post is the leaf's one inverted index (lazy.go): rank-keyed posting
+	// lists, built from the children for a heap-built or mutated leaf and
+	// aliasing the file for a file-backed one. lazy materializes a
+	// file-backed leaf's payload on first touch and is nil on heap-built
+	// leaves.
 	lazy *lazyLeaf
 	post *LeafPostings
 }
@@ -106,12 +113,13 @@ func (n *TreeNode) refreshGeometry() {
 	n.R = r.Radius()
 }
 
-// refreshSummaries recomputes the leaf's compact summaries from its
-// children. It runs in mutation contexts only (build, delete, update);
-// the Insert fast path updates the summaries incrementally instead.
+// refreshSummaries recomputes the leaf's compact summaries and rebuilds its
+// postings from its children. It runs in mutation contexts only (build,
+// delete, update); the Insert fast path folds the new child into the
+// summaries instead.
 func (n *TreeNode) refreshSummaries() {
 	if len(n.Children) == 0 {
-		n.unionC, n.allC = nil, nil
+		n.unionC, n.allC, n.post = nil, nil, nil
 		return
 	}
 	u := n.Children[0].CompactCells()
@@ -122,84 +130,21 @@ func (n *TreeNode) refreshSummaries() {
 		a = a.Intersect(cc)
 	}
 	n.unionC, n.allC = u, a
+	n.post = newLeafPostings(n.Children, u)
 }
 
-// addToSummaries folds one more child's cells into the leaf summaries
-// (the Insert fast path: no full recomputation).
+// addToSummaries folds the just-appended child's cells into the leaf
+// summaries (the Insert fast path: no union over every child) and rebuilds
+// the postings, whose ranks the grown union has shifted.
 func (n *TreeNode) addToSummaries(nd *dataset.Node) {
 	cc := nd.CompactCells()
 	if len(n.Children) == 1 {
 		n.unionC, n.allC = cc, cc
-		return
+	} else {
+		n.unionC = n.unionC.Union(cc)
+		n.allC = n.allC.Intersect(cc)
 	}
-	n.unionC = n.unionC.Union(cc)
-	n.allC = n.allC.Intersect(cc)
-}
-
-// rebuildInv reconstructs the leaf's mutable inverted index from its
-// children; ensureInv calls it when the first mutation reaches a leaf. Point
-// mutations then use the incremental addInv/removeInv/moveInv, so an
-// insert or delete touches only the affected dataset's postings.
-func (n *TreeNode) rebuildInv() {
-	n.Inv = make(map[uint64][]int32)
-	for i, c := range n.Children {
-		eachCell(c, func(cell uint64) {
-			n.Inv[cell] = append(n.Inv[cell], int32(i))
-		})
-	}
-}
-
-// addInv appends postings for the dataset at child position pos.
-func (n *TreeNode) addInv(nd *dataset.Node, pos int) {
-	if n.Inv == nil {
-		n.Inv = make(map[uint64][]int32)
-	}
-	eachCell(nd, func(cell uint64) {
-		n.Inv[cell] = append(n.Inv[cell], int32(pos))
-	})
-}
-
-// removeInv deletes the postings of the dataset that was at position pos.
-func (n *TreeNode) removeInv(nd *dataset.Node, pos int) {
-	eachCell(nd, func(cell uint64) {
-		pl := n.Inv[cell]
-		for i, p := range pl {
-			if p == int32(pos) {
-				pl[i] = pl[len(pl)-1]
-				pl = pl[:len(pl)-1]
-				break
-			}
-		}
-		if len(pl) == 0 {
-			delete(n.Inv, cell)
-		} else {
-			n.Inv[cell] = pl
-		}
-	})
-}
-
-// moveInv rewrites the postings of nd from child position from to position
-// to (used when a delete swap-moves the last child into the freed slot).
-func (n *TreeNode) moveInv(nd *dataset.Node, from, to int) {
-	eachCell(nd, func(cell uint64) {
-		pl := n.Inv[cell]
-		for i, p := range pl {
-			if p == int32(from) {
-				pl[i] = int32(to)
-				break
-			}
-		}
-	})
-}
-
-// inRect reports whether cell c's grid coordinates fall inside the node's
-// MBR. Decoding is a handful of bit operations, much cheaper than a map
-// lookup, so the map pass of OverlapCounts clips query cells against the
-// leaf rectangle first.
-func (n *TreeNode) inRect(c uint64) bool {
-	x, y := geo.ZDecode(c)
-	fx, fy := float64(x), float64(y)
-	return fx >= n.Rect.MinX && fx <= n.Rect.MaxX && fy >= n.Rect.MinY && fy <= n.Rect.MaxY
+	n.post = newLeafPostings(n.Children, n.unionC)
 }
 
 // sparseDensity is the cells-per-chunk threshold below which a query is
@@ -208,28 +153,9 @@ func (n *TreeNode) inRect(c uint64) bool {
 // around 30–170 cells per chunk, where repeating a sparse chunk merge per
 // leaf child loses to one pass over the postings; synthetic dense patches
 // sit in the thousands, where the chunk merge wins by an order of
-// magnitude. Every pass returns the same counts, so this is purely a cost
+// magnitude. Both passes return the same counts, so this is purely a cost
 // choice.
 const sparseDensity = 512
-
-// minKernelChildren is the leaf size below which the map pass is not worth
-// it: with very few children the chunk merge's per-child cost is already
-// minimal.
-const minKernelChildren = 4
-
-// LeafQuery is one OJSP query in the forms leaf verification reads: the
-// container form every pass starts from and, when the caller holds one, the
-// flat set the map pass of a mutated leaf walks.
-type LeafQuery struct {
-	Cells *cellset.Compact
-	Flat  cellset.Set // may be nil: mutated leaves then take the chunk merge
-}
-
-// NewLeafQuery prepares q once per query; CompactCells converts a
-// hand-built node here rather than at every leaf.
-func NewLeafQuery(q *dataset.Node) LeafQuery {
-	return LeafQuery{Cells: q.CompactCells(), Flat: q.Cells}
-}
 
 // LeafScratch is the working memory of OverlapCounts. Each worker owns one
 // and passes it to every leaf it verifies, so after the buffers have grown
@@ -248,57 +174,65 @@ type LeafScratch struct {
 // tie-breaks are unaffected; a threshold of 0 never prunes a leaf that can
 // contribute). The returned slice lives in s until the next call.
 //
-// At rest the leaf's posting lists are keyed by rank in the children's cell
-// union, so one AppendIntersectRanks against that union yields the bound —
-// the number of ranks — and the lists to count. A leaf a mutation has
-// switched to the Inv map takes the bound from the union summary and the
-// counts from the map; a dense query (sparseDensity) takes the word-parallel
-// chunk merge per child. All three return identical counts.
-func (n *TreeNode) OverlapCounts(q LeafQuery, threshold int, s *LeafScratch) []int {
+// The leaf's posting lists are keyed by rank in the children's cell union,
+// so for a sparse query one AppendIntersectRanks against that union yields
+// the bound — the number of ranks — and the lists to count (the rank pass).
+// A dense query (sparseDensity) takes the word-parallel chunk merge per
+// child instead. Both return identical counts.
+func (n *TreeNode) OverlapCounts(q *cellset.Compact, threshold int, s *LeafScratch) []int {
 	n.EnsureLoaded()
-	sparse := q.Cells.Len() < sparseDensity*q.Cells.NumChunks()
-	if p := n.post; sparse && n.Inv == nil && p != nil {
-		s.ranks = n.unionC.AppendIntersectRanks(q.Cells, s.ranks[:0])
+	if q.Len() < sparseDensity*q.NumChunks() {
+		s.ranks = n.unionC.AppendIntersectRanks(q, s.ranks[:0])
 		if ub := len(s.ranks); ub == 0 || ub < threshold {
 			return nil
 		}
 		counts := s.zeroedCounts(len(n.Children))
 		for _, r := range s.ranks {
-			for _, pos := range p.list(int(r)) {
+			for _, pos := range n.post.list(int(r)) {
 				counts[pos]++
 			}
 		}
 		return counts
 	}
-	if ub := q.Cells.IntersectCount(n.unionC); ub == 0 || ub < threshold {
+	if ub := q.IntersectCount(n.unionC); ub == 0 || ub < threshold {
 		return nil
 	}
 	counts := s.zeroedCounts(len(n.Children))
-	switch {
-	case !sparse || n.Inv == nil || len(q.Flat) == 0 || len(n.Children) < minKernelChildren:
-		for i, d := range n.Children {
-			counts[i] = q.Cells.IntersectCount(d.CompactCells())
-		}
-	case len(n.Inv) < len(q.Flat):
-		for c, pl := range n.Inv {
-			if !q.Flat.Contains(c) {
-				continue
-			}
-			for _, idx := range pl {
-				counts[idx]++
-			}
-		}
-	default:
-		for _, c := range q.Flat {
-			if !n.inRect(c) {
-				continue
-			}
-			for _, idx := range n.Inv[c] {
-				counts[idx]++
-			}
-		}
+	for i, d := range n.Children {
+		counts[i] = q.IntersectCount(d.CompactCells())
 	}
 	return counts
+}
+
+// LeafCand is a leaf that survived the filter step of Algorithm 2, with its
+// free upper bound min(|S_Q|, MaxCells).
+type LeafCand struct {
+	Leaf *TreeNode
+	UB   int
+}
+
+// FilterLeaves is the filter step of Algorithm 2 (internal-node MBR
+// pruning, lines 24-26): the leaves under n whose MBR intersects q's and
+// whose free upper bound is positive, in decreasing bound order — the
+// verification order that raises the prune threshold fastest, so that once
+// one leaf's bound is below the running k-th best every later one is too.
+func (n *TreeNode) FilterLeaves(q *dataset.Node) []LeafCand {
+	cands := n.appendLeaves(q.Rect, q.Coverage(), nil)
+	slices.SortFunc(cands, func(a, b LeafCand) int { return cmp.Compare(b.UB, a.UB) })
+	return cands
+}
+
+func (n *TreeNode) appendLeaves(r geo.Rect, cov int, dst []LeafCand) []LeafCand {
+	if n == nil || !n.Rect.Intersects(r) {
+		return dst
+	}
+	if !n.IsLeaf() {
+		return n.Right.appendLeaves(r, cov, n.Left.appendLeaves(r, cov, dst))
+	}
+	if ub := min(cov, n.MaxCells); ub > 0 {
+		dst = append(dst, LeafCand{Leaf: n, UB: ub})
+	}
+	return dst
 }
 
 // zeroedCounts returns the count buffer resized to n and zeroed, regrowing

@@ -24,7 +24,6 @@ func (l *Local) Insert(nd *dataset.Node) error {
 	nd.EnsureCompact()
 	leaf := l.descend(nd)
 	leaf.EnsureLoaded()
-	leaf.ensureInv()
 	leaf.Children = append(leaf.Children, nd)
 	l.byID[nd.ID] = nd
 	l.leafOf[nd.ID] = leaf
@@ -32,7 +31,6 @@ func (l *Local) Insert(nd *dataset.Node) error {
 	if len(leaf.Children) > l.F {
 		l.splitLeaf(leaf)
 	} else {
-		leaf.addInv(nd, len(leaf.Children)-1)
 		leaf.addToSummaries(nd)
 		leaf.Rect = leaf.Rect.Union(nd.Rect)
 		leaf.O = leaf.Rect.Center()
@@ -63,15 +61,11 @@ func (l *Local) descend(nd *dataset.Node) *TreeNode {
 // splitLeaf converts an overflowing leaf into an internal node whose two
 // children are rebuilt with Algorithm 1's split.
 func (l *Local) splitLeaf(leaf *TreeNode) {
-	children := leaf.Children
-	leaf.Children = nil
-	leaf.Inv = nil
-	leaf.unionC, leaf.allC = nil, nil
-	sub := l.build(children, leaf.Parent)
+	sub := l.build(leaf.Children, leaf.Parent)
 	// Graft sub's structure onto the existing leaf node so the parent's
 	// child pointer stays valid.
 	leaf.Left, leaf.Right = sub.Left, sub.Right
-	leaf.Children, leaf.Inv = sub.Children, sub.Inv
+	leaf.Children = sub.Children
 	leaf.unionC, leaf.allC = sub.unionC, sub.allC
 	leaf.Rect, leaf.O, leaf.R = sub.Rect, sub.O, sub.R
 	leaf.MaxCells = sub.MaxCells
@@ -101,22 +95,15 @@ func (l *Local) Delete(id int) error {
 		return fmt.Errorf("dits: dataset %d not indexed", id)
 	}
 	leaf.EnsureLoaded()
-	leaf.ensureInv()
 	for i, c := range leaf.Children {
-		if c.ID != id {
-			continue
+		if c.ID == id {
+			// Swap-remove: move the last child into the freed slot.
+			// refreshGeometry below rebuilds the postings.
+			last := len(leaf.Children) - 1
+			leaf.Children[i] = leaf.Children[last]
+			leaf.Children = leaf.Children[:last]
+			break
 		}
-		leaf.removeInv(c, i)
-		last := len(leaf.Children) - 1
-		if i != last {
-			// Swap-remove: move the last child into the freed slot and
-			// rewrite just its postings.
-			moved := leaf.Children[last]
-			leaf.Children[i] = moved
-			leaf.moveInv(moved, last, i)
-		}
-		leaf.Children = leaf.Children[:last]
-		break
 	}
 	delete(l.byID, id)
 	delete(l.leafOf, id)
@@ -144,7 +131,7 @@ func (l *Local) hoistSibling(empty *TreeNode) {
 	// MaxCells (often 0) would make searches prune the hoisted leaf as if
 	// it held no cells.
 	parent.Left, parent.Right = sibling.Left, sibling.Right
-	parent.Children, parent.Inv = sibling.Children, sibling.Inv
+	parent.Children = sibling.Children
 	parent.unionC, parent.allC = sibling.unionC, sibling.allC
 	parent.Rect, parent.O, parent.R = sibling.Rect, sibling.O, sibling.R
 	parent.MaxCells = sibling.MaxCells
@@ -174,12 +161,9 @@ func (l *Local) Update(nd *dataset.Node) error {
 	}
 	nd.EnsureCompact()
 	leaf.EnsureLoaded()
-	leaf.ensureInv()
 	for i, c := range leaf.Children {
 		if c.ID == nd.ID {
-			leaf.removeInv(c, i)
 			leaf.Children[i] = nd
-			leaf.addInv(nd, i)
 			break
 		}
 	}

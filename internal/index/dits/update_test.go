@@ -7,6 +7,7 @@ import (
 	"dits/internal/cellset"
 	"dits/internal/dataset"
 	"dits/internal/geo"
+	"dits/internal/workload"
 )
 
 func TestInsertBasic(t *testing.T) {
@@ -146,6 +147,34 @@ func TestMixedUpdateSequenceProperty(t *testing.T) {
 	for id, nd := range ref {
 		if got := l.Get(id); got != nd {
 			t.Fatalf("Get(%d) = %v, want %v", id, got, nd)
+		}
+	}
+}
+
+// BenchmarkLeafMutation times one insert and one delete of a Transit-shaped
+// dataset in an index built over the Transit source at scale 0.05 — the
+// leaf maintenance a mutation pays on top of the tree walk.
+func BenchmarkLeafMutation(b *testing.B) {
+	spec, err := workload.SpecByName("Transit")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := workload.Generate(spec, 0.05, 1)
+	g := geo.NewGrid(12, src.Bounds())
+	l := Build(g, src.Nodes(g), DefaultLeafCapacity)
+	fresh := workload.Generate(spec, 0.05, 2).Nodes(g)
+	for i, nd := range fresh {
+		nd.ID = 1<<24 + i
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nd := fresh[i%len(fresh)]
+		if err := l.Insert(nd); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Delete(nd.ID); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

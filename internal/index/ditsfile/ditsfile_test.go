@@ -3,6 +3,7 @@ package ditsfile
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -281,6 +282,72 @@ func TestLiveOverlayParity(t *testing.T) {
 			r.Close()
 		}
 	}
+}
+
+// TestSnapshotGoldenBytes pins the format byte for byte: the SHA-256 of the
+// snapshot of a small seeded index, spread over four chunks, with one leaf
+// whose union holds a bitmap chunk. TestWriterDeterministic only compares
+// the writer with itself; this fails on any accidental change to a byte.
+// Change the digest only together with a deliberate format change.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	const (
+		golden        = "ecd0dcf3b68b08a5588e8cc933580645928e67d5035a91dad8e32b6056151a2a"
+		goldenMutated = "5f37516a29e989b3a221cb92206c170323058e3f07cac2a10225388f373c33fc"
+	)
+	_, nodes := buildWorld(t, 60, 9, 6, 21)
+	var dense []uint64
+	for x := 300; x < 370; x++ {
+		for y := 300; y < 370; y++ {
+			dense = append(dense, geo.ZEncode(uint32(x), uint32(y)))
+		}
+	}
+	nodes = append(nodes, dataset.NewNodeFromCells(1000, "dense", cellset.New(dense...)))
+	g := geo.NewGrid(1, geo.Rect{MinX: 0, MinY: 0, MaxX: 512, MaxY: 512})
+	idx := dits.Build(g, nodes, 6)
+	// A chunk spans 2^16 cells; one past 4096 of them is a bitmap.
+	bitmapUnion := false
+	idx.Root.VisitLeaves(func(n *dits.TreeNode) {
+		union, _ := n.LeafSummaries()
+		inChunk := map[uint64]int{}
+		union.ForEach(func(c uint64) bool { inChunk[c>>16]++; return true })
+		for _, cells := range inChunk {
+			bitmapUnion = bitmapUnion || cells > 4096
+		}
+	})
+	if !bitmapUnion {
+		t.Fatal("no leaf union holds a bitmap chunk")
+	}
+	check := func(label, golden string) {
+		t.Helper()
+		data, err := os.ReadFile(writeSnap(t, idx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != golden {
+			t.Fatalf("%s: snapshot SHA-256 %s, golden %s: the on-disk format changed", label, got, golden)
+		}
+	}
+	check("built", golden)
+
+	// The same after mutations: mutated leaves write the same bytes as
+	// built ones.
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 12; i++ {
+		nd := queryFrom(rng, nodes)
+		nd.ID, nd.Name = 2000+i, fmt.Sprintf("ins-%d", i)
+		if err := idx.Insert(nd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := 0; id < 20; id += 3 {
+		if err := idx.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.Update(dataset.NewNodeFromCells(1000, "dense", nodes[1].Cells)); err != nil {
+		t.Fatal(err)
+	}
+	check("mutated", goldenMutated)
 }
 
 func mustBuild(t *testing.T, seed int64) *dits.Local {

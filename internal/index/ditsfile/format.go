@@ -60,6 +60,10 @@
 //	  u16 × nEntries child positions, grouped per cell, ascending
 //	  pad to 8
 //
+//	The cell list is written from the leaf's union summary and checked on
+//	load, but a loaded leaf does not keep it: the i-th list is addressed by
+//	its cell's rank i in the union summary, which the leaf holds anyway.
+//
 // # Integrity
 //
 // The header CRC and the NODES/DIR/NAMES section CRCs are verified at

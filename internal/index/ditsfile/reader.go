@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -474,7 +475,9 @@ func (r *Reader) recordBytes(si int, off uint64) ([]byte, error) {
 
 // postBlock decodes one leaf posting block, validating it against the
 // union summary (cell count), the children's total cells (entry count),
-// and the child count (position range).
+// and the child count (position range). The block's cell list is checked
+// but not kept: the leaf reads its lists by rank in the union summary. It
+// returns the byte count the leaf keeps.
 func (r *Reader) postBlock(off uint64, wantCells, wantEntries, nchildren int) (*dits.LeafPostings, int, error) {
 	sec := r.hdr.secs[secPost]
 	if off+8 > sec.len {
@@ -511,18 +514,17 @@ func (r *Reader) postBlock(off uint64, wantCells, wantEntries, nchildren int) (*
 	if need > len(b) {
 		return nil, 0, fmt.Errorf("ditsfile: posting block truncated")
 	}
-	p := &dits.LeafPostings{
-		CellList: sliceU64(b[8:], nc),
-		Ends:     sliceU32(b[8+8*nc:], nc),
-		Entries:  sliceU16(b[8+12*nc:], ne),
-	}
-	prevCell := ^uint64(0)
-	for i, c := range p.CellList {
-		if i > 0 && c <= prevCell {
+	for i := 1; i < nc; i++ {
+		if binary.LittleEndian.Uint64(b[8+8*i:]) <= binary.LittleEndian.Uint64(b[8*i:]) {
 			return nil, 0, fmt.Errorf("ditsfile: posting cells not strictly ascending")
 		}
-		prevCell = c
 	}
+	kept := b[8+8*nc : 8+12*nc+2*ne]
+	if r.data == nil {
+		// Copy mode: keep the ends and entries, not the cell list's bytes.
+		kept = slices.Clone(kept)
+	}
+	p := &dits.LeafPostings{Ends: sliceU32(kept, nc), Entries: sliceU16(kept[4*nc:], ne)}
 	prevEnd := uint32(0)
 	for _, e := range p.Ends {
 		if e <= prevEnd || e > uint32(ne) {
@@ -538,7 +540,7 @@ func (r *Reader) postBlock(off uint64, wantCells, wantEntries, nchildren int) (*
 			return nil, 0, fmt.Errorf("ditsfile: posting position %d out of range", pos)
 		}
 	}
-	return p, need, nil
+	return p, len(kept), nil
 }
 
 // hostLittleEndian gates the zero-copy word views below.
@@ -547,23 +549,9 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// sliceU64 views n little-endian u64 words at the front of b, aliasing b
+// sliceU32 views n little-endian u32 words at the front of b, aliasing b
 // when the host representation matches and b is aligned, copying
-// otherwise. Callers have bounds-checked b.
-func sliceU64(b []byte, n int) []uint64 {
-	if n == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return out
-}
-
+// otherwise. Callers have bounds-checked b. sliceU16 is the same for u16.
 func sliceU32(b []byte, n int) []uint32 {
 	if n == 0 {
 		return nil

@@ -296,7 +296,8 @@ func (p *filePlan) writeSections(sw *sectionWriter, h *header) error {
 		if uint64(sw.n-start) != p.postOff[i] {
 			return fmt.Errorf("ditsfile: post offset drift at node %d", i)
 		}
-		if err := writePostings(sw, n.Postings()); err != nil {
+		union, _ := n.LeafSummaries()
+		if err := writePostings(sw, union, n.Postings()); err != nil {
 			return err
 		}
 	}
@@ -317,20 +318,24 @@ func (p *filePlan) childDirIdx(i int, c *dataset.Node) int {
 	return first
 }
 
-// writePostings emits one leaf's posting block: the flattened inverted
-// index grouped by cell, positions ascending within each cell.
-func writePostings(sw *sectionWriter, p *dits.LeafPostings) error {
+// writePostings emits one leaf's posting block: the leaf's union cells in
+// order, streamed from the union summary, then the inverted index grouped
+// by cell, positions ascending within each cell.
+func writePostings(sw *sectionWriter, union *cellset.Compact, p *dits.LeafPostings) error {
 	var w8 [8]byte
-	binary.LittleEndian.PutUint32(w8[:], uint32(len(p.CellList)))
+	binary.LittleEndian.PutUint32(w8[:], uint32(union.Len()))
 	binary.LittleEndian.PutUint32(w8[4:], uint32(len(p.Entries)))
 	if err := sw.write(w8[:]); err != nil {
 		return fmt.Errorf("ditsfile: write post: %w", err)
 	}
-	for _, cell := range p.CellList {
+	var err error
+	union.ForEach(func(cell uint64) bool {
 		binary.LittleEndian.PutUint64(w8[:], cell)
-		if err := sw.write(w8[:]); err != nil {
-			return fmt.Errorf("ditsfile: write post: %w", err)
-		}
+		err = sw.write(w8[:])
+		return err == nil
+	})
+	if err != nil {
+		return fmt.Errorf("ditsfile: write post: %w", err)
 	}
 	for _, end := range p.Ends {
 		binary.LittleEndian.PutUint32(w8[:4], end)

@@ -14,21 +14,21 @@ import (
 func TestVerifyLoopZeroAlloc(t *testing.T) {
 	idx, nodes := buildWorld(t, 200, 8, 6, 11)
 	q := queryFrom(rand.New(rand.NewSource(9)), nodes)
-	cands := sortLeaves(collectLeaves(idx.Root, q, nil))
+	cands := idx.Root.FilterLeaves(q)
 	if len(cands) == 0 {
 		t.Fatal("query reached no leaves")
 	}
-	lq := dits.NewLeafQuery(q)
+	lq := q.CompactCells()
 	topk := newStripedTopK(5, 1)
 	var scratch dits.LeafScratch
 	// Warm-up sweep: grows the scratch to the widest leaf and fills the
 	// stripe heap to k.
 	for _, c := range cands {
-		verifyLeaf(topk, 0, c.leaf, lq, &scratch)
+		verifyLeaf(topk, 0, c.Leaf, lq, &scratch)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		for _, c := range cands {
-			verifyLeaf(topk, 0, c.leaf, lq, &scratch)
+			verifyLeaf(topk, 0, c.Leaf, lq, &scratch)
 		}
 	}); allocs != 0 {
 		t.Errorf("warm verification sweep allocated %.1f times", allocs)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"dits/internal/cellset"
 	"dits/internal/dataset"
 	"dits/internal/index/dits"
 	"dits/internal/search/overlap"
@@ -54,7 +55,7 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 
 	// Per-query execution state, only for usable queries.
 	type qstate struct {
-		q   dits.LeafQuery
+		q   *cellset.Compact
 		t   *stripedTopK
 		cov int
 	}
@@ -64,7 +65,7 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 		if bq.Q == nil || bq.K <= 0 || bq.Q.Coverage() == 0 {
 			continue
 		}
-		states[i] = &qstate{q: dits.NewLeafQuery(bq.Q), t: newStripedTopK(bq.K, 1), cov: bq.Q.Coverage()}
+		states[i] = &qstate{q: bq.Q.CompactCells(), t: newStripedTopK(bq.K, 1), cov: bq.Q.Coverage()}
 		active = append(active, int32(i))
 	}
 	if len(active) == 0 {

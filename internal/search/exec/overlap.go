@@ -1,11 +1,10 @@
 package exec
 
 import (
-	"cmp"
 	"context"
-	"slices"
 	"sync/atomic"
 
+	"dits/internal/cellset"
 	"dits/internal/dataset"
 	"dits/internal/index/dits"
 	"dits/internal/search/overlap"
@@ -16,57 +15,13 @@ import (
 // goroutine startup costs more than it saves.
 const minParallelLeaves = 4
 
-// leafCand is a DITS-L leaf that survived MBR pruning, with its free upper
-// bound min(|S_Q|, MaxCells). Identical to the sequential searcher's
-// candidate unit; the executor only changes who verifies it, not what is
-// verified.
-type leafCand struct {
-	leaf *dits.TreeNode
-	ub   int
-}
-
-// collectLeaves is the filter step of Algorithm 2 (internal-node MBR
-// pruning): the leaves intersecting the query MBR, each with its free
-// upper bound. It appends to dst so batch execution can reuse one walk.
-func collectLeaves(root *dits.TreeNode, q *dataset.Node, dst []leafCand) []leafCand {
-	qn := q.Coverage()
-	var walk func(n *dits.TreeNode)
-	walk = func(n *dits.TreeNode) {
-		if n == nil || !n.Rect.Intersects(q.Rect) {
-			return
-		}
-		if !n.IsLeaf() {
-			walk(n.Left)
-			walk(n.Right)
-			return
-		}
-		ub := n.MaxCells
-		if qn < ub {
-			ub = qn
-		}
-		if ub > 0 {
-			dst = append(dst, leafCand{leaf: n, ub: ub})
-		}
-	}
-	walk(root)
-	return dst
-}
-
-// sortLeaves orders candidates by decreasing upper bound — the
-// verification order that raises the prune threshold fastest — and
-// returns the slice.
-func sortLeaves(cands []leafCand) []leafCand {
-	slices.SortFunc(cands, func(a, b leafCand) int { return cmp.Compare(b.ub, a.ub) })
-	return cands
-}
-
 // verifyLeaf verifies one leaf for one query — the unit of work a worker
 // executes: dits.OverlapCounts prunes the leaf on the Lemma 2 bound against
 // the shared threshold or returns the exact per-dataset counts, whose
 // positive entries are offered into the shared top-k. s is the worker's own
 // scratch, reused across every leaf it verifies — after warm-up the loop
 // allocates nothing.
-func verifyLeaf(t *stripedTopK, w int, leaf *dits.TreeNode, q dits.LeafQuery, s *dits.LeafScratch) {
+func verifyLeaf(t *stripedTopK, w int, leaf *dits.TreeNode, q *cellset.Compact, s *dits.LeafScratch) {
 	for i, n := range leaf.OverlapCounts(q, t.threshold(), s) {
 		if n > 0 {
 			d := leaf.Children[i]
@@ -87,13 +42,12 @@ func (e *Executor) OverlapTopK(ctx context.Context, idx *dits.Local, q *dataset.
 	if q == nil || k <= 0 || idx == nil || idx.Root == nil {
 		return nil, nil
 	}
-	cands := sortLeaves(collectLeaves(idx.Root, q, nil))
-	return e.verifyCands(ctx, cands, dits.NewLeafQuery(q), k)
+	return e.verifyCands(ctx, idx.Root.FilterLeaves(q), q.CompactCells(), k)
 }
 
 // verifyCands drives the ordered verification of one query's candidate
 // leaves across the pool.
-func (e *Executor) verifyCands(ctx context.Context, cands []leafCand, q dits.LeafQuery, k int) ([]overlap.Result, error) {
+func (e *Executor) verifyCands(ctx context.Context, cands []dits.LeafCand, q *cellset.Compact, k int) ([]overlap.Result, error) {
 	w := e.workers()
 	if w == 1 || len(cands) < minParallelLeaves {
 		return verifySequential(ctx, cands, q, k)
@@ -120,13 +74,13 @@ func (e *Executor) verifyCands(ctx context.Context, cands []leafCand, q dits.Lea
 				return
 			}
 			c := cands[i]
-			if c.ub < t.threshold() {
-				// cands is sorted by ub: every later leaf is bounded even
+			if c.UB < t.threshold() {
+				// cands is sorted by UB: every later leaf is bounded even
 				// lower, so the whole pool can stop claiming tasks.
 				exhausted.Store(true)
 				return
 			}
-			verifyLeaf(t, wk, c.leaf, q, &scratch)
+			verifyLeaf(t, wk, c.Leaf, q, &scratch)
 		}
 	})
 	if cancelled.Load() {
@@ -138,7 +92,7 @@ func (e *Executor) verifyCands(ctx context.Context, cands []leafCand, q dits.Lea
 // verifySequential is the in-line path, structured exactly like the
 // sequential searcher's verification loop (shared prune logic, one
 // stripe).
-func verifySequential(ctx context.Context, cands []leafCand, q dits.LeafQuery, k int) ([]overlap.Result, error) {
+func verifySequential(ctx context.Context, cands []dits.LeafCand, q *cellset.Compact, k int) ([]overlap.Result, error) {
 	t := newStripedTopK(k, 1)
 	var scratch dits.LeafScratch
 	for i, c := range cands {
@@ -147,10 +101,10 @@ func verifySequential(ctx context.Context, cands []leafCand, q dits.LeafQuery, k
 				return nil, err
 			}
 		}
-		if c.ub < t.threshold() {
+		if c.UB < t.threshold() {
 			break
 		}
-		verifyLeaf(t, 0, c.leaf, q, &scratch)
+		verifyLeaf(t, 0, c.Leaf, q, &scratch)
 	}
 	return t.ranked(), nil
 }

@@ -27,17 +27,17 @@ func TraceOverlap(idx *dits.Local, q *dataset.Node, k int) OverlapTrace {
 		return tr
 	}
 	start := time.Now()
-	cands := sortLeaves(collectLeaves(idx.Root, q, nil))
+	cands := idx.Root.FilterLeaves(q)
 	tr.SerialNs = float64(time.Since(start).Nanoseconds())
-	lq := dits.NewLeafQuery(q)
+	lq := q.CompactCells()
 	t := newStripedTopK(k, 1)
 	var scratch dits.LeafScratch
 	for _, c := range cands {
-		if c.ub < t.threshold() {
+		if c.UB < t.threshold() {
 			break
 		}
 		ts := time.Now()
-		verifyLeaf(t, 0, c.leaf, lq, &scratch)
+		verifyLeaf(t, 0, c.Leaf, lq, &scratch)
 		tr.TaskNs = append(tr.TaskNs, float64(time.Since(ts).Nanoseconds()))
 	}
 	start = time.Now()
