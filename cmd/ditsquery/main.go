@@ -142,10 +142,10 @@ func dialRemote(addrs string, sources []*dataset.Source, theta int, boundsFlag s
 	grid := geo.NewGrid(theta, bounds)
 	center := federation.NewCenter(grid, federation.DefaultOptions())
 	for _, addr := range strings.Split(addrs, ",") {
-		peer, err := transport.Dial(addr, strings.TrimSpace(addr), center.Metrics)
-		if err != nil {
-			return searchRunner{}, err
-		}
+		// A pool, not one connection: a CJSP's last round closes idle
+		// sessions beside its own calls, so one query may call a source
+		// from two goroutines at once.
+		peer := transport.DialPool(addr, strings.TrimSpace(addr), 2, center.Metrics)
 		summary, err := center.RegisterRemote(context.Background(), peer)
 		if err != nil {
 			return searchRunner{}, err

@@ -55,10 +55,7 @@ func main() {
 	// The data center dials each source and registers its summary.
 	center := federation.NewCenter(grid, federation.DefaultOptions())
 	for _, s := range sources {
-		peer, err := transport.Dial(s.name, s.addr, center.Metrics)
-		if err != nil {
-			log.Fatal(err)
-		}
+		peer := transport.DialPool(s.name, s.addr, 2, center.Metrics)
 		defer peer.Close()
 		center.Register(s.server.Summary(), peer)
 	}
@@ -109,10 +106,7 @@ func main() {
 	// with broadcast-everything shipping.
 	naive := federation.NewCenter(grid, federation.Options{})
 	for _, s := range sources {
-		peer, err := transport.Dial(s.name, s.addr, naive.Metrics)
-		if err != nil {
-			log.Fatal(err)
-		}
+		peer := transport.DialPool(s.name, s.addr, 2, naive.Metrics)
 		defer peer.Close()
 		naive.Register(s.server.Summary(), peer)
 	}

@@ -628,13 +628,28 @@ type srcState struct {
 	failed  bool             // degraded: dropped for the rest of the query
 }
 
+// offered records a source's answer for its current state: o, or nil when
+// the source has no connected dataset left.
+func (st *srcState) offered(o Offer) {
+	st.last, st.lastOK = nil, true
+	if o.Found {
+		st.last = &offer{src: st.m.summary.Name, cand: CoverageCandidate{
+			Found: true, ID: o.ID, Name: o.Name, Gain: o.Gain,
+		}}
+	}
+}
+
 // coverageSession runs CJSP over the session protocol. Invariants per
 // round: a source with an open session holds exactly the clip of the
 // center's merged state minus its pending delta; a source whose pending is
 // empty and whose exclusion list did not change would answer exactly what
 // it answered last round, so the center reuses the cached offer without a
-// network call. It also reports whether the answer is degraded (a source
-// was skipped under the tolerant policy).
+// network call. The winner's fetch answers the winner's next offer, so a
+// winner is not asked again either. The last round (k−1 picks made) is
+// Final: the sources it asks drop their sessions after answering, and the
+// open sessions it does not ask are closed beside it. It also reports
+// whether the answer is degraded (a source was skipped under the tolerant
+// policy).
 func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells cellset.Set, delta float64, k int, res CoverageResult) (CoverageResult, bool, error) {
 	sessID := nextSessionID()
 	draw := c.deltaRaw(delta)
@@ -655,7 +670,15 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 	mergedFlat := queryCells // valid while mergedFlatOK
 	mergedFlatOK := true
 	excluded := make(map[string][]int)
-	defer c.closeSessions(ctx, states, sessID)
+	final := false // this round is the query's last
+	// The final round's closes run beside it and are joined before the
+	// query returns; whatever is still open then — the query stopped short
+	// of k picks, or failed — is closed last.
+	var closing sync.WaitGroup
+	defer func() {
+		c.closeSessions(ctx, takeOpen(states, nil), sessID)
+		closing.Wait()
+	}()
 
 	// ask sends one coverage.round to each of the given sources — the
 	// pending delta where the session is open, the full clipped state where
@@ -666,7 +689,7 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 		for _, m := range members {
 			name := m.summary.Name
 			st := states[name]
-			req := &CoverageRoundRequest{Session: sessID, Delta: delta, Exclude: excluded[name]}
+			req := &CoverageRoundRequest{Session: sessID, Delta: delta, Exclude: excluded[name], Final: final}
 			if st.open {
 				req.Added = st.pending.Set()
 			} else {
@@ -703,14 +726,10 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 				continue
 			}
 			// A source whose table was full answered without storing the
-			// session; keep shipping it full state until it has room.
-			st.open, st.pending, st.lastOK = !out.Stateless, nil, true
-			st.last = nil
-			if out.Found {
-				st.last = &offer{src: m.summary.Name, cand: CoverageCandidate{
-					Found: true, ID: out.ID, Name: out.Name, Gain: out.Gain,
-				}}
-			}
+			// session; keep shipping it full state until it has room. A
+			// final round leaves no session behind.
+			st.open, st.pending = !out.Stateless && !final, nil
+			st.offered(out.Offer)
 		}
 		if len(missed) > 0 {
 			return ask(rctx, missed) // carries Base, so it cannot miss again
@@ -728,6 +747,7 @@ rounds:
 		rctx, rsp := obs.StartSpan(ctx, "cjsp.round")
 		qn := c.boundsQueryNode(minX, minY, maxX, maxY)
 		cands := c.candidates(ep, qn, draw)
+		final = len(res.Picked) == k-1
 
 		// Phase one: collect offers — cached where nothing changed for
 		// the source, over the wire (delta-shipped) where it did.
@@ -742,6 +762,17 @@ rounds:
 			// list untouched, a source would recompute the same offer.
 			if !st.failed && !(st.open && st.lastOK && st.pending.IsEmpty()) {
 				changed = append(changed, m)
+			}
+		}
+		if final {
+			// The sessions this round does not ask are done: close them
+			// now, beside the round, rather than after the answer.
+			if idle := takeOpen(states, func(st *srcState) bool { return !slices.Contains(changed, st.m) }); len(idle) > 0 {
+				closing.Add(1)
+				go func() {
+					defer closing.Done()
+					c.closeSessions(ctx, idle, sessID)
+				}()
 			}
 		}
 		if err := ask(rctx, changed); err != nil {
@@ -768,13 +799,14 @@ rounds:
 				rsp.End()
 				break rounds // no source has a connected dataset left
 			}
+			// Picked or stale, the source must never offer this ID again.
 			st := states[best.src]
-			fetch, err := c.fetchCells(rctx, st.m, sessID, best.cand.ID)
+			excluded[best.src] = append(excluded[best.src], best.cand.ID)
+			fetch, err := c.fetchCells(rctx, st, sessID, best.cand.ID, excluded[best.src])
 			if err == nil && !fetch.Found {
 				// The offer went stale — the dataset was deleted after the
-				// source offered it. The source has not failed: never offer
-				// that ID again, ask it alone for its next best, re-pick.
-				excluded[best.src] = append(excluded[best.src], best.cand.ID)
+				// source offered it. The source has not failed: ask it
+				// alone for its next best, re-pick.
 				st.lastOK = false
 				if err := ask(rctx, []*member{st.m}); err != nil {
 					rsp.EndErr(err)
@@ -791,9 +823,12 @@ rounds:
 				st.failed, st.open = true, false
 				continue // re-pick among the surviving offers
 			}
-			if !fetch.Committed {
-				// Session evicted between round and fetch: re-open with
-				// the full state next round.
+			if fetch.Committed {
+				st.offered(fetch.Next)
+			} else {
+				// Session evicted between round and fetch (or already
+				// dropped by the final round): re-open with the full state
+				// next round.
 				st.open, st.lastOK = false, false
 			}
 			winner, winnerCells = best, fetch.Cells
@@ -808,16 +843,10 @@ rounds:
 			minX, minY = min(minX, wMinX), min(minY, wMinY)
 			maxX, maxY = max(maxX, wMaxX), max(maxY, wMaxY)
 		}
-		excluded[winner.src] = append(excluded[winner.src], winner.cand.ID)
 		for name, st := range states {
-			if !st.open {
-				continue
-			}
-			if name == winner.src {
-				// The winning source folded its own cells at fetch time;
-				// only its exclusion list changed, which forces a
-				// (delta-free) re-ask next round.
-				st.lastOK = false
+			if !st.open || name == winner.src {
+				// The winning source folded its own cells at fetch time
+				// and answered its next offer there.
 				continue
 			}
 			clipped := c.clipFor(st.m, winnerCells, delta+1)
@@ -868,27 +897,45 @@ func (c *Center) callMembers(ctx context.Context, calls []memberCall) []error {
 	return errs
 }
 
-// fetchCells performs the second-phase coverage.fetch exchange.
-func (c *Center) fetchCells(ctx context.Context, m *member, sess uint64, id int) (FetchCellsResponse, error) {
+// fetchCells performs the second-phase coverage.fetch exchange. Into an
+// open session it commits the cells and asks for the next offer against
+// exclude; otherwise (a final round already dropped it) it only fetches.
+func (c *Center) fetchCells(ctx context.Context, st *srcState, sess uint64, id int, exclude []int) (FetchCellsResponse, error) {
 	var resp FetchCellsResponse
-	req := FetchCellsRequest{Session: sess, ID: id}
-	errs := c.callMembers(ctx, []memberCall{{m: m, method: MethodFetchCells, req: &req, resp: &resp}})
+	req := FetchCellsRequest{ID: id}
+	if st.open {
+		req.Session, req.Exclude = sess, exclude
+	}
+	errs := c.callMembers(ctx, []memberCall{{m: st.m, method: MethodFetchCells, req: &req, resp: &resp}})
 	return resp, errs[0]
 }
 
-// closeSessions releases every open session at the end of a coverage
-// query, best-effort: sources reclaim lost sessions on their own. The
-// query's own deadline may already have expired and cleanup should still
-// go out, so it drops the caller's cancellation (keeping its trace) — but
-// under its own bound, or one source that stopped answering would hold a
-// finished query forever.
-func (c *Center) closeSessions(ctx context.Context, states map[string]*srcState, sessID uint64) {
-	req := SessionCloseRequest{Session: sessID}
-	var calls []memberCall
+// takeOpen marks closed, and returns the members of, the open sessions of
+// healthy sources that pass keep (nil keeps all): the caller closes them.
+func takeOpen(states map[string]*srcState, keep func(*srcState) bool) []*member {
+	var ms []*member
 	for _, st := range states {
-		if st.open && !st.failed {
-			calls = append(calls, memberCall{m: st.m, method: MethodSessionClose, req: &req})
+		if st.open && !st.failed && (keep == nil || keep(st)) {
+			st.open = false
+			ms = append(ms, st.m)
 		}
+	}
+	return ms
+}
+
+// closeSessions releases the given members' sessions, best-effort: sources
+// reclaim lost sessions on their own. The query's own deadline may already
+// have expired and cleanup should still go out, so it drops the caller's
+// cancellation (keeping its trace) — but under its own bound, or one source
+// that stopped answering would hold a finished query forever.
+func (c *Center) closeSessions(ctx context.Context, ms []*member, sessID uint64) {
+	if len(ms) == 0 {
+		return
+	}
+	req := SessionCloseRequest{Session: sessID}
+	calls := make([]memberCall, len(ms))
+	for i, m := range ms {
+		calls[i] = memberCall{m: m, method: MethodSessionClose, req: &req}
 	}
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), sessionCloseTimeout)
 	defer cancel()

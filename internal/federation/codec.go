@@ -40,10 +40,10 @@ const (
 	msgSearchBatchResp
 	msgCoverageReq
 	msgCoverageCand
-	msgCoverageRoundReq
+	_ // 7: retired
 	msgCoverageRoundResp
-	msgFetchCellsReq
-	msgFetchCellsResp
+	_ // 9: retired
+	_ // 10: retired
 	msgSessionCloseReq
 	msgSessionCloseResp
 	msgStatsResp
@@ -61,6 +61,11 @@ const (
 	// 25–29 are retired.
 	msgWALShipReq byte = iota + 6
 	msgWALShipResp
+	// Frames that gained a field take a new byte; 7, 9 and 10 (their old
+	// forms, without Final, Exclude and Next) are retired.
+	msgCoverageRoundFinalReq
+	msgFetchCellsExclReq
+	msgFetchCellsNextResp
 )
 
 // BinaryCodec is the federation's wire codec.
@@ -114,29 +119,29 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 		dst = binary.AppendVarint(dst, int64(m.Gain))
 		return m.Cells.AppendWire(dst), nil
 	case *CoverageRoundRequest:
-		dst = append(dst, msgCoverageRoundReq)
+		dst = append(dst, msgCoverageRoundFinalReq)
 		dst = binary.AppendUvarint(dst, m.Session)
 		dst = m.Base.AppendWire(dst)
 		dst = m.Added.AppendWire(dst)
 		dst = appendF64(dst, m.Delta)
-		return appendInts(dst, m.Exclude), nil
+		dst = appendInts(dst, m.Exclude)
+		return appendBool(dst, m.Final), nil
 	case *CoverageRoundResponse:
 		dst = append(dst, msgCoverageRoundResp)
 		dst = appendBool(dst, m.SessionMiss)
 		dst = appendBool(dst, m.Stateless)
-		dst = appendBool(dst, m.Found)
-		dst = binary.AppendVarint(dst, int64(m.ID))
-		dst = appendString(dst, m.Name)
-		return binary.AppendVarint(dst, int64(m.Gain)), nil
+		return appendOffer(dst, &m.Offer), nil
 	case *FetchCellsRequest:
-		dst = append(dst, msgFetchCellsReq)
+		dst = append(dst, msgFetchCellsExclReq)
 		dst = binary.AppendUvarint(dst, m.Session)
-		return binary.AppendVarint(dst, int64(m.ID)), nil
+		dst = binary.AppendVarint(dst, int64(m.ID))
+		return appendInts(dst, m.Exclude), nil
 	case *FetchCellsResponse:
-		dst = append(dst, msgFetchCellsResp)
+		dst = append(dst, msgFetchCellsNextResp)
 		dst = appendBool(dst, m.Found)
 		dst = appendBool(dst, m.Committed)
-		return m.Cells.AppendWire(dst), nil
+		dst = m.Cells.AppendWire(dst)
+		return appendOffer(dst, &m.Next), nil
 	case *SessionCloseRequest:
 		dst = append(dst, msgSessionCloseReq)
 		return binary.AppendUvarint(dst, m.Session), nil
@@ -269,29 +274,29 @@ func (binCodec) Decode(data []byte, v any) error {
 		m.Gain = r.int()
 		m.Cells = r.set()
 	case *CoverageRoundRequest:
-		r.expect(msg, msgCoverageRoundReq)
+		r.expect(msg, msgCoverageRoundFinalReq)
 		m.Session = r.uvarint()
 		m.Base = r.set()
 		m.Added = r.set()
 		m.Delta = r.f64()
 		m.Exclude = r.ints()
+		m.Final = r.bool()
 	case *CoverageRoundResponse:
 		r.expect(msg, msgCoverageRoundResp)
 		m.SessionMiss = r.bool()
 		m.Stateless = r.bool()
-		m.Found = r.bool()
-		m.ID = r.int()
-		m.Name = r.string()
-		m.Gain = r.int()
+		r.offer(&m.Offer)
 	case *FetchCellsRequest:
-		r.expect(msg, msgFetchCellsReq)
+		r.expect(msg, msgFetchCellsExclReq)
 		m.Session = r.uvarint()
 		m.ID = r.int()
+		m.Exclude = r.ints()
 	case *FetchCellsResponse:
-		r.expect(msg, msgFetchCellsResp)
+		r.expect(msg, msgFetchCellsNextResp)
 		m.Found = r.bool()
 		m.Committed = r.bool()
 		m.Cells = r.set()
+		r.offer(&m.Next)
 	case *SessionCloseRequest:
 		r.expect(msg, msgSessionCloseReq)
 		m.Session = r.uvarint()
@@ -431,6 +436,12 @@ func appendOverlapItems(dst []byte, items []OverlapItem) []byte {
 		dst = binary.AppendVarint(dst, int64(items[i].Overlap))
 	}
 	return dst
+}
+
+func appendOffer(dst []byte, o *Offer) []byte {
+	dst = binary.AppendVarint(appendBool(dst, o.Found), int64(o.ID))
+	dst = appendString(dst, o.Name)
+	return binary.AppendVarint(dst, int64(o.Gain))
 }
 
 func appendMutate(dst []byte, m *MutateResponse) []byte {
@@ -626,6 +637,13 @@ func (r *wireReader) overlapItems() []OverlapItem {
 		return nil
 	}
 	return items
+}
+
+func (r *wireReader) offer(o *Offer) {
+	o.Found = r.bool()
+	o.ID = r.int()
+	o.Name = r.string()
+	o.Gain = r.int()
 }
 
 func (r *wireReader) mutate(m *MutateResponse) {

@@ -59,10 +59,13 @@ func codecTestMessages() []any {
 		&CoverageCandidate{},
 		&CoverageRoundRequest{Session: 1 << 60, Base: bigSet, Added: small, Delta: 2, Exclude: []int{1}},
 		&CoverageRoundRequest{Session: 1, Added: small},
-		&CoverageRoundResponse{SessionMiss: true, Stateless: true, Found: true, ID: 5, Name: "w", Gain: 17},
+		&CoverageRoundRequest{Session: 3, Base: small, Delta: 4, Exclude: []int{-2, 8}, Final: true},
+		&CoverageRoundResponse{SessionMiss: true, Stateless: true, Offer: Offer{Found: true, ID: 5, Name: "w", Gain: 17}},
 		&CoverageRoundResponse{},
-		&FetchCellsRequest{Session: 42, ID: -9},
-		&FetchCellsResponse{Found: true, Committed: true, Cells: bigSet},
+		&FetchCellsRequest{Session: 42, ID: -9, Exclude: []int{-9, 1 << 33, 0}},
+		&FetchCellsRequest{ID: 6},
+		&FetchCellsResponse{Found: true, Committed: true, Cells: bigSet, Next: Offer{Found: true, ID: -3, Name: "下一个", Gain: 1 << 40}},
+		&FetchCellsResponse{Found: true, Cells: small},
 		&FetchCellsResponse{},
 		&SessionCloseRequest{Session: ^uint64(0)},
 		&SessionCloseResponse{Closed: true},
@@ -74,7 +77,7 @@ func codecTestMessages() []any {
 		&VersionResponse{Name: "v", Version: 3, Durable: true},
 		&summary,
 		&ClusterForwardRequest{Calls: []ForwardCall{
-			{Source: "src-α", Method: MethodCoverageRound, Body: []byte{msgCoverageRoundReq, 0}},
+			{Source: "src-α", Method: MethodCoverageRound, Body: []byte{msgCoverageRoundFinalReq, 0}},
 			{Source: "b", Method: MethodSessionClose},
 		}},
 		&ClusterForwardRequest{},
@@ -285,6 +288,20 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	}
 	if err := BinaryCodec.Decode([]byte{msgOverlapReq}, &resp); err == nil {
 		t.Error("wrong message type accepted")
+	}
+	// The session frames of the build before Final, Exclude and Next: a
+	// peer still sending them is refused, not misread.
+	for _, old := range []struct {
+		frame []byte
+		v     any
+	}{
+		{[]byte{7, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, new(CoverageRoundRequest)},
+		{[]byte{9, 5, 2}, new(FetchCellsRequest)},
+		{[]byte{10, 1, 0, 0}, new(FetchCellsResponse)},
+	} {
+		if err := BinaryCodec.Decode(old.frame, old.v); err == nil {
+			t.Errorf("%T: retired message type %d accepted", old.v, old.frame[0])
+		}
 	}
 	wire, err := BinaryCodec.Append(nil, &OverlapRequest{Cells: cellset.New(1, 2), K: 5})
 	if err != nil {

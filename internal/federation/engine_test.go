@@ -131,37 +131,47 @@ func picksOf(q cellset.Set, picked []*dataset.Node) []pick {
 }
 
 // sessionPicks drives one source's coverage session by hand, the way the
-// center does: a Base round, then per pick a fetch and a delta round. With
-// viaAdded the winner's cells come back as the next round's Added (the
-// source lost to itself, as it were) instead of being absorbed at fetch
-// time, so both ways a delta reaches a session are walked.
+// center does: a Base round, then per pick a fetch that commits the pick
+// and carries the next offer. With viaAdded the fetch carries no session
+// and the winner's cells come back as the next round's Added (the source
+// lost to itself, as it were), so both ways a delta reaches a session are
+// walked. A round that starts with k−1 picks is Final and must leave no
+// session behind.
 func sessionPicks(t *testing.T, srv *SourceServer, sess uint64, q cellset.Set, delta float64, k int, viaAdded bool) []pick {
 	t.Helper()
 	ctx := context.Background()
-	req := CoverageRoundRequest{Session: sess, Base: q, Delta: delta}
 	var out []pick
 	var exclude []int
-	for len(out) < k {
+	round := func(req CoverageRoundRequest) Offer {
+		req.Session, req.Delta, req.Exclude, req.Final = sess, delta, exclude, len(out) == k-1
 		resp := srv.handleCoverageRound(ctx, req)
-		if resp.SessionMiss || resp.Stateless {
+		if resp.SessionMiss || resp.Stateless != (req.Final && req.Base != nil) {
 			t.Fatalf("session %d: unexpected round response %+v", sess, resp)
 		}
-		if !resp.Found {
+		if n := srv.NumSessions(); req.Final && n != 0 {
+			t.Fatalf("session %d: a Final round left %d sessions", sess, n)
+		}
+		return resp.Offer
+	}
+	o := round(CoverageRoundRequest{Base: q})
+	for o.Found {
+		out = append(out, pick{o.ID, o.Gain})
+		exclude = append(exclude, o.ID)
+		if len(out) == k {
 			break
 		}
-		out = append(out, pick{resp.ID, resp.Gain})
-		exclude = append(exclude, resp.ID)
-		fetch := FetchCellsRequest{Session: sess, ID: resp.ID}
+		fetch := FetchCellsRequest{Session: sess, ID: o.ID, Exclude: exclude}
 		if viaAdded {
-			fetch.Session = 0
+			fetch = FetchCellsRequest{ID: o.ID}
 		}
-		cells := srv.handleFetchCells(fetch)
+		cells := srv.handleFetchCells(ctx, fetch)
 		if !cells.Found || cells.Committed == viaAdded {
 			t.Fatalf("session %d: unexpected fetch response found=%v committed=%v", sess, cells.Found, cells.Committed)
 		}
-		req = CoverageRoundRequest{Session: sess, Delta: delta, Exclude: exclude}
 		if viaAdded {
-			req.Added = cells.Cells
+			o = round(CoverageRoundRequest{Added: cells.Cells})
+		} else {
+			o = cells.Next
 		}
 	}
 	srv.handleSessionClose(SessionCloseRequest{Session: sess})
@@ -320,7 +330,7 @@ func TestSessionOverlappingCalls(t *testing.T) {
 			}()
 			go func() {
 				defer wg.Done()
-				srv.handleFetchCells(FetchCellsRequest{Session: 5, ID: id})
+				srv.handleFetchCells(ctx, FetchCellsRequest{Session: 5, ID: id})
 			}()
 		}
 	}

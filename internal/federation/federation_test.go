@@ -250,10 +250,7 @@ func TestTCPFederationMatchesInProc(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ts.Close()
-		peer, err := transport.Dial(srv.Name, ts.Addr(), tcpCenter.Metrics)
-		if err != nil {
-			t.Fatal(err)
-		}
+		peer := transport.DialPool(srv.Name, ts.Addr(), 2, tcpCenter.Metrics)
 		defer peer.Close()
 		tcpCenter.Register(srv.Summary(), peer)
 	}

@@ -327,27 +327,46 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 	}
 }
 
-// staleOfferPeer deletes the dataset the center is about to fetch, once,
-// on the armed peer's countdown-th coverage.fetch: the offer the source
-// made in coverage.round is stale by the time the center acts on it.
+// staleOfferPeer makes an offer stale, once, on the armed peer's
+// countdown-th coverage.fetch: it deletes the dataset the center is about
+// to fetch — or, with carried, the next offer that fetch's answer carried,
+// so the center holds a cached offer for a dataset already gone.
 type staleOfferPeer struct {
 	inner     transport.Peer
 	srv       *SourceServer
 	countdown *int // shared by all peers of a federation; fires at zero
+	carried   bool
 	deleted   *[]int
 }
 
 func (p *staleOfferPeer) Call(ctx context.Context, method string, req, resp any) error {
-	if method == MethodFetchCells {
-		if *p.countdown--; *p.countdown == 0 {
-			id := req.(*FetchCellsRequest).ID
-			if _, err := p.srv.store.DeleteDataset(id); err != nil {
-				return err
-			}
-			*p.deleted = append(*p.deleted, id)
-		}
+	if method != MethodFetchCells {
+		return p.inner.Call(ctx, method, req, resp)
 	}
-	return p.inner.Call(ctx, method, req, resp)
+	if *p.countdown--; *p.countdown != 0 {
+		return p.inner.Call(ctx, method, req, resp)
+	}
+	if !p.carried {
+		if err := p.delete(req.(*FetchCellsRequest).ID); err != nil {
+			return err
+		}
+		return p.inner.Call(ctx, method, req, resp)
+	}
+	if err := p.inner.Call(ctx, method, req, resp); err != nil {
+		return err
+	}
+	if next := resp.(*FetchCellsResponse).Next; next.Found {
+		return p.delete(next.ID)
+	}
+	return nil
+}
+
+func (p *staleOfferPeer) delete(id int) error {
+	if _, err := p.srv.store.DeleteDataset(id); err != nil {
+		return err
+	}
+	*p.deleted = append(*p.deleted, id)
+	return nil
 }
 
 func (p *staleOfferPeer) Close() error { return p.inner.Close() }
@@ -357,54 +376,67 @@ func (p *staleOfferPeer) Close() error { return p.inner.Close() }
 // source faulty. Under both failure policies the center must exclude the
 // dataset, re-ask that source and re-pick, and the answer must be the one
 // a fresh search over the post-delete data gives — with the source still a
-// member in good standing.
+// member in good standing. The stale offer is any round's winner, the final
+// round's included, or the next offer a fetch carried (cached by the
+// center, not yet fetched).
 func TestCoverageReasksAfterStaleOffer(t *testing.T) {
 	for _, policy := range []FailurePolicy{FailFast, SkipFailed} {
-		rng := rand.New(rand.NewSource(31))
-		_, servers := buildMutableFederation(t, rng, 3, 60, DefaultOptions())
-		opts := DefaultOptions()
-		opts.OnSourceError = policy
-		raced := NewCenter(worldGrid(), opts)
-		countdown := 0
-		var deleted []int
-		for _, srv := range servers {
-			raced.Register(srv.Summary(), &staleOfferPeer{
-				inner:     &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: raced.Metrics},
-				srv:       srv,
-				countdown: &countdown,
-				deleted:   &deleted,
-			})
-		}
-		fresh := NewCenter(worldGrid(), Options{GlobalFilter: true, ClipQuery: true}) // stateless oracle
-		registerAll(fresh, servers)
+		for _, carried := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(31))
+			_, servers := buildMutableFederation(t, rng, 3, 60, DefaultOptions())
+			opts := DefaultOptions()
+			opts.OnSourceError = policy
+			raced := NewCenter(worldGrid(), opts)
+			countdown := 0
+			var deleted []int
+			for _, srv := range servers {
+				raced.Register(srv.Summary(), &staleOfferPeer{
+					inner:     &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: raced.Metrics},
+					srv:       srv,
+					countdown: &countdown,
+					carried:   carried,
+					deleted:   &deleted,
+				})
+			}
+			fresh := NewCenter(worldGrid(), Options{GlobalFilter: true, ClipQuery: true}) // stateless oracle
+			registerAll(fresh, servers)
 
-		for trial := 0; trial < 12; trial++ {
-			q := randomQuery(rng)
-			countdown = 1 + trial%3 // the stale offer is round 1's, 2's or 3's winner
-			before := len(deleted)
-			got, err := raced.CoverageSearch(context.Background(), q, 6, 5)
-			if err != nil {
-				t.Fatalf("policy %v trial %d: a stale offer failed the query: %v", policy, trial, err)
-			}
-			want, err := fresh.CoverageSearch(context.Background(), q, 6, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("policy %v trial %d (deleted %v): raced search %+v, fresh search on the post-delete data %+v",
-					policy, trial, deleted[before:], got, want)
-			}
-			for _, p := range got.Picked {
-				if len(deleted) > before && p.ID == deleted[len(deleted)-1] {
-					t.Fatalf("policy %v trial %d: deleted dataset %d was picked", policy, trial, p.ID)
+			stale := 0 // fetches that found their dataset gone
+			for trial := 0; trial < 15; trial++ {
+				q := randomQuery(rng)
+				// Round 1's to round 5's (the final round's) winner, or the
+				// offer carried by round 1's to round 4's fetch.
+				countdown = 1 + trial%5
+				if carried {
+					countdown = 1 + trial%4
 				}
+				before, fetches := len(deleted), raced.Metrics.PerMethod()[MethodFetchCells].Calls
+				got, err := raced.CoverageSearch(context.Background(), q, 6, 5)
+				if err != nil {
+					t.Fatalf("policy %v carried %v trial %d: a stale offer failed the query: %v", policy, carried, trial, err)
+				}
+				want, err := fresh.CoverageSearch(context.Background(), q, 6, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("policy %v carried %v trial %d (deleted %v): raced search %+v, fresh search on the post-delete data %+v",
+						policy, carried, trial, deleted[before:], got, want)
+				}
+				for _, p := range got.Picked {
+					if len(deleted) > before && p.ID == deleted[len(deleted)-1] {
+						t.Fatalf("policy %v carried %v trial %d: deleted dataset %d was picked", policy, carried, trial, p.ID)
+					}
+				}
+				stale += int(raced.Metrics.PerMethod()[MethodFetchCells].Calls-fetches) - len(got.Picked)
 			}
-		}
-		if len(deleted) < 6 {
-			t.Fatalf("policy %v: only %d of 12 searches hit a stale offer; the test exercises too little", policy, len(deleted))
-		}
-		if n := raced.Metrics.TotalFailures(); n != 0 {
-			t.Errorf("policy %v: %d source failures recorded for stale offers", policy, n)
+			if len(deleted) < 6 || stale < 3 {
+				t.Fatalf("policy %v carried %v: %d of 15 searches deleted an offer, %d fetches found one gone; the test exercises too little",
+					policy, carried, len(deleted), stale)
+			}
+			if n := raced.Metrics.TotalFailures(); n != 0 {
+				t.Errorf("policy %v carried %v: %d source failures recorded for stale offers", policy, carried, n)
+			}
 		}
 	}
 }
@@ -431,7 +463,7 @@ func TestSessionSeesMutationsBetweenRounds(t *testing.T) {
 	if !first.Found || first.ID != 1 {
 		t.Fatalf("round 1 offered %+v, want dataset 1", first)
 	}
-	if f := srv.handleFetchCells(FetchCellsRequest{Session: 7, ID: 1}); !f.Committed {
+	if f := srv.handleFetchCells(ctx, FetchCellsRequest{Session: 7, ID: 1}); !f.Committed {
 		t.Fatal("fetch did not commit to the session")
 	}
 	// 3 cells left of q, 8 from dataset 1: round 2's delta (dataset 1's

@@ -23,7 +23,8 @@
 // sequential by protocol), while distinct sessions proceed concurrently.
 // Peers registered with a center must tolerate concurrent Call — wrap
 // TCP connections in a transport.Pool; each fan-out goroutine drives one
-// peer exchange at a time.
+// peer exchange at a time, but even a single CJSP closes its idle sessions
+// beside its last round's calls.
 package federation
 
 import (
@@ -233,13 +234,25 @@ type CoverageCandidate struct {
 // into its session state. The union of the clipped pieces equals the clip
 // of the union (clipping is a fixed per-cell predicate), so every round
 // the source sees exactly the state the stateless protocol would have
-// shipped whole.
+// shipped whole. Final marks the query's last round (k−1 picks made): the
+// source answers as usual and then forgets the session — or, with Base,
+// never stores it — so the round doubles as the session's close.
 type CoverageRoundRequest struct {
 	Session uint64      // center-chosen session ID, shared by all rounds of one query
 	Base    cellset.Set // full clipped merged state; nil on delta rounds
 	Added   cellset.Set // clipped winner cells since the previous round; may be nil
 	Delta   float64     // connectivity threshold δ (cell units)
 	Exclude []int       // dataset IDs already picked from this source
+	Final   bool        // last round: drop the session after answering
+}
+
+// Offer is a source's best next pick for its session's current state,
+// (ID, Gain) only; Found is false when no connected dataset is left.
+type Offer struct {
+	Found bool
+	ID    int
+	Name  string
+	Gain  int
 }
 
 // CoverageRoundResponse is a source's offer for one round: only (ID, Gain)
@@ -255,29 +268,32 @@ type CoverageRoundRequest struct {
 type CoverageRoundResponse struct {
 	SessionMiss bool
 	Stateless   bool
-	Found       bool
-	ID          int
-	Name        string
-	Gain        int
+	Offer
 }
 
 // FetchCellsRequest is the second phase of a round: fetch the winning
 // dataset's full cell set. When Session is non-zero and still live at the
-// source, the source also folds the cells into its session state, so the
-// next round's request to the winner carries no delta at all.
+// source, the source also folds the cells into its session state and
+// answers, in the same exchange, the offer its next round would make:
+// Exclude is the source's exclusion list with ID already appended. The
+// last round's fetch carries Session 0 — that session is already gone.
 type FetchCellsRequest struct {
 	Session uint64
 	ID      int
+	Exclude []int
 }
 
 // FetchCellsResponse carries the winner's full cell set. Committed reports
 // whether the source folded the cells into the session; when false (the
 // session was evicted between round and fetch) the center re-opens the
-// session with the full state on the next round.
+// session with the full state on the next round. Next, valid only when
+// Committed, is the source's offer against its new state — the center
+// caches it instead of asking the source again next round.
 type FetchCellsResponse struct {
 	Found     bool
 	Committed bool
 	Cells     cellset.Set
+	Next      Offer
 }
 
 // SessionCloseRequest releases a source's session state at the end of a

@@ -362,10 +362,14 @@ func TestRelaySourceErrorIsPerSource(t *testing.T) {
 
 // relayBudget makes every fan-out of the plane's view assert that it cost
 // exactly one cluster.forward per owner center, and counts the fan-outs by
-// source method.
+// source method. Fan-outs are serialized so that each is counted alone: a
+// CJSP's last round has its closes running beside it.
 func relayBudget(t *testing.T, p *plane) map[string]int {
 	fanouts := map[string]int{}
+	var mu sync.Mutex
 	p.cluster.view.relay = func(ctx context.Context, cs []memberCall) []error {
+		mu.Lock()
+		defer mu.Unlock()
 		before := calls(p.hop, MethodClusterForward)
 		errs := p.cluster.relay(ctx, cs)
 		owners := map[*clusterCenter]bool{}

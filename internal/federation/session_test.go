@@ -2,10 +2,13 @@ package federation
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,6 +182,124 @@ func TestSessionMissFallback(t *testing.T) {
 	}
 }
 
+// loggedCall is one exchange a center made, as its peer saw it.
+type loggedCall struct {
+	src, method string
+	req, resp   any
+}
+
+// logPeer appends every call it carries, answered, to a log shared by a
+// center's peers. Calls of one query may overlap: the last round's closes
+// run beside it.
+type logPeer struct {
+	inner transport.Peer
+	src   string
+	mu    *sync.Mutex
+	log   *[]loggedCall
+}
+
+func (p *logPeer) Call(ctx context.Context, method string, req, resp any) error {
+	err := p.inner.Call(ctx, method, req, resp)
+	p.mu.Lock()
+	*p.log = append(*p.log, loggedCall{p.src, method, req, resp})
+	p.mu.Unlock()
+	return err
+}
+
+func (p *logPeer) Close() error { return p.inner.Close() }
+
+// TestCoverageMessageBudget holds the session engine to the messages a
+// round needs, call by call, on InProc links: a source that just won a
+// committed fetch is not asked in the next round (the fetch carried its
+// next offer); only the round that starts with k−1 picks is Final, and a
+// source sent a Final round gets no coverage.close; the k-th fetch carries
+// no session; there is one coverage.fetch per pick; and no source holds a
+// session once the query has returned. Queries that reach k picks and
+// queries that run out of connected datasets first are both covered, with
+// sessions intact and under both of droppingPeer's modes.
+func TestCoverageMessageBudget(t *testing.T) {
+	_, _, servers := buildFederation(rand.New(rand.NewSource(71)), 3, 60, DefaultOptions())
+	for _, mode := range []string{"", MethodCoverageRound, MethodFetchCells} {
+		var mu sync.Mutex
+		var log []loggedCall
+		center := NewCenter(worldGrid(), DefaultOptions())
+		for _, srv := range servers {
+			center.Register(srv.Summary(), &logPeer{
+				inner: &droppingPeer{
+					inner: &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: center.Metrics},
+					srv:   srv,
+					mode:  mode,
+				},
+				src: srv.Name, mu: &mu, log: &log,
+			})
+		}
+		rng := rand.New(rand.NewSource(72))
+		full, short := 0, 0
+		for trial := 0; trial < 40; trial++ {
+			q := randomQuery(rng)
+			k := []int{1, 3, 5, 60}[trial%4]
+			log = nil
+			res, err := center.CoverageSearch(context.Background(), q, 3, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Picked) == k {
+				full++
+			} else {
+				short++
+			}
+			at := func(c loggedCall) string {
+				return fmt.Sprintf("mode %q trial %d k=%d (%d picks): %s to %s", mode, trial, k, len(res.Picked), c.method, c.src)
+			}
+			fetches := 0
+			committedWinner := "" // won the last fetch, committed
+			finalSent := map[string]bool{}
+			for _, c := range log {
+				switch c.method {
+				case MethodCoverageRound:
+					req := c.req.(*CoverageRoundRequest)
+					if c.src == committedWinner {
+						t.Errorf("%s: asked again in the round after its committed fetch", at(c))
+					}
+					if req.Final != (fetches == k-1) {
+						t.Errorf("%s: Final = %v after %d fetches", at(c), req.Final, fetches)
+					}
+					if req.Final {
+						finalSent[c.src] = true
+					}
+				case MethodFetchCells:
+					fetches++
+					req, resp := c.req.(*FetchCellsRequest), c.resp.(*FetchCellsResponse)
+					if fetches == k && req.Session != 0 {
+						t.Errorf("%s: the k-th fetch carries session %d", at(c), req.Session)
+					}
+					committedWinner = ""
+					if resp.Committed {
+						committedWinner = c.src
+					}
+				case MethodSessionClose:
+					if finalSent[c.src] {
+						t.Errorf("%s: closed after a Final round", at(c))
+					}
+				default:
+					t.Errorf("%s: unexpected method", at(c))
+				}
+			}
+			if fetches != len(res.Picked) {
+				t.Errorf("mode %q trial %d: %d coverage.fetch calls for %d picks", mode, trial, fetches, len(res.Picked))
+			}
+			for _, srv := range servers {
+				if n := srv.NumSessions(); n != 0 {
+					t.Fatalf("mode %q trial %d: source %s holds %d sessions after the query", mode, trial, srv.Name, n)
+				}
+			}
+		}
+		if full == 0 || short == 0 {
+			t.Errorf("mode %q: %d queries reached k, %d stopped short; both must occur", mode, full, short)
+		}
+	}
+}
+
 // TestSourceSessionEviction drives the session table directly: the cap
 // holds, idle sessions are reclaimed by TTL, and close removes state.
 func TestSourceSessionEviction(t *testing.T) {
@@ -227,16 +348,15 @@ func TestSourceSessionEviction(t *testing.T) {
 }
 
 // flakyPeer works until failAfter calls, then errors forever — a source
-// that dies mid-session.
+// that dies mid-session. A close may run beside a call of the last round.
 type flakyPeer struct {
 	inner     transport.Peer
-	calls     int
-	failAfter int
+	calls     atomic.Int64
+	failAfter int64
 }
 
 func (p *flakyPeer) Call(ctx context.Context, method string, req, resp any) error {
-	p.calls++
-	if p.calls > p.failAfter {
+	if p.calls.Add(1) > p.failAfter {
 		return &transport.RemoteError{Source: "flaky", Msg: "link down"}
 	}
 	return p.inner.Call(ctx, method, req, resp)
@@ -494,17 +614,10 @@ func TestCoverageEpochPinningMidQuery(t *testing.T) {
 	}
 }
 
-// TestCoverageRoundAllocBudget holds the bytes a source allocates per
-// coverage.round to a budget, on sessions shaped like cjsp-small's: its five
-// sources (scale 0.05, data seed 1, world grid at θ = 12), δ = 10, and per
-// query — a dataset translated by two cells — a session at every source: a
-// Base round, then a fetch and a delta round per pick up to k = 5. The
-// budget is what a round allocated while the connectivity index sorted
-// δ-sided buckets (43,442 B here), plus 10 %. Sessions run one after
-// another in line, and the least of three passes is taken: allocations
-// elsewhere in the process can only raise one.
-func TestCoverageRoundAllocBudget(t *testing.T) {
-	const budget = 43442 * 11 / 10
+// cjspSmallFixture is cjsp-small in miniature: its five sources (scale
+// 0.05, data seed 1, world grid at θ = 12, leaf capacity 30) and 8 queries,
+// each a dataset translated by two cells, to be searched at δ = 10.
+func cjspSmallFixture() (geo.Grid, []*SourceServer, []cellset.Set) {
 	g := geo.NewGrid(12, geo.Rect{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90})
 	var servers []*SourceServer
 	var nodes []*dataset.Node
@@ -523,38 +636,75 @@ func TestCoverageRoundAllocBudget(t *testing.T) {
 		}
 		queries = append(queries, cellset.New(ids...))
 	}
+	return g, servers, queries
+}
 
+// BenchmarkCoverageSession runs the session engine end to end on
+// cjspSmallFixture over InProc links: one op is the fixture's 8 CJSPs at
+// k = 5 through one center. msgs/op counts every exchange the center made.
+func BenchmarkCoverageSession(b *testing.B) {
+	g, servers, queries := cjspSmallFixture()
+	c := NewCenter(g, DefaultOptions())
+	registerAll(c, servers)
 	ctx := context.Background()
-	perRound, rounds := math.Inf(1), 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, q := range queries {
+			if _, err := c.CoverageSearch(ctx, q, 10, 5); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(c.Metrics.Messages())/float64(b.N), "msgs/op")
+}
+
+// TestCoverageRoundAllocBudget holds the bytes a source allocates per offer
+// to a budget, on sessions shaped like cjsp-small's (cjspSmallFixture): per
+// query a session at every source, opened by a Base coverage.round, then per
+// pick up to k = 5 a coverage.fetch that commits the pick and carries the
+// next offer. An offer is the Base round or such a fetch. The budget is what
+// a round allocated while the connectivity index sorted δ-sided buckets
+// (43,442 B here), plus 10 %. Sessions run one after another in line, and
+// the least of three passes is taken: allocations elsewhere in the process
+// can only raise one.
+func TestCoverageRoundAllocBudget(t *testing.T) {
+	const budget = 43442 * 11 / 10
+	_, servers, queries := cjspSmallFixture()
+	ctx := context.Background()
+	perOffer, offers := math.Inf(1), 0
 	for pass := uint64(0); pass < 3; pass++ {
 		var bytes uint64
-		rounds = 0
+		offers = 0
+		measure := func(f func() Offer) Offer {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			o := f()
+			runtime.ReadMemStats(&ms1)
+			bytes += ms1.TotalAlloc - ms0.TotalAlloc
+			offers++
+			return o
+		}
 		for i, q := range queries {
 			sess := pass<<8 | uint64(i)
 			for _, srv := range servers {
-				req := CoverageRoundRequest{Session: sess, Base: q, Delta: 10}
+				o := measure(func() Offer {
+					return srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Base: q, Delta: 10}).Offer
+				})
 				var exclude []int
-				for len(exclude) < 5 {
-					var ms0, ms1 runtime.MemStats
-					runtime.ReadMemStats(&ms0)
-					resp := srv.handleCoverageRound(ctx, req)
-					runtime.ReadMemStats(&ms1)
-					bytes += ms1.TotalAlloc - ms0.TotalAlloc
-					rounds++
-					if !resp.Found {
-						break
-					}
-					exclude = append(exclude, resp.ID)
-					srv.handleFetchCells(FetchCellsRequest{Session: sess, ID: resp.ID})
-					req = CoverageRoundRequest{Session: sess, Delta: 10, Exclude: exclude}
+				for o.Found && len(exclude) < 4 {
+					exclude = append(exclude, o.ID)
+					o = measure(func() Offer {
+						return srv.handleFetchCells(ctx, FetchCellsRequest{Session: sess, ID: o.ID, Exclude: exclude}).Next
+					})
 				}
 				srv.handleSessionClose(SessionCloseRequest{Session: sess})
 			}
 		}
-		perRound = min(perRound, float64(bytes)/float64(rounds))
+		perOffer = min(perOffer, float64(bytes)/float64(offers))
 	}
-	t.Logf("%.0f B per coverage.round over %d rounds, budget %d B", perRound, rounds, budget)
-	if perRound > budget {
-		t.Fatalf("a coverage.round allocates %.0f B, over the budget of %d B", perRound, budget)
+	t.Logf("%.0f B per offer over %d offers, budget %d B", perOffer, offers, budget)
+	if perOffer > budget {
+		t.Fatalf("an offer allocates %.0f B, over the budget of %d B", perOffer, budget)
 	}
 }

@@ -114,10 +114,11 @@ func (cs *covSession) absorb(added cellset.Set) {
 }
 
 // connect brings the connected set up to date with the merged set and
-// returns it. walk is the FindConnectSet tree search from a query node;
-// version is the data version of the index walk reads, taken under the
-// same index lock. The caller holds cs.mu.
-func (cs *covSession) connect(version uint64, walk func(q *dataset.Node, qIdx *cellset.DistIndex) []*dataset.Node) []*dataset.Node {
+// returns it. extend is the FindConnectSet tree search from a query node,
+// folding what it finds into the connected set it is given; version is the
+// data version of the index extend reads, taken under the same index lock.
+// The caller holds cs.mu.
+func (cs *covSession) connect(version uint64, extend func(q *dataset.Node, qIdx *cellset.DistIndex, connected *coverage.ConnectSet)) []*dataset.Node {
 	if version != cs.version {
 		// A put or delete landed since the connected set was computed: a
 		// new dataset may connect to cells verified long ago and a deleted
@@ -127,7 +128,7 @@ func (cs *covSession) connect(version uint64, walk func(q *dataset.Node, qIdx *c
 		cs.version = version
 	}
 	if q := cellsNode(cs.pending); q != nil {
-		cs.connected.Add(walk(q, cellset.NewDistIndex(cs.pending, cs.delta)))
+		extend(q, cellset.NewDistIndex(cs.pending, cs.delta), &cs.connected)
 		cs.pending = nil
 	}
 	return cs.connected.Nodes
@@ -251,7 +252,7 @@ func (s *SourceServer) Handler() transport.Handler {
 			})
 		case MethodFetchCells:
 			return serve(codec, body, func(req FetchCellsRequest) (FetchCellsResponse, error) {
-				return s.handleFetchCells(req), nil
+				return s.handleFetchCells(ctx, req), nil
 			})
 		case MethodSessionClose:
 			return serve(codec, body, func(req SessionCloseRequest) (SessionCloseResponse, error) {
@@ -458,12 +459,17 @@ func (s *SourceServer) pickBest(cands []*dataset.Node, mergedC *cellset.Compact,
 }
 
 // handleCoverageRound answers one session round: update the session state
-// from Base/Added, then offer the best candidate as (ID, Gain) only.
+// from Base/Added, then offer the best candidate as (ID, Gain) only. A
+// Final round takes the session out of the table before answering from it,
+// and with Base answers without storing one.
 func (s *SourceServer) handleCoverageRound(ctx context.Context, req CoverageRoundRequest) CoverageRoundResponse {
 	s.mu.Lock()
 	now := s.clock()
 	s.sweepLocked(now)
 	sess := s.sessions[req.Session]
+	if req.Final {
+		delete(s.sessions, req.Session)
+	}
 	stateless := false
 	switch {
 	case sess == nil && len(req.Base) == 0:
@@ -471,11 +477,12 @@ func (s *SourceServer) handleCoverageRound(ctx context.Context, req CoverageRoun
 		return CoverageRoundResponse{SessionMiss: true}
 	case sess == nil:
 		sess = &covSession{}
-		if len(s.sessions) >= s.maxSessions() {
-			// Table full of live sessions: answer from the request's
-			// Base without storing — never evict another in-flight
-			// query's state. The center falls back to full-state rounds
-			// for this source until capacity frees up.
+		if req.Final || len(s.sessions) >= s.maxSessions() {
+			// The query's last round, or a table full of live sessions:
+			// answer from the request's Base without storing — never
+			// evict another in-flight query's state. On a full table the
+			// center falls back to full-state rounds for this source
+			// until capacity frees up.
 			stateless = true
 		} else {
 			if s.sessions == nil {
@@ -496,31 +503,39 @@ func (s *SourceServer) handleCoverageRound(ctx context.Context, req CoverageRoun
 	} else {
 		sess.absorb(req.Added)
 	}
-	out := CoverageRoundResponse{Stateless: stateless}
+	return CoverageRoundResponse{Stateless: stateless, Offer: s.offer(ctx, sess, req.Exclude)}
+}
+
+// offer brings the session's connected set up to date and picks its best
+// dataset outside exclude. The caller holds sess.mu.
+func (s *SourceServer) offer(ctx context.Context, sess *covSession, exclude []int) Offer {
+	var out Offer
 	if sess.merged.IsEmpty() {
 		return out
 	}
 	s.view(func(idx *dits.Local) {
 		// Under the index lock the data version cannot move, so the stamp
 		// describes exactly the index the walk reads.
-		cands := sess.connect(s.DataVersion(), func(q *dataset.Node, qIdx *cellset.DistIndex) []*dataset.Node {
-			return s.findConnectSet(ctx, idx, q, sess.delta, qIdx)
+		cands := sess.connect(s.DataVersion(), func(q *dataset.Node, qIdx *cellset.DistIndex, cs *coverage.ConnectSet) {
+			_, sp := obs.StartSpan(ctx, "exec.connect")
+			s.executor().ExtendConnectSet(ctx, idx.Root, q, sess.delta, qIdx, cs)
+			sp.End()
 		})
-		best, bestGain := s.pickBest(cands, sess.merged, req.Exclude)
-		if best == nil {
-			return
+		best, bestGain := s.pickBest(cands, sess.merged, exclude)
+		if best != nil {
+			out = Offer{Found: true, ID: best.ID, Name: best.Name, Gain: bestGain}
 		}
-		out.Found, out.ID, out.Name, out.Gain = true, best.ID, best.Name, bestGain
 	})
 	return out
 }
 
 // handleFetchCells ships the winning dataset's full cell set and folds it
-// into the session so the next round carries no delta for this source. A
-// dataset's cells lie inside the source's root MBR, which is inside every
-// clip region the center uses for this source, so the unclipped union is
-// exactly what clipping would produce.
-func (s *SourceServer) handleFetchCells(req FetchCellsRequest) FetchCellsResponse {
+// into the session, then answers the offer the session's next round would
+// make — so the next round neither ships this source a delta nor asks it at
+// all. A dataset's cells lie inside the source's root MBR, which is inside
+// every clip region the center uses for this source, so the unclipped union
+// is exactly what clipping would produce.
+func (s *SourceServer) handleFetchCells(ctx context.Context, req FetchCellsRequest) FetchCellsResponse {
 	// Dataset nodes are immutable once published (mutations replace the
 	// node object), so the cells stay valid after the lock is released.
 	var nd *dataset.Node
@@ -543,8 +558,8 @@ func (s *SourceServer) handleFetchCells(req FetchCellsRequest) FetchCellsRespons
 	if sess != nil {
 		sess.mu.Lock()
 		sess.absorb(cells)
+		resp.Committed, resp.Next = true, s.offer(ctx, sess, req.Exclude)
 		sess.mu.Unlock()
-		resp.Committed = true
 	}
 	return resp
 }

@@ -90,12 +90,12 @@ func TestMutatedIndexSearchersMatchRebuild(t *testing.T) {
 			// tree it must reproduce the sequential walk exactly; against
 			// the rebuilt tree (a different shape, hence a different
 			// traversal order) the connected SET must match.
-			seqConn := coverage.FindConnectSetWithIndex(live.Root, q, 6, cellset.NewDistIndex(q.Cells, 6))
+			seqConn := coverage.FindConnectSetWithIndex(live.Root, q, 6, cellset.NewDistIndex(q.Cells, 6), nil)
 			parConn := ex.FindConnectSet(ctx, live.Root, q, 6, cellset.NewDistIndex(q.Cells, 6))
 			if !sameIDs(parConn, seqConn) {
 				t.Fatalf("step %d query %d: parallel FindConnectSet diverged from sequential", step, i)
 			}
-			rebuiltConn := coverage.FindConnectSetWithIndex(rebuilt.Root, q, 6, cellset.NewDistIndex(q.Cells, 6))
+			rebuiltConn := coverage.FindConnectSetWithIndex(rebuilt.Root, q, 6, cellset.NewDistIndex(q.Cells, 6), nil)
 			if !sameIDSet(parConn, rebuiltConn) {
 				t.Fatalf("step %d query %d: connect set diverged from rebuild", step, i)
 			}

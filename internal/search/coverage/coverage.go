@@ -21,7 +21,7 @@
 // federation source's session) use the same identity the other way round:
 // connected(M ∪ A) = connected(M) ∪ connected(A), so they keep the
 // connected set across rounds (ConnectSet) and walk from each round's
-// added cells alone.
+// added cells alone, skipping the datasets already in it.
 //
 // # Concurrency and ownership
 //
@@ -152,14 +152,12 @@ func FindConnectSet(root *dits.TreeNode, q *dataset.Node, delta float64) []*data
 // FindConnectSetWithIndex is FindConnectSet with a caller-supplied distance
 // index over q's cells: the parallel executor shares one index between its
 // subtree walks, and the serving loops pass the index of the round's delta
-// together with a node carrying only its geometry.
-func FindConnectSetWithIndex(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex) []*dataset.Node {
-	return findConnectSet(root, q, delta, qIdx)
-}
-
-// findConnectSet is FindConnectSet with the query's distance index supplied
-// by the caller, so iterative searches can reuse (and grow) it.
-func findConnectSet(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex) []*dataset.Node {
+// together with a node carrying only its geometry. A serving loop also
+// passes the ConnectSet it keeps as known (nil for a fresh walk): a leaf's
+// dataset already in it is skipped before its bounds and its exact check.
+// known is only read, so concurrent walks may share it; after known.Add of
+// the result it holds exactly what it would after adding the full walk's.
+func FindConnectSetWithIndex(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex, known *ConnectSet) []*dataset.Node {
 	var out []*dataset.Node
 	var walk func(n *dits.TreeNode)
 	walk = func(n *dits.TreeNode) {
@@ -186,6 +184,9 @@ func findConnectSet(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *c
 			// marginal-gain scans downstream of the returned candidates.
 			n.EnsureLoaded()
 			for _, nd := range n.Children {
+				if known.Has(nd.ID) {
+					continue // connected in an earlier round
+				}
 				ndLB, ndUB := nd.DistBounds(q)
 				if ndLB > delta || mbrFar(nd.Rect, q.Rect, delta) {
 					continue
@@ -201,6 +202,11 @@ func findConnectSet(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *c
 	}
 	walk(root)
 	return out
+}
+
+// findConnectSet is a fresh FindConnectSetWithIndex walk.
+func findConnectSet(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex) []*dataset.Node {
+	return FindConnectSetWithIndex(root, q, delta, qIdx, nil)
 }
 
 // mbrFar reports whether the MBRs a and b lie more than delta apart, in
@@ -225,6 +231,16 @@ func mbrFar(a, b geo.Rect, delta float64) bool {
 type ConnectSet struct {
 	Nodes []*dataset.Node
 	seen  map[int]struct{}
+}
+
+// Has reports whether the dataset with the given ID is in the set; a nil
+// set holds nothing.
+func (c *ConnectSet) Has(id int) bool {
+	if c == nil {
+		return false
+	}
+	_, ok := c.seen[id]
+	return ok
 }
 
 // Add folds in the result of one FindConnectSet walk, skipping datasets

@@ -24,9 +24,22 @@ const connectTaskFactor = 4
 // freely. qIdx is read concurrently and must not be mutated during the
 // call.
 func (e *Executor) FindConnectSet(ctx context.Context, root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex) []*dataset.Node {
+	return e.findConnectSet(ctx, root, q, delta, qIdx, nil)
+}
+
+// ExtendConnectSet folds into cs every dataset within delta of q that it
+// does not hold yet: the walk of FindConnectSet, skipping cs's datasets
+// before their bounds and exact checks. cs ends up exactly as after
+// cs.Add(e.FindConnectSet(...)), first-seen order included.
+func (e *Executor) ExtendConnectSet(ctx context.Context, root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex, cs *coverage.ConnectSet) {
+	cs.Add(e.findConnectSet(ctx, root, q, delta, qIdx, cs))
+}
+
+// findConnectSet is the pooled walk; known (nil for none) is only read.
+func (e *Executor) findConnectSet(ctx context.Context, root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex, known *coverage.ConnectSet) []*dataset.Node {
 	w := e.workers()
 	if w == 1 || root == nil {
-		return coverage.FindConnectSetWithIndex(root, q, delta, qIdx)
+		return coverage.FindConnectSetWithIndex(root, q, delta, qIdx, known)
 	}
 	// DFS-ordered frontier: concatenating per-task results in task order
 	// reproduces the sequential DFS output order exactly.
@@ -54,7 +67,7 @@ func (e *Executor) FindConnectSet(ctx context.Context, root *dits.TreeNode, q *d
 			if i >= len(tasks) || ctx.Err() != nil {
 				return
 			}
-			outs[i] = coverage.FindConnectSetWithIndex(tasks[i], q, delta, qIdx)
+			outs[i] = coverage.FindConnectSetWithIndex(tasks[i], q, delta, qIdx, known)
 		}
 	})
 	var out []*dataset.Node
@@ -164,9 +177,9 @@ func pickBestSeq(cands []*dataset.Node, excluded func(id int) bool, covered *cel
 // two hot spots — the FindConnectSet walk and the marginal-gain scan —
 // executed on the worker pool. Where the paper re-walks the tree from the
 // whole merged node every round, this loop keeps the connected set and
-// walks from the last pick alone (coverage.ConnectSet); candidates, gains
-// and tie-breaks are the same, so results are identical to
-// (*coverage.DITSSearcher).Search. The greedy round structure itself is
+// walks from the last pick alone, skipping what it holds (ExtendConnectSet);
+// candidates, gains and tie-breaks are the same, so results are identical
+// to (*coverage.DITSSearcher).Search. The greedy round structure itself is
 // inherently sequential (each round's state depends on the previous pick),
 // so rounds are not parallelized. On cancellation the rounds picked so far
 // are returned with ctx.Err().
@@ -184,7 +197,7 @@ func (e *Executor) CoverageSearch(ctx context.Context, idx *dits.Local, q *datas
 		if err := ctx.Err(); err != nil {
 			return coverageResultFor(q, chosen, covered), err
 		}
-		connected.Add(e.FindConnectSet(ctx, idx.Root, added, delta, cellset.NewDistIndex(added.FlatCells(), delta)))
+		e.ExtendConnectSet(ctx, idx.Root, added, delta, cellset.NewDistIndex(added.FlatCells(), delta), &connected)
 		best, _ := e.PickBest(ctx, connected.Nodes, func(id int) bool { return picked[id] }, covered)
 		if best == nil {
 			break

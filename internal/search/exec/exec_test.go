@@ -268,6 +268,29 @@ func TestFindConnectSetParity(t *testing.T) {
 	}
 }
 
+// TestExtendConnectSetMatchesAdd: walks that skip what the connected set
+// already holds must leave it exactly as folding in full walks does — the
+// same datasets in the same first-seen order — round after round.
+func TestExtendConnectSetMatchesAdd(t *testing.T) {
+	idx, nodes := buildWorld(t, 150, 8, 4, 23)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 8; i++ {
+		delta := float64(rng.Intn(15))
+		var want coverage.ConnectSet
+		got := map[int]*coverage.ConnectSet{1: {}, 4: {}}
+		for round := 0; round < 4; round++ {
+			q := queryFrom(rng, nodes)
+			want.Add(coverage.FindConnectSet(idx.Root, q, delta))
+			for w, cs := range got {
+				(&Executor{Workers: w}).ExtendConnectSet(context.Background(), idx.Root, q, delta, cellset.NewDistIndex(q.Cells, delta), cs)
+				if !reflect.DeepEqual(cs.Nodes, want.Nodes) {
+					t.Fatalf("workers %d δ=%v round %d: %d datasets, full walks give %d", w, delta, round, len(cs.Nodes), len(want.Nodes))
+				}
+			}
+		}
+	}
+}
+
 // FuzzOverlapParity fuzzes the query shape: arbitrary bytes become query
 // cells; parallel and batched execution must match the sequential
 // searcher on every input.
