@@ -353,7 +353,10 @@ func (c *Compact) Diff(o *Compact) *Compact {
 	if o.Len() == 0 {
 		return c
 	}
-	out := &Compact{}
+	out := &Compact{
+		keys: make([]uint64, 0, len(c.keys)),
+		cts:  make([]container, 0, len(c.keys)),
+	}
 	i, j := 0, 0
 	for i < len(c.keys) && j < len(o.keys) {
 		switch {

@@ -14,6 +14,7 @@ import (
 	"dits/internal/geo"
 	"dits/internal/index/dits"
 	"dits/internal/ingest"
+	"dits/internal/search/coverage"
 	"dits/internal/transport"
 )
 
@@ -486,5 +487,91 @@ func TestSessionSeesMutationsBetweenRounds(t *testing.T) {
 	merged := q.Union(nodes[0].Cells)
 	if want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 8, Base: merged, Delta: delta, Exclude: []int{1}}); again.Found != want.Found || again.ID != want.ID || again.Gain != want.Gain {
 		t.Fatalf("after the delete the session offered %+v, a fresh session %+v", again, want)
+	}
+}
+
+// TestSessionStaleBoundsAfterPut: a session keeps a bound on every connected
+// dataset's gain, and a put between rounds voids them. In "grown" the put
+// replaces a small connected dataset under the same ID with a larger one,
+// which must win round 2 over the dataset that led on the old data. In
+// "shrunk leader" the fetch of round 1's winner left a dataset's bound
+// exact and on top; the put shrinks it, and trusting the bound would offer
+// it at its old gain. Either way round 2 offers what Algorithm 3
+// (coverage.DITSSearcher) picks second on the post-put data.
+func TestSessionStaleBoundsAfterPut(t *testing.T) {
+	const delta = 3
+	cases := []struct {
+		name    string
+		q       cellset.Set
+		nodes   map[int]cellset.Set // ID 1 is round 1's winner on both data
+		put     cellset.Set         // the new cells of ID 2
+		wantID  int
+		stalled int // the ID offered from stale bounds
+	}{
+		{
+			name: "grown",
+			q:    cellBlock(40, 40, 4, 4),
+			nodes: map[int]cellset.Set{
+				1: cellBlock(44, 40, 8, 8), // right of q: gain 64
+				2: cellBlock(40, 36, 2, 2), // below q: 4 cells
+				3: cellBlock(36, 40, 3, 3), // left of q: 9 cells
+			},
+			put:     cellBlock(38, 35, 5, 5), // below q: 25 cells
+			wantID:  2,
+			stalled: 3,
+		},
+		{
+			name: "shrunk leader",
+			q:    cellBlock(40, 40, 6, 6),
+			nodes: map[int]cellset.Set{
+				1: cellBlock(46, 40, 6, 6), // right of q: gain 36
+				2: cellBlock(34, 40, 8, 5), // 40 cells, 10 in q: gain 30, the next offer
+				3: cellBlock(40, 35, 4, 3), // below q: gain 12
+			},
+			put:     cellBlock(38, 41, 2, 2), // left of q: gain 4
+			wantID:  3,
+			stalled: 2,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var nodes []*dataset.Node
+			for id := 1; id <= 3; id++ {
+				nodes = append(nodes, dataset.NewNodeFromCells(id, "near", tc.nodes[id]))
+			}
+			rng := rand.New(rand.NewSource(43))
+			for id := 10; id < 40; id++ { // far from everything above
+				nodes = append(nodes, dataset.NewNodeFromCells(id, "far", cellsNear(60+rng.Intn(60), 60+rng.Intn(60), 6)))
+			}
+			srv := NewSourceServerWithGrid("s", dits.Build(worldGrid(), nodes, 8))
+			enableIngest(t, srv)
+			ctx := context.Background()
+
+			first := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 7, Base: tc.q, Delta: delta})
+			if !first.Found || first.ID != 1 {
+				t.Fatalf("round 1 offered %+v, want dataset 1", first)
+			}
+			f := srv.handleFetchCells(ctx, FetchCellsRequest{Session: 7, ID: 1, Exclude: []int{1}})
+			if !f.Committed || !f.Next.Found || f.Next.ID != tc.stalled {
+				t.Fatalf("the fetch carried %+v, want dataset %d next", f, tc.stalled)
+			}
+			if _, err := srv.store.PutDataset(2, "put", tc.put); err != nil {
+				t.Fatal(err)
+			}
+			got := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 7, Delta: delta, Exclude: []int{1}})
+
+			var one, two coverage.Result
+			srv.view(func(idx *dits.Local) {
+				s := &coverage.DITSSearcher{Index: idx}
+				q := dataset.NewNodeFromCells(-1, "q", tc.q)
+				one, two = s.Search(q, delta, 1), s.Search(q, delta, 2)
+			})
+			if ids := two.IDs(); len(ids) != 2 || ids[0] != 1 || ids[1] != tc.wantID {
+				t.Fatalf("Algorithm 3 on the post-put data picks %v, want [1 %d]", ids, tc.wantID)
+			}
+			if want := two.Coverage - one.Coverage; !got.Found || got.ID != tc.wantID || got.Gain != want {
+				t.Fatalf("round 2 offered %+v, Algorithm 3 picks dataset %d with gain %d", got.Offer, tc.wantID, want)
+			}
+		})
 	}
 }

@@ -708,3 +708,78 @@ func TestCoverageRoundAllocBudget(t *testing.T) {
 		t.Fatalf("an offer allocates %.0f B, over the budget of %d B", perOffer, budget)
 	}
 }
+
+// TestLazyPickEvaluations counts the exact gain evaluations a source's
+// sessions make per offer on cjspSmallFixture, as TestCoverageRoundAllocBudget
+// drives them: per query and source a Base round, then up to k-1 fetches
+// each carrying the next offer. An evaluation is against the whole merged
+// set (a dataset seen for the first time) or incremental (from the cells
+// that arrived since its bound was exact). The scan every offer ran before
+// bounds were kept made 14.5 evaluations per offer here at k = 5 and 59.5
+// at k = 60, all of them against the whole merged set.
+func TestLazyPickEvaluations(t *testing.T) {
+	_, servers, queries := cjspSmallFixture()
+	ctx := context.Background()
+	for _, k := range []int{1, 3, 5, 60} {
+		var whole, incremental, offers int
+		for i, q := range queries {
+			sess := uint64(k)<<8 | uint64(i)
+			for _, srv := range servers {
+				o := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Base: q, Delta: 10}).Offer
+				offers++
+				var exclude []int
+				for o.Found && len(exclude) < k-1 {
+					exclude = append(exclude, o.ID)
+					o = srv.handleFetchCells(ctx, FetchCellsRequest{Session: sess, ID: o.ID, Exclude: exclude}).Next
+					offers++
+				}
+				srv.mu.Lock()
+				p := &srv.sessions[sess].pick
+				srv.mu.Unlock()
+				whole, incremental = whole+p.Whole, incremental+p.Incremental
+				srv.handleSessionClose(SessionCloseRequest{Session: sess})
+			}
+		}
+		perWhole, perTotal := float64(whole)/float64(offers), float64(whole+incremental)/float64(offers)
+		t.Logf("k = %d: %d offers, %.2f evaluations per offer, %.2f of them against the whole merged set", k, offers, perTotal, perWhole)
+		if k == 5 && perWhole > 2.0 {
+			t.Errorf("k = 5: %.2f whole-state evaluations per offer, want at most 2.0", perWhole)
+		}
+		if k == 60 && perTotal > 8 {
+			t.Errorf("k = 60: %.2f evaluations per offer, want at most 8", perTotal)
+		}
+	}
+}
+
+// TestSessionRecoversFromCancelledWalk: a round whose caller gave up may
+// cut the pooled connectivity walk short. The session must not keep the
+// partial connected set as if it were complete — it would miss datasets
+// for the rest of the query, and the lazy pick would trust bounds that
+// assume it saw them all — so the next round answers what a session opened
+// fresh answers.
+func TestSessionRecoversFromCancelledWalk(t *testing.T) {
+	_, servers, queries := cjspSmallFixture()
+	ctx := context.Background()
+	gone, cancel := context.WithCancel(ctx)
+	cancel()
+	offered := 0
+	for i, q := range queries {
+		for _, srv := range servers {
+			srv.Workers = 2
+			sess := uint64(i) + 1
+			srv.handleCoverageRound(gone, CoverageRoundRequest{Session: sess, Base: q, Delta: 10})
+			got := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Delta: 10})
+			want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess + 100, Base: q, Delta: 10, Final: true})
+			if got.Offer != want.Offer {
+				t.Fatalf("query %d at %s: after a cancelled round the session offered %+v, a fresh one %+v", i, srv.Name, got.Offer, want.Offer)
+			}
+			if got.Found {
+				offered++
+			}
+			srv.handleSessionClose(SessionCloseRequest{Session: sess})
+		}
+	}
+	if offered == 0 {
+		t.Fatal("no source offered anything: the test exercises nothing")
+	}
+}

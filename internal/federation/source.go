@@ -71,25 +71,25 @@ type SourceServer struct {
 }
 
 // covSession is the per-query state of the session-based CJSP: the merged
-// result set accumulated from the center's deltas (Compact form, what the
-// marginal gains are computed against), the datasets connected to it, and
-// the cells absorbed since that connected set was last extended. A round
-// verifies connectivity against the pending delta alone and unions the
-// result in (coverage.ConnectSet) — valid because connectivity to a
-// growing set is monotone, as long as the index holds the data the
-// connected set was computed over: version is the source's data version at
-// that computation, and a round that finds another one starts over from
-// the full merged set.
+// result set accumulated from the center's deltas, the datasets connected
+// to it with a bound on each one's marginal gain and the log of cells each
+// delta added (exec.LazyPicker), and the cells absorbed since that
+// connected set was last extended. A round verifies connectivity against
+// the pending delta alone and unions the result in (coverage.ConnectSet) —
+// valid because connectivity to a growing set is monotone, as long as the
+// index holds the data the connected set was computed over: version is the
+// source's data version at that computation, and a round that finds
+// another one starts over from the full merged set, dropping the bounds
+// with the connected set.
 type covSession struct {
 	// mu serializes the rounds and fetches of one session. The center
 	// drives a session sequentially, but a call it has given up on may
 	// still be running here when its retry arrives.
-	mu        sync.Mutex
-	merged    *cellset.Compact
-	pending   cellset.Set
-	connected coverage.ConnectSet
-	version   uint64
-	delta     float64
+	mu      sync.Mutex
+	pick    exec.LazyPicker
+	pending cellset.Set
+	version uint64
+	delta   float64
 
 	lastUsed time.Time // guarded by SourceServer.mu, not by mu
 }
@@ -97,9 +97,8 @@ type covSession struct {
 // reset (re)opens the session over the full clipped base set: nothing is
 // known to be connected yet and the whole base is the pending delta.
 func (cs *covSession) reset(base cellset.Set, delta float64, version uint64) {
-	cs.merged = cellset.FromSet(base)
+	cs.pick.Reset(cellset.FromSet(base))
 	cs.pending = base
-	cs.connected = coverage.ConnectSet{}
 	cs.version = version
 	cs.delta = delta
 }
@@ -109,29 +108,43 @@ func (cs *covSession) absorb(added cellset.Set) {
 	if added.IsEmpty() {
 		return
 	}
-	cs.merged = cs.merged.Union(cellset.FromSet(added))
-	cs.pending = cs.pending.Union(added)
+	// Cells the merged set held already were walked from, or are pending.
+	fresh := cs.pick.Absorb(cellset.FromSet(added)).Set()
+	if cs.pending.IsEmpty() {
+		cs.pending = fresh
+	} else {
+		cs.pending = cs.pending.Union(fresh)
+	}
 }
 
-// connect brings the connected set up to date with the merged set and
-// returns it. extend is the FindConnectSet tree search from a query node,
-// folding what it finds into the connected set it is given; version is the
-// data version of the index extend reads, taken under the same index lock.
-// The caller holds cs.mu.
-func (cs *covSession) connect(version uint64, extend func(q *dataset.Node, qIdx *cellset.DistIndex, connected *coverage.ConnectSet)) []*dataset.Node {
+// connect brings the connected set up to date with the merged set. extend
+// is the FindConnectSet tree search from a query node, folding what it
+// finds into the connected set it is given, and returns the context's
+// error if it may have been cut short; version is the data version of the
+// index extend reads, taken under the same index lock. connect returns
+// that error, and the connected set is then not known to be complete: it
+// is dropped, for the next round to recompute from the whole merged set,
+// since the pick relies on the set holding every connected dataset. The
+// caller holds cs.mu.
+func (cs *covSession) connect(version uint64, extend func(q *dataset.Node, qIdx *cellset.DistIndex, connected *coverage.ConnectSet) error) error {
 	if version != cs.version {
 		// A put or delete landed since the connected set was computed: a
-		// new dataset may connect to cells verified long ago and a deleted
-		// one must not be offered again. Recompute against everything.
-		cs.pending = cs.merged.Set()
-		cs.connected = coverage.ConnectSet{}
+		// new dataset may connect to cells verified long ago, a deleted
+		// one must not be offered again, and a replaced one's bound is
+		// meaningless. Recompute against everything.
+		cs.pending = cs.pick.Merged().Set()
+		cs.pick.Forget()
 		cs.version = version
 	}
 	if q := cellsNode(cs.pending); q != nil {
-		extend(q, cellset.NewDistIndex(cs.pending, cs.delta), &cs.connected)
+		if err := extend(q, cellset.NewDistIndex(cs.pending, cs.delta), &cs.pick.Connected); err != nil {
+			cs.pending = cs.pick.Merged().Set()
+			cs.pick.Forget()
+			return err
+		}
 		cs.pending = nil
 	}
-	return cs.connected.Nodes
+	return nil
 }
 
 // cellsNode wraps cells as the query-side node of a connectivity walk,
@@ -426,7 +439,9 @@ func (s *SourceServer) handleCoverage(ctx context.Context, req CoverageRequest) 
 	var out CoverageCandidate
 	s.view(func(idx *dits.Local) {
 		cands := s.findConnectSet(ctx, idx, merged, req.Delta, cellset.NewDistIndex(req.Merged, req.Delta))
-		best, bestGain := s.pickBest(cands, merged.CompactCells(), req.Exclude)
+		// Exclude holds at most k IDs, so a scan beats building a set.
+		best, bestGain := s.executor().PickBest(context.Background(), cands,
+			func(id int) bool { return slices.Contains(req.Exclude, id) }, merged.CompactCells())
 		if best == nil {
 			return
 		}
@@ -447,15 +462,6 @@ func (s *SourceServer) findConnectSet(ctx context.Context, idx *dits.Local, qn *
 	_, sp := obs.StartSpan(ctx, "exec.connect")
 	defer sp.End()
 	return s.executor().FindConnectSet(ctx, idx.Root, qn, delta, qIdx)
-}
-
-// pickBest selects the maximum-marginal-gain dataset among cands against
-// the merged state, skipping excluded IDs, with the deterministic
-// smallest-ID tie-break shared by both protocol variants (exec.PickBest).
-// exclude holds at most k IDs, so a scan beats building a set per round.
-func (s *SourceServer) pickBest(cands []*dataset.Node, mergedC *cellset.Compact, exclude []int) (*dataset.Node, int) {
-	return s.executor().PickBest(context.Background(), cands,
-		func(id int) bool { return slices.Contains(exclude, id) }, mergedC)
 }
 
 // handleCoverageRound answers one session round: update the session state
@@ -510,18 +516,22 @@ func (s *SourceServer) handleCoverageRound(ctx context.Context, req CoverageRoun
 // dataset outside exclude. The caller holds sess.mu.
 func (s *SourceServer) offer(ctx context.Context, sess *covSession, exclude []int) Offer {
 	var out Offer
-	if sess.merged.IsEmpty() {
+	if sess.pick.Merged().IsEmpty() {
 		return out
 	}
 	s.view(func(idx *dits.Local) {
 		// Under the index lock the data version cannot move, so the stamp
 		// describes exactly the index the walk reads.
-		cands := sess.connect(s.DataVersion(), func(q *dataset.Node, qIdx *cellset.DistIndex, cs *coverage.ConnectSet) {
+		err := sess.connect(s.DataVersion(), func(q *dataset.Node, qIdx *cellset.DistIndex, cs *coverage.ConnectSet) error {
 			_, sp := obs.StartSpan(ctx, "exec.connect")
 			s.executor().ExtendConnectSet(ctx, idx.Root, q, sess.delta, qIdx, cs)
 			sp.End()
+			return ctx.Err()
 		})
-		best, bestGain := s.pickBest(cands, sess.merged, exclude)
+		if err != nil {
+			return // the caller has given up on this offer
+		}
+		best, bestGain := sess.pick.Pick(func(id int) bool { return slices.Contains(exclude, id) })
 		if best != nil {
 			out = Offer{Found: true, ID: best.ID, Name: best.Name, Gain: bestGain}
 		}

@@ -21,7 +21,11 @@
 // federation source's session) use the same identity the other way round:
 // connected(M ∪ A) = connected(M) ∪ connected(A), so they keep the
 // connected set across rounds (ConnectSet) and walk from each round's
-// added cells alone, skipping the datasets already in it.
+// added cells alone, skipping the datasets already in it. They differ in
+// how they pick, too: where the three scan every candidate's gain with the
+// size filter, the serving loops keep a bound on each gain across rounds
+// and re-evaluate only the candidates whose bound can still win, from the
+// cells added since (search/exec's LazyPicker). The pick is the same.
 //
 // # Concurrency and ownership
 //

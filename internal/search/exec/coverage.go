@@ -90,6 +90,11 @@ const pickBestChunk = 16
 // computations, never changes the winner. The shared best-gain bound is a
 // monotone atomic, so a worker filtering against it can only under-filter
 // relative to the sequential pass, never over-filter.
+//
+// PickBest is the one-shot pick, for a caller that keeps no state between
+// picks (the source's stateless coverage round). A loop that picks round
+// after round from a growing merged set uses a LazyPicker, which returns
+// the same pick from bounds it keeps.
 func (e *Executor) PickBest(ctx context.Context, cands []*dataset.Node, excluded func(id int) bool, covered *cellset.Compact) (*dataset.Node, int) {
 	w := e.workers()
 	if w == 1 || len(cands) <= pickBestChunk {
@@ -153,8 +158,8 @@ func (e *Executor) PickBest(ctx context.Context, cands []*dataset.Node, excluded
 	return best, gain
 }
 
-// pickBestSeq is the sequential scan, identical to the pickers in
-// search/coverage and federation.
+// pickBestSeq is the sequential scan of PickBest, the same scan as
+// search/coverage's Algorithm 3 picker. LazyPicker returns its pick.
 func pickBestSeq(cands []*dataset.Node, excluded func(id int) bool, covered *cellset.Compact) (*dataset.Node, int) {
 	var best *dataset.Node
 	tau := -1
@@ -173,41 +178,42 @@ func pickBestSeq(cands []*dataset.Node, excluded func(id int) bool, covered *cel
 	return best, tau
 }
 
-// CoverageSearch runs the greedy of CoverageSearch (Algorithm 3) with its
-// two hot spots — the FindConnectSet walk and the marginal-gain scan —
-// executed on the worker pool. Where the paper re-walks the tree from the
-// whole merged node every round, this loop keeps the connected set and
-// walks from the last pick alone, skipping what it holds (ExtendConnectSet);
-// candidates, gains and tie-breaks are the same, so results are identical
+// CoverageSearch runs the greedy of CoverageSearch (Algorithm 3) with the
+// FindConnectSet walk executed on the worker pool. Where the paper re-walks
+// the tree from the whole merged node every round and rescans every gain,
+// this loop keeps its state in a LazyPicker: it walks from the last pick
+// alone, skipping what it holds (ExtendConnectSet), and re-evaluates only
+// the gains that can still win, from the cells the picks since added.
+// Candidates, gains and tie-breaks are the same, so results are identical
 // to (*coverage.DITSSearcher).Search. The greedy round structure itself is
 // inherently sequential (each round's state depends on the previous pick),
-// so rounds are not parallelized. On cancellation the rounds picked so far
-// are returned with ctx.Err().
+// so rounds and the pick are not parallelized. On cancellation the rounds
+// picked so far are returned with ctx.Err().
 func (e *Executor) CoverageSearch(ctx context.Context, idx *dits.Local, q *dataset.Node, delta float64, k int) (coverage.Result, error) {
 	if q == nil || k <= 0 || idx == nil || idx.Root == nil {
 		return coverageResultFor(q, nil, nil), ctx.Err()
 	}
-	covered := q.CompactCells()
+	var p LazyPicker
+	p.Reset(q.CompactCells())
 	picked := map[int]bool{}
-	var connected coverage.ConnectSet
 	var chosen []*dataset.Node
 
 	added := q // the node whose cells joined the merged set last
 	for len(chosen) < k {
 		if err := ctx.Err(); err != nil {
-			return coverageResultFor(q, chosen, covered), err
+			return coverageResultFor(q, chosen, p.Merged()), err
 		}
-		e.ExtendConnectSet(ctx, idx.Root, added, delta, cellset.NewDistIndex(added.FlatCells(), delta), &connected)
-		best, _ := e.PickBest(ctx, connected.Nodes, func(id int) bool { return picked[id] }, covered)
+		e.ExtendConnectSet(ctx, idx.Root, added, delta, cellset.NewDistIndex(added.FlatCells(), delta), &p.Connected)
+		best, _ := p.Pick(func(id int) bool { return picked[id] })
 		if best == nil {
 			break
 		}
 		picked[best.ID] = true
 		chosen = append(chosen, best)
-		covered = covered.Union(best.CompactCells())
+		p.Absorb(best.CompactCells())
 		added = best
 	}
-	return coverageResultFor(q, chosen, covered), nil
+	return coverageResultFor(q, chosen, p.Merged()), nil
 }
 
 // coverageResultFor assembles the coverage.Result for picked datasets.
