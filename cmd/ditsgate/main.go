@@ -73,7 +73,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "max requests queued for an in-flight slot before shedding")
 	deadline := flag.Duration("deadline", 0, "per-request deadline propagated to the sources (0 = none)")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-	noCompress := flag.Bool("no-compress", false, "do not offer gzip compression when dialing sources")
 	logFile := flag.String("log-file", "", "append operational logs to this file instead of stderr")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	slowQuery := flag.Duration("slow-query", 0, "log any request whose trace lasts at least this long, with its full span tree (0 disables)")
@@ -102,7 +101,7 @@ func main() {
 	}
 	grid := geo.NewGrid(*theta, bounds)
 
-	dialCfg := transport.DialConfig{NoCompress: *noCompress, NoTrace: *noTrace}
+	dialCfg := transport.DialConfig{NoTrace: *noTrace}
 	gwOpts := gateway.Options{
 		Admission: admission.Config{
 			Rate:        *rateLimit,
@@ -162,7 +161,7 @@ func main() {
 			wi := pool.WireInfo()
 			logger.Info("registered source",
 				"source", summary.Name, "addr", a, "pool", *poolSize,
-				"compression", wi.Compression, "trace", wi.Trace)
+				"trace", wi.Trace)
 		}
 		gw = gateway.NewWithOptions(center, gwOpts)
 		describe = fmt.Sprintf("%d sources", center.NumSources())

@@ -79,7 +79,6 @@ func main() {
 	logFile := flag.String("log-file", "", "append operational logs to this file instead of stderr")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text exposition, pprof, and /debug/traces at this address (empty = off)")
-	noCompress := flag.Bool("no-compress", false, "refuse gzip compression during connection negotiation")
 	slowQuery := flag.Duration("slow-query", 0, "log any served request whose trace lasts at least this long, with its full span tree (0 disables)")
 	flag.Parse()
 
@@ -204,7 +203,7 @@ func main() {
 		logger.Info("metrics listener up", "addr", *metricsAddr)
 	}
 
-	ts, err := transport.ServeWith(*addr, server.Handler(), transport.ServeConfig{NoCompress: *noCompress, Recorder: rec})
+	ts, err := transport.ServeWith(*addr, server.Handler(), transport.ServeConfig{Recorder: rec})
 	if err != nil {
 		fail(err)
 	}

@@ -242,7 +242,7 @@ func (c *Center) RegisterRemote(ctx context.Context, peer transport.Peer) (dits.
 
 // PeerWire reports the negotiated wire parameters of every registered
 // source whose peer knows them (transport.Wired), keyed by source name —
-// which connections negotiated compression and tracing (GET /stats).
+// which connections negotiated tracing (GET /stats).
 func (c *Center) PeerWire() map[string]transport.WireInfo {
 	ep := c.epoch.Load()
 	out := make(map[string]transport.WireInfo, len(ep.ordered))

@@ -1,10 +1,14 @@
 package federation
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"sync"
 
 	"dits/internal/cellset"
 	"dits/internal/geo"
@@ -53,7 +57,7 @@ const (
 	msgVersionReq
 	msgVersionResp
 	msgSourceSummary
-	msgClusterForwardReq
+	_ // 20: retired
 	msgClusterForwardResp
 	msgClusterInfoResp
 	msgClusterRegisterReq
@@ -66,6 +70,9 @@ const (
 	msgCoverageRoundFinalReq
 	msgFetchCellsExclReq
 	msgFetchCellsNextResp
+	// cluster.forward's request deflates its bodies as one stream; 20,
+	// its form with raw bodies, is retired.
+	msgClusterForwardDeflateReq
 )
 
 // BinaryCodec is the federation's wire codec.
@@ -182,12 +189,18 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 		dst = append(dst, msgSourceSummary)
 		return appendSummary(dst, m), nil
 	case *ClusterForwardRequest:
-		dst = append(dst, msgClusterForwardReq)
+		dst = append(dst, msgClusterForwardDeflateReq)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Calls)))
+		total := 0
 		for _, c := range m.Calls {
-			dst = appendString(appendString(appendString(dst, c.Source), c.Method), c.Body)
+			dst = appendString(appendString(dst, c.Source), c.Method)
+			dst = binary.AppendUvarint(dst, uint64(len(c.Body)))
+			total += len(c.Body)
 		}
-		return dst, nil
+		if total == 0 {
+			return dst, nil
+		}
+		return appendDeflated(dst, m.Calls), nil
 	case *ClusterForwardResponse:
 		dst = append(dst, msgClusterForwardResp)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Replies)))
@@ -338,14 +351,8 @@ func (binCodec) Decode(data []byte, v any) error {
 		r.expect(msg, msgSourceSummary)
 		r.summary(m)
 	case *ClusterForwardRequest:
-		r.expect(msg, msgClusterForwardReq)
-		m.Calls = nil
-		if n := r.sliceLen(); n > 0 {
-			m.Calls = make([]ForwardCall, n)
-		}
-		for i := range m.Calls {
-			m.Calls[i] = ForwardCall{Source: r.string(), Method: r.string(), Body: r.bytes()}
-		}
+		r.expect(msg, msgClusterForwardDeflateReq)
+		r.forwardCalls(m)
 	case *ClusterForwardResponse:
 		r.expect(msg, msgClusterForwardResp)
 		m.Replies = nil
@@ -460,6 +467,132 @@ func appendSummary(dst []byte, s *dits.SourceSummary) []byte {
 	dst = appendF64(dst, s.O.Y)
 	dst = appendF64(dst, s.R)
 	return binary.AppendVarint(dst, int64(s.Theta))
+}
+
+// The cluster.forward request carries its calls' bodies as one raw
+// deflate stream: two or three co-located sources get near-identical
+// clipped bodies, so the relay's request is the one payload that
+// compression pays for. Everything else ships as the codec writes it.
+
+// maxDeflateRatio is deflate's largest possible expansion: a 258-byte
+// match costs at least two bits. A declared total beyond it cannot be
+// honest, so the decoder refuses it before allocating.
+const maxDeflateRatio = 1032
+
+// deflater is a raw-deflate writer appending to a caller's buffer.
+type deflater struct {
+	zw  *flate.Writer
+	dst []byte
+}
+
+func (d *deflater) Write(p []byte) (int, error) {
+	d.dst = append(d.dst, p...)
+	return len(p), nil
+}
+
+// deflaters keeps idle deflaters, so encoding a forward request
+// allocates nothing once warm. A deflater holds about 1 MiB of match
+// tables, so only a few are kept; a sync.Pool would not do, as the race
+// detector drops a quarter of its Puts and CI gates zero allocations
+// under it.
+var deflaters = make(chan *deflater, 4)
+
+// inflater is a pooled raw-deflate reader over a frame's tail.
+type inflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser // implements flate.Resetter
+}
+
+var inflaters = sync.Pool{New: func() any {
+	f := new(inflater)
+	f.zr = flate.NewReader(&f.src)
+	return f
+}}
+
+// appendDeflated appends one raw deflate stream of the calls' bodies,
+// concatenated, to dst. A flate.Writer fails only when its destination
+// does, and appending cannot.
+func appendDeflated(dst []byte, calls []ForwardCall) []byte {
+	var d *deflater
+	select {
+	case d = <-deflaters:
+	default:
+		d = new(deflater)
+		d.zw, _ = flate.NewWriter(d, flate.DefaultCompression) // the level is valid
+	}
+	d.dst = dst
+	d.zw.Reset(d)
+	for _, c := range calls {
+		d.zw.Write(c.Body)
+	}
+	d.zw.Close()
+	dst, d.dst = d.dst, nil
+	select {
+	case deflaters <- d:
+	default:
+	}
+	return dst
+}
+
+// forwardCalls decodes a cluster.forward request: the calls' headers,
+// then the rest of the frame as the bodies' deflate stream. The declared
+// total is bounded by the frame cap and by deflate's ratio before one
+// buffer is allocated; the stream must inflate to exactly that many
+// bytes and end with the frame. Each body aliases the buffer.
+func (r *wireReader) forwardCalls(m *ClusterForwardRequest) {
+	m.Calls = nil
+	n := r.sliceLen()
+	if r.err != nil || n == 0 {
+		return
+	}
+	m.Calls = make([]ForwardCall, n)
+	ends := make([]int, n)
+	var total uint64
+	for i := range m.Calls {
+		m.Calls[i].Source = r.string()
+		m.Calls[i].Method = r.string()
+		l := r.uvarint()
+		if l > transport.MaxFrame-total {
+			r.fail("forward bodies exceed the frame cap")
+			return
+		}
+		total += l
+		ends[i] = int(total)
+	}
+	if r.err != nil || total == 0 {
+		return
+	}
+	if total > uint64(len(r.data))*maxDeflateRatio {
+		r.fail("forward bodies: %d bytes cannot inflate from %d", total, len(r.data))
+		return
+	}
+	buf := make([]byte, total)
+	f := inflaters.Get().(*inflater)
+	f.src.Reset(r.data)
+	f.zr.(flate.Resetter).Reset(&f.src, nil)
+	_, err := io.ReadFull(f.zr, buf)
+	if err == nil {
+		var one [1]byte
+		if k, eof := f.zr.Read(one[:]); k != 0 || eof != io.EOF {
+			err = errors.New("stream longer than declared")
+		} else if f.src.Len() != 0 {
+			err = fmt.Errorf("%d bytes after the stream", f.src.Len())
+		}
+	}
+	f.src.Reset(nil)
+	inflaters.Put(f)
+	if err != nil {
+		r.fail("forward bodies: %v", err)
+		return
+	}
+	r.data = nil
+	start := 0
+	for i, end := range ends {
+		if end > start {
+			m.Calls[i].Body = buf[start:end:end]
+		}
+		start = end
+	}
 }
 
 // wireReader is the decode-side cursor: reads are sticky-error, so a

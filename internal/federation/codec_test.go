@@ -2,13 +2,17 @@ package federation
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -81,6 +85,11 @@ func codecTestMessages() []any {
 			{Source: "b", Method: MethodSessionClose},
 		}},
 		&ClusterForwardRequest{},
+		&ClusterForwardRequest{Calls: []ForwardCall{
+			{Source: "a", Method: MethodOverlap, Body: []byte{msgOverlapReq, 1, 2, 3}},
+			{Source: "b", Method: MethodSessionClose},
+			{Source: "c", Method: MethodOverlap, Body: []byte{msgOverlapReq, 1, 2, 3}},
+		}},
 		&ClusterForwardResponse{Replies: []ForwardReply{{Body: []byte{1, 2, 3}}, {Err: "boom", Transport: true}, {}}},
 		&ClusterInfoResponse{Name: "c1", Generation: 9, Shard: []ShardSource{{Summary: summary, Version: 4}, {}}},
 		&ClusterInfoResponse{},
@@ -298,6 +307,7 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 		{[]byte{7, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, new(CoverageRoundRequest)},
 		{[]byte{9, 5, 2}, new(FetchCellsRequest)},
 		{[]byte{10, 1, 0, 0}, new(FetchCellsResponse)},
+		{[]byte{20, 1, 1, 'a', 1, 'm', 1, 9}, new(ClusterForwardRequest)},
 	} {
 		if err := BinaryCodec.Decode(old.frame, old.v); err == nil {
 			t.Errorf("%T: retired message type %d accepted", old.v, old.frame[0])
@@ -377,6 +387,14 @@ func FuzzCodec(f *testing.F) {
 	}
 	f.Add([]byte{msgOverlapReq, 0, 2})
 	f.Add([]byte{msgWALShipResp, 0xff, 0x81})
+	valid, err := BinaryCodec.Append(nil, twinOverlap(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, c := range corruptForwards(f) {
+		f.Add(c.frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, m := range msgs {
 			v := fresh(m)
@@ -396,4 +414,166 @@ func FuzzCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// overlapBody is a 2,000-cell OverlapRequest over a 200×200-cell
+// region, encoded by BinaryCodec: the shape of a clipped query body.
+func overlapBody(t testing.TB) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(17))
+	cells := make([]uint64, 0, 2000)
+	for len(cells) < 2000 {
+		cells = append(cells, uint64(rng.Intn(200)*1000+rng.Intn(200)))
+	}
+	body, err := BinaryCodec.Append(nil, &OverlapRequest{Cells: cellset.New(cells...), K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// twinOverlap is a forward request of two calls whose bodies are the
+// same overlapBody, as two co-located sources get them.
+func twinOverlap(t testing.TB) *ClusterForwardRequest {
+	body := overlapBody(t)
+	return &ClusterForwardRequest{Calls: []ForwardCall{
+		{Source: "a", Method: MethodOverlap, Body: body},
+		{Source: "b", Method: MethodOverlap, Body: body},
+	}}
+}
+
+// forwardFrame hand-builds a forward request frame: one call declaring
+// declared body bytes, then stream as the frame's tail.
+func forwardFrame(declared uint64, stream []byte) []byte {
+	frame := []byte{msgClusterForwardDeflateReq, 1, 1, 'a', byte(len(MethodOverlap))}
+	frame = append(frame, MethodOverlap...)
+	frame = binary.AppendUvarint(frame, declared)
+	return append(frame, stream...)
+}
+
+// deflated is data as one raw deflate stream.
+func deflated(t testing.TB, data []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw, _ := flate.NewWriter(&buf, flate.DefaultCompression)
+	zw.Write(data)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// corruptForwards are forward request frames the decoder must refuse.
+func corruptForwards(t testing.TB) []struct {
+	name     string
+	declared uint64
+	frame    []byte
+} {
+	body := bytes.Repeat([]byte("clipped query body "), 64)
+	stream := deflated(t, body)
+	bomb := deflated(t, make([]byte, 1<<20))
+	bomb = bomb[:min(len(bomb), 1<<10)]
+	n := uint64(len(body))
+	return []struct {
+		name     string
+		declared uint64
+		frame    []byte
+	}{
+		{"truncated stream", n, forwardFrame(n, stream[:len(stream)/2])},
+		{"declared above inflated", n + 1, forwardFrame(n+1, stream)},
+		{"declared below inflated", n - 1, forwardFrame(n-1, stream)},
+		{"trailing bytes", n, forwardFrame(n, append(append([]byte(nil), stream...), 0))},
+		{"bomb: 1 GiB from 1 KiB", 1 << 30, forwardFrame(1<<30, bomb)},
+	}
+}
+
+// TestCodecForwardRoundTrip: forwards of 0, 1 and 3 calls round-trip,
+// empty and nil bodies alike decoding empty, identical bodies intact;
+// each body is capped at its own length, so appending to one cannot
+// overwrite the next in the shared buffer.
+func TestCodecForwardRoundTrip(t *testing.T) {
+	body := overlapBody(t)
+	for _, calls := range [][]ForwardCall{
+		nil,
+		{{Source: "a", Method: MethodOverlap, Body: body}},
+		{{Source: "a", Method: MethodOverlap, Body: []byte{}}},
+		{
+			{Source: "a", Method: MethodOverlap, Body: body},
+			{Source: "b", Method: MethodSessionClose},
+			{Source: "c", Method: MethodOverlap, Body: body},
+		},
+		{{Source: "a", Method: MethodSessionClose}, {Source: "b", Method: MethodSessionClose, Body: []byte{}}},
+	} {
+		wire, err := BinaryCodec.Append(nil, &ClusterForwardRequest{Calls: calls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got ClusterForwardRequest
+		if err := BinaryCodec.Decode(wire, &got); err != nil {
+			t.Fatalf("%d calls: %v", len(calls), err)
+		}
+		if len(got.Calls) != len(calls) {
+			t.Fatalf("%d calls decoded as %d", len(calls), len(got.Calls))
+		}
+		for i, c := range got.Calls {
+			want := calls[i]
+			if c.Source != want.Source || c.Method != want.Method || !bytes.Equal(c.Body, want.Body) {
+				t.Errorf("call %d of %d diverged: %s %s %d bytes", i, len(calls), c.Source, c.Method, len(c.Body))
+			}
+			if cap(c.Body) != len(c.Body) {
+				t.Errorf("call %d: body cap %d beyond its length %d", i, cap(c.Body), len(c.Body))
+			}
+		}
+	}
+}
+
+// TestCodecForwardRejectsCorrupt: a forward whose stream is truncated,
+// inflates to more or fewer bytes than declared, or is followed by
+// trailing bytes errors; a bomb declaring 1 GiB from a 1 KiB stream
+// errors before allocating it.
+func TestCodecForwardRejectsCorrupt(t *testing.T) {
+	for _, c := range corruptForwards(t) {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		var got ClusterForwardRequest
+		err := BinaryCodec.Decode(c.frame, &got)
+		runtime.ReadMemStats(&ms1)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if alloc := ms1.TotalAlloc - ms0.TotalAlloc; c.declared >= 1<<20 && alloc >= c.declared/2 {
+			t.Errorf("%s: allocated %d bytes for a %d-byte claim", c.name, alloc, c.declared)
+		}
+	}
+}
+
+// TestCodecForwardSize: two calls carrying the same 2,000-cell
+// OverlapRequest cost at most 60 % of the two bodies, and the stream
+// adds at most 16 bytes to one incompressible 4 KiB body.
+func TestCodecForwardSize(t *testing.T) {
+	twin := twinOverlap(t)
+	wire, err := BinaryCodec.Append(nil, twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := twin.Calls[0].Body
+	if limit := 2 * len(body) * 6 / 10; len(wire) > limit {
+		t.Errorf("two %d-byte bodies encode to %d bytes, want <= %d", len(body), len(wire), limit)
+	}
+
+	noise := make([]byte, 4<<10)
+	rand.New(rand.NewSource(5)).Read(noise)
+	one := &ClusterForwardRequest{Calls: []ForwardCall{{Source: "a", Method: MethodOverlap, Body: noise}}}
+	wire, err = BinaryCodec.Append(nil, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.Calls[0].Body = nil
+	bare, err := BinaryCodec.Append(nil, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if extra := len(wire) - len(bare); extra > len(noise)+16 {
+		t.Errorf("a %d-byte incompressible body adds %d bytes, want <= %d", len(noise), extra, len(noise)+16)
+	}
 }

@@ -390,15 +390,8 @@ type StatsResponse struct {
 	// the center runs the skip-and-record failure policy.
 	SourceFailures map[string]int64 `json:"sourceFailures,omitempty"`
 	// PeerWire reports, per source, the options the connection
-	// negotiated (compression, trace propagation).
+	// negotiated (trace propagation).
 	PeerWire map[string]transport.WireInfo `json:"peerWire,omitempty"`
-	// PeerCompressRawBytes/PeerCompressWireBytes total payload bytes
-	// before and after compression framing on compression-negotiated
-	// connections; PeerCompressedMessages counts payloads that actually
-	// shipped gzipped.
-	PeerCompressRawBytes   int64 `json:"peerCompressRawBytes"`
-	PeerCompressWireBytes  int64 `json:"peerCompressWireBytes"`
-	PeerCompressedMessages int64 `json:"peerCompressedMessages"`
 
 	// CacheInvalidations counts cache-invalidation events — one per
 	// applied dataset mutation, one per membership epoch change.
@@ -672,13 +665,10 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		SourceFailures:  g.peerMetrics.Failures(),
 		PeerWire:        g.backend.PeerWire(),
 
-		PeerCompressedMessages: g.peerMetrics.CompressedMessages(),
-
 		CacheInvalidations: g.backend.CacheInvalidations(),
 		SourceVersions:     g.backend.SourceVersions(),
 		Admission:          g.ctl.Stats(),
 	}
-	resp.PeerCompressRawBytes, resp.PeerCompressWireBytes = g.peerMetrics.CompressionBytes()
 	if g.cluster != nil {
 		cst := g.cluster.Stats()
 		resp.Cluster = &cst

@@ -227,10 +227,10 @@ func TestClusterFailoverSingleTrace(t *testing.T) {
 	}
 }
 
-// TestTracedDifferentialAcrossWireOptions queries three federations over
-// the same sources — every option negotiated, compression withheld, and a
-// mixed plane where one source is dialed without trace propagation — and
-// requires byte-identical answers from all three. The traced mixed
+// TestTracedDifferentialAcrossWireOptions queries two federations over
+// the same sources — every option negotiated, and a mixed plane where one
+// source is dialed without trace propagation — and requires
+// byte-identical answers from both. The traced mixed
 // federation must mark where visibility ends: the untraced peer's RPCs
 // carry an explicit "untraced" span, while the fully negotiated
 // federation has none.
@@ -269,7 +269,6 @@ func TestTracedDifferentialAcrossWireOptions(t *testing.T) {
 		dial func(i int) transport.DialConfig
 	}{
 		{"negotiated", func(int) transport.DialConfig { return transport.DialConfig{} }},
-		{"uncompressed", func(int) transport.DialConfig { return transport.DialConfig{NoCompress: true} }},
 		{"mixed-untraced", func(i int) transport.DialConfig { return transport.DialConfig{NoTrace: i == 0} }},
 	}
 

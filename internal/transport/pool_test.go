@@ -31,7 +31,7 @@ func TestPoolRoundTrip(t *testing.T) {
 	if st.Dials != 1 || st.Idle != 1 || st.InUse != 0 {
 		t.Errorf("stats after one call = %+v", st)
 	}
-	if info := pool.WireInfo(); !info.Compression || !info.Trace {
+	if info := pool.WireInfo(); !info.Trace {
 		t.Error("pool did not surface its connections' WireInfo")
 	}
 }

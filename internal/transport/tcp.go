@@ -32,11 +32,10 @@ import (
 //
 // The first request a dialer sends is a transport.hello exchange that
 // checks both ends speak the same wire version and negotiates the
-// connection's options (see helloMagic below). Payloads are always in the
-// installed codec; on compression-negotiated connections bodies and OK
-// payloads carry the one-byte compression flag (compress.go). A peer
-// that refuses the hello, or answers it with another version, fails the
-// dial. Error payloads are always raw text.
+// connection's options (see helloMagic below). Bodies and OK payloads
+// are always the installed codec's bytes, verbatim. A peer that refuses
+// the hello, or answers it with another version, fails the dial. Error
+// payloads are always raw text.
 //
 // When both ends negotiate the "trace" option, every post-hello exchange
 // grows one extra frame per direction: requests append a trace-context
@@ -47,8 +46,9 @@ import (
 // did not negotiate "trace" carries neither frame — the caller then
 // records an explicit "untraced" span instead (see Call).
 
-// maxFrame caps a frame payload to guard against corrupt length prefixes.
-const maxFrame = 1 << 30
+// MaxFrame caps a frame payload to guard against corrupt length prefixes;
+// a codec bounds anything it inflates from a payload by the same cap.
+const MaxFrame = 1 << 30
 
 // MethodHello is the reserved method name of the handshake exchange.
 // Servers intercept it before application dispatch; it never reaches a
@@ -62,48 +62,37 @@ const MethodHello = "transport.hello"
 //	dits-hello/2 <option1,option2,...|->
 //
 // where the request lists the options the dialer proposes and the reply
-// the subset the server accepted. Unknown options are ignored; a magic
-// other than this one is an error on either side.
+// the subset the server accepted. The one option is "trace"; "-" names
+// none. Unknown options are ignored — a dialer proposing the retired
+// "gzip" gets back the rest — and a magic other than this one is an error
+// on either side.
 const helloMagic = "dits-hello/2"
 
 // helloBody returns a hello body naming the given options.
-func helloBody(compress, trace bool) []byte {
-	opts := []string{}
-	if compress {
-		opts = append(opts, "gzip")
-	}
+func helloBody(trace bool) []byte {
 	if trace {
-		opts = append(opts, "trace")
+		return []byte(helloMagic + " trace")
 	}
-	if len(opts) == 0 {
-		opts = append(opts, "-")
-	}
-	return []byte(helloMagic + " " + strings.Join(opts, ","))
+	return []byte(helloMagic + " -")
 }
 
-// parseHello reads a hello body and reports which options it names.
-func parseHello(body []byte) (compress, trace bool, err error) {
+// parseHello reads a hello body and reports whether it names trace.
+func parseHello(body []byte) (trace bool, err error) {
 	fields := strings.Fields(string(body))
 	if len(fields) != 2 || fields[0] != helloMagic {
-		return false, false, fmt.Errorf("%q is not a %s hello", body, helloMagic)
+		return false, fmt.Errorf("%q is not a %s hello", body, helloMagic)
 	}
 	for _, opt := range strings.Split(fields[1], ",") {
-		switch opt {
-		case "gzip":
-			compress = true
-		case "trace":
+		if opt == "trace" {
 			trace = true
 		}
 	}
-	return compress, trace, nil
+	return trace, nil
 }
 
 // ServeConfig limits the options a server accepts and names where it
 // keeps its traces.
 type ServeConfig struct {
-	// NoCompress refuses the compression option regardless of what
-	// dialers propose.
-	NoCompress bool
 	// NoTrace refuses the trace option: requests are served untraced
 	// even when the dialer proposes trace propagation.
 	NoTrace bool
@@ -206,9 +195,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	codec := theCodec()
-	compress := false
 	traced := false // the connection negotiated the trace option
-	var methodBuf, bodyBuf, respBuf, cmpBuf, traceBuf, spansBuf []byte
+	var methodBuf, bodyBuf, respBuf, traceBuf, spansBuf []byte
 	names := make(map[string]string, 8) // interned method names
 	// respond writes one response in the connection's negotiated framing:
 	// once trace is on, every response — errors included — carries the
@@ -247,13 +235,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			names[method] = method
 		}
 		if method == MethodHello && !traced {
-			if compress, traced, err = s.negotiate(bodyBuf); err != nil {
+			if traced, err = s.negotiate(bodyBuf); err != nil {
 				// A peer of another wire version gets the refusal, then
 				// the connection closes: nothing it sends next can parse.
 				writeResponse(w, 1, []byte("transport: "+err.Error()))
 				return
 			}
-			if err := writeResponse(w, 0, helloBody(compress, traced)); err != nil {
+			if err := writeResponse(w, 0, helloBody(traced)); err != nil {
 				return
 			}
 			continue
@@ -268,15 +256,6 @@ func (s *Server) serveConn(conn net.Conn) {
 				tr = obs.Adopt(id, parent)
 			}
 		}
-		body := bodyBuf
-		if compress {
-			if body, err = decompressed(body); err != nil {
-				if err := respond(1, []byte(err.Error())); err != nil {
-					return
-				}
-				continue
-			}
-		}
 		ctx := context.Background()
 		cancel := context.CancelFunc(func() {})
 		if deadlineMs > 0 {
@@ -287,7 +266,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			ctx = obs.WithTrace(ctx, tr)
 			ctx, serveSp = obs.StartSpan(ctx, "serve:"+method)
 		}
-		ret, herr := s.handler(ctx, codec, method, body)
+		ret, herr := s.handler(ctx, codec, method, bodyBuf)
 		cancel()
 		if tr != nil {
 			serveSp.EndErr(herr)
@@ -303,29 +282,19 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		payload := respBuf
-		if compress {
-			if cmpBuf, err = appendCompressed(cmpBuf[:0], respBuf); err != nil {
-				if err := respond(1, []byte(err.Error())); err != nil {
-					return
-				}
-				continue
-			}
-			payload = cmpBuf
-		}
-		if err := respond(0, payload); err != nil {
+		if err := respond(0, respBuf); err != nil {
 			return
 		}
 	}
 }
 
-// negotiate answers a hello body with the options to turn on: an option
-// (gzip compression, trace propagation) is on iff the dialer proposed it
-// and the config does not refuse it. A body of another wire version is
-// an error, which the dialer fails on.
-func (s *Server) negotiate(body []byte) (compress, trace bool, err error) {
-	compress, trace, err = parseHello(body)
-	return compress && !s.cfg.NoCompress, trace && !s.cfg.NoTrace, err
+// negotiate answers a hello body with the options to turn on: trace
+// propagation is on iff the dialer proposed it and the config does not
+// refuse it. A body of another wire version is an error, which the
+// dialer fails on.
+func (s *Server) negotiate(body []byte) (trace bool, err error) {
+	trace, err = parseHello(body)
+	return trace && !s.cfg.NoTrace, err
 }
 
 // readFrameReuse reads one length-prefixed frame into buf, growing it
@@ -337,7 +306,7 @@ func readFrameReuse(r io.Reader, buf []byte) ([]byte, error) {
 		return buf, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
+	if n > MaxFrame {
 		return buf, errors.New("transport: frame too large")
 	}
 	if cap(buf) < int(n) {
@@ -373,8 +342,6 @@ func writeResponse(w *bufio.Writer, status byte, payload []byte) error {
 
 // DialConfig limits the options a dialer proposes.
 type DialConfig struct {
-	// NoCompress withholds the gzip option from the handshake.
-	NoCompress bool
 	// NoTrace withholds the trace option from the handshake; calls on
 	// the connection are then recorded with an "untraced" marker span.
 	NoTrace bool
@@ -389,12 +356,11 @@ type TCPPeer struct {
 	Name    string
 	Metrics *Metrics
 
-	conn     net.Conn
-	r        *bufio.Reader
-	w        *bufio.Writer
-	codec    Codec
-	compress bool
-	trace    bool // the connection negotiated trace propagation
+	conn  net.Conn
+	r     *bufio.Reader
+	w     *bufio.Writer
+	codec Codec
+	trace bool // the connection negotiated trace propagation
 }
 
 // Dial connects to a source server and negotiates every option.
@@ -427,7 +393,7 @@ func DialWith(name, addr string, metrics *Metrics, cfg DialConfig) (*TCPPeer, er
 // that refuses it (status 1) or answers for another wire version fails
 // the dial: it cannot be spoken to.
 func (p *TCPPeer) hello(cfg DialConfig) error {
-	body := helloBody(!cfg.NoCompress, !cfg.NoTrace)
+	body := helloBody(!cfg.NoTrace)
 	p.conn.SetDeadline(time.Now().Add(helloTimeout))
 	defer p.conn.SetDeadline(time.Time{})
 	if err := writeFrame(p.w, []byte(MethodHello)); err != nil {
@@ -454,7 +420,7 @@ func (p *TCPPeer) hello(cfg DialConfig) error {
 	if status != 0 {
 		return fmt.Errorf("transport: hello %s: peer refused the handshake: %s", p.Name, payload)
 	}
-	if p.compress, p.trace, err = parseHello(payload); err != nil {
+	if p.trace, err = parseHello(payload); err != nil {
 		return fmt.Errorf("transport: hello %s: %w", p.Name, err)
 	}
 	return nil
@@ -462,7 +428,7 @@ func (p *TCPPeer) hello(cfg DialConfig) error {
 
 // WireInfo implements Wired.
 func (p *TCPPeer) WireInfo() WireInfo {
-	return WireInfo{Compression: p.compress, Trace: p.trace}
+	return WireInfo{Trace: p.trace}
 }
 
 // Call implements Peer. A context deadline bounds the whole exchange (the
@@ -516,16 +482,6 @@ func (p *TCPPeer) call(ctx context.Context, tr *obs.Trace, sp *obs.ActiveSpan, m
 		return err
 	}
 	*encBuf = body
-	wire := body
-	if p.compress {
-		cmpBuf := getBuf()
-		defer putBuf(cmpBuf)
-		if wire, err = appendCompressed((*cmpBuf)[:0], body); err != nil {
-			return err
-		}
-		*cmpBuf = wire
-		p.Metrics.RecordCompression(len(body), len(wire), wire[0] == flagGzip)
-	}
 	if err := writeFrame(p.w, []byte(method)); err != nil {
 		return fmt.Errorf("transport: send %s: %w", p.Name, err)
 	}
@@ -534,7 +490,7 @@ func (p *TCPPeer) call(ctx context.Context, tr *obs.Trace, sp *obs.ActiveSpan, m
 	if _, err := p.w.Write(dlBuf[:]); err != nil {
 		return fmt.Errorf("transport: send %s: %w", p.Name, err)
 	}
-	if err := writeFrame(p.w, wire); err != nil {
+	if err := writeFrame(p.w, body); err != nil {
 		return fmt.Errorf("transport: send %s: %w", p.Name, err)
 	}
 	if p.trace {
@@ -579,15 +535,7 @@ func (p *TCPPeer) call(ctx context.Context, tr *obs.Trace, sp *obs.ActiveSpan, m
 	if status != 0 {
 		return &RemoteError{Source: p.Name, Msg: string(payload)}
 	}
-	recvWire := len(payload)
-	if p.compress {
-		gzipped := len(payload) > 0 && payload[0] == flagGzip
-		if payload, err = decompressed(payload); err != nil {
-			return fmt.Errorf("transport: recv %s: %w", p.Name, err)
-		}
-		p.Metrics.RecordCompression(len(payload), recvWire, gzipped)
-	}
-	p.Metrics.Record(method, len(wire)+len(method), recvWire)
+	p.Metrics.Record(method, len(body)+len(method), len(payload))
 	return p.codec.Decode(payload, resp)
 }
 

@@ -207,20 +207,17 @@ func TestInProcTraceSpans(t *testing.T) {
 // options, the server accepts only what was proposed and not refused, and
 // a body of another wire version is an error rather than a fallback.
 func TestHelloNegotiate(t *testing.T) {
-	for _, c := range []bool{false, true} {
-		for _, tr := range []bool{false, true} {
-			gc, gt, err := parseHello(helloBody(c, tr))
-			if err != nil || gc != c || gt != tr {
-				t.Fatalf("hello(%v, %v) parsed as %v, %v, %v", c, tr, gc, gt, err)
-			}
+	for _, tr := range []bool{false, true} {
+		if got, err := parseHello(helloBody(tr)); err != nil || got != tr {
+			t.Fatalf("hello(%v) parsed as %v, %v", tr, got, err)
 		}
 	}
-	s := &Server{cfg: ServeConfig{NoCompress: true}}
-	if c, tr, err := s.negotiate(helloBody(true, true)); err != nil || c || !tr {
-		t.Fatalf("NoCompress server negotiated compress=%v trace=%v err=%v", c, tr, err)
+	s := &Server{cfg: ServeConfig{NoTrace: true}}
+	if tr, err := s.negotiate(helloBody(true)); err != nil || tr {
+		t.Fatalf("NoTrace server negotiated trace=%v err=%v", tr, err)
 	}
 	for _, body := range []string{"dits-hello/1 gob gzip,trace", "gob gzip", "", helloMagic} {
-		if _, _, err := s.negotiate([]byte(body)); err == nil {
+		if _, err := s.negotiate([]byte(body)); err == nil {
 			t.Errorf("hello %q accepted", body)
 		}
 	}

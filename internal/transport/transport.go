@@ -7,9 +7,9 @@
 // several TCP connections to one source. Transmission time over a given
 // bandwidth follows the paper's model: time = bytes / bandwidth.
 //
-// Every payload is in the one installed Codec (see SetCodec); TCP
-// connections negotiate only options — compression, trace propagation —
-// in a transport.hello exchange at dial time (see docs/PROTOCOL.md).
+// Every payload is in the one installed Codec (see SetCodec), shipped
+// verbatim; TCP connections negotiate only trace propagation in a
+// transport.hello exchange at dial time (see docs/PROTOCOL.md).
 //
 // Every Call carries a context: a deadline set by the caller (the
 // gateway's per-request admission deadline, typically) propagates over
@@ -61,11 +61,10 @@ type Peer interface {
 	Close() error
 }
 
-// WireInfo describes the options a connection negotiated: whether
-// payload compression is on, and whether trace propagation is on.
+// WireInfo describes the options a connection negotiated: whether trace
+// propagation is on.
 type WireInfo struct {
-	Compression bool `json:"compression"`
-	Trace       bool `json:"trace,omitempty"`
+	Trace bool `json:"trace,omitempty"`
 }
 
 // Wired is implemented by peers that know their negotiated options;
@@ -90,14 +89,6 @@ type Metrics struct {
 	methodSent     metrics.CounterVec
 	methodReceived metrics.CounterVec
 	failures       metrics.CounterVec // by source name
-
-	// Compression accounting, both directions: raw payload bytes before
-	// the compression framing, wire bytes after it, and how many payloads
-	// actually shipped gzipped. Only connections that negotiated
-	// compression record here.
-	compressRaw  metrics.Counter
-	compressWire metrics.Counter
-	compressed   metrics.Counter
 }
 
 // MethodStats is the per-method slice of the counters: how many exchanges
@@ -128,37 +119,6 @@ func (m *Metrics) RecordFailure(source string) {
 		return
 	}
 	m.failures.With(source).Inc()
-}
-
-// RecordCompression adds one payload's compression accounting: its raw
-// size, its framed wire size, and whether gzip was actually applied.
-func (m *Metrics) RecordCompression(raw, wire int, gzipped bool) {
-	if m == nil {
-		return
-	}
-	m.compressRaw.Add(int64(raw))
-	m.compressWire.Add(int64(wire))
-	if gzipped {
-		m.compressed.Inc()
-	}
-}
-
-// CompressionBytes returns the raw (pre-compression) and wire
-// (post-compression) payload byte totals of compression-negotiated
-// connections, both directions combined.
-func (m *Metrics) CompressionBytes() (raw, wire int64) {
-	if m == nil {
-		return 0, 0
-	}
-	return m.compressRaw.Value(), m.compressWire.Value()
-}
-
-// CompressedMessages returns how many payloads actually shipped gzipped.
-func (m *Metrics) CompressedMessages() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.compressed.Value()
 }
 
 // PerMethod returns a copy of the per-method counters.
@@ -216,9 +176,6 @@ func (m *Metrics) Reset() {
 	m.methodSent.Reset()
 	m.methodReceived.Reset()
 	m.failures.Reset()
-	m.compressRaw.Reset()
-	m.compressWire.Reset()
-	m.compressed.Reset()
 }
 
 // Register exposes the transport counters on a metrics registry under the
@@ -238,12 +195,6 @@ func (m *Metrics) Register(r *metrics.Registry) {
 		"Response bytes per federation method", "method", &m.methodReceived)
 	r.RegisterCounterVec("dits_transport_source_failures_total",
 		"Failed exchanges per source", "source", &m.failures)
-	r.RegisterCounter("dits_transport_compress_raw_bytes_total",
-		"Payload bytes before compression framing, both directions", &m.compressRaw)
-	r.RegisterCounter("dits_transport_compress_wire_bytes_total",
-		"Payload bytes after compression framing, both directions", &m.compressWire)
-	r.RegisterCounter("dits_transport_compressed_messages_total",
-		"Payloads that actually shipped gzip-compressed", &m.compressed)
 }
 
 // TransmissionTime models the network time to move the recorded bytes over

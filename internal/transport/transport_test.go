@@ -67,8 +67,8 @@ func TestInProcCountsBytes(t *testing.T) {
 	if m.Messages() != 1 {
 		t.Errorf("failed call counted: %d", m.Messages())
 	}
-	if info := p.WireInfo(); info.Compression || !info.Trace {
-		t.Errorf("WireInfo = %+v, want uncompressed and traced", info)
+	if info := p.WireInfo(); !info.Trace {
+		t.Errorf("WireInfo = %+v, want traced", info)
 	}
 	p.Close()
 }
@@ -100,31 +100,19 @@ func TestMetricsTransmissionTime(t *testing.T) {
 	if m.TotalFailures() != 2 || m.Failures()["src-a"] != 2 {
 		t.Errorf("failures = %d %v", m.TotalFailures(), m.Failures())
 	}
-	m.RecordCompression(1000, 300, true)
-	if raw, wire := m.CompressionBytes(); raw != 1000 || wire != 300 {
-		t.Errorf("CompressionBytes = %d, %d", raw, wire)
-	}
-	if m.CompressedMessages() != 1 {
-		t.Errorf("CompressedMessages = %d", m.CompressedMessages())
-	}
 	m.Reset()
 	if m.Bytes() != 0 || m.Messages() != 0 || len(m.PerMethod()) != 0 || m.TotalFailures() != 0 {
 		t.Error("Reset did not zero counters")
 	}
-	if raw, wire := m.CompressionBytes(); raw != 0 || wire != 0 || m.CompressedMessages() != 0 {
-		t.Error("Reset did not zero compression counters")
-	}
 	var nilM *Metrics
-	nilM.Record("x", 1, 1)             // must not panic
-	nilM.RecordFailure("x")            // must not panic
-	nilM.RecordCompression(1, 1, true) // must not panic
+	nilM.Record("x", 1, 1)  // must not panic
+	nilM.RecordFailure("x") // must not panic
 }
 
 func TestMetricsRegisterExposes(t *testing.T) {
 	m := &Metrics{}
 	m.Record("overlap.search", 100, 50)
 	m.RecordFailure("src-b")
-	m.RecordCompression(90, 40, true)
 	r := metrics.NewRegistry()
 	m.Register(r)
 	var sb strings.Builder
@@ -135,9 +123,6 @@ func TestMetricsRegisterExposes(t *testing.T) {
 		"dits_transport_sent_bytes_total 100",
 		`dits_transport_method_calls_total{method="overlap.search"} 1`,
 		`dits_transport_source_failures_total{source="src-b"} 1`,
-		"dits_transport_compress_raw_bytes_total 90",
-		"dits_transport_compress_wire_bytes_total 40",
-		"dits_transport_compressed_messages_total 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -173,19 +158,18 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 // TestTCPNegotiation pins the handshake outcomes: a default dial against a
-// default server turns every option on, and a refusal on either side
-// turns that option off — the connection still works either way.
+// default server turns trace on, and a refusal on either side turns it
+// off — the connection still works either way.
 func TestTCPNegotiation(t *testing.T) {
 	cases := []struct {
-		name            string
-		scfg            ServeConfig
-		dcfg            DialConfig
-		compress, trace bool
+		name  string
+		scfg  ServeConfig
+		dcfg  DialConfig
+		trace bool
 	}{
-		{"default", ServeConfig{}, DialConfig{}, true, true},
-		{"dialer withholds gzip", ServeConfig{}, DialConfig{NoCompress: true}, false, true},
-		{"server refuses gzip", ServeConfig{NoCompress: true}, DialConfig{}, false, true},
-		{"nothing", ServeConfig{NoTrace: true}, DialConfig{NoCompress: true}, false, false},
+		{"default", ServeConfig{}, DialConfig{}, true},
+		{"dialer withholds trace", ServeConfig{}, DialConfig{NoTrace: true}, false},
+		{"nothing", ServeConfig{NoTrace: true}, DialConfig{}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -199,8 +183,8 @@ func TestTCPNegotiation(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer peer.Close()
-			if info := peer.WireInfo(); info.Compression != tc.compress || info.Trace != tc.trace {
-				t.Fatalf("WireInfo = %+v, want compression=%v trace=%v", info, tc.compress, tc.trace)
+			if info := peer.WireInfo(); info.Trace != tc.trace {
+				t.Fatalf("WireInfo = %+v, want trace=%v", info, tc.trace)
 			}
 			if got := echo(t, peer, "m", "payload"); got != "m:payload" {
 				t.Fatalf("resp = %q", got)
@@ -299,38 +283,44 @@ func TestTCPForeignHelloClosesConn(t *testing.T) {
 	}
 }
 
-// TestTCPCompressionRoundTrip ships a payload far above compressMin and
-// checks it arrives intact with the compression counters moving.
-func TestTCPCompressionRoundTrip(t *testing.T) {
+// TestTCPRetiredGzipOption: a dialer of a build that still proposes the
+// retired gzip option gets back trace only, so both ends frame payloads
+// verbatim, and a 64 KiB payload round-trips on the connection.
+func TestTCPRetiredGzipOption(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	m := &Metrics{}
-	peer, err := Dial("s1", srv.Addr(), m)
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer peer.Close()
-	if info := peer.WireInfo(); !info.Compression {
-		t.Fatalf("default dial did not negotiate compression: %+v", info)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	peer := &TCPPeer{Name: "old-dialer", Metrics: &Metrics{}, conn: conn,
+		r: bufio.NewReader(conn), w: bufio.NewWriter(conn), codec: theCodec()}
+	writeFrame(peer.w, []byte(MethodHello))
+	peer.w.Write(make([]byte, 8)) // no deadline
+	writeFrame(peer.w, []byte(helloMagic+" gzip,trace"))
+	if err := peer.w.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	big := strings.Repeat("compressible payload ", 1024)
+	status, err := peer.r.ReadByte()
+	if err != nil || status != 0 {
+		t.Fatalf("hello reply status = %d, %v; want 0", status, err)
+	}
+	reply, err := readFrameReuse(peer.r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(reply) != helloMagic+" trace" {
+		t.Fatalf("hello reply = %q, want %q", reply, helloMagic+" trace")
+	}
+	peer.trace = true
+	big := strings.Repeat("0123456789abcdef", 4<<10) // 64 KiB
 	if got := echo(t, peer, "m", big); got != "m:"+big {
-		t.Fatalf("big payload mangled (len %d)", len(got))
-	}
-	raw, wire := m.CompressionBytes()
-	if raw == 0 || wire == 0 || wire >= raw {
-		t.Fatalf("compression bytes raw=%d wire=%d, want wire < raw", raw, wire)
-	}
-	if m.CompressedMessages() == 0 {
-		t.Fatal("no payload shipped compressed")
-	}
-	// Tiny payloads stay raw (below compressMin) but still round-trip.
-	if got := echo(t, peer, "m", "tiny"); got != "m:tiny" {
-		t.Fatalf("resp = %q", got)
+		t.Fatalf("64 KiB payload mangled (len %d)", len(got))
 	}
 }
 
