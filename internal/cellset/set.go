@@ -5,6 +5,7 @@
 package cellset
 
 import (
+	"math/bits"
 	"slices"
 
 	"dits/internal/geo"
@@ -39,12 +40,20 @@ func FromPoints(g geo.Grid, pts []geo.Point) Set {
 	return s.normalize()
 }
 
+// radixMin is the length from which normalize radix-sorts: below it the
+// counting passes cost more than a comparison sort.
+const radixMin = 64
+
 // normalize sorts s and removes duplicates in place.
 func (s Set) normalize() Set {
 	if len(s) < 2 {
 		return s
 	}
-	slices.Sort(s)
+	if len(s) < radixMin {
+		slices.Sort(s)
+	} else {
+		radixSort(s)
+	}
 	w := 1
 	for i := 1; i < len(s); i++ {
 		if s[i] != s[w-1] {
@@ -53,6 +62,40 @@ func (s Set) normalize() Set {
 		}
 	}
 	return s[:w]
+}
+
+// radixSort sorts s with an LSD radix over the bytes that vary among its
+// IDs, the scheme sortWords uses: a set gridded from one region shares its
+// high bytes, so it takes two or three passes, not eight. The passes move
+// the IDs between s and a scratch slice; s holds the result at the end.
+func radixSort(s Set) {
+	var diff uint64
+	for _, c := range s {
+		diff |= c ^ s[0]
+	}
+	src, dst := s, make(Set, len(s))
+	for sh := uint(0); sh < uint(bits.Len64(diff)); sh += 8 {
+		if diff>>sh&0xff == 0 {
+			continue
+		}
+		var count [256]int
+		for _, c := range src {
+			count[c>>sh&0xff]++
+		}
+		pos := 0
+		for i, n := range count {
+			count[i], pos = pos, pos+n
+		}
+		for _, c := range src {
+			d := c >> sh & 0xff
+			dst[count[d]] = c
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &s[0] {
+		copy(s, src)
+	}
 }
 
 // Len returns the number of cells, the spatial coverage |S_D| of the set.

@@ -1,7 +1,9 @@
 package cellset
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -34,6 +36,54 @@ func TestFromPoints(t *testing.T) {
 	if !d3.Equal(Set{12, 13}) {
 		t.Errorf("S_D3 = %v, want {12,13}", d3)
 	}
+}
+
+// FuzzNormalize holds Normalize against slices.Sort + slices.Compact,
+// across radixMin, where it switches from the comparison sort to the radix
+// sort. Each 8 bytes of raw are one ID, shifted right by shift%64 so that
+// fewer bytes vary and duplicates are common. The result must alias ids.
+func FuzzNormalize(f *testing.F) {
+	words := func(ids ...uint64) []byte {
+		var raw []byte
+		for _, id := range ids {
+			raw = binary.LittleEndian.AppendUint64(raw, id)
+		}
+		return raw
+	}
+	rng := rand.New(rand.NewSource(5))
+	random := func(n int, mask uint64) []uint64 {
+		ids := make([]uint64, n)
+		for i := range ids {
+			ids[i] = rng.Uint64() & mask
+		}
+		return ids
+	}
+	top := uint32(1)<<geo.MaxTheta - 1 // the last row and column at MaxTheta
+	var edge []uint64
+	for i := range uint32(80) {
+		edge = append(edge, geo.ZEncode(top-i%9, top-i%7), geo.ZEncode(i%5, top-i%3))
+	}
+	for _, n := range []int{0, 1, 63, 64, 65} {
+		f.Add(words(random(n, ^uint64(0))...), uint8(0))
+		f.Add(words(random(n, 0xffff)...), uint8(8)) // 256 distinct IDs at most
+	}
+	f.Add(words(slices.Repeat([]uint64{7}, 100)...), uint8(0))
+	f.Add(words(slices.Repeat(random(20, 0xffffff), 5)...), uint8(0))
+	f.Add(words(edge...), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, shift uint8) {
+		ids := make([]uint64, len(raw)/8)
+		for i := range ids {
+			ids[i] = binary.LittleEndian.Uint64(raw[8*i:]) >> (shift % 64)
+		}
+		want := slices.Compact(slices.Sorted(slices.Values(ids)))
+		got := Normalize(ids)
+		if !slices.Equal(got, Set(want)) {
+			t.Fatalf("Normalize(%d IDs) = %v, want %v", len(ids), got, want)
+		}
+		if len(got) > 0 && &got[0] != &ids[0] {
+			t.Fatal("Normalize's result does not alias its input")
+		}
+	})
 }
 
 func TestContains(t *testing.T) {

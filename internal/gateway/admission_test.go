@@ -27,7 +27,7 @@ import (
 // gateway with the given options. delay stalls every search RPC (the
 // handler honors context cancellation, like a real TCP source under a
 // propagated deadline).
-func newGuardedGateway(t *testing.T, opts Options, delay time.Duration) *httptest.Server {
+func newGuardedGateway(t *testing.T, opts Options, delay time.Duration) (*httptest.Server, *Gateway) {
 	t.Helper()
 	side := float64(int64(1) << theta)
 	grid := geo.NewGrid(theta, geo.Rect{MinX: 0, MinY: 0, MaxX: side, MaxY: side})
@@ -56,9 +56,10 @@ func newGuardedGateway(t *testing.T, opts Options, delay time.Duration) *httptes
 	if _, err := center.RegisterRemote(context.Background(), peer); err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(NewWithOptions(center, opts).Handler())
+	g := NewWithOptions(center, opts)
+	hs := httptest.NewServer(g.Handler())
 	t.Cleanup(hs.Close)
-	return hs
+	return hs, g
 }
 
 // searchBody is a valid overlap query against newGuardedGateway's world.
@@ -97,7 +98,7 @@ func TestAdmissionBehavior(t *testing.T) {
 		name       string
 		opts       Options
 		delay      time.Duration
-		run        func(t *testing.T, url string) (*http.Response, string)
+		run        func(t *testing.T, url string, g *Gateway) (*http.Response, string)
 		wantStatus int
 		wantBody   string // substring of the response body
 		check      func(t *testing.T, resp *http.Response, body string)
@@ -105,7 +106,7 @@ func TestAdmissionBehavior(t *testing.T) {
 		{
 			name: "rate limit shed returns 429 with Retry-After",
 			opts: Options{Admission: admission.Config{Rate: 0.5, Burst: 1}},
-			run: func(t *testing.T, url string) (*http.Response, string) {
+			run: func(t *testing.T, url string, _ *Gateway) (*http.Response, string) {
 				resp, _ := do(t, "POST", url+"/search/overlap", searchBody(), "shedder")
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("burst request = %d, want 200", resp.StatusCode)
@@ -125,7 +126,7 @@ func TestAdmissionBehavior(t *testing.T) {
 			name:  "deadline exceeded maps to 504",
 			opts:  Options{Admission: admission.Config{Deadline: 50 * time.Millisecond}},
 			delay: 2 * time.Second,
-			run: func(t *testing.T, url string) (*http.Response, string) {
+			run: func(t *testing.T, url string, _ *Gateway) (*http.Response, string) {
 				return do(t, "POST", url+"/search/overlap", searchBody(), "")
 			},
 			wantStatus: http.StatusGatewayTimeout,
@@ -133,7 +134,7 @@ func TestAdmissionBehavior(t *testing.T) {
 		},
 		{
 			name: "malformed JSON is 400",
-			run: func(t *testing.T, url string) (*http.Response, string) {
+			run: func(t *testing.T, url string, _ *Gateway) (*http.Response, string) {
 				return do(t, "POST", url+"/search/overlap", []byte(`{"points": [[1,`), "")
 			},
 			wantStatus: http.StatusBadRequest,
@@ -141,7 +142,7 @@ func TestAdmissionBehavior(t *testing.T) {
 		},
 		{
 			name: "unknown JSON field is 400",
-			run: func(t *testing.T, url string) (*http.Response, string) {
+			run: func(t *testing.T, url string, _ *Gateway) (*http.Response, string) {
 				return do(t, "POST", url+"/search/overlap", []byte(`{"points":[[1,1]],"kk":3}`), "")
 			},
 			wantStatus: http.StatusBadRequest,
@@ -149,7 +150,7 @@ func TestAdmissionBehavior(t *testing.T) {
 		},
 		{
 			name: "bytes after the body are 400",
-			run: func(t *testing.T, url string) (*http.Response, string) {
+			run: func(t *testing.T, url string, _ *Gateway) (*http.Response, string) {
 				return do(t, "POST", url+"/search/overlap", append(searchBody(), "garbage"...), "")
 			},
 			wantStatus: http.StatusBadRequest,
@@ -157,7 +158,7 @@ func TestAdmissionBehavior(t *testing.T) {
 		},
 		{
 			name: "batch over the limit fails at its 257th member",
-			run: func(t *testing.T, url string) (*http.Response, string) {
+			run: func(t *testing.T, url string, _ *Gateway) (*http.Response, string) {
 				big := []byte(`{"queries":[` + strings.Repeat(`{"cells":[1]},`, 10000) + `{"cells":[1]}]}`)
 				return do(t, "POST", url+"/search/batch", big, "")
 			},
@@ -166,7 +167,7 @@ func TestAdmissionBehavior(t *testing.T) {
 		},
 		{
 			name: "oversized body is 413",
-			run: func(t *testing.T, url string) (*http.Response, string) {
+			run: func(t *testing.T, url string, _ *Gateway) (*http.Response, string) {
 				big := append([]byte(`{"points":[`), bytes.Repeat([]byte("[1,1],"), maxBodyBytes/6+1)...)
 				return do(t, "POST", url+"/search/overlap", big, "")
 			},
@@ -179,7 +180,7 @@ func TestAdmissionBehavior(t *testing.T) {
 			// Delay long enough that the holder is still in flight when the
 			// second request arrives, short enough not to drag the test.
 			delay: 700 * time.Millisecond,
-			run: func(t *testing.T, url string) (*http.Response, string) {
+			run: func(t *testing.T, url string, g *Gateway) (*http.Response, string) {
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
@@ -192,8 +193,16 @@ func TestAdmissionBehavior(t *testing.T) {
 					}
 				}()
 				// The holder's request blocks in the slow source for 700ms;
-				// 150ms is ample for it to occupy the only in-flight slot.
-				time.Sleep(150 * time.Millisecond)
+				// send the second once it holds the only in-flight slot.
+				poll, timeout := time.NewTicker(time.Millisecond), time.After(5*time.Second)
+				defer poll.Stop()
+				for g.Admission().Stats().InFlight != 1 {
+					select {
+					case <-poll.C:
+					case <-timeout:
+						t.Fatal("the holder never took the in-flight slot")
+					}
+				}
 				resp, body := do(t, "POST", url+"/search/overlap", searchBody(), "second")
 				<-done
 				return resp, body
@@ -208,7 +217,7 @@ func TestAdmissionBehavior(t *testing.T) {
 		},
 		{
 			name: "ingest to unknown source is 404",
-			run: func(t *testing.T, url string) (*http.Response, string) {
+			run: func(t *testing.T, url string, _ *Gateway) (*http.Response, string) {
 				b, _ := json.Marshal(map[string]any{"source": "nope", "id": 1, "points": [][2]float64{{1, 1}}})
 				return do(t, "POST", url+"/ingest/dataset", b, "")
 			},
@@ -219,8 +228,8 @@ func TestAdmissionBehavior(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			hs := newGuardedGateway(t, tc.opts, tc.delay)
-			resp, body := tc.run(t, hs.URL)
+			hs, g := newGuardedGateway(t, tc.opts, tc.delay)
+			resp, body := tc.run(t, hs.URL, g)
 			if resp.StatusCode != tc.wantStatus {
 				t.Fatalf("status = %d, want %d (body %q)", resp.StatusCode, tc.wantStatus, body)
 			}
@@ -241,7 +250,7 @@ func TestAdmissionBehavior(t *testing.T) {
 // still answer /stats, /metrics, and /healthz — an overloaded server that
 // cannot be inspected is an outage.
 func TestObservabilityBypassesAdmission(t *testing.T) {
-	hs := newGuardedGateway(t, Options{Admission: admission.Config{Rate: 0.001, Burst: 1}}, 0)
+	hs, _ := newGuardedGateway(t, Options{Admission: admission.Config{Rate: 0.001, Burst: 1}}, 0)
 	// Exhaust the single token.
 	do(t, "POST", hs.URL+"/search/overlap", searchBody(), "x")
 	if resp, _ := do(t, "POST", hs.URL+"/search/overlap", searchBody(), "x"); resp.StatusCode != http.StatusTooManyRequests {
@@ -258,7 +267,7 @@ func TestObservabilityBypassesAdmission(t *testing.T) {
 // TestStatsAndMetricsExposeAdmission: sheds and deadline hits must show
 // up in both the JSON stats and the Prometheus exposition.
 func TestStatsAndMetricsExposeAdmission(t *testing.T) {
-	hs := newGuardedGateway(t, Options{
+	hs, _ := newGuardedGateway(t, Options{
 		Admission: admission.Config{Rate: 1, Burst: 1, Deadline: 30 * time.Millisecond},
 	}, 2*time.Second)
 

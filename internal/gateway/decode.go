@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"net/http"
 	"slices"
 	"strconv"
@@ -20,7 +22,8 @@ import (
 // moment it is read and appends the cell ID to the slice that becomes the
 // request's cellset.Set: coordinates are never stored, and nothing goes
 // through reflection. docs/PROTOCOL.md ("Gateway API") gives the accepted
-// grammar; FuzzDecodeBody holds this file against encoding/json.
+// grammar; FuzzDecodeBody holds this file against encoding/json, and
+// FuzzFloat holds its number conversion against strconv.ParseFloat.
 
 // maxPresizedBody caps the read buffer allocated up front from a request's
 // Content-Length; a longer body grows the buffer as its bytes arrive, so a
@@ -472,13 +475,115 @@ func digitsEnd(buf []byte, i int) int {
 	return i
 }
 
+// float reads one number. A plain decimal — no exponent, at most 19
+// digits, as clients write coordinates — is converted while it is
+// scanned; any other literal, and every malformed one, goes through
+// number and strconv.ParseFloat. Both paths return the same bits and
+// leave the cursor at the same offset (FuzzFloat).
 func (c *cursor) float() (float64, error) {
+	c.ws()
+	if f, end, ok := scanDecimal(c.buf, c.pos); ok {
+		c.pos = end
+		return f, nil
+	}
 	lit, err := c.number()
 	if err != nil {
 		return 0, err
 	}
 	f, err := strconv.ParseFloat(string(lit), 64)
 	return f, c.wrap(err)
+}
+
+// pow10 holds 10^0 … 10^19, every power of ten below 2^64.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 10
+	}
+	return p
+}()
+
+// scanDecimal converts the JSON number at buf[i] and returns the offset
+// just past it, or ok = false when the literal is not a plain decimal of
+// at most 19 digits: an optional '-', an integer part, and an optional
+// '.' with at least one digit after it, but no exponent.
+//
+// The digits accumulate into m, frac of them after the point, so the
+// value is exactly m / 10^frac, and both fit a uint64. When m ≤ 2^53 both
+// are exact as floats and one IEEE division rounds correctly (Clinger,
+// PLDI 1990). Otherwise a 128-by-64-bit division yields a 63- or 64-bit
+// quotient of m / 10^frac and its remainder, which round to 53 bits half to
+// even with the remainder as the sticky bit.
+func scanDecimal(buf []byte, i int) (f float64, end int, ok bool) {
+	neg := i < len(buf) && buf[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var m uint64
+	for i < len(buf) && '0' <= buf[i] && buf[i] <= '9' {
+		m = m*10 + uint64(buf[i]-'0')
+		i++
+		if buf[start] == '0' {
+			break // a leading zero stands alone
+		}
+	}
+	digits := i - start
+	if digits == 0 {
+		return 0, 0, false
+	}
+	frac := 0
+	if i < len(buf) && buf[i] == '.' {
+		j := i + 1
+		for j < len(buf) && '0' <= buf[j] && buf[j] <= '9' {
+			m = m*10 + uint64(buf[j]-'0')
+			j++
+			if digits+j-i-1 > 19 {
+				return 0, 0, false
+			}
+		}
+		frac = j - i - 1
+		if frac == 0 {
+			return 0, 0, false
+		}
+		i = j
+	}
+	if digits+frac > 19 || i < len(buf) && buf[i]|0x20 == 'e' {
+		return 0, 0, false
+	}
+	if m <= 1<<53 {
+		f = float64(m) / float64(pow10[frac])
+	} else {
+		f = divRound(m, pow10[frac])
+	}
+	if neg {
+		f = -f
+	}
+	return f, i, true
+}
+
+// divRound returns m / d correctly rounded, for m > 2^53 and d ≥ 1 (so the
+// quotient is a normal float64).
+func divRound(m, d uint64) float64 {
+	z := bits.LeadingZeros64(m)
+	t := bits.Len64(d) - 1
+	// m<<z is in [2^63, 2^64) and d in [2^t, 2^(t+1)), so the quotient of
+	// (m<<z)·2^t by d is in (2^62, 2^64): hi < d, and it has 63 or 64 bits.
+	mn := m << z
+	q, r := bits.Div64(mn>>(64-t), mn<<t, d)
+	drop := uint(bits.Len64(q) - 53)
+	mant, rest, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
+	if rest > half || rest == half && (r != 0 || mant&1 == 1) {
+		mant++
+	}
+	// The value is mant · 2^(drop-z-t), with mant's top bit at 2^52
+	// unless rounding carried it to 2^53.
+	exp := int(drop) - z - t + 52
+	if mant == 1<<53 {
+		mant >>= 1
+		exp++
+	}
+	return math.Float64frombits(uint64(exp+1023)<<52 | mant&(1<<52-1))
 }
 
 // int reads an integer field; null reads as 0.

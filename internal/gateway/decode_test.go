@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"strconv"
 	"strings"
@@ -221,6 +223,44 @@ func FuzzDecodeBody(f *testing.F) {
 	f.Fuzz(differAll)
 }
 
+// FuzzFloat holds cursor.float's scan-time conversion against number and
+// strconv.ParseFloat: the same bits (the sign of zero too), the same
+// cursor offset, and the same error. FuzzDecodeBody cannot see a last-bit
+// error, since gridding maps neighbouring floats to one cell.
+func FuzzFloat(f *testing.F) {
+	for _, s := range []string{
+		// shortest-form coordinates of 17 digits, and ones of 19 and 20
+		"-76.993660000000006", "38.950000000000003", "-0.10000000000000001", "179.99999999999997",
+		"1234567890.123456789", "9999999999999999999", "12345678901234567890", "-1.0000000000000000001",
+		// 2^53 + 1, exactly halfway: ties go to even
+		"9007199254740993", "9007199254740993.0", "9007199254740995", "18014398509481987.00",
+		// the grammar's edges, all left to strconv
+		"0.0000000000000000001", "-0", "-0.0", "1e5", "1.", ".5", "01.5", "-", "18446744073709551615.5",
+		"", " 1", "1.5.3", "-null", "0e0", "00", "1E-2", "5,", "0.", "+1",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		fast := cursor{buf: in}
+		got, gotErr := fast.float()
+		slow := cursor{buf: in}
+		want, wantErr := func() (float64, error) {
+			lit, err := slow.number()
+			if err != nil {
+				return 0, err
+			}
+			v, err := strconv.ParseFloat(string(lit), 64)
+			return v, slow.wrap(err)
+		}()
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%q: error %v, want %v", in, gotErr, wantErr)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) || fast.pos != slow.pos {
+			t.Fatalf("%q: %v at offset %d, want %v at offset %d", in, got, fast.pos, want, slow.pos)
+		}
+	})
+}
+
 // TestDecodeStrictness pins what the decoder refuses that encoding/json
 // let through (the "dropped" classes, one row each plus the batch limit's
 // index) and the leniencies it keeps.
@@ -274,17 +314,24 @@ func TestDecodeStrictness(t *testing.T) {
 
 // pointsBody returns a search body of n distinct points in the shortest
 // float form that round-trips, the way the benchmark's generator writes
-// them.
-func pointsBody(n int) []byte {
+// them. Lattice points are short decimals, whose mantissas fit 53 bits;
+// random ones are what generated data is, mostly 16 or 17 digits, and
+// reach cursor.float's 128-bit division.
+func pointsBody(n int, random bool) []byte {
+	rng := rand.New(rand.NewSource(int64(n)))
 	buf := []byte(`{"points":[`)
 	for i := 0; i < n; i++ {
+		x, y := -77+float64(i%997)*0.00317, 38+float64(i%1009)*0.00271
+		if random {
+			x, y = -77+rng.Float64()*2.5, 36.8+rng.Float64()*3
+		}
 		if i > 0 {
 			buf = append(buf, ',')
 		}
 		buf = append(buf, '[')
-		buf = strconv.AppendFloat(buf, -77+float64(i%997)*0.00317, 'g', -1, 64)
+		buf = strconv.AppendFloat(buf, x, 'g', -1, 64)
 		buf = append(buf, ',')
-		buf = strconv.AppendFloat(buf, 38+float64(i%1009)*0.00271, 'g', -1, 64)
+		buf = strconv.AppendFloat(buf, y, 'g', -1, 64)
 		buf = append(buf, ']')
 	}
 	return append(buf, `],"k":10}`...)
@@ -295,7 +342,7 @@ func pointsBody(n int) []byte {
 func TestDecodeZeroAllocPerPoint(t *testing.T) {
 	grid := testGrid()
 	allocs := func(n int) float64 {
-		body := pointsBody(n)
+		body := pointsBody(n, false)
 		return testing.AllocsPerRun(20, func() {
 			if _, err := decodeSearch(grid, body); err != nil {
 				t.Fatal(err)
