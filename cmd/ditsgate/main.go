@@ -18,8 +18,8 @@
 // With -cluster the gateway fronts a sharded plane of ditscenter
 // processes instead of dialing the sources itself: the -cluster-sources
 // roster is partitioned across the centers by consistent hash, the
-// gateway still runs every query and mutation (so -cache, -workers,
-// -no-filter, -no-clip and -tolerant apply in both modes, and answers are
+// gateway still runs every query and mutation (so -cache, -no-filter,
+// -no-clip and -tolerant apply in both modes, and answers are
 // byte-identical to the single-center ones), and each source call is
 // relayed by the source's owner center. A center that stops answering is
 // failed over — its shard re-homes onto the survivors. A source listed
@@ -66,7 +66,6 @@ func main() {
 	noFilter := flag.Bool("no-filter", false, "disable DITS-G candidate filtering")
 	noClip := flag.Bool("no-clip", false, "disable per-source query clipping")
 	tolerant := flag.Bool("tolerant", false, "skip failed sources mid-query instead of failing the query")
-	workers := flag.Int("workers", 0, "worker pool for POST /search/batch prep and merge (0 = GOMAXPROCS)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client request rate limit in req/s (0 disables)")
 	burst := flag.Int("burst", 0, "per-client burst size (0 = ceil(rate-limit))")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently executing requests (0 = unbounded)")
@@ -117,7 +116,7 @@ func main() {
 		Logger:         logger,
 	}
 
-	opts := federation.Options{GlobalFilter: !*noFilter, ClipQuery: !*noClip, Sessions: true, Workers: *workers}
+	opts := federation.Options{GlobalFilter: !*noFilter, ClipQuery: !*noClip, Sessions: true}
 	if *tolerant {
 		opts.OnSourceError = federation.SkipFailed
 	}

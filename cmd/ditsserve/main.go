@@ -3,10 +3,8 @@
 // protocol (overlap.search, search.batch, coverage.best, the coverage.*
 // session methods, dataset.put/delete, source.version, source.summary,
 // source.stats) over TCP until interrupted. Every search runs on the query
-// executor (internal/search/exec) and batched requests share one tree
-// pass; -workers only sizes the executor's per-query pool (1, the default,
-// runs it in line), so the code served and its results are the same at
-// every value.
+// executor (internal/search/exec), on the goroutine serving the request,
+// and batched requests share one tree pass.
 //
 // With -wal-dir the source becomes mutable and durable: dataset mutations
 // are WAL-logged before they touch the live index (-fsync picks the flush
@@ -68,7 +66,6 @@ func main() {
 	theta := flag.Int("theta", 12, "grid resolution θ (must match the federation)")
 	f := flag.Int("f", 30, "DITS-L leaf capacity")
 	boundsFlag := flag.String("bounds", "", "shared world bounds minX,minY,maxX,maxY (default: this source's own)")
-	workers := flag.Int("workers", 1, "size of the per-query worker pool; it selects no other code path (1 = run the executor in line)")
 	walDir := flag.String("wal-dir", "", "durable ingest state directory (WAL + snapshots); empty = read-only source")
 	fsyncMode := flag.String("fsync", "always", "WAL flush policy with -wal-dir: always | never")
 	snapEvery := flag.Int("snapshot-every", 256, "mutations between background snapshots with -wal-dir (-1 disables)")
@@ -174,7 +171,6 @@ func main() {
 		idx, _ := build()
 		server = federation.NewSourceServerWithGrid(src.Name, idx)
 	}
-	server.Workers = *workers
 	// Read the count before serving: once Serve accepts connections a
 	// mutable source's index may change under concurrent dataset.put
 	// (and an mmap'd store swaps its index at every snapshot, so the
@@ -210,7 +206,7 @@ func main() {
 	defer ts.Close()
 	logger.Info("source serving",
 		"source", src.Name, "datasets", indexed, "theta", *theta, "f", *f,
-		"workers", *workers, "addr", ts.Addr())
+		"addr", ts.Addr())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"dits/internal/index/dits"
 	"dits/internal/index/josie"
 	"dits/internal/index/quadtree"
@@ -77,9 +75,4 @@ func Fig8(cfg Config) []Table {
 		}
 	}
 	return []Table{timeTable, memTable}
-}
-
-// fmtSource labels a per-source figure row.
-func fmtSource(name string, param string, value any) string {
-	return fmt.Sprintf("%s %s=%v", name, param, value)
 }

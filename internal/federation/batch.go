@@ -17,14 +17,6 @@ import (
 // set and its own k — the shape a source receives in a search.batch.
 type BatchQuery = OverlapRequest
 
-// centerWorkers resolves the center-side pool size for batched execution.
-func (c *Center) centerWorkers() int {
-	if c.Options.Workers > 0 {
-		return c.Options.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // batchPrep is the per-query state the center computes before any network
 // traffic: cache key/hit, and which sources are candidates with what clip.
 type batchPrep struct {
@@ -43,7 +35,7 @@ type subEntry struct {
 
 // OverlapSearchBatch answers a batch of federated OJSP queries in one
 // round trip per candidate source: the per-query candidate filtering and
-// clipping run on the center's worker pool (Options.Workers), queries are
+// clipping run on a pool of GOMAXPROCS goroutines, queries are
 // grouped by candidate source, each source receives ONE MethodSearchBatch
 // carrying only the (clipped) queries it can contribute to, and the
 // per-query answers are merged exactly like OverlapSearch would. Entry i
@@ -68,7 +60,7 @@ func (c *Center) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) (
 	// by exactly one worker.
 	preps := make([]batchPrep, len(queries))
 	var cursor atomic.Int64
-	workers := min(c.centerWorkers(), len(queries))
+	workers := min(runtime.GOMAXPROCS(0), len(queries))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

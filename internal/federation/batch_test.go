@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dits/internal/cache"
@@ -44,16 +45,21 @@ func batchTestQueries(t *testing.T, f *testFederation, n int) []BatchQuery {
 
 // TestOverlapSearchBatchParity: every entry of a batched search must be
 // identical to the same query asked alone, across option combinations and
-// worker counts.
+// sizes of the center's prep pool (GOMAXPROCS; 0 leaves it as it is).
 func TestOverlapSearchBatchParity(t *testing.T) {
-	for _, opts := range []Options{
-		{},
-		{GlobalFilter: true, ClipQuery: true},
-		{GlobalFilter: true, ClipQuery: true, Workers: 4},
+	for _, c := range []struct {
+		opts    Options
+		workers int
+	}{
+		{Options{}, 0},
+		{Options{GlobalFilter: true, ClipQuery: true}, 0},
+		{Options{GlobalFilter: true, ClipQuery: true}, 4},
 	} {
-		opts := opts
-		t.Run(fmt.Sprintf("filter=%v_workers=%d", opts.GlobalFilter, opts.Workers), func(t *testing.T) {
-			f := newTestFederation(t, opts)
+		t.Run(fmt.Sprintf("filter=%v_workers=%d", c.opts.GlobalFilter, c.workers), func(t *testing.T) {
+			if c.workers > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.workers))
+			}
+			f := newTestFederation(t, c.opts)
 			qs := batchTestQueries(t, f, 9)
 			got, err := f.center.OverlapSearchBatch(context.Background(), qs)
 			if err != nil {
@@ -76,12 +82,9 @@ func TestOverlapSearchBatchParity(t *testing.T) {
 }
 
 // TestOverlapSearchBatchOfOne: the smallest batch is exactly the single
-// path, and parallel source servers answer identically to sequential ones.
+// path.
 func TestOverlapSearchBatchOfOne(t *testing.T) {
 	f := newTestFederation(t, DefaultOptions())
-	for _, srv := range f.servers {
-		srv.Workers = 8
-	}
 	q := batchTestQueries(t, f, 1)[0]
 	got, err := f.center.OverlapSearchBatch(context.Background(), []BatchQuery{q})
 	if err != nil {
@@ -216,7 +219,6 @@ func TestOverlapSearchBatchFailurePolicies(t *testing.T) {
 func TestSearchBatchSourceHandler(t *testing.T) {
 	f := newTestFederation(t, Options{})
 	srv := f.servers[0]
-	srv.Workers = 4
 	h := srv.Handler()
 	q1 := srv.Index.All()[0].Cells
 	q2 := srv.Index.All()[1].Cells

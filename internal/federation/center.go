@@ -44,11 +44,6 @@ type Options struct {
 	// FailFast (zero value) aborts the query, SkipFailed answers from the
 	// surviving sources and records the failure in Metrics.
 	OnSourceError FailurePolicy
-	// Workers bounds the center-side pool that prepares and merges the
-	// queries of one OverlapSearchBatch (candidate filtering, per-source
-	// clipping, cache probes). Zero means GOMAXPROCS. It does not affect
-	// single-query searches, whose fan-out is one goroutine per source.
-	Workers int
 }
 
 // DefaultOptions enables both distribution strategies and the session

@@ -179,22 +179,6 @@ func (cl *Cluster) homed(name string, c *clusterCenter, summary dits.SourceSumma
 	}
 }
 
-// RemoveSource unregisters a source from its owner and drops it from the
-// roster. Best-effort at the center: a dead owner forgets the source with
-// its whole shard anyway.
-func (cl *Cluster) RemoveSource(ctx context.Context, name string) error {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	owner := cl.owner[name]
-	delete(cl.sources, name)
-	delete(cl.owner, name)
-	cl.view.Unregister(name)
-	if owner == nil || !owner.healthy.Load() {
-		return nil
-	}
-	return owner.peer.Call(ctx, MethodClusterUnregister, &ClusterUnregisterRequest{Name: name}, nil)
-}
-
 // centerNamed resolves a healthy center by name; the caller holds a lock.
 func (cl *Cluster) centerNamed(name string) *clusterCenter {
 	for _, c := range cl.centers {

@@ -180,7 +180,7 @@ func sessionPicks(t *testing.T, srv *SourceServer, sess uint64, q cellset.Set, d
 
 // TestCoverageEnginesAgree is the engine differential: over two dozen
 // seeds, the incremental source session (both delta paths), the
-// incremental Executor.CoverageSearch at 1 and 4 workers and the paper's
+// incremental Executor.CoverageSearch and the paper's
 // DITSSearcher, each over the heap index and over the same index mmap'd
 // from a snapshot, and the cluster's relayed session engine at 2 and 3
 // centers with uneven shards, must return the brute-force greedy's (ID,
@@ -282,18 +282,14 @@ func TestCoverageEnginesAgree(t *testing.T) {
 					}
 				}
 				check("DITSSearcher", picksOf(q, (&coverage.DITSSearcher{Index: idx}).Search(qn, delta, k).Picked))
-				for _, workers := range []int{1, 4} {
-					res, err := (&exec.Executor{Workers: workers}).CoverageSearch(context.Background(), idx, qn, delta, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					check("Executor.CoverageSearch", picksOf(q, res.Picked))
+				res, err := (&exec.Executor{}).CoverageSearch(context.Background(), idx, qn, delta, k)
+				if err != nil {
+					t.Fatal(err)
 				}
+				check("Executor.CoverageSearch", picksOf(q, res.Picked))
 				srv := NewSourceServerWithGrid("s", idx)
 				check("session (fetch absorbs)", sessionPicks(t, srv, 1, q, delta, k, false))
 				check("session (Added)", sessionPicks(t, srv, 2, q, delta, k, true))
-				srv.Workers = 4
-				check("session (4 workers)", sessionPicks(t, srv, 3, q, delta, k, false))
 			}
 		}
 	}

@@ -15,9 +15,8 @@
 //
 // A SourceServer is safe for concurrent use: its index is immutable
 // after construction (the DITS-L read contract), its handler may run on
-// any number of transport connections at once, and with Workers > 1 a
-// single request additionally fans its traversal out to a worker pool
-// (search/exec) that owns no state beyond the request. The only mutable
+// any number of transport connections at once, and each request runs its
+// search (search/exec) on the handler's goroutine. The only mutable
 // source state is the coverage-session table, guarded by the server's
 // mutex; one session is driven by one center query at a time (rounds are
 // sequential by protocol), while distinct sessions proceed concurrently.

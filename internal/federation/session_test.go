@@ -751,12 +751,12 @@ func TestLazyPickEvaluations(t *testing.T) {
 	}
 }
 
-// TestSessionRecoversFromCancelledWalk: a round whose caller gave up may
-// cut the pooled connectivity walk short. The session must not keep the
-// partial connected set as if it were complete — it would miss datasets
-// for the rest of the query, and the lazy pick would trust bounds that
-// assume it saw them all — so the next round answers what a session opened
-// fresh answers.
+// TestSessionRecoversFromCancelledWalk: a round whose caller gave up ends
+// its connectivity walk with the context's error. The session must not
+// keep that connected set as if it were complete — a walk cut short would
+// miss datasets for the rest of the query, and the lazy pick would trust
+// bounds that assume it saw them all — so the next round answers what a
+// session opened fresh answers.
 func TestSessionRecoversFromCancelledWalk(t *testing.T) {
 	_, servers, queries := cjspSmallFixture()
 	ctx := context.Background()
@@ -765,7 +765,6 @@ func TestSessionRecoversFromCancelledWalk(t *testing.T) {
 	offered := 0
 	for i, q := range queries {
 		for _, srv := range servers {
-			srv.Workers = 2
 			sess := uint64(i) + 1
 			srv.handleCoverageRound(gone, CoverageRoundRequest{Session: sess, Base: q, Delta: 10})
 			got := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Delta: 10})

@@ -42,13 +42,6 @@ type SourceServer struct {
 	Name  string
 	Index *dits.Local
 
-	// Workers sizes the per-query execution pool (search/exec): a single
-	// traversal is verified by up to Workers goroutines, and batched
-	// requests (MethodSearchBatch) share one tree pass across the pool.
-	// Zero or one runs the same executor in line, with no goroutines.
-	// Every value serves the same code and returns the same results.
-	Workers int
-
 	// MaxSessions and SessionTTL override the eviction defaults when >0.
 	MaxSessions int
 	SessionTTL  time.Duration
@@ -161,15 +154,6 @@ func cellsNode(cells cellset.Set) *dataset.Node {
 		MaxX: float64(maxX), MaxY: float64(maxY),
 	}
 	return &dataset.Node{ID: -1, Rect: r, O: r.Center(), R: r.Radius(), Cells: cells}
-}
-
-// NewSourceServer indexes a source with the given resolution and leaf
-// capacity and wraps it for serving.
-func NewSourceServer(src *dataset.Source, theta, f int) *SourceServer {
-	return &SourceServer{
-		Name:  src.Name,
-		Index: dits.BuildFromSource(src, theta, f),
-	}
 }
 
 // NewSourceServerWithGrid indexes pre-gridded dataset nodes. All federation
@@ -326,15 +310,9 @@ func (s *SourceServer) Handler() transport.Handler {
 	}
 }
 
-// executor returns the source's query executor, the one path every search
-// request takes: in line for Workers <= 1, on a pool of Workers beyond.
-func (s *SourceServer) executor() *exec.Executor {
-	w := s.Workers
-	if w < 1 {
-		w = 1
-	}
-	return &exec.Executor{Workers: w}
-}
+// executor is the query executor every search request takes. It holds no
+// state, so all sources share it.
+var executor exec.Executor
 
 // handleDatasetPut durably upserts a dataset through the ingest store.
 func (s *SourceServer) handleDatasetPut(req DatasetPutRequest) (MutateResponse, error) {
@@ -390,7 +368,7 @@ func (s *SourceServer) handleOverlap(ctx context.Context, req OverlapRequest) Ov
 	var rs []overlap.Result
 	_, sp := obs.StartSpan(ctx, "exec.overlap")
 	s.view(func(idx *dits.Local) {
-		rs, _ = s.executor().OverlapTopK(ctx, idx, q, req.K)
+		rs, _ = executor.OverlapTopK(ctx, idx, q, req.K)
 	})
 	sp.End()
 	return overlapResponse(rs)
@@ -407,7 +385,7 @@ func overlapResponse(rs []overlap.Result) OverlapResponse {
 
 // handleSearchBatch answers a batch of OJSP queries in one shared pass
 // over the tree (search/exec): node summaries and compact leaf sets are
-// visited once per batch, and verification runs on the worker pool.
+// visited once per batch.
 func (s *SourceServer) handleSearchBatch(ctx context.Context, req SearchBatchRequest) SearchBatchResponse {
 	batch := make([]exec.BatchQuery, len(req.Queries))
 	for i, q := range req.Queries {
@@ -416,7 +394,7 @@ func (s *SourceServer) handleSearchBatch(ctx context.Context, req SearchBatchReq
 	var outs [][]overlap.Result
 	_, sp := obs.StartSpan(ctx, "exec.batch")
 	s.view(func(idx *dits.Local) {
-		outs, _ = s.executor().OverlapTopKBatch(ctx, idx, batch)
+		outs, _ = executor.OverlapTopKBatch(ctx, idx, batch)
 	})
 	sp.End()
 	resp := SearchBatchResponse{Results: make([]OverlapResponse, len(req.Queries))}
@@ -440,7 +418,7 @@ func (s *SourceServer) handleCoverage(ctx context.Context, req CoverageRequest) 
 	s.view(func(idx *dits.Local) {
 		cands := s.findConnectSet(ctx, idx, merged, req.Delta, cellset.NewDistIndex(req.Merged, req.Delta))
 		// Exclude holds at most k IDs, so a scan beats building a set.
-		best, bestGain := s.executor().PickBest(context.Background(), cands,
+		best, bestGain := executor.PickBest(context.Background(), cands,
 			func(id int) bool { return slices.Contains(req.Exclude, id) }, merged.CompactCells())
 		if best == nil {
 			return
@@ -461,7 +439,7 @@ func (s *SourceServer) handleCoverage(ctx context.Context, req CoverageRequest) 
 func (s *SourceServer) findConnectSet(ctx context.Context, idx *dits.Local, qn *dataset.Node, delta float64, qIdx *cellset.DistIndex) []*dataset.Node {
 	_, sp := obs.StartSpan(ctx, "exec.connect")
 	defer sp.End()
-	return s.executor().FindConnectSet(ctx, idx.Root, qn, delta, qIdx)
+	return executor.FindConnectSet(ctx, idx.Root, qn, delta, qIdx)
 }
 
 // handleCoverageRound answers one session round: update the session state
@@ -524,7 +502,7 @@ func (s *SourceServer) offer(ctx context.Context, sess *covSession, exclude []in
 		// describes exactly the index the walk reads.
 		err := sess.connect(s.DataVersion(), func(q *dataset.Node, qIdx *cellset.DistIndex, cs *coverage.ConnectSet) error {
 			_, sp := obs.StartSpan(ctx, "exec.connect")
-			s.executor().ExtendConnectSet(ctx, idx.Root, q, sess.delta, qIdx, cs)
+			executor.ExtendConnectSet(ctx, idx.Root, q, sess.delta, qIdx, cs)
 			sp.End()
 			return ctx.Err()
 		})

@@ -2,8 +2,6 @@ package federation
 
 import (
 	"context"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"dits/internal/cellset"
@@ -100,63 +98,5 @@ func TestHandlerCoverageExcludes(t *testing.T) {
 	}
 	if summary.Name != "src" || center.NumSources() != 1 {
 		t.Errorf("RegisterRemote: %+v, sources %d", summary, center.NumSources())
-	}
-}
-
-// TestSourceServesSameAnswersAtEveryWorkers guards the single served path:
-// a default SourceServer (Workers 0 and 1, the executor in line) and one
-// with a pool of 4 must answer overlap.search, search.batch and the rounds
-// of a coverage session identically on a seeded corpus.
-func TestSourceServesSameAnswersAtEveryWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(2207))
-	_, _, built := buildFederation(rng, 1, 900, Options{})
-	var servers []*SourceServer
-	for _, w := range []int{0, 1, 4} {
-		servers = append(servers, &SourceServer{Name: "a", Index: built[0].Index, Workers: w})
-	}
-	// ask sends one request to every server and fails unless all answers
-	// equal the first server's, which it leaves in resp.
-	ask := func(method string, req any, resp any) {
-		t.Helper()
-		callHandler(t, servers[0].Handler(), method, req, resp)
-		for _, srv := range servers[1:] {
-			other := reflect.New(reflect.TypeOf(resp).Elem())
-			callHandler(t, srv.Handler(), method, req, other.Interface())
-			if !reflect.DeepEqual(other.Interface(), resp) {
-				t.Fatalf("%s: Workers=%d answered %+v, Workers=0 answered %+v",
-					method, srv.Workers, other.Elem().Interface(), reflect.ValueOf(resp).Elem().Interface())
-			}
-		}
-	}
-
-	hits, picks := 0, 0
-	var batch SearchBatchRequest
-	for i := 0; i < 40; i++ {
-		q := randomQuery(rng)
-		var ov OverlapResponse
-		ask(MethodOverlap, &OverlapRequest{Cells: q, K: 10}, &ov)
-		hits += len(ov.Results)
-		batch.Queries = append(batch.Queries, OverlapRequest{Cells: q, K: 1 + i%7})
-
-		// One coverage session per query, driven the way the center does:
-		// open with the base, fetch each winner into the session, exclude it.
-		session := uint64(i + 1)
-		round := CoverageRoundRequest{Session: session, Base: q, Delta: 6}
-		for r := 0; r < 4; r++ {
-			var offer CoverageRoundResponse
-			ask(MethodCoverageRound, &round, &offer)
-			if !offer.Found {
-				break
-			}
-			picks++
-			var cells FetchCellsResponse
-			ask(MethodFetchCells, &FetchCellsRequest{Session: session, ID: offer.ID}, &cells)
-			round = CoverageRoundRequest{Session: session, Delta: 6, Exclude: append(round.Exclude, offer.ID)}
-		}
-	}
-	var answers SearchBatchResponse
-	ask(MethodSearchBatch, &batch, &answers)
-	if hits == 0 || picks == 0 {
-		t.Fatalf("vacuous corpus: %d overlap results, %d coverage picks", hits, picks)
 	}
 }

@@ -16,7 +16,7 @@
 // A Local and everything reachable from it (tree nodes, leaf inverted
 // indexes, compact leaf summaries, the dataset nodes themselves) are
 // immutable under search: any number of goroutines — the searchers in
-// search/{overlap,coverage} and the worker pools in search/exec — may
+// search/{overlap,coverage,exec}, one per request a source serves — may
 // read one index concurrently. File-backed indexes (lazy.go,
 // internal/index/ditsfile) materialize leaf payloads on first touch under
 // a per-leaf sync.Once — a logically read-only load that stays safe under

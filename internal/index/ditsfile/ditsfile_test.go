@@ -99,7 +99,7 @@ func checkParity(t *testing.T, heap, fb *dits.Local, nodes []*dataset.Node, seed
 	rng := rand.New(rand.NewSource(seed * 131))
 	hs := &overlap.DITSSearcher{Index: heap}
 	fs := &overlap.DITSSearcher{Index: fb}
-	e := &exec.Executor{Workers: 4}
+	e := &exec.Executor{}
 	ctx := context.Background()
 	var batch []exec.BatchQuery
 	for qi := 0; qi < 10; qi++ {

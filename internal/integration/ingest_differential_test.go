@@ -49,7 +49,7 @@ func TestMutatedIndexSearchersMatchRebuild(t *testing.T) {
 		rebuilt := dits.Build(g, nodesOf(surviving), 8)
 		seqLive := &overlap.DITSSearcher{Index: live}
 		seqRebuilt := &overlap.DITSSearcher{Index: rebuilt}
-		ex := &exec.Executor{Workers: 4}
+		ex := &exec.Executor{}
 		ctx := context.Background()
 
 		batch := make([]exec.BatchQuery, len(queries))

@@ -35,12 +35,12 @@
 // that search; cellset.Compact values are immutable, so the merged state
 // shares containers with the picked datasets without copying. A
 // caller-supplied DistIndex (FindConnectSetWithIndex) may be read by many
-// concurrent walks — the parallel executor does this. Only the searchers
-// of this package grow one (Add/AddCompact, once per pick), which requires
-// exclusive access; their loops alternate search and growth, never
-// overlapping them. The serving loops build a fresh index over each
-// round's delta and never grow it. Result.Picked aliases the index's
-// dataset nodes and must be treated as read-only.
+// concurrent walks. Only the searchers of this package grow one
+// (Add/AddCompact, once per pick), which requires exclusive access; their
+// loops alternate search and growth, never overlapping them. The serving
+// loops build a fresh index over each round's delta and never grow it.
+// Result.Picked aliases the index's dataset nodes and must be treated as
+// read-only.
 package coverage
 
 import (
@@ -154,9 +154,8 @@ func FindConnectSet(root *dits.TreeNode, q *dataset.Node, delta float64) []*data
 }
 
 // FindConnectSetWithIndex is FindConnectSet with a caller-supplied distance
-// index over q's cells: the parallel executor shares one index between its
-// subtree walks, and the serving loops pass the index of the round's delta
-// together with a node carrying only its geometry. A serving loop also
+// index over q's cells: the serving loops pass the index of the round's
+// delta together with a node carrying only its geometry. A serving loop also
 // passes the ConnectSet it keeps as known (nil for a fresh walk): a leaf's
 // dataset already in it is skipped before its bounds and its exact check.
 // known is only read, so concurrent walks may share it; after known.Add of

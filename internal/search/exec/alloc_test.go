@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"dits/internal/index/dits"
+	"dits/internal/search/overlap"
 )
 
-// TestVerifyLoopZeroAlloc: after warm-up (scratch grown, stripe heap
-// sized) the per-leaf verification loop — bound check, counting kernel,
-// top-k offers — must run allocation-free. This is the loop every worker
-// spins in for the whole verification phase of a query.
+// TestVerifyLoopZeroAlloc: after warm-up (scratch grown, top-k filled)
+// the per-leaf verification loop — bound check, counting kernel, top-k
+// offers — must run allocation-free. This is the loop a query spins in for
+// its whole verification phase.
 func TestVerifyLoopZeroAlloc(t *testing.T) {
 	idx, nodes := buildWorld(t, 200, 8, 6, 11)
 	q := queryFrom(rand.New(rand.NewSource(9)), nodes)
@@ -19,16 +20,16 @@ func TestVerifyLoopZeroAlloc(t *testing.T) {
 		t.Fatal("query reached no leaves")
 	}
 	lq := q.CompactCells()
-	topk := newStripedTopK(5, 1)
+	topk := overlap.NewTopK(5)
 	var scratch dits.LeafScratch
 	// Warm-up sweep: grows the scratch to the widest leaf and fills the
-	// stripe heap to k.
+	// top-k to k.
 	for _, c := range cands {
-		verifyLeaf(topk, 0, c.Leaf, lq, &scratch)
+		verifyLeaf(topk, c.Leaf, lq, &scratch)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		for _, c := range cands {
-			verifyLeaf(topk, 0, c.Leaf, lq, &scratch)
+			verifyLeaf(topk, c.Leaf, lq, &scratch)
 		}
 	}); allocs != 0 {
 		t.Errorf("warm verification sweep allocated %.1f times", allocs)

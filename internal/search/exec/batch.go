@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"slices"
-	"sync/atomic"
 
 	"dits/internal/cellset"
 	"dits/internal/dataset"
@@ -43,7 +42,7 @@ type batchLeaf struct {
 // keeps its own top-k heap and prunes only against its own threshold, a
 // safe lower bound of its final k-th best. The returned slice aligns with
 // the input; a nil or empty query yields a nil entry. On cancellation it
-// returns ctx.Err() with no results and no leaked goroutines.
+// returns ctx.Err() with no results.
 func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch []BatchQuery) ([][]overlap.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -56,7 +55,7 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 	// Per-query execution state, only for usable queries.
 	type qstate struct {
 		q   *cellset.Compact
-		t   *stripedTopK
+		t   *overlap.TopK
 		cov int
 	}
 	states := make([]*qstate, len(batch))
@@ -65,7 +64,7 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 		if bq.Q == nil || bq.K <= 0 || bq.Q.Coverage() == 0 {
 			continue
 		}
-		states[i] = &qstate{q: bq.Q.CompactCells(), t: newStripedTopK(bq.K, 1), cov: bq.Q.Coverage()}
+		states[i] = &qstate{q: bq.Q.CompactCells(), t: overlap.NewTopK(bq.K), cov: bq.Q.Coverage()}
 		active = append(active, int32(i))
 	}
 	if len(active) == 0 {
@@ -119,41 +118,24 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 	// query's threshold rises early and later leaves are skipped per query
 	// by the same Lemma 2 logic as the single-query path.
 	slices.SortFunc(leaves, func(a, b batchLeaf) int { return cmp.Compare(b.maxUB, a.maxUB) })
-	var (
-		cursor    atomic.Int64
-		cancelled atomic.Bool
-	)
-	w := e.workers()
-	if len(leaves) < minParallelLeaves {
-		w = 1
-	}
-	runWorkers(w, func(wk int) {
-		var scratch dits.LeafScratch // per worker, reused leaf to leaf
-		for !cancelled.Load() {
-			li := int(cursor.Add(1)) - 1
-			if li >= len(leaves) {
-				return
-			}
-			if li%8 == 0 && ctx.Err() != nil {
-				cancelled.Store(true)
-				return
-			}
-			bl := leaves[li]
-			for j, qi := range bl.qis {
-				st := states[qi]
-				if int(bl.ubs[j]) < st.t.threshold() {
-					continue // this query can no longer gain from this leaf
-				}
-				verifyLeaf(st.t, 0, bl.leaf, st.q, &scratch)
+	var scratch dits.LeafScratch
+	for li, bl := range leaves {
+		if li%8 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 		}
-	})
-	if cancelled.Load() {
-		return nil, ctx.Err()
+		for j, qi := range bl.qis {
+			st := states[qi]
+			if int(bl.ubs[j]) < st.t.Threshold() {
+				continue // this query can no longer gain from this leaf
+			}
+			verifyLeaf(st.t, bl.leaf, st.q, &scratch)
+		}
 	}
 	for i, st := range states {
 		if st != nil {
-			out[i] = st.t.ranked()
+			out[i] = st.t.Sorted()
 		}
 	}
 	return out, nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -53,11 +52,11 @@ func queryFrom(rng *rand.Rand, nodes []*dataset.Node) *dataset.Node {
 	return dataset.NewNodeFromCells(-1, "query", q)
 }
 
-// TestOverlapParity is the differential test of the tentpole: over many
-// fuzzed workloads, the parallel executor at several worker counts and the
-// batched executor must return byte-identical results to the sequential
-// searcher.
+// TestOverlapParity is the executor's differential test: over many
+// fuzzed workloads, the single-query and the batched executor must return
+// byte-identical results to the reference searcher.
 func TestOverlapParity(t *testing.T) {
+	var e Executor
 	for seed := int64(1); seed <= 5; seed++ {
 		idx, nodes := buildWorld(t, 120, 8, 5, seed)
 		rng := rand.New(rand.NewSource(seed * 77))
@@ -70,26 +69,20 @@ func TestOverlapParity(t *testing.T) {
 			exp := seq.TopK(q, k)
 			batch = append(batch, BatchQuery{Q: q, K: k})
 			want = append(want, exp)
-			for _, w := range []int{1, 2, 4, 8} {
-				e := &Executor{Workers: w}
-				got, err := e.OverlapTopK(context.Background(), idx, q, k)
-				if err != nil {
-					t.Fatalf("seed %d workers %d: %v", seed, w, err)
-				}
-				if !reflect.DeepEqual(got, exp) {
-					t.Fatalf("seed %d workers %d k %d: parallel %v != sequential %v", seed, w, k, got, exp)
-				}
+			got, err := e.OverlapTopK(context.Background(), idx, q, k)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if !reflect.DeepEqual(got, exp) {
+				t.Fatalf("seed %d k %d: executor %v != reference %v", seed, k, got, exp)
 			}
 		}
-		for _, w := range []int{1, 4} {
-			e := &Executor{Workers: w}
-			got, err := e.OverlapTopKBatch(context.Background(), idx, batch)
-			if err != nil {
-				t.Fatalf("seed %d: batch: %v", seed, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d workers %d: batch diverged from sequential", seed, w)
-			}
+		got, err := e.OverlapTopKBatch(context.Background(), idx, batch)
+		if err != nil {
+			t.Fatalf("seed %d: batch: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: batch diverged from single queries", seed)
 		}
 	}
 }
@@ -99,7 +92,7 @@ func TestOverlapParity(t *testing.T) {
 func TestBatchOfOneEqualsSingle(t *testing.T) {
 	idx, nodes := buildWorld(t, 80, 8, 5, 3)
 	rng := rand.New(rand.NewSource(9))
-	e := &Executor{Workers: 4}
+	var e Executor
 	for i := 0; i < 10; i++ {
 		q := queryFrom(rng, nodes)
 		single, err := e.OverlapTopK(context.Background(), idx, q, 5)
@@ -122,29 +115,27 @@ func TestKLargerThanCandidates(t *testing.T) {
 	idx, nodes := buildWorld(t, 30, 8, 4, 11)
 	q := queryFrom(rand.New(rand.NewSource(2)), nodes)
 	seq := (&overlap.DITSSearcher{Index: idx}).TopK(q, 10_000)
-	for _, w := range []int{1, 4} {
-		e := &Executor{Workers: w}
-		got, err := e.OverlapTopK(context.Background(), idx, q, 10_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, seq) {
-			t.Fatalf("workers %d: k>candidates diverged: %d vs %d results", w, len(got), len(seq))
-		}
-		b, err := e.OverlapTopKBatch(context.Background(), idx, []BatchQuery{{Q: q, K: 10_000}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(b[0], seq) {
-			t.Fatalf("workers %d: batched k>candidates diverged", w)
-		}
+	var e Executor
+	got, err := e.OverlapTopK(context.Background(), idx, q, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, seq) {
+		t.Fatalf("k>candidates diverged: %d vs %d results", len(got), len(seq))
+	}
+	b, err := e.OverlapTopKBatch(context.Background(), idx, []BatchQuery{{Q: q, K: 10_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(b[0], seq) {
+		t.Fatal("batched k>candidates diverged")
 	}
 }
 
 // TestDegenerateInputs covers nil/empty inputs in all modes.
 func TestDegenerateInputs(t *testing.T) {
 	idx, nodes := buildWorld(t, 20, 8, 4, 5)
-	e := &Executor{Workers: 4}
+	var e Executor
 	ctx := context.Background()
 	if rs, err := e.OverlapTopK(ctx, idx, nil, 5); err != nil || rs != nil {
 		t.Fatalf("nil query: %v %v", rs, err)
@@ -164,47 +155,37 @@ func TestDegenerateInputs(t *testing.T) {
 	}
 }
 
-// TestCancelledContextLeaksNoGoroutines launches heavy queries, cancels
-// mid-traversal, and asserts (a) the calls return ctx.Err() and (b) the
-// goroutine count settles back to the baseline — the worker pool always
-// joins. Run under -race in CI.
-func TestCancelledContextLeaksNoGoroutines(t *testing.T) {
+// TestCancelledContextReturnsNoResults cancels heavy batches at random
+// points, before or mid-traversal: a call returns either its full answer
+// or ctx.Err() with no results. Run under -race in CI.
+func TestCancelledContextReturnsNoResults(t *testing.T) {
 	idx, nodes := buildWorld(t, 300, 9, 4, 7)
 	rng := rand.New(rand.NewSource(13))
 	var batch []BatchQuery
 	for i := 0; i < 64; i++ {
 		batch = append(batch, BatchQuery{Q: queryFrom(rng, nodes), K: 5})
 	}
-	before := runtime.NumGoroutine()
-	e := &Executor{Workers: 8}
+	var e Executor
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
+		type answer struct {
+			out [][]overlap.Result
+			err error
+		}
+		done := make(chan answer, 1)
 		go func() {
-			_, err1 := e.OverlapTopKBatch(ctx, idx, batch)
-			_, err2 := e.CoverageSearchBatch(ctx, idx, []*dataset.Node{batch[0].Q, batch[1].Q}, 4, 3)
-			if err1 != nil {
-				done <- err1
-				return
-			}
-			done <- err2
+			out, err := e.OverlapTopKBatch(ctx, idx, batch)
+			done <- answer{out, err}
 		}()
-		// Cancel at a random point: sometimes before, sometimes mid-run.
 		time.Sleep(time.Duration(rng.Intn(400)) * time.Microsecond)
 		cancel()
-		err := <-done
-		if err != nil && err != context.Canceled {
-			t.Fatalf("run %d: %v", i, err)
+		a := <-done
+		switch {
+		case a.err == nil && len(a.out) != len(batch):
+			t.Fatalf("run %d: %d answers for %d queries", i, len(a.out), len(batch))
+		case a.err != nil && (a.err != context.Canceled || a.out != nil):
+			t.Fatalf("run %d: %v with %d answers", i, a.err, len(a.out))
 		}
-	}
-	// Workers are joined before the calls return, so any surplus is a bug.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
 	}
 	// An already-cancelled context must fail fast with no results.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -212,10 +193,14 @@ func TestCancelledContextLeaksNoGoroutines(t *testing.T) {
 	if rs, err := e.OverlapTopK(ctx, idx, batch[0].Q, 5); err != context.Canceled || rs != nil {
 		t.Fatalf("pre-cancelled: %v %v", rs, err)
 	}
+	if out, err := e.OverlapTopKBatch(ctx, idx, batch); err != context.Canceled || out != nil {
+		t.Fatalf("pre-cancelled batch: %d answers, %v", len(out), err)
+	}
 }
 
-// TestCoverageParity: the parallel coverage search must reproduce the
-// sequential Algorithm 3 exactly — same picks, same order, same coverage.
+// TestCoverageParity: the executor's incremental coverage search must
+// reproduce the reference Algorithm 3 exactly — same picks, same order,
+// same coverage.
 func TestCoverageParity(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		idx, nodes := buildWorld(t, 100, 8, 5, seed)
@@ -226,43 +211,13 @@ func TestCoverageParity(t *testing.T) {
 			delta := float64(rng.Intn(12))
 			k := 1 + rng.Intn(6)
 			want := seq.Search(q, delta, k)
-			for _, w := range []int{1, 2, 8} {
-				e := &Executor{Workers: w}
-				got, err := e.CoverageSearch(context.Background(), idx, q, delta, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.IDs(), want.IDs()) || got.Coverage != want.Coverage {
-					t.Fatalf("seed %d workers %d δ=%v k=%d: parallel %v/%d != sequential %v/%d",
-						seed, w, delta, k, got.IDs(), got.Coverage, want.IDs(), want.Coverage)
-				}
-			}
-			batchRes, err := (&Executor{Workers: 4}).CoverageSearchBatch(
-				context.Background(), idx, []*dataset.Node{q}, delta, k)
+			got, err := (&Executor{}).CoverageSearch(context.Background(), idx, q, delta, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(batchRes[0].IDs(), want.IDs()) {
-				t.Fatalf("seed %d: coverage batch of one diverged", seed)
-			}
-		}
-	}
-}
-
-// TestFindConnectSetParity: the task-split walk must return the same
-// datasets in the same DFS order as the sequential walk.
-func TestFindConnectSetParity(t *testing.T) {
-	idx, nodes := buildWorld(t, 150, 8, 4, 21)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 8; i++ {
-		q := queryFrom(rng, nodes)
-		delta := float64(rng.Intn(15))
-		want := coverage.FindConnectSet(idx.Root, q, delta)
-		for _, w := range []int{2, 8} {
-			e := &Executor{Workers: w}
-			got := e.FindConnectSet(context.Background(), idx.Root, q, delta, cellset.NewDistIndex(q.Cells, delta))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers %d δ=%v: connect set diverged: %d vs %d", w, delta, len(got), len(want))
+			if !reflect.DeepEqual(got.IDs(), want.IDs()) || got.Coverage != want.Coverage {
+				t.Fatalf("seed %d δ=%v k=%d: executor %v/%d != reference %v/%d",
+					seed, delta, k, got.IDs(), got.Coverage, want.IDs(), want.Coverage)
 			}
 		}
 	}
@@ -276,24 +231,21 @@ func TestExtendConnectSetMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 8; i++ {
 		delta := float64(rng.Intn(15))
-		var want coverage.ConnectSet
-		got := map[int]*coverage.ConnectSet{1: {}, 4: {}}
+		var want, got coverage.ConnectSet
 		for round := 0; round < 4; round++ {
 			q := queryFrom(rng, nodes)
 			want.Add(coverage.FindConnectSet(idx.Root, q, delta))
-			for w, cs := range got {
-				(&Executor{Workers: w}).ExtendConnectSet(context.Background(), idx.Root, q, delta, cellset.NewDistIndex(q.Cells, delta), cs)
-				if !reflect.DeepEqual(cs.Nodes, want.Nodes) {
-					t.Fatalf("workers %d δ=%v round %d: %d datasets, full walks give %d", w, delta, round, len(cs.Nodes), len(want.Nodes))
-				}
+			(&Executor{}).ExtendConnectSet(context.Background(), idx.Root, q, delta, cellset.NewDistIndex(q.Cells, delta), &got)
+			if !reflect.DeepEqual(got.Nodes, want.Nodes) {
+				t.Fatalf("δ=%v round %d: %d datasets, full walks give %d", delta, round, len(got.Nodes), len(want.Nodes))
 			}
 		}
 	}
 }
 
 // FuzzOverlapParity fuzzes the query shape: arbitrary bytes become query
-// cells; parallel and batched execution must match the sequential
-// searcher on every input.
+// cells; single-query and batched execution must match the reference
+// searcher (Algorithm 2) on every input.
 func FuzzOverlapParity(f *testing.F) {
 	idx, nodes := buildWorld(f, 60, 8, 5, 2)
 	f.Add([]byte{1, 2, 3, 4, 200, 17}, uint8(5))
@@ -312,16 +264,15 @@ func FuzzOverlapParity(f *testing.F) {
 			return
 		}
 		want := (&overlap.DITSSearcher{Index: idx}).TopK(q, k)
-		for _, w := range []int{1, 4} {
-			got, err := (&Executor{Workers: w}).OverlapTopK(context.Background(), idx, q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers %d: %v != %v", w, got, want)
-			}
+		var e Executor
+		got, err := e.OverlapTopK(context.Background(), idx, q, k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		b, err := (&Executor{Workers: 4}).OverlapTopKBatch(context.Background(), idx, []BatchQuery{{Q: q, K: k}})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v != %v", got, want)
+		}
+		b, err := e.OverlapTopKBatch(context.Background(), idx, []BatchQuery{{Q: q, K: k}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +283,7 @@ func FuzzOverlapParity(f *testing.F) {
 }
 
 // TestTraceOverlapParity: the instrumented trace must return the same
-// results as the sequential searcher and time the leaf tasks behind them.
+// results as the reference searcher and time the leaf tasks behind them.
 func TestTraceOverlapParity(t *testing.T) {
 	idx, nodes := buildWorld(t, 120, 8, 5, 6)
 	rng := rand.New(rand.NewSource(8))
@@ -341,7 +292,7 @@ func TestTraceOverlapParity(t *testing.T) {
 		want := (&overlap.DITSSearcher{Index: idx}).TopK(q, 5)
 		tr := TraceOverlap(idx, q, 5)
 		if !reflect.DeepEqual(tr.Results, want) {
-			t.Fatalf("trace results diverged from sequential")
+			t.Fatalf("trace results diverged from the reference")
 		}
 		if len(want) > 0 && len(tr.TaskNs) == 0 {
 			t.Fatalf("trace found %d results but timed no leaf task", len(want))

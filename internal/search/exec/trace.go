@@ -8,19 +8,18 @@ import (
 	"dits/internal/search/overlap"
 )
 
-// OverlapTrace is the cost profile of one sequential OJSP execution,
-// decomposed the way the parallel executor schedules it: the serial prefix
-// (filter walk + candidate sort) and one entry per verified leaf task, in
-// the upper-bound order the tasks were claimed.
+// OverlapTrace is the cost profile of one OJSP execution, decomposed into
+// the serial prefix (filter walk + candidate sort) and one entry per
+// verified leaf, in the upper-bound order the leaves were verified.
 type OverlapTrace struct {
 	Results  []overlap.Result
 	SerialNs float64   // filter walk + sort + result merge
-	TaskNs   []float64 // per-leaf verification costs, in schedule order
+	TaskNs   []float64 // per-leaf verification costs, in verification order
 }
 
-// TraceOverlap runs the sequential execution with per-task timing. The
-// results are identical to the plain sequential searcher; the benchmark's
-// kernel view reads the serial share and the leaf-task count from it.
+// TraceOverlap runs OverlapTopK's verification loop with per-leaf timing.
+// The results are identical to OverlapTopK's; the benchmark's kernel view
+// reads the serial share and the leaf-task count from it.
 func TraceOverlap(idx *dits.Local, q *dataset.Node, k int) OverlapTrace {
 	var tr OverlapTrace
 	if q == nil || k <= 0 || idx == nil || idx.Root == nil {
@@ -30,18 +29,18 @@ func TraceOverlap(idx *dits.Local, q *dataset.Node, k int) OverlapTrace {
 	cands := idx.Root.FilterLeaves(q)
 	tr.SerialNs = float64(time.Since(start).Nanoseconds())
 	lq := q.CompactCells()
-	t := newStripedTopK(k, 1)
+	t := overlap.NewTopK(k)
 	var scratch dits.LeafScratch
 	for _, c := range cands {
-		if c.UB < t.threshold() {
+		if c.UB < t.Threshold() {
 			break
 		}
 		ts := time.Now()
-		verifyLeaf(t, 0, c.Leaf, lq, &scratch)
+		verifyLeaf(t, c.Leaf, lq, &scratch)
 		tr.TaskNs = append(tr.TaskNs, float64(time.Since(ts).Nanoseconds()))
 	}
 	start = time.Now()
-	tr.Results = t.ranked()
+	tr.Results = t.Sorted()
 	tr.SerialNs += float64(time.Since(start).Nanoseconds())
 	return tr
 }

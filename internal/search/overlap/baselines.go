@@ -43,23 +43,17 @@ func (s *RtreeSearcher) TopK(q *dataset.Node, k int) []Result {
 		return nil
 	}
 	qc := q.CompactCells()
-	res := newTopK(k)
+	res := NewTopK(k)
 	for _, d := range s.Index.SearchIntersect(q.Rect) {
 		// Cheap size bound first: |S_Q ∩ S_D| <= min(|S_Q|, |S_D|).
-		if res.full() {
-			m := d.Cells.Len()
-			if qn := q.Cells.Len(); qn < m {
-				m = qn
-			}
-			if m < res.kthOverlap() {
-				continue
-			}
+		if min(d.Cells.Len(), q.Cells.Len()) < res.Threshold() {
+			continue
 		}
 		if c := d.CompactCells().IntersectCount(qc); c > 0 {
-			res.offer(Result{ID: d.ID, Name: d.Name, Overlap: c})
+			res.Offer(Result{ID: d.ID, Name: d.Name, Overlap: c})
 		}
 	}
-	return res.sorted()
+	return res.Sorted()
 }
 
 // STS3Searcher performs OJSP on the flat inverted index baseline: it scans
@@ -116,14 +110,14 @@ func (s *BruteForce) TopK(q *dataset.Node, k int) []Result {
 		return nil
 	}
 	qc := q.CompactCells()
-	res := newTopK(k)
+	res := NewTopK(k)
 	for _, d := range s.Nodes {
 		if d == nil {
 			continue
 		}
 		if c := d.CompactCells().IntersectCount(qc); c > 0 {
-			res.offer(Result{ID: d.ID, Name: d.Name, Overlap: c})
+			res.Offer(Result{ID: d.ID, Name: d.Name, Overlap: c})
 		}
 	}
-	return res.sorted()
+	return res.Sorted()
 }

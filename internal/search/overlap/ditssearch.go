@@ -44,22 +44,22 @@ func (s *DITSSearcher) TopK(q *dataset.Node, k int) []Result {
 	// Lemma 2 a second, tighter chance to skip before the exact
 	// per-dataset counting; with DisableBounds its threshold stays 0,
 	// which never prunes.
-	res := newTopK(k)
+	res := NewTopK(k)
 	var scratch dits.LeafScratch
 	for _, c := range s.Index.Root.FilterLeaves(q) {
-		if res.full() && c.UB < res.kthOverlap() {
+		if c.UB < res.Threshold() {
 			break // every later leaf has an even smaller upper bound
 		}
 		th := 0
-		if !s.DisableBounds && res.full() {
-			th = res.kthOverlap()
+		if !s.DisableBounds {
+			th = res.Threshold()
 		}
 		for i, n := range c.Leaf.OverlapCounts(lq, th, &scratch) {
 			if n > 0 {
 				d := c.Leaf.Children[i]
-				res.offer(Result{ID: d.ID, Name: d.Name, Overlap: n})
+				res.Offer(Result{ID: d.ID, Name: d.Name, Overlap: n})
 			}
 		}
 	}
-	return res.sorted()
+	return res.Sorted()
 }

@@ -26,7 +26,6 @@
 package overlap
 
 import (
-	"container/heap"
 	"slices"
 
 	"dits/internal/dataset"
@@ -49,9 +48,9 @@ type Searcher interface {
 
 // Better reports whether a ranks strictly better than b: larger overlap
 // first, ties toward the smaller dataset ID. It is the single ranking
-// relation every OJSP searcher (and the parallel executor in search/exec)
-// must agree on, so top-k results are deterministic regardless of the
-// order candidates were verified in.
+// relation every OJSP searcher, search/exec and TopK must agree on, so
+// top-k results are deterministic regardless of the order candidates were
+// verified in.
 func Better(a, b Result) bool {
 	if a.Overlap != b.Overlap {
 		return a.Overlap > b.Overlap
@@ -74,75 +73,102 @@ func SortResults(rs []Result) {
 	})
 }
 
-// less orders results worse-first for the min-heap: smaller overlap is
-// worse; on ties, the larger ID is worse (so smaller IDs are kept).
-func less(a, b Result) bool { return Better(b, a) }
+// maxTopKSlots caps the storage NewTopK allocates up front: k may come
+// off the wire, and a hostile k must not pre-allocate.
+const maxTopKSlots = 1024
 
-// resultHeap is a min-heap whose head is the weakest kept result.
-type resultHeap []Result
-
-func (h resultHeap) Len() int           { return len(h) }
-func (h resultHeap) Less(i, j int) bool { return less(h[i], h[j]) }
-func (h resultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x any)        { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// topK maintains the running top-k during verification.
-type topK struct {
+// TopK keeps the k best results offered to it under Better: the running
+// top-k of every OJSP searcher here and of search/exec. It is a min-heap
+// whose head is the weakest kept result. The sift operations are
+// hand-rolled rather than container/heap, so an offer never boxes a Result
+// into an interface: offers run for every positive count of every
+// verified leaf, and once storage holds k results they allocate nothing.
+// A TopK is owned by one query and is not safe for concurrent use.
+type TopK struct {
 	k int
-	h resultHeap
+	h []Result
 }
 
-func newTopK(k int) *topK { return &topK{k: k} }
+// NewTopK returns an empty accumulator for the k best results, with
+// storage for min(k, 1024) of them. With k <= 0 it holds nothing.
+func NewTopK(k int) *TopK {
+	return &TopK{k: k, h: make([]Result, 0, max(0, min(k, maxTopKSlots)))}
+}
 
-// offer inserts r if it beats the current k-th best.
-func (t *topK) offer(r Result) {
+// Offer keeps r if it has a positive overlap and ranks among the k best
+// offered so far.
+func (t *TopK) Offer(r Result) {
 	if r.Overlap <= 0 {
 		return
 	}
-	if t.h.Len() < t.k {
-		heap.Push(&t.h, r)
-		return
-	}
-	if less(t.h[0], r) {
+	switch {
+	case len(t.h) < t.k:
+		t.h = append(t.h, r)
+		t.up(len(t.h) - 1)
+	case len(t.h) > 0 && Better(r, t.h[0]):
 		t.h[0] = r
-		heap.Fix(&t.h, 0)
+		t.down(0)
 	}
 }
 
-// kthOverlap returns the overlap of the current k-th best result, or 0 when
-// fewer than k results are held. A leaf whose upper bound is below this can
-// be pruned in batch.
-func (t *topK) kthOverlap() int {
-	if t.h.Len() < t.k {
+// Threshold returns the overlap of the k-th best result held, or 0 while
+// fewer than k are held. A candidate whose upper bound is strictly below
+// it cannot enter the top-k; one whose bound ties it still may, by the ID
+// tie-break, so it must not be pruned.
+func (t *TopK) Threshold() int {
+	if len(t.h) < t.k || len(t.h) == 0 {
 		return 0
 	}
 	return t.h[0].Overlap
 }
 
-// full reports whether k results are held.
-func (t *topK) full() bool { return t.h.Len() >= t.k }
-
-// sorted extracts the results ranked best-first.
-func (t *topK) sorted() []Result {
+// Sorted returns the results held, best-first, in a fresh slice; nil when
+// none are held.
+func (t *TopK) Sorted() []Result {
 	out := append([]Result(nil), t.h...)
 	SortResults(out)
 	return out
+}
+
+// worse orders the heap: the weaker result sits nearer the head.
+func (t *TopK) worse(i, j int) bool { return Better(t.h[j], t.h[i]) }
+
+func (t *TopK) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !t.worse(j, i) {
+			return
+		}
+		t.h[i], t.h[j] = t.h[j], t.h[i]
+		j = i
+	}
+}
+
+func (t *TopK) down(i int) {
+	n := len(t.h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if j2 := j + 1; j2 < n && t.worse(j2, j) {
+			j = j2
+		}
+		if !t.worse(j, i) {
+			return
+		}
+		t.h[i], t.h[j] = t.h[j], t.h[i]
+		i = j
+	}
 }
 
 // rankCounts converts an id->overlap map into ranked top-k results,
 // resolving names through the given function. It is shared by the
 // inverted-index style baselines, which must rank every touched dataset.
 func rankCounts(counts map[int]int, k int, name func(int) string) []Result {
-	t := newTopK(k)
+	t := NewTopK(k)
 	for id, c := range counts {
-		t.offer(Result{ID: id, Name: name(id), Overlap: c})
+		t.Offer(Result{ID: id, Name: name(id), Overlap: c})
 	}
-	return t.sorted()
+	return t.Sorted()
 }

@@ -2,6 +2,7 @@ package overlap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dits/internal/cellset"
@@ -204,5 +205,46 @@ func TestRankingDeterministicTieBreak(t *testing.T) {
 	got := s.TopK(q, 2)
 	if len(got) != 2 || got[0].ID != 8 || got[1].ID != 9 {
 		t.Errorf("tie-break wrong: %v", got)
+	}
+}
+
+// TestTopKMatchesSort: in whatever order a multiset of results with tied
+// overlaps and tied IDs is offered, TopK holds what sorting the positive
+// ones by Better and truncating to k gives. A k <= 0 holds nothing, and a
+// k off the wire does not pre-allocate.
+func TestTopKMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(40)
+		rs := make([]Result, n)
+		var sorted []Result
+		for i := range rs {
+			rs[i] = Result{ID: rng.Intn(n/2 + 1), Overlap: rng.Intn(5)}
+			if rs[i].Overlap > 0 {
+				sorted = append(sorted, rs[i])
+			}
+		}
+		SortResults(sorted)
+		for _, k := range []int{-1, 0, 1, 3, n, n + 5} {
+			rng.Shuffle(n, func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
+			tk := NewTopK(k)
+			for _, r := range rs {
+				tk.Offer(r)
+			}
+			want := sorted[:max(0, min(k, len(sorted)))]
+			if got := tk.Sorted(); !slices.Equal(got, want) {
+				t.Fatalf("trial %d k=%d: %v, want %v", trial, k, got, want)
+			}
+			th := 0
+			if k > 0 && len(want) == k {
+				th = want[k-1].Overlap
+			}
+			if tk.Threshold() != th {
+				t.Fatalf("trial %d k=%d: threshold %d, want %d", trial, k, tk.Threshold(), th)
+			}
+		}
+	}
+	if c := cap(NewTopK(1 << 30).h); c > 1024 {
+		t.Fatalf("NewTopK(1<<30) allocated %d slots", c)
 	}
 }

@@ -45,13 +45,14 @@ func GenerateTrace(sources []*dataset.Source, n int, seed int64) []Mutation {
 	rng := rand.New(rand.NewSource(seed))
 	type srcState struct {
 		src    *dataset.Source
+		bounds geo.Rect
 		live   []int
 		points map[int][][2]float64 // points of live datasets
 		nextID int
 	}
 	states := make([]*srcState, len(sources))
 	for i, src := range sources {
-		st := &srcState{src: src, points: make(map[int][][2]float64)}
+		st := &srcState{src: src, bounds: src.Bounds(), points: make(map[int][][2]float64)}
 		for _, d := range src.Datasets {
 			if len(d.Points) == 0 {
 				continue
@@ -71,7 +72,7 @@ func GenerateTrace(sources []*dataset.Source, n int, seed int64) []Mutation {
 	muts := make([]Mutation, 0, n)
 	for i := 0; i < n; i++ {
 		st := states[i%len(states)]
-		bounds := st.src.Bounds()
+		bounds := st.bounds
 		r := rng.Float64()
 		switch {
 		case r < 0.55 || len(st.live) == 0: // insert a new dataset

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -65,5 +68,19 @@ func TestGenerateTraceDeterministicAndApplicable(t *testing.T) {
 	}
 	if puts == 0 || deletes == 0 {
 		t.Fatalf("degenerate mix: %d puts, %d deletes", puts, deletes)
+	}
+}
+
+// TestGenerateTraceGolden pins the trace byte for byte at a fixed seed and
+// scale, so a change meant to leave it alone (such as where the source
+// bounds are computed) shows that it did.
+func TestGenerateTraceGolden(t *testing.T) {
+	b, err := json.Marshal(GenerateTrace(traceSources(t), 500, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "75605ca173e69913caf4f1e34e726c69331be3fcd396ad643986a942a84b3c32"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Fatalf("trace digest %s, want %s", got, want)
 	}
 }
