@@ -1,5 +1,5 @@
 // Command ditscenter runs one federation center of a sharded cluster: it
-// serves the cluster protocol (cluster.info, cluster.register/unregister,
+// serves the cluster protocol (cluster.info, cluster.register,
 // cluster.forward) over TCP, dials the sources a gateway assigns to its
 // shard, and relays the gateway's calls to them over those connections.
 // It runs no query of its own — pruning, clipping, the failure policy,

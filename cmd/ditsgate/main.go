@@ -76,7 +76,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	slowQuery := flag.Duration("slow-query", 0, "log any request whose trace lasts at least this long, with its full span tree (0 disables)")
 	traceRing := flag.Int("trace-ring", 0, "completed traces kept for GET /debug/traces (0 = default capacity)")
-	noTrace := flag.Bool("no-trace", false, "disable per-request tracing entirely")
 	flag.Parse()
 
 	logger, logClose, err := obs.OpenLogger(*logFile, *logFormat)
@@ -100,7 +99,6 @@ func main() {
 	}
 	grid := geo.NewGrid(*theta, bounds)
 
-	dialCfg := transport.DialConfig{NoTrace: *noTrace}
 	gwOpts := gateway.Options{
 		Admission: admission.Config{
 			Rate:        *rateLimit,
@@ -109,11 +107,10 @@ func main() {
 			MaxQueue:    *maxQueue,
 			Deadline:    *deadline,
 		},
-		EnablePprof:    *pprofFlag,
-		SlowTrace:      *slowQuery,
-		TraceCapacity:  *traceRing,
-		DisableTracing: *noTrace,
-		Logger:         logger,
+		EnablePprof:   *pprofFlag,
+		SlowTrace:     *slowQuery,
+		TraceCapacity: *traceRing,
+		Logger:        logger,
 	}
 
 	opts := federation.Options{GlobalFilter: !*noFilter, ClipQuery: !*noClip, Sessions: true}
@@ -123,7 +120,7 @@ func main() {
 	var gw *gateway.Gateway
 	var describe string
 	if *clusterFlag != "" {
-		cluster, err := buildCluster(grid, *clusterFlag, *clusterSources, *poolSize, dialCfg, logger)
+		cluster, err := buildCluster(grid, *clusterFlag, *clusterSources, *poolSize, logger)
 		if err != nil {
 			fail(err)
 		}
@@ -152,15 +149,13 @@ func main() {
 		center.SetCache(cache.New(*cacheSize))
 		for _, a := range strings.Split(*remote, ",") {
 			a = strings.TrimSpace(a)
-			pool := transport.DialPoolWith(a, a, *poolSize, center.Metrics, dialCfg)
+			pool := transport.DialPool(a, a, *poolSize, center.Metrics)
 			summary, err := center.RegisterRemote(context.Background(), pool)
 			if err != nil {
 				fail(fmt.Errorf("register %s: %w", a, err))
 			}
-			wi := pool.WireInfo()
 			logger.Info("registered source",
-				"source", summary.Name, "addr", a, "pool", *poolSize,
-				"trace", wi.Trace)
+				"source", summary.Name, "addr", a, "pool", *poolSize)
 		}
 		gw = gateway.NewWithOptions(center, gwOpts)
 		describe = fmt.Sprintf("%d sources", center.NumSources())
@@ -187,7 +182,7 @@ func main() {
 
 // buildCluster dials the ditscenter endpoints of -cluster, builds the
 // sharded plane, and registers the -cluster-sources roster across it.
-func buildCluster(grid geo.Grid, centersSpec, sourcesSpec string, poolSize int, dialCfg transport.DialConfig, logger *slog.Logger) (*federation.Cluster, error) {
+func buildCluster(grid geo.Grid, centersSpec, sourcesSpec string, poolSize int, logger *slog.Logger) (*federation.Cluster, error) {
 	met := &transport.Metrics{}
 	peers := make(map[string]transport.Peer)
 	for _, part := range strings.Split(centersSpec, ",") {
@@ -198,7 +193,7 @@ func buildCluster(grid geo.Grid, centersSpec, sourcesSpec string, poolSize int, 
 		if _, dup := peers[name]; dup {
 			return nil, fmt.Errorf("-cluster names center %q twice", name)
 		}
-		peers[name] = transport.DialPoolWith(name, addr, poolSize, met, dialCfg)
+		peers[name] = transport.DialPool(name, addr, poolSize, met)
 	}
 	cluster := federation.NewCluster(grid, peers)
 	// The pools observe through met; point the cluster's /stats surface at

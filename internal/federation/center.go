@@ -235,20 +235,6 @@ func (c *Center) RegisterRemote(ctx context.Context, peer transport.Peer) (dits.
 	return summary, nil
 }
 
-// PeerWire reports the negotiated wire parameters of every registered
-// source whose peer knows them (transport.Wired), keyed by source name —
-// which connections negotiated tracing (GET /stats).
-func (c *Center) PeerWire() map[string]transport.WireInfo {
-	ep := c.epoch.Load()
-	out := make(map[string]transport.WireInfo, len(ep.ordered))
-	for _, m := range ep.ordered {
-		if w, ok := m.peer.(transport.Wired); ok {
-			out[m.summary.Name] = w.WireInfo()
-		}
-	}
-	return out
-}
-
 // Unregister removes a source (its peer is not closed). In-flight queries
 // pinned to the old epoch keep their consistent member set; new queries
 // see the source gone.

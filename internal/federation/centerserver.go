@@ -13,7 +13,7 @@ import (
 
 // CenterServer is one center of the cluster plane (ditscenter): it holds
 // its shard's source connections and relays the gateway's calls over them
-// (cluster.forward), and persists every accepted Register/Unregister in a
+// (cluster.forward), and persists every accepted registration in a
 // membership log so a restarted center re-adopts its shard without operator
 // involvement. It runs no query of its own: the gateway prunes, clips,
 // applies the failure policy and merges for every query class.
@@ -185,21 +185,6 @@ func (cs *CenterServer) handleRegister(ctx context.Context, req ClusterRegisterR
 	return summary, err
 }
 
-// handleUnregister removes a source and logs the leave.
-func (cs *CenterServer) handleUnregister(req ClusterUnregisterRequest) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if peer, ok := cs.peers[req.Name]; ok {
-		cs.center.Unregister(req.Name)
-		peer.Close()
-		delete(cs.peers, req.Name)
-		if cs.log != nil {
-			return cs.log.Append(MemberEvent{Op: MemberLeave, Name: req.Name})
-		}
-	}
-	return nil
-}
-
 // forwardTypes returns fresh request and response values for a method the
 // relay accepts — every source method a query or mutation sends — and nil
 // for any other.
@@ -288,12 +273,6 @@ func (cs *CenterServer) Handler() transport.Handler {
 			return serve(codec, body, func(req ClusterRegisterRequest) (dits.SourceSummary, error) {
 				return cs.handleRegister(ctx, req)
 			})
-		case MethodClusterUnregister:
-			var req ClusterUnregisterRequest
-			if err := codec.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			return nil, cs.handleUnregister(req)
 		case MethodClusterForward:
 			return serve(codec, body, func(req ClusterForwardRequest) (ClusterForwardResponse, error) {
 				return cs.handleForward(ctx, req), nil

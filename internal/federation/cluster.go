@@ -503,20 +503,6 @@ func (cl *Cluster) CacheInvalidations() int64 { return cl.view.CacheInvalidation
 // source.
 func (cl *Cluster) SourceVersions() map[string]uint64 { return cl.view.SourceVersions() }
 
-// PeerWire reports the negotiated wire parameters of every center peer
-// that knows them, keyed by center name.
-func (cl *Cluster) PeerWire() map[string]transport.WireInfo {
-	cl.mu.RLock()
-	defer cl.mu.RUnlock()
-	out := make(map[string]transport.WireInfo, len(cl.centers))
-	for _, c := range cl.centers {
-		if w, ok := c.peer.(transport.Wired); ok {
-			out[c.name] = w.WireInfo()
-		}
-	}
-	return out
-}
-
 // ClusterStats is the plane's observability snapshot.
 type ClusterStats struct {
 	Centers      int               `json:"centers"`

@@ -18,7 +18,7 @@ import (
 
 // The binary wire codec of the federation protocol, dits-bin/1 — the only
 // encoding payloads travel in. The transport installs it for every
-// connection; the hello magic (transport's dits-hello/2) versions it.
+// connection; the hello magic (transport's dits-hello/3) versions it.
 //
 // Every payload opens with a message-type byte, so a frame decoded as the
 // wrong type errors instead of misparsing, and then the message fields
@@ -61,7 +61,7 @@ const (
 	msgClusterForwardResp
 	msgClusterInfoResp
 	msgClusterRegisterReq
-	msgClusterUnregisterReq
+	_ // 24: retired
 	// 25–29 are retired.
 	msgWALShipReq byte = iota + 6
 	msgWALShipResp
@@ -223,8 +223,6 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 			dst = appendString(dst, r)
 		}
 		return dst, nil
-	case *ClusterUnregisterRequest:
-		return appendString(append(dst, msgClusterUnregisterReq), m.Name), nil
 	case *WALShipRequest:
 		return binary.AppendUvarint(append(dst, msgWALShipReq), m.After), nil
 	case *WALShipResponse:
@@ -385,9 +383,6 @@ func (binCodec) Decode(data []byte, v any) error {
 		for i := range m.Replicas {
 			m.Replicas[i] = r.string()
 		}
-	case *ClusterUnregisterRequest:
-		r.expect(msg, msgClusterUnregisterReq)
-		m.Name = r.string()
 	case *WALShipRequest:
 		r.expect(msg, msgWALShipReq)
 		m.After = r.uvarint()

@@ -95,7 +95,6 @@ func codecTestMessages() []any {
 		&ClusterInfoResponse{},
 		&ClusterRegisterRequest{Name: "src-α", Addr: "127.0.0.1:7201", Replicas: []string{"127.0.0.1:7211", ""}},
 		&ClusterRegisterRequest{Name: "s", Addr: "a"},
-		&ClusterUnregisterRequest{Name: "src-α"},
 		&WALShipRequest{After: 1 << 40},
 		&WALShipResponse{Frames: []byte{0, 1, 2, 255}, Version: 12, TooOld: true},
 		&WALShipResponse{},
@@ -123,22 +122,21 @@ func codecTestMessages() []any {
 // wireTypes maps every federation method to its request and response
 // types (nil: the payload is empty). Each must have a native binary case.
 var wireTypes = map[string][2]any{
-	MethodOverlap:           {new(OverlapRequest), new(OverlapResponse)},
-	MethodCoverage:          {new(CoverageRequest), new(CoverageCandidate)},
-	MethodStats:             {nil, new(StatsResponse)},
-	MethodSummary:           {nil, new(dits.SourceSummary)},
-	MethodCoverageRound:     {new(CoverageRoundRequest), new(CoverageRoundResponse)},
-	MethodFetchCells:        {new(FetchCellsRequest), new(FetchCellsResponse)},
-	MethodSessionClose:      {new(SessionCloseRequest), new(SessionCloseResponse)},
-	MethodSearchBatch:       {new(SearchBatchRequest), new(SearchBatchResponse)},
-	MethodDatasetPut:        {new(DatasetPutRequest), new(MutateResponse)},
-	MethodDatasetDelete:     {new(DatasetDeleteRequest), new(MutateResponse)},
-	MethodSourceVersion:     {new(VersionRequest), new(VersionResponse)},
-	MethodWALShip:           {new(WALShipRequest), new(WALShipResponse)},
-	MethodClusterInfo:       {nil, new(ClusterInfoResponse)},
-	MethodClusterRegister:   {new(ClusterRegisterRequest), new(dits.SourceSummary)},
-	MethodClusterUnregister: {new(ClusterUnregisterRequest), nil},
-	MethodClusterForward:    {new(ClusterForwardRequest), new(ClusterForwardResponse)},
+	MethodOverlap:         {new(OverlapRequest), new(OverlapResponse)},
+	MethodCoverage:        {new(CoverageRequest), new(CoverageCandidate)},
+	MethodStats:           {nil, new(StatsResponse)},
+	MethodSummary:         {nil, new(dits.SourceSummary)},
+	MethodCoverageRound:   {new(CoverageRoundRequest), new(CoverageRoundResponse)},
+	MethodFetchCells:      {new(FetchCellsRequest), new(FetchCellsResponse)},
+	MethodSessionClose:    {new(SessionCloseRequest), new(SessionCloseResponse)},
+	MethodSearchBatch:     {new(SearchBatchRequest), new(SearchBatchResponse)},
+	MethodDatasetPut:      {new(DatasetPutRequest), new(MutateResponse)},
+	MethodDatasetDelete:   {new(DatasetDeleteRequest), new(MutateResponse)},
+	MethodSourceVersion:   {new(VersionRequest), new(VersionResponse)},
+	MethodWALShip:         {new(WALShipRequest), new(WALShipResponse)},
+	MethodClusterInfo:     {nil, new(ClusterInfoResponse)},
+	MethodClusterRegister: {new(ClusterRegisterRequest), new(dits.SourceSummary)},
+	MethodClusterForward:  {new(ClusterForwardRequest), new(ClusterForwardResponse)},
 }
 
 // gobRoundTrip is the differential oracle: m through encoding/gob.

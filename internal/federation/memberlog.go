@@ -9,10 +9,10 @@ import (
 )
 
 // The membership log is a center's durable record of which sources belong
-// to it: every Register/Unregister a CenterServer accepts is appended here
-// before it is acknowledged, so a restarted center replays the log,
-// re-dials the surviving fold of sources, and rejoins the cluster with the
-// same shard — no operator re-registration, no gateway coordination. The
+// to it: every registration a CenterServer accepts is appended here before
+// it is acknowledged, so a restarted center replays the log, re-dials the
+// fold of sources, and rejoins the cluster with the same shard — no
+// operator re-registration, no gateway coordination. The
 // on-disk format reuses the ingest WAL framing (length + CRC-32C frames
 // behind a magic header), so a torn tail from a crash mid-append truncates
 // to the intact prefix exactly like the data WAL.
@@ -26,10 +26,9 @@ type MemberOp uint8
 
 const (
 	// MemberJoin records a source registration (or re-registration: the
-	// newest join for a name wins the fold).
+	// newest join for a name wins the fold). It is the only op; 2, a
+	// source unregistration, is retired.
 	MemberJoin MemberOp = 1
-	// MemberLeave records a source unregistration.
-	MemberLeave MemberOp = 2
 )
 
 // MemberEvent is one durable membership change.
@@ -64,6 +63,12 @@ func OpenMemberLog(path string, fsync bool) (*MemberLog, []MemberEvent, error) {
 			log.Close()
 			return nil, nil, fmt.Errorf("federation: member log %s: undecodable event %d: %w", path, len(events), derr)
 		}
+		if ev.Op != MemberJoin {
+			// A retired op (a leave) cannot be folded faithfully: refuse
+			// rather than bring the source back.
+			log.Close()
+			return nil, nil, fmt.Errorf("federation: member log %s: event %d has unknown op %d", path, len(events), ev.Op)
+		}
 		events = append(events, ev)
 	}
 	return &MemberLog{log: log}, events, nil
@@ -88,18 +93,12 @@ func (l *MemberLog) Size() int64 { return l.log.Size() }
 func (l *MemberLog) Close() error { return l.log.Close() }
 
 // FoldMembers collapses an event history into the live membership: the
-// newest join per name wins, a newer leave removes it. Iteration order of
-// the returned map is not defined; callers wanting determinism sort the
-// names.
+// newest join per name wins. Iteration order of the returned map is not
+// defined; callers wanting determinism sort the names.
 func FoldMembers(events []MemberEvent) map[string]MemberEvent {
 	live := make(map[string]MemberEvent)
 	for _, ev := range events {
-		switch ev.Op {
-		case MemberJoin:
-			live[ev.Name] = ev
-		case MemberLeave:
-			delete(live, ev.Name)
-		}
+		live[ev.Name] = ev
 	}
 	return live
 }

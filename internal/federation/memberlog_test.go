@@ -20,7 +20,6 @@ func TestMemberLogReplayAndFold(t *testing.T) {
 		{Op: MemberJoin, Name: "alpha", Addr: "a:1"},
 		{Op: MemberJoin, Name: "bravo", Addr: "b:1", Replicas: []string{"b:2", "b:3"}},
 		{Op: MemberJoin, Name: "charlie", Addr: "c:1"},
-		{Op: MemberLeave, Name: "charlie"},
 		// Re-registration at a new address: the newest join wins the fold.
 		{Op: MemberJoin, Name: "alpha", Addr: "a:9", Replicas: []string{"a:10"}},
 	}
@@ -43,11 +42,22 @@ func TestMemberLogReplayAndFold(t *testing.T) {
 	}
 	live := FoldMembers(replayed)
 	want := map[string]MemberEvent{
-		"alpha": history[4],
-		"bravo": history[1],
+		"alpha":   history[3],
+		"bravo":   history[1],
+		"charlie": history[2],
 	}
 	if !reflect.DeepEqual(live, want) {
 		t.Fatalf("fold = %+v, want %+v", live, want)
+	}
+
+	// A leave (op 2, retired) cannot be folded: the log is refused rather
+	// than replayed with the source brought back.
+	if err := l2.Append(MemberEvent{Op: 2, Name: "charlie"}); err != nil {
+		t.Fatal(err)
+	}
+	if l3, _, err := OpenMemberLog(path, false); err == nil {
+		l3.Close()
+		t.Fatal("a log holding a leave opened")
 	}
 }
 

@@ -83,9 +83,6 @@ const (
 	// restarted center re-joins with the same shard. It answers the root
 	// summary the center fetched, which the gateway enters into its DITS-G.
 	MethodClusterRegister = "cluster.register"
-	// MethodClusterUnregister removes a source from the center's shard; it
-	// answers nothing.
-	MethodClusterUnregister = "cluster.unregister"
 	// MethodClusterForward relays source calls — every query's and every
 	// mutation's — to sources of the center's shard: the gateway runs the
 	// query engine, the center owns the connections.
@@ -131,11 +128,6 @@ type ClusterRegisterRequest struct {
 	Name     string
 	Addr     string
 	Replicas []string
-}
-
-// ClusterUnregisterRequest removes one source from the center's shard.
-type ClusterUnregisterRequest struct {
-	Name string
 }
 
 // ForwardCall is one relayed source exchange: the source it is for, the

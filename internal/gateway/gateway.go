@@ -97,10 +97,6 @@ type Options struct {
 	// are kept in a dedicated ring and dumped — full span tree — as one
 	// structured log record. 0 disables slow-query capture.
 	SlowTrace time.Duration
-	// DisableTracing turns per-request tracing off entirely (no trace
-	// ring, no X-Dits-Trace-Id, no span overhead) — the knob the
-	// tracing-overhead benchmark flips.
-	DisableTracing bool
 	// Logger receives slow-query records (nil = slog.Default()).
 	Logger *slog.Logger
 }
@@ -118,7 +114,6 @@ type Backend interface {
 	NumSources() int
 	Generation() uint64
 	SourceVersions() map[string]uint64
-	PeerWire() map[string]transport.WireInfo
 	Cache() *cache.Cache // nil when disabled
 	CacheInvalidations() int64
 }
@@ -136,7 +131,7 @@ type Gateway struct {
 	opts    Options
 	ctl     *admission.Controller
 	reg     *metrics.Registry
-	rec     *obs.Recorder // nil when tracing is disabled
+	rec     *obs.Recorder
 	start   time.Time
 
 	// latency records per-endpoint request durations in seconds, for the
@@ -171,6 +166,10 @@ func NewCluster(cl *federation.Cluster, opts Options) *Gateway {
 }
 
 func newGateway(b Backend, grid geo.Grid, pm *transport.Metrics, cl *federation.Cluster, opts Options) *Gateway {
+	logger := opts.Logger
+	if logger == nil {
+		logger = slog.Default()
+	}
 	g := &Gateway{
 		backend:     b,
 		grid:        grid,
@@ -179,27 +178,17 @@ func newGateway(b Backend, grid geo.Grid, pm *transport.Metrics, cl *federation.
 		opts:        opts,
 		ctl:         admission.New(opts.Admission),
 		reg:         metrics.NewRegistry(),
-		start:       time.Now(),
-		latency:     metrics.NewHistogramVec(metrics.DefLatencyBuckets()),
-	}
-	if !opts.DisableTracing {
-		logger := opts.Logger
-		if logger == nil {
-			logger = slog.Default()
-		}
-		g.rec = obs.NewRecorder(obs.RecorderOptions{
+		rec: obs.NewRecorder(obs.RecorderOptions{
 			Capacity:      opts.TraceCapacity,
 			SlowThreshold: opts.SlowTrace,
 			Logger:        logger,
-		})
+		}),
+		start:   time.Now(),
+		latency: metrics.NewHistogramVec(metrics.DefLatencyBuckets()),
 	}
 	g.register()
 	return g
 }
-
-// Recorder exposes the gateway's trace recorder (nil when tracing is
-// disabled), e.g. for tests and the load harness.
-func (g *Gateway) Recorder() *obs.Recorder { return g.rec }
 
 // Admission exposes the gateway's admission controller, e.g. for tests and
 // the stats endpoint.
@@ -232,9 +221,7 @@ func (g *Gateway) register() {
 	g.peerMetrics.Register(g.reg)
 	g.backend.Cache().Register(g.reg)
 	g.ctl.Register(g.reg)
-	if g.rec != nil {
-		g.rec.Register(g.reg)
-	}
+	g.rec.Register(g.reg)
 	if g.cluster != nil {
 		g.reg.RegisterGaugeFunc("dits_cluster_centers_healthy", "Healthy federation centers",
 			func() float64 { return float64(g.cluster.Stats().Healthy) })
@@ -267,9 +254,6 @@ func (w *statusWriter) WriteHeader(status int) {
 // and — when the request finishes — a completed-trace record in the ring
 // behind GET /debug/traces. Error statuses mark the root span failed.
 func (g *Gateway) traced(root string, next http.Handler) http.Handler {
-	if g.rec == nil {
-		return next
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tr := obs.NewTrace()
 		ctx, sp := obs.StartSpan(obs.WithTrace(r.Context(), tr), root)
@@ -314,11 +298,9 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", g.handleStats)
 	mux.Handle("GET /metrics", g.reg.Handler())
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
-	if g.rec != nil {
-		h := g.rec.DebugHandler()
-		mux.Handle("GET /debug/traces", h)
-		mux.Handle("GET /debug/traces/", h)
-	}
+	h := g.rec.DebugHandler()
+	mux.Handle("GET /debug/traces", h)
+	mux.Handle("GET /debug/traces/", h)
 	if g.opts.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -389,9 +371,6 @@ type StatsResponse struct {
 	// SourceFailures counts failed exchanges per source, populated when
 	// the center runs the skip-and-record failure policy.
 	SourceFailures map[string]int64 `json:"sourceFailures,omitempty"`
-	// PeerWire reports, per source, the options the connection
-	// negotiated (trace propagation).
-	PeerWire map[string]transport.WireInfo `json:"peerWire,omitempty"`
 
 	// CacheInvalidations counts cache-invalidation events — one per
 	// applied dataset mutation, one per membership epoch change.
@@ -663,7 +642,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		MembershipEpoch: g.backend.Generation(),
 		PeerMethodStats: g.peerMetrics.PerMethod(),
 		SourceFailures:  g.peerMetrics.Failures(),
-		PeerWire:        g.backend.PeerWire(),
 
 		CacheInvalidations: g.backend.CacheInvalidations(),
 		SourceVersions:     g.backend.SourceVersions(),

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"dits/internal/dataset"
@@ -228,18 +227,17 @@ func TestClusterFailoverSingleTrace(t *testing.T) {
 }
 
 // TestTracedDifferentialAcrossWireOptions queries two federations over
-// the same sources — every option negotiated, and a mixed plane where one
-// source is dialed without trace propagation — and requires
-// byte-identical answers from both. The traced mixed
-// federation must mark where visibility ends: the untraced peer's RPCs
-// carry an explicit "untraced" span, while the fully negotiated
-// federation has none.
+// the same sources — one dialing them over TCP, one calling their
+// handlers in process — and requires byte-identical answers from both.
+// The TCP federation's traces must carry the sources' serve-side spans,
+// shipped back in the span frames.
 func TestTracedDifferentialAcrossWireOptions(t *testing.T) {
 	grid := geo.NewGrid(soakTheta, geo.Rect{MinX: 0, MinY: 0, MaxX: soakSide, MaxY: soakSide})
 
 	type sourceSpec struct {
-		name string
-		addr string
+		name    string
+		addr    string
+		handler transport.Handler
 	}
 	var sources []sourceSpec
 	var queryNodes []*dataset.Node
@@ -260,17 +258,10 @@ func TestTracedDifferentialAcrossWireOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ts.Close()
-		sources = append(sources, sourceSpec{name: spec.name, addr: ts.Addr()})
+		sources = append(sources, sourceSpec{name: spec.name, addr: ts.Addr(), handler: srv.Handler()})
 	}
 
-	untracedSource := sources[0].name
-	federations := []struct {
-		name string
-		dial func(i int) transport.DialConfig
-	}{
-		{"negotiated", func(int) transport.DialConfig { return transport.DialConfig{} }},
-		{"mixed-untraced", func(i int) transport.DialConfig { return transport.DialConfig{NoTrace: i == 0} }},
-	}
+	federations := []string{"tcp", "inproc"}
 
 	type answer struct {
 		fed  string
@@ -285,17 +276,20 @@ func TestTracedDifferentialAcrossWireOptions(t *testing.T) {
 		center := federation.NewCenter(grid, federation.Options{
 			GlobalFilter: true, ClipQuery: true, Sessions: true,
 		})
-		for i, src := range sources {
-			pool := transport.DialPoolWith(src.name, src.addr, 2, center.Metrics, fed.dial(i))
-			defer pool.Close()
-			if _, err := center.RegisterRemote(t.Context(), pool); err != nil {
-				t.Fatalf("federation %s: register %s: %v", fed.name, src.name, err)
+		for _, src := range sources {
+			var peer transport.Peer = &transport.InProc{Name: src.name, Handler: src.handler, Metrics: center.Metrics}
+			if fed == "tcp" {
+				peer = transport.DialPool(src.name, src.addr, 2, center.Metrics)
+			}
+			defer peer.Close()
+			if _, err := center.RegisterRemote(t.Context(), peer); err != nil {
+				t.Fatalf("federation %s: register %s: %v", fed, src.name, err)
 			}
 		}
 		gw := gateway.NewWithOptions(center, gateway.Options{})
 		hs := httptest.NewServer(gw.Handler())
 		defer hs.Close()
-		gatewayURL[fed.name] = hs.URL
+		gatewayURL[fed] = hs.URL
 
 		for qi, nd := range queryNodes {
 			delta := 6.0
@@ -308,17 +302,17 @@ func TestTracedDifferentialAcrossWireOptions(t *testing.T) {
 			} {
 				code, body, traceID := tracedPost(t, hs.URL+probe.path, probe.req)
 				if code != http.StatusOK {
-					t.Fatalf("federation %s: %s = %d: %s", fed.name, probe.path, code, body)
+					t.Fatalf("federation %s: %s = %d: %s", fed, probe.path, code, body)
 				}
 				if traceID == "" {
-					t.Fatalf("federation %s: %s carries no trace ID", fed.name, probe.path)
+					t.Fatalf("federation %s: %s carries no trace ID", fed, probe.path)
 				}
 				idx := qi*2 + pi
 				for len(answers) <= idx {
 					answers = append(answers, nil)
 				}
-				answers[idx] = append(answers[idx], answer{fed: fed.name, body: stripTook(t, body)})
-				traceIDs[fed.name] = append(traceIDs[fed.name], traceID)
+				answers[idx] = append(answers[idx], answer{fed: fed, body: stripTook(t, body)})
+				traceIDs[fed] = append(traceIDs[fed], traceID)
 			}
 		}
 	}
@@ -332,41 +326,17 @@ func TestTracedDifferentialAcrossWireOptions(t *testing.T) {
 		}
 	}
 
-	// The mixed federation's traces mark the untraced peer explicitly.
-	sawUntraced := false
-	for _, id := range traceIDs["mixed-untraced"] {
-		detail := fetchTrace(t, gatewayURL["mixed-untraced"], id)
-		for _, n := range flattenTree(detail.Tree) {
-			if n.Name == "untraced" {
-				sawUntraced = true
-				if n.Source != untracedSource {
-					t.Errorf("untraced marker names source %q, want %q", n.Source, untracedSource)
-				}
-				if strings.HasPrefix(n.Name, "serve:") {
-					t.Error("untraced peer must not ship serve spans")
-				}
-			}
-		}
-	}
-	if !sawUntraced {
-		t.Error("mixed federation recorded no untraced marker for the untraced peer")
-	}
-
-	// The fully negotiated federation has no visibility gap: no untraced
-	// markers, and the sources' serve-side spans come back into the trace.
+	// The TCP federation's traces carry the sources' serve-side spans.
 	sawRemote := false
-	for _, id := range traceIDs["negotiated"] {
-		detail := fetchTrace(t, gatewayURL["negotiated"], id)
+	for _, id := range traceIDs["tcp"] {
+		detail := fetchTrace(t, gatewayURL["tcp"], id)
 		for _, n := range flattenTree(detail.Tree) {
-			if n.Name == "untraced" {
-				t.Error("negotiated federation recorded an untraced marker")
-			}
 			if n.Remote {
 				sawRemote = true
 			}
 		}
 	}
 	if !sawRemote {
-		t.Error("negotiated federation's traces contain no remote (source-side) spans")
+		t.Error("TCP federation's traces contain no remote (source-side) spans")
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the zero-dependency tracing and structured-logging layer
 // of the federation: Dapper-style traces with 128-bit IDs, per-stage spans
 // recorded into a lock-free buffer, context propagation across goroutines
-// and (via internal/transport's negotiated trace frames) across machines,
+// and (via internal/transport's trace frames) across machines,
 // and an always-on ring buffer of completed traces with slow-query capture
 // (recorder.go) served at GET /debug/traces (http.go).
 //

@@ -7,14 +7,14 @@ import (
 	"time"
 )
 
-// Wire encodings for the transport's negotiated trace frames
+// Wire encodings for the transport's trace frames
 // (docs/PROTOCOL.md, "Trace propagation"). The trace-context frame is
 // fixed-width binary — 16 bytes of trace ID followed by 8 bytes of
-// big-endian parent span ID — and an empty frame means "untraced". The
-// spans frame is a uvarint-packed list of the spans a server completed
-// while handling the request, with Start offsets relative to the server's
-// own trace anchor; the caller rebases them with Trace.Merge, so no
-// wall-clock instant ever crosses the wire.
+// big-endian parent span ID — and an empty frame marks an untraced
+// request. The spans frame is a uvarint-packed list of the spans a server
+// completed while handling the request, with Start offsets relative to
+// the server's own trace anchor; the caller rebases them with
+// Trace.Merge, so no wall-clock instant ever crosses the wire.
 
 // ContextSize is the byte length of a non-empty trace-context frame.
 const ContextSize = 24

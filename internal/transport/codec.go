@@ -4,7 +4,7 @@ package transport
 // is one wire codec, installed with SetCodec by the package that defines
 // it (the federation package installs dits-bin/1 from init); transport
 // cannot name it itself, as the codec encodes the federation's messages.
-// It is fixed by the hello magic, never negotiated (see tcp.go).
+// The hello magic fixes it (see tcp.go).
 //
 // Append appends the encoding of v to dst and returns the extended
 // slice, so hot paths can reuse one buffer across calls without

@@ -40,12 +40,6 @@ type Pool struct {
 
 	dials    atomic.Int64
 	discards atomic.Int64
-
-	// wire is the negotiated wire info of the most recently dialed
-	// connection (nil until the first dial). All of a pool's connections
-	// negotiate against the same server, so they agree in steady state;
-	// a redial to a restarted server with other limits may change it.
-	wire atomic.Pointer[WireInfo]
 }
 
 // NewPool creates a pool of up to size connections produced by dial.
@@ -65,14 +59,8 @@ func NewPool(name string, size int, dial func() (Peer, error)) *Pool {
 // DialPool creates a pool of up to size TCP connections to a source server
 // at addr, all recording into the same Metrics.
 func DialPool(name, addr string, size int, metrics *Metrics) *Pool {
-	return DialPoolWith(name, addr, size, metrics, DialConfig{})
-}
-
-// DialPoolWith is DialPool with explicit option preferences, applied
-// to every connection the pool opens.
-func DialPoolWith(name, addr string, size int, metrics *Metrics, cfg DialConfig) *Pool {
 	return NewPool(name, size, func() (Peer, error) {
-		return DialWith(name, addr, metrics, cfg)
+		return Dial(name, addr, metrics)
 	})
 }
 
@@ -135,26 +123,7 @@ func (p *Pool) get(ctx context.Context) (peer Peer, fromIdle bool, err error) {
 		return nil, false, err
 	}
 	p.dials.Add(1)
-	p.noteWire(peer)
 	return peer, false, nil
-}
-
-// noteWire records a freshly dialed connection's negotiated parameters
-// for observability.
-func (p *Pool) noteWire(peer Peer) {
-	if w, ok := peer.(Wired); ok {
-		info := w.WireInfo()
-		p.wire.Store(&info)
-	}
-}
-
-// WireInfo implements Wired: it reports the wire parameters of the most
-// recently dialed connection, or the zero WireInfo before the first dial.
-func (p *Pool) WireInfo() WireInfo {
-	if info := p.wire.Load(); info != nil {
-		return *info
-	}
-	return WireInfo{}
 }
 
 // put checks a connection back in. Unhealthy connections — and any
@@ -238,7 +207,6 @@ func (p *Pool) getFresh() (Peer, bool, error) {
 		return nil, false, err
 	}
 	p.dials.Add(1)
-	p.noteWire(peer)
 	return peer, false, nil
 }
 

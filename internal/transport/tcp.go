@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,71 +31,36 @@ import (
 // is abandoned at the source too.
 //
 // The first request a dialer sends is a transport.hello exchange that
-// checks both ends speak the same wire version and negotiates the
-// connection's options (see helloMagic below). Bodies and OK payloads
-// are always the installed codec's bytes, verbatim. A peer that refuses
-// the hello, or answers it with another version, fails the dial. Error
-// payloads are always raw text.
+// checks both ends speak the same wire version (see helloMagic below).
+// Bodies and OK payloads are always the installed codec's bytes,
+// verbatim. A peer that refuses the hello, or answers it with another
+// version, fails the dial; a server whose first exchange is anything but
+// that hello refuses it and closes the connection. Error payloads are
+// always raw text.
 //
-// When both ends negotiate the "trace" option, every post-hello exchange
-// grows one extra frame per direction: requests append a trace-context
-// frame (obs.AppendContext — empty for an untraced request) after the
-// body, and responses append a span frame (obs.AppendSpans — the spans
-// the server completed while handling the request, empty when untraced)
-// after the payload, on both OK and error responses. A connection that
-// did not negotiate "trace" carries neither frame — the caller then
-// records an explicit "untraced" span instead (see Call).
+// Every post-hello exchange carries one extra frame per direction:
+// requests append a trace-context frame (obs.AppendContext — empty for an
+// untraced request) after the body, and responses append a span frame
+// (obs.AppendSpans — the spans the server completed while handling the
+// request, empty when untraced) after the payload, on both OK and error
+// responses. The hello exchange itself carries neither.
 
 // MaxFrame caps a frame payload to guard against corrupt length prefixes;
 // a codec bounds anything it inflates from a payload by the same cap.
 const MaxFrame = 1 << 30
 
-// MethodHello is the reserved method name of the handshake exchange.
-// Servers intercept it before application dispatch; it never reaches a
-// Handler.
+// MethodHello is the reserved method name of the handshake exchange,
+// which servers answer as each connection's first exchange, before any
+// application dispatch.
 const MethodHello = "transport.hello"
 
-// helloMagic versions the whole wire — framing, options and the payload
-// codec (dits-bin/1). The hello body and its reply share one ASCII
-// grammar:
-//
-//	dits-hello/2 <option1,option2,...|->
-//
-// where the request lists the options the dialer proposes and the reply
-// the subset the server accepted. The one option is "trace"; "-" names
-// none. Unknown options are ignored — a dialer proposing the retired
-// "gzip" gets back the rest — and a magic other than this one is an error
-// on either side.
-const helloMagic = "dits-hello/2"
+// helloMagic versions the whole wire — framing, trace frames and the
+// payload codec (dits-bin/1). It is the hello's body and its reply, byte
+// for byte; anything else is an error on either side.
+const helloMagic = "dits-hello/3"
 
-// helloBody returns a hello body naming the given options.
-func helloBody(trace bool) []byte {
-	if trace {
-		return []byte(helloMagic + " trace")
-	}
-	return []byte(helloMagic + " -")
-}
-
-// parseHello reads a hello body and reports whether it names trace.
-func parseHello(body []byte) (trace bool, err error) {
-	fields := strings.Fields(string(body))
-	if len(fields) != 2 || fields[0] != helloMagic {
-		return false, fmt.Errorf("%q is not a %s hello", body, helloMagic)
-	}
-	for _, opt := range strings.Split(fields[1], ",") {
-		if opt == "trace" {
-			trace = true
-		}
-	}
-	return trace, nil
-}
-
-// ServeConfig limits the options a server accepts and names where it
-// keeps its traces.
+// ServeConfig names where a server keeps its traces.
 type ServeConfig struct {
-	// NoTrace refuses the trace option: requests are served untraced
-	// even when the dialer proposes trace propagation.
-	NoTrace bool
 	// Recorder, when set, keeps each traced request's local span subtree
 	// for this process's own GET /debug/traces (ditsserve and ditscenter
 	// wire their -metrics-addr recorder here).
@@ -114,13 +79,12 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 }
 
-// Serve starts a TCP server on addr (e.g. "127.0.0.1:0") for the handler,
-// accepting every option a dialer proposes.
+// Serve starts a TCP server on addr (e.g. "127.0.0.1:0") for the handler.
 func Serve(addr string, handler Handler) (*Server, error) {
 	return ServeWith(addr, handler, ServeConfig{})
 }
 
-// ServeWith starts a TCP server with explicit option limits.
+// ServeWith starts a TCP server that keeps its traces as cfg says.
 func ServeWith(addr string, handler Handler, cfg ServeConfig) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -187,20 +151,29 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn runs one connection's request loop. All scratch buffers are
-// per-connection and reused across requests: after the first few frames a
-// steady-state connection reads, decodes, encodes, and writes without
-// allocating beyond what the handler itself needs.
+// serveConn runs one connection: the hello, then the request loop. All
+// scratch buffers are per-connection and reused across requests: after
+// the first few frames a steady-state connection reads, decodes, encodes,
+// and writes without allocating beyond what the handler itself needs.
 func (s *Server) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	codec := theCodec()
-	traced := false // the connection negotiated the trace option
 	var methodBuf, bodyBuf, respBuf, traceBuf, spansBuf []byte
 	names := make(map[string]string, 8) // interned method names
-	// respond writes one response in the connection's negotiated framing:
-	// once trace is on, every response — errors included — carries the
-	// span frame, or the dialer's framing desynchronizes.
+	// readRequest reads one request's method, deadline and body frames.
+	readRequest := func() (deadlineMs uint64, err error) {
+		if methodBuf, err = readFrameReuse(r, methodBuf); err != nil {
+			return 0, err
+		}
+		if err := binary.Read(r, binary.BigEndian, &deadlineMs); err != nil {
+			return 0, err
+		}
+		bodyBuf, err = readFrameReuse(r, bodyBuf)
+		return deadlineMs, err
+	}
+	// respond writes one response: every response — errors included —
+	// carries the span frame, or the dialer's framing desynchronizes.
 	respond := func(status byte, payload []byte) error {
 		if err := w.WriteByte(status); err != nil {
 			return err
@@ -208,25 +181,30 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := writeFrame(w, payload); err != nil {
 			return err
 		}
-		if traced {
-			if err := writeFrame(w, spansBuf); err != nil {
-				return err
-			}
+		if err := writeFrame(w, spansBuf); err != nil {
+			return err
 		}
 		return w.Flush()
 	}
+	if _, err := readRequest(); err != nil {
+		return
+	}
+	if string(methodBuf) != MethodHello || string(bodyBuf) != helloMagic {
+		// A peer of another wire version, or one that skipped the hello,
+		// gets the refusal, then the connection closes: nothing it sends
+		// next can parse.
+		writeResponse(w, 1, []byte("transport: the first exchange must be a "+helloMagic+" hello"))
+		return
+	}
+	if err := writeResponse(w, 0, []byte(helloMagic)); err != nil {
+		return
+	}
 	for {
-		var err error
-		methodBuf, err = readFrameReuse(r, methodBuf)
+		deadlineMs, err := readRequest()
 		if err != nil {
 			return
 		}
-		var deadlineMs uint64
-		if err := binary.Read(r, binary.BigEndian, &deadlineMs); err != nil {
-			return
-		}
-		bodyBuf, err = readFrameReuse(r, bodyBuf)
-		if err != nil {
+		if traceBuf, err = readFrameReuse(r, traceBuf); err != nil {
 			return
 		}
 		method, ok := names[string(methodBuf)]
@@ -234,35 +212,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			method = string(methodBuf)
 			names[method] = method
 		}
-		if method == MethodHello && !traced {
-			if traced, err = s.negotiate(bodyBuf); err != nil {
-				// A peer of another wire version gets the refusal, then
-				// the connection closes: nothing it sends next can parse.
-				writeResponse(w, 1, []byte("transport: "+err.Error()))
-				return
-			}
-			if err := writeResponse(w, 0, helloBody(traced)); err != nil {
-				return
-			}
-			continue
-		}
 		spansBuf = spansBuf[:0]
-		var tr *obs.Trace
-		if traced {
-			if traceBuf, err = readFrameReuse(r, traceBuf); err != nil {
-				return
-			}
-			if id, parent, ok := obs.ParseContext(traceBuf); ok {
-				tr = obs.Adopt(id, parent)
-			}
-		}
 		ctx := context.Background()
 		cancel := context.CancelFunc(func() {})
 		if deadlineMs > 0 {
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMs)*time.Millisecond)
 		}
+		var tr *obs.Trace
 		var serveSp *obs.ActiveSpan
-		if tr != nil {
+		if id, parent, ok := obs.ParseContext(traceBuf); ok {
+			tr = obs.Adopt(id, parent)
 			ctx = obs.WithTrace(ctx, tr)
 			ctx, serveSp = obs.StartSpan(ctx, "serve:"+method)
 		}
@@ -288,34 +247,42 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// negotiate answers a hello body with the options to turn on: trace
-// propagation is on iff the dialer proposed it and the config does not
-// refuse it. A body of another wire version is an error, which the
-// dialer fails on.
-func (s *Server) negotiate(body []byte) (trace bool, err error) {
-	trace, err = parseHello(body)
-	return trace && !s.cfg.NoTrace, err
-}
+// frameChunk is the first step by which readFrameReuse grows a buffer
+// for a frame beyond its capacity.
+const frameChunk = 64 << 10
 
-// readFrameReuse reads one length-prefixed frame into buf, growing it
-// only when the frame exceeds its capacity, and returns the (possibly
-// reallocated) buffer sliced to the frame.
+// readFrameReuse reads one length-prefixed frame into buf and returns the
+// (possibly reallocated) buffer sliced to the frame. A frame within buf's
+// capacity is read in one go; a larger one grows the buffer chunk by
+// chunk as its bytes arrive — each chunk at most the larger of frameChunk
+// and the bytes already read — so a length prefix alone cannot make the
+// process allocate up to MaxFrame.
 func readFrameReuse(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxFrame {
 		return buf, errors.New("transport: frame too large")
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	} else {
+	if n <= cap(buf) {
 		buf = buf[:n]
-	}
-	if _, err := io.ReadFull(r, buf); err != nil {
+		_, err := io.ReadFull(r, buf)
 		return buf, err
+	}
+	buf = buf[:0]
+	for len(buf) < n {
+		chunk := min(n-len(buf), max(frameChunk, len(buf)))
+		buf = slices.Grow(buf, chunk)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+chunk])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
 	}
 	return buf, nil
 }
@@ -340,13 +307,6 @@ func writeResponse(w *bufio.Writer, status byte, payload []byte) error {
 	return w.Flush()
 }
 
-// DialConfig limits the options a dialer proposes.
-type DialConfig struct {
-	// NoTrace withholds the trace option from the handshake; calls on
-	// the connection are then recorded with an "untraced" marker span.
-	NoTrace bool
-}
-
 // helloTimeout bounds the handshake exchange at dial time.
 const helloTimeout = 10 * time.Second
 
@@ -360,16 +320,10 @@ type TCPPeer struct {
 	r     *bufio.Reader
 	w     *bufio.Writer
 	codec Codec
-	trace bool // the connection negotiated trace propagation
 }
 
-// Dial connects to a source server and negotiates every option.
+// Dial connects to a source server and runs the hello.
 func Dial(name, addr string, metrics *Metrics) (*TCPPeer, error) {
-	return DialWith(name, addr, metrics, DialConfig{})
-}
-
-// DialWith connects with explicit option preferences.
-func DialWith(name, addr string, metrics *Metrics, cfg DialConfig) (*TCPPeer, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
@@ -382,9 +336,9 @@ func DialWith(name, addr string, metrics *Metrics, cfg DialConfig) (*TCPPeer, er
 		w:       bufio.NewWriter(conn),
 		codec:   theCodec(),
 	}
-	if err := p.hello(cfg); err != nil {
+	if err := p.hello(); err != nil {
 		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("transport: hello %s: %w", p.Name, err)
 	}
 	return p, nil
 }
@@ -392,43 +346,37 @@ func DialWith(name, addr string, metrics *Metrics, cfg DialConfig) (*TCPPeer, er
 // hello runs the handshake as the connection's first exchange. A peer
 // that refuses it (status 1) or answers for another wire version fails
 // the dial: it cannot be spoken to.
-func (p *TCPPeer) hello(cfg DialConfig) error {
-	body := helloBody(!cfg.NoTrace)
+func (p *TCPPeer) hello() error {
 	p.conn.SetDeadline(time.Now().Add(helloTimeout))
 	defer p.conn.SetDeadline(time.Time{})
 	if err := writeFrame(p.w, []byte(MethodHello)); err != nil {
-		return fmt.Errorf("transport: hello %s: %w", p.Name, err)
+		return err
 	}
 	var deadline [8]byte
 	if _, err := p.w.Write(deadline[:]); err != nil {
-		return fmt.Errorf("transport: hello %s: %w", p.Name, err)
+		return err
 	}
-	if err := writeFrame(p.w, body); err != nil {
-		return fmt.Errorf("transport: hello %s: %w", p.Name, err)
+	if err := writeFrame(p.w, []byte(helloMagic)); err != nil {
+		return err
 	}
 	if err := p.w.Flush(); err != nil {
-		return fmt.Errorf("transport: hello %s: %w", p.Name, err)
+		return err
 	}
 	status, err := p.r.ReadByte()
 	if err != nil {
-		return fmt.Errorf("transport: hello %s: %w", p.Name, err)
+		return err
 	}
 	payload, err := readFrameReuse(p.r, nil)
 	if err != nil {
-		return fmt.Errorf("transport: hello %s: %w", p.Name, err)
+		return err
 	}
 	if status != 0 {
-		return fmt.Errorf("transport: hello %s: peer refused the handshake: %s", p.Name, payload)
+		return fmt.Errorf("peer refused the handshake: %s", payload)
 	}
-	if p.trace, err = parseHello(payload); err != nil {
-		return fmt.Errorf("transport: hello %s: %w", p.Name, err)
+	if string(payload) != helloMagic {
+		return fmt.Errorf("reply %q is not a %s hello", payload, helloMagic)
 	}
 	return nil
-}
-
-// WireInfo implements Wired.
-func (p *TCPPeer) WireInfo() WireInfo {
-	return WireInfo{Trace: p.trace}
 }
 
 // Call implements Peer. A context deadline bounds the whole exchange (the
@@ -438,21 +386,13 @@ func (p *TCPPeer) WireInfo() WireInfo {
 // framing, so the peer must be discarded afterwards — exactly what Pool's
 // health-aware checkin does.
 //
-// On a traced context the exchange is recorded as an "rpc:<method>" span.
-// When the connection negotiated trace propagation the trace follows the
-// request to the server and the server's spans come back merged into the
-// caller's trace; against a NoTrace connection (either side) the rpc span
-// instead gets an explicit "untraced" child marking where visibility
-// ends.
+// On a traced context the exchange is recorded as an "rpc:<method>" span;
+// the trace follows the request to the server and the server's spans
+// come back merged into the caller's trace.
 func (p *TCPPeer) Call(ctx context.Context, method string, req, resp any) error {
 	tr, _ := obs.Current(ctx)
 	sctx, sp := obs.StartSpan(ctx, "rpc:"+method)
 	sp.SetSource(p.Name)
-	if sp != nil && !p.trace {
-		_, marker := obs.StartSpan(sctx, "untraced")
-		marker.SetSource(p.Name)
-		marker.End()
-	}
 	err := p.call(sctx, tr, sp, method, req, resp)
 	sp.EndErr(err)
 	return err
@@ -493,14 +433,12 @@ func (p *TCPPeer) call(ctx context.Context, tr *obs.Trace, sp *obs.ActiveSpan, m
 	if err := writeFrame(p.w, body); err != nil {
 		return fmt.Errorf("transport: send %s: %w", p.Name, err)
 	}
-	if p.trace {
-		tcBuf := getBuf()
-		defer putBuf(tcBuf)
-		tc := obs.AppendContext((*tcBuf)[:0], ctx)
-		*tcBuf = tc
-		if err := writeFrame(p.w, tc); err != nil {
-			return fmt.Errorf("transport: send %s: %w", p.Name, err)
-		}
+	tcBuf := getBuf()
+	defer putBuf(tcBuf)
+	tc := obs.AppendContext((*tcBuf)[:0], ctx)
+	*tcBuf = tc
+	if err := writeFrame(p.w, tc); err != nil {
+		return fmt.Errorf("transport: send %s: %w", p.Name, err)
 	}
 	if err := p.w.Flush(); err != nil {
 		return fmt.Errorf("transport: send %s: %w", p.Name, err)
@@ -516,20 +454,18 @@ func (p *TCPPeer) call(ctx context.Context, tr *obs.Trace, sp *obs.ActiveSpan, m
 	if err != nil {
 		return fmt.Errorf("transport: recv %s: %w", p.Name, err)
 	}
-	if p.trace {
-		// The span frame is part of the negotiated framing: read it on
-		// error responses too, or the connection desynchronizes.
-		spBuf := getBuf()
-		defer putBuf(spBuf)
-		shipped, err := readFrameReuse(p.r, (*spBuf)[:0])
-		*spBuf = shipped
-		if err != nil {
-			return fmt.Errorf("transport: recv %s: %w", p.Name, err)
-		}
-		if tr != nil {
-			if spans, err := obs.DecodeSpans(shipped); err == nil {
-				tr.Merge(spans, sp.Start())
-			}
+	// Read the span frame on error responses too, or the connection
+	// desynchronizes.
+	spBuf := getBuf()
+	defer putBuf(spBuf)
+	shipped, err := readFrameReuse(p.r, (*spBuf)[:0])
+	*spBuf = shipped
+	if err != nil {
+		return fmt.Errorf("transport: recv %s: %w", p.Name, err)
+	}
+	if tr != nil {
+		if spans, err := obs.DecodeSpans(shipped); err == nil {
+			tr.Merge(spans, sp.Start())
 		}
 	}
 	if status != 0 {

@@ -41,9 +41,6 @@ func TestTCPTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if wi := p.WireInfo(); !wi.Trace {
-		t.Fatalf("trace not negotiated: %+v", wi)
-	}
 
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), tr)
@@ -69,9 +66,6 @@ func TestTCPTracePropagation(t *testing.T) {
 	}
 	if work.Start < rpc.Start {
 		t.Error("merged span not rebased onto the rpc start")
-	}
-	if _, ok := spans["untraced"]; ok {
-		t.Error("negotiated connection must not record an untraced marker")
 	}
 
 	// An error response must still carry (and merge) the span frame, and
@@ -108,51 +102,6 @@ func TestTCPTraceUntracedRequestOnTracedConn(t *testing.T) {
 		if err := p.Call(context.Background(), "work", nil, &resp); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestTCPTraceLegacyPeerGetsUntracedMarker(t *testing.T) {
-	cases := []struct {
-		name string
-		scfg ServeConfig
-		dcfg DialConfig
-	}{
-		{"server refuses trace", ServeConfig{NoTrace: true}, DialConfig{}},
-		{"dialer withholds trace", ServeConfig{}, DialConfig{NoTrace: true}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, err := ServeWith("127.0.0.1:0", tracingHandler, tc.scfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			p, err := DialWith("src", srv.Addr(), &Metrics{}, tc.dcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
-			if wi := p.WireInfo(); wi.Trace {
-				t.Fatalf("trace should not negotiate: %+v", wi)
-			}
-			tr := obs.NewTrace()
-			var resp string
-			if err := p.Call(obs.WithTrace(context.Background(), tr), "work", nil, &resp); err != nil {
-				t.Fatal(err)
-			}
-			spans := spanNames(tr)
-			rpc, ok := spans["rpc:work"]
-			if !ok {
-				t.Fatalf("no rpc span; have %v", spans)
-			}
-			marker, ok := spans["untraced"]
-			if !ok || marker.Parent != rpc.ID || marker.Source != "src" {
-				t.Fatalf("missing or wrong untraced marker; have %v", spans)
-			}
-			if _, ok := spans["serve:work"]; ok {
-				t.Error("untraced connection should not merge server spans")
-			}
-		})
 	}
 }
 
@@ -197,28 +146,5 @@ func TestInProcTraceSpans(t *testing.T) {
 	work, ok := spans["handler.work"]
 	if !ok || work.Parent != rpc.ID || work.Remote {
 		t.Fatalf("in-proc handler span wrong: %+v", work)
-	}
-	if !p.WireInfo().Trace {
-		t.Error("InProc WireInfo should report trace on")
-	}
-}
-
-// TestHelloNegotiate pins the hello grammar: a body round-trips its
-// options, the server accepts only what was proposed and not refused, and
-// a body of another wire version is an error rather than a fallback.
-func TestHelloNegotiate(t *testing.T) {
-	for _, tr := range []bool{false, true} {
-		if got, err := parseHello(helloBody(tr)); err != nil || got != tr {
-			t.Fatalf("hello(%v) parsed as %v, %v", tr, got, err)
-		}
-	}
-	s := &Server{cfg: ServeConfig{NoTrace: true}}
-	if tr, err := s.negotiate(helloBody(true)); err != nil || tr {
-		t.Fatalf("NoTrace server negotiated trace=%v err=%v", tr, err)
-	}
-	for _, body := range []string{"dits-hello/1 gob gzip,trace", "gob gzip", "", helloMagic} {
-		if _, err := s.negotiate([]byte(body)); err == nil {
-			t.Errorf("hello %q accepted", body)
-		}
 	}
 }

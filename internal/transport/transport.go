@@ -8,8 +8,9 @@
 // bandwidth follows the paper's model: time = bytes / bandwidth.
 //
 // Every payload is in the one installed Codec (see SetCodec), shipped
-// verbatim; TCP connections negotiate only trace propagation in a
-// transport.hello exchange at dial time (see docs/PROTOCOL.md).
+// verbatim; TCP connections check the wire version in a transport.hello
+// exchange at dial time and then carry trace frames on every exchange
+// (see docs/PROTOCOL.md).
 //
 // Every Call carries a context: a deadline set by the caller (the
 // gateway's per-request admission deadline, typically) propagates over
@@ -61,14 +62,18 @@ type Peer interface {
 	Close() error
 }
 
-// WireInfo describes the options a connection negotiated: whether trace
-// propagation is on.
+// WireInfo described a connection's optional wire features.
+//
+// Deprecated: every TCP connection carries trace frames, so there is
+// nothing to report and no peer reports it. It remains only while the
+// benchmark harness's traced-peer wrapper still names it.
 type WireInfo struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// Wired is implemented by peers that know their negotiated options;
-// observability surfaces (GET /stats) report them per peer.
+// Wired was implemented by peers that reported a WireInfo.
+//
+// Deprecated: no peer implements it; see WireInfo.
 type Wired interface {
 	WireInfo() WireInfo
 }
@@ -264,10 +269,6 @@ func (p *InProc) call(ctx context.Context, method string, req, resp any) error {
 	p.Metrics.Record(method, len(body)+len(method), len(payload))
 	return c.Decode(payload, resp)
 }
-
-// WireInfo implements Wired. Trace is always true: the context crosses
-// the in-process boundary intact.
-func (p *InProc) WireInfo() WireInfo { return WireInfo{Trace: true} }
 
 // Close implements Peer.
 func (p *InProc) Close() error { return nil }

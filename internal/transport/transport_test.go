@@ -4,12 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"io"
 	"net"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,9 +70,6 @@ func TestInProcCountsBytes(t *testing.T) {
 	// Errors do not count as delivered traffic.
 	if m.Messages() != 1 {
 		t.Errorf("failed call counted: %d", m.Messages())
-	}
-	if info := p.WireInfo(); !info.Trace {
-		t.Errorf("WireInfo = %+v, want traced", info)
 	}
 	p.Close()
 }
@@ -155,41 +156,11 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err := peer.Call(context.Background(), "fail", nil, nil); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("remote error not propagated: %v", err)
 	}
-}
-
-// TestTCPNegotiation pins the handshake outcomes: a default dial against a
-// default server turns trace on, and a refusal on either side turns it
-// off — the connection still works either way.
-func TestTCPNegotiation(t *testing.T) {
-	cases := []struct {
-		name  string
-		scfg  ServeConfig
-		dcfg  DialConfig
-		trace bool
-	}{
-		{"default", ServeConfig{}, DialConfig{}, true},
-		{"dialer withholds trace", ServeConfig{}, DialConfig{NoTrace: true}, false},
-		{"nothing", ServeConfig{NoTrace: true}, DialConfig{}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, err := ServeWith("127.0.0.1:0", echoHandler, tc.scfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			peer, err := DialWith("s1", srv.Addr(), &Metrics{}, tc.dcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer peer.Close()
-			if info := peer.WireInfo(); info.Trace != tc.trace {
-				t.Fatalf("WireInfo = %+v, want trace=%v", info, tc.trace)
-			}
-			if got := echo(t, peer, "m", "payload"); got != "m:payload" {
-				t.Fatalf("resp = %q", got)
-			}
-		})
+	// A 1 MiB payload outgrows both ends' frame buffers, so it arrives
+	// over several chunked reads, and round-trips intact.
+	big := strings.Repeat("0123456789abcdef", 64<<10)
+	if got := echo(t, peer, "m", big); got != "m:"+big {
+		t.Fatalf("1 MiB payload mangled (len %d)", len(got))
 	}
 }
 
@@ -205,6 +176,7 @@ func TestTCPLegacyInterop(t *testing.T) {
 	}{
 		{"legacy server", 1, "unknown method \"transport.hello\""},
 		{"other version", 0, "gob gzip trace"},
+		{"hello/2 server", 0, "dits-hello/2 trace"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,80 +220,128 @@ func TestTCPLegacyInterop(t *testing.T) {
 	}
 }
 
-// TestTCPForeignHelloClosesConn: a dialer of another wire version gets a
-// status-1 refusal and then the connection closes, so whatever it sends
-// next fails at once instead of call by call.
+// TestTCPForeignHelloClosesConn: a dialer of another wire version, or one
+// whose first request is not a hello, gets a status-1 refusal and then
+// the connection closes, so whatever it sends next fails at once instead
+// of call by call.
 func TestTCPForeignHelloClosesConn(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, method, body string
+	}{
+		{"hello/1", MethodHello, "dits-hello/1 gob gzip,trace"},
+		{"hello/2", MethodHello, "dits-hello/2 trace"},
+		{"no hello", "m", ""},
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	w := bufio.NewWriter(conn)
-	writeFrame(w, []byte(MethodHello))
-	w.Write(make([]byte, 8)) // no deadline
-	writeFrame(w, []byte("dits-hello/1 gob gzip,trace"))
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(conn)
-	status, err := r.ReadByte()
-	if err != nil || status != 1 {
-		t.Fatalf("hello reply status = %d, %v; want 1", status, err)
-	}
-	if _, err := readFrameReuse(r, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReadByte(); err != io.EOF {
-		t.Fatalf("after the refusal read = %v, want EOF", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			w := bufio.NewWriter(conn)
+			writeFrame(w, []byte(tc.method))
+			w.Write(make([]byte, 8)) // no deadline
+			writeFrame(w, []byte(tc.body))
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			r := bufio.NewReader(conn)
+			status, err := r.ReadByte()
+			if err != nil || status != 1 {
+				t.Fatalf("first reply status = %d, %v; want 1", status, err)
+			}
+			if _, err := readFrameReuse(r, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.ReadByte(); err != io.EOF {
+				t.Fatalf("after the refusal read = %v, want EOF", err)
+			}
+		})
 	}
 }
 
-// TestTCPRetiredGzipOption: a dialer of a build that still proposes the
-// retired gzip option gets back trace only, so both ends frame payloads
-// verbatim, and a 64 KiB payload round-trips on the connection.
-func TestTCPRetiredGzipOption(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
+// TestReadFrameClaimedLengthAllocatesLittle: a header claiming MaxFrame
+// followed by a few bytes allocates in step with the bytes that arrived,
+// not with the claim.
+func TestReadFrameClaimedLengthAllocatesLittle(t *testing.T) {
+	in := bytes.NewReader(append(binary.BigEndian.AppendUint32(nil, MaxFrame), make([]byte, 10)...))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrameReuse(in, nil)
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 	}
-	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("reading 10 bytes of a frame claiming MaxFrame allocated %d bytes", d)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	peer := &TCPPeer{Name: "old-dialer", Metrics: &Metrics{}, conn: conn,
-		r: bufio.NewReader(conn), w: bufio.NewWriter(conn), codec: theCodec()}
-	writeFrame(peer.w, []byte(MethodHello))
-	peer.w.Write(make([]byte, 8)) // no deadline
-	writeFrame(peer.w, []byte(helloMagic+" gzip,trace"))
-	if err := peer.w.Flush(); err != nil {
-		t.Fatal(err)
+}
+
+// opensWithHello reports whether a client stream opens with a valid hello
+// request, whatever deadline it carries.
+func opensWithHello(in []byte) bool {
+	method := append(binary.BigEndian.AppendUint32(nil, uint32(len(MethodHello))), MethodHello...)
+	body := append(binary.BigEndian.AppendUint32(nil, uint32(len(helloMagic))), helloMagic...)
+	return bytes.HasPrefix(in, method) && len(in) >= len(method)+8 &&
+		bytes.HasPrefix(in[len(method)+8:], body)
+}
+
+// FuzzServeConn feeds arbitrary bytes to serveConn as a client stream. It
+// must never panic, must return once the input ends, and must run the
+// handler only after a valid hello exchange opens the stream.
+func FuzzServeConn(f *testing.F) {
+	// request frames one request; a nil trace frame leaves it out.
+	request := func(method, body string, trace []byte) []byte {
+		var b bytes.Buffer
+		writeFrame(&b, []byte(method))
+		b.Write(make([]byte, 8)) // no deadline
+		writeFrame(&b, []byte(body))
+		if trace != nil {
+			writeFrame(&b, trace)
+		}
+		return b.Bytes()
 	}
-	status, err := peer.r.ReadByte()
-	if err != nil || status != 0 {
-		t.Fatalf("hello reply status = %d, %v; want 0", status, err)
-	}
-	reply, err := readFrameReuse(peer.r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(reply) != helloMagic+" trace" {
-		t.Fatalf("hello reply = %q, want %q", reply, helloMagic+" trace")
-	}
-	peer.trace = true
-	big := strings.Repeat("0123456789abcdef", 4<<10) // 64 KiB
-	if got := echo(t, peer, "m", big); got != "m:"+big {
-		t.Fatalf("64 KiB payload mangled (len %d)", len(got))
-	}
+	hello := request(MethodHello, helloMagic, nil)
+	f.Add(append(slices.Clip(hello), request("m", "", []byte{})...))
+	f.Add(request(MethodHello, "dits-hello/2 trace", nil))
+	f.Add(request("m", "", []byte{}))
+	f.Add(hello[:len(hello)-3])
+	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrame))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var ran atomic.Bool
+		s := &Server{handler: func(ctx context.Context, codec Codec, method string, body []byte) (any, error) {
+			ran.Store(true)
+			return nil, nil
+		}}
+		client, server := net.Pipe()
+		defer client.Close()
+		go io.Copy(io.Discard, client)
+		go func() {
+			client.Write(in)
+			client.Close()
+		}()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer server.Close()
+			s.serveConn(server)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("serveConn did not return after the input ended")
+		}
+		if ran.Load() && !opensWithHello(in) {
+			t.Fatal("handler ran without a valid hello exchange")
+		}
+	})
 }
 
 // TestTCPDeadlinePropagates checks both halves of the deadline contract: the
