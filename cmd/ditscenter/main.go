@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -45,7 +44,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
 	name := flag.String("name", "", "this center's cluster name (required; the gateway addresses shards by it)")
 	memberLog := flag.String("memberlog", "", "membership log path; empty = membership is lost on restart")
-	fsyncFlag := flag.Bool("fsync", true, "flush every membership append before acknowledging it")
 	poolSize := flag.Int("pool", 8, "TCP connections per source")
 	logFile := flag.String("log-file", "", "append operational logs to this file instead of stderr")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
@@ -68,7 +66,6 @@ func main() {
 
 	cs, err := federation.NewCenterServer(*name, center, federation.CenterServerOptions{
 		MemberLog: *memberLog,
-		Fsync:     *fsyncFlag,
 		PoolSize:  *poolSize,
 	})
 	if err != nil {
@@ -86,15 +83,7 @@ func main() {
 		reg.RegisterGaugeFunc("dits_center_sources", "Sources registered at this center's shard",
 			func() float64 { return float64(center.NumSources()) })
 		rec.Register(reg)
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", reg.Handler())
-		mux.Handle("GET /debug/traces", rec.DebugHandler())
-		mux.Handle("GET /debug/traces/", rec.DebugHandler())
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		mux := obs.NewMux(reg, rec, true)
 		msrv := &http.Server{Addr: *metricsAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 		go msrv.ListenAndServe()
 		defer msrv.Close()

@@ -39,7 +39,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -93,7 +92,7 @@ func main() {
 	if *boundsFlag == "" {
 		fail(fmt.Errorf("-bounds is required and must match the sources' -bounds"))
 	}
-	bounds, err := parseBounds(*boundsFlag)
+	bounds, err := geo.ParseRect(*boundsFlag)
 	if err != nil {
 		fail(err)
 	}
@@ -214,26 +213,6 @@ func buildCluster(grid geo.Grid, centersSpec, sourcesSpec string, poolSize int, 
 			"center", cluster.Stats().SourceOwners[name])
 	}
 	return cluster, nil
-}
-
-func parseBounds(s string) (geo.Rect, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return geo.Rect{}, fmt.Errorf("bounds must be minX,minY,maxX,maxY, got %q", s)
-	}
-	vals := make([]float64, 4)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return geo.Rect{}, fmt.Errorf("bad bounds component %q: %w", p, err)
-		}
-		vals[i] = v
-	}
-	r := geo.Rect{MinX: vals[0], MinY: vals[1], MaxX: vals[2], MaxY: vals[3]}
-	if r.IsEmpty() {
-		return geo.Rect{}, fmt.Errorf("bounds %q are empty", s)
-	}
-	return r, nil
 }
 
 func fail(err error) {

@@ -121,19 +121,10 @@ func localFederation(sources []*dataset.Source, theta int) (searchRunner, error)
 func dialRemote(addrs string, sources []*dataset.Source, theta int, boundsFlag string) (searchRunner, error) {
 	bounds := geo.EmptyRect
 	if boundsFlag != "" {
-		parts := strings.Split(boundsFlag, ",")
-		if len(parts) != 4 {
-			return searchRunner{}, fmt.Errorf("bounds must be minX,minY,maxX,maxY")
+		var err error
+		if bounds, err = geo.ParseRect(boundsFlag); err != nil {
+			return searchRunner{}, err
 		}
-		vals := make([]float64, 4)
-		for i, p := range parts {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return searchRunner{}, err
-			}
-			vals[i] = v
-		}
-		bounds = geo.Rect{MinX: vals[0], MinY: vals[1], MaxX: vals[2], MaxY: vals[3]}
 	} else {
 		for _, s := range sources {
 			bounds = bounds.Union(s.Bounds())

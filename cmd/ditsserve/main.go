@@ -41,12 +41,9 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime/debug"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -106,7 +103,7 @@ func main() {
 	}
 	bounds := src.Bounds()
 	if *boundsFlag != "" {
-		bounds, err = parseBounds(*boundsFlag)
+		bounds, err = geo.ParseRect(*boundsFlag)
 		if err != nil {
 			fail(err)
 		}
@@ -188,11 +185,7 @@ func main() {
 		if *walDir != "" {
 			server.Store().Register(reg)
 		}
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", reg.Handler())
-		mux.Handle("GET /debug/traces", rec.DebugHandler())
-		mux.Handle("GET /debug/traces/", rec.DebugHandler())
-		mountPprof(mux)
+		mux := obs.NewMux(reg, rec, true)
 		msrv := &http.Server{Addr: *metricsAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 		go msrv.ListenAndServe()
 		defer msrv.Close()
@@ -214,16 +207,6 @@ func main() {
 	logger.Info("shutting down")
 }
 
-// mountPprof exposes the net/http/pprof endpoints on the metrics mux, so a
-// saturated source can be profiled through its observability listener.
-func mountPprof(mux *http.ServeMux) {
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
-
 func loadSource(path string) (*dataset.Source, error) {
 	fh, err := os.Open(path)
 	if err != nil {
@@ -235,26 +218,6 @@ func loadSource(path string) (*dataset.Source, error) {
 		return nil, fmt.Errorf("decode %s: %w", path, err)
 	}
 	return &src, nil
-}
-
-func parseBounds(s string) (geo.Rect, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return geo.Rect{}, fmt.Errorf("bounds must be minX,minY,maxX,maxY, got %q", s)
-	}
-	vals := make([]float64, 4)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return geo.Rect{}, fmt.Errorf("bad bounds component %q: %w", p, err)
-		}
-		vals[i] = v
-	}
-	r := geo.Rect{MinX: vals[0], MinY: vals[1], MaxX: vals[2], MaxY: vals[3]}
-	if r.IsEmpty() {
-		return geo.Rect{}, fmt.Errorf("bounds %q are empty", s)
-	}
-	return r, nil
 }
 
 func fail(err error) {

@@ -41,8 +41,6 @@ type CenterServerOptions struct {
 	// (a restarted center then waits for the gateway to re-register its
 	// shard).
 	MemberLog string
-	// Fsync flushes every membership append to disk before acknowledging.
-	Fsync bool
 	// Dial opens a connection to a source address. Nil defaults to a TCP
 	// pool of PoolSize connections; tests inject in-process peers.
 	Dial func(addr string) (transport.Peer, error)
@@ -75,7 +73,7 @@ func NewCenterServer(name string, center *Center, opts CenterServerOptions) (*Ce
 		peers:  make(map[string]transport.Peer),
 	}
 	if opts.MemberLog != "" {
-		log, events, err := OpenMemberLog(opts.MemberLog, opts.Fsync)
+		log, events, err := OpenMemberLog(opts.MemberLog)
 		if err != nil {
 			return nil, err
 		}

@@ -608,7 +608,7 @@ func TestCenterServerMemberLogRestart(t *testing.T) {
 
 	// A logged member whose endpoint is gone at boot is skipped, and the
 	// rest of the shard still comes up.
-	log, _, err := OpenMemberLog(logPath, false)
+	log, _, err := OpenMemberLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}

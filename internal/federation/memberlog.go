@@ -12,10 +12,10 @@ import (
 // to it: every registration a CenterServer accepts is appended here before
 // it is acknowledged, so a restarted center replays the log, re-dials the
 // fold of sources, and rejoins the cluster with the same shard — no
-// operator re-registration, no gateway coordination. The
-// on-disk format reuses the ingest WAL framing (length + CRC-32C frames
-// behind a magic header), so a torn tail from a crash mid-append truncates
-// to the intact prefix exactly like the data WAL.
+// operator re-registration, no gateway coordination. It is an
+// ingest.FramedLog, the same log the ingest WAL is (length + CRC-32C
+// frames behind a magic header), so a torn tail from a crash mid-append
+// truncates to the intact prefix exactly like the data WAL.
 
 // memberLogMagic distinguishes a membership log from the data WAL sharing
 // the same frame format.
@@ -46,10 +46,11 @@ type MemberLog struct {
 }
 
 // OpenMemberLog opens (or creates) the log at path and returns the events
-// recovered from it, oldest first. A torn final frame is truncated away;
-// fsync controls whether each append reaches disk before returning.
-func OpenMemberLog(path string, fsync bool) (*MemberLog, []MemberEvent, error) {
-	log, payloads, err := ingest.OpenFramedLog(path, memberLogMagic, fsync)
+// recovered from it, oldest first. A torn final frame is truncated away.
+// Every append reaches disk before it returns: the log takes one append
+// per registration, so there is no throughput to trade for durability.
+func OpenMemberLog(path string) (*MemberLog, []MemberEvent, error) {
+	log, payloads, err := ingest.OpenFramedLog(path, memberLogMagic, true, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("federation: open member log: %w", err)
 	}
@@ -85,9 +86,6 @@ func (l *MemberLog) Append(ev MemberEvent) error {
 	}
 	return nil
 }
-
-// Size returns the log's current length in bytes.
-func (l *MemberLog) Size() int64 { return l.log.Size() }
 
 // Close releases the underlying file.
 func (l *MemberLog) Close() error { return l.log.Close() }

@@ -9,7 +9,7 @@ import (
 
 func TestMemberLogReplayAndFold(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "members.log")
-	l, events, err := OpenMemberLog(path, false)
+	l, events, err := OpenMemberLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestMemberLogReplayAndFold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, replayed, err := OpenMemberLog(path, false)
+	l2, replayed, err := OpenMemberLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestMemberLogReplayAndFold(t *testing.T) {
 	if err := l2.Append(MemberEvent{Op: 2, Name: "charlie"}); err != nil {
 		t.Fatal(err)
 	}
-	if l3, _, err := OpenMemberLog(path, false); err == nil {
+	if l3, _, err := OpenMemberLog(path); err == nil {
 		l3.Close()
 		t.Fatal("a log holding a leave opened")
 	}
@@ -63,7 +63,7 @@ func TestMemberLogReplayAndFold(t *testing.T) {
 
 func TestMemberLogTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "members.log")
-	l, _, err := OpenMemberLog(path, false)
+	l, _, err := OpenMemberLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMemberLogTornTail(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-4], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, replayed, err := OpenMemberLog(path, false)
+	l2, replayed, err := OpenMemberLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMemberLogTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
-	_, again, err := OpenMemberLog(path, false)
+	_, again, err := OpenMemberLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}

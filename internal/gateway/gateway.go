@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -284,7 +283,7 @@ func traceID(r *http.Request) string {
 // endpoints (/stats, /metrics, /healthz, pprof) bypass it so an overloaded
 // gateway can still be inspected.
 func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
+	mux := obs.NewMux(g.reg, g.rec, g.opts.EnablePprof)
 	// The trace wrapper sits OUTSIDE admission so the admission.wait span
 	// (token check + queue time) lands inside the request's trace.
 	guard := func(root string, h http.HandlerFunc) http.Handler {
@@ -296,18 +295,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.Handle("POST /ingest/dataset", guard("http.ingest.put", g.handleIngestPut))
 	mux.Handle("DELETE /ingest/dataset", guard("http.ingest.delete", g.handleIngestDelete))
 	mux.HandleFunc("GET /stats", g.handleStats)
-	mux.Handle("GET /metrics", g.reg.Handler())
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
-	h := g.rec.DebugHandler()
-	mux.Handle("GET /debug/traces", h)
-	mux.Handle("GET /debug/traces/", h)
-	if g.opts.EnablePprof {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	}
 	return mux
 }
 

@@ -3,6 +3,8 @@ package geo
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Rect is an axis-aligned rectangle, used as the minimum bounding rectangle
@@ -36,6 +38,32 @@ func BoundingRect(pts []Point) Rect {
 		r = r.ExtendPoint(p)
 	}
 	return r
+}
+
+// ParseRect parses a -bounds flag, "minX,minY,maxX,maxY". Components must
+// be finite and the rectangle not inverted: NewGrid would silently swap
+// such bounds for the unit square, making cell IDs incomparable.
+func ParseRect(s string) (Rect, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 4 {
+		return Rect{}, fmt.Errorf("bounds must be minX,minY,maxX,maxY, got %q", s)
+	}
+	var v [4]float64
+	for i, p := range parts {
+		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return Rect{}, fmt.Errorf("bad bounds component %q: %w", p, err)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return Rect{}, fmt.Errorf("bounds component %q is not finite", p)
+		}
+		v[i] = f
+	}
+	r := Rect{MinX: v[0], MinY: v[1], MaxX: v[2], MaxY: v[3]}
+	if r.IsEmpty() {
+		return Rect{}, fmt.Errorf("bounds %q are empty (a min exceeds its max)", s)
+	}
+	return r, nil
 }
 
 // IsEmpty reports whether r contains no points (as EmptyRect does).

@@ -177,3 +177,28 @@ func TestBoundingRect(t *testing.T) {
 		}
 	}
 }
+
+func TestParseRect(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Rect
+		ok   bool
+	}{
+		{"-180, -90,180,90", Rect{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}, true},
+		{"0,0,1", Rect{}, false},
+		{"0,0,1,1,2", Rect{}, false},
+		{"", Rect{}, false},
+		{"0,0,one,1", Rect{}, false},
+		{"0,NaN,1,1", Rect{}, false},
+		{"0,0,+Inf,1", Rect{}, false},
+		{"-Inf,0,1,1", Rect{}, false},
+		{"0,0,1e400,1", Rect{}, false},
+		{"1,0,0,1", Rect{}, false},
+		{"0,1,1,0", Rect{}, false},
+	} {
+		got, err := ParseRect(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseRect(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}

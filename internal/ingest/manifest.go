@@ -59,40 +59,47 @@ func readManifest(dir string) (*manifest, error) {
 	return &m, nil
 }
 
-// writeManifest commits a manifest atomically: write to a temp file, fsync
-// it, rename over MANIFEST, fsync the directory. After the rename either
-// the old or the new manifest is fully in place — never a torn mix.
+// writeManifest commits a manifest atomically through replaceFile: after
+// the rename either the old or the new manifest is fully in place —
+// never a torn mix.
 func writeManifest(dir string, m manifest) error {
 	m.Schema = manifestSchema
 	data, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := writeFileSynced(tmp, data); err != nil {
+	return replaceFile(dir, manifestName, func(f *os.File) error {
+		_, err := f.Write(data)
 		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("ingest: commit manifest: %w", err)
-	}
-	return syncDir(dir)
+	})
 }
 
-// writeFileSynced writes data to path and flushes it to stable storage.
-func writeFileSynced(path string, data []byte) error {
-	f, err := os.Create(path)
+// replaceFile atomically replaces dir/name with what write produces:
+// write a temp file beside it, fsync it, close it, rename it over name,
+// and fsync the directory. A failure before the rename removes the temp
+// file and leaves name as it was.
+func replaceFile(dir, name string, write func(f *os.File) error) error {
+	path := filepath.Join(dir, name)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("ingest: create %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("ingest: replace %s: %w", name, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("ingest: write %s: %w", filepath.Base(path), err)
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("ingest: fsync %s: %w", filepath.Base(path), err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("ingest: replace %s: %w", name, err)
+	}
+	return syncDir(dir)
 }
 
 // syncDir flushes directory metadata (renames, creates) to stable

@@ -3,7 +3,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"os"
 )
 
 // WAL shipping: the replication path of a source. A replica store opens
@@ -55,22 +54,17 @@ func (st *Store) ShipWAL(after uint64) (frames []byte, version uint64, tooOld bo
 	if after < st.snapSeq {
 		return nil, version, true, nil // compacted away; reseed required
 	}
-	data, err := os.ReadFile(st.wal.path)
+	body, err := st.wal.frames()
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("ingest: read wal for shipping: %w", err)
+		return nil, 0, false, err
 	}
-	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != string(walMagic) {
-		return nil, 0, false, fmt.Errorf("ingest: %s is not a WAL (bad magic)", st.wal.path)
-	}
-	body := data[len(walMagic):]
 	var out []byte
-	lastSeq := uint64(0)
+	next := recordScanner()
 	walkFrames(body, func(off int, payload []byte) bool {
-		rec, derr := decodeRecord(payload)
-		if derr != nil || rec.Seq <= lastSeq {
+		rec, ok := next(payload)
+		if !ok {
 			return false
 		}
-		lastSeq = rec.Seq
 		if rec.Seq > after {
 			out = append(out, body[off:off+frameHeader+len(payload)]...)
 		}
@@ -98,7 +92,7 @@ func (st *Store) ApplyShipped(frames []byte) (applied int, err error) {
 	if !st.opts.Replica {
 		return 0, errors.New("ingest: ApplyShipped on a non-replica store (local mutations would fork the history)")
 	}
-	payloads, _ := ScanFrames(frames)
+	payloads, _ := scanFrames(frames, nil)
 	for _, p := range payloads {
 		rec, derr := decodeRecord(p)
 		if derr != nil {
@@ -110,22 +104,9 @@ func (st *Store) ApplyShipped(frames []byte) (applied int, err error) {
 		if rec.Seq != st.seq+1 {
 			return applied, fmt.Errorf("ingest: shipped record seq %d does not follow replica seq %d", rec.Seq, st.seq)
 		}
-		if err := st.wal.append(rec); err != nil {
+		if err := st.logAndApply(rec); err != nil {
 			return applied, err
 		}
-		st.seq = rec.Seq
-		st.mu.Lock()
-		aerr := st.apply(rec)
-		if aerr == nil {
-			st.version.Add(1)
-		}
-		st.mu.Unlock()
-		if aerr != nil {
-			// The primary applied this record cleanly, so the replica must
-			// too unless its state diverged — surface loudly.
-			return applied, fmt.Errorf("ingest: apply shipped seq %d: %w", rec.Seq, aerr)
-		}
-		st.sinceSnap++
 		applied++
 	}
 	st.maybeCompactLocked()

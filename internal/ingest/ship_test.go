@@ -254,7 +254,7 @@ func TestFramedLogRecovery(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "member.log")
 	magic := []byte("DITSTST\x01")
-	l, got, err := OpenFramedLog(path, magic, false)
+	l, got, err := OpenFramedLog(path, magic, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestFramedLogRecovery(t *testing.T) {
 
 	reopen := func(t *testing.T) ([][]byte, *FramedLog) {
 		t.Helper()
-		l, got, err := OpenFramedLog(path, magic, false)
+		l, got, err := OpenFramedLog(path, magic, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestFramedLogRecovery(t *testing.T) {
 	}
 
 	// Wrong magic refuses to open.
-	if _, _, err := OpenFramedLog(path, []byte("OTHERMG\x01"), false); err == nil {
+	if _, _, err := OpenFramedLog(path, []byte("OTHERMG\x01"), false, nil); err == nil {
 		t.Fatal("want error for mismatched magic")
 	}
 }

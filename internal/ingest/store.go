@@ -82,7 +82,7 @@ type Store struct {
 	// dropped on retirement, which is what actually frees memory).
 	reader    *ditsfile.Reader
 	retired   []*ditsfile.Reader
-	wal       *wal
+	wal       *FramedLog
 	lock      *os.File      // flock-held LOCK file: one process per store dir
 	seq       uint64        // last WAL sequence number issued
 	snapSeq   uint64        // sequence covered by the newest committed snapshot
@@ -167,7 +167,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			continue
 		}
 		if err := st.apply(rec); err != nil {
-			wal.close()
+			wal.Close()
 			return nil, fmt.Errorf("ingest: replay seq %d: %w", rec.Seq, err)
 		}
 		st.seq = rec.Seq
@@ -282,8 +282,18 @@ func (st *Store) mutate(rec walRecord) (uint64, error) {
 		return 0, fmt.Errorf("%w: id %d", ErrNotFound, rec.ID)
 	}
 	rec.Seq = st.seq + 1
-	if err := st.wal.append(rec); err != nil {
+	if err := st.logAndApply(rec); err != nil {
 		return 0, err
+	}
+	st.maybeCompactLocked()
+	return st.version.Load(), nil
+}
+
+// logAndApply logs one record, then applies it to the index and bumps
+// the data version. The caller holds writeMu.
+func (st *Store) logAndApply(rec walRecord) error {
+	if err := appendRecord(st.wal, rec); err != nil {
+		return err
 	}
 	st.seq = rec.Seq
 	st.mu.Lock()
@@ -293,13 +303,12 @@ func (st *Store) mutate(rec walRecord) (uint64, error) {
 	}
 	st.mu.Unlock()
 	if err != nil {
-		// Cannot happen given the validation above; surface loudly if it
-		// ever does, since WAL and index would disagree.
-		return 0, fmt.Errorf("ingest: apply seq %d: %w", rec.Seq, err)
+		// The record was validated (or, shipped, applied by the primary):
+		// WAL and index now disagree, so surface it loudly.
+		return fmt.Errorf("ingest: apply seq %d: %w", rec.Seq, err)
 	}
 	st.sinceSnap++
-	st.maybeCompactLocked()
-	return st.version.Load(), nil
+	return nil
 }
 
 // snapshotEvery resolves the automatic-snapshot threshold.
@@ -350,7 +359,7 @@ func (st *Store) Snapshot() error {
 	if err := st.commitSnapshot(st.seq, st.version.Load()); err != nil {
 		return err
 	}
-	if err := st.wal.reset(); err != nil {
+	if err := st.wal.Reset(); err != nil {
 		return err
 	}
 	st.sinceSnap = 0
@@ -368,29 +377,11 @@ func (st *Store) commitSnapshot(seq, version uint64) error {
 	// of the encoding. Searches proceed under the shared lock throughout;
 	// mutations are already excluded by writeMu.
 	name := fmt.Sprintf("snap-%016d.dsnap", seq)
-	path := filepath.Join(st.dir, name)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ingest: create snapshot: %w", err)
-	}
-	st.mu.RLock()
-	err = ditsfile.Write(f, st.idx)
-	st.mu.RUnlock()
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ingest: write snapshot: %w", err)
-	}
-	if err := syncDir(st.dir); err != nil {
+	if err := replaceFile(st.dir, name, func(f *os.File) error {
+		st.mu.RLock()
+		defer st.mu.RUnlock()
+		return ditsfile.Write(f, st.idx)
+	}); err != nil {
 		return err
 	}
 	if err := writeManifest(st.dir, manifest{Snapshot: name, Format: formatDSnap, Seq: seq, Version: version}); err != nil {
@@ -398,7 +389,7 @@ func (st *Store) commitSnapshot(seq, version uint64) error {
 	}
 	st.snapSeq = seq
 	st.snapshots.Add(1)
-	st.swapReader(path)
+	st.swapReader(filepath.Join(st.dir, name))
 	// Old snapshots are now unreachable from the manifest; reclaim them.
 	// (A retired reader's unlinked mapping stays valid until it unmaps.)
 	if olds, err := filepath.Glob(filepath.Join(st.dir, "snap-*.dsnap")); err == nil {
@@ -469,7 +460,7 @@ func (st *Store) Stats() Stats {
 		SinceSnapshot: st.sinceSnap,
 		Replayed:      st.replayed,
 		Snapshots:     st.snapshots.Load(),
-		WALBytes:      st.wal.size,
+		WALBytes:      st.wal.Size(),
 		Fsync:         st.opts.Fsync.String(),
 		Format:        formatDSnap,
 		MMap:          st.reader != nil,
@@ -530,7 +521,7 @@ func (st *Store) Close() error {
 	st.closed = true
 	st.writeMu.Unlock()
 	st.wg.Wait()
-	err := st.wal.close()
+	err := st.wal.Close()
 	// Unmap last: nothing may alias the mappings after Close returns.
 	for _, r := range st.retired {
 		r.Close()

@@ -279,6 +279,9 @@ func TestCrashRecoveryPrefix(t *testing.T) {
 		if !reflect.DeepEqual(searchFingerprint(t, re.Index()), searchFingerprint(t, oracle)) {
 			t.Fatalf("prefix %d: recovered results differ from in-process apply", wantApplied)
 		}
+		if fi, err := os.Stat(filepath.Join(cdir, "wal.log")); err != nil || fi.Size() != boundaries[wantApplied] {
+			t.Fatalf("prefix %d: wal.log not truncated to %d bytes (%v, %v)", wantApplied, boundaries[wantApplied], fi, err)
+		}
 	}
 
 	// Every intact prefix.
@@ -297,6 +300,13 @@ func TestCrashRecoveryPrefix(t *testing.T) {
 	// Garbage appended after the last intact record.
 	garbage := append(append([]byte(nil), walBytes...), 0xDE, 0xAD, 0xBE, 0xEF)
 	restartAt(t, garbage, len(muts))
+	// A CRC-clean frame whose payload is not a record, and a CRC-clean
+	// record that repeats the last sequence number: each ends the intact
+	// prefix and is truncated away.
+	undecodable := appendFrame(append([]byte(nil), walBytes...), []byte{1, 2, 3})
+	restartAt(t, undecodable, len(muts))
+	repeated := append(append([]byte(nil), walBytes...), walBytes[last:end]...)
+	restartAt(t, repeated, len(muts))
 }
 
 // TestRecoverySkipsSnapshottedRecords exercises the crash window between

@@ -16,16 +16,16 @@
 //
 // Recovery loads the manifest's snapshot, replays the WAL records with
 // sequence numbers beyond it, and tolerates a torn final record (the tail
-// is truncated to the last intact frame).
+// is truncated to the last intact frame). The WAL is a FramedLog
+// (framedlog.go) whose payloads are the records encoded below; the record
+// check (recordScanner) is what turns a CRC-clean frame that is not the
+// next record into the end of the intact prefix.
 package ingest
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 
 	"dits/internal/cellset"
 )
@@ -72,10 +72,6 @@ const (
 // walMagic is the 8-byte file header; the trailing byte versions the
 // record format.
 var walMagic = []byte("DITSWAL\x01")
-
-// maxRecordBytes caps one record's payload; anything larger in a length
-// header is garbage from a torn write, not a record.
-const maxRecordBytes = 64 << 20
 
 // walRecord is one logged mutation. Cells is nil for deletes.
 type walRecord struct {
@@ -142,109 +138,40 @@ func decodeRecord(p []byte) (walRecord, error) {
 // in the log would make the recovered index diverge from the live one.
 const maxNameBytes = 0xFFFF
 
-// wal is the append-only log file. It is not safe for concurrent use; the
-// Store serializes appends under its write lock.
-type wal struct {
-	f     *os.File
-	path  string
-	fsync bool
-	size  int64 // last known-good frame boundary
-	// broken is set when a failed append could not be rolled back to the
-	// last good boundary: further appends would land after garbage and be
-	// unrecoverable, so they are refused until the store is reopened.
-	broken bool
-}
-
-// frame header: u32 payload length | u32 CRC-32 (Castagnoli) of the payload.
-const frameHeader = 8
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// openWAL opens (or creates) the log at path and replays every intact
-// record, truncating a torn tail in place so appends resume on a clean
-// frame boundary. Records are returned in log order.
-func openWAL(path string, fsync bool) (*wal, []walRecord, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ingest: open wal: %w", err)
-	}
-	w := &wal{f: f, path: path, fsync: fsync}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("ingest: read wal: %w", err)
-	}
-	if len(data) < len(walMagic) && string(data) == string(walMagic[:len(data)]) {
-		// Empty file, or a header torn by a crash during the very first
-		// init (a strict prefix of the magic, so no record can have been
-		// acknowledged yet): reinitialize in place.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("ingest: init wal: %w", err)
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("ingest: init wal: %w", err)
-		}
-		if _, err := f.Write(walMagic); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("ingest: init wal: %w", err)
-		}
-		if err := w.maybeSync(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		w.size = int64(len(walMagic))
-		return w, nil, nil
-	}
-	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != string(walMagic) {
-		f.Close()
-		return nil, nil, fmt.Errorf("ingest: %s is not a WAL (bad magic)", path)
-	}
-
-	// Replay: scan intact frames (walkFrames rejects short headers, absurd
-	// lengths, and bad checksums); a payload that does not decode or whose
-	// sequence number does not advance marks the torn tail, which is
-	// truncated away. A torn write never corrupts preceding records
-	// because appends are strictly sequential.
-	var recs []walRecord
+// recordScanner returns the WAL's record check, shared by recovery and
+// shipping: it decodes each payload in log order and reports false —
+// the end of the intact prefix — for one that does not decode or whose
+// sequence number does not strictly increase.
+func recordScanner() func(payload []byte) (walRecord, bool) {
 	lastSeq := uint64(0)
-	off := len(walMagic) + walkFrames(data[len(walMagic):], func(_ int, payload []byte) bool {
-		rec, err := decodeRecord(payload)
+	return func(p []byte) (walRecord, bool) {
+		rec, err := decodeRecord(p)
 		if err != nil || rec.Seq <= lastSeq {
-			return false
+			return rec, false
 		}
-		recs = append(recs, rec)
 		lastSeq = rec.Seq
-		return true
-	})
-	if int64(off) != int64(len(data)) {
-		if err := f.Truncate(int64(off)); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("ingest: truncate torn wal tail: %w", err)
-		}
-		if err := w.maybeSync(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
+		return rec, true
 	}
-	if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("ingest: seek wal: %w", err)
-	}
-	w.size = int64(off)
-	return w, recs, nil
 }
 
-// append frames, checksums, writes, and (per policy) flushes one record.
-// On any failure the log is rolled back to the last good frame boundary,
-// so a partial frame can never sit in the middle of the file ahead of
-// later acknowledged appends — and a record whose flush failed is removed
-// rather than left to be replayed as if it had been acknowledged.
-func (w *wal) append(rec walRecord) error {
-	if w.broken {
-		return fmt.Errorf("ingest: wal is in a failed state after an unrecoverable partial write; reopen the store")
-	}
+// openWAL opens (or creates) the log at path and returns its intact
+// records in log order, truncating a torn tail in place.
+func openWAL(path string, fsync bool) (*FramedLog, []walRecord, error) {
+	var recs []walRecord
+	next := recordScanner()
+	log, _, err := OpenFramedLog(path, walMagic, fsync, func(p []byte) bool {
+		rec, ok := next(p)
+		if ok {
+			recs = append(recs, rec)
+		}
+		return ok
+	})
+	return log, recs, err
+}
+
+// appendRecord logs one record, refusing up front what replay could not
+// read back.
+func appendRecord(log *FramedLog, rec walRecord) error {
 	if len(rec.Name) > maxNameBytes {
 		return fmt.Errorf("ingest: dataset %d name is %d bytes (max %d)", rec.ID, len(rec.Name), maxNameBytes)
 	}
@@ -254,67 +181,5 @@ func (w *wal) append(rec walRecord) error {
 		// would silently drop this and every later mutation on recovery.
 		return fmt.Errorf("ingest: mutation for dataset %d is %d bytes, over the %d-byte record cap", rec.ID, len(payload), maxRecordBytes)
 	}
-	frame := appendFrame(make([]byte, 0, frameHeader+len(payload)), payload)
-	if _, err := w.f.Write(frame); err != nil {
-		return w.rollback(fmt.Errorf("ingest: wal append: %w", err))
-	}
-	if err := w.maybeSync(); err != nil {
-		return w.rollback(err)
-	}
-	w.size += int64(len(frame))
-	return nil
-}
-
-// rollback truncates the log back to the last good frame boundary after a
-// failed append and returns cause (annotated if the rollback itself
-// failed, in which case the log is marked broken).
-func (w *wal) rollback(cause error) error {
-	if err := w.f.Truncate(w.size); err != nil {
-		w.broken = true
-		return fmt.Errorf("%w (and rollback failed: %v; wal disabled until reopen)", cause, err)
-	}
-	if _, err := w.f.Seek(w.size, io.SeekStart); err != nil {
-		w.broken = true
-		return fmt.Errorf("%w (and rollback seek failed: %v; wal disabled until reopen)", cause, err)
-	}
-	return cause
-}
-
-// reset truncates the log back to its header — called after a snapshot
-// commit makes every logged record redundant. A failed truncate leaves
-// the log untouched (the stale records are skipped by sequence number on
-// replay); a seek failure AFTER the truncate leaves the fd offset past a
-// zero gap, so — exactly like rollback — the log is marked broken and
-// refuses appends until reopened, rather than acknowledging records that
-// replay would treat as a torn tail.
-func (w *wal) reset() error {
-	if err := w.f.Truncate(int64(len(walMagic))); err != nil {
-		return fmt.Errorf("ingest: reset wal: %w", err)
-	}
-	if _, err := w.f.Seek(int64(len(walMagic)), io.SeekStart); err != nil {
-		w.broken = true
-		return fmt.Errorf("ingest: reset wal seek failed: %w; wal disabled until reopen", err)
-	}
-	w.size = int64(len(walMagic))
-	return w.maybeSync()
-}
-
-// maybeSync flushes per the fsync policy.
-func (w *wal) maybeSync() error {
-	if !w.fsync {
-		return nil
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("ingest: fsync wal: %w", err)
-	}
-	return nil
-}
-
-// close closes the log file, flushing first under the always policy.
-func (w *wal) close() error {
-	if err := w.maybeSync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
+	return log.Append(payload)
 }

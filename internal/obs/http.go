@@ -3,8 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/pprof"
 	"strings"
 	"time"
+
+	"dits/internal/metrics"
 )
 
 // The /debug/traces surface (docs/OBSERVABILITY.md):
@@ -80,6 +83,26 @@ func SpanTree(spans []Span) []*SpanNode {
 		}
 	}
 	return roots
+}
+
+// NewMux returns a mux serving the observability routes of every server:
+// GET /metrics from reg, GET /debug/traces from rec, and — when
+// withPprof — the net/http/pprof endpoints under /debug/pprof/. Callers
+// add their own routes to it.
+func NewMux(reg *metrics.Registry, rec *Recorder, withPprof bool) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("GET /metrics", reg.Handler())
+	h := rec.DebugHandler()
+	mux.Handle("GET /debug/traces", h)
+	mux.Handle("GET /debug/traces/", h)
+	if withPprof {
+		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	}
+	return mux
 }
 
 // DebugHandler serves the /debug/traces endpoints from the recorder. It

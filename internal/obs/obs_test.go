@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dits/internal/metrics"
 )
 
 func TestTraceIDRoundTrip(t *testing.T) {
@@ -284,5 +286,28 @@ func TestDebugHandler(t *testing.T) {
 	h.ServeHTTP(w, httptest.NewRequest("GET", "/debug/traces/"+NewTraceID().String(), nil))
 	if w.Code != 404 {
 		t.Fatalf("unknown id status = %d", w.Code)
+	}
+}
+
+func TestNewMuxRoutes(t *testing.T) {
+	for _, withPprof := range []bool{false, true} {
+		rec := NewRecorder(RecorderOptions{})
+		mux := NewMux(metrics.NewRegistry(), rec, withPprof)
+		pprofCode := 404
+		if withPprof {
+			pprofCode = 200
+		}
+		for path, want := range map[string]int{
+			"/metrics":          200,
+			"/debug/traces":     200,
+			"/debug/pprof/":     pprofCode,
+			"/debug/pprof/heap": pprofCode,
+		} {
+			w := httptest.NewRecorder()
+			mux.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+			if w.Code != want {
+				t.Errorf("pprof=%v GET %s = %d, want %d", withPprof, path, w.Code, want)
+			}
+		}
 	}
 }
