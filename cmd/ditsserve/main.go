@@ -1,8 +1,8 @@
 // Command ditsserve runs one autonomous data source: it loads a source
 // generated by datagen, builds its DITS-L index, and serves the federation
 // protocol (overlap.search, search.batch, coverage.best, the coverage.*
-// session methods, dataset.put/delete, source.version, source.summary,
-// source.stats) over TCP until interrupted. Every search runs on the query
+// session methods, dataset.put/delete, source.version, source.summary)
+// over TCP until interrupted. Every search runs on the query
 // executor (internal/search/exec), on the goroutine serving the request,
 // and batched requests share one tree pass.
 //

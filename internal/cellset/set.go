@@ -267,15 +267,6 @@ func (s Set) Diff(t Set) Set {
 	return out
 }
 
-// UnionAll returns the union of all given sets.
-func UnionAll(sets ...Set) Set {
-	var out Set
-	for _, s := range sets {
-		out = out.Union(s)
-	}
-	return out
-}
-
 // Bounds returns the MBR, in grid-coordinate space, spanned by the set's
 // cells: [minX,maxX]×[minY,maxY] inclusive. ok is false for an empty set.
 func (s Set) Bounds() (minX, minY, maxX, maxY uint32, ok bool) {

@@ -141,9 +141,6 @@ func TestSetAlgebraEdgeCases(t *testing.T) {
 	if got := a.MarginalGain(a); got != 0 {
 		t.Errorf("gain of a over a = %d, want 0", got)
 	}
-	if UnionAll() != nil {
-		t.Error("UnionAll() should be nil")
-	}
 }
 
 // mapOracle computes intersection/union sizes with maps, as ground truth.

@@ -70,11 +70,6 @@ type epochSnap struct {
 	global  *dits.Global
 }
 
-// rebuildEvery bounds how far the incrementally maintained DITS-G may
-// drift from a fresh build: after this many single-source joins/leaves the
-// next membership change rebuilds from scratch, restoring balance.
-const rebuildEvery = 64
-
 // Center is the data center: it maintains DITS-G over the source summaries
 // and coordinates multi-source OJSP and CJSP.
 //
@@ -102,10 +97,8 @@ type Center struct {
 	// mutation and one per membership epoch change.
 	invalidations atomic.Int64
 
-	mu      sync.Mutex // serializes membership changes and guards cache/gf
-	gf      int        // leaf capacity for DITS-G
-	incrOps int        // membership ops since the last full rebuild
-	cache   *cache.Cache
+	mu    sync.Mutex // serializes membership changes and guards cache
+	cache *cache.Cache
 	// regGen records, per source, the epoch generation of its latest
 	// Register/Unregister (guarded by mu). Mutation notes pinned to an
 	// earlier generation come from a previous incarnation of the source
@@ -146,11 +139,10 @@ func NewCenter(g geo.Grid, opts Options) *Center {
 		Grid:    g,
 		Options: opts,
 		Metrics: &transport.Metrics{},
-		gf:      dits.DefaultLeafCapacity,
 	}
 	c.epoch.Store(&epochSnap{
 		members: map[string]*member{},
-		global:  dits.BuildGlobal(nil, c.gf),
+		global:  dits.BuildGlobal(nil, dits.DefaultLeafCapacity),
 	})
 	c.versions.Store(&map[string]uint64{})
 	c.regGen = map[string]uint64{}
@@ -182,8 +174,8 @@ func (c *Center) Cache() *cache.Cache {
 func (c *Center) Generation() uint64 { return c.epoch.Load().gen }
 
 // Register adds a source: the source uploads its root summary and the
-// center swaps in a new membership epoch whose DITS-G is updated
-// incrementally (copy-on-write) rather than rebuilt (§V-B).
+// center swaps in a new membership epoch whose DITS-G is built over the
+// new member set's summaries (§V-B).
 func (c *Center) Register(summary dits.SourceSummary, peer transport.Peer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -192,13 +184,7 @@ func (c *Center) Register(summary dits.SourceSummary, peer transport.Peer) {
 	for k, v := range old.members {
 		members[k] = v
 	}
-	_, existed := members[summary.Name]
 	members[summary.Name] = &member{summary: summary, peer: peer}
-	g := old.global
-	if existed {
-		g = g.WithoutSource(summary.Name)
-	}
-	g = g.WithSource(summary)
 	// Registration is an authoritative reset of the source's state: drop
 	// its version entry so a rebuilt source whose data version restarted
 	// from zero is not shadowed by the previous incarnation's counter,
@@ -206,7 +192,7 @@ func (c *Center) Register(summary dits.SourceSummary, peer transport.Peer) {
 	// the previous incarnation are dropped rather than re-noted. The
 	// epoch bump below invalidates every cached entry regardless.
 	c.dropVersionLocked(summary.Name)
-	c.swapEpochLocked(old, members, g)
+	c.swapEpochLocked(old, members)
 	c.regGen[summary.Name] = c.epoch.Load().gen
 }
 
@@ -225,11 +211,17 @@ func (c *Center) dropVersionLocked(name string) {
 
 // RegisterRemote fetches the source's summary over the peer connection
 // (MethodSummary) and registers it — how a data center bootstraps against
-// already-running source servers.
+// already-running source servers. A source gridded at another θ than the
+// center's is refused: its cell IDs would name other cells. A center
+// without a grid (θ 0, the cluster relay roster) runs no query and takes
+// any θ.
 func (c *Center) RegisterRemote(ctx context.Context, peer transport.Peer) (dits.SourceSummary, error) {
 	var summary dits.SourceSummary
 	if err := peer.Call(ctx, MethodSummary, nil, &summary); err != nil {
 		return dits.SourceSummary{}, fmt.Errorf("federation: fetch summary: %w", err)
+	}
+	if c.Grid.Theta != 0 && summary.Theta != c.Grid.Theta {
+		return summary, fmt.Errorf("federation: source %s is gridded at θ=%d, the center at θ=%d", summary.Name, summary.Theta, c.Grid.Theta)
 	}
 	c.Register(summary, peer)
 	return summary, nil
@@ -252,26 +244,13 @@ func (c *Center) Unregister(name string) {
 		}
 	}
 	c.dropVersionLocked(name)
-	c.swapEpochLocked(old, members, old.global.WithoutSource(name))
+	c.swapEpochLocked(old, members)
 	c.regGen[name] = c.epoch.Load().gen
 }
 
-// swapEpochLocked publishes a new membership epoch; the caller holds c.mu.
-// Every rebuildEvery incremental updates the global index is rebuilt from
-// scratch so incremental drift cannot accumulate unboundedly.
-func (c *Center) swapEpochLocked(old *epochSnap, members map[string]*member, g *dits.Global) {
-	c.incrOps++
-	if c.incrOps >= rebuildEvery {
-		c.incrOps = 0
-		summaries := make([]dits.SourceSummary, 0, len(members))
-		for _, m := range members {
-			summaries = append(summaries, m.summary)
-		}
-		slices.SortFunc(summaries, func(a, b dits.SourceSummary) int {
-			return cmp.Compare(a.Name, b.Name)
-		})
-		g = dits.BuildGlobal(summaries, c.gf)
-	}
+// swapEpochLocked publishes a new membership epoch whose DITS-G is built
+// from the members' summaries in name order; the caller holds c.mu.
+func (c *Center) swapEpochLocked(old *epochSnap, members map[string]*member) {
 	ordered := make([]*member, 0, len(members))
 	for _, m := range members {
 		ordered = append(ordered, m)
@@ -279,11 +258,15 @@ func (c *Center) swapEpochLocked(old *epochSnap, members map[string]*member, g *
 	slices.SortFunc(ordered, func(a, b *member) int {
 		return cmp.Compare(a.summary.Name, b.summary.Name)
 	})
+	summaries := make([]dits.SourceSummary, len(ordered))
+	for i, m := range ordered {
+		summaries[i] = m.summary
+	}
 	c.epoch.Store(&epochSnap{
 		gen:     old.gen + 1,
 		members: members,
 		ordered: ordered,
-		global:  g,
+		global:  dits.BuildGlobal(summaries, dits.DefaultLeafCapacity),
 	})
 	c.invalidations.Add(1)
 	c.cache.Clear()
@@ -984,8 +967,8 @@ func (c *Center) mutate(ctx context.Context, source string, id int, method strin
 
 // noteMutation records a source's post-mutation data version and, when
 // the mutation moved the source's root summary, publishes a new
-// membership epoch whose DITS-G carries the updated summary (the same
-// copy-on-write path Register uses). Notes are applied in version order:
+// membership epoch whose DITS-G is built with the updated summary (the
+// same epoch swap Register uses). Notes are applied in version order:
 // a response that raced past a newer one is dropped entirely, so a
 // late-arriving older (Version, Summary) pair — the pair is snapshotted
 // atomically at the source — can never roll DITS-G back to a stale
@@ -1019,8 +1002,7 @@ func (c *Center) noteMutation(ep *epochSnap, source string, resp MutateResponse)
 		members := make(map[string]*member, len(cur.members))
 		maps.Copy(members, cur.members)
 		members[source] = &member{summary: resp.Summary, peer: m.peer}
-		g := cur.global.WithoutSource(source).WithSource(resp.Summary)
-		c.swapEpochLocked(cur, members, g) // counts the invalidation itself
+		c.swapEpochLocked(cur, members) // counts the invalidation itself
 		return
 	}
 	c.invalidations.Add(1)

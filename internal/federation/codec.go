@@ -50,7 +50,7 @@ const (
 	_ // 10: retired
 	msgSessionCloseReq
 	msgSessionCloseResp
-	msgStatsResp
+	_ // 13: retired
 	msgDatasetPutReq
 	msgDatasetDeleteReq
 	msgMutateResp
@@ -155,19 +155,6 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 	case *SessionCloseResponse:
 		dst = append(dst, msgSessionCloseResp)
 		return appendBool(dst, m.Closed), nil
-	case *StatsResponse:
-		dst = append(dst, msgStatsResp)
-		dst = appendString(dst, m.Name)
-		dst = binary.AppendVarint(dst, int64(m.NumDatasets))
-		dst = binary.AppendVarint(dst, int64(m.TreeNodes))
-		dst = binary.AppendVarint(dst, int64(m.Height))
-		dst = binary.AppendVarint(dst, int64(m.Sessions))
-		dst = binary.AppendUvarint(dst, m.DataVersion)
-		dst = appendBool(dst, m.Durable)
-		dst = appendBool(dst, m.MMap)
-		dst = binary.AppendVarint(dst, m.MappedBytes)
-		dst = binary.AppendVarint(dst, m.ResidentBytes)
-		return binary.AppendVarint(dst, int64(m.OverlayMutations)), nil
 	case *DatasetPutRequest:
 		dst = append(dst, msgDatasetPutReq)
 		dst = binary.AppendVarint(dst, int64(m.ID))
@@ -314,19 +301,6 @@ func (binCodec) Decode(data []byte, v any) error {
 	case *SessionCloseResponse:
 		r.expect(msg, msgSessionCloseResp)
 		m.Closed = r.bool()
-	case *StatsResponse:
-		r.expect(msg, msgStatsResp)
-		m.Name = r.string()
-		m.NumDatasets = r.int()
-		m.TreeNodes = r.int()
-		m.Height = r.int()
-		m.Sessions = r.int()
-		m.DataVersion = r.uvarint()
-		m.Durable = r.bool()
-		m.MMap = r.bool()
-		m.MappedBytes = int64(r.int())
-		m.ResidentBytes = int64(r.int())
-		m.OverlayMutations = r.int()
 	case *DatasetPutRequest:
 		r.expect(msg, msgDatasetPutReq)
 		m.ID = r.int()

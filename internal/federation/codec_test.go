@@ -73,7 +73,6 @@ func codecTestMessages() []any {
 		&FetchCellsResponse{},
 		&SessionCloseRequest{Session: ^uint64(0)},
 		&SessionCloseResponse{Closed: true},
-		&StatsResponse{Name: "s", NumDatasets: 4, TreeNodes: 9, Height: 2, Sessions: 1, DataVersion: 77, Durable: true},
 		&DatasetPutRequest{ID: 3, Name: "d", Cells: small},
 		&DatasetDeleteRequest{ID: 1 << 50},
 		&MutateResponse{Found: true, Version: 8, NumDatasets: 2, Summary: summary},
@@ -124,7 +123,6 @@ func codecTestMessages() []any {
 var wireTypes = map[string][2]any{
 	MethodOverlap:         {new(OverlapRequest), new(OverlapResponse)},
 	MethodCoverage:        {new(CoverageRequest), new(CoverageCandidate)},
-	MethodStats:           {nil, new(StatsResponse)},
 	MethodSummary:         {nil, new(dits.SourceSummary)},
 	MethodCoverageRound:   {new(CoverageRoundRequest), new(CoverageRoundResponse)},
 	MethodFetchCells:      {new(FetchCellsRequest), new(FetchCellsResponse)},

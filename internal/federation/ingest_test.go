@@ -228,6 +228,73 @@ func TestMutationGrowsSummary(t *testing.T) {
 	}
 }
 
+// TestEpochGlobalTracksMembers: each membership epoch builds its DITS-G
+// from its members, so after a join, a re-registration with a moved rect,
+// a leave and a summary-moving mutation, the pinned epoch's tree returns
+// exactly the live members' current summaries for a world query.
+func TestEpochGlobalTracksMembers(t *testing.T) {
+	g := worldGrid()
+	center := NewCenter(g, DefaultOptions())
+	source := func(name string, cx, cy int) *SourceServer {
+		var nodes []*dataset.Node
+		for i := 0; i < 5; i++ {
+			nodes = append(nodes, dataset.NewNodeFromCells(i+1, name, cellsNear(cx+3*i, cy+2*i, 10)))
+		}
+		return NewSourceServerWithGrid(name, dits.Build(g, nodes, 4))
+	}
+	live := map[string]*SourceServer{}
+	register := func(srv *SourceServer) {
+		center.Register(srv.Summary(), &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: center.Metrics})
+		live[srv.Name] = srv
+	}
+	world := dits.QueryNode{Rect: geo.Rect{MinX: -1e6, MinY: -1e6, MaxX: 1e6, MaxY: 1e6}}
+	world.O, world.R = world.Rect.Center(), world.Rect.Radius()
+	check := func(step string) {
+		t.Helper()
+		got := map[string]dits.SourceSummary{}
+		cands := center.epoch.Load().global.CandidateSources(world, 0)
+		for _, s := range cands {
+			got[s.Name] = s
+		}
+		want := map[string]dits.SourceSummary{}
+		for name, srv := range live {
+			want[name] = srv.Summary()
+		}
+		if len(cands) != len(got) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: DITS-G holds %+v, want %+v", step, cands, want)
+		}
+	}
+
+	a, b, c := source("a", 8, 8), source("b", 60, 20), source("c", 20, 60)
+	enableIngest(t, c)
+	for _, srv := range []*SourceServer{a, b, c} {
+		register(srv)
+	}
+	check("register a, b, c")
+
+	moved := source("b", 90, 90)
+	if moved.Summary().Rect == b.Summary().Rect {
+		t.Fatal("the re-registered b must move its rect")
+	}
+	register(moved)
+	check("re-register b")
+
+	center.Unregister("a")
+	delete(live, "a")
+	check("unregister a")
+
+	before := c.Summary()
+	gen := center.Generation()
+	side := 1 << theta
+	if _, err := center.PutDataset(context.Background(), "c", 999, "corner", cellsNear(side-8, 2, 12)); err != nil {
+		t.Fatal(err)
+	}
+	if c.Summary() == before || center.Generation() == gen {
+		t.Fatal("the put must move c's summary and swap the epoch")
+	}
+	check("put at c")
+}
+
 func TestSourceVersionRPC(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	center, servers := buildMutableFederation(t, rng, 1, 10, DefaultOptions())
@@ -249,14 +316,6 @@ func TestSourceVersionRPC(t *testing.T) {
 	}
 	if v1 := call(); v1.Version != 1 {
 		t.Fatalf("version after one mutation = %d, want 1", v1.Version)
-	}
-	// Stats carries the same counters.
-	var stats StatsResponse
-	if err := peer.Call(context.Background(), MethodStats, nil, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.DataVersion != 1 || !stats.Durable {
-		t.Fatalf("stats = %+v, want DataVersion=1 Durable=true", stats)
 	}
 }
 

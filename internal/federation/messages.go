@@ -35,7 +35,6 @@ import (
 const (
 	MethodOverlap  = "overlap.search"
 	MethodCoverage = "coverage.best"
-	MethodStats    = "source.stats"
 	MethodSummary  = "source.summary"
 
 	// Session protocol (CJSP). One coverage query opens one session per
@@ -299,24 +298,6 @@ type SessionCloseResponse struct {
 	Closed bool
 }
 
-// StatsResponse reports a source's basic statistics for monitoring.
-type StatsResponse struct {
-	Name        string
-	NumDatasets int
-	TreeNodes   int
-	Height      int
-	Sessions    int    // live coverage sessions held by the source
-	DataVersion uint64 // mutations applied over the source's lifetime (0 when read-only)
-	Durable     bool   // whether the source runs a WAL-backed ingest store
-
-	// Memory posture of a source serving its index from an mmap'd
-	// snapshot (ditsserve -mmap). All zero for heap-resident sources.
-	MMap             bool
-	MappedBytes      int64 // bytes of the live snapshot mapping
-	ResidentBytes    int64 // estimated resident bytes (skeleton + touched leaves)
-	OverlayMutations int   // WAL-tail mutations layered over the snapshot base
-}
-
 // DatasetPutRequest durably upserts one dataset at a source: insert when
 // the ID is new, replace in place when it exists. Cells must be gridded
 // under the federation's shared grid, like query cells.
@@ -333,8 +314,8 @@ type DatasetDeleteRequest struct {
 
 // MutateResponse answers both mutation methods. Version is the source's
 // data version after the mutation (monotonic, persisted across restarts).
-// Summary is the source's post-mutation root summary: the center folds it
-// into DITS-G (copy-on-write) whenever a mutation grew or shrank the
+// Summary is the source's post-mutation root summary: the center builds a
+// new epoch's DITS-G with it whenever a mutation grew or shrank the
 // source's extent, so global candidate filtering never prunes a source
 // whose new data now reaches a query. Found is false only for a delete of
 // an ID the source does not hold (which mutates nothing).

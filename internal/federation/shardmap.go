@@ -105,9 +105,6 @@ func NewShardMap(centers []string) *ShardMap {
 // Centers returns the ring's center names, sorted.
 func (m *ShardMap) Centers() []string { return m.centers }
 
-// NumCenters returns the number of centers on the ring.
-func (m *ShardMap) NumCenters() int { return len(m.centers) }
-
 // succ returns the ring index owning hash h.
 func (m *ShardMap) succ(h uint64) int {
 	i := sort.Search(len(m.hashes), func(i int) bool { return m.hashes[i] >= h })
@@ -124,28 +121,6 @@ func (m *ShardMap) Assign(source string) string {
 		return ""
 	}
 	return m.centers[m.owner[m.succ(shardHash(source))]]
-}
-
-// AssignUpTo returns up to n distinct centers for the source in ring
-// (preference) order: the owner first, then the next distinct centers
-// clockwise — the retry order a mutation walks when the owner is down.
-func (m *ShardMap) AssignUpTo(source string, n int) []string {
-	if len(m.hashes) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(m.centers) {
-		n = len(m.centers)
-	}
-	out := make([]string, 0, n)
-	seen := make(map[int]bool, n)
-	for i, start := 0, m.succ(shardHash(source)); len(out) < n && i < len(m.hashes); i++ {
-		idx := m.owner[(start+i)%len(m.hashes)]
-		if !seen[idx] {
-			seen[idx] = true
-			out = append(out, m.centers[idx])
-		}
-	}
-	return out
 }
 
 // Shards partitions sources by owning center: center name → name-sorted

@@ -278,26 +278,6 @@ func (s *SourceServer) Handler() transport.Handler {
 				Version: s.DataVersion(),
 				Durable: s.store != nil,
 			}, nil
-		case MethodStats:
-			resp := StatsResponse{
-				Name:        s.Name,
-				Sessions:    s.NumSessions(),
-				DataVersion: s.DataVersion(),
-				Durable:     s.store != nil,
-			}
-			s.view(func(idx *dits.Local) {
-				resp.NumDatasets = idx.Len()
-				resp.TreeNodes = idx.NumTreeNodes()
-				resp.Height = idx.Height()
-			})
-			if s.store != nil {
-				ss := s.store.Stats()
-				resp.MMap = ss.MMap
-				resp.MappedBytes = ss.MappedBytes
-				resp.ResidentBytes = ss.ResidentBytes
-				resp.OverlayMutations = ss.SinceSnapshot
-			}
-			return &resp, nil
 		case MethodSummary:
 			// Lets a data center bootstrap registration over the wire
 			// (§V-B: "each source sends its root node to the data

@@ -22,18 +22,6 @@ func testServer(t *testing.T) *SourceServer {
 	return NewSourceServerWithGrid("src", dits.Build(g, nodes, 4))
 }
 
-func TestHandlerStats(t *testing.T) {
-	srv := testServer(t)
-	var stats StatsResponse
-	callHandler(t, srv.Handler(), MethodStats, nil, &stats)
-	if stats.Name != "src" || stats.NumDatasets != 12 {
-		t.Errorf("stats = %+v", stats)
-	}
-	if stats.TreeNodes == 0 || stats.Height == 0 {
-		t.Errorf("tree shape missing: %+v", stats)
-	}
-}
-
 func TestHandlerSummary(t *testing.T) {
 	srv := testServer(t)
 	var summary dits.SourceSummary
@@ -98,5 +86,30 @@ func TestHandlerCoverageExcludes(t *testing.T) {
 	}
 	if summary.Name != "src" || center.NumSources() != 1 {
 		t.Errorf("RegisterRemote: %+v, sources %d", summary, center.NumSources())
+	}
+}
+
+// TestRegisterRemoteRefusesOtherTheta: a source gridded at θ=6 must not
+// join a θ=7 center, whose cell IDs mean other cells; a θ=6 center and
+// the grid-less relay roster take it.
+func TestRegisterRemoteRefusesOtherTheta(t *testing.T) {
+	srv := testServer(t)
+	for _, tc := range []struct {
+		grid geo.Grid
+		ok   bool
+	}{
+		{geo.NewGrid(7, geo.Rect{MaxX: 64, MaxY: 64}), false},
+		{geo.NewGrid(6, geo.Rect{MaxX: 64, MaxY: 64}), true},
+		{geo.Grid{}, true},
+	} {
+		center := NewCenter(tc.grid, DefaultOptions())
+		peer := &transport.InProc{Name: "src", Handler: srv.Handler(), Metrics: center.Metrics}
+		_, err := center.RegisterRemote(context.Background(), peer)
+		if (err == nil) != tc.ok {
+			t.Errorf("center θ=%d: RegisterRemote err = %v, want ok=%v", tc.grid.Theta, err, tc.ok)
+		}
+		if registered := center.NumSources() == 1; registered != tc.ok {
+			t.Errorf("center θ=%d: %d sources registered, want ok=%v", tc.grid.Theta, center.NumSources(), tc.ok)
+		}
 	}
 }

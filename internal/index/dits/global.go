@@ -36,7 +36,6 @@ func (g *GNode) IsLeaf() bool { return g.Left == nil && g.Right == nil }
 // Global is the DITS-G index maintained by the data center.
 type Global struct {
 	Root *GNode
-	F    int
 }
 
 // BuildGlobal constructs DITS-G over the uploaded source summaries with
@@ -45,9 +44,7 @@ func BuildGlobal(summaries []SourceSummary, f int) *Global {
 	if f <= 0 {
 		f = DefaultLeafCapacity
 	}
-	g := &Global{F: f}
-	g.Root = buildGlobal(append([]SourceSummary(nil), summaries...), f)
-	return g
+	return &Global{Root: buildGlobal(append([]SourceSummary(nil), summaries...), f)}
 }
 
 func buildGlobal(ss []SourceSummary, f int) *GNode {
@@ -133,152 +130,6 @@ func (g *Global) CandidateSources(q QueryNode, deltaRaw float64) []SourceSummary
 		walk(n.Right)
 	}
 	walk(g.Root)
-	return out
-}
-
-// WithSource returns a new Global with s inserted, path-copying only the
-// nodes along the insertion route. The receiver is never mutated, so
-// snapshots handed to in-flight queries stay valid while the center swaps
-// in the new tree — the copy-on-write half of epoch-based membership.
-// Ancestor bounds grow to cover the new source's ball (the covering
-// invariant CandidateSources' pruning relies on); pivots are left in place,
-// which keeps the prune conservative, never unsafe.
-func (g *Global) WithSource(s SourceSummary) *Global {
-	out := &Global{F: g.F}
-	if g.Root == nil || (g.Root.IsLeaf() && len(g.Root.Sources) == 0) {
-		out.Root = buildGlobal([]SourceSummary{s}, g.F)
-		return out
-	}
-	out.Root = insertSource(g.Root, s, g.F)
-	return out
-}
-
-// insertSource returns a copy of n with s added to the best-fitting leaf
-// below it. Untouched subtrees are shared with the input tree.
-func insertSource(n *GNode, s SourceSummary, f int) *GNode {
-	if n.IsLeaf() {
-		ss := make([]SourceSummary, 0, len(n.Sources)+1)
-		ss = append(ss, n.Sources...)
-		ss = append(ss, s)
-		if len(ss) > f {
-			// Leaf overflow: rebuild just this leaf into a subtree.
-			// Sort by name first so the split is registration-order
-			// independent, like a full rebuild would be.
-			slices.SortFunc(ss, func(a, b SourceSummary) int {
-				return cmp.Compare(a.Name, b.Name)
-			})
-			return buildGlobal(ss, f)
-		}
-		nn := &GNode{Sources: ss}
-		nn.Rect, nn.O, nn.R = grownBounds(n, s)
-		return nn
-	}
-	nn := &GNode{Left: n.Left, Right: n.Right}
-	nn.Rect, nn.O, nn.R = grownBounds(n, s)
-	// Descend into the child whose pivot is nearest the new source —
-	// the ball-tree analogue of least-enlargement insertion.
-	if n.Left.O.Dist(s.O) <= n.Right.O.Dist(s.O) {
-		nn.Left = insertSource(n.Left, s, f)
-	} else {
-		nn.Right = insertSource(n.Right, s, f)
-	}
-	return nn
-}
-
-// grownBounds returns n's bounds expanded to cover source s, keeping the
-// pivot fixed.
-func grownBounds(n *GNode, s SourceSummary) (geo.Rect, geo.Point, float64) {
-	rect := n.Rect.Union(s.Rect)
-	o, r := n.O, n.R
-	if n.Rect.IsEmpty() {
-		o = rect.Center()
-	}
-	if cover := o.Dist(s.O) + s.R; cover > r {
-		r = cover
-	}
-	return rect, o, r
-}
-
-// WithoutSource returns a new Global with the named source removed,
-// path-copying the branch that held it; the receiver is never mutated.
-// Bounds along the copied path are recomputed from the surviving children,
-// so they stay covering (and typically shrink). Removing an unknown name
-// returns an equivalent tree.
-func (g *Global) WithoutSource(name string) *Global {
-	out := &Global{F: g.F}
-	root, _ := removeSource(g.Root, name)
-	if root == nil {
-		root = buildGlobal(nil, g.F)
-	}
-	out.Root = root
-	return out
-}
-
-// removeSource returns the subtree with name removed (nil when the subtree
-// became empty) and whether the name was found under n.
-func removeSource(n *GNode, name string) (*GNode, bool) {
-	if n == nil {
-		return nil, false
-	}
-	if n.IsLeaf() {
-		i := slices.IndexFunc(n.Sources, func(s SourceSummary) bool { return s.Name == name })
-		if i < 0 {
-			return n, false
-		}
-		ss := make([]SourceSummary, 0, len(n.Sources)-1)
-		ss = append(ss, n.Sources[:i]...)
-		ss = append(ss, n.Sources[i+1:]...)
-		if len(ss) == 0 {
-			return nil, true
-		}
-		return buildGlobal(ss, 1+len(ss)), true
-	}
-	if left, ok := removeSource(n.Left, name); ok {
-		if left == nil {
-			return n.Right, true
-		}
-		return rebound(&GNode{Left: left, Right: n.Right}), true
-	}
-	if right, ok := removeSource(n.Right, name); ok {
-		if right == nil {
-			return n.Left, true
-		}
-		return rebound(&GNode{Left: n.Left, Right: right}), true
-	}
-	return n, false
-}
-
-// rebound recomputes an internal node's bounds from its two children: the
-// rect is their union and the ball covers both child balls.
-func rebound(n *GNode) *GNode {
-	n.Rect = n.Left.Rect.Union(n.Right.Rect)
-	n.O = n.Rect.Center()
-	n.R = 0
-	for _, c := range []*GNode{n.Left, n.Right} {
-		if cover := n.O.Dist(c.O) + c.R; cover > n.R {
-			n.R = cover
-		}
-	}
-	return n
-}
-
-// Sources returns every source summary in the tree, sorted by name.
-func (g *Global) Sources() []SourceSummary {
-	var out []SourceSummary
-	var walk func(n *GNode)
-	walk = func(n *GNode) {
-		if n == nil {
-			return
-		}
-		if n.IsLeaf() {
-			out = append(out, n.Sources...)
-			return
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(g.Root)
-	slices.SortFunc(out, func(a, b SourceSummary) int { return cmp.Compare(a.Name, b.Name) })
 	return out
 }
 

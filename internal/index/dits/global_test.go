@@ -1,7 +1,7 @@
 package dits
 
 import (
-	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -28,6 +28,7 @@ func TestBuildGlobal(t *testing.T) {
 		if g.NumNodes() == 0 {
 			t.Fatalf("n=%d: no nodes", n)
 		}
+		checkCovering(t, g.Root)
 		// Every summary is findable with a query covering the world.
 		world := QueryNode{Rect: geo.Rect{MinX: -1000, MinY: -1000, MaxX: 1000, MaxY: 1000}}
 		world.O = world.Rect.Center()
@@ -66,40 +67,35 @@ func TestCandidateSourcesPruning(t *testing.T) {
 }
 
 func TestCandidateSourcesNeverMissesOracle(t *testing.T) {
-	// Property: pruning must be safe. Any source whose true MBR
-	// intersects the query, or whose ball lower bound is within δ, must
-	// be returned.
+	// Property: pruning is safe and tested at the leaves. The candidates
+	// are exactly the sources whose MBR intersects the query or whose
+	// ball lower bound is within δ, whatever the tree's shape.
 	rng := rand.New(rand.NewSource(9))
 	ss := summaries(60, rng)
-	g := BuildGlobal(ss, 3)
-	for trial := 0; trial < 200; trial++ {
-		x, y := rng.Float64()*120-10, rng.Float64()*120-10
-		q := geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*20, MaxY: y + rng.Float64()*20}
-		qn := QueryNode{Rect: q, O: q.Center(), R: q.Radius()}
-		delta := rng.Float64() * 20
-		got := make(map[string]bool)
-		for _, s := range g.CandidateSources(qn, delta) {
-			got[s.Name+s.Rect.String()] = true
-		}
-		for _, s := range ss {
-			lb := s.O.Dist(qn.O) - s.R - qn.R
-			mustFind := s.Rect.Intersects(q) || lb <= delta
-			if mustFind && !got[s.Name+s.Rect.String()] {
-				t.Fatalf("trial %d: source %s (lb=%v δ=%v intersects=%v) pruned wrongly",
-					trial, s.Name, lb, delta, s.Rect.Intersects(q))
+	for _, f := range []int{1, 3, 30} {
+		g := BuildGlobal(ss, f)
+		checkCovering(t, g.Root)
+		for trial := 0; trial < 200; trial++ {
+			x, y := rng.Float64()*120-10, rng.Float64()*120-10
+			q := geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*20, MaxY: y + rng.Float64()*20}
+			qn := QueryNode{Rect: q, O: q.Center(), R: q.Radius()}
+			delta := rng.Float64() * 20
+			got := make(map[string]int)
+			for _, s := range g.CandidateSources(qn, delta) {
+				got[s.Name+s.Rect.String()]++
+			}
+			want := make(map[string]int)
+			for _, s := range ss {
+				lb := s.O.Dist(qn.O) - s.R - qn.R
+				if s.Rect.Intersects(q) || lb <= delta {
+					want[s.Name+s.Rect.String()]++
+				}
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("f=%d trial %d: candidates %v, want %v", f, trial, got, want)
 			}
 		}
 	}
-}
-
-// uniqueSummaries is summaries with collision-free names, so removal by
-// name is unambiguous.
-func uniqueSummaries(n int, rng *rand.Rand) []SourceSummary {
-	out := summaries(n, rng)
-	for i := range out {
-		out[i].Name = fmt.Sprintf("src-%03d", i)
-	}
-	return out
 }
 
 // checkCovering asserts the structural invariant CandidateSources' pruning
@@ -127,76 +123,6 @@ func checkCovering(t *testing.T, n *GNode) []SourceSummary {
 		}
 	}
 	return ss
-}
-
-// TestIncrementalGlobalMatchesRebuild drives a random join/leave churn
-// through WithSource/WithoutSource and checks, after every step, that the
-// incremental tree holds exactly the live membership, keeps the covering
-// invariant, and never prunes a source a fresh rebuild would return.
-func TestIncrementalGlobalMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	pool := uniqueSummaries(40, rng)
-	live := map[string]SourceSummary{}
-	g := BuildGlobal(nil, 3)
-
-	for step := 0; step < 200; step++ {
-		s := pool[rng.Intn(len(pool))]
-		if _, ok := live[s.Name]; ok && rng.Intn(2) == 0 {
-			g = g.WithoutSource(s.Name)
-			delete(live, s.Name)
-		} else {
-			if _, ok := live[s.Name]; ok {
-				g = g.WithoutSource(s.Name)
-			}
-			g = g.WithSource(s)
-			live[s.Name] = s
-		}
-		if got := len(g.Sources()); got != len(live) {
-			t.Fatalf("step %d: tree holds %d sources, want %d", step, got, len(live))
-		}
-		checkCovering(t, g.Root)
-
-		// Safety vs the rebuild oracle: anything the fresh tree must
-		// return, the incremental tree must return too.
-		x, y := rng.Float64()*120-10, rng.Float64()*120-10
-		q := geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*20, MaxY: y + rng.Float64()*20}
-		qn := QueryNode{Rect: q, O: q.Center(), R: q.Radius()}
-		delta := rng.Float64() * 20
-		got := make(map[string]bool)
-		for _, s := range g.CandidateSources(qn, delta) {
-			got[s.Name] = true
-		}
-		for _, s := range live {
-			lb := s.O.Dist(qn.O) - s.R - qn.R
-			if (s.Rect.Intersects(q) || lb <= delta) && !got[s.Name] {
-				t.Fatalf("step %d: incremental tree pruned %s wrongly", step, s.Name)
-			}
-		}
-	}
-}
-
-// TestIncrementalGlobalIsCopyOnWrite: updating must not disturb a snapshot
-// taken before the update — the property epoch-pinned queries rely on.
-func TestIncrementalGlobalIsCopyOnWrite(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	ss := uniqueSummaries(20, rng)
-	g := BuildGlobal(ss[:10], 3)
-	snapshot := g
-	world := QueryNode{Rect: geo.Rect{MinX: -1000, MinY: -1000, MaxX: 1000, MaxY: 1000}}
-	world.O, world.R = world.Rect.Center(), world.Rect.Radius()
-
-	for _, s := range ss[10:] {
-		g = g.WithSource(s)
-	}
-	for _, s := range ss[:5] {
-		g = g.WithoutSource(s.Name)
-	}
-	if got := len(snapshot.CandidateSources(world, 0)); got != 10 {
-		t.Errorf("snapshot drifted: world query found %d sources, want 10", got)
-	}
-	if got := len(g.CandidateSources(world, 0)); got != 15 {
-		t.Errorf("updated tree: world query found %d sources, want 15", got)
-	}
 }
 
 func names(ss []SourceSummary) []string {

@@ -71,12 +71,6 @@ func Build(g geo.Grid, nodes []*dataset.Node, f int) *Local {
 	return l
 }
 
-// BuildFromSource grids the source's datasets and builds its DITS-L index.
-func BuildFromSource(src *dataset.Source, theta, f int) *Local {
-	g := geo.NewGrid(theta, src.Bounds())
-	return Build(g, src.Nodes(g), f)
-}
-
 // build implements Algorithm 1: make the node covering nds; if it fits in a
 // leaf attach the children and the inverted index, otherwise split on the
 // widest MBR dimension at the median pivot and recurse.
@@ -171,16 +165,6 @@ func (l *Local) RawRect(r geo.Rect) geo.Rect {
 		MaxX: g.Origin.X + (r.MaxX+1)*g.CellW,
 		MaxY: g.Origin.Y + (r.MaxY+1)*g.CellH,
 	}
-}
-
-// GridRect converts a raw-coordinate rectangle into the grid-coordinate
-// span of the cells it touches.
-func (l *Local) GridRect(r geo.Rect) geo.Rect {
-	if r.IsEmpty() {
-		return geo.EmptyRect
-	}
-	x0, y0, x1, y1 := l.Grid.RectCoords(r)
-	return geo.Rect{MinX: float64(x0), MinY: float64(y0), MaxX: float64(x1), MaxY: float64(y1)}
 }
 
 // NumTreeNodes returns the number of tree nodes, the dominant term of the

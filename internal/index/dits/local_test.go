@@ -153,7 +153,8 @@ func TestRawGridRectRoundTrip(t *testing.T) {
 	src := &dataset.Source{Name: "s", Datasets: []*dataset.Dataset{
 		{ID: 0, Points: []geo.Point{geo.Pt(0.2, 0.3), geo.Pt(3.7, 3.1)}},
 	}}
-	l := BuildFromSource(src, 4, 8)
+	g := geo.NewGrid(4, src.Bounds())
+	l := Build(g, src.Nodes(g), 8)
 	raw := l.RawRect(l.Root.Rect)
 	if raw.IsEmpty() {
 		t.Fatal("raw rect empty")
@@ -166,10 +167,6 @@ func TestRawGridRectRoundTrip(t *testing.T) {
 	}
 	if l.RawRect(geo.EmptyRect) != geo.EmptyRect {
 		t.Error("RawRect(empty) should be empty")
-	}
-	gr := l.GridRect(raw)
-	if !gr.ContainsRect(l.Root.Rect) {
-		t.Errorf("GridRect(raw)=%v should cover root rect %v", gr, l.Root.Rect)
 	}
 }
 

@@ -26,9 +26,9 @@
 // the index afterwards (Build caches their compact form via
 // EnsureCompact) and must not be mutated by the caller.
 //
-// A Global is immutable after construction; WithSource/WithoutSource
-// return new path-copied trees sharing untouched subtrees, which is what
-// lets the federation center publish them in atomic epoch snapshots.
+// A Global is immutable after construction. The federation center builds
+// one per membership epoch from that epoch's member summaries and
+// publishes it in an atomic epoch snapshot.
 package dits
 
 import (
