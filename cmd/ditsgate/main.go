@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	datagen -out data
-//	ditsserve -source data/Transit.gob -addr 127.0.0.1:7101 -bounds=-180,-90,180,90 -theta 12
-//	ditsserve -source data/Baidu.gob   -addr 127.0.0.1:7102 -bounds=-180,-90,180,90 -theta 12
+//	datagen -out data -bounds=-180,-90,180,90 -theta 12
+//	ditsserve -source data/Transit.dsnap -addr 127.0.0.1:7101
+//	ditsserve -source data/Baidu.dsnap   -addr 127.0.0.1:7102
 //	ditsgate -addr 127.0.0.1:8080 -remote 127.0.0.1:7101,127.0.0.1:7102 \
 //	         -bounds=-180,-90,180,90 -theta 12 -pool 8 -cache 4096
 //
@@ -26,9 +26,10 @@
 // with `Name=primary+replica` addresses is served through its replica when
 // the primary dies.
 //
-// -bounds and -theta must match the values the ditsserve sources were
-// started with: the grid derived from them defines the cell IDs the whole
-// federation shares. See docs/PROTOCOL.md for the endpoint payloads.
+// -bounds and -theta must match the values datagen gridded the sources'
+// files with: the grid derived from them defines the cell IDs the whole
+// federation shares, and a source on another grid is refused. See
+// docs/PROTOCOL.md for the endpoint payloads.
 package main
 
 import (

@@ -1,10 +1,12 @@
-// Command ditsserve runs one autonomous data source: it loads a source
-// generated by datagen, builds its DITS-L index, and serves the federation
-// protocol (overlap.search, search.batch, coverage.best, the coverage.*
-// session methods, dataset.put/delete, source.version, source.summary)
-// over TCP until interrupted. Every search runs on the query
-// executor (internal/search/exec), on the goroutine serving the request,
-// and batched requests share one tree pass.
+// Command ditsserve runs one autonomous data source: it loads the DITS-L
+// snapshot (dsnap/1) that datagen wrote for the source and serves the
+// federation protocol (overlap.search, search.batch, coverage.best, the
+// coverage.* session methods, dataset.put/delete, source.version,
+// source.summary) over TCP until interrupted. The source's name is the
+// file's basename; its grid (θ, origin, cell size) and leaf capacity are
+// the file's. Every search runs on the query executor
+// (internal/search/exec), on the goroutine serving the request, and
+// batched requests share one tree pass.
 //
 // With -wal-dir the source becomes mutable and durable: dataset mutations
 // are WAL-logged before they touch the live index (-fsync picks the flush
@@ -23,34 +25,33 @@
 // Usage:
 //
 //	datagen -out data
-//	ditsserve -source data/Transit.gob -addr 127.0.0.1:7101 \
-//	          -bounds=-180,-90,180,90 -theta 12 \
+//	ditsserve -source data/Transit.dsnap -addr 127.0.0.1:7101 \
 //	          -wal-dir state/transit -fsync always
 //
-// All sources of one federation must be started with the same -bounds and
-// -theta so their cell IDs are comparable. A center then connects with
-// `ditsquery -remote host:port,host:port` for one-shot queries, or
-// `ditsgate -remote host:port,host:port` to serve the federation to HTTP
-// clients.
+// The sources of one federation share the grid datagen wrote into their
+// files; a center refuses a source on another grid. A center then
+// connects with `ditsquery -remote host:port,host:port` for one-shot
+// queries, or `ditsgate -remote host:port,host:port` to serve the
+// federation to HTTP clients.
 package main
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime/debug"
+	"strings"
 	"syscall"
 	"time"
 
-	"dits/internal/dataset"
 	"dits/internal/federation"
-	"dits/internal/geo"
 	"dits/internal/index/dits"
+	"dits/internal/index/ditsfile"
 	"dits/internal/ingest"
 	"dits/internal/metrics"
 	"dits/internal/obs"
@@ -58,11 +59,8 @@ import (
 )
 
 func main() {
-	sourcePath := flag.String("source", "", "path to a datagen .gob source (required)")
+	sourcePath := flag.String("source", "", "path to the source's datagen .dsnap snapshot (required; its basename names the source)")
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
-	theta := flag.Int("theta", 12, "grid resolution θ (must match the federation)")
-	f := flag.Int("f", 30, "DITS-L leaf capacity")
-	boundsFlag := flag.String("bounds", "", "shared world bounds minX,minY,maxX,maxY (default: this source's own)")
 	walDir := flag.String("wal-dir", "", "durable ingest state directory (WAL + snapshots); empty = read-only source")
 	fsyncMode := flag.String("fsync", "always", "WAL flush policy with -wal-dir: always | never")
 	snapEvery := flag.Int("snapshot-every", 256, "mutations between background snapshots with -wal-dir (-1 disables)")
@@ -97,20 +95,14 @@ func main() {
 	if *ramBudget > 0 {
 		debug.SetMemoryLimit(int64(*ramBudget) << 20)
 	}
-	src, err := loadSource(*sourcePath)
-	if err != nil {
-		fail(err)
-	}
-	bounds := src.Bounds()
-	if *boundsFlag != "" {
-		bounds, err = geo.ParseRect(*boundsFlag)
+	name := strings.TrimSuffix(filepath.Base(*sourcePath), filepath.Ext(*sourcePath))
+	load := func() (*dits.Local, error) {
+		idx, err := ditsfile.LoadHeap(*sourcePath)
 		if err != nil {
-			fail(err)
+			return nil, fmt.Errorf("load %s: %w", *sourcePath, err)
 		}
+		return idx, nil
 	}
-
-	grid := geo.NewGrid(*theta, bounds)
-	build := func() (*dits.Local, error) { return dits.Build(grid, src.Nodes(grid), *f), nil }
 	var server *federation.SourceServer
 	if *walDir != "" {
 		fsync, err := ingest.ParseFsyncMode(*fsyncMode)
@@ -122,13 +114,13 @@ func main() {
 			SnapshotEvery: *snapEvery,
 			MMap:          *mmapFlag,
 			Replica:       *replicaOf != "",
-			Bootstrap:     build,
+			Bootstrap:     load,
 		})
 		if err != nil {
 			fail(err)
 		}
 		defer store.Close()
-		server = federation.NewSourceServerWithGrid(src.Name, store.Index())
+		server = federation.NewSourceServerWithGrid(name, store.Index())
 		server.EnableIngest(store)
 		st := store.Stats()
 		logger.Info("durable state opened",
@@ -162,11 +154,14 @@ func main() {
 				}
 			}()
 			logger.Info("replicating from primary",
-				"source", src.Name, "primary", *replicaOf, "poll", *replicaPoll)
+				"source", name, "primary", *replicaOf, "poll", *replicaPoll)
 		}
 	} else {
-		idx, _ := build()
-		server = federation.NewSourceServerWithGrid(src.Name, idx)
+		idx, err := load()
+		if err != nil {
+			fail(err)
+		}
+		server = federation.NewSourceServerWithGrid(name, idx)
 	}
 	// Read the count before serving: once Serve accepts connections a
 	// mutable source's index may change under concurrent dataset.put
@@ -198,26 +193,13 @@ func main() {
 	}
 	defer ts.Close()
 	logger.Info("source serving",
-		"source", src.Name, "datasets", indexed, "theta", *theta, "f", *f,
+		"source", name, "datasets", indexed, "grid", server.Summary().Grid.String(),
 		"addr", ts.Addr())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	logger.Info("shutting down")
-}
-
-func loadSource(path string) (*dataset.Source, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	var src dataset.Source
-	if err := gob.NewDecoder(fh).Decode(&src); err != nil {
-		return nil, fmt.Errorf("decode %s: %w", path, err)
-	}
-	return &src, nil
 }
 
 func fail(err error) {

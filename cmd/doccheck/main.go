@@ -185,7 +185,7 @@ var bannedImports = []struct {
 }{
 	{"log", "use log/slog via internal/obs.OpenLogger", nil},
 	{"encoding/gob", "wire payloads are dits-bin/1 (internal/federation/codec.go), index snapshots dsnap/1 (internal/index/ditsfile)",
-		[]string{"internal/federation/memberlog.go", "cmd/datagen", "cmd/ditsserve", "cmd/ditsquery"}},
+		[]string{"internal/federation/memberlog.go"}},
 	{"compress/gzip", "payloads ship raw; only cluster.forward's request deflates its bodies (internal/federation/codec.go)", nil},
 	{"compress/flate", "payloads ship raw; only cluster.forward's request deflates its bodies (internal/federation/codec.go)",
 		[]string{"internal/federation/codec.go"}},

@@ -1,26 +1,20 @@
-// Package core is the public facade of the DITS library: it wires the grid
-// partition, the DITS indexes, the OJSP/CJSP search algorithms, and the
-// multi-source federation behind two entry points.
-//
-//   - Engine answers joinable searches over a single data source.
-//   - Federation coordinates many autonomous sources through a data
-//     center, with real communication accounting.
+// Package core is the single-source facade of the DITS library that the
+// examples use: Engine wires the grid partition, the DITS-L index and the
+// OJSP/CJSP search algorithms behind one entry point. Many sources are
+// federated by internal/federation.
 //
 // Queries are plain point sets; results identify datasets by ID and name.
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"dits/internal/cellset"
 	"dits/internal/dataset"
-	"dits/internal/federation"
 	"dits/internal/geo"
 	"dits/internal/index/dits"
 	"dits/internal/search/coverage"
 	"dits/internal/search/overlap"
-	"dits/internal/transport"
 )
 
 // Config controls index construction. The zero value selects the paper's
@@ -31,8 +25,7 @@ type Config struct {
 	// LeafCapacity is f, the maximum datasets per DITS-L leaf.
 	LeafCapacity int
 	// Bounds optionally fixes the gridded space. When empty, the source's
-	// own bounding rectangle is used. Federations must set Bounds so all
-	// sources share one grid.
+	// own bounding rectangle is used.
 	Bounds geo.Rect
 }
 
@@ -50,10 +43,9 @@ func (c Config) withDefaults() Config {
 // |S_Q ∩ S_D|; for coverage search, the marginal coverage gain at pick
 // time.
 type Result struct {
-	Source string // empty for single-source engines
-	ID     int
-	Name   string
-	Score  int
+	ID    int
+	Name  string
+	Score int
 }
 
 // CoverageOutcome is the result of a coverage joinable search.
@@ -75,18 +67,14 @@ func NewEngine(src *dataset.Source, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: nil source")
 	}
 	cfg = cfg.withDefaults()
+	// The zero rectangle (a dimensionless point at the origin) and truly
+	// empty rectangles mean "no bounds configured".
 	bounds := cfg.Bounds
-	if boundsUnset(bounds) {
+	if bounds.IsEmpty() || bounds == (geo.Rect{}) {
 		bounds = src.Bounds()
 	}
 	g := geo.NewGrid(cfg.Theta, bounds)
 	return &Engine{grid: g, index: dits.Build(g, src.Nodes(g), cfg.LeafCapacity)}, nil
-}
-
-// boundsUnset treats the zero rectangle (a dimensionless point at the
-// origin) and truly empty rectangles as "no bounds configured".
-func boundsUnset(r geo.Rect) bool {
-	return r.IsEmpty() || r == geo.Rect{}
 }
 
 // Grid exposes the engine's grid, e.g. to interpret cell counts as areas.
@@ -158,76 +146,4 @@ func convertOverlap(rs []overlap.Result) []Result {
 		out[i] = Result{ID: r.ID, Name: r.Name, Score: r.Overlap}
 	}
 	return out
-}
-
-// Federation coordinates joinable search across multiple autonomous
-// sources through an in-process data center. All sources share the grid
-// defined by Config.Bounds and Config.Theta.
-type Federation struct {
-	grid    geo.Grid
-	center  *federation.Center
-	servers []*federation.SourceServer
-}
-
-// NewFederation builds one SourceServer per source and registers them with
-// a data center. Config.Bounds must cover all sources; when empty, the
-// union of all source bounds is used.
-func NewFederation(sources []*dataset.Source, cfg Config) (*Federation, error) {
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("core: federation needs at least one source")
-	}
-	cfg = cfg.withDefaults()
-	bounds := cfg.Bounds
-	if boundsUnset(bounds) {
-		bounds = geo.EmptyRect
-		for _, s := range sources {
-			bounds = bounds.Union(s.Bounds())
-		}
-	}
-	g := geo.NewGrid(cfg.Theta, bounds)
-	center := federation.NewCenter(g, federation.DefaultOptions())
-	f := &Federation{grid: g, center: center}
-	for _, src := range sources {
-		idx := dits.Build(g, src.Nodes(g), cfg.LeafCapacity)
-		srv := federation.NewSourceServerWithGrid(src.Name, idx)
-		f.servers = append(f.servers, srv)
-		center.Register(srv.Summary(), &transport.InProc{
-			Name: src.Name, Handler: srv.Handler(), Metrics: center.Metrics,
-		})
-	}
-	return f, nil
-}
-
-// Grid exposes the federation's shared grid.
-func (f *Federation) Grid() geo.Grid { return f.grid }
-
-// Metrics exposes the communication counters of the data center.
-func (f *Federation) Metrics() *transport.Metrics { return f.center.Metrics }
-
-// OverlapSearch answers the multi-source OJSP.
-func (f *Federation) OverlapSearch(query []geo.Point, k int) ([]Result, error) {
-	cells := cellset.FromPoints(f.grid, query)
-	rs, err := f.center.OverlapSearch(context.Background(), cells, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = Result{Source: r.Source, ID: r.ID, Name: r.Name, Score: r.Overlap}
-	}
-	return out, nil
-}
-
-// CoverageSearch answers the multi-source CJSP.
-func (f *Federation) CoverageSearch(query []geo.Point, delta float64, k int) (CoverageOutcome, error) {
-	cells := cellset.FromPoints(f.grid, query)
-	res, err := f.center.CoverageSearch(context.Background(), cells, delta, k)
-	if err != nil {
-		return CoverageOutcome{}, err
-	}
-	out := CoverageOutcome{Coverage: res.Coverage, QueryCoverage: res.QueryCoverage}
-	for _, r := range res.Picked {
-		out.Results = append(out.Results, Result{Source: r.Source, ID: r.ID, Name: r.Name, Score: r.Overlap})
-	}
-	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dits/internal/dataset"
-	"dits/internal/geo"
 	"dits/internal/workload"
 )
 
@@ -99,50 +98,5 @@ func TestEngineErrors(t *testing.T) {
 	}
 	if cov := eng.CoverageSearch(nil, 1, 5); len(cov.Results) != 0 {
 		t.Error("empty query coverage should pick nothing")
-	}
-}
-
-func TestFederationEndToEnd(t *testing.T) {
-	// Three sources spread over one shared space.
-	srcs := []*dataset.Source{
-		smallSource("alpha", 10),
-		smallSource("beta", 11),
-		smallSource("gamma", 12),
-	}
-	var bounds geo.Rect
-	bounds = geo.EmptyRect
-	for _, s := range srcs {
-		bounds = bounds.Union(s.Bounds())
-	}
-	fed, err := NewFederation(srcs, Config{Theta: 11, Bounds: bounds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := srcs[1].Datasets[3].Points
-
-	rs, err := fed.OverlapSearch(q, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) == 0 {
-		t.Fatal("federated overlap found nothing")
-	}
-	if rs[0].Source != "beta" || rs[0].ID != 3 {
-		t.Errorf("best match should be the query's own dataset, got %+v", rs[0])
-	}
-	if fed.Metrics().Messages() == 0 {
-		t.Error("no communication recorded")
-	}
-
-	cov, err := fed.CoverageSearch(q, 5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov.Coverage < cov.QueryCoverage {
-		t.Error("coverage below query coverage")
-	}
-
-	if _, err := NewFederation(nil, Config{}); err == nil {
-		t.Error("empty federation should error")
 	}
 }

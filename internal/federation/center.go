@@ -211,20 +211,30 @@ func (c *Center) dropVersionLocked(name string) {
 
 // RegisterRemote fetches the source's summary over the peer connection
 // (MethodSummary) and registers it — how a data center bootstraps against
-// already-running source servers. A source gridded at another θ than the
-// center's is refused: its cell IDs would name other cells. A center
+// already-running source servers. A source gridded on another grid than
+// the center's is refused: its cell IDs would name other cells. A center
 // without a grid (θ 0, the cluster relay roster) runs no query and takes
-// any θ.
+// any grid.
 func (c *Center) RegisterRemote(ctx context.Context, peer transport.Peer) (dits.SourceSummary, error) {
 	var summary dits.SourceSummary
 	if err := peer.Call(ctx, MethodSummary, nil, &summary); err != nil {
 		return dits.SourceSummary{}, fmt.Errorf("federation: fetch summary: %w", err)
 	}
-	if c.Grid.Theta != 0 && summary.Theta != c.Grid.Theta {
-		return summary, fmt.Errorf("federation: source %s is gridded at θ=%d, the center at θ=%d", summary.Name, summary.Theta, c.Grid.Theta)
+	if c.Grid.Theta != 0 {
+		if err := checkGrid(summary, c.Grid); err != nil {
+			return summary, err
+		}
 	}
 	c.Register(summary, peer)
 	return summary, nil
+}
+
+// checkGrid refuses a source summary gridded other than want.
+func checkGrid(s dits.SourceSummary, want geo.Grid) error {
+	if s.Grid != want {
+		return fmt.Errorf("federation: source %s is gridded as %s, the federation as %s", s.Name, s.Grid, want)
+	}
+	return nil
 }
 
 // Unregister removes a source (its peer is not closed). In-flight queries

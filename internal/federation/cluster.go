@@ -127,13 +127,15 @@ func (cl *Cluster) Cache() *cache.Cache { return cl.view.Cache() }
 
 // AddSource adds a roster entry and registers it at its ring owner. On a
 // transport failure the owner is failed over and registration retries at
-// the new owner.
+// the new owner. A source gridded other than cl.Grid is refused and left
+// out of the roster: its cell IDs would name other cells.
 func (cl *Cluster) AddSource(ctx context.Context, src ClusterSource) error {
 	if src.Name == "" || src.Addr == "" {
 		return fmt.Errorf("federation: cluster source needs a name and address")
 	}
 	for range cl.centers {
 		cl.mu.Lock()
+		prev, listed := cl.sources[src.Name]
 		cl.sources[src.Name] = src
 		owner := cl.centerNamed(cl.ring.Assign(src.Name))
 		if owner == nil {
@@ -142,13 +144,18 @@ func (cl *Cluster) AddSource(ctx context.Context, src ClusterSource) error {
 		}
 		summary, err := registerAt(ctx, owner, src)
 		if err == nil {
-			cl.owner[src.Name] = owner
-			cl.view.Register(summary, nil)
+			if err = checkGrid(summary, cl.Grid); err == nil {
+				cl.owner[src.Name] = owner
+				cl.view.Register(summary, nil)
+			} else if listed {
+				cl.sources[src.Name] = prev
+			} else {
+				delete(cl.sources, src.Name)
+			}
+			cl.mu.Unlock()
+			return err
 		}
 		cl.mu.Unlock()
-		if err == nil {
-			return nil
-		}
 		if !isTransportFailure(ctx, err) {
 			return err
 		}
@@ -261,7 +268,10 @@ rebuild:
 			// the view; the next failover or mutation reconciles it.
 			// Queries against the remaining shards stay correct — they
 			// just miss this source, exactly like SkipFailed degradation
-			// would.
+			// would. So does a source that came back on another grid.
+			if err == nil {
+				err = checkGrid(summary, cl.Grid)
+			}
 			if err == nil {
 				cl.homed(name, next, summary)
 			} else {

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"dits/internal/dataset"
+	"dits/internal/geo"
 	"dits/internal/index/dits"
 	"dits/internal/ingest"
 	"dits/internal/transport"
@@ -44,12 +46,20 @@ type clusterPlane struct {
 }
 
 // buildClusterPlane wires numCenters CenterServers over the m sources of a
-// buildFederation world and shards them with a Cluster. Centers alternate
-// codecs so the cluster wire rides both gob and the binary passthrough.
+// buildFederation world and shards them with a Cluster.
 func buildClusterPlane(t *testing.T, seed int64, numCenters, m, perSource int) *clusterPlane {
 	t.Helper()
 	oracle, _, servers := buildFederation(rand.New(rand.NewSource(seed)), m, perSource, DefaultOptions())
-	g := worldGrid()
+	cluster, switches := newTestCluster(t, worldGrid(), numCenters, servers)
+	addSources(t, cluster, servers)
+	return &clusterPlane{oracle: oracle, cluster: cluster, servers: servers, switches: switches}
+}
+
+// newTestCluster builds a Cluster on grid g over numCenters grid-less
+// CenterServers, as ditscenter runs them, each dialing a source of
+// servers by its name. The roster starts empty.
+func newTestCluster(t *testing.T, g geo.Grid, numCenters int, servers []*SourceServer) (*Cluster, map[string]*switchPeer) {
+	t.Helper()
 	byName := make(map[string]*SourceServer, len(servers))
 	for _, s := range servers {
 		byName[s.Name] = s
@@ -58,7 +68,7 @@ func buildClusterPlane(t *testing.T, seed int64, numCenters, m, perSource int) *
 	switches := make(map[string]*switchPeer, numCenters)
 	for i := 0; i < numCenters; i++ {
 		name := fmt.Sprintf("center-%d", i)
-		c := NewCenter(g, DefaultOptions())
+		c := NewCenter(geo.Grid{}, Options{})
 		cs, err := NewCenterServer(name, c, CenterServerOptions{
 			Dial: func(addr string) (transport.Peer, error) {
 				srv, ok := byName[addr]
@@ -78,13 +88,17 @@ func buildClusterPlane(t *testing.T, seed int64, numCenters, m, perSource int) *
 		peers[name] = sp
 		switches[name] = sp
 	}
-	cluster := NewCluster(g, peers)
+	return NewCluster(g, peers), switches
+}
+
+// addSources adds every server to the cluster's roster under its name.
+func addSources(t *testing.T, cluster *Cluster, servers []*SourceServer) {
+	t.Helper()
 	for _, srv := range servers {
 		if err := cluster.AddSource(context.Background(), ClusterSource{Name: srv.Name, Addr: srv.Name}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return &clusterPlane{oracle: oracle, cluster: cluster, servers: servers, switches: switches}
 }
 
 func sameResults(t *testing.T, label string, got, want []SourceResult) {
@@ -200,28 +214,8 @@ func TestClusterKBoundaryTies(t *testing.T) {
 		byName[name] = srv
 		oracle.Register(srv.Summary(), &transport.InProc{Name: name, Handler: srv.Handler(), Metrics: oracle.Metrics})
 	}
-	peers := make(map[string]transport.Peer)
-	for i := 0; i < 3; i++ {
-		cname := fmt.Sprintf("center-%d", i)
-		c := NewCenter(g, DefaultOptions())
-		cs, err := NewCenterServer(cname, c, CenterServerOptions{
-			Dial: func(addr string) (transport.Peer, error) {
-				srv := byName[addr]
-				return &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: c.Metrics}, nil
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cs.Close() })
-		peers[cname] = &transport.InProc{Name: cname, Handler: cs.Handler(), Metrics: &transport.Metrics{}}
-	}
-	cluster := NewCluster(g, peers)
-	for _, srv := range servers {
-		if err := cluster.AddSource(context.Background(), ClusterSource{Name: srv.Name, Addr: srv.Name}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	cluster, _ := newTestCluster(t, g, 3, servers)
+	addSources(t, cluster, servers)
 	// The tie group must actually straddle centers for the test to bite.
 	if owners := cluster.Stats().SourceOwners; len(owners) != 6 {
 		t.Fatalf("owners = %v", owners)
@@ -262,6 +256,44 @@ func TestClusterKBoundaryTies(t *testing.T) {
 	if got.Coverage != want.Coverage {
 		t.Fatalf("coverage %d, oracle %d", got.Coverage, want.Coverage)
 	}
+}
+
+// TestClusterAddSourceRefusesOtherGrid: a source gridded at the gateway's
+// θ over other bounds uses the same cell IDs for other cells. The grid-less
+// relay center adopts it, but AddSource refuses it: the roster, the shards,
+// the owners and the answers stay as they were.
+func TestClusterAddSourceRefusesOtherGrid(t *testing.T) {
+	g := worldGrid()
+	_, _, servers := buildFederation(rand.New(rand.NewSource(3)), 3, 20, DefaultOptions())
+	other := geo.NewGrid(g.Theta, geo.Rect{MaxX: 2 * float64(g.Side()), MaxY: 2 * float64(g.Side())})
+	q := cellsNear(20, 20, 9)
+	stray := NewSourceServerWithGrid("stray", dits.Build(other, []*dataset.Node{dataset.NewNodeFromCells(1, "s", q)}, 4))
+	cluster, _ := newTestCluster(t, g, 3, append(servers, stray))
+	addSources(t, cluster, servers)
+	ctx := context.Background()
+	want, err := cluster.OverlapSearch(ctx, q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, shards := cluster.NumSources(), cluster.Shards()
+
+	if err := cluster.AddSource(ctx, ClusterSource{Name: "stray", Addr: "stray"}); err == nil {
+		t.Fatal("AddSource took a source on another grid")
+	}
+	if got := cluster.NumSources(); got != n {
+		t.Errorf("NumSources = %d after the refusal, want %d", got, n)
+	}
+	if got := cluster.Shards(); !reflect.DeepEqual(got, shards) {
+		t.Errorf("Shards = %v after the refusal, want %v", got, shards)
+	}
+	if owner, ok := cluster.Stats().SourceOwners["stray"]; ok {
+		t.Errorf("refused source owned by %s", owner)
+	}
+	got, err := cluster.OverlapSearch(ctx, q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "after the refusal", got, want)
 }
 
 // TestClusterCenterFailover kills centers one by one: queries must keep

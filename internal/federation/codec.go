@@ -435,7 +435,11 @@ func appendSummary(dst []byte, s *dits.SourceSummary) []byte {
 	dst = appendF64(dst, s.O.X)
 	dst = appendF64(dst, s.O.Y)
 	dst = appendF64(dst, s.R)
-	return binary.AppendVarint(dst, int64(s.Theta))
+	dst = binary.AppendVarint(dst, int64(s.Grid.Theta))
+	dst = appendF64(dst, s.Grid.Origin.X)
+	dst = appendF64(dst, s.Grid.Origin.Y)
+	dst = appendF64(dst, s.Grid.CellW)
+	return appendF64(dst, s.Grid.CellH)
 }
 
 // The cluster.forward request carries its calls' bodies as one raw
@@ -760,5 +764,8 @@ func (r *wireReader) summary(s *dits.SourceSummary) {
 	s.Rect = geo.Rect{MinX: r.f64(), MinY: r.f64(), MaxX: r.f64(), MaxY: r.f64()}
 	s.O = geo.Point{X: r.f64(), Y: r.f64()}
 	s.R = r.f64()
-	s.Theta = r.int()
+	s.Grid.Theta = r.int()
+	s.Grid.Origin = geo.Point{X: r.f64(), Y: r.f64()}
+	s.Grid.CellW = r.f64()
+	s.Grid.CellH = r.f64()
 }

@@ -34,11 +34,11 @@ func codecTestMessages() []any {
 	bigSet := cellset.New(big...)
 	small := cellset.New(7, 9, 1<<30)
 	summary := dits.SourceSummary{
-		Name:  "src-α",
-		Rect:  geo.Rect{MinX: -1.5, MinY: 0, MaxX: 2.25, MaxY: 1e9},
-		O:     geo.Point{X: 0.375, Y: -12},
-		R:     99.5,
-		Theta: 12,
+		Name: "src-α",
+		Rect: geo.Rect{MinX: -1.5, MinY: 0, MaxX: 2.25, MaxY: 1e9},
+		O:    geo.Point{X: 0.375, Y: -12},
+		R:    99.5,
+		Grid: geo.NewGrid(12, geo.Rect{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}),
 	}
 	msgs := []any{
 		&OverlapRequest{Cells: bigSet, K: 10},

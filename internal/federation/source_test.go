@@ -29,8 +29,8 @@ func TestHandlerSummary(t *testing.T) {
 	if summary.Name != "src" || summary.Rect.IsEmpty() {
 		t.Errorf("summary = %+v", summary)
 	}
-	if summary.Theta != 6 {
-		t.Errorf("theta = %d, want 6", summary.Theta)
+	if want := geo.NewGrid(6, geo.Rect{MaxX: 64, MaxY: 64}); summary.Grid != want {
+		t.Errorf("grid = %s, want %s", summary.Grid, want)
 	}
 }
 
@@ -89,16 +89,18 @@ func TestHandlerCoverageExcludes(t *testing.T) {
 	}
 }
 
-// TestRegisterRemoteRefusesOtherTheta: a source gridded at θ=6 must not
-// join a θ=7 center, whose cell IDs mean other cells; a θ=6 center and
-// the grid-less relay roster take it.
-func TestRegisterRemoteRefusesOtherTheta(t *testing.T) {
+// TestRegisterRemoteRefusesOtherGrid: a source gridded at θ=6 over
+// [0,64]² must not join a center on another grid, whose cell IDs mean other
+// cells — neither at θ=7 nor at θ=6 over other bounds; a center on its grid
+// and the grid-less relay roster take it.
+func TestRegisterRemoteRefusesOtherGrid(t *testing.T) {
 	srv := testServer(t)
 	for _, tc := range []struct {
 		grid geo.Grid
 		ok   bool
 	}{
 		{geo.NewGrid(7, geo.Rect{MaxX: 64, MaxY: 64}), false},
+		{geo.NewGrid(6, geo.Rect{MaxX: 128, MaxY: 64}), false},
 		{geo.NewGrid(6, geo.Rect{MaxX: 64, MaxY: 64}), true},
 		{geo.Grid{}, true},
 	} {
@@ -106,10 +108,10 @@ func TestRegisterRemoteRefusesOtherTheta(t *testing.T) {
 		peer := &transport.InProc{Name: "src", Handler: srv.Handler(), Metrics: center.Metrics}
 		_, err := center.RegisterRemote(context.Background(), peer)
 		if (err == nil) != tc.ok {
-			t.Errorf("center θ=%d: RegisterRemote err = %v, want ok=%v", tc.grid.Theta, err, tc.ok)
+			t.Errorf("center %s: RegisterRemote err = %v, want ok=%v", tc.grid, err, tc.ok)
 		}
 		if registered := center.NumSources() == 1; registered != tc.ok {
-			t.Errorf("center θ=%d: %d sources registered, want ok=%v", tc.grid.Theta, center.NumSources(), tc.ok)
+			t.Errorf("center %s: %d sources registered, want ok=%v", tc.grid, center.NumSources(), tc.ok)
 		}
 	}
 }

@@ -9,15 +9,16 @@ import (
 
 // SourceSummary is what each data source uploads to the data center after
 // building its local index (§V-B): its root node's MBR, pivot, and radius
-// converted to raw latitude/longitude coordinates, plus the source's own
-// grid resolution. The global index is built over these summaries only —
-// no dataset ever leaves its source at index time.
+// converted to raw latitude/longitude coordinates, plus the source's grid
+// (θ, origin and cell size), which must be the federation's for its cell
+// IDs to name the same cells. The global index is built over these
+// summaries only — no dataset ever leaves its source at index time.
 type SourceSummary struct {
-	Name  string
-	Rect  geo.Rect  // root MBR in raw coordinates
-	O     geo.Point // pivot
-	R     float64   // radius
-	Theta int       // the source's grid resolution θ
+	Name string
+	Rect geo.Rect  // root MBR in raw coordinates
+	O    geo.Point // pivot
+	R    float64   // radius
+	Grid geo.Grid  // the source's grid
 }
 
 // GNode is a node of the DITS-G tree. Leaves hold source summaries instead

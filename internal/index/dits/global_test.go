@@ -15,7 +15,7 @@ func summaries(n int, rng *rand.Rand) []SourceSummary {
 		y := rng.Float64() * 100
 		r := geo.Rect{MinX: x, MinY: y, MaxX: x + 1 + rng.Float64()*10, MaxY: y + 1 + rng.Float64()*10}
 		out[i] = SourceSummary{
-			Name: string(rune('A' + i%26)), Rect: r, O: r.Center(), R: r.Radius(), Theta: 10,
+			Name: string(rune('A' + i%26)), Rect: r, O: r.Center(), R: r.Radius(),
 		}
 	}
 	return out

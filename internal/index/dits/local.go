@@ -144,11 +144,11 @@ func (l *Local) All() []*dataset.Node {
 func (l *Local) Summary(name string) SourceSummary {
 	raw := l.RawRect(l.Root.Rect)
 	return SourceSummary{
-		Name:  name,
-		Rect:  raw,
-		O:     raw.Center(),
-		R:     raw.Radius(),
-		Theta: l.Grid.Theta,
+		Name: name,
+		Rect: raw,
+		O:    raw.Center(),
+		R:    raw.Radius(),
+		Grid: l.Grid,
 	}
 }
 

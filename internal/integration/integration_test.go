@@ -169,15 +169,20 @@ func TestFederationSourceChurn(t *testing.T) {
 	}
 }
 
-// TestCoreFederationAgainstSingleEngine: a federation of disjoint slices of
-// one source must answer like an engine over the whole source (same grid).
-func TestCoreFederationAgainstSingleEngine(t *testing.T) {
+// TestCenterAgainstSingleEngine: a federation.Center over disjoint slices
+// of one source, each served by a SourceServer on the shared grid, must
+// answer like a core.Engine over the whole source.
+func TestCenterAgainstSingleEngine(t *testing.T) {
 	spec, err := workload.SpecByName("Baidu")
 	if err != nil {
 		t.Fatal(err)
 	}
 	whole := workload.Generate(spec, 0.03, 8)
-	bounds := whole.Bounds()
+	eng, err := core.NewEngine(whole, core.Config{Theta: 12, Bounds: whole.Bounds()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := eng.Grid()
 
 	// Split into three sources by dataset index.
 	parts := make([]*dataset.Source, 3)
@@ -187,22 +192,22 @@ func TestCoreFederationAgainstSingleEngine(t *testing.T) {
 	for i, d := range whole.Datasets {
 		parts[i%3].Datasets = append(parts[i%3].Datasets, d)
 	}
-
-	cfg := core.Config{Theta: 12, Bounds: bounds}
-	eng, err := core.NewEngine(whole, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed, err := core.NewFederation(parts, cfg)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	center := federation.NewCenter(g, federation.DefaultOptions())
+	for _, p := range parts {
+		srv := federation.NewSourceServerWithGrid(p.Name, dits.Build(g, p.Nodes(g), dits.DefaultLeafCapacity))
+		peer := &transport.InProc{Name: p.Name, Handler: srv.Handler(), Metrics: center.Metrics}
+		if _, err := center.RegisterRemote(ctx, peer); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		q := whole.Datasets[rng.Intn(len(whole.Datasets))].Points
+		cells := cellset.FromPoints(g, q)
 		want := eng.OverlapSearch(q, 10)
-		got, err := fed.OverlapSearch(q, 10)
+		got, err := center.OverlapSearch(ctx, cells, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,12 +215,12 @@ func TestCoreFederationAgainstSingleEngine(t *testing.T) {
 			t.Fatalf("trial %d: %d vs %d results", trial, len(got), len(want))
 		}
 		for i := range want {
-			if want[i].Score != got[i].Score {
-				t.Fatalf("trial %d rank %d: score %d vs %d", trial, i, got[i].Score, want[i].Score)
+			if want[i].Score != got[i].Overlap {
+				t.Fatalf("trial %d rank %d: score %d vs %d", trial, i, got[i].Overlap, want[i].Score)
 			}
 		}
 		wc := eng.CoverageSearch(q, 5, 5)
-		gc, err := fed.CoverageSearch(q, 5, 5)
+		gc, err := center.CoverageSearch(ctx, cells, 5, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
