@@ -3,6 +3,8 @@ package cellset
 import (
 	"math/rand"
 	"testing"
+
+	"dits/internal/geo"
 )
 
 // denseChunkSet builds a set with >arrayMaxLen cells inside one chunk, so
@@ -155,6 +157,9 @@ func TestCompactOpsAgainstFlat(t *testing.T) {
 			u = denseChunkSet(uint64(rng.Intn(3)), 4500+rng.Intn(2000))
 		}
 		checkOps(t, s, u)
+		rect := make([]byte, 4)
+		rng.Read(rect)
+		checkClip(t, s, fuzzRect(rect))
 	}
 }
 
@@ -247,9 +252,62 @@ func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 5}, []byte{0, 0, 2, 5})
 	f.Add([]byte{1, 255, 255, 255, 2, 0, 0, 9}, []byte{1, 255, 0, 200})
 	f.Add([]byte{}, []byte{3, 1, 0, 50})
+	// Clip rectangles across chunk edges, over a bitmap chunk, off the
+	// grid and crossed (empty).
+	f.Add([]byte{0, 0, 0, 255, 1, 0, 0, 255, 3, 128, 128, 40}, []byte{60, 10, 70, 40})
+	f.Add([]byte{2, 0, 0, 255, 2, 8, 0, 255, 2, 16, 0, 255, 2, 24, 0, 255, 2, 32, 0, 255}, []byte{100, 0, 120, 255})
+	f.Add([]byte{5, 3, 3, 255, 6, 0, 9, 90}, []byte{230, 200, 255, 255})
+	f.Add([]byte{1, 2, 3, 4}, []byte{90, 0, 10, 255})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		checkOps(t, fuzzSet(a), fuzzSet(b))
+		s, u := fuzzSet(a), fuzzSet(b)
+		checkOps(t, s, u)
+		checkClip(t, s, fuzzRect(b))
 	})
+}
+
+// fuzzGrid is the grid fuzzRect's rectangles are on: one unit per cell,
+// 1024 cells a side — wide enough for every fuzzSet cell.
+var fuzzGrid = geo.NewGrid(10, geo.Rect{MaxX: 1024, MaxY: 1024})
+
+// fuzzRect derives a clip rectangle from the first four bytes of data:
+// corners on a 5-cell lattice from −64 to 1211, so that rectangles
+// straddle chunk edges, leave the 1024-cell grid, or cross (empty).
+func fuzzRect(data []byte) geo.Rect {
+	var b [4]byte
+	copy(b[:], data)
+	at := func(v byte) float64 { return float64(v)*5 - 64 }
+	return geo.Rect{MinX: at(b[0]), MinY: at(b[1]), MaxX: at(b[2]) + 0.5, MaxY: at(b[3]) + 0.5}
+}
+
+// checkClip verifies Set.FilterRect and Compact.ClipRect against a
+// per-cell filter of s, and Compact.Bounds against Set.Bounds on s and on
+// the clipped set.
+func checkClip(t *testing.T, s Set, r geo.Rect) {
+	t.Helper()
+	var want Set
+	if !r.IsEmpty() {
+		x0, y0, x1, y1 := fuzzGrid.RectCoords(r)
+		for _, c := range s {
+			if x, y := geo.ZDecode(c); x >= x0 && x <= x1 && y >= y0 && y <= y1 {
+				want = append(want, c)
+			}
+		}
+	}
+	if got := s.FilterRect(fuzzGrid, r); !got.Equal(want) {
+		t.Fatalf("FilterRect(%v) kept %d cells, per-cell filter %d", r, len(got), len(want))
+	}
+	clipped := FromSet(s).ClipRect(fuzzGrid, r)
+	if !clipped.Equal(FromSet(want)) {
+		t.Fatalf("ClipRect(%v) kept %v, per-cell filter %v", r, clipped.Set(), want)
+	}
+	for _, set := range []Set{s, want} {
+		x0, y0, x1, y1, ok := set.Bounds()
+		cx0, cy0, cx1, cy1, cok := FromSet(set).Bounds()
+		if cx0 != x0 || cy0 != y0 || cx1 != x1 || cy1 != y1 || cok != ok {
+			t.Fatalf("Compact.Bounds = %d,%d,%d,%d,%v; Set.Bounds = %d,%d,%d,%d,%v",
+				cx0, cy0, cx1, cy1, cok, x0, y0, x1, y1, ok)
+		}
+	}
 }
 
 // fuzzSet decodes bytes into a Set: each 4-byte group (key, hi, lo, run)

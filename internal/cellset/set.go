@@ -293,20 +293,31 @@ func (s Set) Bounds() (minX, minY, maxX, maxY uint32, ok bool) {
 }
 
 // FilterRect returns the subset of s whose cells fall inside the
-// grid-coordinate span of rect r under grid g. It implements the query
+// grid-coordinate span of rect r under g. It implements the query
 // clipping of the second distribution strategy in §VI-A: only the portion
-// of the query intersecting a candidate source's MBR is shipped.
+// of the query intersecting a candidate source's MBR is shipped. It walks
+// s by chunk, as Compact.ClipRect does: a run of cells whose chunk lies
+// wholly inside or outside the span is kept or skipped whole, and only the
+// runs across its boundary are decoded cell by cell.
 func (s Set) FilterRect(g geo.Grid, r geo.Rect) Set {
 	if r.IsEmpty() {
 		return nil
 	}
-	x0, y0, x1, y1 := g.RectCoords(r)
+	sp := spanOf(g, r)
 	out := make(Set, 0, len(s))
-	for _, c := range s {
-		x, y := geo.ZDecode(c)
-		if x >= x0 && x <= x1 && y >= y0 && y <= y1 {
-			out = append(out, c)
+	for i := 0; i < len(s); {
+		j := chunkEnd(s, i)
+		switch sp.classify(s[i] >> chunkBits) {
+		case chunkInside:
+			out = append(out, s[i:j]...)
+		case chunkAcross:
+			for _, c := range s[i:j] {
+				if sp.contains(c) {
+					out = append(out, c)
+				}
+			}
 		}
+		i = j
 	}
 	return out
 }

@@ -56,15 +56,10 @@ func (s Set) AppendWire(dst []byte) []byte {
 		return append(dst, wireEmpty)
 	}
 	if len(s) <= flatWireMax {
-		dst = append(dst, wireFlat)
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		prev := uint64(0)
-		for i, cell := range s {
-			if i == 0 {
-				dst = binary.AppendUvarint(dst, cell)
-			} else {
-				dst = binary.AppendUvarint(dst, cell-prev-1)
-			}
+		dst = binary.AppendUvarint(append(dst, wireFlat), uint64(len(s)))
+		prev := flatStart
+		for _, cell := range s {
+			dst = binary.AppendUvarint(dst, cell-prev-1)
 			prev = cell
 		}
 		return dst
@@ -114,15 +109,32 @@ func (s Set) AppendWire(dst []byte) []byte {
 	return dst
 }
 
+// flatStart is the "previous cell" of a flat set's first cell: the
+// delta first−flatStart−1 wraps to the first cell itself.
+const flatStart = ^uint64(0)
+
 // AppendWire appends the wire encoding of c to dst and returns the
-// extended slice. Containers are written to the wire in the exact form
-// they are stored — raw little-endian words, array or bitmap as-is —
-// with no intermediate flat Set. For any set large enough to use the
-// container form, c.AppendWire and c.Set().AppendWire produce identical
-// bytes.
+// extended slice: the form Set.AppendWire chooses, byte for byte, so
+// c.AppendWire and c.Set().AppendWire are identical. Containers are
+// written to the wire in the exact form they are stored — raw
+// little-endian words, array or bitmap as-is — with no intermediate flat
+// Set. It allocates nothing beyond dst's growth.
 func (c *Compact) AppendWire(dst []byte) []byte {
 	if c.Len() == 0 {
 		return append(dst, wireEmpty)
+	}
+	if c.n <= flatWireMax {
+		// So few cells are array containers only.
+		dst = binary.AppendUvarint(append(dst, wireFlat), uint64(c.n))
+		prev := flatStart
+		for i, key := range c.keys {
+			for _, v := range c.cts[i].arr {
+				cell := key<<chunkBits | uint64(v)
+				dst = binary.AppendUvarint(dst, cell-prev-1)
+				prev = cell
+			}
+		}
+		return dst
 	}
 	dst = append(dst, wireChunks)
 	dst = binary.AppendUvarint(dst, uint64(c.n))
@@ -166,6 +178,23 @@ func DecodeWireSet(data []byte) (Set, []byte, error) {
 		return c.Set(), rest, nil
 	}
 	return s, rest, nil
+}
+
+// MarshalBinary returns the wire encoding of c (encoding.BinaryMarshaler).
+func (c *Compact) MarshalBinary() ([]byte, error) { return c.AppendWire(nil), nil }
+
+// UnmarshalBinary sets c to the set the wire encoding data holds, which
+// must be all of data (encoding.BinaryUnmarshaler).
+func (c *Compact) UnmarshalBinary(data []byte) error {
+	d, rest, err := DecodeWireCompact(data)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return wireErr("%d bytes after the set", len(rest))
+	}
+	*c = *d
+	return nil
 }
 
 // DecodeWireCompact decodes one wire-encoded cell set from the front of

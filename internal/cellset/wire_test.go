@@ -77,15 +77,12 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireCompactByteEquality: for any set big enough to use the
-// container form, Compact.AppendWire must produce byte-identical output
-// to Set.AppendWire — the compact path writes raw container words with
-// no flat round-trip, and this pins that it is a pure fast path.
+// TestWireCompactByteEquality: for every set, flat form included,
+// Compact.AppendWire must produce byte-identical output to Set.AppendWire
+// — the compact path writes raw container words with no flat round-trip,
+// and this pins that it is a pure fast path.
 func TestWireCompactByteEquality(t *testing.T) {
 	for name, s := range wireTestSets() {
-		if len(s) <= flatWireMax {
-			continue // flat form: Compact always writes container form
-		}
 		t.Run(name, func(t *testing.T) {
 			viaSet := s.AppendWire(nil)
 			viaCompact := FromSet(s).AppendWire(nil)

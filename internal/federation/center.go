@@ -333,14 +333,31 @@ func (c *Center) candidates(ep *epochSnap, qn dits.QueryNode, deltaRaw float64) 
 	return out
 }
 
-// clipFor returns the query cells shipped to a source: the full set, or the
-// portion within the source's root MBR expanded by expandCells grid cells.
-func (c *Center) clipFor(m *member, cells cellset.Set, expandCells float64) cellset.Set {
+// clipRegion returns the region whose cells are shipped to a source: its
+// root MBR expanded by expandCells grid cells. ok is false when ClipQuery
+// is off and the full set is shipped.
+func (c *Center) clipRegion(m *member, expandCells float64) (r geo.Rect, ok bool) {
 	if !c.Options.ClipQuery {
-		return cells
+		return geo.Rect{}, false
 	}
-	expand := expandCells * math.Max(c.Grid.CellW, c.Grid.CellH)
-	return cells.FilterRect(c.Grid, m.summary.Rect.Expand(expand))
+	return m.summary.Rect.Expand(expandCells * math.Max(c.Grid.CellW, c.Grid.CellH)), true
+}
+
+// clipFor returns the query cells shipped to a source: the full set, or
+// its portion within the source's clipRegion.
+func (c *Center) clipFor(m *member, cells cellset.Set, expandCells float64) cellset.Set {
+	if r, ok := c.clipRegion(m, expandCells); ok {
+		return cells.FilterRect(c.Grid, r)
+	}
+	return cells
+}
+
+// clipCompact is clipFor on the container form.
+func (c *Center) clipCompact(m *member, cells *cellset.Compact, expandCells float64) *cellset.Compact {
+	if r, ok := c.clipRegion(m, expandCells); ok {
+		return cells.ClipRect(c.Grid, r)
+	}
+	return cells
 }
 
 // deltaRaw converts a connectivity threshold in cell units to a safe raw
@@ -530,10 +547,6 @@ func (c *Center) CoverageSearch(ctx context.Context, queryCells cellset.Set, del
 // It also reports whether the answer is degraded (a source was skipped
 // under the tolerant policy).
 func (c *Center) coverageStateless(ctx context.Context, ep *epochSnap, queryCells cellset.Set, delta float64, k int, res CoverageResult) (CoverageResult, bool, error) {
-	// The merged-query state lives on the container engine: each greedy
-	// round unions the winning candidate word-parallel, and the flat form
-	// shipped to sources is rematerialized from it.
-	mergedC := cellset.FromSet(queryCells)
 	merged := queryCells
 	excluded := make(map[string][]int)
 	failed := make(map[string]bool)
@@ -577,17 +590,16 @@ func (c *Center) coverageStateless(ctx context.Context, ep *epochSnap, queryCell
 			}
 		}
 		rsp.End()
-		if best == nil {
-			break // no source has a connected dataset left
+		if best == nil || best.cand.Gain == 0 {
+			break // nothing connected is left, or nothing left adds a cell
 		}
 		name := best.src
 		excluded[name] = append(excluded[name], best.cand.ID)
-		mergedC = mergedC.Union(cellset.FromSet(best.cand.Cells))
-		merged = mergedC.Set()
+		merged = merged.Union(best.cand.Cells)
 		res.Picked = append(res.Picked, SourceResult{
 			Source: name, ID: best.cand.ID, Name: best.cand.Name, Overlap: best.cand.Gain,
 		})
-		res.Coverage = mergedC.Len()
+		res.Coverage = merged.Len()
 	}
 	return res, len(failed) > 0, nil
 }
@@ -628,8 +640,8 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 	sessID := nextSessionID()
 	draw := c.deltaRaw(delta)
 	states := make(map[string]*srcState)
-	mergedC := cellset.FromSet(queryCells)
-	minX, minY, maxX, maxY, ok := queryCells.Bounds()
+	merged := cellset.FromSet(queryCells)
+	minX, minY, maxX, maxY, ok := merged.Bounds()
 	if !ok {
 		return res, false, nil
 	}
@@ -641,8 +653,6 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 		}
 		return false
 	}
-	mergedFlat := queryCells // valid while mergedFlatOK
-	mergedFlatOK := true
 	excluded := make(map[string][]int)
 	final := false // this round is the query's last
 	// The final round's closes run beside it and are joined before the
@@ -665,13 +675,9 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 			st := states[name]
 			req := &CoverageRoundRequest{Session: sessID, Delta: delta, Exclude: excluded[name], Final: final}
 			if st.open {
-				req.Added = st.pending.Set()
+				req.Added = st.pending
 			} else {
-				if !mergedFlatOK {
-					mergedFlat = mergedC.Set()
-					mergedFlatOK = true
-				}
-				req.Base = c.clipFor(m, mergedFlat, delta+1)
+				req.Base = c.clipCompact(m, merged, delta+1)
 				if req.Base.IsEmpty() {
 					continue // nothing of the merged state near this source yet
 				}
@@ -757,7 +763,7 @@ rounds:
 		// Phase two: pick the global winner and fetch its cells — the
 		// only cell set shipped back this round.
 		var winner *offer
-		var winnerCells cellset.Set
+		var winnerCells *cellset.Compact
 		for {
 			var best *offer
 			for _, m := range cands {
@@ -769,9 +775,11 @@ rounds:
 					best = st.last
 				}
 			}
-			if best == nil {
+			if best == nil || best.cand.Gain == 0 {
+				// No source has a connected dataset left, or the best adds
+				// no cell: neither would any later round's.
 				rsp.End()
-				break rounds // no source has a connected dataset left
+				break rounds
 			}
 			// Picked or stale, the source must never offer this ID again.
 			st := states[best.src]
@@ -810,9 +818,7 @@ rounds:
 		}
 
 		// Merge and compute next round's deltas.
-		winnerC := cellset.FromSet(winnerCells)
-		mergedC = mergedC.Union(winnerC)
-		mergedFlatOK = false
+		merged = merged.Union(winnerCells)
 		if wMinX, wMinY, wMaxX, wMaxY, ok := winnerCells.Bounds(); ok {
 			minX, minY = min(minX, wMinX), min(minY, wMinY)
 			maxX, maxY = max(maxX, wMaxX), max(maxY, wMaxY)
@@ -823,16 +829,16 @@ rounds:
 				// and answered its next offer there.
 				continue
 			}
-			clipped := c.clipFor(st.m, winnerCells, delta+1)
+			clipped := c.clipCompact(st.m, winnerCells, delta+1)
 			if clipped.IsEmpty() {
 				continue // winner is far from this source; its state and offer stand
 			}
-			st.pending = st.pending.Union(cellset.FromSet(clipped))
+			st.pending = st.pending.Union(clipped)
 		}
 		res.Picked = append(res.Picked, SourceResult{
 			Source: winner.src, ID: winner.cand.ID, Name: winner.cand.Name, Overlap: winner.cand.Gain,
 		})
-		res.Coverage = mergedC.Len()
+		res.Coverage = merged.Len()
 		rsp.End()
 	}
 	return res, anyFailed(), nil

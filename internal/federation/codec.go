@@ -274,8 +274,8 @@ func (binCodec) Decode(data []byte, v any) error {
 	case *CoverageRoundRequest:
 		r.expect(msg, msgCoverageRoundFinalReq)
 		m.Session = r.uvarint()
-		m.Base = r.set()
-		m.Added = r.set()
+		m.Base = r.compact()
+		m.Added = r.compact()
 		m.Delta = r.f64()
 		m.Exclude = r.ints()
 		m.Final = r.bool()
@@ -293,7 +293,7 @@ func (binCodec) Decode(data []byte, v any) error {
 		r.expect(msg, msgFetchCellsNextResp)
 		m.Found = r.bool()
 		m.Committed = r.bool()
-		m.Cells = r.set()
+		m.Cells = r.compact()
 		r.offer(&m.Next)
 	case *SessionCloseRequest:
 		r.expect(msg, msgSessionCloseReq)
@@ -726,6 +726,23 @@ func (r *wireReader) set() cellset.Set {
 	}
 	r.data = rest
 	return s
+}
+
+// compact reads a cell set into container form; the empty set is nil.
+func (r *wireReader) compact() *cellset.Compact {
+	if r.err != nil {
+		return nil
+	}
+	c, rest, err := cellset.DecodeWireCompact(r.data)
+	if err != nil {
+		r.fail("%v", err)
+		return nil
+	}
+	r.data = rest
+	if c.IsEmpty() {
+		return nil
+	}
+	return c
 }
 
 func (r *wireReader) overlapItems() []OverlapItem {

@@ -61,15 +61,15 @@ func codecTestMessages() []any {
 		&CoverageRequest{Merged: small, Delta: 0},
 		&CoverageCandidate{Found: true, ID: 12, Name: "cand", Gain: 44, Cells: small},
 		&CoverageCandidate{},
-		&CoverageRoundRequest{Session: 1 << 60, Base: bigSet, Added: small, Delta: 2, Exclude: []int{1}},
-		&CoverageRoundRequest{Session: 1, Added: small},
-		&CoverageRoundRequest{Session: 3, Base: small, Delta: 4, Exclude: []int{-2, 8}, Final: true},
+		&CoverageRoundRequest{Session: 1 << 60, Base: cellset.FromSet(bigSet), Added: cellset.FromSet(small), Delta: 2, Exclude: []int{1}},
+		&CoverageRoundRequest{Session: 1, Added: cellset.FromSet(small)},
+		&CoverageRoundRequest{Session: 3, Base: cellset.FromSet(small), Delta: 4, Exclude: []int{-2, 8}, Final: true},
 		&CoverageRoundResponse{SessionMiss: true, Stateless: true, Offer: Offer{Found: true, ID: 5, Name: "w", Gain: 17}},
 		&CoverageRoundResponse{},
 		&FetchCellsRequest{Session: 42, ID: -9, Exclude: []int{-9, 1 << 33, 0}},
 		&FetchCellsRequest{ID: 6},
-		&FetchCellsResponse{Found: true, Committed: true, Cells: bigSet, Next: Offer{Found: true, ID: -3, Name: "下一个", Gain: 1 << 40}},
-		&FetchCellsResponse{Found: true, Cells: small},
+		&FetchCellsResponse{Found: true, Committed: true, Cells: cellset.FromSet(bigSet), Next: Offer{Found: true, ID: -3, Name: "下一个", Gain: 1 << 40}},
+		&FetchCellsResponse{Found: true, Cells: cellset.FromSet(small)},
 		&FetchCellsResponse{},
 		&SessionCloseRequest{Session: ^uint64(0)},
 		&SessionCloseResponse{Closed: true},

@@ -3,6 +3,7 @@ package federation
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -17,6 +18,7 @@ import (
 	"dits/internal/index/ditsfile"
 	"dits/internal/search/coverage"
 	"dits/internal/search/exec"
+	"dits/internal/transport"
 )
 
 // pick is one greedy step as every CJSP engine must report it.
@@ -24,8 +26,9 @@ type pick struct{ ID, Gain int }
 
 // bruteGreedy is CJSP's greedy over plain sets with no index, no bound and
 // no incremental state: every round tests every remaining dataset against
-// the whole merged set with the pairwise oracle. It also reports whether
-// some round had two candidates tied on the winning gain.
+// the whole merged set with the pairwise oracle, and the first round whose
+// best gain is 0 ends it. It also reports whether some round had two
+// candidates tied on the winning gain.
 func bruteGreedy(nodes []*dataset.Node, q cellset.Set, delta float64, k int) (picks []pick, tied bool) {
 	merged := q
 	taken := map[int]bool{}
@@ -45,7 +48,7 @@ func bruteGreedy(nodes []*dataset.Node, q cellset.Set, delta float64, k int) (pi
 				}
 			}
 		}
-		if best == nil {
+		if best == nil || bestGain == 0 {
 			break
 		}
 		tied = tied || atBest > 1
@@ -153,7 +156,7 @@ func sessionPicks(t *testing.T, srv *SourceServer, sess uint64, q cellset.Set, d
 		}
 		return resp.Offer
 	}
-	o := round(CoverageRoundRequest{Base: q})
+	o := round(CoverageRoundRequest{Base: cellset.FromSet(q)})
 	for o.Found {
 		out = append(out, pick{o.ID, o.Gain})
 		exclude = append(exclude, o.ID)
@@ -309,7 +312,7 @@ func TestSessionOverlappingCalls(t *testing.T) {
 	ctx := context.Background()
 	const delta = 6
 	q := randomQuery(rng)
-	if resp := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 5, Base: q, Delta: delta}); resp.SessionMiss {
+	if resp := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 5, Base: cellset.FromSet(q), Delta: delta}); resp.SessionMiss {
 		t.Fatal("session did not open")
 	}
 	merged := q
@@ -322,7 +325,7 @@ func TestSessionOverlappingCalls(t *testing.T) {
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
-				srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 5, Added: added, Delta: delta})
+				srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 5, Added: cellset.FromSet(added), Delta: delta})
 			}()
 			go func() {
 				defer wg.Done()
@@ -332,8 +335,66 @@ func TestSessionOverlappingCalls(t *testing.T) {
 	}
 	wg.Wait()
 	got := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 5, Delta: delta})
-	want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 6, Base: merged, Delta: delta})
+	want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 6, Base: cellset.FromSet(merged), Delta: delta})
 	if got != want {
 		t.Fatalf("after overlapping calls the session offers %+v, a fresh session on the same state %+v", got, want)
+	}
+}
+
+// TestCoverageStopsAtZeroGain: a query that is a corpus dataset's own
+// cells gets fewer than k picks and never that dataset — nor the subset of
+// it, nor anything else that adds no cell — from every CJSP path: the
+// paper's searcher and both baselines, the executor, a source session, and
+// a center over the session and the stateless protocols.
+func TestCoverageStopsAtZeroGain(t *testing.T) {
+	g := worldGrid()
+	const x, y = 50, 50
+	nodes := []*dataset.Node{
+		dataset.NewNodeFromCells(0, "self", cellBlock(x, y, 5, 5)),
+		dataset.NewNodeFromCells(1, "inside", cellBlock(x+1, y+1, 2, 2)),
+		dataset.NewNodeFromCells(2, "edge", cellBlock(x+5, y, 1, 5)),
+		dataset.NewNodeFromCells(3, "overhang", cellBlock(x-2, y-2, 4, 4)),
+		dataset.NewNodeFromCells(4, "far", cellBlock(x+40, y+40, 3, 3)),
+	}
+	q := nodes[0].Cells
+	const delta, k = 2, 5
+	want, _ := bruteGreedy(nodes, q, delta, k)
+	if !slices.Equal(want, []pick{{3, 12}, {2, 5}}) {
+		t.Fatalf("brute force picked %v, want the two datasets that add cells", want)
+	}
+
+	idx := dits.Build(g, nodes, 2)
+	qn := dataset.NewNodeFromCells(-1, "query", q)
+	got := map[string][]pick{
+		"DITSSearcher": picksOf(q, (&coverage.DITSSearcher{Index: idx}).Search(qn, delta, k).Picked),
+		"SG":           picksOf(q, (&coverage.SG{Nodes: nodes}).Search(qn, delta, k).Picked),
+		"SG+DITS":      picksOf(q, (&coverage.SGDITS{Index: idx}).Search(qn, delta, k).Picked),
+		"session":      sessionPicks(t, NewSourceServerWithGrid("s", idx), 1, q, delta, k, false),
+	}
+	res, err := (&exec.Executor{}).CoverageSearch(context.Background(), idx, qn, delta, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["Executor.CoverageSearch"] = picksOf(q, res.Picked)
+	for _, sessions := range []bool{true, false} {
+		c := NewCenter(g, Options{GlobalFilter: true, ClipQuery: true, Sessions: sessions})
+		for i, part := range [][]*dataset.Node{nodes[:2], nodes[2:]} {
+			srv := NewSourceServerWithGrid(fmt.Sprintf("s%d", i), dits.Build(g, part, 2))
+			c.Register(srv.Summary(), &transport.InProc{Name: srv.Name, Handler: srv.Handler()})
+		}
+		cov, err := c.CoverageSearch(context.Background(), q, delta, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ps []pick
+		for _, r := range cov.Picked {
+			ps = append(ps, pick{r.ID, r.Overlap})
+		}
+		got[fmt.Sprintf("center (sessions %v)", sessions)] = ps
+	}
+	for engine, ps := range got {
+		if !slices.Equal(ps, want) {
+			t.Errorf("%s picked %v, brute force %v", engine, ps, want)
+		}
 	}
 }

@@ -519,7 +519,7 @@ func TestSessionSeesMutationsBetweenRounds(t *testing.T) {
 	enableIngest(t, srv)
 	ctx := context.Background()
 
-	first := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 7, Base: q, Delta: delta})
+	first := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 7, Base: cellset.FromSet(q), Delta: delta})
 	if !first.Found || first.ID != 1 {
 		t.Fatalf("round 1 offered %+v, want dataset 1", first)
 	}
@@ -544,7 +544,7 @@ func TestSessionSeesMutationsBetweenRounds(t *testing.T) {
 		t.Fatal("a deleted dataset was offered from the session's connected set")
 	}
 	merged := q.Union(nodes[0].Cells)
-	if want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 8, Base: merged, Delta: delta, Exclude: []int{1}}); again.Found != want.Found || again.ID != want.ID || again.Gain != want.Gain {
+	if want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 8, Base: cellset.FromSet(merged), Delta: delta, Exclude: []int{1}}); again.Found != want.Found || again.ID != want.ID || again.Gain != want.Gain {
 		t.Fatalf("after the delete the session offered %+v, a fresh session %+v", again, want)
 	}
 }
@@ -606,7 +606,7 @@ func TestSessionStaleBoundsAfterPut(t *testing.T) {
 			enableIngest(t, srv)
 			ctx := context.Background()
 
-			first := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 7, Base: tc.q, Delta: delta})
+			first := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 7, Base: cellset.FromSet(tc.q), Delta: delta})
 			if !first.Found || first.ID != 1 {
 				t.Fatalf("round 1 offered %+v, want dataset 1", first)
 			}

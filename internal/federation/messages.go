@@ -228,12 +228,12 @@ type CoverageCandidate struct {
 // source answers as usual and then forgets the session — or, with Base,
 // never stores it — so the round doubles as the session's close.
 type CoverageRoundRequest struct {
-	Session uint64      // center-chosen session ID, shared by all rounds of one query
-	Base    cellset.Set // full clipped merged state; nil on delta rounds
-	Added   cellset.Set // clipped winner cells since the previous round; may be nil
-	Delta   float64     // connectivity threshold δ (cell units)
-	Exclude []int       // dataset IDs already picked from this source
-	Final   bool        // last round: drop the session after answering
+	Session uint64           // center-chosen session ID, shared by all rounds of one query
+	Base    *cellset.Compact // full clipped merged state; nil on delta rounds
+	Added   *cellset.Compact // clipped winner cells since the previous round; may be nil
+	Delta   float64          // connectivity threshold δ (cell units)
+	Exclude []int            // dataset IDs already picked from this source
+	Final   bool             // last round: drop the session after answering
 }
 
 // Offer is a source's best next pick for its session's current state,
@@ -282,7 +282,7 @@ type FetchCellsRequest struct {
 type FetchCellsResponse struct {
 	Found     bool
 	Committed bool
-	Cells     cellset.Set
+	Cells     *cellset.Compact
 	Next      Offer
 }
 

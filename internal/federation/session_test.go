@@ -304,7 +304,7 @@ func TestCoverageMessageBudget(t *testing.T) {
 // holds, idle sessions are reclaimed by TTL, and close removes state.
 func TestSourceSessionEviction(t *testing.T) {
 	g := worldGrid()
-	nd := dataset.NewNodeFromCells(1, "d", cellset.New(geo.ZEncode(3, 3)))
+	nd := dataset.NewNodeFromCells(1, "d", cellset.New(geo.ZEncode(3, 3), geo.ZEncode(2, 2)))
 	srv := NewSourceServerWithGrid("s", dits.Build(g, []*dataset.Node{nd}, 4))
 	srv.MaxSessions = 4
 	srv.SessionTTL = time.Minute
@@ -313,7 +313,7 @@ func TestSourceSessionEviction(t *testing.T) {
 
 	base := cellset.New(geo.ZEncode(3, 3), geo.ZEncode(4, 4))
 	for id := uint64(1); id <= 10; id++ {
-		resp := srv.handleCoverageRound(context.Background(), CoverageRoundRequest{Session: id, Base: base, Delta: 2})
+		resp := srv.handleCoverageRound(context.Background(), CoverageRoundRequest{Session: id, Base: cellset.FromSet(base), Delta: 2})
 		if wantStateless := id > 4; resp.Stateless != wantStateless {
 			t.Errorf("session %d: Stateless = %v, want %v", id, resp.Stateless, wantStateless)
 		}
@@ -327,14 +327,14 @@ func TestSourceSessionEviction(t *testing.T) {
 
 	// All sessions idle past the TTL are reclaimed on the next insert.
 	now = now.Add(2 * time.Minute)
-	srv.handleCoverageRound(context.Background(), CoverageRoundRequest{Session: 99, Base: base, Delta: 2})
+	srv.handleCoverageRound(context.Background(), CoverageRoundRequest{Session: 99, Base: cellset.FromSet(base), Delta: 2})
 	if n := srv.NumSessions(); n != 1 {
 		t.Errorf("TTL sweep left %d sessions, want 1", n)
 	}
 
 	// A round against an evicted session reports the miss instead of
 	// silently answering from stale state.
-	resp := srv.handleCoverageRound(context.Background(), CoverageRoundRequest{Session: 1, Added: base, Delta: 2})
+	resp := srv.handleCoverageRound(context.Background(), CoverageRoundRequest{Session: 1, Added: cellset.FromSet(base), Delta: 2})
 	if !resp.SessionMiss {
 		t.Error("round against evicted session should report SessionMiss")
 	}
@@ -369,7 +369,7 @@ func (p *flakyPeer) Close() error { return p.inner.Close() }
 // the survivors; under fail-fast (the default) the same federation errors.
 func TestDegradedSkipFailed(t *testing.T) {
 	g := worldGrid()
-	nd := dataset.NewNodeFromCells(1, "only", cellset.New(geo.ZEncode(7, 7)))
+	nd := dataset.NewNodeFromCells(1, "only", cellset.New(geo.ZEncode(7, 7), geo.ZEncode(6, 6)))
 	idx := dits.Build(g, []*dataset.Node{nd}, 4)
 
 	build := func(policy FailurePolicy, sessions bool) *Center {
@@ -689,7 +689,7 @@ func TestCoverageRoundAllocBudget(t *testing.T) {
 			sess := pass<<8 | uint64(i)
 			for _, srv := range servers {
 				o := measure(func() Offer {
-					return srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Base: q, Delta: 10}).Offer
+					return srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Base: cellset.FromSet(q), Delta: 10}).Offer
 				})
 				var exclude []int
 				for o.Found && len(exclude) < 4 {
@@ -725,7 +725,7 @@ func TestLazyPickEvaluations(t *testing.T) {
 		for i, q := range queries {
 			sess := uint64(k)<<8 | uint64(i)
 			for _, srv := range servers {
-				o := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Base: q, Delta: 10}).Offer
+				o := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Base: cellset.FromSet(q), Delta: 10}).Offer
 				offers++
 				var exclude []int
 				for o.Found && len(exclude) < k-1 {
@@ -766,9 +766,9 @@ func TestSessionRecoversFromCancelledWalk(t *testing.T) {
 	for i, q := range queries {
 		for _, srv := range servers {
 			sess := uint64(i) + 1
-			srv.handleCoverageRound(gone, CoverageRoundRequest{Session: sess, Base: q, Delta: 10})
+			srv.handleCoverageRound(gone, CoverageRoundRequest{Session: sess, Base: cellset.FromSet(q), Delta: 10})
 			got := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Delta: 10})
-			want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess + 100, Base: q, Delta: 10, Final: true})
+			want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess + 100, Base: cellset.FromSet(q), Delta: 10, Final: true})
 			if got.Offer != want.Offer {
 				t.Fatalf("query %d at %s: after a cancelled round the session offered %+v, a fresh one %+v", i, srv.Name, got.Offer, want.Offer)
 			}

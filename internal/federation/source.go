@@ -80,7 +80,7 @@ type covSession struct {
 	// still be running here when its retry arrives.
 	mu      sync.Mutex
 	pick    exec.LazyPicker
-	pending cellset.Set
+	pending *cellset.Compact
 	version uint64
 	delta   float64
 
@@ -89,25 +89,20 @@ type covSession struct {
 
 // reset (re)opens the session over the full clipped base set: nothing is
 // known to be connected yet and the whole base is the pending delta.
-func (cs *covSession) reset(base cellset.Set, delta float64, version uint64) {
-	cs.pick.Reset(cellset.FromSet(base))
+func (cs *covSession) reset(base *cellset.Compact, delta float64, version uint64) {
+	cs.pick.Reset(base)
 	cs.pending = base
 	cs.version = version
 	cs.delta = delta
 }
 
 // absorb unions one round's delta cells into the session.
-func (cs *covSession) absorb(added cellset.Set) {
+func (cs *covSession) absorb(added *cellset.Compact) {
 	if added.IsEmpty() {
 		return
 	}
 	// Cells the merged set held already were walked from, or are pending.
-	fresh := cs.pick.Absorb(cellset.FromSet(added)).Set()
-	if cs.pending.IsEmpty() {
-		cs.pending = fresh
-	} else {
-		cs.pending = cs.pending.Union(fresh)
-	}
+	cs.pending = cs.pending.Union(cs.pick.Absorb(added))
 }
 
 // connect brings the connected set up to date with the merged set. extend
@@ -125,13 +120,13 @@ func (cs *covSession) connect(version uint64, extend func(q *dataset.Node, qIdx 
 		// new dataset may connect to cells verified long ago, a deleted
 		// one must not be offered again, and a replaced one's bound is
 		// meaningless. Recompute against everything.
-		cs.pending = cs.pick.Merged().Set()
+		cs.pending = cs.pick.Merged()
 		cs.pick.Forget()
 		cs.version = version
 	}
 	if q := cellsNode(cs.pending); q != nil {
-		if err := extend(q, cellset.NewDistIndex(cs.pending, cs.delta), &cs.pick.Connected); err != nil {
-			cs.pending = cs.pick.Merged().Set()
+		if err := extend(q, cellset.NewDistIndex(cs.pending.Set(), cs.delta), &cs.pick.Connected); err != nil {
+			cs.pending = cs.pick.Merged()
 			cs.pick.Forget()
 			return err
 		}
@@ -142,9 +137,9 @@ func (cs *covSession) connect(version uint64, extend func(q *dataset.Node, qIdx 
 
 // cellsNode wraps cells as the query-side node of a connectivity walk,
 // which reads the geometry and leaves the cells to the DistIndex; unlike
-// dataset.NewNodeFromCells it builds no container form. Nil when cells is
+// dataset.NewNodeFromCells it builds no flat form. Nil when cells is
 // empty.
-func cellsNode(cells cellset.Set) *dataset.Node {
+func cellsNode(cells *cellset.Compact) *dataset.Node {
 	minX, minY, maxX, maxY, ok := cells.Bounds()
 	if !ok {
 		return nil
@@ -153,7 +148,7 @@ func cellsNode(cells cellset.Set) *dataset.Node {
 		MinX: float64(minX), MinY: float64(minY),
 		MaxX: float64(maxX), MaxY: float64(maxY),
 	}
-	return &dataset.Node{ID: -1, Rect: r, O: r.Center(), R: r.Radius(), Cells: cells}
+	return &dataset.Node{ID: -1, Rect: r, O: r.Center(), R: r.Radius(), Compact: cells}
 }
 
 // NewSourceServerWithGrid indexes pre-gridded dataset nodes. All federation
@@ -436,7 +431,7 @@ func (s *SourceServer) handleCoverageRound(ctx context.Context, req CoverageRoun
 	}
 	stateless := false
 	switch {
-	case sess == nil && len(req.Base) == 0:
+	case sess == nil && req.Base.IsEmpty():
 		s.mu.Unlock()
 		return CoverageRoundResponse{SessionMiss: true}
 	case sess == nil:
@@ -460,7 +455,7 @@ func (s *SourceServer) handleCoverageRound(ctx context.Context, req CoverageRoun
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if len(req.Base) > 0 {
+	if !req.Base.IsEmpty() {
 		// A new session, or the center re-opening one after a miss:
 		// replace whatever is held with the full state.
 		sess.reset(req.Base, req.Delta, s.DataVersion())
@@ -511,7 +506,7 @@ func (s *SourceServer) handleFetchCells(ctx context.Context, req FetchCellsReque
 	if nd == nil {
 		return FetchCellsResponse{}
 	}
-	cells := nd.FlatCells()
+	cells := nd.CompactCells()
 	resp := FetchCellsResponse{Found: true, Cells: cells}
 	if req.Session == 0 {
 		return resp

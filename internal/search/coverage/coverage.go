@@ -85,9 +85,11 @@ type Searcher interface {
 // seen so far cannot reach it, so its exact gain is never computed. (The
 // paper filters |S_D| > τ strictly; ties are admitted here so that the
 // ID tie-break is independent of candidate order and all three algorithms
-// return identical results.) Ties break toward smaller IDs.
+// return identical results.) Ties break toward smaller IDs. A dataset that
+// adds no cell is never picked: nil when no candidate adds one, which ends
+// the greedy, since gains only fall as covered grows.
 func pickBest(cands []*dataset.Node, picked map[int]bool, covered *cellset.Compact) *dataset.Node {
-	tau := -1
+	tau := 0
 	var best *dataset.Node
 	for _, nd := range cands {
 		if nd == nil || picked[nd.ID] {

@@ -27,7 +27,7 @@ func (e *Executor) ExtendConnectSet(ctx context.Context, root *dits.TreeNode, q 
 // PickBest selects the candidate with the maximum marginal gain over
 // covered, excluding IDs for which excluded returns true, with the
 // smallest-ID tie-break every picker uses: the sequential scan, pickBestSeq.
-// ctx is not consulted.
+// It returns (nil, 0) when no candidate adds a cell. ctx is not consulted.
 //
 // PickBest is the one-shot pick, for a caller that keeps no state between
 // picks (the source's stateless coverage round). A loop that picks round
@@ -41,7 +41,7 @@ func (e *Executor) PickBest(ctx context.Context, cands []*dataset.Node, excluded
 // search/coverage's Algorithm 3 picker. LazyPicker returns its pick.
 func pickBestSeq(cands []*dataset.Node, excluded func(id int) bool, covered *cellset.Compact) (*dataset.Node, int) {
 	var best *dataset.Node
-	tau := -1
+	tau := 0
 	for _, nd := range cands {
 		if nd == nil || excluded(nd.ID) {
 			continue

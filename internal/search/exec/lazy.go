@@ -89,7 +89,7 @@ func (p *LazyPicker) Absorb(added *cellset.Compact) *cellset.Compact {
 // Pick returns the connected dataset with the maximum marginal gain over
 // the merged set among those excluded does not reject, with the smallest-ID
 // tie-break, and its gain: what pickBestSeq returns over Connected.Nodes.
-// It returns (nil, -1) when no candidate remains.
+// It returns (nil, 0) when no candidate adds a cell.
 func (p *LazyPicker) Pick(excluded func(id int) bool) (*dataset.Node, int) {
 	nodes := p.Connected.Nodes
 	p.bounds = slices.Grow(p.bounds, len(nodes)-len(p.bounds))
@@ -110,13 +110,16 @@ func (p *LazyPicker) Pick(excluded func(id int) bool) (*dataset.Node, int) {
 	p.picked = now
 	for len(h) > 0 {
 		b := &p.bounds[h[0]]
+		if b.gain == 0 {
+			break // the top bounds every gain: none adds a cell
+		}
 		if b.stamp == now {
 			return nodes[h[0]], b.gain
 		}
 		b.gain, b.stamp = p.gain(h[0]), now
 		p.siftDown(h, 0) // a bound only falls
 	}
-	return nil, -1
+	return nil, 0
 }
 
 // gain computes node i's exact gain over the merged set: from its exact
