@@ -120,25 +120,33 @@ func (c *Compact) Set() Set {
 }
 
 // AppendCells appends the cells in ascending order to dst and returns it.
+// It grows dst once, then writes each container's cells in place.
 func (c *Compact) AppendCells(dst Set) Set {
 	if c == nil {
 		return dst
 	}
+	n := len(dst)
+	if cap(dst)-n < c.n {
+		dst = append(make(Set, 0, n+c.n), dst...)
+	}
+	dst = dst[:n+c.n]
 	for i, key := range c.keys {
 		base := key << chunkBits
 		ct := &c.cts[i]
+		out := dst[n : n+ct.n]
+		n += ct.n
 		if ct.bm != nil {
+			j := 0
 			for w, word := range ct.bm {
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					dst = append(dst, base|uint64(w<<6+b))
-					word &= word - 1
+				for ; word != 0; word &= word - 1 {
+					out[j] = base | uint64(w<<6+bits.TrailingZeros64(word))
+					j++
 				}
 			}
 			continue
 		}
-		for _, v := range ct.arr {
-			dst = append(dst, base|uint64(v))
+		for j, v := range ct.arr {
+			out[j] = base | uint64(v)
 		}
 	}
 	return dst

@@ -1,6 +1,7 @@
 package cellset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,7 +44,7 @@ func TestDistIndexAdd(t *testing.T) {
 		probe := randomGridSet(rng, 1+rng.Intn(30))
 		delta := float64(rng.Intn(8))
 		ix := NewDistIndex(base, delta)
-		ix.Add(extra)
+		ix.Add(FromSet(extra))
 		want := DistNaive(base, probe) <= delta || DistNaive(extra, probe) <= delta
 		if got := ix.Connected(probe); got != want {
 			t.Fatalf("trial %d δ=%v: Connected=%v, want %v", trial, delta, got, want)
@@ -101,18 +102,68 @@ func TestDistIndexCompactParity(t *testing.T) {
 		extra := randomGridSet(rng, 1+rng.Intn(40))
 		probe := randomGridSet(rng, 1+rng.Intn(40))
 		delta := float64(rng.Intn(10))
-		a := NewDistIndex(base, delta)
-		a.Add(extra)
+		a := NewDistIndex(base.Union(extra), delta)
 		b := NewDistIndex(base, delta)
-		b.AddCompact(FromSet(extra))
-		if got, want := b.ConnectedCompact(FromSet(probe)), a.Connected(probe); got != want {
+		b.Add(FromSet(extra))
+		var c DistIndex
+		c.Rebuild(FromSet(base.Union(extra)), delta)
+		want := a.Connected(probe)
+		if got := b.ConnectedCompact(FromSet(probe)); got != want {
 			t.Fatalf("trial %d: compact path Connected=%v, set path %v", trial, got, want)
+		}
+		if got := c.ConnectedCompact(FromSet(probe)); got != want {
+			t.Fatalf("trial %d: rebuilt index Connected=%v, set path %v", trial, got, want)
 		}
 	}
 	var nilIx *DistIndex
-	nilIx.AddCompact(FromSet(New(1))) // must not panic
+	nilIx.Add(FromSet(New(1))) // must not panic
 	if nilIx.ConnectedCompact(FromSet(New(1))) {
 		t.Error("nil index connects nothing")
+	}
+}
+
+// TestDistIndexConnectedCompactBitmap holds ConnectedCompact to the oracle
+// on probes dense enough for bitmap containers: 70×70 squares, alone in a
+// chunk or straddling chunk edges, far from, near to and across a sparse
+// indexed set, so the bitmap walk resumes past far words and leaves chunks
+// by both ways.
+func TestDistIndexConnectedCompactBitmap(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	square := func(x0, y0 uint32) Set {
+		ids := make([]uint64, 0, 70*70)
+		for y := y0; y < y0+70; y++ {
+			for x := x0; x < x0+70; x++ {
+				ids = append(ids, geo.ZEncode(x, y))
+			}
+		}
+		return New(ids...)
+	}
+	bitmaps := 0
+	for trial := 0; trial < 40; trial++ {
+		var ids []uint64
+		for range 1 + rng.Intn(6) {
+			ids = append(ids, geo.ZEncode(uint32(rng.Intn(1024)), uint32(rng.Intn(1024))))
+		}
+		q := New(ids...)
+		probe := square(uint32(rng.Intn(960)), uint32(rng.Intn(960)))
+		if trial%4 == 0 {
+			probe = probe.Union(square(uint32(rng.Intn(960)), uint32(rng.Intn(960))))
+		}
+		pc := FromSet(probe)
+		for i := range pc.cts {
+			if pc.cts[i].bm != nil {
+				bitmaps++
+			}
+		}
+		for _, delta := range []float64{0, 3, 10, 40} {
+			want := DistNaive(q, probe) <= delta
+			if got := NewDistIndex(q, delta).ConnectedCompact(pc); got != want {
+				t.Fatalf("trial %d δ=%v: ConnectedCompact=%v, naive=%v", trial, delta, got, want)
+			}
+		}
+	}
+	if bitmaps == 0 {
+		t.Fatal("no probe had a bitmap container: the test exercises nothing")
 	}
 }
 
@@ -127,7 +178,7 @@ func TestDistIndexEdgeCases(t *testing.T) {
 	if nilIx.Connected(New(1)) {
 		t.Error("nil index connects nothing")
 	}
-	nilIx.Add(New(1)) // must not panic
+	nilIx.Add(FromSet(New(1))) // must not panic
 	ix := NewDistIndex(New(5), 0)
 	if !ix.Connected(New(5)) {
 		t.Error("identical cell should be connected at δ=0")
@@ -148,8 +199,7 @@ var distIndexAnchors = []uint32{0, 1<<31 - 16, 1<<32 - 64}
 var distIndexDeltas = []float64{0, 0.5, 1, 2.5, 10, 15, 16, 17, 1 << 31, math.Inf(1)}
 
 // anchoredCells decodes byte pairs as (x, y) offsets in 0..63 from anchor.
-// Repeated pairs are kept: New de-duplicates, the index entry points that
-// take raw cells (Add) must cope on their own.
+// Repeated pairs are kept, for New to de-duplicate.
 func anchoredCells(anchor uint32, b []byte) []uint64 {
 	ids := make([]uint64, 0, len(b)/2)
 	for i := 0; i+1 < len(b); i += 2 {
@@ -159,39 +209,11 @@ func anchoredCells(anchor uint32, b []byte) []uint64 {
 }
 
 // checkDistIndexVsNaive holds every connectivity entry point — Connected,
-// ConnectedCompact, NearRect, WithinDist — to the O(n·m) oracle, on an
-// index built over base and on the same index grown by extra (handed over
-// with its duplicates) through Add and through AddCompact.
+// ConnectedCompact, NearRect, WithinDist — and Bounds to the O(n·m)
+// oracle, on an index built over base, on the same index grown by extra
+// through Add, and on an index rebuilt over both.
 func checkDistIndexVsNaive(t *testing.T, base, extra []uint64, probe Set, delta float64) {
 	t.Helper()
-	check := func(stage string, ix *DistIndex, indexed Set) {
-		t.Helper()
-		want := DistNaive(indexed, probe) <= delta
-		if got := ix.Connected(probe); got != want {
-			t.Fatalf("%s δ=%v: Connected=%v, naive=%v\nindexed=%v\nprobe=%v", stage, delta, got, want, indexed, probe)
-		}
-		if got := ix.ConnectedCompact(FromSet(probe)); got != want {
-			t.Fatalf("%s δ=%v: ConnectedCompact=%v, naive=%v", stage, delta, got, want)
-		}
-		if got := WithinDist(indexed, probe, delta); got != want {
-			t.Fatalf("%s δ=%v: WithinDist=%v, naive=%v", stage, delta, got, want)
-		}
-		// NearRect may say true for a far set, never false for a near one —
-		// for the probe's MBR and for every single cell of it.
-		near := func(s Set) bool {
-			minX, minY, maxX, maxY, ok := s.Bounds()
-			return ok && ix.NearRect(geo.Rect{
-				MinX: float64(minX), MinY: float64(minY), MaxX: float64(maxX), MaxY: float64(maxY)})
-		}
-		if want && !near(probe) {
-			t.Fatalf("%s δ=%v: NearRect rejected the MBR of a connected set\nindexed=%v\nprobe=%v", stage, delta, indexed, probe)
-		}
-		for _, c := range probe {
-			if one := New(c); DistNaive(indexed, one) <= delta && !near(one) {
-				t.Fatalf("%s δ=%v: NearRect rejected connected cell %d", stage, delta, c)
-			}
-		}
-	}
 	b := New(base...)
 	ix := NewDistIndex(b, delta)
 	if len(b) == 0 {
@@ -200,12 +222,58 @@ func checkDistIndexVsNaive(t *testing.T, base, extra []uint64, probe Set, delta 
 		}
 		return
 	}
-	check("built", ix, b)
-	ix.Add(Set(extra)) // raw: unsorted, with duplicates
-	check("after Add", ix, b.Union(New(extra...)))
-	viaCompact := NewDistIndex(b, delta)
-	viaCompact.AddCompact(FromSet(New(extra...)))
-	check("after AddCompact", viaCompact, b.Union(New(extra...)))
+	checkDistIndex(t, "built", ix, b, probe, delta)
+	all := b.Union(New(extra...))
+	ix.Add(FromSet(New(extra...)))
+	checkDistIndex(t, "after Add", ix, all, probe, delta)
+	var rebuilt DistIndex
+	rebuilt.Rebuild(FromSet(all), delta)
+	checkDistIndex(t, "rebuilt", &rebuilt, all, probe, delta)
+}
+
+// checkDistIndex holds ix, an index over indexed, to the oracle for probe.
+func checkDistIndex(t *testing.T, stage string, ix *DistIndex, indexed, probe Set, delta float64) {
+	t.Helper()
+	checkDistIndexBounds(t, stage, ix, indexed)
+	want := len(indexed) > 0 && DistNaive(indexed, probe) <= delta
+	if got := ix.Connected(probe); got != want {
+		t.Fatalf("%s δ=%v: Connected=%v, naive=%v\nindexed=%v\nprobe=%v", stage, delta, got, want, indexed, probe)
+	}
+	if got := ix.ConnectedCompact(FromSet(probe)); got != want {
+		t.Fatalf("%s δ=%v: ConnectedCompact=%v, naive=%v\nindexed=%v\nprobe=%v", stage, delta, got, want, indexed, probe)
+	}
+	if got := WithinDist(indexed, probe, delta); got != want {
+		t.Fatalf("%s δ=%v: WithinDist=%v, naive=%v", stage, delta, got, want)
+	}
+	// NearRect may say true for a far set, never false for a near one —
+	// for the probe's MBR and for every single cell of it — and says false
+	// for everything when nothing is indexed.
+	near := func(s Set) bool {
+		minX, minY, maxX, maxY, ok := s.Bounds()
+		return ok && ix.NearRect(geo.Rect{
+			MinX: float64(minX), MinY: float64(minY), MaxX: float64(maxX), MaxY: float64(maxY)})
+	}
+	if len(indexed) == 0 && near(probe) {
+		t.Fatalf("%s: NearRect accepted a rectangle with nothing indexed", stage)
+	}
+	if want && !near(probe) {
+		t.Fatalf("%s δ=%v: NearRect rejected the MBR of a connected set\nindexed=%v\nprobe=%v", stage, delta, indexed, probe)
+	}
+	for _, c := range probe {
+		if one := New(c); len(indexed) > 0 && DistNaive(indexed, one) <= delta && !near(one) {
+			t.Fatalf("%s δ=%v: NearRect rejected connected cell %d", stage, delta, c)
+		}
+	}
+}
+
+// checkDistIndexBounds holds ix.Bounds to the MBR of indexed.
+func checkDistIndexBounds(t *testing.T, stage string, ix *DistIndex, indexed Set) {
+	t.Helper()
+	x0, y0, x1, y1, ok := ix.Bounds()
+	wx0, wy0, wx1, wy1, wok := indexed.Bounds()
+	if ok != wok || x0 != wx0 || y0 != wy0 || x1 != wx1 || y1 != wy1 {
+		t.Fatalf("%s: Bounds = (%d %d %d %d %v), want (%d %d %d %d %v)", stage, x0, y0, x1, y1, ok, wx0, wy0, wx1, wy1, wok)
+	}
 }
 
 // TestDistIndexVsNaive runs the oracle check over random sets at every
@@ -245,6 +313,57 @@ func FuzzDistIndexVsNaive(f *testing.F) {
 	})
 }
 
+// rebuildDeltas straddle the block levels a reused index moves between:
+// L = 0 (δ ≤ 1), 4/5 (15, 16, 17), 8/9 (255, 256, 257) and 17.
+var rebuildDeltas = []float64{0, 1, 15, 16, 17, 255, 256, 257, 70000}
+
+// rebuildCells decodes byte pairs as (x, y) offsets in 0..63 from anchor,
+// scaled by 1 << scale: towards the grid's far edge from the top anchor,
+// so every set stays on the grid.
+func rebuildCells(anchor uint32, scale uint, b []byte) Set {
+	ids := make([]uint64, 0, len(b)/2)
+	for i := 0; i+1 < len(b); i += 2 {
+		x, y := uint32(b[i]%64)<<scale, uint32(b[i+1]%64)<<scale
+		if anchor > 1<<31 {
+			x, y = 1<<32-1-x, 1<<32-1-y
+		} else {
+			x, y = anchor+x, anchor+y
+		}
+		ids = append(ids, geo.ZEncode(x, y))
+	}
+	return New(ids...)
+}
+
+// FuzzDistIndexRebuild rebuilds one index over a sequence of (set, δ)
+// pairs, empty sets among them, and after every rebuild holds it to the
+// oracle: nothing of an earlier build's block table or near words may
+// leak into a later one. data is a sequence of records: a selector byte
+// (δ from rebuildDeltas, and the scale of the coordinates), a length byte,
+// then that many byte pairs of cells; probe is decoded at each record's
+// scale.
+func FuzzDistIndexRebuild(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 0, 9, 9, 63, 63, 0x14, 0, 0x25, 2, 1, 1, 40, 40}, []byte{1, 1, 10, 10}, uint8(0))
+	f.Add([]byte{0x98, 2, 0, 0, 63, 63, 0x3a, 0, 0x61, 4, 5, 5, 6, 6, 7, 7, 8, 8, 0x07, 1, 32, 32}, []byte{4, 4, 33, 33}, uint8(2))
+	f.Add([]byte{0x55, 2, 3, 3, 60, 60, 0x56, 2, 3, 3, 60, 60, 0x57, 0, 0x58, 1, 3, 3}, []byte{0, 0, 63, 63, 30, 30}, uint8(1))
+	f.Fuzz(func(t *testing.T, data, probe []byte, anchorSel uint8) {
+		if len(data)+len(probe) > 1200 {
+			t.Skip()
+		}
+		anchor := distIndexAnchors[int(anchorSel)%len(distIndexAnchors)]
+		var ix DistIndex
+		for round := 0; len(data) >= 2; round++ {
+			sel, n := data[0], 2*int(data[1]%64)
+			data = data[2:]
+			n = min(n, len(data)&^1)
+			delta, scale := rebuildDeltas[int(sel%16)%len(rebuildDeltas)], uint(sel>>4)%11
+			cells := rebuildCells(anchor, scale, data[:n])
+			data = data[n:]
+			ix.Rebuild(FromSet(cells), delta)
+			checkDistIndex(t, fmt.Sprintf("rebuild %d", round), &ix, cells, rebuildCells(anchor, scale, probe), delta)
+		}
+	})
+}
+
 // TestDistIndexProbeZeroAlloc: probing is the inner loop of connectivity
 // verification and must not allocate; building allocates the index and its
 // near list, nothing per cell or per block.
@@ -264,6 +383,17 @@ func TestDistIndexProbeZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { NewDistIndex(q, 3) }); allocs > 4 {
 		t.Errorf("NewDistIndex allocated %.1f times, want <= 4", allocs)
+	}
+	// A reused index keeps its cell store and its near array while its
+	// sets do not outgrow them.
+	qc, small := FromSet(q), FromSet(q[:len(q)/2])
+	var re DistIndex
+	re.Rebuild(qc, 3)
+	store, words := &re.store[0], &re.words[:1][0]
+	re.Rebuild(small, 10)
+	re.Rebuild(qc, 3)
+	if &re.store[0] != store || &re.words[:1][0] != words {
+		t.Error("Rebuild replaced the index's buffers, though its sets did not outgrow them")
 	}
 }
 
@@ -320,6 +450,36 @@ func BenchmarkDistIndexConnectedSparse(b *testing.B) {
 		for _, s := range cands {
 			ix.Connected(s)
 		}
+	}
+}
+
+// BenchmarkDistIndexConnectedCompactSparse is the sparse probe over the
+// candidates' container form, the path of file-backed datasets.
+func BenchmarkDistIndexConnectedCompactSparse(b *testing.B) {
+	q, cands := sparseDistFixture()
+	ix := NewDistIndex(q, 10)
+	compact := make([]*Compact, len(cands))
+	for i, s := range cands {
+		compact[i] = FromSet(s)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range compact {
+			ix.ConnectedCompact(s)
+		}
+	}
+}
+
+// BenchmarkDistIndexRebuild rebuilds one index over a round's container
+// delta, as a coverage session does every round.
+func BenchmarkDistIndexRebuild(b *testing.B) {
+	q, _ := sparseDistFixture()
+	qc := FromSet(q)
+	var ix DistIndex
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.Rebuild(qc, 10)
 	}
 }
 

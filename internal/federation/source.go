@@ -83,6 +83,9 @@ type covSession struct {
 	pending *cellset.Compact
 	version uint64
 	delta   float64
+	// idx is rebuilt over the pending delta every round, in the buffers
+	// the session's earlier rounds grew.
+	idx cellset.DistIndex
 
 	lastUsed time.Time // guarded by SourceServer.mu, not by mu
 }
@@ -124,8 +127,9 @@ func (cs *covSession) connect(version uint64, extend func(q *dataset.Node, qIdx 
 		cs.pick.Forget()
 		cs.version = version
 	}
-	if q := cellsNode(cs.pending); q != nil {
-		if err := extend(q, cellset.NewDistIndex(cs.pending.Set(), cs.delta), &cs.pick.Connected); err != nil {
+	cs.idx.Rebuild(cs.pending, cs.delta)
+	if q := cellsNode(&cs.idx, cs.pending); q != nil {
+		if err := extend(q, &cs.idx, &cs.pick.Connected); err != nil {
 			cs.pending = cs.pick.Merged()
 			cs.pick.Forget()
 			return err
@@ -135,12 +139,12 @@ func (cs *covSession) connect(version uint64, extend func(q *dataset.Node, qIdx 
 	return nil
 }
 
-// cellsNode wraps cells as the query-side node of a connectivity walk,
-// which reads the geometry and leaves the cells to the DistIndex; unlike
-// dataset.NewNodeFromCells it builds no flat form. Nil when cells is
-// empty.
-func cellsNode(cells *cellset.Compact) *dataset.Node {
-	minX, minY, maxX, maxY, ok := cells.Bounds()
+// cellsNode wraps cells, which idx indexes, as the query-side node of a
+// connectivity walk, which reads the geometry and leaves the cells to the
+// index; unlike dataset.NewNodeFromCells it builds no flat form. Nil when
+// cells is empty.
+func cellsNode(idx *cellset.DistIndex, cells *cellset.Compact) *dataset.Node {
+	minX, minY, maxX, maxY, ok := idx.Bounds()
 	if !ok {
 		return nil
 	}

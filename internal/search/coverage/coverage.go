@@ -35,10 +35,12 @@
 // that search; cellset.Compact values are immutable, so the merged state
 // shares containers with the picked datasets without copying. A
 // caller-supplied DistIndex (FindConnectSetWithIndex) may be read by many
-// concurrent walks. Only the searchers of this package grow one
-// (Add/AddCompact, once per pick), which requires exclusive access; their
-// loops alternate search and growth, never overlapping them. The serving
-// loops build a fresh index over each round's delta and never grow it.
+// concurrent walks. Only the searchers of this package grow one (Add, once
+// per pick), which requires exclusive access; their loops alternate search
+// and growth, never overlapping them. A source's coverage session rebuilds
+// its own index over each round's delta (DistIndex.Rebuild), between
+// walks, never during one; the executor's loop builds a fresh one per
+// round. Neither grows it.
 // Result.Picked aliases the index's dataset nodes and must be treated as
 // read-only.
 package coverage
@@ -139,7 +141,7 @@ func (s *DITSSearcher) Search(q *dataset.Node, delta float64, k int) Result {
 		chosen = append(chosen, best)
 		covered = covered.Union(best.CompactCells())
 		merged = merged.Merge(best)
-		qIdx.AddCompact(best.CompactCells())
+		qIdx.Add(best.CompactCells())
 	}
 	return Result{Picked: chosen, Coverage: covered.Len(), QueryCoverage: q.Coverage()}
 }
@@ -163,6 +165,12 @@ func FindConnectSet(root *dits.TreeNode, q *dataset.Node, delta float64) []*data
 // known is only read, so concurrent walks may share it; after known.Add of
 // the result it holds exactly what it would after adding the full walk's.
 func FindConnectSetWithIndex(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex, known *ConnectSet) []*dataset.Node {
+	var discard ConnectCounts
+	return walkConnect(root, q, delta, qIdx, known, &discard)
+}
+
+// walkConnect is FindConnectSetWithIndex, counting its work into counts.
+func walkConnect(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex, known *ConnectSet, counts *ConnectCounts) []*dataset.Node {
 	var out []*dataset.Node
 	var walk func(n *dits.TreeNode)
 	walk = func(n *dits.TreeNode) {
@@ -189,14 +197,17 @@ func FindConnectSetWithIndex(root *dits.TreeNode, q *dataset.Node, delta float64
 			// marginal-gain scans downstream of the returned candidates.
 			n.EnsureLoaded()
 			for _, nd := range n.Children {
+				counts.Examined++
 				if known.Has(nd.ID) {
+					counts.Known++
 					continue // connected in an earlier round
 				}
 				ndLB, ndUB := nd.DistBounds(q)
 				if ndLB > delta || mbrFar(nd.Rect, q.Rect, delta) {
+					counts.Pruned++
 					continue
 				}
-				if ndUB <= delta || connectedTo(qIdx, nd) {
+				if ndUB <= delta || connectedTo(qIdx, nd, counts) {
 					out = append(out, nd)
 				}
 			}
@@ -236,6 +247,26 @@ func mbrFar(a, b geo.Rect, delta float64) bool {
 type ConnectSet struct {
 	Nodes []*dataset.Node
 	seen  map[int]struct{}
+	// ConnectCounts is the work of the walks that extended the set.
+	ConnectCounts
+}
+
+// ConnectCounts counts the datasets a connectivity walk met at the leaves
+// it verified: Examined of them in all, Known skipped as already connected,
+// Pruned by the Lemma 4 bound or the MBR distance, Far rejected by
+// DistIndex.NearRect, and Probes of them checked cell by cell, Hits of
+// those connected. A dataset the upper bound accepts counts as examined
+// only, and one under a subtree accepted wholesale not at all.
+type ConnectCounts struct {
+	Examined, Known, Pruned, Far, Probes, Hits int
+}
+
+// Extend folds into c every dataset within delta of q that it does not
+// hold yet, counting the walk's work: c ends up exactly as after
+// c.Add(FindConnectSetWithIndex(root, q, delta, qIdx, nil)), first-seen
+// order included.
+func (c *ConnectSet) Extend(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex) {
+	c.Add(walkConnect(root, q, delta, qIdx, c, &c.ConnectCounts))
 }
 
 // Has reports whether the dataset with the given ID is in the set; a nil
@@ -278,14 +309,22 @@ func collect(n *dits.TreeNode, out *[]*dataset.Node) {
 // connectedTo runs the exact cell-distance check against whichever form
 // the dataset node carries: the flat set for heap-built nodes, the
 // container form for file-backed ones.
-func connectedTo(qIdx *cellset.DistIndex, nd *dataset.Node) bool {
+func connectedTo(qIdx *cellset.DistIndex, nd *dataset.Node, counts *ConnectCounts) bool {
 	if !qIdx.NearRect(nd.Rect) {
+		counts.Far++
 		return false // no near block in the MBR: skip decoding the cells
 	}
+	counts.Probes++
+	var hit bool
 	if nd.Cells != nil {
-		return qIdx.Connected(nd.Cells)
+		hit = qIdx.Connected(nd.Cells)
+	} else {
+		hit = qIdx.ConnectedCompact(nd.CompactCells())
 	}
-	return qIdx.ConnectedCompact(nd.CompactCells())
+	if hit {
+		counts.Hits++
+	}
+	return hit
 }
 
 func resultFor(q *dataset.Node, picked []*dataset.Node) Result {

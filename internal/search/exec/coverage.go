@@ -21,7 +21,7 @@ func (e *Executor) FindConnectSet(ctx context.Context, root *dits.TreeNode, q *d
 // before their bounds and exact checks. cs ends up exactly as after
 // cs.Add(e.FindConnectSet(...)), first-seen order included.
 func (e *Executor) ExtendConnectSet(ctx context.Context, root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cellset.DistIndex, cs *coverage.ConnectSet) {
-	cs.Add(coverage.FindConnectSetWithIndex(root, q, delta, qIdx, cs))
+	cs.Extend(root, q, delta, qIdx)
 }
 
 // PickBest selects the candidate with the maximum marginal gain over

@@ -66,8 +66,9 @@ func (p *LazyPicker) Reset(merged *cellset.Compact) {
 // Forget drops the connected set and every bound while keeping the merged
 // set: the index changed under them, so a dataset may have been replaced
 // under its ID or removed, and a kept bound would no longer bound anything.
+// The connectivity counts keep running.
 func (p *LazyPicker) Forget() {
-	p.Connected = coverage.ConnectSet{}
+	p.Connected = coverage.ConnectSet{ConnectCounts: p.Connected.ConnectCounts}
 	p.bounds, p.news, p.picked = p.bounds[:0], nil, -1
 }
 
