@@ -24,9 +24,9 @@
 //     operational output goes through log/slog (internal/obs.OpenLogger),
 //     so every record carries fields and can carry a trace ID —
 //     "encoding/gob" outside its allow-list, so a second wire encoding or
-//     snapshot format cannot grow back, and "compress/gzip" anywhere and
-//     "compress/flate" outside the relay envelope's codec, so compression
-//     per connection cannot come back without a measurement.
+//     snapshot format cannot grow back, and "compress/gzip" and
+//     "compress/flate" anywhere, so compression cannot come back without a
+//     measurement.
 //
 // The checker parses the Go source (go/ast), so new methods, flags, and
 // metrics are picked up without maintaining a list here.
@@ -186,9 +186,8 @@ var bannedImports = []struct {
 	{"log", "use log/slog via internal/obs.OpenLogger", nil},
 	{"encoding/gob", "wire payloads are dits-bin/1 (internal/federation/codec.go), index snapshots dsnap/1 (internal/index/ditsfile)",
 		[]string{"internal/federation/memberlog.go"}},
-	{"compress/gzip", "payloads ship raw; only cluster.forward's request deflates its bodies (internal/federation/codec.go)", nil},
-	{"compress/flate", "payloads ship raw; only cluster.forward's request deflates its bodies (internal/federation/codec.go)",
-		[]string{"internal/federation/codec.go"}},
+	{"compress/gzip", "payloads ship raw; only cluster.forward's request codes its bodies, as copies of earlier ones (internal/federation/codec.go)", nil},
+	{"compress/flate", "payloads ship raw; only cluster.forward's request codes its bodies, as copies of earlier ones (internal/federation/codec.go)", nil},
 }
 
 // bannedImportUses reports every non-test file under internal/ and cmd/

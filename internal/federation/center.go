@@ -216,12 +216,18 @@ func (c *Center) dropVersionLocked(name string) {
 // without a grid (θ 0, the cluster relay roster) runs no query and takes
 // any grid.
 func (c *Center) RegisterRemote(ctx context.Context, peer transport.Peer) (dits.SourceSummary, error) {
+	return c.registerRemoteOn(ctx, peer, c.Grid)
+}
+
+// registerRemoteOn is RegisterRemote refusing a source gridded other than
+// grid, unless grid is the zero grid.
+func (c *Center) registerRemoteOn(ctx context.Context, peer transport.Peer, grid geo.Grid) (dits.SourceSummary, error) {
 	var summary dits.SourceSummary
 	if err := peer.Call(ctx, MethodSummary, nil, &summary); err != nil {
 		return dits.SourceSummary{}, fmt.Errorf("federation: fetch summary: %w", err)
 	}
-	if c.Grid.Theta != 0 {
-		if err := checkGrid(summary, c.Grid); err != nil {
+	if grid.Theta != 0 {
+		if err := checkGrid(summary, grid); err != nil {
 			return summary, err
 		}
 	}

@@ -7,16 +7,17 @@ import (
 	"slices"
 	"sync"
 
+	"dits/internal/geo"
 	"dits/internal/index/dits"
 	"dits/internal/transport"
 )
 
 // CenterServer is one center of the cluster plane (ditscenter): it holds
 // its shard's source connections and relays the gateway's calls over them
-// (cluster.forward), and persists every accepted registration in a
-// membership log so a restarted center re-adopts its shard without operator
-// involvement. It runs no query of its own: the gateway prunes, clips,
-// applies the failure policy and merges for every query class.
+// as bytes (cluster.forward), and persists every accepted registration in
+// a membership log so a restarted center re-adopts its shard without
+// operator involvement. It runs no query of its own: the gateway prunes,
+// clips, applies the failure policy and merges for every query class.
 //
 // The server is safe for concurrent use: membership RPCs serialize under
 // its mutex (and through it, log appends), while relayed calls go straight
@@ -85,7 +86,7 @@ func NewCenterServer(name string, center *Center, opts CenterServerOptions) (*Ce
 		}
 		slices.Sort(names)
 		for _, name := range names {
-			if _, err := cs.adopt(context.Background(), live[name]); err != nil {
+			if _, err := cs.adopt(context.Background(), live[name], center.Grid); err != nil {
 				cs.skipped = append(cs.skipped, name)
 			}
 		}
@@ -131,15 +132,17 @@ func (cs *CenterServer) connect(ev MemberEvent) (transport.Peer, error) {
 
 // adopt connects and registers one member, replacing any previous
 // registration under the same name, records it in the in-memory roster and
-// returns the summary the source reported. The caller appends to the
-// membership log (adopt is also the boot-replay path, which must not
-// re-append). Callers serialize via cs.mu except during construction.
+// returns the summary the source reported. A source gridded other than
+// grid (when grid is not the zero grid) is refused before anything of it
+// is kept. The caller appends to the membership log (adopt is also the
+// boot-replay path, which must not re-append). Callers serialize via
+// cs.mu except during construction.
 //
 // The roster is seeded with the source's data version, asked before its
 // summary so the summary is at least that new: a center adopting a source
 // on failover then reports a version the gateway has not seen yet, and
 // cluster.info repairs an acknowledgement its previous owner lost.
-func (cs *CenterServer) adopt(ctx context.Context, ev MemberEvent) (dits.SourceSummary, error) {
+func (cs *CenterServer) adopt(ctx context.Context, ev MemberEvent, grid geo.Grid) (dits.SourceSummary, error) {
 	peer, err := cs.connect(ev)
 	if err != nil {
 		return dits.SourceSummary{}, err
@@ -149,7 +152,7 @@ func (cs *CenterServer) adopt(ctx context.Context, ev MemberEvent) (dits.SourceS
 		peer.Close()
 		return dits.SourceSummary{}, fmt.Errorf("federation: fetch version: %w", err)
 	}
-	summary, err := cs.center.RegisterRemote(ctx, peer)
+	summary, err := cs.center.registerRemoteOn(ctx, peer, grid)
 	if err != nil {
 		peer.Close()
 		return summary, err
@@ -167,8 +170,9 @@ func (cs *CenterServer) adopt(ctx context.Context, ev MemberEvent) (dits.SourceS
 	return summary, nil
 }
 
-// handleRegister adopts a source and logs the join before acknowledging
-// with the source's summary.
+// handleRegister adopts a source on the request's grid and logs the join
+// before acknowledging with the source's summary; a refused source leaves
+// neither a roster entry nor a log record.
 func (cs *CenterServer) handleRegister(ctx context.Context, req ClusterRegisterRequest) (dits.SourceSummary, error) {
 	if req.Name == "" || req.Addr == "" {
 		return dits.SourceSummary{}, fmt.Errorf("federation: cluster.register needs a source name and address")
@@ -176,34 +180,11 @@ func (cs *CenterServer) handleRegister(ctx context.Context, req ClusterRegisterR
 	ev := MemberEvent{Op: MemberJoin, Name: req.Name, Addr: req.Addr, Replicas: slices.Clone(req.Replicas)}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	summary, err := cs.adopt(ctx, ev)
+	summary, err := cs.adopt(ctx, ev, req.Grid)
 	if err == nil && cs.log != nil {
 		err = cs.log.Append(ev)
 	}
 	return summary, err
-}
-
-// forwardTypes returns fresh request and response values for a method the
-// relay accepts — every source method a query or mutation sends — and nil
-// for any other.
-func forwardTypes(method string) (req, resp any) {
-	switch method {
-	case MethodOverlap:
-		return new(OverlapRequest), new(OverlapResponse)
-	case MethodSearchBatch:
-		return new(SearchBatchRequest), new(SearchBatchResponse)
-	case MethodCoverageRound:
-		return new(CoverageRoundRequest), new(CoverageRoundResponse)
-	case MethodFetchCells:
-		return new(FetchCellsRequest), new(FetchCellsResponse)
-	case MethodSessionClose:
-		return new(SessionCloseRequest), new(SessionCloseResponse)
-	case MethodDatasetPut:
-		return new(DatasetPutRequest), new(MutateResponse)
-	case MethodDatasetDelete:
-		return new(DatasetDeleteRequest), new(MutateResponse)
-	}
-	return nil, nil
 }
 
 // handleForward relays each call to its source over the shard's own
@@ -215,35 +196,36 @@ func (cs *CenterServer) handleForward(ctx context.Context, req ClusterForwardReq
 	return ClusterForwardResponse{Replies: replies}
 }
 
-// forwardOne performs one relayed call. Whatever goes wrong is that call's
-// reply, never the handler's error: it is the source's failure, for the
-// gateway's per-source policy, and must not look like a dead center. A
-// relayed mutation's answer is noted into the roster, so cluster.info
-// reports it even if the reply is lost on the way back to the gateway.
+// forwardOne performs one relayed call, relaying bytes: the body goes to
+// the source as it came and the source's answer comes back as it went, so
+// the center decodes neither — except a mutation's answer, which is noted
+// into the roster, so cluster.info reports it even if the reply is lost on
+// the way back to the gateway. Whatever goes wrong is that call's reply,
+// never the handler's error: it is the source's failure, for the
+// gateway's per-source policy, and must not look like a dead center.
 func (cs *CenterServer) forwardOne(ctx context.Context, call ForwardCall) ForwardReply {
-	req, resp := forwardTypes(call.Method)
-	if req == nil {
-		return ForwardReply{Err: fmt.Sprintf("federation: cluster.forward does not relay %q", call.Method)}
-	}
 	ep := cs.center.epoch.Load()
 	m, ok := ep.members[call.Source]
 	if !ok {
 		return ForwardReply{Err: fmt.Sprintf("%v: %q", ErrUnknownSource, call.Source)}
 	}
-	if err := BinaryCodec.Decode(call.Body, req); err != nil {
-		return ForwardReply{Err: err.Error()}
-	}
-	if err := m.peer.Call(ctx, call.Method, req, resp); err != nil {
+	var body rawBody
+	if err := m.peer.Call(ctx, call.Method, rawBody(call.Body), &body); err != nil {
 		var re *transport.RemoteError
 		if errors.As(err, &re) {
 			return ForwardReply{Err: re.Msg}
 		}
 		return ForwardReply{Err: err.Error(), Transport: true}
 	}
-	if mr, ok := resp.(*MutateResponse); ok && (call.Method == MethodDatasetPut || mr.Found) {
-		cs.center.noteMutation(ep, call.Source, *mr)
+	if call.Method == MethodDatasetPut || call.Method == MethodDatasetDelete {
+		var mr MutateResponse
+		if err := BinaryCodec.Decode(body, &mr); err != nil {
+			return ForwardReply{Err: err.Error()}
+		}
+		if call.Method == MethodDatasetPut || mr.Found {
+			cs.center.noteMutation(ep, call.Source, mr)
+		}
 	}
-	body, _ := BinaryCodec.Append(nil, resp) // native encodings cannot fail
 	return ForwardReply{Body: body}
 }
 

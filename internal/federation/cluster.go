@@ -127,8 +127,9 @@ func (cl *Cluster) Cache() *cache.Cache { return cl.view.Cache() }
 
 // AddSource adds a roster entry and registers it at its ring owner. On a
 // transport failure the owner is failed over and registration retries at
-// the new owner. A source gridded other than cl.Grid is refused and left
-// out of the roster: its cell IDs would name other cells.
+// the new owner. A source the owner refuses is left out of the roster:
+// one it cannot reach, or one gridded other than cl.Grid, whose cell IDs
+// would name other cells (the owner refuses it before adopting it).
 func (cl *Cluster) AddSource(ctx context.Context, src ClusterSource) error {
 	if src.Name == "" || src.Addr == "" {
 		return fmt.Errorf("federation: cluster source needs a name and address")
@@ -142,12 +143,15 @@ func (cl *Cluster) AddSource(ctx context.Context, src ClusterSource) error {
 			cl.mu.Unlock()
 			return ErrNoCenters
 		}
-		summary, err := registerAt(ctx, owner, src)
+		summary, err := cl.registerAt(ctx, owner, src)
 		if err == nil {
-			if err = checkGrid(summary, cl.Grid); err == nil {
-				cl.owner[src.Name] = owner
-				cl.view.Register(summary, nil)
-			} else if listed {
+			cl.owner[src.Name] = owner
+			cl.view.Register(summary, nil)
+			cl.mu.Unlock()
+			return nil
+		}
+		if !isTransportFailure(ctx, err) {
+			if listed {
 				cl.sources[src.Name] = prev
 			} else {
 				delete(cl.sources, src.Name)
@@ -156,18 +160,15 @@ func (cl *Cluster) AddSource(ctx context.Context, src ClusterSource) error {
 			return err
 		}
 		cl.mu.Unlock()
-		if !isTransportFailure(ctx, err) {
-			return err
-		}
 		cl.failover(owner)
 	}
 	return ErrNoCenters
 }
 
-// registerAt performs one cluster.register exchange and returns the
-// source's root summary as the center fetched it.
-func registerAt(ctx context.Context, c *clusterCenter, src ClusterSource) (dits.SourceSummary, error) {
-	req := ClusterRegisterRequest{Name: src.Name, Addr: src.Addr, Replicas: src.Replicas}
+// registerAt performs one cluster.register exchange on the cluster's grid
+// and returns the source's root summary as the center fetched it.
+func (cl *Cluster) registerAt(ctx context.Context, c *clusterCenter, src ClusterSource) (dits.SourceSummary, error) {
+	req := ClusterRegisterRequest{Name: src.Name, Addr: src.Addr, Replicas: src.Replicas, Grid: cl.Grid}
 	var summary dits.SourceSummary
 	if err := c.peer.Call(ctx, MethodClusterRegister, &req, &summary); err != nil {
 		return summary, fmt.Errorf("federation: register %s at center %s: %w", src.Name, c.name, err)
@@ -256,7 +257,7 @@ rebuild:
 				continue
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), rehomeTimeout)
-			summary, err := registerAt(ctx, next, cl.sources[name])
+			summary, err := cl.registerAt(ctx, next, cl.sources[name])
 			cancel()
 			if err != nil && isTransportFailure(context.Background(), err) {
 				next.healthy.Store(false)
@@ -268,10 +269,8 @@ rebuild:
 			// the view; the next failover or mutation reconciles it.
 			// Queries against the remaining shards stay correct — they
 			// just miss this source, exactly like SkipFailed degradation
-			// would. So does a source that came back on another grid.
-			if err == nil {
-				err = checkGrid(summary, cl.Grid)
-			}
+			// would. So does a source that came back on another grid,
+			// which the new owner refuses.
 			if err == nil {
 				cl.homed(name, next, summary)
 			} else {
@@ -386,10 +385,17 @@ func (cl *Cluster) CoverageSearch(ctx context.Context, queryCells cellset.Set, d
 // centers: one scatter in which each center is sent ONE cluster.forward
 // carrying the calls of the sources it owns. A center whose transport fails
 // is failed over by scatter and the retry forwards only the calls still
-// unanswered, to their new owners; any other failure is the call's own.
+// unanswered, to their new owners; any other failure is the call's own. A
+// call of a method the relay does not carry fails without being sent.
 func (cl *Cluster) relay(ctx context.Context, calls []memberCall) []error {
 	errs := make([]error, len(calls))
 	done := make([]bool, len(calls))
+	for i := range calls {
+		if _, ok := relayCode(calls[i].method); !ok {
+			errs[i] = fmt.Errorf("federation: cluster.forward does not relay %q", calls[i].method)
+			done[i] = true
+		}
+	}
 	err := cl.scatter(ctx, func(ctx context.Context, c *clusterCenter) error {
 		var idx []int
 		for i := range calls {

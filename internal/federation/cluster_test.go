@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -50,38 +51,22 @@ type clusterPlane struct {
 func buildClusterPlane(t *testing.T, seed int64, numCenters, m, perSource int) *clusterPlane {
 	t.Helper()
 	oracle, _, servers := buildFederation(rand.New(rand.NewSource(seed)), m, perSource, DefaultOptions())
-	cluster, switches := newTestCluster(t, worldGrid(), numCenters, servers)
+	cluster, switches := newTestCluster(t, worldGrid(), numCenters, servers, "")
 	addSources(t, cluster, servers)
 	return &clusterPlane{oracle: oracle, cluster: cluster, servers: servers, switches: switches}
 }
 
 // newTestCluster builds a Cluster on grid g over numCenters grid-less
 // CenterServers, as ditscenter runs them, each dialing a source of
-// servers by its name. The roster starts empty.
-func newTestCluster(t *testing.T, g geo.Grid, numCenters int, servers []*SourceServer) (*Cluster, map[string]*switchPeer) {
+// servers by its name; with a logDir, center-i keeps its membership log at
+// logDir/center-i.log. The roster starts empty.
+func newTestCluster(t *testing.T, g geo.Grid, numCenters int, servers []*SourceServer, logDir string) (*Cluster, map[string]*switchPeer) {
 	t.Helper()
-	byName := make(map[string]*SourceServer, len(servers))
-	for _, s := range servers {
-		byName[s.Name] = s
-	}
 	peers := make(map[string]transport.Peer, numCenters)
 	switches := make(map[string]*switchPeer, numCenters)
 	for i := 0; i < numCenters; i++ {
 		name := fmt.Sprintf("center-%d", i)
-		c := NewCenter(geo.Grid{}, Options{})
-		cs, err := NewCenterServer(name, c, CenterServerOptions{
-			Dial: func(addr string) (transport.Peer, error) {
-				srv, ok := byName[addr]
-				if !ok {
-					return nil, fmt.Errorf("no source at %q", addr)
-				}
-				return &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: c.Metrics}, nil
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cs.Close() })
+		cs := openTestCenter(t, name, servers, logDir)
 		sp := &switchPeer{inner: &transport.InProc{
 			Name: name, Handler: cs.Handler(), Metrics: &transport.Metrics{},
 		}}
@@ -89,6 +74,35 @@ func newTestCluster(t *testing.T, g geo.Grid, numCenters int, servers []*SourceS
 		switches[name] = sp
 	}
 	return NewCluster(g, peers), switches
+}
+
+// openTestCenter opens one grid-less CenterServer of newTestCluster,
+// replaying its membership log if logDir holds one.
+func openTestCenter(t *testing.T, name string, servers []*SourceServer, logDir string) *CenterServer {
+	t.Helper()
+	byName := make(map[string]*SourceServer, len(servers))
+	for _, s := range servers {
+		byName[s.Name] = s
+	}
+	c := NewCenter(geo.Grid{}, Options{})
+	opts := CenterServerOptions{
+		Dial: func(addr string) (transport.Peer, error) {
+			srv, ok := byName[addr]
+			if !ok {
+				return nil, fmt.Errorf("no source at %q", addr)
+			}
+			return &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: c.Metrics}, nil
+		},
+	}
+	if logDir != "" {
+		opts.MemberLog = filepath.Join(logDir, name+".log")
+	}
+	cs, err := NewCenterServer(name, c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cs.Close() })
+	return cs
 }
 
 // addSources adds every server to the cluster's roster under its name.
@@ -214,7 +228,7 @@ func TestClusterKBoundaryTies(t *testing.T) {
 		byName[name] = srv
 		oracle.Register(srv.Summary(), &transport.InProc{Name: name, Handler: srv.Handler(), Metrics: oracle.Metrics})
 	}
-	cluster, _ := newTestCluster(t, g, 3, servers)
+	cluster, _ := newTestCluster(t, g, 3, servers, "")
 	addSources(t, cluster, servers)
 	// The tie group must actually straddle centers for the test to bite.
 	if owners := cluster.Stats().SourceOwners; len(owners) != 6 {
@@ -268,7 +282,7 @@ func TestClusterAddSourceRefusesOtherGrid(t *testing.T) {
 	other := geo.NewGrid(g.Theta, geo.Rect{MaxX: 2 * float64(g.Side()), MaxY: 2 * float64(g.Side())})
 	q := cellsNear(20, 20, 9)
 	stray := NewSourceServerWithGrid("stray", dits.Build(other, []*dataset.Node{dataset.NewNodeFromCells(1, "s", q)}, 4))
-	cluster, _ := newTestCluster(t, g, 3, append(servers, stray))
+	cluster, _ := newTestCluster(t, g, 3, append(servers, stray), "")
 	addSources(t, cluster, servers)
 	ctx := context.Background()
 	want, err := cluster.OverlapSearch(ctx, q, 10)
@@ -294,6 +308,82 @@ func TestClusterAddSourceRefusesOtherGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "after the refusal", got, want)
+}
+
+// TestClusterCenterRefusesStray: a source on another grid is refused by
+// the center that would own it, before it adopts the source — so after
+// the refusal no center lists it in cluster.info, no membership log holds
+// it, and no restarted center adopts it.
+func TestClusterCenterRefusesStray(t *testing.T) {
+	g := worldGrid()
+	_, _, servers := buildFederation(rand.New(rand.NewSource(3)), 3, 20, DefaultOptions())
+	other := geo.NewGrid(g.Theta, geo.Rect{MaxX: 2 * float64(g.Side()), MaxY: 2 * float64(g.Side())})
+	stray := NewSourceServerWithGrid("stray", dits.Build(other, []*dataset.Node{dataset.NewNodeFromCells(1, "s", cellsNear(20, 20, 9))}, 4))
+	servers = append(servers, stray)
+	logDir := t.TempDir()
+	cluster, switches := newTestCluster(t, g, 3, servers, logDir)
+	addSources(t, cluster, servers[:3])
+	ctx := context.Background()
+	if err := cluster.AddSource(ctx, ClusterSource{Name: "stray", Addr: "stray"}); err == nil {
+		t.Fatal("AddSource took a source on another grid")
+	}
+	readopted := 0
+	for name, sp := range switches {
+		var info ClusterInfoResponse
+		if err := sp.Call(ctx, MethodClusterInfo, nil, &info); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range info.Shard {
+			if s.Summary.Name == "stray" {
+				t.Errorf("%s: cluster.info lists the refused source", name)
+			}
+		}
+		log, events, err := OpenMemberLog(filepath.Join(logDir, name+".log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		log.Close()
+		for _, ev := range events {
+			if ev.Name == "stray" {
+				t.Errorf("%s: the member log holds the refused source", name)
+			}
+		}
+		cs := openTestCenter(t, name, servers, logDir)
+		if _, ok := cs.Center().epoch.Load().members["stray"]; ok {
+			t.Errorf("%s: a restart adopted the refused source", name)
+		}
+		readopted += cs.Center().NumSources()
+	}
+	if readopted != 3 {
+		t.Errorf("restarted centers adopted %d sources, want the 3 registered", readopted)
+	}
+}
+
+// TestClusterStatelessCJSPIsNotRelayed: with sessions off a clustered CJSP
+// asks its sources for coverage.best, which cluster.forward does not carry:
+// the query fails naming it, and no center is sent the call or failed over.
+func TestClusterStatelessCJSPIsNotRelayed(t *testing.T) {
+	p := buildClusterPlane(t, 5, 3, 4, 40)
+	opts := DefaultOptions()
+	opts.Sessions = false
+	p.cluster.SetOptions(opts)
+	sent := func() (n int64) {
+		for _, sp := range p.switches {
+			n += sp.calls.Load()
+		}
+		return n
+	}
+	before := sent()
+	_, err := p.cluster.CoverageSearch(context.Background(), p.servers[0].Index.Get(0).Cells, 10, 3)
+	if err == nil || !strings.Contains(err.Error(), `does not relay "coverage.best"`) {
+		t.Fatalf("stateless CJSP through the cluster: err = %v", err)
+	}
+	if n := sent() - before; n != 0 {
+		t.Errorf("%d calls reached the centers", n)
+	}
+	if st := p.cluster.Stats(); st.Failovers != 0 || st.Healthy != 3 {
+		t.Errorf("stats after the refusal: %+v", st)
+	}
 }
 
 // TestClusterCenterFailover kills centers one by one: queries must keep

@@ -1,14 +1,12 @@
 package federation
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sync"
+	"math/bits"
+	"slices"
 
 	"dits/internal/cellset"
 	"dits/internal/geo"
@@ -60,7 +58,7 @@ const (
 	_ // 20: retired
 	msgClusterForwardResp
 	msgClusterInfoResp
-	msgClusterRegisterReq
+	_ // 23: retired
 	_ // 24: retired
 	// 25–29 are retired.
 	msgWALShipReq byte = iota + 6
@@ -70,9 +68,14 @@ const (
 	msgCoverageRoundFinalReq
 	msgFetchCellsExclReq
 	msgFetchCellsNextResp
-	// cluster.forward's request deflates its bodies as one stream; 20,
-	// its form with raw bodies, is retired.
-	msgClusterForwardDeflateReq
+	_ // 35: retired
+	// cluster.forward's request ships a method code per call and its
+	// bodies as one copy/literal op stream; 20 and 35, its forms with
+	// method strings and raw or deflated bodies, are retired.
+	msgClusterForwardOpsReq
+	// cluster.register carries the federation's grid; 23, its form
+	// without, is retired.
+	msgClusterRegisterGridReq
 )
 
 // BinaryCodec is the federation's wire codec.
@@ -175,19 +178,25 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 	case *dits.SourceSummary:
 		dst = append(dst, msgSourceSummary)
 		return appendSummary(dst, m), nil
+	case rawBody:
+		return append(dst, m...), nil
 	case *ClusterForwardRequest:
-		dst = append(dst, msgClusterForwardDeflateReq)
+		dst = append(dst, msgClusterForwardOpsReq)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Calls)))
 		total := 0
 		for _, c := range m.Calls {
-			dst = appendString(appendString(dst, c.Source), c.Method)
+			code, ok := relayCode(c.Method)
+			if !ok {
+				return dst, fmt.Errorf("federation: codec: cluster.forward does not relay %q", c.Method)
+			}
+			dst = append(appendString(dst, c.Source), code)
 			dst = binary.AppendUvarint(dst, uint64(len(c.Body)))
 			total += len(c.Body)
 		}
 		if total == 0 {
 			return dst, nil
 		}
-		return appendDeflated(dst, m.Calls), nil
+		return appendOps(dst, m.Calls, total), nil
 	case *ClusterForwardResponse:
 		dst = append(dst, msgClusterForwardResp)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Replies)))
@@ -204,12 +213,12 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 		}
 		return dst, nil
 	case *ClusterRegisterRequest:
-		dst = appendString(appendString(append(dst, msgClusterRegisterReq), m.Name), m.Addr)
+		dst = appendString(appendString(append(dst, msgClusterRegisterGridReq), m.Name), m.Addr)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Replicas)))
 		for _, r := range m.Replicas {
 			dst = appendString(dst, r)
 		}
-		return dst, nil
+		return appendGrid(dst, m.Grid), nil
 	case *WALShipRequest:
 		return binary.AppendUvarint(append(dst, msgWALShipReq), m.After), nil
 	case *WALShipResponse:
@@ -222,7 +231,11 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 }
 
 func (binCodec) Decode(data []byte, v any) error {
-	if v == nil {
+	switch m := v.(type) {
+	case nil:
+		return nil
+	case *rawBody:
+		*m = append([]byte(nil), data...)
 		return nil
 	}
 	if len(data) < 1 {
@@ -323,7 +336,7 @@ func (binCodec) Decode(data []byte, v any) error {
 		r.expect(msg, msgSourceSummary)
 		r.summary(m)
 	case *ClusterForwardRequest:
-		r.expect(msg, msgClusterForwardDeflateReq)
+		r.expect(msg, msgClusterForwardOpsReq)
 		r.forwardCalls(m)
 	case *ClusterForwardResponse:
 		r.expect(msg, msgClusterForwardResp)
@@ -347,7 +360,7 @@ func (binCodec) Decode(data []byte, v any) error {
 			m.Shard[i].Version = r.uvarint()
 		}
 	case *ClusterRegisterRequest:
-		r.expect(msg, msgClusterRegisterReq)
+		r.expect(msg, msgClusterRegisterGridReq)
 		m.Name = r.string()
 		m.Addr = r.string()
 		m.Replicas = nil
@@ -357,6 +370,7 @@ func (binCodec) Decode(data []byte, v any) error {
 		for i := range m.Replicas {
 			m.Replicas[i] = r.string()
 		}
+		m.Grid = r.grid()
 	case *WALShipRequest:
 		r.expect(msg, msgWALShipReq)
 		m.After = r.uvarint()
@@ -434,84 +448,211 @@ func appendSummary(dst []byte, s *dits.SourceSummary) []byte {
 	dst = appendF64(dst, s.Rect.MaxY)
 	dst = appendF64(dst, s.O.X)
 	dst = appendF64(dst, s.O.Y)
-	dst = appendF64(dst, s.R)
-	dst = binary.AppendVarint(dst, int64(s.Grid.Theta))
-	dst = appendF64(dst, s.Grid.Origin.X)
-	dst = appendF64(dst, s.Grid.Origin.Y)
-	dst = appendF64(dst, s.Grid.CellW)
-	return appendF64(dst, s.Grid.CellH)
+	return appendGrid(appendF64(dst, s.R), s.Grid)
 }
 
-// The cluster.forward request carries its calls' bodies as one raw
-// deflate stream: two or three co-located sources get near-identical
-// clipped bodies, so the relay's request is the one payload that
-// compression pays for. Everything else ships as the codec writes it.
-
-// maxDeflateRatio is deflate's largest possible expansion: a 258-byte
-// match costs at least two bits. A declared total beyond it cannot be
-// honest, so the decoder refuses it before allocating.
-const maxDeflateRatio = 1032
-
-// deflater is a raw-deflate writer appending to a caller's buffer.
-type deflater struct {
-	zw  *flate.Writer
-	dst []byte
+func appendGrid(dst []byte, g geo.Grid) []byte {
+	dst = binary.AppendVarint(dst, int64(g.Theta))
+	dst = appendF64(dst, g.Origin.X)
+	dst = appendF64(dst, g.Origin.Y)
+	dst = appendF64(dst, g.CellW)
+	return appendF64(dst, g.CellH)
 }
 
-func (d *deflater) Write(p []byte) (int, error) {
-	d.dst = append(d.dst, p...)
-	return len(p), nil
+// The cluster.forward request carries its calls' bodies as one op stream
+// over their concatenation, copy/literal ops in the manner of VCDIFF (RFC
+// 3284): two or three co-located sources get near-identical clipped
+// bodies, so a later body is mostly copies of an earlier one. An op opens
+// with a uvarint length<<1 | kind: a literal (kind 0) is followed by its
+// bytes, a copy (kind 1) by a uvarint distance back into the output.
+// Every op produces at least one byte; a copy is at most maxCopy bytes
+// and never longer than its distance, so source and destination never
+// overlap. Everything else ships as the codec writes it.
+
+const (
+	// maxCopy is the longest copy op.
+	maxCopy = 64 << 10
+	// minCopyOp is the fewest stream bytes a maxCopy-byte copy costs: a
+	// 3-byte header and a 3-byte distance of at least maxCopy. No op
+	// yields more output per stream byte, so maxCopy/minCopyOp bounds
+	// what a stream can claim.
+	minCopyOp = 6
+	// copyWindow is the match length the hash table indexes.
+	copyWindow = 4
+	// copyHashBits sizes the hash table: 4,096 slots of 4-byte windows.
+	copyHashBits = 12
+)
+
+// relayMethods are the source methods cluster.forward relays — every
+// method a query or a mutation sends a source — indexed by wire code.
+var relayMethods = [...]string{
+	MethodOverlap, MethodSearchBatch, MethodCoverageRound, MethodFetchCells,
+	MethodSessionClose, MethodDatasetPut, MethodDatasetDelete,
 }
 
-// deflaters keeps idle deflaters, so encoding a forward request
-// allocates nothing once warm. A deflater holds about 1 MiB of match
-// tables, so only a few are kept; a sync.Pool would not do, as the race
-// detector drops a quarter of its Puts and CI gates zero allocations
-// under it.
-var deflaters = make(chan *deflater, 4)
-
-// inflater is a pooled raw-deflate reader over a frame's tail.
-type inflater struct {
-	src bytes.Reader
-	zr  io.ReadCloser // implements flate.Resetter
+// relayCode returns method's wire code, if cluster.forward relays it.
+func relayCode(method string) (byte, bool) {
+	for i, m := range relayMethods {
+		if m == method {
+			return byte(i), true
+		}
+	}
+	return 0, false
 }
 
-var inflaters = sync.Pool{New: func() any {
-	f := new(inflater)
-	f.zr = flate.NewReader(&f.src)
-	return f
-}}
+// rawBody is a payload the codec passes through untouched: appended as
+// is, and decoded as a copy of the frame, which the transport reuses. The
+// relay ships source calls in it without decoding them.
+type rawBody []byte
 
-// appendDeflated appends one raw deflate stream of the calls' bodies,
-// concatenated, to dst. A flate.Writer fails only when its destination
-// does, and appending cannot.
-func appendDeflated(dst []byte, calls []ForwardCall) []byte {
-	var d *deflater
+// opCoder is the encoder's scratch: the match table, and the bodies
+// concatenated so a match may reach into any earlier body.
+type opCoder struct {
+	table [1 << copyHashBits]int32 // 1 + the latest position of each window hash; 0 is empty
+	src   []byte
+}
+
+// opCoders keeps idle coders, so encoding a forward request allocates
+// nothing once warm. A sync.Pool would not do: the race detector drops a
+// quarter of its Puts, and CI gates zero allocations under it. Eight is
+// more than the encodes a gateway runs at once on a few cores; a burst
+// beyond that allocates coders the channel then drops.
+var opCoders = make(chan *opCoder, 8)
+
+// maxKeptSrc caps the concatenation buffer an idle coder keeps.
+const maxKeptSrc = 1 << 20
+
+// appendOps appends the op stream of the calls' bodies, total bytes in
+// all, to dst. Matching is greedy: each position looks up the latest
+// earlier position whose 4-byte window hashes alike, and a verified match
+// is extended both ways as far as the bytes agree.
+func appendOps(dst []byte, calls []ForwardCall, total int) []byte {
+	var oc *opCoder
 	select {
-	case d = <-deflaters:
+	case oc = <-opCoders:
+		clear(oc.table[:])
 	default:
-		d = new(deflater)
-		d.zw, _ = flate.NewWriter(d, flate.DefaultCompression) // the level is valid
+		oc = new(opCoder)
 	}
-	d.dst = dst
-	d.zw.Reset(d)
+	src := slices.Grow(oc.src[:0], total)
 	for _, c := range calls {
-		d.zw.Write(c.Body)
+		src = append(src, c.Body...)
 	}
-	d.zw.Close()
-	dst, d.dst = d.dst, nil
+	lit := 0 // start of the pending literal
+	for i := 0; i+copyWindow <= len(src); {
+		w := binary.LittleEndian.Uint32(src[i:])
+		h := w * 0x1e35a7bd >> (32 - copyHashBits)
+		cand := int(oc.table[h]) - 1
+		if cand >= 0 && i-cand < copyWindow {
+			i++ // too close to copy: a run, which copies from its start
+			continue
+		}
+		if cand < 0 || binary.LittleEndian.Uint32(src[cand:]) != w {
+			oc.table[h] = int32(i + 1)
+			i++
+			continue
+		}
+		// A match keeps the entry it found, so a run copies from its
+		// start at doubling distances.
+		dist := i - cand
+		limit := min(dist, maxCopy)
+		n := copyWindow + matchLen(src[cand+copyWindow:], src[i+copyWindow:min(len(src), i+limit)])
+		for i > lit && n < limit && cand > 0 && src[cand-1] == src[i-1] {
+			i, cand, n = i-1, cand-1, n+1
+		}
+		dst = appendLiteral(dst, src[lit:i])
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(n)<<1|1), uint64(dist))
+		i += n
+		lit = i
+	}
+	dst = appendLiteral(dst, src[lit:])
+	oc.src = src[:0]
+	if cap(src) > maxKeptSrc {
+		oc.src = nil
+	}
 	select {
-	case deflaters <- d:
+	case opCoders <- oc:
 	default:
 	}
 	return dst
 }
 
+// matchLen returns how many leading bytes b shares with a; a is at least
+// as long as b.
+func matchLen(a, b []byte) int {
+	n := 0
+	for ; n+8 <= len(b); n += 8 {
+		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)/8
+		}
+	}
+	for n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
+}
+
+func appendLiteral(dst, lit []byte) []byte {
+	if len(lit) == 0 {
+		return dst
+	}
+	return append(binary.AppendUvarint(dst, uint64(len(lit))<<1), lit...)
+}
+
+// expandOps runs the op stream ops into out, whose capacity is the
+// declared total: the stream must fill it exactly and end with ops.
+func expandOps(out, ops []byte) ([]byte, error) {
+	for len(out) < cap(out) {
+		if len(ops) == 0 {
+			return nil, fmt.Errorf("stream ends %d bytes short of the declared %d", cap(out)-len(out), cap(out))
+		}
+		h, k := binary.Uvarint(ops)
+		if k <= 0 {
+			return nil, errors.New("truncated op")
+		}
+		ops = ops[k:]
+		n := h >> 1
+		switch {
+		case n == 0:
+			return nil, errors.New("empty op")
+		case n > uint64(cap(out)-len(out)):
+			return nil, fmt.Errorf("stream longer than the declared %d", cap(out))
+		}
+		if h&1 == 0 {
+			if n > uint64(len(ops)) {
+				return nil, errors.New("truncated literal")
+			}
+			out = append(out, ops[:n]...)
+			ops = ops[n:]
+			continue
+		}
+		d, k := binary.Uvarint(ops)
+		if k <= 0 {
+			return nil, errors.New("truncated op")
+		}
+		ops = ops[k:]
+		switch {
+		case d == 0 || d > uint64(len(out)):
+			return nil, fmt.Errorf("copy distance %d at output %d", d, len(out))
+		case n > d:
+			return nil, fmt.Errorf("copy of %d bytes longer than its distance %d", n, d)
+		case n > maxCopy:
+			return nil, fmt.Errorf("copy of %d bytes beyond %d", n, maxCopy)
+		}
+		p := len(out) - int(d)
+		out = append(out, out[p:p+int(n)]...)
+	}
+	if len(ops) != 0 {
+		return nil, fmt.Errorf("%d bytes after the stream", len(ops))
+	}
+	return out, nil
+}
+
 // forwardCalls decodes a cluster.forward request: the calls' headers,
-// then the rest of the frame as the bodies' deflate stream. The declared
-// total is bounded by the frame cap and by deflate's ratio before one
-// buffer is allocated; the stream must inflate to exactly that many
-// bytes and end with the frame. Each body aliases the buffer.
+// then the rest of the frame as the bodies' op stream. The declared total
+// is bounded by the frame cap and by what the stream's length can yield
+// before one buffer is allocated; the stream must expand to exactly that
+// many bytes and end with the frame. Each body aliases the buffer.
 func (r *wireReader) forwardCalls(m *ClusterForwardRequest) {
 	m.Calls = nil
 	n := r.sliceLen()
@@ -523,7 +664,7 @@ func (r *wireReader) forwardCalls(m *ClusterForwardRequest) {
 	var total uint64
 	for i := range m.Calls {
 		m.Calls[i].Source = r.string()
-		m.Calls[i].Method = r.string()
+		m.Calls[i].Method = r.method()
 		l := r.uvarint()
 		if l > transport.MaxFrame-total {
 			r.fail("forward bodies exceed the frame cap")
@@ -535,25 +676,11 @@ func (r *wireReader) forwardCalls(m *ClusterForwardRequest) {
 	if r.err != nil || total == 0 {
 		return
 	}
-	if total > uint64(len(r.data))*maxDeflateRatio {
-		r.fail("forward bodies: %d bytes cannot inflate from %d", total, len(r.data))
+	if total > uint64(len(r.data))*maxCopy/minCopyOp {
+		r.fail("forward bodies: %d bytes cannot expand from %d", total, len(r.data))
 		return
 	}
-	buf := make([]byte, total)
-	f := inflaters.Get().(*inflater)
-	f.src.Reset(r.data)
-	f.zr.(flate.Resetter).Reset(&f.src, nil)
-	_, err := io.ReadFull(f.zr, buf)
-	if err == nil {
-		var one [1]byte
-		if k, eof := f.zr.Read(one[:]); k != 0 || eof != io.EOF {
-			err = errors.New("stream longer than declared")
-		} else if f.src.Len() != 0 {
-			err = fmt.Errorf("%d bytes after the stream", f.src.Len())
-		}
-	}
-	f.src.Reset(nil)
-	inflaters.Put(f)
+	buf, err := expandOps(make([]byte, 0, total), r.data)
 	if err != nil {
 		r.fail("forward bodies: %v", err)
 		return
@@ -566,6 +693,24 @@ func (r *wireReader) forwardCalls(m *ClusterForwardRequest) {
 		}
 		start = end
 	}
+}
+
+// method reads a relayed method's one-byte code.
+func (r *wireReader) method() string {
+	if r.err != nil {
+		return ""
+	}
+	if len(r.data) < 1 {
+		r.fail("truncated method code")
+		return ""
+	}
+	c := r.data[0]
+	r.data = r.data[1:]
+	if int(c) >= len(relayMethods) {
+		r.fail("method code %d", c)
+		return ""
+	}
+	return relayMethods[c]
 }
 
 // wireReader is the decode-side cursor: reads are sticky-error, so a
@@ -781,8 +926,9 @@ func (r *wireReader) summary(s *dits.SourceSummary) {
 	s.Rect = geo.Rect{MinX: r.f64(), MinY: r.f64(), MaxX: r.f64(), MaxY: r.f64()}
 	s.O = geo.Point{X: r.f64(), Y: r.f64()}
 	s.R = r.f64()
-	s.Grid.Theta = r.int()
-	s.Grid.Origin = geo.Point{X: r.f64(), Y: r.f64()}
-	s.Grid.CellW = r.f64()
-	s.Grid.CellH = r.f64()
+	s.Grid = r.grid()
+}
+
+func (r *wireReader) grid() geo.Grid {
+	return geo.Grid{Theta: r.int(), Origin: geo.Point{X: r.f64(), Y: r.f64()}, CellW: r.f64(), CellH: r.f64()}
 }

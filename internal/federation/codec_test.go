@@ -2,7 +2,6 @@ package federation
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -92,7 +91,7 @@ func codecTestMessages() []any {
 		&ClusterForwardResponse{Replies: []ForwardReply{{Body: []byte{1, 2, 3}}, {Err: "boom", Transport: true}, {}}},
 		&ClusterInfoResponse{Name: "c1", Generation: 9, Shard: []ShardSource{{Summary: summary, Version: 4}, {}}},
 		&ClusterInfoResponse{},
-		&ClusterRegisterRequest{Name: "src-α", Addr: "127.0.0.1:7201", Replicas: []string{"127.0.0.1:7211", ""}},
+		&ClusterRegisterRequest{Name: "src-α", Addr: "127.0.0.1:7201", Replicas: []string{"127.0.0.1:7211", ""}, Grid: summary.Grid},
 		&ClusterRegisterRequest{Name: "s", Addr: "a"},
 		&WALShipRequest{After: 1 << 40},
 		&WALShipResponse{Frames: []byte{0, 1, 2, 255}, Version: 12, TooOld: true},
@@ -304,6 +303,8 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 		{[]byte{9, 5, 2}, new(FetchCellsRequest)},
 		{[]byte{10, 1, 0, 0}, new(FetchCellsResponse)},
 		{[]byte{20, 1, 1, 'a', 1, 'm', 1, 9}, new(ClusterForwardRequest)},
+		{[]byte{35, 1, 1, 'a', 1, 'm', 1, 2, 9}, new(ClusterForwardRequest)},
+		{[]byte{23, 1, 's', 1, 'a', 0}, new(ClusterRegisterRequest)},
 	} {
 		if err := BinaryCodec.Decode(old.frame, old.v); err == nil {
 			t.Errorf("%T: retired message type %d accepted", old.v, old.frame[0])
@@ -388,7 +389,7 @@ func FuzzCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	for _, c := range corruptForwards(f) {
+	for _, c := range corruptForwards() {
 		f.Add(c.frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -438,48 +439,113 @@ func twinOverlap(t testing.TB) *ClusterForwardRequest {
 	}}
 }
 
-// forwardFrame hand-builds a forward request frame: one call declaring
-// declared body bytes, then stream as the frame's tail.
+// clippedForward is a forward request of three overlap.search calls
+// carrying overlapBody's query clipped three ways — the west 150 columns,
+// the east 150 and the middle 100 rows — as three co-located sources get
+// it.
+func clippedForward(t testing.TB) *ClusterForwardRequest {
+	t.Helper()
+	var q OverlapRequest
+	if err := BinaryCodec.Decode(overlapBody(t), &q); err != nil {
+		t.Fatal(err)
+	}
+	clip := func(source string, keep func(row, col uint64) bool) ForwardCall {
+		var cells []uint64
+		for _, c := range q.Cells {
+			if keep(c/1000, c%1000) {
+				cells = append(cells, c)
+			}
+		}
+		body, err := BinaryCodec.Append(nil, &OverlapRequest{Cells: cellset.New(cells...), K: q.K})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ForwardCall{Source: source, Method: MethodOverlap, Body: body}
+	}
+	return &ClusterForwardRequest{Calls: []ForwardCall{
+		clip("a", func(_, col uint64) bool { return col < 150 }),
+		clip("b", func(_, col uint64) bool { return col >= 50 }),
+		clip("c", func(row, _ uint64) bool { return row >= 50 && row < 150 }),
+	}}
+}
+
+// BenchmarkForwardCodec encodes and decodes clippedForward: the relay's
+// per-request codec cost.
+func BenchmarkForwardCodec(b *testing.B) {
+	req := clippedForward(b)
+	raw := 0
+	for _, c := range req.Calls {
+		raw += len(c.Body)
+	}
+	var buf []byte
+	b.ReportAllocs()
+	for b.Loop() {
+		buf, _ = BinaryCodec.Append(buf[:0], req)
+		var got ClusterForwardRequest
+		if err := BinaryCodec.Decode(buf, &got); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(raw), "body_B")
+	b.ReportMetric(float64(len(buf)), "wire_B")
+}
+
+// forwardFrame hand-builds a forward request frame: one overlap.search
+// call declaring declared body bytes, then stream as the frame's tail.
 func forwardFrame(declared uint64, stream []byte) []byte {
-	frame := []byte{msgClusterForwardDeflateReq, 1, 1, 'a', byte(len(MethodOverlap))}
-	frame = append(frame, MethodOverlap...)
+	frame := []byte{msgClusterForwardOpsReq, 1, 1, 'a', 0}
 	frame = binary.AppendUvarint(frame, declared)
 	return append(frame, stream...)
 }
 
-// deflated is data as one raw deflate stream.
-func deflated(t testing.TB, data []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	zw, _ := flate.NewWriter(&buf, flate.DefaultCompression)
-	zw.Write(data)
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
+// opLit and opCopy hand-build a literal op and a copy op.
+func opLit(b string) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(b))<<1), b...)
+}
+
+func opCopy(n, dist uint64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(nil, n<<1|1), dist)
+}
+
+// doubling is the stream of one literal byte and copies doubling the
+// output up to 2^k bytes.
+func doubling(k int) []byte {
+	stream := opLit("x")
+	for n := uint64(1); n < 1<<k; n *= 2 {
+		stream = append(stream, opCopy(n, n)...)
 	}
-	return buf.Bytes()
+	return stream
 }
 
 // corruptForwards are forward request frames the decoder must refuse.
-func corruptForwards(t testing.TB) []struct {
-	name     string
-	declared uint64
-	frame    []byte
+func corruptForwards() []struct {
+	name, want string // want is in the error
+	declared   uint64
+	frame      []byte
 } {
-	body := bytes.Repeat([]byte("clipped query body "), 64)
-	stream := deflated(t, body)
-	bomb := deflated(t, make([]byte, 1<<20))
-	bomb = bomb[:min(len(bomb), 1<<10)]
-	n := uint64(len(body))
+	lit := opLit("abcdefgh")
+	ops := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	bomb := doubling(16)
+	for len(bomb)+6 <= 1<<10 {
+		bomb = append(bomb, opCopy(maxCopy, maxCopy)...)
+	}
 	return []struct {
-		name     string
-		declared uint64
-		frame    []byte
+		name, want string
+		declared   uint64
+		frame      []byte
 	}{
-		{"truncated stream", n, forwardFrame(n, stream[:len(stream)/2])},
-		{"declared above inflated", n + 1, forwardFrame(n+1, stream)},
-		{"declared below inflated", n - 1, forwardFrame(n-1, stream)},
-		{"trailing bytes", n, forwardFrame(n, append(append([]byte(nil), stream...), 0))},
-		{"bomb: 1 GiB from 1 KiB", 1 << 30, forwardFrame(1<<30, bomb)},
+		{"truncated op", "truncated op", 12, forwardFrame(12, ops(lit, []byte{4<<1 | 1}))},
+		{"truncated literal", "truncated literal", 12, forwardFrame(12, opLit("abcdefghijkl")[:5])},
+		{"empty op", "empty op", 8, forwardFrame(8, []byte{0})},
+		{"copy distance 0", "copy distance 0 ", 12, forwardFrame(12, ops(lit, opCopy(4, 0)))},
+		{"copy distance beyond the output", "copy distance 9 at output 8", 12, forwardFrame(12, ops(lit, opCopy(4, 9)))},
+		{"copy longer than its distance", "longer than its distance", 16, forwardFrame(16, ops(lit, opCopy(8, 4)))},
+		{"copy beyond 64 KiB", "beyond 65536", 4 << 16, forwardFrame(4<<16, ops(doubling(17), opCopy(maxCopy+1, maxCopy+1)))},
+		{"stream longer than declared", "longer than the declared", 10, forwardFrame(10, ops(lit, opCopy(4, 8)))},
+		{"stream shorter than declared", "short of the declared", 16, forwardFrame(16, ops(lit, opCopy(4, 8)))},
+		{"trailing bytes", "after the stream", 12, forwardFrame(12, ops(lit, opCopy(4, 8), []byte{0}))},
+		{"method code out of range", "method code 7", 8, append([]byte{msgClusterForwardOpsReq, 1, 1, 'a', byte(len(relayMethods)), 8}, lit...)},
+		{"bomb: 1 GiB from 1 KiB", "cannot expand", 1 << 30, forwardFrame(1<<30, bomb)},
 	}
 }
 
@@ -523,19 +589,26 @@ func TestCodecForwardRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecForwardRejectsCorrupt: a forward whose stream is truncated,
-// inflates to more or fewer bytes than declared, or is followed by
-// trailing bytes errors; a bomb declaring 1 GiB from a 1 KiB stream
-// errors before allocating it.
+// TestCodecForwardRejectsCorrupt: a forward whose op stream is truncated,
+// holds an empty op, a copy from distance 0 or beyond the output, a copy
+// longer than its distance or than 64 KiB, expands to more or fewer bytes
+// than declared, or is followed by trailing bytes errors, as does an
+// unknown method code; a bomb declaring 1 GiB from a 1 KiB stream errors
+// before allocating it. Each frame has one defect, which its error names.
 func TestCodecForwardRejectsCorrupt(t *testing.T) {
-	for _, c := range corruptForwards(t) {
+	valid := forwardFrame(12, append(opLit("abcdefgh"), opCopy(4, 8)...))
+	var ok ClusterForwardRequest
+	if err := BinaryCodec.Decode(valid, &ok); err != nil || string(ok.Calls[0].Body) != "abcdefghabcd" {
+		t.Fatalf("the uncorrupted frame: %v, body %q", err, ok.Calls)
+	}
+	for _, c := range corruptForwards() {
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
 		var got ClusterForwardRequest
 		err := BinaryCodec.Decode(c.frame, &got)
 		runtime.ReadMemStats(&ms1)
-		if err == nil {
-			t.Errorf("%s: accepted", c.name)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
 		}
 		if alloc := ms1.TotalAlloc - ms0.TotalAlloc; c.declared >= 1<<20 && alloc >= c.declared/2 {
 			t.Errorf("%s: allocated %d bytes for a %d-byte claim", c.name, alloc, c.declared)

@@ -28,6 +28,7 @@ package federation
 
 import (
 	"dits/internal/cellset"
+	"dits/internal/geo"
 	"dits/internal/index/dits"
 )
 
@@ -122,15 +123,20 @@ type ShardSource struct {
 
 // ClusterRegisterRequest tells a center to dial and register one source.
 // Replicas, in failover order, serve reads when the primary's transport
-// fails; mutations and WAL shipping always pin to the primary.
+// fails; mutations and WAL shipping always pin to the primary. Grid is the
+// federation's: the center refuses a source gridded otherwise before it
+// adopts or logs it (the zero grid checks nothing).
 type ClusterRegisterRequest struct {
 	Name     string
 	Addr     string
 	Replicas []string
+	Grid     geo.Grid
 }
 
 // ForwardCall is one relayed source exchange: the source it is for, the
-// source method (see forwardTypes) and the request encoded by BinaryCodec.
+// source method (one of relayMethods; it travels as a one-byte code) and
+// the request encoded by BinaryCodec, which the center passes to the
+// source as it came.
 type ForwardCall struct {
 	Source string
 	Method string
@@ -138,14 +144,15 @@ type ForwardCall struct {
 }
 
 // ClusterForwardRequest relays a fan-out's calls for one center's shard.
+// Its bodies travel as one copy/literal op stream (see appendOps).
 type ClusterForwardRequest struct {
 	Calls []ForwardCall
 }
 
-// ForwardReply answers one ForwardCall: the BinaryCodec-encoded response,
-// or the error text. Transport is set when the source's connection failed
-// (rather than its handler answering with an error) — either way it is
-// that source's error, not the center's.
+// ForwardReply answers one ForwardCall: the BinaryCodec-encoded response
+// as the source sent it, or the error text. Transport is set when the
+// source's connection failed (rather than its handler answering with an
+// error) — either way it is that source's error, not the center's.
 type ForwardReply struct {
 	Body      []byte
 	Err       string

@@ -87,3 +87,17 @@ func TestCellSetMessagesGoldenBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardGoldenBytes pins the encoded bytes of a 3-call forward
+// (clippedForward), so the op stream's layout and its matcher cannot
+// drift unnoticed: either changes what crosses the wire.
+func TestForwardGoldenBytes(t *testing.T) {
+	wire, err := BinaryCodec.Append(nil, clippedForward(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(wire)
+	if got, want := hex.EncodeToString(sum[:8]), "2a167f04f1bb8cfb"; got != want {
+		t.Errorf("%d bytes, digest %s, want %s", len(wire), got, want)
+	}
+}

@@ -46,7 +46,7 @@ import (
 // responses. The hello exchange itself carries neither.
 
 // MaxFrame caps a frame payload to guard against corrupt length prefixes;
-// a codec bounds anything it inflates from a payload by the same cap.
+// a codec bounds anything it expands from a payload by the same cap.
 const MaxFrame = 1 << 30
 
 // MethodHello is the reserved method name of the handshake exchange,
