@@ -9,8 +9,9 @@ import (
 // Ablation quantifies the design choices DESIGN.md calls out, beyond the
 // paper's own baselines:
 //
-//   - the Lemma 2/3 leaf bounds inside OverlapSearch (vs verifying every
-//     MBR-intersecting leaf),
+//   - the Lemma 2 leaf bound inside OverlapSearch (vs verifying every
+//     MBR-intersecting leaf); no search reads a leaf's Lemma 3 summary,
+//     so this arm isolates Lemma 2 only,
 //   - the spatial merge strategy of CoverageSearch (vs SG+DITS, which is
 //     exactly CoverageSearch without the merge),
 //   - the Morton-block connectivity kernel (DistIndex) behind FindConnectSet
@@ -21,8 +22,9 @@ func Ablation(cfg Config) []Table {
 		Title:  "Ablation of DITS design choices (total ms over q queries)",
 		Header: []string{"source", "variant", "time"},
 		Notes: []string{
-			"overlap±bounds isolates Lemmas 2-3; coverage merge vs no-merge isolates the",
-			"spatial merge strategy (Algorithm 3 line 11); SG shows life without the index.",
+			"overlap±bounds isolates Lemma 2 only (no search reads the Lemma 3 summary);",
+			"coverage merge vs no-merge isolates the spatial merge strategy (Algorithm 3",
+			"line 11); SG shows life without the index.",
 		},
 	}
 	for _, spec := range coverageSpecs(cfg) {

@@ -391,16 +391,22 @@ func (c *Compact) MemoryBytes() int64 {
 	if c == nil {
 		return 0
 	}
-	bytes := int64(len(c.keys)) * 8
+	bytes := int64(len(c.keys)) * (8 + containerHeaderBytes)
 	for i := range c.cts {
-		if c.cts[i].bm != nil {
-			bytes += bitmapWords * 8
-		} else {
-			bytes += int64(len(c.cts[i].arr)) * 2
-		}
-		bytes += 32 // container header
+		bytes += c.cts[i].payloadBytes()
 	}
 	return bytes
+}
+
+// containerHeaderBytes is MemoryBytes' charge for a container's header.
+const containerHeaderBytes = 32
+
+// payloadBytes is the size of the container's array or bitmap.
+func (ct *container) payloadBytes() int64 {
+	if ct.bm != nil {
+		return bitmapWords * 8
+	}
+	return int64(len(ct.arr)) * 2
 }
 
 // push appends a non-empty container under key, maintaining n.

@@ -55,11 +55,20 @@ type Node struct {
 
 // NewNode builds the dataset node of d under grid g. It returns nil for a
 // dataset with no points: an empty dataset occupies no cells and can never
-// join anything.
+// join anything. The MBR comes from the grid coordinates of the points as
+// they are gridded, so no cell is decoded again.
 func NewNode(g geo.Grid, d *Dataset) *Node {
-	cells := d.CellSet(g)
-	n := NewNodeFromCells(d.ID, d.Name, cells)
-	return n
+	if len(d.Points) == 0 {
+		return nil
+	}
+	ids := make([]uint64, len(d.Points))
+	minX, minY, maxX, maxY := ^uint32(0), ^uint32(0), uint32(0), uint32(0)
+	for i, p := range d.Points {
+		x, y := g.CellCoords(p)
+		ids[i] = geo.ZEncode(x, y)
+		minX, minY, maxX, maxY = min(minX, x), min(minY, y), max(maxX, x), max(maxY, y)
+	}
+	return newNode(d.ID, d.Name, cellset.Normalize(ids), minX, minY, maxX, maxY)
 }
 
 // NewNodeFromCells builds a dataset node directly from a cell-based
@@ -69,6 +78,12 @@ func NewNodeFromCells(id int, name string, cells cellset.Set) *Node {
 	if !ok {
 		return nil
 	}
+	return newNode(id, name, cells, minX, minY, maxX, maxY)
+}
+
+// newNode builds the node of cells, whose grid-coordinate MBR is
+// [minX,maxX]×[minY,maxY].
+func newNode(id int, name string, cells cellset.Set, minX, minY, maxX, maxY uint32) *Node {
 	r := geo.Rect{
 		MinX: float64(minX), MinY: float64(minY),
 		MaxX: float64(maxX), MaxY: float64(maxY),

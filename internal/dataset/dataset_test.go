@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dits/internal/cellset"
@@ -156,4 +157,72 @@ func randomNode(rng *rand.Rand, id int) *Node {
 		ids[i] = geo.ZEncode(uint32(rng.Intn(128)), uint32(rng.Intn(128)))
 	}
 	return NewNodeFromCells(id, "", cellset.New(ids...))
+}
+
+// randomSource builds n datasets of up to 200 points in [0,100)², every
+// fifth one empty, including the first and the last.
+func randomSource(rng *rand.Rand, n int) *Source {
+	s := &Source{Name: "random"}
+	for i := range n {
+		d := &Dataset{ID: i, Name: fmt.Sprint("d", i)}
+		if i%5 != 0 && i != n-1 {
+			for range 1 + rng.Intn(200) {
+				d.Points = append(d.Points, geo.Pt(rng.Float64()*100, rng.Float64()*100))
+			}
+		}
+		s.Datasets = append(s.Datasets, d)
+	}
+	return s
+}
+
+// TestNewNodeMBRMatchesBounds checks that the MBR NewNode keeps while
+// gridding is the one Set.Bounds decodes from the same cells, and that the
+// node is the one NewNodeFromCells builds from them.
+func TestNewNodeMBRMatchesBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g := geo.NewGrid(10, geo.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100})
+	for _, d := range randomSource(rng, 60).Datasets {
+		n := NewNode(g, d)
+		if len(d.Points) == 0 {
+			if n != nil {
+				t.Fatalf("dataset %d: empty dataset yields %v", d.ID, n)
+			}
+			continue
+		}
+		cells := d.CellSet(g)
+		minX, minY, maxX, maxY, _ := cells.Bounds()
+		want := geo.Rect{MinX: float64(minX), MinY: float64(minY), MaxX: float64(maxX), MaxY: float64(maxY)}
+		if n.Rect != want {
+			t.Fatalf("dataset %d: Rect %v, Set.Bounds %v", d.ID, n.Rect, want)
+		}
+		if !reflect.DeepEqual(n, NewNodeFromCells(d.ID, d.Name, cells)) {
+			t.Fatalf("dataset %d: NewNode and NewNodeFromCells differ", d.ID)
+		}
+	}
+}
+
+// TestSourceNodesMatchesSequential pins the parallel gridding to the
+// per-dataset loop: the same nodes in dataset order, empty datasets
+// skipped, whatever GOMAXPROCS is (CI runs it under -cpu 1,2,4).
+func TestSourceNodesMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	g := geo.NewGrid(10, geo.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100})
+	for _, n := range []int{0, 1, nodesBlock, nodesBlock + 1, 7*nodesBlock + 3} {
+		src := randomSource(rng, n)
+		var want []*Node
+		for _, d := range src.Datasets {
+			if nd := NewNode(g, d); nd != nil {
+				want = append(want, nd)
+			}
+		}
+		got := src.Nodes(g)
+		if len(got) != len(want) {
+			t.Fatalf("%d datasets: %d nodes, want %d", n, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%d datasets: node %d is dataset %d, want %d", n, i, got[i].ID, want[i].ID)
+			}
+		}
+	}
 }

@@ -2,7 +2,11 @@ package dataset
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"dits/internal/geo"
 )
@@ -36,16 +40,36 @@ func (s *Source) Bounds() geo.Rect {
 	return r
 }
 
+// nodesBlock is how many consecutive datasets a gridding goroutine claims
+// at a time.
+const nodesBlock = 16
+
 // Nodes converts every non-empty dataset into a dataset node under grid g,
-// preserving dataset order.
+// preserving dataset order. The datasets are gridded on GOMAXPROCS
+// goroutines, each claiming blocks of consecutive datasets in turn; every
+// node is built independently, so the result does not depend on their
+// number.
 func (s *Source) Nodes(g geo.Grid) []*Node {
-	nodes := make([]*Node, 0, len(s.Datasets))
-	for _, d := range s.Datasets {
-		if n := NewNode(g, d); n != nil {
-			nodes = append(nodes, n)
-		}
+	nodes := make([]*Node, len(s.Datasets))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), (len(nodes)+nodesBlock-1)/nodesBlock) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(nodesBlock)) - nodesBlock
+				if lo >= len(nodes) {
+					return
+				}
+				for i := lo; i < min(lo+nodesBlock, len(nodes)); i++ {
+					nodes[i] = NewNode(g, s.Datasets[i])
+				}
+			}
+		}()
 	}
-	return nodes
+	wg.Wait()
+	return slices.DeleteFunc(nodes, func(n *Node) bool { return n == nil })
 }
 
 // Stats summarizes a source the way Table I of the paper does.

@@ -39,22 +39,14 @@ type LeafPostings struct {
 	Entries []uint16 // child positions, grouped per cell, ascending within a cell
 }
 
-// newLeafPostings builds the inverted index of a leaf holding children,
-// whose cell union is union: one rank intersection per child locates all
-// its cells in the union, a counting sort then groups the pairs by cell.
-// Children are visited in position order, so positions ascend within each
-// cell. It costs O(the leaf's child-cell pairs).
-func newLeafPostings(children []*dataset.Node, union *cellset.Compact) *LeafPostings {
-	total := 0
-	for _, c := range children {
-		total += c.Coverage()
-	}
-	// where[j] is the union rank of the j-th pair in child order.
-	where := make([]uint32, 0, total)
-	for _, c := range children {
-		where = union.AppendIntersectRanks(c.CompactCells(), where)
-	}
-	p := &LeafPostings{Ends: make([]uint32, union.Len()), Entries: make([]uint16, len(where))}
+// newLeafPostings builds the inverted index of a leaf holding children
+// whose cell union holds unionLen cells, from where: the union rank of
+// every child cell, child by child (cellset.UnionRanks, or each child's
+// AppendIntersectRanks against the union). A counting sort groups the
+// pairs by cell; children are visited in position order, so positions
+// ascend within each cell.
+func newLeafPostings(children []*dataset.Node, unionLen int, where []uint32) *LeafPostings {
+	p := &LeafPostings{Ends: make([]uint32, unionLen), Entries: make([]uint16, len(where))}
 	for _, r := range where {
 		p.Ends[r]++
 	}
@@ -73,6 +65,23 @@ func newLeafPostings(children []*dataset.Node, union *cellset.Compact) *LeafPost
 		}
 	}
 	return p
+}
+
+// commonCells returns the cells of u, the union the postings are keyed
+// by, whose list names all k children: the leaf's Lemma 3 summary.
+func (p *LeafPostings) commonCells(u *cellset.Compact, k int) *cellset.Compact {
+	var flat, common cellset.Set
+	start := uint32(0)
+	for r, end := range p.Ends {
+		if int(end-start) == k {
+			if flat == nil {
+				flat = u.Set()
+			}
+			common = append(common, flat[r])
+		}
+		start = end
+	}
+	return cellset.FromSet(common)
 }
 
 // Postings returns the leaf's inverted index, materializing a file-backed

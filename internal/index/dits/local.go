@@ -193,10 +193,9 @@ func (l *Local) MemoryBytes() int64 {
 			bytes += int64(c.Cells.Len())*8 + 64 // cell set + node header
 			bytes += c.Compact.MemoryBytes()     // container representation
 		}
-		// The unionC/allC leaf summaries are not counted: their containers
-		// largely alias the children's (Union/Intersect share containers
-		// for chunks present on one side, and a single-child leaf aliases
-		// the child outright), so adding them would double-count.
+		// The unionC/allC leaf summaries alias a child's container for a
+		// chunk only that child holds; the rest is theirs alone.
+		bytes += leaf.ownBytes
 	})
 	bytes += int64(l.Root.countNodes()) * nodeSize
 	return bytes
@@ -266,7 +265,11 @@ func (l *Local) CheckInvariants() error {
 			}
 			// The postings must be exactly the ones the children imply: no
 			// missing, extra or misordered entry.
-			got, want := n.post, newLeafPostings(n.Children, union)
+			var where []uint32
+			for _, c := range n.Children {
+				where = union.AppendIntersectRanks(c.CompactCells(), where)
+			}
+			got, want := n.post, newLeafPostings(n.Children, union.Len(), where)
 			if got == nil {
 				got = &LeafPostings{}
 			}

@@ -8,8 +8,13 @@
 // mutated: flat posting lists keyed by a cell's rank in the leaf's union
 // summary (LeafPostings). Verification (OverlapCounts) reads them through
 // the ranks one intersection with that union yields, or, for a dense
-// query, merges chunks per child instead. A mutation rebuilds the touched
-// leaf's postings from its children.
+// query, merges chunks per child instead. Build and every mutation
+// summarise a leaf in one pass (refreshSummaries): cellset.UnionRanks
+// unions the children's chunks k ways and hands back each child cell's
+// rank in the union, and the postings are a counting sort of those ranks,
+// so a leaf costs time linear in its child-cell pairs. Build runs on the
+// caller's goroutine, as the baselines of Fig. 8 do; the gridding before
+// it, dataset.Source.Nodes, runs on GOMAXPROCS goroutines.
 //
 // # Concurrency and ownership
 //
@@ -59,16 +64,20 @@ type TreeNode struct {
 	Children []*dataset.Node
 	// MaxCells caches the largest |S_D| among Children: min(|S_Q|,
 	// MaxCells) is a free upper bound on any intersection in the leaf,
-	// checked before the O(|S_Q|) Lemma 2/3 bounds.
+	// checked before the O(|S_Q|) Lemma 2 bound.
 	MaxCells int
 
 	// unionC and allC summarize the leaf for the container-based cell-set
 	// engine: the union of the children's cells (a query cell outside it
 	// cannot contribute — Lemma 2) and the cells present in every child
 	// (a query cell inside it is guaranteed in all of them — Lemma 3).
-	// unionC is also what the posting lists are keyed by: by rank.
-	// Maintained, with post, by refreshGeometry and the Insert fast path.
+	// unionC is also what the posting lists are keyed by: by rank. No
+	// search reads allC: it is built, written to snapshots and checked,
+	// nothing more. Maintained, with post, by refreshSummaries.
 	unionC, allC *cellset.Compact
+	// ownBytes is the part of unionC's and allC's MemoryBytes no child
+	// shares (MemoryBytes counts it).
+	ownBytes int64
 
 	// post is the leaf's one inverted index (lazy.go): rank-keyed posting
 	// lists, built from the children for a heap-built or mutated leaf and
@@ -113,38 +122,30 @@ func (n *TreeNode) refreshGeometry() {
 	n.R = r.Radius()
 }
 
-// refreshSummaries recomputes the leaf's compact summaries and rebuilds its
-// postings from its children. It runs in mutation contexts only (build,
-// delete, update); the Insert fast path folds the new child into the
-// summaries instead.
+// refreshSummaries recomputes the leaf's compact summaries and postings
+// from its children in one pass: cellset.UnionRanks yields the union and
+// every child cell's rank in it, the postings are a counting sort of those
+// ranks, and the cells in every child are the ones whose posting list
+// names them all. Build, Insert, Delete, Update and splits all run it, in
+// time linear in the leaf's child-cell pairs.
 func (n *TreeNode) refreshSummaries() {
 	if len(n.Children) == 0 {
-		n.unionC, n.allC, n.post = nil, nil, nil
+		n.unionC, n.allC, n.post, n.ownBytes = nil, nil, nil, 0
 		return
 	}
-	u := n.Children[0].CompactCells()
-	a := u
-	for _, c := range n.Children[1:] {
-		cc := c.CompactCells()
-		u = u.Union(cc)
-		a = a.Intersect(cc)
+	cs := make([]*cellset.Compact, len(n.Children))
+	for i, c := range n.Children {
+		cs[i] = c.CompactCells()
 	}
-	n.unionC, n.allC = u, a
-	n.post = newLeafPostings(n.Children, u)
-}
-
-// addToSummaries folds the just-appended child's cells into the leaf
-// summaries (the Insert fast path: no union over every child) and rebuilds
-// the postings, whose ranks the grown union has shifted.
-func (n *TreeNode) addToSummaries(nd *dataset.Node) {
-	cc := nd.CompactCells()
-	if len(n.Children) == 1 {
-		n.unionC, n.allC = cc, cc
+	u, where, owned := cellset.UnionRanks(cs, nil)
+	n.unionC, n.post = u, newLeafPostings(n.Children, u.Len(), where)
+	if len(cs) == 1 {
+		n.allC = cs[0]
 	} else {
-		n.unionC = n.unionC.Union(cc)
-		n.allC = n.allC.Intersect(cc)
+		n.allC = n.post.commonCells(u, len(cs))
+		owned += n.allC.MemoryBytes()
 	}
-	n.post = newLeafPostings(n.Children, n.unionC)
+	n.ownBytes = owned
 }
 
 // sparseDensity is the cells-per-chunk threshold below which a query is
