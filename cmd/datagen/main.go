@@ -1,6 +1,6 @@
 // Command datagen generates the synthetic five-source workload (the
 // stand-in for the paper's Table I portals), grids every source on one
-// shared θ-grid, builds its DITS-L index and writes it as a dsnap/1
+// shared θ-grid, builds its DITS-L index and writes it as a dsnap/2
 // snapshot, <out>/<Name>.dsnap. The file carries the grid (θ, origin and
 // cell size) and the leaf capacity f, so ditsserve -source and ditsquery
 // -data read the federation's grid from the files and no other tool is

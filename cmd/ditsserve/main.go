@@ -1,5 +1,5 @@
 // Command ditsserve runs one autonomous data source: it loads the DITS-L
-// snapshot (dsnap/1) that datagen wrote for the source and serves the
+// snapshot (dsnap/2) that datagen wrote for the source and serves the
 // federation protocol (overlap.search, search.batch, coverage.best, the
 // coverage.* session methods, dataset.put/delete, source.version,
 // source.summary) over TCP until interrupted. The source's name is the

@@ -184,7 +184,7 @@ var bannedImports = []struct {
 	allow         []string
 }{
 	{"log", "use log/slog via internal/obs.OpenLogger", nil},
-	{"encoding/gob", "wire payloads are dits-bin/1 (internal/federation/codec.go), index snapshots dsnap/1 (internal/index/ditsfile)",
+	{"encoding/gob", "wire payloads are dits-bin/1 (internal/federation/codec.go), index snapshots dsnap/2 (internal/index/ditsfile)",
 		[]string{"internal/federation/memberlog.go"}},
 	{"compress/gzip", "payloads ship raw; only cluster.forward's request codes its bodies, as copies of earlier ones (internal/federation/codec.go)", nil},
 	{"compress/flate", "payloads ship raw; only cluster.forward's request codes its bodies, as copies of earlier ones (internal/federation/codec.go)", nil},

@@ -10,8 +10,8 @@ import (
 // paper's own baselines:
 //
 //   - the Lemma 2 leaf bound inside OverlapSearch (vs verifying every
-//     MBR-intersecting leaf); no search reads a leaf's Lemma 3 summary,
-//     so this arm isolates Lemma 2 only,
+//     MBR-intersecting leaf); a leaf keeps no Lemma 3 summary, so this
+//     arm isolates Lemma 2 only,
 //   - the spatial merge strategy of CoverageSearch (vs SG+DITS, which is
 //     exactly CoverageSearch without the merge),
 //   - the Morton-block connectivity kernel (DistIndex) behind FindConnectSet
@@ -22,7 +22,7 @@ func Ablation(cfg Config) []Table {
 		Title:  "Ablation of DITS design choices (total ms over q queries)",
 		Header: []string{"source", "variant", "time"},
 		Notes: []string{
-			"overlap±bounds isolates Lemma 2 only (no search reads the Lemma 3 summary);",
+			"overlap±bounds isolates Lemma 2 only (a leaf keeps no Lemma 3 summary);",
 			"coverage merge vs no-merge isolates the spatial merge strategy (Algorithm 3",
 			"line 11); SG shows life without the index.",
 		},

@@ -100,10 +100,7 @@ func (c *Compact) Len() int {
 // IsEmpty reports whether the set has no cells.
 func (c *Compact) IsEmpty() bool { return c.Len() == 0 }
 
-// NumChunks returns the number of chunks the cells occupy. Len/NumChunks
-// is the set's density — the signal the query executor uses to pick
-// between the word-parallel chunk kernel (dense sets) and the
-// posting-list kernel (sparse sets).
+// NumChunks returns the number of chunks the cells occupy.
 func (c *Compact) NumChunks() int {
 	if c == nil {
 		return 0
@@ -491,13 +488,7 @@ func arrIntersectCount(a, b []uint16) int {
 func appendRanks(dst []uint32, base uint32, a, b *container) []uint32 {
 	switch {
 	case a.bm != nil && b.bm != nil:
-		for w, aw := range a.bm {
-			for and := aw & b.bm[w]; and != 0; and &= and - 1 {
-				bit := and & -and
-				dst = append(dst, base+uint32(bits.OnesCount64(aw&(bit-1))))
-			}
-			base += uint32(bits.OnesCount64(aw))
-		}
+		dst = bitmapAppendRanks(dst, base, a.bm, b.bm)
 	case a.bm != nil:
 		w := 0 // base counts a's values in the words before w
 		for _, v := range b.arr {
@@ -509,11 +500,7 @@ func appendRanks(dst []uint32, base uint32, a, b *container) []uint32 {
 			}
 		}
 	case b.bm != nil:
-		for i, v := range a.arr {
-			if b.bm[v>>6]>>(v&63)&1 == 1 {
-				dst = append(dst, base+uint32(i))
-			}
-		}
+		dst = arrBitmapAppendRanks(dst, base, a.arr, b.bm)
 	default:
 		dst = arrAppendRanks(dst, base, a.arr, b.arr)
 	}

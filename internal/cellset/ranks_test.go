@@ -7,9 +7,11 @@ import (
 	"testing"
 )
 
-// checkRanks compares s.AppendIntersectRanks(u) with its definition over
-// the flat sets: the index in s of every cell u also holds, ascending,
-// appended after whatever dst already carried.
+// checkRanks compares s.AppendIntersectRanks(u), and the rank pass of a
+// probe of u over s, with their definition over the flat sets: the index
+// in s of every cell u also holds, ascending, appended after whatever dst
+// already carried. It also checks that releasing the probe leaves its
+// scratch bitmaps zeroed for the next query.
 func checkRanks(t *testing.T, s, u Set) {
 	t.Helper()
 	cs, cu := FromSet(s), FromSet(u)
@@ -27,6 +29,18 @@ func checkRanks(t *testing.T, s, u Set) {
 	if n := cs.IntersectCount(cu); len(got)-1 != n {
 		t.Fatalf("%d ranks, IntersectCount = %d", len(got)-1, n)
 	}
+	p := NewProbe(cu)
+	got = p.AppendRanks(cs, []uint32{99})
+	p.Release()
+	if !slices.Equal(got, want) {
+		t.Fatalf("probe ranks of |s|=%d in |u|=%d: got %d ranks %v, want %d %v",
+			len(s), len(u), len(got)-1, head(got), len(want)-1, head(want))
+	}
+	for _, bm := range p.spare {
+		if *bm != (bitmap{}) {
+			t.Fatal("a released probe kept bits set")
+		}
+	}
 }
 
 func head(r []uint32) []uint32 { return r[:min(len(r), 12)] }
@@ -37,6 +51,8 @@ func TestAppendIntersectRanks(t *testing.T) {
 	bitmapA := denseChunkSet(1, 6000)           // chunk 1 is a bitmap
 	bitmapB := denseChunkSet(1, 9000).Union(New(5<<chunkBits | 3))
 	wide := randomSet(rng, 3000, 1<<chunkBits) // one long array chunk
+	run := func(n int) Set { return denseChunkSet(0, n) }
+	manyChunks := randomSet(rng, 4000, (maxProbeBitmaps+20)<<chunkBits)
 	cases := []struct {
 		name string
 		s, u Set
@@ -45,6 +61,10 @@ func TestAppendIntersectRanks(t *testing.T) {
 		{"long rank side gallops", wide, every(wide, 40).Union(New(1, 2, 1<<chunkBits-1))},
 		{"long probe side gallops", every(wide, 40), wide},
 		{"gallop runs off the end", New(1, 2, 3, 4, 5, 6, 7, 8, 9), New(9000)},
+		{"rank side 31x the probe's chunk", run(62), New(3, 100)},
+		{"rank side 32x the probe's chunk", run(64), New(3, 100)},
+		{"rank side 33x the probe's chunk", run(66), New(3, 100)},
+		{"probe past its bitmap budget", manyChunks, every(manyChunks, 3).Union(randomSet(rng, 500, (maxProbeBitmaps+20)<<chunkBits))},
 		{"bitmap x array", bitmapA, every(bitmapA, 7).Union(sparse)},
 		{"array x bitmap", every(bitmapA, 7).Union(sparse), bitmapA},
 		{"bitmap x bitmap", bitmapA, bitmapB},
@@ -70,15 +90,27 @@ func TestAppendIntersectRanks(t *testing.T) {
 	}
 }
 
-// FuzzIntersectRanks fuzzes the rank kernel against its flat definition
-// with FuzzSetOps's decoder, which reaches array and bitmap containers and
-// chunk-boundary cells on either side.
+// FuzzIntersectRanks fuzzes the rank kernel and the probe's rank pass
+// against their flat definition with FuzzSetOps's decoder, which reaches
+// array and bitmap containers and chunk-boundary cells on either side.
 func FuzzIntersectRanks(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 5}, []byte{0, 0, 2, 5})
 	f.Add([]byte{1, 255, 255, 255, 2, 0, 0, 9}, []byte{1, 255, 0, 200})
 	f.Add([]byte{}, []byte{3, 1, 0, 50})
 	// One chunk past the bitmap threshold against a thin array.
 	f.Add([]byte{2, 0, 0, 255, 2, 8, 0, 255, 2, 16, 0, 255, 2, 24, 0, 255, 2, 32, 0, 255}, []byte{2, 9, 7, 0, 3, 0, 0, 1})
+	// A chunk of 31, 32 and 33 cells (runs 0..24 and 22..30, 0..24 and
+	// 23..31, 0..32) against one of a single cell: either side of the
+	// probe's switch from bit tests to galloping.
+	f.Add([]byte{0, 0, 0, 3, 0, 0, 22, 1}, []byte{0, 0, 5, 0})
+	f.Add([]byte{0, 0, 0, 3, 0, 0, 23, 1}, []byte{0, 0, 5, 0})
+	f.Add([]byte{0, 0, 0, 4}, []byte{0, 0, 31, 0})
+	// A bitmap chunk (6,123 cells) against a thin array of three cells,
+	// one in each run and one in no run.
+	f.Add([]byte{1, 0, 0, 255, 1, 8, 0, 255, 1, 16, 0, 255}, []byte{1, 0, 7, 0, 1, 16, 9, 0, 1, 7, 250, 0})
+	// A probe chunk past 4,096 cells, itself a bitmap, against an array
+	// chunk and a bitmap chunk.
+	f.Add([]byte{4, 0, 0, 20, 5, 0, 0, 255, 5, 8, 0, 255, 5, 16, 0, 255}, []byte{4, 0, 0, 255, 4, 8, 0, 255, 4, 16, 0, 255, 5, 4, 0, 255})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		s, u := fuzzSet(a), fuzzSet(b)
 		checkRanks(t, s, u)

@@ -29,17 +29,21 @@ func bruteCounts(leaf *TreeNode, q cellset.Set) []int {
 	return counts
 }
 
-// allCounts is OverlapCounts with nothing to prune against: a nil answer
-// (no query cell in the leaf at all) reads as all-zero counts.
+// allCounts is OverlapCounts with nothing to prune against, through a
+// probe of q built for the call: a nil answer (no query cell in the leaf
+// at all) reads as all-zero counts.
 func allCounts(leaf *TreeNode, q *cellset.Compact, s *LeafScratch) []int {
-	if counts := leaf.OverlapCounts(q, 0, s); counts != nil {
+	p := cellset.NewProbe(q)
+	defer p.Release()
+	if counts := leaf.OverlapCounts(p, 0, s); counts != nil {
 		return counts
 	}
 	return make([]int, len(leaf.Children))
 }
 
-// densePatch returns the side×side block of cells at (x0, y0): past
-// sparseDensity cells per chunk, a query the chunk merge verifies.
+// densePatch returns the side×side block of cells at (x0, y0): a query
+// whose chunks hold hundreds to thousands of cells, or a dataset past 4,096
+// cells in one chunk, whose container is a bitmap.
 func densePatch(x0, y0, side int) *dataset.Node {
 	var ids []uint64
 	for x := x0; x < x0+side; x++ {
@@ -71,8 +75,8 @@ func TestAppendOverlapCountsParity(t *testing.T) {
 }
 
 // TestAppendOverlapCountsZeroAlloc: with a warm scratch, OverlapCounts —
-// the executor's inner loop — must not allocate on either of its passes:
-// the rank pass (sparse query) and the chunk merge (dense query).
+// the executor's inner loop — must not allocate, for a sparse query and a
+// dense one alike.
 func TestAppendOverlapCountsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	l := Build(testGrid(8), randomNodes(rng, 300, 8), 10)
@@ -80,20 +84,22 @@ func TestAppendOverlapCountsZeroAlloc(t *testing.T) {
 	l.Root.visitLeaves(func(n *TreeNode) { leaves = append(leaves, n) })
 	sparse, dense := densePatch(100, 100, 12).Compact, densePatch(90, 90, 40).Compact
 	var scratch LeafScratch
-	sweep := func(q *cellset.Compact) func() {
+	sweep := func(q *cellset.Probe) func() {
 		return func() {
 			for _, n := range leaves {
 				n.OverlapCounts(q, 0, &scratch)
 			}
 		}
 	}
-	check := func(pass string, q *cellset.Compact) {
+	check := func(kind string, q *cellset.Compact) {
 		t.Helper()
-		sweep(q)() // warm-up: grows the scratch to the widest leaf
-		if allocs := testing.AllocsPerRun(50, sweep(q)); allocs != 0 {
-			t.Errorf("%s allocated %.1f times per sweep", pass, allocs)
+		p := cellset.NewProbe(q)
+		defer p.Release()
+		sweep(p)() // warm-up: grows the scratch to the widest leaf
+		if allocs := testing.AllocsPerRun(50, sweep(p)); allocs != 0 {
+			t.Errorf("%s query allocated %.1f times per sweep", kind, allocs)
 		}
 	}
-	check("rank pass", sparse)
-	check("chunk merge", dense)
+	check("sparse", sparse)
+	check("dense", dense)
 }

@@ -3,6 +3,8 @@ package dits
 import (
 	"math/rand"
 	"testing"
+
+	"dits/internal/cellset"
 )
 
 func TestBuildBottomUpInvariants(t *testing.T) {
@@ -32,14 +34,15 @@ func TestBuildBottomUpAnswersLikeTopDown(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		q := randomNodes(rng, 1, 7)[0]
 		var topTotal, bottomTotal int
-		lq := q.CompactCells()
+		p := cellset.NewProbe(q.CompactCells())
 		var scratch LeafScratch
 		top.Root.visitLeaves(func(leaf *TreeNode) {
-			topTotal += sumCounts(leaf.OverlapCounts(lq, 0, &scratch))
+			topTotal += sumCounts(leaf.OverlapCounts(p, 0, &scratch))
 		})
 		bottom.Root.visitLeaves(func(leaf *TreeNode) {
-			bottomTotal += sumCounts(leaf.OverlapCounts(lq, 0, &scratch))
+			bottomTotal += sumCounts(leaf.OverlapCounts(p, 0, &scratch))
 		})
+		p.Release()
 		if topTotal != bottomTotal {
 			t.Fatalf("trial %d: total overlaps differ: %d vs %d", trial, topTotal, bottomTotal)
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // TestLeafCompactParity differentially checks OverlapCounts and the
-// container-engine Lemma 2/3 bounds against the plain-set oracle on random
+// Lemma 2/3 bounds against the plain-set oracle on random
 // builds, and again after update sequences: valid bounds, the documented
 // pruning rule and identical exact counts for every leaf and query.
 func TestLeafCompactParity(t *testing.T) {
@@ -22,6 +22,7 @@ func TestLeafCompactParity(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			q := randomNodes(rng, 1, 8)[0]
 			lq := q.CompactCells()
+			p := cellset.NewProbe(lq)
 			l.Root.visitLeaves(func(leaf *TreeNode) {
 				want := bruteCounts(leaf, q.Cells)
 				if got := allCounts(leaf, lq, &scratch); !slices.Equal(got, want) {
@@ -34,13 +35,14 @@ func TestLeafCompactParity(t *testing.T) {
 					}
 				}
 				// Pruning is strict: a leaf tying the threshold survives.
-				if ub > 0 && leaf.OverlapCounts(lq, ub, &scratch) == nil {
+				if ub > 0 && leaf.OverlapCounts(p, ub, &scratch) == nil {
 					t.Fatalf("%s: leaf with ub %d pruned at threshold %d", label, ub, ub)
 				}
-				if leaf.OverlapCounts(lq, ub+1, &scratch) != nil {
+				if leaf.OverlapCounts(p, ub+1, &scratch) != nil {
 					t.Fatalf("%s: leaf with ub %d survived threshold %d", label, ub, ub+1)
 				}
 			})
+			p.Release()
 		}
 	}
 
@@ -93,8 +95,12 @@ func TestLeafCompactParityHandBuiltQuery(t *testing.T) {
 }
 
 // leafBounds returns the Lemma 3 lower and Lemma 2 upper bound on the
-// overlap of q with any dataset of the leaf, from its compact summaries.
+// overlap of q with any dataset of the leaf: its intersection with the
+// cells every child holds, folded here, and with the leaf's union summary.
 func leafBounds(leaf *TreeNode, q *cellset.Compact) (lb, ub int) {
-	union, all := leaf.LeafSummaries()
-	return q.IntersectCount(all), q.IntersectCount(union)
+	all := leaf.Children[0].CompactCells()
+	for _, c := range leaf.Children[1:] {
+		all = all.Intersect(c.CompactCells())
+	}
+	return q.IntersectCount(all), q.IntersectCount(leaf.LeafSummaries())
 }

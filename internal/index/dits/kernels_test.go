@@ -11,11 +11,13 @@ import (
 	"dits/internal/index/ditsfile"
 )
 
-// TestLeafKernelsAgree: the two passes behind OverlapCounts — posting ranks
-// (sparse queries) and the per-child chunk merge (dense queries) — must both
-// return the brute-force counts over plain sets, on a heap-built index, on
-// the same index served from an mmap'd snapshot, and on both after inserts
-// that split leaves, after deletes and after updates.
+// TestLeafKernelsAgree: OverlapCounts' one rank pass — the query's probe
+// over the leaf union, then the posting lists — must return, for sparse
+// and dense queries alike, the counts of two oracles: brute force over
+// plain sets, and the per-child container IntersectCount. It must do so
+// on a heap-built index, on the same index served from an mmap'd
+// snapshot, and on both after inserts that split leaves, after deletes
+// and after updates.
 func TestLeafKernelsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	nodes := dits.RandomNodes(rng, 240, 8)
@@ -37,6 +39,13 @@ func TestLeafKernelsAgree(t *testing.T) {
 			for kind, qs := range queries {
 				for _, q := range qs {
 					want := dits.BruteCounts(leaf, q.Cells)
+					perChild := make([]int, len(leaf.Children))
+					for i, d := range leaf.Children {
+						perChild[i] = q.CompactCells().IntersectCount(d.CompactCells())
+					}
+					if !slices.Equal(perChild, want) {
+						t.Fatalf("%s, %s query: per-child IntersectCount = %v, brute force = %v", label, kind, perChild, want)
+					}
 					if got := dits.AllCounts(leaf, q.CompactCells(), &scratch); !slices.Equal(got, want) {
 						t.Fatalf("%s, %s query: OverlapCounts = %v, brute force = %v", label, kind, got, want)
 					}

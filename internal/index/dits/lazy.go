@@ -13,7 +13,7 @@ import (
 // SKELETON of a snapshot eagerly — node geometry, child links, MaxCells,
 // and stub dataset nodes with ID/Name/MBR — and arms each leaf with a
 // loader that materializes the heavy payload (children cell containers,
-// union/all summaries, posting lists) on first touch. OverlapCounts and
+// union summary, posting lists) on first touch. OverlapCounts and
 // the other leaf accessors call EnsureLoaded themselves, so every consumer
 // of the leaf access interface (search/exec, the sequential searchers, coverage
 // sessions, batch) works against a file-backed index unchanged: a leaf
@@ -24,14 +24,14 @@ import (
 // posting list per cell of Union, in rank order (see LeafPostings).
 type LeafData struct {
 	ChildCells []*cellset.Compact
-	Union, All *cellset.Compact
+	Union      *cellset.Compact
 	Post       *LeafPostings
 }
 
 // LeafPostings is a leaf's inverted index, heap-built or aliasing a
 // snapshot file: the child positions holding the cell of rank i in the
 // leaf's cell union (unionC) are Entries[Ends[i-1]:Ends[i]]. OverlapCounts
-// reads the lists by the ranks AppendIntersectRanks yields, so the cells
+// reads the lists by the ranks the query's cellset.Probe yields, so the cells
 // themselves are never stored. A mutation rebuilds the whole index from
 // the leaf's children.
 type LeafPostings struct {
@@ -65,23 +65,6 @@ func newLeafPostings(children []*dataset.Node, unionLen int, where []uint32) *Le
 		}
 	}
 	return p
-}
-
-// commonCells returns the cells of u, the union the postings are keyed
-// by, whose list names all k children: the leaf's Lemma 3 summary.
-func (p *LeafPostings) commonCells(u *cellset.Compact, k int) *cellset.Compact {
-	var flat, common cellset.Set
-	start := uint32(0)
-	for r, end := range p.Ends {
-		if int(end-start) == k {
-			if flat == nil {
-				flat = u.Set()
-			}
-			common = append(common, flat[r])
-		}
-		start = end
-	}
-	return cellset.FromSet(common)
 }
 
 // Postings returns the leaf's inverted index, materializing a file-backed
@@ -121,7 +104,7 @@ func (n *TreeNode) EnsureLoaded() {
 				n.Children[i].Compact = cc
 			}
 		}
-		n.unionC, n.allC = data.Union, data.All
+		n.unionC = data.Union
 		n.post = data.Post
 	})
 }
@@ -144,12 +127,12 @@ func AttachLazyLeaf(n *TreeNode, load func() (LeafData, error)) {
 // VisitLeaves calls fn for every leaf under n, in tree order.
 func (n *TreeNode) VisitLeaves(fn func(*TreeNode)) { n.visitLeaves(fn) }
 
-// LeafSummaries returns the leaf's compact union/all summaries (Lemma 2/3),
-// materializing a file-backed leaf first. Both are nil for internal nodes
-// and empty leaves.
-func (n *TreeNode) LeafSummaries() (union, all *cellset.Compact) {
+// LeafSummaries returns the leaf's compact union summary (Lemma 2),
+// materializing a file-backed leaf first. It is nil for internal nodes and
+// empty leaves.
+func (n *TreeNode) LeafSummaries() *cellset.Compact {
 	n.EnsureLoaded()
-	return n.unionC, n.allC
+	return n.unionC
 }
 
 // BackingInfo reports the memory footprint of a file-backed index; the

@@ -193,8 +193,8 @@ func (l *Local) MemoryBytes() int64 {
 			bytes += int64(c.Cells.Len())*8 + 64 // cell set + node header
 			bytes += c.Compact.MemoryBytes()     // container representation
 		}
-		// The unionC/allC leaf summaries alias a child's container for a
-		// chunk only that child holds; the rest is theirs alone.
+		// The unionC leaf summary aliases a child's container for a chunk
+		// only that child holds; the rest is its own.
 		bytes += leaf.ownBytes
 	})
 	bytes += int64(l.Root.countNodes()) * nodeSize
@@ -223,8 +223,8 @@ func (l *Local) CheckInvariants() error {
 				return fmt.Errorf("dits: leaf overflow: %d > f=%d", len(n.Children), l.F)
 			}
 			maxCov := 0
-			var union, all *cellset.Compact
-			for i, c := range n.Children {
+			var union *cellset.Compact
+			for _, c := range n.Children {
 				if seen[c.ID] {
 					return fmt.Errorf("dits: dataset %d appears twice", c.ID)
 				}
@@ -244,24 +244,15 @@ func (l *Local) CheckInvariants() error {
 				if cov := c.Coverage(); cov > maxCov {
 					maxCov = cov
 				}
-				if i == 0 {
-					union, all = cc, cc
-				} else {
-					union = union.Union(cc)
-					all = all.Intersect(cc)
-				}
+				union = union.Union(cc)
 			}
 			if n.MaxCells != maxCov {
 				return fmt.Errorf("dits: leaf MaxCells %d != max child coverage %d at %v", n.MaxCells, maxCov, n.Rect)
 			}
-			// The compact leaf summaries must agree with the children they
-			// summarize: unionC is the union of the children's cells, allC
-			// the cells present in every child.
+			// The compact leaf summary must be the union of the children's
+			// cells.
 			if !n.unionC.Equal(union) {
 				return fmt.Errorf("dits: leaf union summary out of sync at %v", n.Rect)
-			}
-			if !n.allC.Equal(all) {
-				return fmt.Errorf("dits: leaf all-children summary out of sync at %v", n.Rect)
 			}
 			// The postings must be exactly the ones the children imply: no
 			// missing, extra or misordered entry.

@@ -141,10 +141,12 @@ func TestOverlapBoundsFig5Example(t *testing.T) {
 	// The one entry point reads the same bound off its intersection: the
 	// leaf survives a threshold of 1 and is pruned at 2.
 	var scratch LeafScratch
-	if got := leaf.OverlapCounts(q, 1, &scratch); !slices.Equal(got, []int{1, 1}) {
+	p := cellset.NewProbe(q)
+	defer p.Release()
+	if got := leaf.OverlapCounts(p, 1, &scratch); !slices.Equal(got, []int{1, 1}) {
 		t.Errorf("OverlapCounts at threshold 1 = %v, want [1 1]", got)
 	}
-	if got := leaf.OverlapCounts(q, 2, &scratch); got != nil {
+	if got := leaf.OverlapCounts(p, 2, &scratch); got != nil {
 		t.Errorf("OverlapCounts at threshold 2 = %v, want the leaf pruned", got)
 	}
 }

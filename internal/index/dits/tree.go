@@ -7,8 +7,9 @@
 // A leaf's inverted index has one form, heap-built or mmap'd, at rest or
 // mutated: flat posting lists keyed by a cell's rank in the leaf's union
 // summary (LeafPostings). Verification (OverlapCounts) reads them through
-// the ranks one intersection with that union yields, or, for a dense
-// query, merges chunks per child instead. Build and every mutation
+// the ranks one pass of the query's cellset.Probe over that union yields:
+// the probe holds each query chunk as a bitmap, built once per query, so
+// a union cell costs one bit test. Build and every mutation
 // summarise a leaf in one pass (refreshSummaries): cellset.UnionRanks
 // unions the children's chunks k ways and hands back each child cell's
 // rank in the union, and the postings are a counting sort of those ranks,
@@ -67,16 +68,13 @@ type TreeNode struct {
 	// checked before the O(|S_Q|) Lemma 2 bound.
 	MaxCells int
 
-	// unionC and allC summarize the leaf for the container-based cell-set
-	// engine: the union of the children's cells (a query cell outside it
-	// cannot contribute — Lemma 2) and the cells present in every child
-	// (a query cell inside it is guaranteed in all of them — Lemma 3).
-	// unionC is also what the posting lists are keyed by: by rank. No
-	// search reads allC: it is built, written to snapshots and checked,
-	// nothing more. Maintained, with post, by refreshSummaries.
-	unionC, allC *cellset.Compact
-	// ownBytes is the part of unionC's and allC's MemoryBytes no child
-	// shares (MemoryBytes counts it).
+	// unionC summarizes the leaf for the container-based cell-set engine:
+	// the union of the children's cells (a query cell outside it cannot
+	// contribute — Lemma 2). It is also what the posting lists are keyed
+	// by: by rank. Maintained, with post, by refreshSummaries.
+	unionC *cellset.Compact
+	// ownBytes is the part of unionC's MemoryBytes no child shares
+	// (MemoryBytes counts it).
 	ownBytes int64
 
 	// post is the leaf's one inverted index (lazy.go): rank-keyed posting
@@ -122,15 +120,14 @@ func (n *TreeNode) refreshGeometry() {
 	n.R = r.Radius()
 }
 
-// refreshSummaries recomputes the leaf's compact summaries and postings
-// from its children in one pass: cellset.UnionRanks yields the union and
-// every child cell's rank in it, the postings are a counting sort of those
-// ranks, and the cells in every child are the ones whose posting list
-// names them all. Build, Insert, Delete, Update and splits all run it, in
-// time linear in the leaf's child-cell pairs.
+// refreshSummaries recomputes the leaf's union summary and postings from
+// its children in one pass: cellset.UnionRanks yields the union and every
+// child cell's rank in it, and the postings are a counting sort of those
+// ranks. Build, Insert, Delete, Update and splits all run it, in time
+// linear in the leaf's child-cell pairs.
 func (n *TreeNode) refreshSummaries() {
 	if len(n.Children) == 0 {
-		n.unionC, n.allC, n.post, n.ownBytes = nil, nil, nil, 0
+		n.unionC, n.post, n.ownBytes = nil, nil, 0
 		return
 	}
 	cs := make([]*cellset.Compact, len(n.Children))
@@ -138,25 +135,8 @@ func (n *TreeNode) refreshSummaries() {
 		cs[i] = c.CompactCells()
 	}
 	u, where, owned := cellset.UnionRanks(cs, nil)
-	n.unionC, n.post = u, newLeafPostings(n.Children, u.Len(), where)
-	if len(cs) == 1 {
-		n.allC = cs[0]
-	} else {
-		n.allC = n.post.commonCells(u, len(cs))
-		owned += n.allC.MemoryBytes()
-	}
-	n.ownBytes = owned
+	n.unionC, n.post, n.ownBytes = u, newLeafPostings(n.Children, u.Len(), where), owned
 }
-
-// sparseDensity is the cells-per-chunk threshold below which a query is
-// verified from the leaf's inverted index. The chunk merge's word-parallel
-// advantage needs dense (bitmap) chunks — real clustered datasets sit
-// around 30–170 cells per chunk, where repeating a sparse chunk merge per
-// leaf child loses to one pass over the postings; synthetic dense patches
-// sit in the thousands, where the chunk merge wins by an order of
-// magnitude. Both passes return the same counts, so this is purely a cost
-// choice.
-const sparseDensity = 512
 
 // LeafScratch is the working memory of OverlapCounts. Each worker owns one
 // and passes it to every leaf it verifies, so after the buffers have grown
@@ -176,31 +156,20 @@ type LeafScratch struct {
 // contribute). The returned slice lives in s until the next call.
 //
 // The leaf's posting lists are keyed by rank in the children's cell union,
-// so for a sparse query one AppendIntersectRanks against that union yields
-// the bound — the number of ranks — and the lists to count (the rank pass).
-// A dense query (sparseDensity) takes the word-parallel chunk merge per
-// child instead. Both return identical counts.
-func (n *TreeNode) OverlapCounts(q *cellset.Compact, threshold int, s *LeafScratch) []int {
+// so one rank pass of the query's probe over that union
+// (cellset.Probe.AppendRanks) yields the bound — the number of ranks — and
+// the lists to count. Every query, sparse or dense, takes this one pass.
+func (n *TreeNode) OverlapCounts(q *cellset.Probe, threshold int, s *LeafScratch) []int {
 	n.EnsureLoaded()
-	if q.Len() < sparseDensity*q.NumChunks() {
-		s.ranks = n.unionC.AppendIntersectRanks(q, s.ranks[:0])
-		if ub := len(s.ranks); ub == 0 || ub < threshold {
-			return nil
-		}
-		counts := s.zeroedCounts(len(n.Children))
-		for _, r := range s.ranks {
-			for _, pos := range n.post.list(int(r)) {
-				counts[pos]++
-			}
-		}
-		return counts
-	}
-	if ub := q.IntersectCount(n.unionC); ub == 0 || ub < threshold {
+	s.ranks = q.AppendRanks(n.unionC, s.ranks[:0])
+	if ub := len(s.ranks); ub == 0 || ub < threshold {
 		return nil
 	}
 	counts := s.zeroedCounts(len(n.Children))
-	for i, d := range n.Children {
-		counts[i] = q.IntersectCount(d.CompactCells())
+	for _, r := range s.ranks {
+		for _, pos := range n.post.list(int(r)) {
+			counts[pos]++
+		}
 	}
 	return counts
 }

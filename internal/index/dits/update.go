@@ -66,7 +66,7 @@ func (l *Local) splitLeaf(leaf *TreeNode) {
 	// child pointer stays valid.
 	leaf.Left, leaf.Right = sub.Left, sub.Right
 	leaf.Children = sub.Children
-	leaf.unionC, leaf.allC, leaf.ownBytes = sub.unionC, sub.allC, sub.ownBytes
+	leaf.unionC, leaf.ownBytes = sub.unionC, sub.ownBytes
 	leaf.Rect, leaf.O, leaf.R = sub.Rect, sub.O, sub.R
 	leaf.MaxCells = sub.MaxCells
 	// The node is internal now (or a freshly rebuilt leaf when the split
@@ -132,7 +132,7 @@ func (l *Local) hoistSibling(empty *TreeNode) {
 	// it held no cells.
 	parent.Left, parent.Right = sibling.Left, sibling.Right
 	parent.Children = sibling.Children
-	parent.unionC, parent.allC, parent.ownBytes = sibling.unionC, sibling.allC, sibling.ownBytes
+	parent.unionC, parent.ownBytes = sibling.unionC, sibling.ownBytes
 	parent.Rect, parent.O, parent.R = sibling.Rect, sibling.O, sibling.R
 	parent.MaxCells = sibling.MaxCells
 	parent.lazy, parent.post = sibling.lazy, sibling.post

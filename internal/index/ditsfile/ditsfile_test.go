@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dits/internal/cellset"
@@ -291,8 +292,8 @@ func TestLiveOverlayParity(t *testing.T) {
 // Change the digest only together with a deliberate format change.
 func TestSnapshotGoldenBytes(t *testing.T) {
 	const (
-		golden        = "ecd0dcf3b68b08a5588e8cc933580645928e67d5035a91dad8e32b6056151a2a"
-		goldenMutated = "5f37516a29e989b3a221cb92206c170323058e3f07cac2a10225388f373c33fc"
+		golden        = "8cd63baac48d1e7b82451335bfd207cc2e13bf7055a5979316f8cba15a82511b"
+		goldenMutated = "ed794844818f8cecd3501b29595e6132ca33fcbf435e52cf1bc684115fdbaee3"
 	)
 	_, nodes := buildWorld(t, 60, 9, 6, 21)
 	var dense []uint64
@@ -307,7 +308,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	// A chunk spans 2^16 cells; one past 4096 of them is a bitmap.
 	bitmapUnion := false
 	idx.Root.VisitLeaves(func(n *dits.TreeNode) {
-		union, _ := n.LeafSummaries()
+		union := n.LeafSummaries()
 		inChunk := map[uint64]int{}
 		union.ForEach(func(c uint64) bool { inChunk[c>>16]++; return true })
 		for _, cells := range inChunk {
@@ -348,6 +349,28 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("mutated", goldenMutated)
+}
+
+// TestOldVersionRefused: a snapshot of the previous format version, whose
+// leaves also carried the all-children summary, is refused at open with an
+// error naming both versions, not misread.
+func TestOldVersionRefused(t *testing.T) {
+	heap, _ := buildWorld(t, 20, 6, 3, 5)
+	path := writeSnap(t, heap)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "DSNAP001") // the magic is outside the header CRC
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mm := range []bool{true, false} {
+		_, err := Open(path, Options{MMap: mm})
+		if err == nil || !strings.Contains(err.Error(), "DSNAP001") || !strings.Contains(err.Error(), magic) {
+			t.Fatalf("mmap=%v: Open = %v, want an error naming DSNAP001 and %s", mm, err, magic)
+		}
+	}
 }
 
 func mustBuild(t *testing.T, seed int64) *dits.Local {

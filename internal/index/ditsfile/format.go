@@ -2,7 +2,7 @@
 // index, designed to be searched IN PLACE: the reader mmaps the file
 // (io.ReaderAt fallback off unix), decodes only the fixed-width tree
 // skeleton eagerly, and materializes each leaf's payload — child cell
-// containers, Lemma 2/3 union/all summaries, posting lists — on first
+// containers, the Lemma 2 union summary, posting lists — on first
 // touch, straight out of the mapping with zero copies on little-endian
 // hosts. A leaf the tree walk prunes never faults its pages in, which is
 // what lets one source serve an index several times larger than its RAM
@@ -15,7 +15,8 @@
 // aligned for in-place use.
 //
 //	header (192 B)
-//	  [0:8)    magic "DSNAP001"
+//	  [0:8)    magic "DSNAP002" — the format version; DSNAP001 files, which
+//	           also carried each leaf's all-children summary, are refused
 //	  [8:12)   u32 CRC-32C of header[12:192)
 //	  [12:16)  u32 flags (must be 1: little-endian payload)
 //	  [16:20)  u32 theta      — grid resolution
@@ -27,17 +28,16 @@
 //	  [72:192) 5 × section descriptor {u64 off, u64 len, u32 crc32c, u32 0}
 //	           in order: NODES, DIR, NAMES, CELLS, POST
 //
-//	NODES — numNodes × 104 B records (tree skeleton, preorder):
+//	NODES — numNodes × 96 B records (tree skeleton, preorder):
 //	  [0:32)   f64 minX, minY, maxX, maxY  — MBR in grid coordinates
 //	  [32:48)  f64 oX, oY                  — pivot
 //	  [48:56)  f64 r                       — radius
 //	  [56:64)  u32 left, right             — node indexes; ~0 = leaf
 //	  [64:72)  u32 firstChild, numChildren — DIR range of a leaf's datasets
-//	  [72:76)  u32 maxCells                — Lemma 2/3 free bound |S_D|max
+//	  [72:76)  u32 maxCells                — free bound |S_D|max
 //	  [76:80)  u32 reserved (0)
 //	  [80:88)  u64 unionOff  — CELLS offset of the leaf union summary, ~0 if none
-//	  [88:96)  u64 allOff    — CELLS offset of the all-children summary
-//	  [96:104) u64 postOff   — POST offset of the leaf's posting block
+//	  [88:96)  u64 postOff   — POST offset of the leaf's posting block
 //
 //	DIR — numDatasets × 88 B records (dataset stubs, leaf-major order so
 //	every leaf's children are one contiguous range):
@@ -51,7 +51,7 @@
 //	NAMES — raw name bytes, addressed by DIR.
 //
 //	CELLS — cellset storage records (cellset.AppendStorage): the children's
-//	cell containers and the per-leaf union/all summaries, 8-aligned.
+//	cell containers and the per-leaf union summaries, 8-aligned.
 //
 //	POST — per-leaf posting blocks, 8-aligned:
 //	  u32 nCells, u32 nEntries
@@ -87,7 +87,7 @@ import (
 )
 
 const (
-	magic     = "DSNAP001"
+	magic     = "DSNAP002"
 	headerLen = 192
 
 	flagLittleEndian = 1
@@ -99,7 +99,7 @@ const (
 	secPost  = 4
 	numSecs  = 5
 
-	nodeRecLen = 104
+	nodeRecLen = 96
 	dirRecLen  = 88
 
 	noneU32 = ^uint32(0)
@@ -157,6 +157,9 @@ func decodeHeader(buf []byte, fileSize int64) (*header, error) {
 		return nil, fmt.Errorf("ditsfile: file shorter than header (%d bytes)", len(buf))
 	}
 	if string(buf[:8]) != magic {
+		if string(buf[:5]) == magic[:5] {
+			return nil, fmt.Errorf("ditsfile: snapshot format %s, this build reads %s: regenerate the file with datagen", buf[:8], magic)
+		}
 		return nil, fmt.Errorf("ditsfile: bad magic %q", buf[:8])
 	}
 	if got, want := crc32.Checksum(buf[12:headerLen], castagnoli), binary.LittleEndian.Uint32(buf[8:]); got != want {

@@ -58,8 +58,8 @@ type dsMeta struct {
 
 // leafMeta is the payload address of one leaf.
 type leafMeta struct {
-	unionOff, allOff, postOff uint64
-	first, count              uint32
+	unionOff, postOff uint64
+	first, count      uint32
 }
 
 // Open opens a snapshot and assembles its file-backed index. The header
@@ -301,8 +301,7 @@ func (r *Reader) assemble() error {
 		}
 		m := leafMeta{
 			unionOff: binary.LittleEndian.Uint64(b[80:]),
-			allOff:   binary.LittleEndian.Uint64(b[88:]),
-			postOff:  binary.LittleEndian.Uint64(b[96:]),
+			postOff:  binary.LittleEndian.Uint64(b[88:]),
 			first:    first,
 			count:    count,
 		}
@@ -313,7 +312,7 @@ func (r *Reader) assemble() error {
 			if int(left) <= i || int(left) >= h.numNodes || int(right) <= i || int(right) >= h.numNodes || left == right {
 				return fmt.Errorf("ditsfile: node %d child links corrupt", i)
 			}
-			if count != 0 || first != 0 || m.unionOff != noneU64 || m.allOff != noneU64 || m.postOff != noneU64 {
+			if count != 0 || first != 0 || m.unionOff != noneU64 || m.postOff != noneU64 {
 				return fmt.Errorf("ditsfile: internal node %d carries leaf payload", i)
 			}
 			n.Left, n.Right = &tree[left], &tree[right]
@@ -327,13 +326,12 @@ func (r *Reader) assemble() error {
 			return fmt.Errorf("ditsfile: leaf %d child range corrupt", i)
 		}
 		if count == 0 {
-			if m.unionOff != noneU64 || m.allOff != noneU64 || m.postOff != noneU64 {
+			if m.unionOff != noneU64 || m.postOff != noneU64 {
 				return fmt.Errorf("ditsfile: empty leaf %d carries payload addresses", i)
 			}
 			continue
 		}
 		if m.unionOff == noneU64 || m.unionOff%8 != 0 || m.unionOff >= h.secs[secCells].len ||
-			m.allOff == noneU64 || m.allOff%8 != 0 || m.allOff >= h.secs[secCells].len ||
 			m.postOff == noneU64 || m.postOff%8 != 0 || m.postOff >= h.secs[secPost].len {
 			return fmt.Errorf("ditsfile: leaf %d payload addresses corrupt", i)
 		}
@@ -386,8 +384,8 @@ func (r *Reader) assemble() error {
 	return nil
 }
 
-// loadLeaf materializes one leaf: child cell containers, union/all
-// summaries, and the posting block. A validation failure counts as a load
+// loadLeaf materializes one leaf: child cell containers, the union
+// summary, and the posting block. A validation failure counts as a load
 // error and leaves the leaf empty; it never panics.
 func (r *Reader) loadLeaf(m leafMeta, kids []dsMeta) (dits.LeafData, error) {
 	r.leafLoads.Add(1)
@@ -422,17 +420,12 @@ func (r *Reader) materializeLeaf(m leafMeta, kids []dsMeta) (dits.LeafData, int6
 		return ld, 0, err
 	}
 	bytes += int64(n)
-	all, n, err := r.cellRecord(m.allOff)
-	if err != nil {
-		return ld, 0, err
-	}
-	bytes += int64(n)
 	post, n, err := r.postBlock(m.postOff, union.Len(), entries, len(kids))
 	if err != nil {
 		return ld, 0, err
 	}
 	bytes += int64(n)
-	ld.Union, ld.All, ld.Post = union, all, post
+	ld.Union, ld.Post = union, post
 	return ld, bytes, nil
 }
 

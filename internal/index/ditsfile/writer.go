@@ -118,7 +118,6 @@ type filePlan struct {
 	firstChild  []uint32
 	numChildren []uint32
 	unionOff    []uint64
-	allOff      []uint64
 	postOff     []uint64
 
 	dir      []*dataset.Node
@@ -142,7 +141,6 @@ func plan(idx *dits.Local) (*filePlan, error) {
 		p.firstChild = append(p.firstChild, 0)
 		p.numChildren = append(p.numChildren, 0)
 		p.unionOff = append(p.unionOff, noneU64)
-		p.allOff = append(p.allOff, noneU64)
 		p.postOff = append(p.postOff, noneU64)
 		if !n.IsLeaf() {
 			l := visit(n.Left)
@@ -152,7 +150,7 @@ func plan(idx *dits.Local) (*filePlan, error) {
 		}
 		p.firstChild[i] = uint32(len(p.dir))
 		p.numChildren[i] = uint32(len(n.Children))
-		union, all := n.LeafSummaries() // materializes a file-backed leaf
+		union := n.LeafSummaries() // materializes a file-backed leaf
 		if err != nil {
 			return i
 		}
@@ -173,8 +171,6 @@ func plan(idx *dits.Local) (*filePlan, error) {
 		if len(n.Children) > 0 {
 			p.unionOff[i] = p.cellsLen
 			p.cellsLen += uint64(cellset.StorageSize(union))
-			p.allOff[i] = p.cellsLen
-			p.cellsLen += uint64(cellset.StorageSize(all))
 			p.postOff[i] = p.postLen
 			p.postLen += postBlockLen(union.Len(), entries)
 		}
@@ -213,8 +209,7 @@ func (p *filePlan) writeSections(sw *sectionWriter, h *header) error {
 		binary.LittleEndian.PutUint32(b[72:], uint32(n.MaxCells))
 		binary.LittleEndian.PutUint32(b[76:], 0)
 		binary.LittleEndian.PutUint64(b[80:], p.unionOff[i])
-		binary.LittleEndian.PutUint64(b[88:], p.allOff[i])
-		binary.LittleEndian.PutUint64(b[96:], p.postOff[i])
+		binary.LittleEndian.PutUint64(b[88:], p.postOff[i])
 		if err := sw.write(b); err != nil {
 			return fmt.Errorf("ditsfile: write nodes: %w", err)
 		}
@@ -252,8 +247,8 @@ func (p *filePlan) writeSections(sw *sectionWriter, h *header) error {
 		return fmt.Errorf("ditsfile: write: %w", err)
 	}
 
-	// CELLS: per-child records in DIR order, then each leaf's union/all
-	// summaries — exactly the offsets the plan assigned.
+	// CELLS: per-child records in DIR order, then each leaf's union
+	// summary — exactly the offsets the plan assigned.
 	start = sw.n
 	sw.begin()
 	var buf []byte
@@ -273,14 +268,10 @@ func (p *filePlan) writeSections(sw *sectionWriter, h *header) error {
 				return fmt.Errorf("ditsfile: write cells: %w", err)
 			}
 		}
-		union, all := n.LeafSummaries()
 		if uint64(sw.n-start) != p.unionOff[i] {
 			return fmt.Errorf("ditsfile: union offset drift at node %d", i)
 		}
-		if err := writeCells(union); err != nil {
-			return fmt.Errorf("ditsfile: write cells: %w", err)
-		}
-		if err := writeCells(all); err != nil {
+		if err := writeCells(n.LeafSummaries()); err != nil {
 			return fmt.Errorf("ditsfile: write cells: %w", err)
 		}
 	}
@@ -296,8 +287,7 @@ func (p *filePlan) writeSections(sw *sectionWriter, h *header) error {
 		if uint64(sw.n-start) != p.postOff[i] {
 			return fmt.Errorf("ditsfile: post offset drift at node %d", i)
 		}
-		union, _ := n.LeafSummaries()
-		if err := writePostings(sw, union, n.Postings()); err != nil {
+		if err := writePostings(sw, n.LeafSummaries(), n.Postings()); err != nil {
 			return err
 		}
 	}

@@ -17,9 +17,10 @@ const manifestSchema = "dits-ingest-manifest/1"
 const manifestName = "MANIFEST"
 
 // formatDSnap marks a snapshot in the binary ditsfile format, the only
-// one a store reads. A manifest without it predates the format (its
-// snapshot is gob) and is refused: reseed such a store from its source.
-const formatDSnap = "dsnap/1"
+// one a store reads. A manifest naming another — none (a gob snapshot) or
+// dsnap/1 (whose leaves also carried an all-children summary) — is
+// refused: reseed such a store from its source.
+const formatDSnap = "dsnap/2"
 
 // manifest commits a snapshot: it names the snapshot file and records the
 // mutation sequence number and data version the snapshot covers. Records

@@ -10,11 +10,11 @@ import (
 )
 
 // TestUnknownManifestFormatRejected: a manifest naming a format this
-// binary does not understand — a future one, or none at all, as a store
-// from before dsnap/1 wrote — must fail loudly with an error naming the
-// format, not misparse the snapshot.
+// binary does not understand — a future one, the previous dsnap/1, or none
+// at all, as a store from before dsnap wrote — must fail loudly with an
+// error naming the format, not misparse the snapshot.
 func TestUnknownManifestFormatRejected(t *testing.T) {
-	for _, format := range []string{"dsnap/999", ""} {
+	for _, format := range []string{"dsnap/999", "dsnap/1", ""} {
 		dir := t.TempDir()
 		st := openTestStore(t, dir, Options{Fsync: FsyncNever})
 		if err := st.Close(); err != nil {

@@ -54,7 +54,7 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 
 	// Per-query execution state, only for usable queries.
 	type qstate struct {
-		q   *cellset.Compact
+		q   *cellset.Probe
 		t   *overlap.TopK
 		cov int
 	}
@@ -64,12 +64,17 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 		if bq.Q == nil || bq.K <= 0 || bq.Q.Coverage() == 0 {
 			continue
 		}
-		states[i] = &qstate{q: bq.Q.CompactCells(), t: overlap.NewTopK(bq.K), cov: bq.Q.Coverage()}
+		states[i] = &qstate{q: cellset.NewProbe(bq.Q.CompactCells()), t: overlap.NewTopK(bq.K), cov: bq.Q.Coverage()}
 		active = append(active, int32(i))
 	}
 	if len(active) == 0 {
 		return out, nil
 	}
+	defer func() {
+		for _, qi := range active {
+			states[qi].q.Release()
+		}
+	}()
 
 	// One shared walk: at each internal node the active set is filtered by
 	// MBR intersection, so a subtree no query reaches is descended zero

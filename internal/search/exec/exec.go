@@ -6,8 +6,9 @@
 // and returns results identical to the `search/overlap` and
 // `search/coverage` reference searchers (enforced by differential and fuzz
 // tests). Leaf verification is dits.TreeNode.OverlapCounts, the call the
-// reference searcher makes too; a call threads one dits.LeafScratch
-// through it, so the verification loop allocates nothing after warm-up.
+// reference searcher makes too; a call builds one cellset.Probe of its
+// query and threads it and one dits.LeafScratch through every leaf, so the
+// verification loop allocates nothing after warm-up.
 //
 // # Ownership contracts
 //

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -298,4 +299,62 @@ func TestTraceOverlapParity(t *testing.T) {
 			t.Fatalf("trace found %d results but timed no leaf task", len(want))
 		}
 	}
+}
+
+// TestConcurrentOverlap: eight goroutines run OverlapTopK and
+// OverlapTopKBatch on one index at once, each query with its own probe
+// from the shared free list (more than the list holds, so some are built
+// afresh and dropped again), and every answer must equal the sequential
+// one. Run it with -race.
+func TestConcurrentOverlap(t *testing.T) {
+	idx, nodes := buildWorld(t, 300, 10, 8, 41)
+	rng := rand.New(rand.NewSource(42))
+	var batch []BatchQuery
+	for range 20 {
+		batch = append(batch, BatchQuery{Q: queryFrom(rng, nodes), K: 1 + rng.Intn(8)})
+	}
+	// A query whose one chunk is a bitmap (6,400 cells of a 256×256 block).
+	var dense []uint64
+	for x := 300; x < 380; x++ {
+		for y := 10; y < 90; y++ {
+			dense = append(dense, geo.ZEncode(uint32(x), uint32(y)))
+		}
+	}
+	batch = append(batch, BatchQuery{Q: dataset.NewNodeFromCells(-1, "dense", cellset.New(dense...)), K: 5})
+
+	var e Executor
+	ctx := context.Background()
+	want := make([][]overlap.Result, len(batch))
+	for i, bq := range batch {
+		got, err := e.OverlapTopK(ctx, idx, bq.Q, bq.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = got
+	}
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := range 10 {
+				if (w+rep)%2 == 0 {
+					got, err := e.OverlapTopKBatch(ctx, idx, batch)
+					if err != nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("goroutine %d: batch diverged from the sequential answers (err %v)", w, err)
+						return
+					}
+					continue
+				}
+				for i, bq := range batch {
+					got, err := e.OverlapTopK(ctx, idx, bq.Q, bq.K)
+					if err != nil || !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("goroutine %d, query %d: %v != sequential %v (err %v)", w, i, got, want[i], err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -12,9 +12,10 @@ import (
 // verifyLeaf verifies one leaf for one query: dits.OverlapCounts prunes the
 // leaf on the Lemma 2 bound against the top-k's threshold or returns the
 // exact per-dataset counts, whose positive entries are offered into the
-// top-k. s is the caller's scratch, reused across every leaf it verifies —
-// after warm-up the loop allocates nothing.
-func verifyLeaf(t *overlap.TopK, leaf *dits.TreeNode, q *cellset.Compact, s *dits.LeafScratch) {
+// top-k. q is the query's probe, built once per execution, and s the
+// caller's scratch, reused across every leaf it verifies — after warm-up
+// the loop allocates nothing.
+func verifyLeaf(t *overlap.TopK, leaf *dits.TreeNode, q *cellset.Probe, s *dits.LeafScratch) {
 	for i, n := range leaf.OverlapCounts(q, t.Threshold(), s) {
 		if n > 0 {
 			d := leaf.Children[i]
@@ -35,7 +36,8 @@ func (e *Executor) OverlapTopK(ctx context.Context, idx *dits.Local, q *dataset.
 	if q == nil || k <= 0 || idx == nil || idx.Root == nil {
 		return nil, nil
 	}
-	lq := q.CompactCells()
+	lq := cellset.NewProbe(q.CompactCells())
+	defer lq.Release()
 	t := overlap.NewTopK(k)
 	var scratch dits.LeafScratch
 	for i, c := range idx.Root.FilterLeaves(q) {

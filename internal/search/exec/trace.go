@@ -3,6 +3,7 @@ package exec
 import (
 	"time"
 
+	"dits/internal/cellset"
 	"dits/internal/dataset"
 	"dits/internal/index/dits"
 	"dits/internal/search/overlap"
@@ -28,7 +29,8 @@ func TraceOverlap(idx *dits.Local, q *dataset.Node, k int) OverlapTrace {
 	start := time.Now()
 	cands := idx.Root.FilterLeaves(q)
 	tr.SerialNs = float64(time.Since(start).Nanoseconds())
-	lq := q.CompactCells()
+	lq := cellset.NewProbe(q.CompactCells())
+	defer lq.Release()
 	t := overlap.NewTopK(k)
 	var scratch dits.LeafScratch
 	for _, c := range cands {

@@ -1,6 +1,7 @@
 package overlap
 
 import (
+	"dits/internal/cellset"
 	"dits/internal/dataset"
 	"dits/internal/index/dits"
 )
@@ -9,7 +10,7 @@ import (
 // a branch-and-bound pass prunes subtrees whose MBR misses the query and
 // collects the surviving leaves; those are verified best-upper-bound-first
 // against the running k-th best overlap, with the Lemma 2 bound that
-// dits.TreeNode.OverlapCounts reads off its intersection giving each leaf a
+// dits.TreeNode.OverlapCounts reads off the query's probe giving each leaf a
 // second chance to be skipped before the exact per-dataset counting. Whole
 // leaves prune in batch, and verification stops as soon as no remaining
 // leaf can improve the result.
@@ -36,7 +37,8 @@ func (s *DITSSearcher) TopK(q *dataset.Node, k int) []Result {
 	if q == nil || k <= 0 || s.Index.Root == nil {
 		return nil
 	}
-	lq := q.CompactCells()
+	lq := cellset.NewProbe(q.CompactCells())
+	defer lq.Release()
 	// Filter step, then verification in decreasing upper-bound order: once
 	// k results are held, a leaf whose bound is below the running k-th
 	// best — and, as the leaves are sorted, every later leaf — can be
