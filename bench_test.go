@@ -7,6 +7,7 @@ package dits_test
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -312,7 +313,7 @@ func BenchmarkFig16CoverageTheta(b *testing.B) {
 func BenchmarkFig21Inserts(b *testing.B) {
 	f := setup()
 	fresh := func() *dataset.Node {
-		return dataset.NewNodeFromCells(1_000_000, "synthetic", f.transitNodes[0].Cells.Clone())
+		return dataset.NewNodeFromCells(1_000_000, "synthetic", slices.Clone(f.transitNodes[0].Cells))
 	}
 	b.Run("DITS", func(b *testing.B) {
 		idx := dits.Build(f.transitGrid, f.transitNodes, benchF)
@@ -367,7 +368,7 @@ func BenchmarkFig22Updates(b *testing.B) {
 	f := setup()
 	variant := func(i int) *dataset.Node {
 		src := f.transitNodes[i%len(f.transitNodes)]
-		return dataset.NewNodeFromCells(src.ID, src.Name, f.transitNodes[(i+1)%len(f.transitNodes)].Cells.Clone())
+		return dataset.NewNodeFromCells(src.ID, src.Name, slices.Clone(f.transitNodes[(i+1)%len(f.transitNodes)].Cells))
 	}
 	b.Run("DITS", func(b *testing.B) {
 		idx := dits.Build(f.transitGrid, f.transitNodes, benchF)

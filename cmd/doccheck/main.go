@@ -26,7 +26,15 @@
 //     "encoding/gob" outside its allow-list, so a second wire encoding or
 //     snapshot format cannot grow back, and "compress/gzip" and
 //     "compress/flate" anywhere, so compression cannot come back without a
-//     measurement.
+//     measurement;
+//   - every exported function or method declared in a non-test file under
+//     internal/ must have its name appear in some non-test Go file of the
+//     module, or in a test file of another package, so an export only its
+//     own package's tests call cannot grow back (testOnlyExports). The
+//     match is by name: a method sharing its name with a used identifier
+//     can slip through, but a used function is never flagged. Methods the
+//     standard library calls through an interface are allow-listed
+//     (interfaceMethods).
 //
 // The checker parses the Go source (go/ast), so new methods, flags, and
 // metrics are picked up without maintaining a list here.
@@ -128,6 +136,7 @@ func main() {
 	}
 
 	missing = append(missing, bannedImportUses(*root)...)
+	missing = append(missing, testOnlyExports(*root)...)
 
 	if len(missing) > 0 {
 		for _, m := range missing {
@@ -208,6 +217,119 @@ func bannedImportUses(root string) []string {
 	})
 	sort.Strings(out)
 	return out
+}
+
+// interfaceMethods are method names the standard library calls through an
+// interface (sort.Interface, heap.Interface, error, fmt.Stringer,
+// http.ResponseWriter, and encoding.BinaryMarshaler and
+// BinaryUnmarshaler, which gob calls), so no file of the module need name
+// them.
+var interfaceMethods = map[string]bool{
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Error": true, "String": true, "WriteHeader": true,
+	"MarshalBinary": true, "UnmarshalBinary": true,
+}
+
+// testOnlyExports reports every exported function or method declared in a
+// non-test file under internal/ whose name appears, other than as a
+// function's own declared name, in no non-test Go file under root and in
+// no test file outside the declaring package's directory.
+func testOnlyExports(root string) []string {
+	type decl struct{ name, at, dir string }
+	var decls []decl
+	usedOutsideTests := map[string]bool{}
+	testDirs := map[string]map[string]bool{} // name -> directories of test files naming it
+	internal := filepath.Join(root, "internal") + string(filepath.Separator)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != root && (n == "testdata" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir, isTest := filepath.Dir(path), strings.HasSuffix(path, "_test.go")
+		declared := map[*ast.Ident]bool{}
+		for _, dcl := range file.Decls {
+			fn, ok := dcl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declared[fn.Name] = true
+			if isTest || !fn.Name.IsExported() || !strings.HasPrefix(path, internal) {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				if interfaceMethods[name] {
+					continue
+				}
+				name = recvName(fn.Recv.List[0].Type) + "." + name
+			}
+			rel, _ := filepath.Rel(root, path)
+			at := fmt.Sprintf("%s:%d", filepath.ToSlash(rel), fset.Position(fn.Pos()).Line)
+			decls = append(decls, decl{name: name, at: at, dir: dir})
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok || declared[id] {
+				return true
+			}
+			if !isTest {
+				usedOutsideTests[id.Name] = true
+			} else {
+				if testDirs[id.Name] == nil {
+					testDirs[id.Name] = map[string]bool{}
+				}
+				testDirs[id.Name][dir] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		fatal(err)
+	}
+	if len(decls) == 0 {
+		return []string{"found no exported functions under internal/ (checker broken?)"}
+	}
+	var out []string
+	for _, d := range decls {
+		name := d.name[strings.LastIndex(d.name, ".")+1:]
+		if usedOutsideTests[name] {
+			continue
+		}
+		elsewhere := false
+		for dir := range testDirs[name] {
+			elsewhere = elsewhere || dir != d.dir
+		}
+		if !elsewhere {
+			out = append(out, fmt.Sprintf("%s: exported %s is named only in its own package's tests, if at all; delete it or move it into a _test.go file", d.at, d.name))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// recvName returns the type name of a method receiver: T for T and *T.
+func recvName(expr ast.Expr) string {
+	if star, ok := expr.(*ast.StarExpr); ok {
+		expr = star.X
+	}
+	if id, ok := expr.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "?"
 }
 
 // allowed reports whether rel is one of the allow-list's files or lies

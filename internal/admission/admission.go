@@ -95,9 +95,6 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Deadline returns the configured per-request deadline (0 when none).
-func (c *Controller) Deadline() time.Duration { return c.cfg.Deadline }
-
 // RecordDeadlineExceeded counts one admitted request that ran out of its
 // deadline; the gateway calls it when mapping the failure to HTTP 504.
 func (c *Controller) RecordDeadlineExceeded() { c.deadlines.Inc() }

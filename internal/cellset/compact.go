@@ -178,24 +178,6 @@ func (c *Compact) ForEach(fn func(cell uint64) bool) {
 	}
 }
 
-// Contains reports whether cell is in the set.
-func (c *Compact) Contains(cell uint64) bool {
-	if c == nil {
-		return false
-	}
-	i, ok := slices.BinarySearch(c.keys, cell>>chunkBits)
-	if !ok {
-		return false
-	}
-	ct := &c.cts[i]
-	v := cell & chunkMask
-	if ct.bm != nil {
-		return ct.bm[v>>6]>>(v&63)&1 == 1
-	}
-	_, found := slices.BinarySearch(ct.arr, uint16(v))
-	return found
-}
-
 // Equal reports whether c and o contain exactly the same cells. Canonical
 // container forms make this a structural comparison.
 func (c *Compact) Equal(o *Compact) bool {
@@ -275,11 +257,6 @@ func (c *Compact) AppendIntersectRanks(o *Compact, dst []uint32) []uint32 {
 		}
 	}
 	return dst
-}
-
-// UnionCount returns |c ∪ o| without materializing the union.
-func (c *Compact) UnionCount(o *Compact) int {
-	return c.Len() + o.Len() - c.IntersectCount(o)
 }
 
 // MarginalGain returns g(o, c) = |o ∪ c| − |c|: the number of cells o adds

@@ -8,18 +8,14 @@ import (
 	"dits/internal/geo"
 )
 
-// Dist returns the cell-based dataset distance of Definition 6: the minimum
-// Euclidean distance, in grid-coordinate units, between any cell of s and
-// any cell of t. It returns +Inf when either set is empty.
+// Dist2 returns the square of the cell-based dataset distance of
+// Definition 6: the minimum Euclidean distance, in grid-coordinate units,
+// between any cell of s and any cell of t. It returns +Inf when either set
+// is empty.
 //
 // The implementation sorts both sets by x coordinate and sweeps with an
 // early-exit window, which is far cheaper than the naive |s|·|t| scan on
 // spatially separated sets while remaining exact.
-func Dist(s, t Set) float64 {
-	return math.Sqrt(Dist2(s, t))
-}
-
-// Dist2 returns the squared cell-based dataset distance.
 func Dist2(s, t Set) float64 {
 	if len(s) == 0 || len(t) == 0 {
 		return math.Inf(1)

@@ -110,26 +110,6 @@ func (s Set) Contains(c uint64) bool {
 	return ok
 }
 
-// Clone returns an independent copy of s.
-func (s Set) Clone() Set {
-	c := make(Set, len(s))
-	copy(c, s)
-	return c
-}
-
-// Equal reports whether s and t contain exactly the same cells.
-func (s Set) Equal(t Set) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // IntersectCount returns |s ∩ t|, the overlap measure of OJSP
 // (Definition 10), without materializing the intersection.
 func (s Set) IntersectCount(t Set) int {
@@ -191,28 +171,6 @@ func gallopIntersectCount(s, t Set) int {
 	return n
 }
 
-// Intersect returns s ∩ t as a new Set.
-func (s Set) Intersect(t Set) Set {
-	if len(s) > len(t) {
-		s, t = t, s
-	}
-	out := make(Set, 0, len(s))
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] == t[j]:
-			out = append(out, s[i])
-			i++
-			j++
-		case s[i] < t[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
 // Union returns s ∪ t as a new Set.
 func (s Set) Union(t Set) Set {
 	out := make(Set, 0, len(s)+len(t))
@@ -236,35 +194,10 @@ func (s Set) Union(t Set) Set {
 	return out
 }
 
-// UnionCount returns |s ∪ t| without materializing the union.
-func (s Set) UnionCount(t Set) int {
-	return len(s) + len(t) - s.IntersectCount(t)
-}
-
 // MarginalGain returns g(t, s) = |t ∪ s| − |s|: the number of cells t adds
 // on top of s (Equation 3 with s playing the accumulated result set).
 func (s Set) MarginalGain(t Set) int {
 	return len(t) - s.IntersectCount(t)
-}
-
-// Diff returns s \ t as a new Set.
-func (s Set) Diff(t Set) Set {
-	out := make(Set, 0, len(s))
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] == t[j]:
-			i++
-			j++
-		case s[i] < t[j]:
-			out = append(out, s[i])
-			i++
-		default:
-			j++
-		}
-	}
-	out = append(out, s[i:]...)
-	return out
 }
 
 // Bounds returns the MBR, in grid-coordinate space, spanned by the set's

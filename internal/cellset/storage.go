@@ -117,12 +117,6 @@ func ViewStorage(data []byte) (*Compact, int, error) {
 	return decodeStorage(data, hostLittleEndian && addrAligned8(data))
 }
 
-// DecodeStorage is ViewStorage with payloads always copied to the heap:
-// the returned set never references data.
-func DecodeStorage(data []byte) (*Compact, int, error) {
-	return decodeStorage(data, false)
-}
-
 func addrAligned8(b []byte) bool {
 	if len(b) == 0 {
 		return false

@@ -41,7 +41,7 @@ func TestStorageRoundTrip(t *testing.T) {
 		if len(rec)%8 != 0 {
 			t.Fatalf("set %d: record not 8-aligned (%d bytes)", i, len(rec))
 		}
-		for _, decode := range []func([]byte) (*Compact, int, error){ViewStorage, DecodeStorage} {
+		for _, decode := range []func([]byte) (*Compact, int, error){ViewStorage, decodeStorageCopy} {
 			got, n, err := decode(rec)
 			if err != nil {
 				t.Fatalf("set %d: decode: %v", i, err)
@@ -63,7 +63,7 @@ func TestStorageRoundTrip(t *testing.T) {
 
 // TestStorageViewAliases pins the zero-copy contract: on a little-endian
 // host an aligned record is aliased by ViewStorage (mutating the buffer
-// changes the set) while DecodeStorage always copies.
+// changes the set) while decodeStorageCopy always copies.
 func TestStorageViewAliases(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("aliasing only on little-endian hosts")
@@ -72,7 +72,7 @@ func TestStorageViewAliases(t *testing.T) {
 	c := FromSet(s)
 	rec := AppendStorage(nil, c)
 
-	cp, _, err := DecodeStorage(rec)
+	cp, _, err := decodeStorageCopy(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestStorageViewAliases(t *testing.T) {
 		rec[i] = 0xAA
 	}
 	if !cp.Equal(c) {
-		t.Fatal("DecodeStorage result changed when the buffer was scribbled")
+		t.Fatal("copying decode result changed when the buffer was scribbled")
 	}
 	copy(rec, saved)
 
@@ -122,7 +122,7 @@ func FuzzStorageDecode(f *testing.F) {
 	f.Add(AppendStorage(nil, FromSet(New(1, 2, 3))))
 	f.Add(AppendStorage(nil, FromSet(randomStorageSet(rng))))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, decode := range []func([]byte) (*Compact, int, error){ViewStorage, DecodeStorage} {
+		for _, decode := range []func([]byte) (*Compact, int, error){ViewStorage, decodeStorageCopy} {
 			c, n, err := decode(data)
 			if err != nil {
 				continue
@@ -133,10 +133,16 @@ func FuzzStorageDecode(f *testing.F) {
 			// Whatever decoded must be a coherent set: re-encoding it
 			// round-trips.
 			rec := AppendStorage(nil, c)
-			back, _, err := DecodeStorage(rec)
+			back, _, err := decodeStorageCopy(rec)
 			if err != nil || !back.Equal(c) {
 				t.Fatalf("re-encode round trip failed: %v", err)
 			}
 		}
 	})
+}
+
+// decodeStorageCopy decodes a storage record with payloads always copied
+// to the heap, as ViewStorage does for an unaligned buffer.
+func decodeStorageCopy(data []byte) (*Compact, int, error) {
+	return decodeStorage(data, false)
 }

@@ -77,12 +77,6 @@ func NewEngine(src *dataset.Source, cfg Config) (*Engine, error) {
 	return &Engine{grid: g, index: dits.Build(g, src.Nodes(g), cfg.LeafCapacity)}, nil
 }
 
-// Grid exposes the engine's grid, e.g. to interpret cell counts as areas.
-func (e *Engine) Grid() geo.Grid { return e.grid }
-
-// NumDatasets returns the number of indexed datasets.
-func (e *Engine) NumDatasets() int { return e.index.Len() }
-
 // queryNode converts raw points into a query dataset node.
 func (e *Engine) queryNode(query []geo.Point) *dataset.Node {
 	return dataset.NewNodeFromCells(-1, "query", cellset.FromPoints(e.grid, query))
@@ -136,9 +130,6 @@ func (e *Engine) Update(d *dataset.Dataset) error {
 	}
 	return e.index.Update(nd)
 }
-
-// Delete removes a dataset from the live index.
-func (e *Engine) Delete(id int) error { return e.index.Delete(id) }
 
 func convertOverlap(rs []overlap.Result) []Result {
 	out := make([]Result, len(rs))

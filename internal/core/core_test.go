@@ -19,8 +19,8 @@ func TestEngineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.NumDatasets() != src.NumDatasets() {
-		t.Fatalf("indexed %d, want %d", eng.NumDatasets(), src.NumDatasets())
+	if eng.index.Len() != src.NumDatasets() {
+		t.Fatalf("indexed %d, want %d", eng.index.Len(), src.NumDatasets())
 	}
 	q := src.Datasets[5].Points
 
@@ -76,10 +76,10 @@ func TestEngineMutations(t *testing.T) {
 	if err := eng.Update(&dataset.Dataset{ID: 9999, Name: "new", Points: src.Datasets[1].Points}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Delete(9999); err != nil {
+	if err := eng.index.Delete(9999); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Delete(9999); err == nil {
+	if err := eng.index.Delete(9999); err == nil {
 		t.Error("double delete should error")
 	}
 	if err := eng.Insert(&dataset.Dataset{ID: 1234}); err == nil {

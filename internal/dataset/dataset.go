@@ -23,11 +23,6 @@ func (d *Dataset) Size() int { return len(d.Points) }
 // MBR returns the minimum bounding rectangle of the dataset's points.
 func (d *Dataset) MBR() geo.Rect { return geo.BoundingRect(d.Points) }
 
-// CellSet returns the cell-based dataset S_{D,Cθ} under grid g.
-func (d *Dataset) CellSet(g geo.Grid) cellset.Set {
-	return cellset.FromPoints(g, d.Points)
-}
-
 // String implements fmt.Stringer.
 func (d *Dataset) String() string {
 	return fmt.Sprintf("Dataset{id=%d, name=%q, |D|=%d}", d.ID, d.Name, len(d.Points))
@@ -137,11 +132,6 @@ func (n *Node) Coverage() int {
 		return n.Compact.Len()
 	}
 	return n.Cells.Len()
-}
-
-// Overlap returns |S_D ∩ S_Q| against another node's cell set.
-func (n *Node) Overlap(q *Node) int {
-	return n.CompactCells().IntersectCount(q.CompactCells())
 }
 
 // DistBounds returns the Lemma 4 lower and upper bounds on the cell-based

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dits/internal/cellset"
@@ -27,7 +28,7 @@ func TestNewNode(t *testing.T) {
 	if n.ID != 7 || n.Name != "route-7" {
 		t.Errorf("identity not carried: %+v", n)
 	}
-	if !n.Cells.Equal(cellset.Set{9, 11}) {
+	if !slices.Equal(n.Cells, cellset.Set{9, 11}) {
 		t.Errorf("Cells = %v, want {9,11}", n.Cells)
 	}
 	want := geo.Rect{MinX: 1, MinY: 2, MaxX: 1, MaxY: 3}
@@ -54,14 +55,6 @@ func TestNewNodeEmpty(t *testing.T) {
 	}
 }
 
-func TestOverlap(t *testing.T) {
-	a := NewNodeFromCells(1, "", cellset.New(1, 2, 3))
-	b := NewNodeFromCells(2, "", cellset.New(2, 3, 4))
-	if got := a.Overlap(b); got != 2 {
-		t.Errorf("Overlap = %d, want 2", got)
-	}
-}
-
 func TestDistBoundsBracketTrueDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
@@ -74,7 +67,7 @@ func TestDistBoundsBracketTrueDistance(t *testing.T) {
 		if lb > ub+1e-9 {
 			t.Fatalf("lb %v > ub %v", lb, ub)
 		}
-		d := cellset.Dist(a.Cells, b.Cells)
+		d := math.Sqrt(cellset.Dist2(a.Cells, b.Cells))
 		if d < lb-1e-9 || d > ub+1e-9 {
 			t.Fatalf("trial %d: true dist %v outside [%v, %v]\na=%v\nb=%v",
 				trial, d, lb, ub, a.Cells, b.Cells)
@@ -189,7 +182,7 @@ func TestNewNodeMBRMatchesBounds(t *testing.T) {
 			}
 			continue
 		}
-		cells := d.CellSet(g)
+		cells := cellset.FromPoints(g, d.Points)
 		minX, minY, maxX, maxY, _ := cells.Bounds()
 		want := geo.Rect{MinX: float64(minX), MinY: float64(minY), MaxX: float64(maxX), MaxY: float64(maxY)}
 		if n.Rect != want {

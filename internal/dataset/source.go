@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -108,10 +107,4 @@ func (s *Source) ComputeStats() Stats {
 func (st Stats) String() string {
 	return fmt.Sprintf("%s: %d datasets, %d points, bounds %v",
 		st.Name, st.NumDatasets, st.NumPoints, st.Bounds)
-}
-
-// SortByID orders nodes by dataset ID, useful for deterministic comparison
-// of search results in tests.
-func SortByID(nodes []*Node) {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 }

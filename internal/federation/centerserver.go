@@ -97,9 +97,6 @@ func NewCenterServer(name string, center *Center, opts CenterServerOptions) (*Ce
 // Name returns the center's cluster name.
 func (cs *CenterServer) Name() string { return cs.name }
 
-// Center returns the roster center.
-func (cs *CenterServer) Center() *Center { return cs.center }
-
 // Skipped returns the names of logged members that could not be re-dialed
 // at boot, sorted.
 func (cs *CenterServer) Skipped() []string {

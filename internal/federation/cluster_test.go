@@ -349,10 +349,10 @@ func TestClusterCenterRefusesStray(t *testing.T) {
 			}
 		}
 		cs := openTestCenter(t, name, servers, logDir)
-		if _, ok := cs.Center().epoch.Load().members["stray"]; ok {
+		if _, ok := cs.center.epoch.Load().members["stray"]; ok {
 			t.Errorf("%s: a restart adopted the refused source", name)
 		}
-		readopted += cs.Center().NumSources()
+		readopted += cs.center.NumSources()
 	}
 	if readopted != 3 {
 		t.Errorf("restarted centers adopted %d sources, want the 3 registered", readopted)
@@ -706,20 +706,20 @@ func TestCenterServerMemberLogRestart(t *testing.T) {
 			t.Fatalf("cluster.register answered the summary of %q, want %q", summary.Name, name)
 		}
 	}
-	if n := cs.Center().NumSources(); n != 2 {
+	if n := cs.center.NumSources(); n != 2 {
 		t.Fatalf("registered %d sources, want 2", n)
 	}
 	cs.Close()
 
 	// Restart: the shard comes back from the log alone.
 	cs = open()
-	if n := cs.Center().NumSources(); n != 2 {
+	if n := cs.center.NumSources(); n != 2 {
 		t.Fatalf("after restart %d sources, want 2", n)
 	}
 	if len(cs.Skipped()) != 0 {
 		t.Fatalf("skipped = %v, want none", cs.Skipped())
 	}
-	rs, err := cs.Center().OverlapSearch(ctx, cellsNear(10, 10, 6), 2)
+	rs, err := cs.center.OverlapSearch(ctx, cellsNear(10, 10, 6), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,7 +743,7 @@ func TestCenterServerMemberLogRestart(t *testing.T) {
 	if got := cs.Skipped(); len(got) != 1 || got[0] != "ghost" {
 		t.Fatalf("skipped = %v, want [ghost]", got)
 	}
-	if n := cs.Center().NumSources(); n != 2 {
+	if n := cs.center.NumSources(); n != 2 {
 		t.Fatalf("with ghost member %d sources, want 2", n)
 	}
 }

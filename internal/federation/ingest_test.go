@@ -494,8 +494,8 @@ func TestCoverageReasksAfterStaleOffer(t *testing.T) {
 				t.Fatalf("policy %v carried %v: %d of 15 searches deleted an offer, %d fetches found one gone; the test exercises too little",
 					policy, carried, len(deleted), stale)
 			}
-			if n := raced.Metrics.TotalFailures(); n != 0 {
-				t.Errorf("policy %v carried %v: %d source failures recorded for stale offers", policy, carried, n)
+			if f := raced.Metrics.Failures(); len(f) != 0 {
+				t.Errorf("policy %v carried %v: source failures recorded for stale offers: %v", policy, carried, f)
 			}
 		}
 	}

@@ -102,9 +102,6 @@ func NewShardMap(centers []string) *ShardMap {
 	return m
 }
 
-// Centers returns the ring's center names, sorted.
-func (m *ShardMap) Centers() []string { return m.centers }
-
 // succ returns the ring index owning hash h.
 func (m *ShardMap) succ(h uint64) int {
 	i := sort.Search(len(m.hashes), func(i int) bool { return m.hashes[i] >= h })

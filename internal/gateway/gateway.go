@@ -146,11 +146,6 @@ type Gateway struct {
 	serverErrors    atomic.Int64
 }
 
-// New creates a gateway over the center with zero Options.
-func New(center *federation.Center) *Gateway {
-	return NewWithOptions(center, Options{})
-}
-
 // NewWithOptions creates a single-center gateway with admission control
 // and observability configured.
 func NewWithOptions(center *federation.Center, opts Options) *Gateway {
@@ -193,9 +188,9 @@ func newGateway(b Backend, grid geo.Grid, pm *transport.Metrics, cl *federation.
 // the stats endpoint.
 func (g *Gateway) Admission() *admission.Controller { return g.ctl }
 
-// Registry exposes the gateway's metrics registry so embedders (ditsgate,
-// the soak harness) can hang extra collectors — an ingest store's WAL
-// gauges, say — off the same /metrics page.
+// Registry exposes the gateway's metrics registry so embedders (the load
+// harness, the soak test) can hang extra collectors — an ingest store's
+// WAL gauges, say — off the same /metrics page.
 func (g *Gateway) Registry() *metrics.Registry { return g.reg }
 
 // register wires every subsystem's counters into the /metrics exposition.

@@ -68,7 +68,7 @@ func newTestGateway(t *testing.T) (*httptest.Server, *federation.Center, [][2]fl
 		}
 	}
 
-	hs := httptest.NewServer(New(center).Handler())
+	hs := httptest.NewServer(NewWithOptions(center, Options{}).Handler())
 	t.Cleanup(hs.Close)
 	return hs, center, queryPoints
 }

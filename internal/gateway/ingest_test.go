@@ -70,7 +70,7 @@ func newMutableGateway(t *testing.T) (*httptest.Server, []uint64) {
 			t.Fatal(err)
 		}
 	}
-	hs := httptest.NewServer(New(center).Handler())
+	hs := httptest.NewServer(NewWithOptions(center, Options{}).Handler())
 	t.Cleanup(hs.Close)
 	return hs, cellset.New(queryCells...)
 }

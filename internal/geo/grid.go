@@ -5,10 +5,6 @@ import (
 	"math"
 )
 
-// sqrt is a local alias so zorder.go does not import math directly in its
-// hot path; the compiler intrinsifies math.Sqrt either way.
-func sqrt(v float64) float64 { return math.Sqrt(v) }
-
 // Grid is the uniform partition of a 2-dimensional space into 2^θ × 2^θ
 // cells (Definition 4). Origin is the bottom-left point (x0, y0) of the
 // space and CellW/CellH the width ν and height µ of each cell.
@@ -50,9 +46,6 @@ func NewGrid(theta int, bounds Rect) Grid {
 // Side returns the number of cells per axis, 2^θ.
 func (g Grid) Side() uint32 { return uint32(1) << uint(g.Theta) }
 
-// NumCells returns the total number of cells in the grid, 2^θ · 2^θ.
-func (g Grid) NumCells() uint64 { return uint64(g.Side()) * uint64(g.Side()) }
-
 // clampCoord converts one coordinate to a cell index, clamping points on or
 // beyond the far edge of the space into the last cell.
 func clampCoord(v, origin, cell float64, side uint32) uint32 {
@@ -82,14 +75,6 @@ func (g Grid) CellID(p Point) uint64 {
 	return ZEncode(x, y)
 }
 
-// CellRect returns the spatial rectangle covered by cell ID c.
-func (g Grid) CellRect(c uint64) Rect {
-	x, y := ZDecode(c)
-	minX := g.Origin.X + float64(x)*g.CellW
-	minY := g.Origin.Y + float64(y)*g.CellH
-	return Rect{MinX: minX, MinY: minY, MaxX: minX + g.CellW, MaxY: minY + g.CellH}
-}
-
 // CellCenter returns the center point of cell ID c.
 func (g Grid) CellCenter(c uint64) Point {
 	x, y := ZDecode(c)
@@ -105,27 +90,6 @@ func (g Grid) RectCoords(r Rect) (x0, y0, x1, y1 uint32) {
 	x0, y0 = g.CellCoords(Point{X: r.MinX, Y: r.MinY})
 	x1, y1 = g.CellCoords(Point{X: r.MaxX, Y: r.MaxY})
 	return x0, y0, x1, y1
-}
-
-// CellsToRectDist returns the minimum distance, in cell units, between the
-// cell with coordinates (cx, cy) and the coordinate span of rectangle r.
-// It is used to prune grid regions farther than a connectivity threshold.
-func (g Grid) CellsToRectDist(cx, cy uint32, r Rect) float64 {
-	x0, y0, x1, y1 := g.RectCoords(r)
-	dx, dy := 0.0, 0.0
-	switch {
-	case cx < x0:
-		dx = float64(x0 - cx)
-	case cx > x1:
-		dx = float64(cx - x1)
-	}
-	switch {
-	case cy < y0:
-		dy = float64(y0 - cy)
-	case cy > y1:
-		dy = float64(cy - y1)
-	}
-	return math.Hypot(dx, dy)
 }
 
 // String implements fmt.Stringer.

@@ -34,18 +34,24 @@ func TestGridCellID(t *testing.T) {
 	}
 }
 
+// cellRect returns the spatial rectangle covered by cell ID c: the
+// reference CellID is checked against.
+func cellRect(g Grid, c uint64) Rect {
+	x, y := ZDecode(c)
+	minX := g.Origin.X + float64(x)*g.CellW
+	minY := g.Origin.Y + float64(y)*g.CellH
+	return Rect{MinX: minX, MinY: minY, MaxX: minX + g.CellW, MaxY: minY + g.CellH}
+}
+
 func TestGridGeometry(t *testing.T) {
 	g := testGrid()
 	if g.Side() != 4 {
 		t.Fatalf("Side = %d, want 4", g.Side())
 	}
-	if g.NumCells() != 16 {
-		t.Fatalf("NumCells = %d, want 16", g.NumCells())
-	}
-	r := g.CellRect(9) // cell (1,2)
+	r := cellRect(g, 9) // cell (1,2)
 	want := Rect{MinX: 1, MinY: 2, MaxX: 2, MaxY: 3}
 	if r != want {
-		t.Errorf("CellRect(9) = %v, want %v", r, want)
+		t.Errorf("cellRect(9) = %v, want %v", r, want)
 	}
 	if c := g.CellCenter(9); c != Pt(1.5, 2.5) {
 		t.Errorf("CellCenter(9) = %v, want (1.5,2.5)", c)
@@ -93,26 +99,12 @@ func TestGridPointInCellProperty(t *testing.T) {
 	f := func(px, py float64) bool {
 		p := Pt(math.Mod(norm(px), 180), math.Mod(norm(py), 90))
 		id := g.CellID(p)
-		r := g.CellRect(id)
+		r := cellRect(g, id)
 		// Allow boundary epsilon: a point is in (or on the edge of) its cell.
 		const eps = 1e-9
 		return p.X >= r.MinX-eps && p.X <= r.MaxX+eps && p.Y >= r.MinY-eps && p.Y <= r.MaxY+eps
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCellsToRectDist(t *testing.T) {
-	g := testGrid()
-	r := Rect{MinX: 2, MinY: 2, MaxX: 4, MaxY: 4} // cells (2..3, 2..3)
-	if d := g.CellsToRectDist(0, 0, r); math.Abs(d-math.Hypot(2, 2)) > 1e-12 {
-		t.Errorf("corner dist = %v, want 2*sqrt2", d)
-	}
-	if d := g.CellsToRectDist(2, 2, r); d != 0 {
-		t.Errorf("inside dist = %v, want 0", d)
-	}
-	if d := g.CellsToRectDist(0, 3, r); d != 2 {
-		t.Errorf("left dist = %v, want 2", d)
 	}
 }

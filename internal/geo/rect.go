@@ -22,14 +22,6 @@ var EmptyRect = Rect{
 	MaxX: math.Inf(-1), MaxY: math.Inf(-1),
 }
 
-// NewRect returns the rectangle spanning the two corner points in any order.
-func NewRect(a, b Point) Rect {
-	return Rect{
-		MinX: math.Min(a.X, b.X), MinY: math.Min(a.Y, b.Y),
-		MaxX: math.Max(a.X, b.X), MaxY: math.Max(a.Y, b.Y),
-	}
-}
-
 // BoundingRect returns the MBR of the given points. It returns EmptyRect
 // when pts is empty.
 func BoundingRect(pts []Point) Rect {
@@ -98,11 +90,6 @@ func (r Rect) Radius() float64 {
 	return math.Hypot(r.Width(), r.Height()) / 2
 }
 
-// Contains reports whether p lies inside r (boundary inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
 // ContainsRect reports whether s lies entirely inside r. An empty s is
 // contained in every rectangle.
 func (r Rect) ContainsRect(s Rect) bool {
@@ -120,18 +107,6 @@ func (r Rect) Intersects(s Rect) bool {
 		return false
 	}
 	return r.MinX <= s.MaxX && s.MinX <= r.MaxX && r.MinY <= s.MaxY && s.MinY <= r.MaxY
-}
-
-// Intersection returns the overlapping region of r and s, or EmptyRect when
-// they are disjoint.
-func (r Rect) Intersection(s Rect) Rect {
-	if !r.Intersects(s) {
-		return EmptyRect
-	}
-	return Rect{
-		MinX: math.Max(r.MinX, s.MinX), MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX), MaxY: math.Min(r.MaxY, s.MaxY),
-	}
 }
 
 // Union returns the smallest rectangle containing both r and s.
@@ -168,18 +143,10 @@ func (r Rect) Expand(d float64) Rect {
 	return Rect{MinX: r.MinX - d, MinY: r.MinY - d, MaxX: r.MaxX + d, MaxY: r.MaxY + d}
 }
 
-// MinDist returns the minimum Euclidean distance between any point of r and
-// any point of s; 0 when they intersect.
-func (r Rect) MinDist(s Rect) float64 {
-	if r.IsEmpty() || s.IsEmpty() {
-		return math.Inf(1)
-	}
-	dx, dy := r.gap(s)
-	return math.Hypot(dx, dy)
-}
-
-// MinDist2 returns the square of MinDist, computed without a square root:
-// between rectangles with integer coordinates it is exact, where
+// MinDist2 returns the square of the minimum Euclidean distance between
+// any point of r and any point of s, 0 when they intersect and +Inf when
+// either is empty. It takes no square root: between rectangles with
+// integer coordinates it is exact, where
 // math.Hypot is off by an ulp on many Pythagorean pairs, so a threshold
 // test against a squared radius never disagrees with a point-by-point one.
 func (r Rect) MinDist2(s Rect) float64 {
@@ -196,17 +163,6 @@ func (r Rect) gap(s Rect) (dx, dy float64) {
 	dx = math.Max(0, math.Max(s.MinX-r.MaxX, r.MinX-s.MaxX))
 	dy = math.Max(0, math.Max(s.MinY-r.MaxY, r.MinY-s.MaxY))
 	return dx, dy
-}
-
-// MinDistPoint returns the minimum Euclidean distance from p to r; 0 when p
-// is inside r.
-func (r Rect) MinDistPoint(p Point) float64 {
-	if r.IsEmpty() {
-		return math.Inf(1)
-	}
-	dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
-	dy := math.Max(0, math.Max(r.MinY-p.Y, p.Y-r.MaxY))
-	return math.Hypot(dx, dy)
 }
 
 // String implements fmt.Stringer.

@@ -44,19 +44,6 @@ func ZDecode(c uint64) (x, y uint32) {
 	return uint32(compact1By1(c)), uint32(compact1By1(c >> 1))
 }
 
-// CellDist returns the Euclidean distance between the grid coordinates of
-// two cell IDs, the ||c_i, c_j||_2 term of the cell-based dataset distance
-// (Definition 6).
-func CellDist(a, b uint64) float64 {
-	ax, ay := ZDecode(a)
-	bx, by := ZDecode(b)
-	dx := float64(int64(ax) - int64(bx))
-	dy := float64(int64(ay) - int64(by))
-	// math.Hypot is precise but slow; the coordinates are ≤ 2^28 so the
-	// naive form cannot overflow.
-	return sqrt(dx*dx + dy*dy)
-}
-
 // CellDist2 returns the squared grid-coordinate distance between two cell
 // IDs, for threshold comparisons without the square root.
 func CellDist2(a, b uint64) float64 {

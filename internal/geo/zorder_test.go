@@ -57,21 +57,32 @@ func TestZEncodeMonotoneInQuadrant(t *testing.T) {
 	}
 }
 
+// cellDist returns the Euclidean distance between the grid coordinates of
+// two cell IDs, the ||c_i, c_j||_2 term of the cell-based dataset distance
+// (Definition 6): the reference CellDist2 is checked against.
+func cellDist(a, b uint64) float64 {
+	ax, ay := ZDecode(a)
+	bx, by := ZDecode(b)
+	dx := float64(int64(ax) - int64(bx))
+	dy := float64(int64(ay) - int64(by))
+	return math.Sqrt(dx*dx + dy*dy)
+}
+
 func TestCellDist(t *testing.T) {
 	// Example 3 of the paper: dist(S_D1,S_D2)=1, dist(S_D1,S_D3)=1,
 	// dist(S_D2,S_D3)=sqrt(2) on the 4x4 grid with
 	// S_D1={9,11}, S_D2={1,3}, S_D3={12,13}.
-	if d := CellDist(9, 3); d != 1 {
-		t.Errorf("CellDist(9,3) = %v, want 1", d)
+	if d := cellDist(9, 3); d != 1 {
+		t.Errorf("cellDist(9,3) = %v, want 1", d)
 	}
-	if d := CellDist(9, 12); d != 1 {
-		t.Errorf("CellDist(9,12) = %v, want 1", d)
+	if d := cellDist(9, 12); d != 1 {
+		t.Errorf("cellDist(9,12) = %v, want 1", d)
 	}
-	if d := CellDist(3, 12); math.Abs(d-math.Sqrt2) > 1e-12 {
-		t.Errorf("CellDist(3,12) = %v, want sqrt(2)", d)
+	if d := cellDist(3, 12); math.Abs(d-math.Sqrt2) > 1e-12 {
+		t.Errorf("cellDist(3,12) = %v, want sqrt(2)", d)
 	}
-	if d := CellDist(7, 7); d != 0 {
-		t.Errorf("CellDist(7,7) = %v, want 0", d)
+	if d := cellDist(7, 7); d != 0 {
+		t.Errorf("cellDist(7,7) = %v, want 0", d)
 	}
 }
 
@@ -79,7 +90,7 @@ func TestCellDist2MatchesCellDist(t *testing.T) {
 	f := func(a, b uint64) bool {
 		a &= (1 << 56) - 1
 		b &= (1 << 56) - 1
-		d := CellDist(a, b)
+		d := cellDist(a, b)
 		return math.Abs(d*d-CellDist2(a, b)) <= 1e-6*(1+d*d)
 	}
 	if err := quick.Check(f, nil); err != nil {

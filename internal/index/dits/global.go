@@ -133,18 +133,3 @@ func (g *Global) CandidateSources(q QueryNode, deltaRaw float64) []SourceSummary
 	walk(g.Root)
 	return out
 }
-
-// NumNodes returns the number of tree nodes in DITS-G.
-func (g *Global) NumNodes() int {
-	var count func(n *GNode) int
-	count = func(n *GNode) int {
-		if n == nil {
-			return 0
-		}
-		if n.IsLeaf() {
-			return 1
-		}
-		return 1 + count(n.Left) + count(n.Right)
-	}
-	return count(g.Root)
-}

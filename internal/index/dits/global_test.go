@@ -25,7 +25,7 @@ func TestBuildGlobal(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{0, 1, 3, 20, 100} {
 		g := BuildGlobal(summaries(n, rng), 4)
-		if g.NumNodes() == 0 {
+		if g.Root == nil {
 			t.Fatalf("n=%d: no nodes", n)
 		}
 		checkCovering(t, g.Root)

@@ -163,7 +163,7 @@ func TestRawGridRectRoundTrip(t *testing.T) {
 	}
 	// Every point of the source must fall inside the raw root rect.
 	for _, p := range src.Datasets[0].Points {
-		if !raw.Contains(p) {
+		if !raw.ContainsRect(geo.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}) {
 			t.Errorf("raw root rect %v does not contain %v", raw, p)
 		}
 	}

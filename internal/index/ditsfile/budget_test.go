@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"dits/internal/cellset"
 	"dits/internal/dataset"
 	"dits/internal/geo"
 	"dits/internal/index/dits"
@@ -54,7 +55,7 @@ func TestMMapServesUnderBudget(t *testing.T) {
 	heap := dits.Build(grid, src.Nodes(grid), 30)
 	var queries []*dataset.Node
 	for _, d := range workload.SampleQueries(src, 10, 123) {
-		if q := dataset.NewNodeFromCells(-1, "query", d.CellSet(grid)); q != nil {
+		if q := dataset.NewNodeFromCells(-1, "query", cellset.FromPoints(grid, d.Points)); q != nil {
 			queries = append(queries, q)
 		}
 	}

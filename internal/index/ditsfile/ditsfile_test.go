@@ -175,7 +175,7 @@ func TestRoundTripParity(t *testing.T) {
 					t.Fatalf("load errors: %d", r.LoadErrors())
 				}
 				if opts.MMap && mmapSupported {
-					if !r.Mapped() || r.MappedBytes() == 0 {
+					if r.data == nil || r.MappedBytes() == 0 {
 						t.Fatal("mmap open did not map")
 					}
 					r.DropResident()
@@ -447,8 +447,8 @@ func TestTornAndCorruptFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The verifying open (ingest recovery) must reject every case.
-		if err := Verify(path); err == nil {
-			t.Errorf("%s: Verify accepted corrupt snapshot", c.name)
+		if _, err := LoadHeap(path); err == nil {
+			t.Errorf("%s: LoadHeap accepted corrupt snapshot", c.name)
 		}
 		// A non-verifying open may succeed on payload damage; it must
 		// never panic, whatever searches run afterwards.

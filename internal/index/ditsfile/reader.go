@@ -130,10 +130,6 @@ func (r *Reader) cleanup() {
 // Index returns the file-backed index. It is valid until Close.
 func (r *Reader) Index() *dits.Local { return r.local }
 
-// Mapped reports whether the reader serves payloads from an mmap'd file
-// (false when opened in copy mode or on platforms without mmap).
-func (r *Reader) Mapped() bool { return r.data != nil }
-
 // MappedBytes implements dits.BackingInfo.
 func (r *Reader) MappedBytes() int64 { return int64(len(r.data)) }
 
@@ -187,13 +183,6 @@ func LoadHeap(path string) (*dits.Local, error) {
 	}
 	r.local.Backing = nil
 	return r.local, nil
-}
-
-// Verify opens the snapshot in copy mode with full CRC verification and
-// materializes every leaf, reporting the first corruption found.
-func Verify(path string) error {
-	_, err := LoadHeap(path)
-	return err
 }
 
 // verifySection checks one section's CRC-32C, streaming in copy mode so

@@ -118,9 +118,6 @@ func (idx *Index) Update(n *dataset.Node) {
 	idx.Insert(n)
 }
 
-// Size returns the number of indexed datasets.
-func (idx *Index) Size() int { return len(idx.cells) }
-
 // Name returns the stored name of a dataset ID.
 func (idx *Index) Name(id int) string { return idx.names[id] }
 

@@ -2,6 +2,7 @@ package josie
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestPrefixFilterFiresOnLongQueries(t *testing.T) {
 	q := cellset.New(cells...)
 	var nodes []*dataset.Node
 	for i := 0; i < 30; i++ {
-		nodes = append(nodes, dataset.NewNodeFromCells(i, "", q[:10+i*5].Clone()))
+		nodes = append(nodes, dataset.NewNodeFromCells(i, "", slices.Clone(q[:10+i*5])))
 	}
 	idx := Build(nodes)
 	got := idx.TopK(q, 5)
@@ -140,8 +141,8 @@ func TestMutations(t *testing.T) {
 		idx.Delete(live[at].ID)
 		live = append(live[:at], live[at+1:]...)
 	}
-	if idx.Size() != len(live) {
-		t.Fatalf("Size = %d, want %d", idx.Size(), len(live))
+	if len(idx.cells) != len(live) {
+		t.Fatalf("%d datasets indexed, want %d", len(idx.cells), len(live))
 	}
 	q := randomNodes(rng, 1)[0].Cells
 	got := idx.TopK(q, 10)

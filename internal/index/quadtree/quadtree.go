@@ -152,14 +152,6 @@ func (n *node) remove(x, y uint32, ds int32) bool {
 	return false
 }
 
-// locate returns the leaf whose region contains (x, y).
-func (n *node) locate(x, y uint32) *node {
-	if n.children == nil {
-		return n
-	}
-	return n.child(x, y).locate(x, y)
-}
-
 // OverlapCounts returns, for every dataset sharing at least one cell with
 // the query set, the exact |S_Q ∩ S_D|, the way §VII-C describes the
 // baseline: find all leaves intersecting the query's MBR and check every
@@ -195,24 +187,8 @@ func (t *Tree) OverlapCounts(q cellset.Set) map[int]int {
 	return counts
 }
 
-// Locate returns the dataset IDs occupying the cell containing (x, y); it
-// is the point-query primitive of the PR quadtree.
-func (t *Tree) Locate(x, y uint32) []int {
-	leaf := t.root.locate(x, y)
-	var out []int
-	for _, e := range leaf.entries {
-		if e.x == x && e.y == y {
-			out = append(out, int(e.ds))
-		}
-	}
-	return out
-}
-
 // Name returns the stored name of a dataset ID.
 func (t *Tree) Name(id int) string { return t.names[id] }
-
-// Size returns the number of indexed cell occurrences.
-func (t *Tree) Size() int { return t.size }
 
 // NumNodes returns the number of quadtree nodes.
 func (t *Tree) NumNodes() int {

@@ -120,19 +120,6 @@ func TestSingleCellOverflow(t *testing.T) {
 	}
 }
 
-func TestLocate(t *testing.T) {
-	a := dataset.NewNodeFromCells(1, "", cellset.New(geo.ZEncode(3, 4)))
-	b := dataset.NewNodeFromCells(2, "", cellset.New(geo.ZEncode(3, 4), geo.ZEncode(5, 5)))
-	tree := Build(4, []*dataset.Node{a, b})
-	got := tree.Locate(3, 4)
-	if len(got) != 2 {
-		t.Fatalf("Locate(3,4) = %v, want both datasets", got)
-	}
-	if got := tree.Locate(9, 9); len(got) != 0 {
-		t.Fatalf("Locate(empty cell) = %v, want none", got)
-	}
-}
-
 func TestOverlapCountsEmptyQuery(t *testing.T) {
 	tree := Build(4, randomNodes(rand.New(rand.NewSource(9)), 10, 4))
 	if got := tree.OverlapCounts(nil); len(got) != 0 {
@@ -144,7 +131,7 @@ func TestAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	nodes := randomNodes(rng, 50, 5)
 	tree := Build(5, nodes)
-	if tree.Size() == 0 {
+	if tree.size == 0 {
 		t.Error("Size should be positive")
 	}
 	if tree.NumNodes() == 0 {

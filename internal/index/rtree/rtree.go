@@ -57,9 +57,6 @@ func Build(maxEntries int, nodes []*dataset.Node) *Tree {
 	return t
 }
 
-// Size returns the number of indexed datasets.
-func (t *Tree) Size() int { return t.size }
-
 // Insert adds a dataset node.
 func (t *Tree) Insert(d *dataset.Node) {
 	leaf := t.chooseLeaf(t.root, d.Rect)
@@ -366,16 +363,6 @@ func (t *Tree) NumNodes() int {
 	return count(t.root)
 }
 
-// Height returns the height of the tree.
-func (t *Tree) Height() int {
-	h, n := 1, t.root
-	for !n.leaf {
-		h++
-		n = n.children[0]
-	}
-	return h
-}
-
 // MemoryBytes estimates the resident size of the index.
 func (t *Tree) MemoryBytes() int64 {
 	const nodeSize = 72
@@ -385,49 +372,3 @@ func (t *Tree) MemoryBytes() int64 {
 	}
 	return bytes
 }
-
-// CheckInvariants validates MBR containment, parent pointers, and entry
-// counts; used by tests.
-func (t *Tree) CheckInvariants() error {
-	return t.check(t.root, nil)
-}
-
-func (t *Tree) check(n *node, parent *node) error {
-	if n.parent != parent {
-		return errBadParent
-	}
-	if n.leaf {
-		for _, d := range n.data {
-			if !n.rect.ContainsRect(d.Rect) {
-				return errBadRect
-			}
-			if t.leafOf[d.ID] != n {
-				return errStaleLeaf
-			}
-		}
-		return nil
-	}
-	if len(n.children) == 0 {
-		return errEmptyInternal
-	}
-	for _, c := range n.children {
-		if !n.rect.ContainsRect(c.rect) {
-			return errBadRect
-		}
-		if err := t.check(c, n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type treeError string
-
-func (e treeError) Error() string { return string(e) }
-
-const (
-	errBadParent     = treeError("rtree: bad parent pointer")
-	errBadRect       = treeError("rtree: node rect does not contain entry")
-	errStaleLeaf     = treeError("rtree: stale leafOf entry")
-	errEmptyInternal = treeError("rtree: empty internal node")
-)

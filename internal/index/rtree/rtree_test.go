@@ -31,10 +31,10 @@ func TestBuildAndInvariants(t *testing.T) {
 	for _, n := range []int{0, 1, 9, 100, 400} {
 		for _, m := range []int{4, 8, 16} {
 			tr := Build(m, randomNodes(rng, n, 7))
-			if tr.Size() != n {
-				t.Fatalf("n=%d M=%d: Size = %d", n, m, tr.Size())
+			if tr.size != n {
+				t.Fatalf("n=%d M=%d: Size = %d", n, m, tr.size)
 			}
-			if err := tr.CheckInvariants(); err != nil {
+			if err := tr.checkInvariants(); err != nil {
 				t.Fatalf("n=%d M=%d: %v", n, m, err)
 			}
 			if got := len(tr.All()); got != n {
@@ -75,12 +75,12 @@ func TestDeleteAndUpdate(t *testing.T) {
 		if !tr.Delete(nodes[idx].ID) {
 			t.Fatalf("Delete(%d) returned false", nodes[idx].ID)
 		}
-		if err := tr.CheckInvariants(); err != nil {
+		if err := tr.checkInvariants(); err != nil {
 			t.Fatalf("after delete %d: %v", nodes[idx].ID, err)
 		}
 	}
-	if tr.Size() != 100 {
-		t.Fatalf("Size = %d, want 100", tr.Size())
+	if tr.size != 100 {
+		t.Fatalf("Size = %d, want 100", tr.size)
 	}
 	if tr.Delete(123456) {
 		t.Error("Delete of unknown ID should return false")
@@ -91,20 +91,20 @@ func TestDeleteAndUpdate(t *testing.T) {
 		repl := randomNodes(rng, 1, 7)[0]
 		repl.ID = nodes[idx].ID
 		tr.Update(repl)
-		if err := tr.CheckInvariants(); err != nil {
+		if err := tr.checkInvariants(); err != nil {
 			t.Fatalf("after update %d: %v", repl.ID, err)
 		}
 	}
-	if tr.Size() != 100 {
-		t.Fatalf("Size after updates = %d, want 100", tr.Size())
+	if tr.size != 100 {
+		t.Fatalf("Size after updates = %d, want 100", tr.size)
 	}
 
 	// Delete everything.
 	for _, idx := range perm[100:] {
 		tr.Delete(nodes[idx].ID)
 	}
-	if tr.Size() != 0 {
-		t.Fatalf("Size = %d after deleting all", tr.Size())
+	if tr.size != 0 {
+		t.Fatalf("Size = %d after deleting all", tr.size)
 	}
 	if got := tr.SearchIntersect(geo.Rect{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}); len(got) != 0 {
 		t.Fatalf("empty tree returned %d results", len(got))
@@ -114,8 +114,12 @@ func TestDeleteAndUpdate(t *testing.T) {
 func TestHeightGrows(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tr := Build(4, randomNodes(rng, 300, 7))
-	if tr.Height() < 3 {
-		t.Errorf("Height = %d, expected >= 3 for 300 entries with M=4", tr.Height())
+	height := 1
+	for n := tr.root; !n.leaf; n = n.children[0] {
+		height++
+	}
+	if height < 3 {
+		t.Errorf("height = %d, expected >= 3 for 300 entries with M=4", height)
 	}
 	if tr.NumNodes() < 75 {
 		t.Errorf("NumNodes = %d, unexpectedly small", tr.NumNodes())
@@ -131,3 +135,49 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// checkInvariants validates MBR containment, parent pointers, and leaf
+// back-pointers.
+func (t *Tree) checkInvariants() error {
+	return t.check(t.root, nil)
+}
+
+func (t *Tree) check(n *node, parent *node) error {
+	if n.parent != parent {
+		return errBadParent
+	}
+	if n.leaf {
+		for _, d := range n.data {
+			if !n.rect.ContainsRect(d.Rect) {
+				return errBadRect
+			}
+			if t.leafOf[d.ID] != n {
+				return errStaleLeaf
+			}
+		}
+		return nil
+	}
+	if len(n.children) == 0 {
+		return errEmptyInternal
+	}
+	for _, c := range n.children {
+		if !n.rect.ContainsRect(c.rect) {
+			return errBadRect
+		}
+		if err := t.check(c, n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+type treeError string
+
+func (e treeError) Error() string { return string(e) }
+
+const (
+	errBadParent     = treeError("rtree: bad parent pointer")
+	errBadRect       = treeError("rtree: node rect does not contain entry")
+	errStaleLeaf     = treeError("rtree: stale leafOf entry")
+	errEmptyInternal = treeError("rtree: empty internal node")
+)

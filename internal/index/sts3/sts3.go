@@ -90,36 +90,8 @@ func (idx *Index) OverlapCounts(q cellset.Set) map[int]int {
 	return counts
 }
 
-// PostingCounts returns the same counts through one pass over the query's
-// posting lists — the stronger inverted-scan strategy. It exists so tests
-// can cross-check the pairwise scan and so ablations can quantify the gap.
-func (idx *Index) PostingCounts(q cellset.Set) map[int]int {
-	counts := make(map[int]int)
-	for _, c := range q {
-		for _, ds := range idx.post[c] {
-			counts[int(ds)]++
-		}
-	}
-	return counts
-}
-
-// Cells returns the indexed cell set of a dataset (nil when unknown).
-func (idx *Index) Cells(id int) cellset.Set { return idx.cells[id] }
-
 // Name returns the stored name of a dataset ID.
 func (idx *Index) Name(id int) string { return idx.names[id] }
-
-// Size returns the number of indexed datasets.
-func (idx *Index) Size() int { return len(idx.cells) }
-
-// All returns the IDs of all indexed datasets.
-func (idx *Index) All() []int {
-	out := make([]int, 0, len(idx.cells))
-	for id := range idx.cells {
-		out = append(out, id)
-	}
-	return out
-}
 
 // MemoryBytes estimates the index's resident size: posting entries only —
 // the paper's Fig. 8 expects STS3 to be the smallest index.

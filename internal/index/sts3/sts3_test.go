@@ -2,6 +2,7 @@ package sts3
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dits/internal/cellset"
@@ -41,7 +42,6 @@ func TestOverlapCountsMatchOracle(t *testing.T) {
 		want := oracleCounts(nodes, q)
 		for variant, got := range map[string]map[int]int{
 			"pairwise": idx.OverlapCounts(q),
-			"postings": idx.PostingCounts(q),
 		} {
 			if len(got) != len(want) {
 				t.Fatalf("trial %d %s: %d candidates, want %d", trial, variant, len(got), len(want))
@@ -88,8 +88,8 @@ func TestMutationsKeepOracleAgreement(t *testing.T) {
 			live[id] = repl
 		}
 	}
-	if idx.Size() != len(live) {
-		t.Fatalf("Size = %d, want %d", idx.Size(), len(live))
+	if len(idx.cells) != len(live) {
+		t.Fatalf("%d datasets indexed, want %d", len(idx.cells), len(live))
 	}
 	var all []*dataset.Node
 	for _, n := range live {
@@ -111,23 +111,20 @@ func TestMutationsKeepOracleAgreement(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	n := dataset.NewNodeFromCells(7, "seven", cellset.New(1, 2, 3))
 	idx := Build([]*dataset.Node{n, nil})
-	if idx.Size() != 1 {
-		t.Errorf("Size = %d, want 1 (nil skipped)", idx.Size())
+	if len(idx.cells) != 1 {
+		t.Errorf("%d datasets indexed, want 1 (nil skipped)", len(idx.cells))
 	}
 	if idx.Name(7) != "seven" {
 		t.Error("Name not stored")
 	}
-	if !idx.Cells(7).Equal(n.Cells) {
+	if !slices.Equal(idx.cells[7], n.Cells) {
 		t.Error("Cells not stored")
-	}
-	if got := idx.All(); len(got) != 1 || got[0] != 7 {
-		t.Errorf("All = %v", got)
 	}
 	if idx.MemoryBytes() <= 0 {
 		t.Error("MemoryBytes should be positive")
 	}
 	idx.Delete(42) // unknown: no-op
-	if idx.Size() != 1 {
+	if len(idx.cells) != 1 {
 		t.Error("Delete(unknown) should not change size")
 	}
 }

@@ -31,9 +31,6 @@ var ErrSnapshotGap = errors.New("ingest: replica is behind the primary's snapsho
 // catches up over several pulls, each applied durably before the next.
 const maxShipBytes = 8 << 20
 
-// Replica reports whether the store was opened as a replica.
-func (st *Store) Replica() bool { return st.opts.Replica }
-
 // ShipWAL returns the raw WAL frames of every record with sequence number
 // beyond after, for a replica whose data version is after. The returned
 // version is the store's data version at ship time; tooOld reports that

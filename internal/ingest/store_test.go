@@ -1,12 +1,14 @@
 package ingest
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -115,7 +117,7 @@ func oracleIndex(byID map[int]*dataset.Node) *dits.Local {
 		// be indexed elsewhere.
 		nodes = append(nodes, dataset.NewNodeFromCells(nd.ID, nd.Name, nd.Cells))
 	}
-	dataset.SortByID(nodes)
+	slices.SortFunc(nodes, func(a, b *dataset.Node) int { return cmp.Compare(a.ID, b.ID) })
 	return dits.Build(testGrid(), nodes, 4)
 }
 

@@ -5,8 +5,10 @@
 package integration
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dits/internal/cellset"
@@ -182,7 +184,7 @@ func TestCenterAgainstSingleEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := eng.Grid()
+	g := geo.NewGrid(12, whole.Bounds())
 
 	// Split into three sources by dataset index.
 	parts := make([]*dataset.Source, 3)
@@ -235,7 +237,7 @@ func nodesOf(m map[int]*dataset.Node) []*dataset.Node {
 	for _, nd := range m {
 		out = append(out, nd)
 	}
-	dataset.SortByID(out)
+	slices.SortFunc(out, func(a, b *dataset.Node) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

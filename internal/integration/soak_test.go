@@ -181,8 +181,8 @@ func TestSoakKillAndRestartSourceUnderLoad(t *testing.T) {
 
 	// Phase 1 — healthy: let the load flow through both sources.
 	time.Sleep(300 * time.Millisecond)
-	if n := center.Metrics.TotalFailures(); n != 0 {
-		t.Fatalf("healthy phase already recorded %d source failures", n)
+	if f := center.Metrics.Failures(); len(f) != 0 {
+		t.Fatalf("healthy phase already recorded source failures: %v", f)
 	}
 
 	// Phase 2 — kill bravo mid-load.

@@ -81,9 +81,6 @@ func (h *Hist) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Hist) Count() int64 { return h.count.Load() }
-
 // Mean returns the mean observation as a duration (0 when empty).
 func (h *Hist) Mean() time.Duration {
 	n := h.count.Load()

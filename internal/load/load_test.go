@@ -15,8 +15,8 @@ func TestHistQuantiles(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	if n := h.count.Load(); n != 1000 {
+		t.Fatalf("count = %d", n)
 	}
 	// Log-linear buckets bound relative error at ~2^-histSubBits.
 	checks := []struct {

@@ -69,13 +69,6 @@ func (c *Counter) Reset() {
 // use; all methods are nil-safe.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores n.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
 // Add adds n (which may be negative).
 func (g *Gauge) Add(n int64) {
 	if g != nil {
@@ -140,52 +133,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
-}
-
-// Quantile returns an estimate of the q-quantile (0 < q <= 1) by linear
-// interpolation within the owning bucket. Observations beyond the last
-// bound report the last bound. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if float64(cum+c) >= rank && c > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // snapshot returns aligned (cumulative bucket counts, bounds) for
@@ -242,15 +195,6 @@ func (v *CounterVec) Snapshot() map[string]int64 {
 		out[k] = c.Value()
 	}
 	return out
-}
-
-// Total returns the sum over every label.
-func (v *CounterVec) Total() int64 {
-	var n int64
-	for _, c := range v.Snapshot() {
-		n += c
-	}
-	return n
 }
 
 // Reset drops every label series.
@@ -362,13 +306,6 @@ func (r *Registry) RegisterCounterVec(name, help, label string, v *CounterVec) {
 	}})
 }
 
-// RegisterHistogram exposes h as a histogram family.
-func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
-	r.add(family{name, help, "histogram", func(w io.Writer, n string) {
-		writeHistogram(w, n, "", "", h)
-	}})
-}
-
 // RegisterHistogramVec exposes v as a histogram family labeled by label.
 func (r *Registry) RegisterHistogramVec(name, help, label string, v *HistogramVec) {
 	r.add(family{name, help, "histogram", func(w io.Writer, n string) {
@@ -456,15 +393,4 @@ func sortedKeys(m map[string]int64) []string {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// LabelEscape sanitizes a dynamic label value (client IDs, source names)
-// so hostile input cannot break exposition lines: quoteLabel at the emit
-// sites handles text-format escaping; this trims unreasonable lengths.
-func LabelEscape(s string) string {
-	const maxLen = 120
-	if len(s) > maxLen {
-		s = s[:maxLen]
-	}
-	return strings.ToValidUTF8(s, "?")
 }

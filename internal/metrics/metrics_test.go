@@ -1,9 +1,11 @@
 package metrics
 
 import (
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,19 +19,18 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 		t.Fatal("nil counter must read 0")
 	}
 	var g *Gauge
-	g.Set(3)
 	g.Add(-1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge must read 0")
 	}
 	var h *Histogram
 	h.Observe(1)
-	if h.Count() != 0 || h.Quantile(0.5) != 0 {
+	if h.Sum() != 0 {
 		t.Fatal("nil histogram must be empty")
 	}
 	var v *CounterVec
 	v.With("x").Inc()
-	if v.Total() != 0 {
+	if len(v.Snapshot()) != 0 {
 		t.Fatal("nil vec must read 0")
 	}
 	var hv *HistogramVec
@@ -45,31 +46,25 @@ func TestCounterAndGauge(t *testing.T) {
 		t.Fatalf("counter = %d, want 42", got)
 	}
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("gauge = %d, want 7", got)
 	}
 }
 
+// TestHistogramQuantiles checks the cumulative buckets a scraper estimates
+// quantiles from, and the count and sum that go with them.
 func TestHistogramQuantiles(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4, 8, 16})
 	for i := 0; i < 100; i++ {
 		h.Observe(float64(i%16) + 0.5) // uniform over [0.5, 15.5]
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	med := h.Quantile(0.5)
-	if med < 2 || med > 12 {
-		t.Fatalf("median %.2f implausible for uniform [0.5,15.5]", med)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 8 || p99 > 16 {
-		t.Fatalf("p99 %.2f out of range", p99)
-	}
-	if q := h.Quantile(1); q > 16 {
-		t.Fatalf("q1 %.2f beyond last bound", q)
+	// Each cycle of 16 puts 1, 2, 4, 8 and 16 values at or below the
+	// bounds; 6 full cycles plus 0.5, 1.5, 2.5 and 3.5.
+	_, cum, count, _ := h.snapshot()
+	if want := []int64{7, 14, 28, 52, 100, 100}; !slices.Equal(cum, want) || count != 100 {
+		t.Fatalf("cumulative buckets %v, count %d; want %v, 100", cum, count, want)
 	}
 	// 6 full cycles of 0.5..15.5 (sum 128) plus 0.5+1.5+2.5+3.5.
 	if math.Abs(h.Sum()-776) > 1e-6 {
@@ -80,8 +75,8 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestHistogramOverflowBucket(t *testing.T) {
 	h := NewHistogram([]float64{1, 2})
 	h.Observe(100)
-	if q := h.Quantile(0.99); q != 2 {
-		t.Fatalf("overflow quantile = %v, want last bound 2", q)
+	if _, cum, _, _ := h.snapshot(); !slices.Equal(cum, []int64{0, 0, 1}) {
+		t.Fatalf("cumulative buckets %v, want the observation in +Inf only", cum)
 	}
 }
 
@@ -99,10 +94,14 @@ func TestCounterVecConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if v.Total() != 8000 {
-		t.Fatalf("total = %d, want 8000", v.Total())
-	}
 	snap := v.Snapshot()
+	var total int64
+	for _, n := range snap {
+		total += n
+	}
+	if total != 8000 {
+		t.Fatalf("total = %d, want 8000", total)
+	}
 	if len(snap) != 3 {
 		t.Fatalf("labels = %d, want 3", len(snap))
 	}
@@ -114,7 +113,7 @@ func TestWritePrometheus(t *testing.T) {
 	c.Add(3)
 	r.RegisterCounter("dits_test_total", "a test counter", &c)
 	var g Gauge
-	g.Set(-2)
+	g.Add(-2)
 	r.RegisterGauge("dits_test_gauge", "a test gauge", &g)
 	var v CounterVec
 	v.With("overlap.search").Add(5)
@@ -124,7 +123,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
-	r.RegisterHistogram("dits_test_seconds", "latency", h)
+	registerHistogram(r, "dits_test_seconds", "latency", h)
 	r.RegisterGaugeFunc("dits_test_fn", "from func", func() float64 { return 1.5 })
 
 	var sb strings.Builder
@@ -170,6 +169,13 @@ func TestHistogramVecExposition(t *testing.T) {
 	}
 }
 
+// registerHistogram exposes h as an unlabeled histogram family.
+func registerHistogram(r *Registry, name, help string, h *Histogram) {
+	r.add(family{name, help, "histogram", func(w io.Writer, n string) {
+		writeHistogram(w, n, "", "", h)
+	}})
+}
+
 // expectGolden compares a full exposition against a testdata golden file,
 // byte for byte — the promtool-style check that bucket lines, the +Inf
 // bucket, and the _sum/_count trailers appear exactly once and in order.
@@ -195,7 +201,7 @@ func TestHistogramExpositionGolden(t *testing.T) {
 		h.Observe(v)
 	}
 	r := NewRegistry()
-	r.RegisterHistogram("dits_golden_seconds", "request latency", h)
+	registerHistogram(r, "dits_golden_seconds", "request latency", h)
 	expectGolden(t, r, "histogram.golden")
 }
 
@@ -242,15 +248,5 @@ func TestLabelValueEscaping(t *testing.T) {
 	}
 	if strings.Contains(out, `\u`) || strings.Contains(out, `\x`) {
 		t.Errorf("Go-style escapes leaked into exposition:\n%s", out)
-	}
-}
-
-func TestLabelEscape(t *testing.T) {
-	long := strings.Repeat("x", 500)
-	if got := LabelEscape(long); len(got) != 120 {
-		t.Fatalf("len = %d, want 120", len(got))
-	}
-	if got := LabelEscape("ok\xffname"); !strings.Contains(got, "?") {
-		t.Fatalf("invalid UTF-8 not replaced: %q", got)
 	}
 }

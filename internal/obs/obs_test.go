@@ -156,8 +156,8 @@ func TestWireContextRoundTrip(t *testing.T) {
 	ctx, sp := StartSpan(WithTrace(context.Background(), tr), "rpc")
 	buf := AppendContext(nil, ctx)
 	id, parent, ok := ParseContext(buf)
-	if !ok || id != tr.ID() || parent != sp.ID() {
-		t.Fatalf("ParseContext = %v %v %v, want %v %v", id, parent, ok, tr.ID(), sp.ID())
+	if !ok || id != tr.ID() || parent != sp.id {
+		t.Fatalf("ParseContext = %v %v %v, want %v %v", id, parent, ok, tr.ID(), sp.id)
 	}
 	if _, _, ok := ParseContext(buf[:10]); ok {
 		t.Fatal("ParseContext accepted a short frame")
@@ -172,7 +172,7 @@ func TestAdoptAndMerge(t *testing.T) {
 	rpcStart := tr.Offset()
 
 	// Server side: adopt the shipped context, do work, ship spans back.
-	remote := Adopt(tr.ID(), rpc.ID())
+	remote := Adopt(tr.ID(), rpc.id)
 	rctx := WithTrace(context.Background(), remote)
 	_, serve := StartSpan(rctx, "serve:overlap.search")
 	serve.End()
@@ -194,7 +194,7 @@ func TestAdoptAndMerge(t *testing.T) {
 	if !merged.Remote {
 		t.Error("merged span not flagged Remote")
 	}
-	if merged.Parent != rpc.ID() {
+	if merged.Parent != rpc.id {
 		t.Error("merged span not parented to the RPC span")
 	}
 	if merged.Start < rpcStart {

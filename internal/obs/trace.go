@@ -243,14 +243,6 @@ type ActiveSpan struct {
 	err      string
 }
 
-// ID returns the span's ID (0 on a nil handle).
-func (s *ActiveSpan) ID() SpanID {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // SetSource attaches a peer/source/detail label.
 func (s *ActiveSpan) SetSource(src string) {
 	if s != nil {

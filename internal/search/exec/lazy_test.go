@@ -32,8 +32,9 @@ func lazySubset(rng *rand.Rand, s cellset.Set) cellset.Set {
 // lazyConnected is the connectivity of the fuzz below, δ = 1 on the cell
 // IDs: some cell of nd is, or neighbours, a cell of merged.
 func lazyConnected(merged *cellset.Compact, nd *dataset.Node) bool {
+	flat := merged.Set()
 	for _, c := range nd.Cells {
-		if merged.Contains(c) || merged.Contains(c+1) || (c > 0 && merged.Contains(c-1)) {
+		if flat.Contains(c) || flat.Contains(c+1) || (c > 0 && flat.Contains(c-1)) {
 			return true
 		}
 	}

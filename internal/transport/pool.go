@@ -67,9 +67,6 @@ func DialPool(name, addr string, size int, metrics *Metrics) *Pool {
 // Name returns the pool's source name.
 func (p *Pool) Name() string { return p.name }
 
-// Size returns the maximum number of connections the pool will open.
-func (p *Pool) Size() int { return cap(p.sem) }
-
 // PoolStats is a snapshot of a pool's connection accounting.
 type PoolStats struct {
 	Size     int   // maximum connections

@@ -226,8 +226,8 @@ func TestPoolSaturatedRespectsDeadline(t *testing.T) {
 func TestPoolSizeFloor(t *testing.T) {
 	pool := NewPool("s", 0, func() (Peer, error) { return nil, errors.New("no dial") })
 	defer pool.Close()
-	if pool.Size() != 1 {
-		t.Errorf("Size = %d, want 1", pool.Size())
+	if n := cap(pool.sem); n != 1 {
+		t.Errorf("pool size = %d, want 1", n)
 	}
 	if err := pool.Call(context.Background(), "m", nil, nil); err == nil {
 		t.Error("dial failure not propagated")

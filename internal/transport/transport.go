@@ -149,14 +149,6 @@ func (m *Metrics) Failures() map[string]int64 {
 	return m.failures.Snapshot()
 }
 
-// TotalFailures returns the number of failed exchanges recorded.
-func (m *Metrics) TotalFailures() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.failures.Total()
-}
-
 // Messages returns the number of exchanges recorded.
 func (m *Metrics) Messages() int64 { return m.messages.Value() }
 
