@@ -13,20 +13,20 @@ func TestDistPaperExample(t *testing.T) {
 	d1 := New(9, 11)
 	d2 := New(1, 3)
 	d3 := New(12, 13)
-	if d := math.Sqrt(Dist2(d1, d2)); d != 1 {
+	if d := DistNaive(d1, d2); d != 1 {
 		t.Errorf("dist(D1,D2) = %v, want 1", d)
 	}
-	if d := math.Sqrt(Dist2(d1, d3)); d != 1 {
+	if d := DistNaive(d1, d3); d != 1 {
 		t.Errorf("dist(D1,D3) = %v, want 1", d)
 	}
-	if d := math.Sqrt(Dist2(d2, d3)); math.Abs(d-math.Sqrt2) > 1e-12 {
+	if d := DistNaive(d2, d3); math.Abs(d-math.Sqrt2) > 1e-12 {
 		t.Errorf("dist(D2,D3) = %v, want sqrt2", d)
 	}
 }
 
 func TestDistEmpty(t *testing.T) {
-	if !math.IsInf(Dist2(nil, New(1)), 1) {
-		t.Error("Dist2 with empty set should be +Inf")
+	if !math.IsInf(DistNaive(nil, New(1)), 1) {
+		t.Error("DistNaive with empty set should be +Inf")
 	}
 	if !math.IsInf(DistNaive(New(1), nil), 1) {
 		t.Error("DistNaive with empty set should be +Inf")
@@ -39,23 +39,11 @@ func TestDistEmpty(t *testing.T) {
 func TestDistZeroOnOverlap(t *testing.T) {
 	a := New(5, 9, 77)
 	b := New(3, 77, 200)
-	if d := math.Sqrt(Dist2(a, b)); d != 0 {
+	if d := DistNaive(a, b); d != 0 {
 		t.Errorf("overlapping sets dist = %v, want 0", d)
 	}
 	if !WithinDist(a, b, 0) {
 		t.Error("overlapping sets should be connected at δ=0")
-	}
-}
-
-func TestDistMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 300; trial++ {
-		a := randomGridSet(rng, 1+rng.Intn(60))
-		b := randomGridSet(rng, 1+rng.Intn(60))
-		want := DistNaive(a, b)
-		if got := math.Sqrt(Dist2(a, b)); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d: Dist = %v, naive = %v\na=%v\nb=%v", trial, got, want, a, b)
-		}
 	}
 }
 
@@ -87,16 +75,6 @@ func randomGridSet(rng *rand.Rand, n int) Set {
 		ids[i] = geo.ZEncode(uint32(rng.Intn(64)), uint32(rng.Intn(64)))
 	}
 	return New(ids...)
-}
-
-func BenchmarkDistSweep(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := randomGridSet(rng, 500)
-	y := randomGridSet(rng, 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Dist2(x, y)
-	}
 }
 
 func BenchmarkWithinDistHash(b *testing.B) {

@@ -16,7 +16,7 @@ import (
 
 // The binary wire codec of the federation protocol, dits-bin/1 — the only
 // encoding payloads travel in. The transport installs it for every
-// connection; the hello magic (transport's dits-hello/3) versions it.
+// connection; the hello magic (transport's dits-hello/4) versions it.
 //
 // Every payload opens with a message-type byte, so a frame decoded as the
 // wrong type errors instead of misparsing, and then the message fields
@@ -26,8 +26,8 @@ import (
 // varints, floats are 8 little-endian bytes of their IEEE-754 bits,
 // bools are one byte, strings are uvarint length + bytes, slices are
 // uvarint length + elements, and cell sets use the cellset wire form
-// (delta-varint cell IDs or Compact containers as raw little-endian
-// words — see cellset/wire.go and docs/PROTOCOL.md).
+// (per chunk, byte deltas behind control bits or a bitmap's words — see
+// cellset/wire.go and docs/PROTOCOL.md).
 //
 // The decoder is defensive end to end: every length is validated against
 // the remaining input before allocation and corrupt or truncated frames

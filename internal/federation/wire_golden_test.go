@@ -9,9 +9,10 @@ import (
 	"dits/internal/cellset"
 )
 
-// goldenCellSets are the cell-set shapes whose encodings are pinned: both
-// sides of the flat/container crossover (64 and 65 cells), a set over
-// several array chunks, and one with a bitmap chunk.
+// goldenCellSets are the cell-set shapes whose encodings are pinned: 64
+// cells in one array chunk (eight full control bytes), 65 cells that
+// straddle a chunk edge (the deltas restart in the second chunk), a set
+// over several array chunks, and one with a bitmap chunk.
 func goldenCellSets() []struct {
 	name string
 	set  cellset.Set
@@ -62,11 +63,11 @@ func setCellField(f reflect.Value, s cellset.Set) {
 func TestCellSetMessagesGoldenBytes(t *testing.T) {
 	want := map[string][3]string{
 		"0 cells":      {"812e446ec0368917", "233ff8e4a5c7ecd3", "7409bb6741c48397"},
-		"1 cell":       {"20ce5507bfe03ebd", "bc91f0389c3a25d6", "db1edc05e92be7a6"},
-		"64 cells":     {"42e09b1ebfd4eedd", "7bdaa55514481f77", "76d9cb1ba1890e1a"},
-		"65 cells":     {"e0f9e270813b3fa9", "f948a1fe699904e2", "3e6ec0a52425ed28"},
-		"5 chunks":     {"809bd382570196c8", "5d23b143099f8366", "9d011a1119eddc21"},
-		"bitmap chunk": {"62b424bf35c5f52a", "c4cec84269f754ee", "bec87e50ec7c0a04"},
+		"1 cell":       {"4ea3d37d3dda462e", "a9ecf58a95ae637a", "314d9f1f9bdd8023"},
+		"64 cells":     {"60999fceadb184cc", "dff2ffa33553d55b", "c9b961b632930e6a"},
+		"65 cells":     {"a1fc7c53e5ac1fd8", "92ecbf3023bbc50e", "76f0312ec7bf8489"},
+		"5 chunks":     {"c198814933d432bc", "969d65be60a3f1b3", "564cd15c035ea40f"},
+		"bitmap chunk": {"7dccbb1580cb4512", "4e07afa6ce06e5fb", "06ad831f1136aed5"},
 	}
 	for _, g := range goldenCellSets() {
 		base := &CoverageRoundRequest{Session: 1 << 40, Delta: 2.5, Exclude: []int{3, 17}}
@@ -97,7 +98,7 @@ func TestForwardGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(wire)
-	if got, want := hex.EncodeToString(sum[:8]), "2a167f04f1bb8cfb"; got != want {
+	if got, want := hex.EncodeToString(sum[:8]), "37451d15c5943c26"; got != want {
 		t.Errorf("%d bytes, digest %s, want %s", len(wire), got, want)
 	}
 }

@@ -141,10 +141,36 @@ func (n *TreeNode) refreshSummaries() {
 // LeafScratch is the working memory of OverlapCounts. Each worker owns one
 // and passes it to every leaf it verifies, so after the buffers have grown
 // to the widest leaf the verification loop allocates nothing. The zero
-// value is ready to use.
+// value is ready to use; NewLeafScratch hands out one whose buffers have
+// already grown in earlier queries.
 type LeafScratch struct {
 	counts []int
 	ranks  []uint32
+}
+
+// leafScratches is the free list behind NewLeafScratch, 16 slots like
+// cellset's probe list; a scratch that finds it full is dropped. A
+// channel, not a sync.Pool, so that a warm query allocates nothing under
+// the race detector as well.
+var leafScratches = make(chan *LeafScratch, 16)
+
+// NewLeafScratch returns a scratch from the free list, or a new one. The
+// caller must Release it when done.
+func NewLeafScratch() *LeafScratch {
+	select {
+	case s := <-leafScratches:
+		return s
+	default:
+		return &LeafScratch{}
+	}
+}
+
+// Release returns s to the free list. s must not be used afterwards.
+func (s *LeafScratch) Release() {
+	select {
+	case leafScratches <- s:
+	default:
+	}
 }
 
 // OverlapCounts is the verification step of Algorithm 2 for one leaf: the

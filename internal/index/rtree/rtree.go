@@ -27,7 +27,6 @@ type Tree struct {
 	root   *node
 	max    int // M: max entries per node
 	min    int // m: min entries per node (M/2)
-	size   int
 	leafOf map[int]*node
 }
 
@@ -63,7 +62,6 @@ func (t *Tree) Insert(d *dataset.Node) {
 	leaf.data = append(leaf.data, d)
 	leaf.rect = leaf.rect.Union(d.Rect)
 	t.leafOf[d.ID] = leaf
-	t.size++
 	if len(leaf.data) > t.max {
 		t.splitNode(leaf)
 	} else {
@@ -256,14 +254,12 @@ func (t *Tree) Delete(id int) bool {
 		}
 	}
 	delete(t.leafOf, id)
-	t.size--
 
 	if len(leaf.data) < t.min && leaf.parent != nil {
 		orphans := append([]*dataset.Node(nil), leaf.data...)
 		t.detach(leaf)
 		for _, d := range orphans {
 			delete(t.leafOf, d.ID)
-			t.size--
 			t.Insert(d)
 		}
 	} else {

@@ -31,8 +31,8 @@ func TestBuildAndInvariants(t *testing.T) {
 	for _, n := range []int{0, 1, 9, 100, 400} {
 		for _, m := range []int{4, 8, 16} {
 			tr := Build(m, randomNodes(rng, n, 7))
-			if tr.size != n {
-				t.Fatalf("n=%d M=%d: Size = %d", n, m, tr.size)
+			if len(tr.leafOf) != n {
+				t.Fatalf("n=%d M=%d: Size = %d", n, m, len(tr.leafOf))
 			}
 			if err := tr.checkInvariants(); err != nil {
 				t.Fatalf("n=%d M=%d: %v", n, m, err)
@@ -79,8 +79,8 @@ func TestDeleteAndUpdate(t *testing.T) {
 			t.Fatalf("after delete %d: %v", nodes[idx].ID, err)
 		}
 	}
-	if tr.size != 100 {
-		t.Fatalf("Size = %d, want 100", tr.size)
+	if len(tr.leafOf) != 100 {
+		t.Fatalf("Size = %d, want 100", len(tr.leafOf))
 	}
 	if tr.Delete(123456) {
 		t.Error("Delete of unknown ID should return false")
@@ -95,16 +95,16 @@ func TestDeleteAndUpdate(t *testing.T) {
 			t.Fatalf("after update %d: %v", repl.ID, err)
 		}
 	}
-	if tr.size != 100 {
-		t.Fatalf("Size after updates = %d, want 100", tr.size)
+	if len(tr.leafOf) != 100 {
+		t.Fatalf("Size after updates = %d, want 100", len(tr.leafOf))
 	}
 
 	// Delete everything.
 	for _, idx := range perm[100:] {
 		tr.Delete(nodes[idx].ID)
 	}
-	if tr.size != 0 {
-		t.Fatalf("Size = %d after deleting all", tr.size)
+	if len(tr.leafOf) != 0 {
+		t.Fatalf("Size = %d after deleting all", len(tr.leafOf))
 	}
 	if got := tr.SearchIntersect(geo.Rect{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}); len(got) != 0 {
 		t.Fatalf("empty tree returned %d results", len(got))

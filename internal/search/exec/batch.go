@@ -123,7 +123,8 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 	// query's threshold rises early and later leaves are skipped per query
 	// by the same Lemma 2 logic as the single-query path.
 	slices.SortFunc(leaves, func(a, b batchLeaf) int { return cmp.Compare(b.maxUB, a.maxUB) })
-	var scratch dits.LeafScratch
+	scratch := dits.NewLeafScratch()
+	defer scratch.Release()
 	for li, bl := range leaves {
 		if li%8 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -135,7 +136,7 @@ func (e *Executor) OverlapTopKBatch(ctx context.Context, idx *dits.Local, batch 
 			if int(bl.ubs[j]) < st.t.Threshold() {
 				continue // this query can no longer gain from this leaf
 			}
-			verifyLeaf(st.t, bl.leaf, st.q, &scratch)
+			verifyLeaf(st.t, bl.leaf, st.q, scratch)
 		}
 	}
 	for i, st := range states {

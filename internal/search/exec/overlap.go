@@ -39,7 +39,8 @@ func (e *Executor) OverlapTopK(ctx context.Context, idx *dits.Local, q *dataset.
 	lq := cellset.NewProbe(q.CompactCells())
 	defer lq.Release()
 	t := overlap.NewTopK(k)
-	var scratch dits.LeafScratch
+	scratch := dits.NewLeafScratch()
+	defer scratch.Release()
 	for i, c := range idx.Root.FilterLeaves(q) {
 		if i%64 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -49,7 +50,7 @@ func (e *Executor) OverlapTopK(ctx context.Context, idx *dits.Local, q *dataset.
 		if c.UB < t.Threshold() {
 			break // every later leaf is bounded even lower
 		}
-		verifyLeaf(t, c.Leaf, lq, &scratch)
+		verifyLeaf(t, c.Leaf, lq, scratch)
 	}
 	return t.Sorted(), nil
 }

@@ -32,13 +32,14 @@ func TraceOverlap(idx *dits.Local, q *dataset.Node, k int) OverlapTrace {
 	lq := cellset.NewProbe(q.CompactCells())
 	defer lq.Release()
 	t := overlap.NewTopK(k)
-	var scratch dits.LeafScratch
+	scratch := dits.NewLeafScratch()
+	defer scratch.Release()
 	for _, c := range cands {
 		if c.UB < t.Threshold() {
 			break
 		}
 		ts := time.Now()
-		verifyLeaf(t, c.Leaf, lq, &scratch)
+		verifyLeaf(t, c.Leaf, lq, scratch)
 		tr.TaskNs = append(tr.TaskNs, float64(time.Since(ts).Nanoseconds()))
 	}
 	start = time.Now()

@@ -47,7 +47,8 @@ func (s *DITSSearcher) TopK(q *dataset.Node, k int) []Result {
 	// per-dataset counting; with DisableBounds its threshold stays 0,
 	// which never prunes.
 	res := NewTopK(k)
-	var scratch dits.LeafScratch
+	scratch := dits.NewLeafScratch()
+	defer scratch.Release()
 	for _, c := range s.Index.Root.FilterLeaves(q) {
 		if c.UB < res.Threshold() {
 			break // every later leaf has an even smaller upper bound
@@ -56,7 +57,7 @@ func (s *DITSSearcher) TopK(q *dataset.Node, k int) []Result {
 		if !s.DisableBounds {
 			th = res.Threshold()
 		}
-		for i, n := range c.Leaf.OverlapCounts(lq, th, &scratch) {
+		for i, n := range c.Leaf.OverlapCounts(lq, th, scratch) {
 			if n > 0 {
 				d := c.Leaf.Children[i]
 				res.Offer(Result{ID: d.ID, Name: d.Name, Overlap: n})

@@ -177,6 +177,9 @@ func TestTCPLegacyInterop(t *testing.T) {
 		{"legacy server", 1, "unknown method \"transport.hello\""},
 		{"other version", 0, "gob gzip trace"},
 		{"hello/2 server", 0, "dits-hello/2 trace"},
+		// The last version before array chunks went out as byte deltas:
+		// it would read them as raw words, into wrong sets.
+		{"hello/3 server", 0, "dits-hello/3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -214,6 +217,9 @@ func TestTCPLegacyInterop(t *testing.T) {
 			if !strings.Contains(err.Error(), "legacy-src") {
 				t.Errorf("dial error does not name the peer: %v", err)
 			}
+			if tc.status == 0 && !strings.Contains(err.Error(), tc.reply) {
+				t.Errorf("dial error does not name the peer's version %q: %v", tc.reply, err)
+			}
 			ln.Close()
 			<-done
 		})
@@ -235,6 +241,7 @@ func TestTCPForeignHelloClosesConn(t *testing.T) {
 	}{
 		{"hello/1", MethodHello, "dits-hello/1 gob gzip,trace"},
 		{"hello/2", MethodHello, "dits-hello/2 trace"},
+		{"hello/3", MethodHello, "dits-hello/3"},
 		{"no hello", "m", ""},
 	}
 	for _, tc := range cases {
