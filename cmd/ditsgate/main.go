@@ -62,7 +62,7 @@ func main() {
 	theta := flag.Int("theta", 12, "grid resolution θ (must match the sources)")
 	boundsFlag := flag.String("bounds", "", "shared world bounds minX,minY,maxX,maxY (required; must match the sources)")
 	poolSize := flag.Int("pool", 8, "TCP connections per source")
-	cacheSize := flag.Int("cache", 4096, "result cache capacity in entries (0 disables)")
+	cacheSize := flag.Int("cache", 4096, "result cache capacity in entries, one per source answer to an OJSP or per CJSP answer (0 disables)")
 	noFilter := flag.Bool("no-filter", false, "disable DITS-G candidate filtering")
 	noClip := flag.Bool("no-clip", false, "disable per-source query clipping")
 	tolerant := flag.Bool("tolerant", false, "skip failed sources mid-query instead of failing the query")

@@ -1,10 +1,11 @@
 // Package cache provides a sharded, fixed-capacity LRU cache used by the
-// federation center to memoize whole-query results. Keys are canonical
-// byte strings (the cell-based query representation is already sorted and
-// de-duplicated, so equal queries produce equal keys); sharding by key
-// hash keeps lock contention low when many gateway clients hit the cache
-// concurrently. All methods are safe for concurrent use and safe on a nil
-// *Cache, which behaves as an always-miss cache.
+// federation center to memoize query answers: one source's local top-k per
+// OJSP entry, a whole answer per CJSP entry. Keys are canonical byte
+// strings that name everything an answer depends on, so no entry is ever
+// invalidated in place — one that no query names any more ages out of the
+// LRU. Sharding by key hash keeps lock contention low when many gateway
+// clients hit the cache concurrently. All methods are safe for concurrent
+// use and safe on a nil *Cache, which behaves as an always-miss cache.
 package cache
 
 import (
@@ -123,22 +124,6 @@ func (c *Cache) Len() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// Clear drops every entry; the hit/miss counters are kept. The center
-// calls this when federation membership changes, since cached results may
-// then include departed sources or miss new ones.
-func (c *Cache) Clear() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.ll.Init()
-		s.items = make(map[string]*list.Element)
-		s.mu.Unlock()
-	}
 }
 
 // Stats is a snapshot of the cache's counters.

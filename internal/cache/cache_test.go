@@ -92,19 +92,6 @@ func TestRecencyOrder(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	c := New(32)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Clear()
-	if c.Len() != 0 {
-		t.Errorf("Len after Clear = %d", c.Len())
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Error("entry survived Clear")
-	}
-}
-
 func TestNilCache(t *testing.T) {
 	var c *Cache
 	if c != New(0) {
@@ -114,14 +101,13 @@ func TestNilCache(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Error("nil cache hit")
 	}
-	c.Clear()
 	if c.Len() != 0 || c.Stats() != (Stats{}) {
 		t.Error("nil cache not empty")
 	}
 }
 
-// TestConcurrentAccess is the -race stress test: readers, writers, and
-// clearers on overlapping keys.
+// TestConcurrentAccess is the -race stress test: readers and writers on
+// overlapping keys, past capacity.
 func TestConcurrentAccess(t *testing.T) {
 	c := New(128)
 	var wg sync.WaitGroup
@@ -137,9 +123,6 @@ func TestConcurrentAccess(t *testing.T) {
 						t.Errorf("corrupt value %v", v)
 						return
 					}
-				}
-				if i%100 == 0 && w == 0 {
-					c.Clear()
 				}
 			}
 		}(w)

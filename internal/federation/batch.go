@@ -3,6 +3,7 @@ package federation
 import (
 	"cmp"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"slices"
@@ -11,26 +12,34 @@ import (
 
 	"dits/internal/cache"
 	"dits/internal/cellset"
+	"dits/internal/obs"
 )
 
 // BatchQuery is one OJSP query of a batched federated search: its cell
 // set and its own k — the shape a source receives in a search.batch.
 type BatchQuery = OverlapRequest
 
-// batchPrep is the per-query state the center computes before any network
-// traffic: cache key/hit, and which sources are candidates with what clip.
-type batchPrep struct {
-	cached  bool
-	key     string
-	members []*member     // candidate sources, name-ordered
-	clips   []cellset.Set // aligned with members; non-empty
+// overlapPrep is one OJSP query's state before any network traffic: the
+// cached answers of the candidate sources that hit, concatenated, and the
+// candidates that missed and have cells to ask about, name-ordered.
+type overlapPrep struct {
+	found []SourceResult
+	asks  []overlapAsk
+}
+
+// overlapAsk is one source a query must ask: the cache key of its answer
+// (empty without a cache) and the query cells clipped for it (non-empty).
+type overlapAsk struct {
+	m    *member
+	key  string
+	clip cellset.Set
 }
 
 // subEntry is one query of a source's sub-batch: the index into the
-// center's batch and the cells clipped for this source.
+// center's batch, and what to ask this source.
 type subEntry struct {
-	qi   int
-	clip cellset.Set
+	qi int
+	overlapAsk
 }
 
 // OverlapSearchBatch answers a batch of federated OJSP queries in one
@@ -41,7 +50,7 @@ type subEntry struct {
 // per-query answers are merged exactly like OverlapSearch would. Entry i
 // of the result aligns with queries[i], and each entry is identical to
 // what OverlapSearch(queries[i].Cells, queries[i].K) returns — the batch
-// shares the same result cache, so mixed single/batched traffic
+// shares the same per-source cache entries, so mixed single/batched traffic
 // deduplicates. A failed source follows Options.OnSourceError like every
 // federated query.
 func (c *Center) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) ([][]SourceResult, error) {
@@ -53,12 +62,12 @@ func (c *Center) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) (
 	if len(ep.members) == 0 {
 		return out, nil
 	}
-	rc := c.Cache()
+	rc, vers := c.Cache(), *c.versions.Load()
 
-	// Phase 1: per-query prep on the pool — cache probe, DITS-G candidate
-	// filter, per-source clipping. Queries are independent; each is owned
-	// by exactly one worker.
-	preps := make([]batchPrep, len(queries))
+	// Phase 1: per-query prep on the pool — DITS-G candidate filter,
+	// per-source cache probe, clipping of the misses. Queries are
+	// independent; each is owned by exactly one worker.
+	preps := make([]overlapPrep, len(queries))
 	var cursor atomic.Int64
 	workers := min(runtime.GOMAXPROCS(0), len(queries))
 	var wg sync.WaitGroup
@@ -71,7 +80,7 @@ func (c *Center) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) (
 				if i >= len(queries) {
 					return
 				}
-				preps[i] = c.prepQuery(ep, rc, queries[i], &out[i])
+				preps[i] = c.prepQuery(ctx, ep, rc, vers, queries[i])
 			}
 		}()
 	}
@@ -81,11 +90,9 @@ func (c *Center) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) (
 	// center-batch order, so responses align deterministically.
 	sub := make(map[*member][]subEntry)
 	for i := range preps {
-		if preps[i].cached {
-			continue
-		}
-		for j, m := range preps[i].members {
-			sub[m] = append(sub[m], subEntry{qi: i, clip: preps[i].clips[j]})
+		out[i] = preps[i].found
+		for _, a := range preps[i].asks {
+			sub[a.m] = append(sub[a.m], subEntry{qi: i, overlapAsk: a})
 		}
 	}
 	contact := make([]*member, 0, len(sub))
@@ -115,63 +122,64 @@ func (c *Center) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) (
 		return nil, err
 	}
 
-	// Phase 4: merge per query; queries touched by a failed source are
-	// degraded and never cached (the source may recover).
-	degraded := make([]bool, len(queries))
+	// Phase 4: merge per query. A failed source's answers are never cached
+	// (the source may recover); the survivors' are.
 	for i, call := range calls {
+		if errs[i] != nil {
+			continue
+		}
 		for j, e := range sub[call.m] {
-			if errs[i] != nil {
-				degraded[e.qi] = true
-				continue
-			}
-			out[e.qi] = appendResults(out[e.qi], call.m.summary.Name, &call.resp.(*SearchBatchResponse).Results[j])
+			out[e.qi] = keepAnswer(rc, e.key, out[e.qi], call.m.summary.Name, &call.resp.(*SearchBatchResponse).Results[j])
 		}
 	}
 	for i := range out {
-		if preps[i].cached {
-			continue
-		}
 		out[i] = topK(out[i], queries[i].K)
-		if rc != nil && preps[i].key != "" && !degraded[i] {
-			rc.Put(preps[i].key, append([]SourceResult(nil), out[i]...))
-		}
 	}
 	return out, nil
 }
 
-// prepQuery computes one query's cache/candidate/clip prep. On a cache hit
-// the result slot is filled directly and no source work remains.
-func (c *Center) prepQuery(ep *epochSnap, rc *cache.Cache, q BatchQuery, slot *[]SourceResult) batchPrep {
-	if q.K <= 0 || q.Cells.IsEmpty() {
-		return batchPrep{cached: true} // nothing to ask; the slot stays nil
+// prepQuery computes one OJSP query's prep against the pinned epoch, with
+// vers the version vector read before any call. Each DITS-G candidate's
+// local top-k is probed under its own key (answerKey), in one cache.probe
+// span; a hit skips the candidate's clip as well as its call. A candidate
+// whose clip is empty has nothing to answer: it is neither asked nor
+// cached.
+func (c *Center) prepQuery(ctx context.Context, ep *epochSnap, rc *cache.Cache, vers map[string]uint64, q BatchQuery) (p overlapPrep) {
+	if q.K <= 0 || q.Cells.IsEmpty() || len(ep.members) == 0 {
+		return p
 	}
 	qn, ok := c.queryNode(q.Cells)
 	if !ok {
-		return batchPrep{cached: true}
+		return p
 	}
-	var p batchPrep
-	// The candidate filter runs before the cache probe: the key embeds
-	// each candidate's data version (see queryKey), exactly like the
-	// single-query path, so batch and single answers share entries and
-	// invalidate together.
 	cands := c.candidates(ep, qn, 0)
+	p.asks = make([]overlapAsk, 0, len(cands))
+	var d [sha256.Size]byte
+	var sp *obs.ActiveSpan
 	if rc != nil {
-		p.key = c.queryKey(ep.gen, 'O', uint64(q.K), 0, q.Cells, cands)
-		if v, ok := rc.Get(p.key); ok {
-			cached := v.([]SourceResult)
-			*slot = append([]SourceResult(nil), cached...)
-			p.cached = true
-			return p
-		}
+		d = queryDigest('O', uint64(q.K), 0, q.Cells)
+		_, sp = obs.StartSpan(ctx, "cache.probe")
 	}
 	for _, m := range cands {
-		clip := c.clipFor(m, q.Cells, 0)
-		if clip.IsEmpty() {
-			continue
+		a := overlapAsk{m: m}
+		if rc != nil {
+			a.key = answerKey(&d, vers, m)
+			if v, ok := rc.Get(a.key); ok {
+				p.found = appendResults(p.found, m.summary.Name, v.([]OverlapItem))
+				continue
+			}
 		}
-		p.members = append(p.members, m)
-		p.clips = append(p.clips, clip)
+		p.asks = append(p.asks, a)
 	}
+	endProbe(sp, len(cands)-len(p.asks), len(cands))
+	n := 0
+	for _, a := range p.asks {
+		if a.clip = c.clipFor(a.m, q.Cells, 0); !a.clip.IsEmpty() {
+			p.asks[n] = a
+			n++
+		}
+	}
+	p.asks = p.asks[:n]
 	return p
 }
 

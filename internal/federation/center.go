@@ -52,10 +52,12 @@ func DefaultOptions() Options {
 	return Options{GlobalFilter: true, ClipQuery: true, Sessions: true}
 }
 
-// member is one registered source: its summary and its connection.
+// member is one registered source: its summary, its connection, and the
+// epoch generation of its registration, which tells its incarnations apart.
 type member struct {
 	summary dits.SourceSummary
 	peer    transport.Peer
+	gen     uint64
 }
 
 // epochSnap is one immutable membership epoch: the member set, the DITS-G
@@ -89,21 +91,16 @@ type Center struct {
 
 	// versions is the center's view of each source's data version,
 	// updated from every mutation response. It is an immutable map behind
-	// an atomic pointer: queries fold the versions of the sources they
-	// may touch into their cache keys, so a mutation re-keys exactly the
+	// an atomic pointer: a cached answer's key folds in the versions of the
+	// sources it was computed from, so a mutation re-keys exactly the
 	// affected entries (the stale ones age out of the LRU unreferenced).
 	versions atomic.Pointer[map[string]uint64]
 	// invalidations counts cache-invalidation events: one per applied
 	// mutation and one per membership epoch change.
 	invalidations atomic.Int64
 
-	mu    sync.Mutex // serializes membership changes and guards cache
-	cache *cache.Cache
-	// regGen records, per source, the epoch generation of its latest
-	// Register/Unregister (guarded by mu). Mutation notes pinned to an
-	// earlier generation come from a previous incarnation of the source
-	// and are dropped; notes merely racing an unrelated epoch swap pass.
-	regGen map[string]uint64
+	mu    sync.Mutex // serializes membership changes
+	cache atomic.Pointer[cache.Cache]
 
 	// relay, when set, performs every member call (callMembers) in place of
 	// the members' own peers: a cluster gateway's view registers its
@@ -145,29 +142,20 @@ func NewCenter(g geo.Grid, opts Options) *Center {
 		global:  dits.BuildGlobal(nil, dits.DefaultLeafCapacity),
 	})
 	c.versions.Store(&map[string]uint64{})
-	c.regGen = map[string]uint64{}
 	return c
 }
 
-// SetCache installs a result cache memoizing whole-query answers keyed by
-// the canonical query (cell set + parameters). Pass nil to disable. The
-// cache is cleared whenever membership changes, since cached results could
-// otherwise include departed sources or miss new ones.
-func (c *Center) SetCache(rc *cache.Cache) {
-	c.mu.Lock()
-	c.cache = rc
-	c.mu.Unlock()
-}
+// SetCache installs a result cache. Pass nil to disable. An OJSP entry is
+// one source's local top-k for one query, so a mutation or re-registration
+// at one source leaves the other sources' answers cached; a CJSP entry is a
+// whole answer. See answerKey for what each key names.
+func (c *Center) SetCache(rc *cache.Cache) { c.cache.Store(rc) }
 
-// Cache returns the installed result cache (nil when disabled). Query
-// results are keyed by the pinned epoch's generation, so an entry computed
-// under an old epoch can never be returned to a query started after a
-// membership change even if it is Put after the change's Clear.
-func (c *Center) Cache() *cache.Cache {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cache
-}
+// Cache returns the installed result cache (nil when disabled). Every key
+// names the registration generation, data version and extent of each
+// source its answer was computed from, so no membership change has to
+// clear the cache: an entry no current query can name ages out of the LRU.
+func (c *Center) Cache() *cache.Cache { return c.cache.Load() }
 
 // Generation returns the current membership epoch's generation number. It
 // increments on every Register/Unregister.
@@ -184,16 +172,15 @@ func (c *Center) Register(summary dits.SourceSummary, peer transport.Peer) {
 	for k, v := range old.members {
 		members[k] = v
 	}
-	members[summary.Name] = &member{summary: summary, peer: peer}
 	// Registration is an authoritative reset of the source's state: drop
 	// its version entry so a rebuilt source whose data version restarted
-	// from zero is not shadowed by the previous incarnation's counter,
-	// and stamp the new generation so in-flight mutation responses from
-	// the previous incarnation are dropped rather than re-noted. The
-	// epoch bump below invalidates every cached entry regardless.
+	// from zero is not shadowed by the previous incarnation's counter, and
+	// stamp the member with the new generation, so in-flight mutation
+	// responses from the previous incarnation are dropped rather than
+	// re-noted and no query names the previous incarnation's cache entries.
+	members[summary.Name] = &member{summary: summary, peer: peer, gen: old.gen + 1}
 	c.dropVersionLocked(summary.Name)
 	c.swapEpochLocked(old, members)
-	c.regGen[summary.Name] = c.epoch.Load().gen
 }
 
 // dropVersionLocked removes a source from the version vector; the caller
@@ -261,7 +248,6 @@ func (c *Center) Unregister(name string) {
 	}
 	c.dropVersionLocked(name)
 	c.swapEpochLocked(old, members)
-	c.regGen[name] = c.epoch.Load().gen
 }
 
 // swapEpochLocked publishes a new membership epoch whose DITS-G is built
@@ -285,7 +271,6 @@ func (c *Center) swapEpochLocked(old *epochSnap, members map[string]*member) {
 		global:  dits.BuildGlobal(summaries, dits.DefaultLeafCapacity),
 	})
 	c.invalidations.Add(1)
-	c.cache.Clear()
 }
 
 // NumSources returns the number of registered sources.
@@ -375,114 +360,95 @@ func (c *Center) deltaRaw(delta float64) float64 {
 		math.Hypot(c.Grid.CellW, c.Grid.CellH)
 }
 
-// queryKey canonicalizes a query for the result cache. The cell set is
-// already sorted and de-duplicated (the cellset.Set invariant), so equal
-// queries serialize to equal keys regardless of how they were built. gen
-// is the membership generation the query started under, and members are
-// the sources whose data could contribute to the answer (name-sorted):
-// each one's (name, data version) pair is folded into the key, so any
-// mutation at a contributing source re-keys the entry — targeted
-// invalidation without scanning the cache — while mutations at sources
-// the query can never touch leave its entries valid. A membership change
-// bumps gen, which re-keys (and Clears) everything.
-//
-// The key is the SHA-256 of that serialization, not the serialization
-// itself: a query's cells run to thousands, and a full cache would hold
-// tens of megabytes of keys. Two different queries therefore share an
-// entry — and one gets the other's answer — only if they collide under
-// SHA-256, for which no instance is known; a 64-bit hash would not do, as
-// colliding inputs for those can be constructed or simply met by chance
-// over a long-lived cache.
-func (c *Center) queryKey(gen uint64, kind byte, a, b uint64, cells cellset.Set, members []*member) string {
-	vers := *c.versions.Load()
-	n := 25 + 8*len(cells)
-	for _, m := range members {
-		n += 10 + len(m.summary.Name)
-	}
-	buf := make([]byte, 0, n)
-	buf = binary.LittleEndian.AppendUint64(buf, gen)
+// queryDigest is the SHA-256 of a query's kind, parameters and cells: the
+// question every cache key of the query names. The cell set is already
+// sorted and de-duplicated (the cellset.Set invariant), so equal queries
+// digest equally regardless of how they were built.
+func queryDigest(kind byte, a, b uint64, cells cellset.Set) [sha256.Size]byte {
+	buf := make([]byte, 0, 17+8*len(cells))
 	buf = append(buf, kind)
 	buf = binary.LittleEndian.AppendUint64(buf, a)
 	buf = binary.LittleEndian.AppendUint64(buf, b)
-	for _, m := range members {
-		name := m.summary.Name
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-		buf = append(buf, name...)
-		buf = binary.LittleEndian.AppendUint64(buf, vers[name])
-	}
 	for _, cell := range cells {
 		buf = binary.LittleEndian.AppendUint64(buf, cell)
+	}
+	return sha256.Sum256(buf)
+}
+
+// answerKey is the result-cache key of the answer to the query with digest
+// d computed from members (name-sorted): one source for an OJSP entry, every
+// member for a CJSP one. Each member contributes what its part of the
+// answer depends on: its name, its registration generation, its data
+// version in vers (read before any call, so a mutation racing the call
+// re-keys the entry it fills) and its summary Rect, which fixes the clip and
+// the DITS-G extent. A mutation, a re-registration or a moved extent at a
+// source re-keys exactly the entries computed from it.
+//
+// The key is a SHA-256, not the serialization itself: a query's cells run
+// to thousands, and a full cache would hold tens of megabytes of keys. Two
+// different answers therefore share an entry only if they collide under
+// SHA-256, for which no instance is known; a 64-bit hash would not do, as
+// colliding inputs for those can be constructed or simply met by chance
+// over a long-lived cache.
+func answerKey(d *[sha256.Size]byte, vers map[string]uint64, members ...*member) string {
+	n := len(d)
+	for _, m := range members {
+		n += 50 + len(m.summary.Name)
+	}
+	buf := append(make([]byte, 0, n), d[:]...)
+	for _, m := range members {
+		s := &m.summary
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.Name)))
+		buf = append(buf, s.Name...)
+		buf = binary.LittleEndian.AppendUint64(buf, m.gen)
+		buf = binary.LittleEndian.AppendUint64(buf, vers[s.Name])
+		for _, f := range [...]float64{s.Rect.MinX, s.Rect.MinY, s.Rect.MaxX, s.Rect.MaxY} {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+		}
 	}
 	sum := sha256.Sum256(buf)
 	return string(sum[:])
 }
 
 // OverlapSearch answers the multi-source OJSP: the k datasets with the
-// largest overlap with the query across all registered sources.
+// largest overlap with the query across all registered sources. Each
+// candidate source's local top-k comes from the cache when it holds one
+// under that source's current key; only the sources that miss are asked.
 func (c *Center) OverlapSearch(ctx context.Context, queryCells cellset.Set, k int) ([]SourceResult, error) {
-	if k <= 0 || queryCells.IsEmpty() {
-		return nil, nil
-	}
-	ep := c.epoch.Load()
-	if len(ep.members) == 0 {
-		return nil, nil
-	}
-	qn, ok := c.queryNode(queryCells)
-	if !ok {
-		return nil, nil
-	}
-	// Candidates are computed before the cache probe: the key embeds each
-	// candidate's data version, so a mutation at any source that could
-	// contribute to this answer misses the stale entry.
-	members := c.candidates(ep, qn, 0)
-	rc := c.Cache()
-	key := ""
-	if rc != nil {
-		key = c.queryKey(ep.gen, 'O', uint64(k), 0, queryCells, members)
-		_, probe := obs.StartSpan(ctx, "cache.probe")
-		v, ok := rc.Get(key)
-		endProbe(probe, ok)
-		if ok {
-			// Hand out a copy: callers may sort or truncate the slice.
-			cached := v.([]SourceResult)
-			return append([]SourceResult(nil), cached...), nil
-		}
-	}
-	// Fan out to candidate sources in parallel: sources are independent
-	// machines, so their local searches overlap in time.
-	var calls []memberCall
-	for _, m := range members {
-		if cells := c.clipFor(m, queryCells, 0); !cells.IsEmpty() {
-			calls = append(calls, memberCall{m: m, method: MethodOverlap,
-				req: &OverlapRequest{Cells: cells, K: k}, resp: new(OverlapResponse)})
-		}
+	ep, rc := c.epoch.Load(), c.Cache()
+	p := c.prepQuery(ctx, ep, rc, *c.versions.Load(), OverlapRequest{Cells: queryCells, K: k})
+	// Fan out to the sources that missed in parallel: sources are
+	// independent machines, so their local searches overlap in time.
+	calls := make([]memberCall, len(p.asks))
+	for i, a := range p.asks {
+		calls[i] = memberCall{m: a.m, method: MethodOverlap,
+			req: &OverlapRequest{Cells: a.clip, K: k}, resp: new(OverlapResponse)}
 	}
 	errs := c.callMembers(ctx, calls)
 	if err := c.resolve(calls, errs, nil); err != nil {
 		return nil, err
 	}
-	degraded := false
-	var all []SourceResult
+	all := p.found
 	for i, call := range calls {
-		if errs[i] != nil {
-			degraded = true
-			continue
+		// A skipped source's answer is never cached: it may recover.
+		if errs[i] == nil {
+			all = keepAnswer(rc, p.asks[i].key, all, call.m.summary.Name, call.resp.(*OverlapResponse))
 		}
-		all = appendResults(all, call.m.summary.Name, call.resp.(*OverlapResponse))
 	}
-	all = topK(all, k) // aggregate: global top-k, deterministic tie-break
-	if rc != nil && !degraded {
-		// Cache a private copy so later caller mutations cannot corrupt
-		// it. Degraded answers (a skipped source under SkipFailed) are
-		// never cached: the source may recover on the next query.
-		rc.Put(key, append([]SourceResult(nil), all...))
-	}
-	return all, nil
+	return topK(all, k), nil // aggregate: global top-k, deterministic tie-break
+}
+
+// keepAnswer caches one source's local top-k under key and appends it to
+// dst as federated results. The cached value is the decoded response's own
+// exact-length slice: nothing else holds it, and every reader copies out.
+func keepAnswer(rc *cache.Cache, key string, dst []SourceResult, source string, resp *OverlapResponse) []SourceResult {
+	rc.Put(key, resp.Results)
+	return appendResults(dst, source, resp.Results)
 }
 
 // appendResults appends one source's local top-k as federated results.
-func appendResults(dst []SourceResult, source string, resp *OverlapResponse) []SourceResult {
-	for _, r := range resp.Results {
+func appendResults(dst []SourceResult, source string, items []OverlapItem) []SourceResult {
+	for _, r := range items {
 		dst = append(dst, SourceResult{Source: source, ID: r.ID, Name: r.Name, Overlap: r.Overlap})
 	}
 	return dst
@@ -515,12 +481,17 @@ func (c *Center) CoverageSearch(ctx context.Context, queryCells cellset.Set, del
 	key := ""
 	if rc != nil {
 		// A greedy coverage query may contact any source as its merged
-		// region grows, so the key carries the full membership version
-		// vector: any mutation anywhere re-keys coverage entries.
-		key = c.queryKey(ep.gen, 'C', uint64(k), math.Float64bits(delta), queryCells, ep.ordered)
+		// region grows, so its one entry is keyed over every member: any
+		// mutation or membership change anywhere re-keys coverage entries.
+		d := queryDigest('C', uint64(k), math.Float64bits(delta), queryCells)
+		key = answerKey(&d, *c.versions.Load(), ep.ordered...)
 		_, probe := obs.StartSpan(ctx, "cache.probe")
 		v, ok := rc.Get(key)
-		endProbe(probe, ok)
+		hits := 0
+		if ok {
+			hits = 1
+		}
+		endProbe(probe, hits, 1)
 		if ok {
 			cached := v.(CoverageResult)
 			cached.Picked = append([]SourceResult(nil), cached.Picked...)
@@ -949,9 +920,9 @@ type MutateResult struct {
 
 // PutDataset durably upserts one dataset at the named source (method
 // dataset.put) and invalidates the affected result-cache entries: the
-// source's data version bumps (re-keying every cached answer it could
-// have contributed to), and if the mutation changed the source's root
-// summary the membership epoch advances so DITS-G candidate filtering
+// source's data version bumps (re-keying every cached answer computed from
+// that source, and no other), and if the mutation changed the source's
+// root summary the membership epoch advances so DITS-G candidate filtering
 // sees the source's new extent.
 func (c *Center) PutDataset(ctx context.Context, source string, id int, name string, cells cellset.Set) (MutateResult, error) {
 	if cells.IsEmpty() {
@@ -998,18 +969,20 @@ func (c *Center) mutate(ctx context.Context, source string, id int, method strin
 //
 // A note whose RPC was issued before the source's latest
 // Register/Unregister is dropped: it comes from a PREVIOUS incarnation
-// (crashed, rebuilt at version 0, re-registered), and re-installing its
-// old high version would make the monotonic guard swallow the new
-// incarnation's notes forever. The drop is safe for the cache — the
-// re-registration's epoch bump already cleared and re-keyed everything.
-// Notes merely racing an UNRELATED epoch swap are processed against the
-// current epoch, so an acknowledged mutation's summary refresh is never
-// lost to a concurrent membership change.
+// (crashed, rebuilt at version 0, re-registered) or a departed one, and
+// re-installing its old high version would make the monotonic guard
+// swallow the new incarnation's notes forever. The drop is safe for the
+// cache — the re-registered member's generation already re-keyed the
+// source's entries. Notes merely racing an UNRELATED epoch swap are
+// processed against the current epoch, so an acknowledged mutation's
+// summary refresh is never lost to a concurrent membership change.
 func (c *Center) noteMutation(ep *epochSnap, source string, resp MutateResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ep.gen < c.regGen[source] {
-		return // response from a superseded incarnation of the source
+	cur := c.epoch.Load()
+	m, ok := cur.members[source]
+	if !ok || m.gen > ep.gen {
+		return // response from a departed or superseded incarnation
 	}
 	old := *c.versions.Load()
 	if resp.Version <= old[source] {
@@ -1019,11 +992,10 @@ func (c *Center) noteMutation(ep *epochSnap, source string, resp MutateResponse)
 	maps.Copy(nv, old)
 	nv[source] = resp.Version
 	c.versions.Store(&nv)
-	cur := c.epoch.Load()
-	if m, ok := cur.members[source]; ok && m.summary != resp.Summary {
+	if m.summary != resp.Summary {
 		members := make(map[string]*member, len(cur.members))
 		maps.Copy(members, cur.members)
-		members[source] = &member{summary: resp.Summary, peer: m.peer}
+		members[source] = &member{summary: resp.Summary, peer: m.peer, gen: m.gen}
 		c.swapEpochLocked(cur, members) // counts the invalidation itself
 		return
 	}
@@ -1042,13 +1014,17 @@ func (c *Center) SourceVersions() map[string]uint64 {
 // center processed: one per applied mutation, one per membership change.
 func (c *Center) CacheInvalidations() int64 { return c.invalidations.Load() }
 
-// endProbe finishes a cache.probe span with the outcome in its Source
-// field, so a span tree shows at a glance whether the query hit.
-func endProbe(sp *obs.ActiveSpan, hit bool) {
-	if hit {
+// endProbe finishes a query's cache.probe span with the outcome in its
+// Source field — hit (every probe), partial or miss (none) — so a span tree
+// shows at a glance whether the query reached the sources.
+func endProbe(sp *obs.ActiveSpan, hits, probes int) {
+	switch hits {
+	case probes:
 		sp.SetSource("hit")
-	} else {
+	case 0:
 		sp.SetSource("miss")
+	default:
+		sp.SetSource("partial")
 	}
 	sp.End()
 }

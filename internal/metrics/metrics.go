@@ -342,27 +342,16 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// writeHistogram emits one histogram series (with an optional label pair).
+// writeHistogram emits one labeled histogram series.
 func writeHistogram(w io.Writer, name, label, labelVal string, h *Histogram) {
-	if h == nil {
-		return
-	}
 	bounds, cum, count, sum := h.snapshot()
-	pair := ""
-	sep := ""
-	if label != "" {
-		pair = label + "=" + quoteLabel(labelVal)
-		sep = ","
-	}
+	pair := label + "=" + quoteLabel(labelVal)
 	for i, b := range bounds {
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, pair, sep, fmtFloat(b), cum[i])
+		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, pair, fmtFloat(b), cum[i])
 	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, pair, sep, cum[len(cum)-1])
-	if pair != "" {
-		pair = "{" + pair + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, pair, fmtFloat(sum))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, pair, count)
+	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, pair, cum[len(cum)-1])
+	fmt.Fprintf(w, "%s_sum{%s} %s\n", name, pair, fmtFloat(sum))
+	fmt.Fprintf(w, "%s_count{%s} %d\n", name, pair, count)
 }
 
 // fmtFloat renders a sample value the Prometheus way: shortest exact

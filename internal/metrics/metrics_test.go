@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -119,11 +118,12 @@ func TestWritePrometheus(t *testing.T) {
 	v.With("overlap.search").Add(5)
 	v.With("coverage.round").Add(1)
 	r.RegisterCounterVec("dits_test_method_total", "per method", "method", &v)
-	h := NewHistogram([]float64{0.1, 1})
+	hv := NewHistogramVec([]float64{0.1, 1})
+	h := hv.With("overlap")
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
-	registerHistogram(r, "dits_test_seconds", "latency", h)
+	r.RegisterHistogramVec("dits_test_seconds", "latency", "endpoint", hv)
 	r.RegisterGaugeFunc("dits_test_fn", "from func", func() float64 { return 1.5 })
 
 	var sb strings.Builder
@@ -137,10 +137,10 @@ func TestWritePrometheus(t *testing.T) {
 		`dits_test_method_total{method="coverage.round"} 1`,
 		`dits_test_method_total{method="overlap.search"} 5`,
 		"# TYPE dits_test_seconds histogram",
-		`dits_test_seconds_bucket{le="0.1"} 1`,
-		`dits_test_seconds_bucket{le="1"} 2`,
-		`dits_test_seconds_bucket{le="+Inf"} 3`,
-		"dits_test_seconds_count 3",
+		`dits_test_seconds_bucket{endpoint="overlap",le="0.1"} 1`,
+		`dits_test_seconds_bucket{endpoint="overlap",le="1"} 2`,
+		`dits_test_seconds_bucket{endpoint="overlap",le="+Inf"} 3`,
+		`dits_test_seconds_count{endpoint="overlap"} 3`,
 		"dits_test_fn 1.5",
 	} {
 		if !strings.Contains(out, want) {
@@ -169,13 +169,6 @@ func TestHistogramVecExposition(t *testing.T) {
 	}
 }
 
-// registerHistogram exposes h as an unlabeled histogram family.
-func registerHistogram(r *Registry, name, help string, h *Histogram) {
-	r.add(family{name, help, "histogram", func(w io.Writer, n string) {
-		writeHistogram(w, n, "", "", h)
-	}})
-}
-
 // expectGolden compares a full exposition against a testdata golden file,
 // byte for byte — the promtool-style check that bucket lines, the +Inf
 // bucket, and the _sum/_count trailers appear exactly once and in order.
@@ -196,12 +189,12 @@ func TestHistogramExpositionGolden(t *testing.T) {
 	// Unsorted bounds with a duplicate and an explicit +Inf: the
 	// constructor must sort, dedupe, and drop the +Inf so the exposition
 	// carries exactly one le="+Inf" line.
-	h := NewHistogram([]float64{10, 1, 0.1, 1, math.Inf(1)})
+	hv := NewHistogramVec([]float64{10, 1, 0.1, 1, math.Inf(1)})
 	for _, v := range []float64{0.05, 0.5, 0.8, 10, 110} {
-		h.Observe(v)
+		hv.With("overlap").Observe(v)
 	}
 	r := NewRegistry()
-	registerHistogram(r, "dits_golden_seconds", "request latency", h)
+	r.RegisterHistogramVec("dits_golden_seconds", "request latency", "endpoint", hv)
 	expectGolden(t, r, "histogram.golden")
 }
 
