@@ -71,10 +71,9 @@ func main() {
 	if *remote != "" {
 		for _, addr := range strings.Split(*remote, ",") {
 			addr = strings.TrimSpace(addr)
-			// A pool, not one connection: a CJSP's last round closes idle
-			// sessions beside its own calls, so one query may call a source
-			// from two goroutines at once.
-			peer := transport.DialPool(addr, addr, 2, center.Metrics)
+			// One connection: ditsquery runs one query, whose calls to a
+			// source never overlap. The pool redials a dropped connection.
+			peer := transport.DialPool(addr, addr, 1, center.Metrics)
 			summary, err := center.RegisterRemote(ctx, peer)
 			if err != nil {
 				fail(err)

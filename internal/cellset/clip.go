@@ -15,21 +15,21 @@ import (
 // chunkSide is the side of a chunk's block in cells.
 const chunkSide = 1 << (chunkBits / 2)
 
-// rectSpan is an inclusive grid-coordinate span [x0,x1]×[y0,y1]: the cells
-// a clip keeps.
-type rectSpan struct{ x0, y0, x1, y1 uint32 }
+// Span is an inclusive grid-coordinate rectangle [X0,X1]×[Y0,Y1]: the cells
+// a clip keeps, or a region an offer's guard watches (Meets).
+type Span struct{ X0, Y0, X1, Y1 uint32 }
 
 // spanOf returns the span of r under g, clamped to the grid as
 // Grid.RectCoords clamps it.
-func spanOf(g geo.Grid, r geo.Rect) rectSpan {
+func spanOf(g geo.Grid, r geo.Rect) Span {
 	x0, y0, x1, y1 := g.RectCoords(r)
-	return rectSpan{x0, y0, x1, y1}
+	return Span{x0, y0, x1, y1}
 }
 
 // contains reports whether the cell lies in the span.
-func (sp rectSpan) contains(cell uint64) bool {
+func (sp Span) contains(cell uint64) bool {
 	x, y := geo.ZDecode(cell)
-	return x >= sp.x0 && x <= sp.x1 && y >= sp.y0 && y <= sp.y1
+	return x >= sp.X0 && x <= sp.X1 && y >= sp.Y0 && y <= sp.Y1
 }
 
 // Where a chunk's block lies against a span.
@@ -40,14 +40,14 @@ const (
 )
 
 // classify places chunk key's block against the span.
-func (sp rectSpan) classify(key uint64) int {
+func (sp Span) classify(key uint64) int {
 	bx, by := geo.ZDecode(key)
 	lx, ly := bx*chunkSide, by*chunkSide
 	hx, hy := lx+chunkSide-1, ly+chunkSide-1
 	switch {
-	case hx < sp.x0 || lx > sp.x1 || hy < sp.y0 || ly > sp.y1:
+	case hx < sp.X0 || lx > sp.X1 || hy < sp.Y0 || ly > sp.Y1:
 		return chunkOutside
-	case lx >= sp.x0 && hx <= sp.x1 && ly >= sp.y0 && hy <= sp.y1:
+	case lx >= sp.X0 && hx <= sp.X1 && ly >= sp.Y0 && hy <= sp.Y1:
 		return chunkInside
 	}
 	return chunkAcross
@@ -101,9 +101,29 @@ func (c *Compact) ClipRect(g geo.Grid, r geo.Rect) *Compact {
 	return out
 }
 
+// Meets reports whether some cell of c lies in sp. Like ClipRect it skips
+// the chunks wholly outside the span and filters only those across its
+// boundary; a non-empty chunk wholly inside answers at once.
+func (c *Compact) Meets(sp Span) bool {
+	if c.Len() == 0 {
+		return false
+	}
+	for i, key := range c.keys {
+		switch sp.classify(key) {
+		case chunkInside:
+			return true
+		case chunkAcross:
+			if c.cts[i].clip(key, sp).n > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // clip returns the canonical container of ct's cells, in chunk key, that
 // lie in the span: ct itself when they all do.
-func (ct *container) clip(key uint64, sp rectSpan) container {
+func (ct *container) clip(key uint64, sp Span) container {
 	base := key << chunkBits
 	if ct.bm == nil {
 		arr := make([]uint16, 0, len(ct.arr))

@@ -276,6 +276,11 @@ func checkClip(t *testing.T, s Set, r geo.Rect) {
 	if !clipped.Equal(FromSet(want)) {
 		t.Fatalf("ClipRect(%v) kept %v, per-cell filter %v", r, clipped.Set(), want)
 	}
+	if !r.IsEmpty() {
+		if got := FromSet(s).Meets(spanOf(fuzzGrid, r)); got != (len(want) > 0) {
+			t.Fatalf("Meets(%v) = %v with %d cells inside", r, got, len(want))
+		}
+	}
 	for _, set := range []Set{s, want} {
 		x0, y0, x1, y1, ok := set.Bounds()
 		cx0, cy0, cx1, cy1, cok := FromSet(set).Bounds()

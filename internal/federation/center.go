@@ -102,6 +102,11 @@ type Center struct {
 	mu    sync.Mutex // serializes membership changes
 	cache atomic.Pointer[cache.Cache]
 
+	// closing lists, per source name, the sessions ended CJSPs left open
+	// there (closeLater), for the next coverage.round to carry.
+	closeMu sync.Mutex
+	closing map[string][]uint64
+
 	// relay, when set, performs every member call (callMembers) in place of
 	// the members' own peers: a cluster gateway's view registers its
 	// sources without connections and reaches them through their owner
@@ -136,6 +141,7 @@ func NewCenter(g geo.Grid, opts Options) *Center {
 		Grid:    g,
 		Options: opts,
 		Metrics: &transport.Metrics{},
+		closing: map[string][]uint64{},
 	}
 	c.epoch.Store(&epochSnap{
 		members: map[string]*member{},
@@ -586,15 +592,18 @@ type srcState struct {
 	m       *member
 	open    bool             // session established at the source
 	pending *cellset.Compact // clipped winner cells not yet shipped
-	last    *offer           // cached offer, valid while nothing shipped changed
+	last    *offer           // cached offer, nil when none is left
 	lastOK  bool             // last/nil is a valid answer for the current state
+	guard   []cellset.Span   // where a pending cell voids last (Offer.Guard)
+	hit     bool             // a pending cell lies in guard
+	version uint64           // the source's data version, as the center saw it, when last was made
 	failed  bool             // degraded: dropped for the rest of the query
 }
 
-// offered records a source's answer for its current state: o, or nil when
-// the source has no connected dataset left.
-func (st *srcState) offered(o Offer) {
-	st.last, st.lastOK = nil, true
+// offered records a source's answer for its current state at data version
+// v: o, or nil when the source has no connected dataset left.
+func (st *srcState) offered(o Offer, v uint64) {
+	st.last, st.lastOK, st.guard, st.hit, st.version = nil, true, o.Guard, false, v
 	if o.Found {
 		st.last = &offer{src: st.m.summary.Name, cand: CoverageCandidate{
 			Found: true, ID: o.ID, Name: o.Name, Gain: o.Gain,
@@ -604,15 +613,17 @@ func (st *srcState) offered(o Offer) {
 
 // coverageSession runs CJSP over the session protocol. Invariants per
 // round: a source with an open session holds exactly the clip of the
-// center's merged state minus its pending delta; a source whose pending is
-// empty and whose exclusion list did not change would answer exactly what
-// it answered last round, so the center reuses the cached offer without a
-// network call. The winner's fetch answers the winner's next offer, so a
-// winner is not asked again either. The last round (k−1 picks made) is
-// Final: the sources it asks drop their sessions after answering, and the
-// open sessions it does not ask are closed beside it. It also reports
-// whether the answer is degraded (a source was skipped under the tolerant
-// policy).
+// center's merged state minus its pending delta, and its cached offer is
+// exact for that state plus pending while no pending cell lies in the
+// offer's guard and the center has seen no write at the source — gains only
+// fall as the state grows (coverage.Guard). Such a source is not asked: its
+// cached offer competes as it stands, and its pending delta keeps growing
+// until the source is asked, or rides in the fetch when its offer wins. The
+// winner's fetch answers the winner's next offer, so a winner is not asked
+// again either; the k-th fetch carries no session. The sessions the query
+// leaves open go on the center's close list for their sources (closeLater).
+// It also reports whether the answer is degraded (a source was skipped under
+// the tolerant policy).
 func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells cellset.Set, delta float64, k int, res CoverageResult) (CoverageResult, bool, error) {
 	sessID := nextSessionID()
 	draw := c.deltaRaw(delta)
@@ -631,26 +642,20 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 		return false
 	}
 	excluded := make(map[string][]int)
-	final := false // this round is the query's last
-	// The final round's closes run beside it and are joined before the
-	// query returns; whatever is still open then — the query stopped short
-	// of k picks, or failed — is closed last.
-	var closing sync.WaitGroup
-	defer func() {
-		c.closeSessions(ctx, takeOpen(states, nil), sessID)
-		closing.Wait()
-	}()
+	defer c.closeLater(states, sessID)
+	var vers map[string]uint64 // the center's version vector at the round's start
 
 	// ask sends one coverage.round to each of the given sources — the
 	// pending delta where the session is open, the full clipped state where
-	// it is not — and records every answer as that source's current offer.
+	// it is not, and the sessions to close there — and records every answer
+	// as that source's current offer.
 	var ask func(rctx context.Context, members []*member) error
 	ask = func(rctx context.Context, members []*member) error {
 		var calls []memberCall
 		for _, m := range members {
 			name := m.summary.Name
 			st := states[name]
-			req := &CoverageRoundRequest{Session: sessID, Delta: delta, Exclude: excluded[name], Final: final}
+			req := &CoverageRoundRequest{Session: sessID, Delta: delta, Exclude: excluded[name]}
 			if st.open {
 				req.Added = st.pending
 			} else {
@@ -659,6 +664,10 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 					continue // nothing of the merged state near this source yet
 				}
 			}
+			c.closeMu.Lock() // the sessions to close there go with the round
+			req.Close = c.closing[name]
+			delete(c.closing, name)
+			c.closeMu.Unlock()
 			calls = append(calls, memberCall{m: m, method: MethodCoverageRound, req: req, resp: new(CoverageRoundResponse)})
 		}
 		errs := c.callMembers(rctx, calls)
@@ -683,10 +692,9 @@ func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells 
 				continue
 			}
 			// A source whose table was full answered without storing the
-			// session; keep shipping it full state until it has room. A
-			// final round leaves no session behind.
-			st.open, st.pending = !out.Stateless && !final, nil
-			st.offered(out.Offer)
+			// session; keep shipping it full state until it has room.
+			st.open, st.pending = !out.Stateless, nil
+			st.offered(out.Offer, vers[m.summary.Name])
 		}
 		if len(missed) > 0 {
 			return ask(rctx, missed) // carries Base, so it cannot miss again
@@ -704,32 +712,20 @@ rounds:
 		rctx, rsp := obs.StartSpan(ctx, "cjsp.round")
 		qn := c.boundsQueryNode(minX, minY, maxX, maxY)
 		cands := c.candidates(ep, qn, draw)
-		final = len(res.Picked) == k-1
+		vers = *c.versions.Load()
 
-		// Phase one: collect offers — cached where nothing changed for
-		// the source, over the wire (delta-shipped) where it did.
+		// Phase one: collect offers — cached where nothing held back can
+		// change them, over the wire (delta-shipped) where it can.
 		var changed []*member
 		for _, m := range cands {
-			st := states[m.summary.Name]
+			name := m.summary.Name
+			st := states[name]
 			if st == nil {
 				st = &srcState{m: m}
-				states[m.summary.Name] = st
+				states[name] = st
 			}
-			// With nothing shipped since its last answer and its exclusion
-			// list untouched, a source would recompute the same offer.
-			if !st.failed && !(st.open && st.lastOK && st.pending.IsEmpty()) {
+			if !st.failed && !(st.open && st.lastOK && !st.hit && st.version == vers[name]) {
 				changed = append(changed, m)
-			}
-		}
-		if final {
-			// The sessions this round does not ask are done: close them
-			// now, beside the round, rather than after the answer.
-			if idle := takeOpen(states, func(st *srcState) bool { return !slices.Contains(changed, st.m) }); len(idle) > 0 {
-				closing.Add(1)
-				go func() {
-					defer closing.Done()
-					c.closeSessions(ctx, idle, sessID)
-				}()
 			}
 		}
 		if err := ask(rctx, changed); err != nil {
@@ -761,7 +757,8 @@ rounds:
 			// Picked or stale, the source must never offer this ID again.
 			st := states[best.src]
 			excluded[best.src] = append(excluded[best.src], best.cand.ID)
-			fetch, err := c.fetchCells(rctx, st, sessID, best.cand.ID, excluded[best.src])
+			next := len(res.Picked) < k-1 // the query goes on after this pick
+			fetch, err := c.fetchCells(rctx, st, sessID, best.cand.ID, excluded[best.src], next)
 			if err == nil && !fetch.Found {
 				// The offer went stale — the dataset was deleted after the
 				// source offered it. The source has not failed: ask it
@@ -782,12 +779,13 @@ rounds:
 				st.failed, st.open = true, false
 				continue // re-pick among the surviving offers
 			}
-			if fetch.Committed {
-				st.offered(fetch.Next)
-			} else {
-				// Session evicted between round and fetch (or already
-				// dropped by the final round): re-open with the full state
-				// next round.
+			switch {
+			case fetch.Committed:
+				st.pending = nil
+				st.offered(fetch.Next, vers[best.src])
+			case next:
+				// Session evicted between round and fetch: re-open with
+				// the full state next round.
 				st.open, st.lastOK = false, false
 			}
 			winner, winnerCells = best, fetch.Cells
@@ -806,11 +804,10 @@ rounds:
 				// and answered its next offer there.
 				continue
 			}
-			clipped := c.clipCompact(st.m, winnerCells, delta+1)
-			if clipped.IsEmpty() {
-				continue // winner is far from this source; its state and offer stand
+			if clipped := c.clipCompact(st.m, winnerCells, delta+1); !clipped.IsEmpty() {
+				st.pending = st.pending.Union(clipped)
+				st.hit = st.hit || slices.ContainsFunc(st.guard, clipped.Meets)
 			}
-			st.pending = st.pending.Union(clipped)
 		}
 		res.Picked = append(res.Picked, SourceResult{
 			Source: winner.src, ID: winner.cand.ID, Name: winner.cand.Name, Overlap: winner.cand.Gain,
@@ -854,49 +851,32 @@ func (c *Center) callMembers(ctx context.Context, calls []memberCall) []error {
 	return errs
 }
 
-// fetchCells performs the second-phase coverage.fetch exchange. Into an
-// open session it commits the cells and asks for the next offer against
-// exclude; otherwise (a final round already dropped it) it only fetches.
-func (c *Center) fetchCells(ctx context.Context, st *srcState, sess uint64, id int, exclude []int) (FetchCellsResponse, error) {
+// fetchCells performs the second-phase coverage.fetch exchange. When next
+// is set and the session is open it commits the held-back delta and the
+// cells and asks for the next offer against exclude; otherwise it only
+// fetches.
+func (c *Center) fetchCells(ctx context.Context, st *srcState, sess uint64, id int, exclude []int, next bool) (FetchCellsResponse, error) {
 	var resp FetchCellsResponse
 	req := FetchCellsRequest{ID: id}
-	if st.open {
-		req.Session, req.Exclude = sess, exclude
+	if st.open && next {
+		req.Session, req.Exclude, req.Added = sess, exclude, st.pending
 	}
 	errs := c.callMembers(ctx, []memberCall{{m: st.m, method: MethodFetchCells, req: &req, resp: &resp}})
 	return resp, errs[0]
 }
 
-// takeOpen marks closed, and returns the members of, the open sessions of
-// healthy sources that pass keep (nil keeps all): the caller closes them.
-func takeOpen(states map[string]*srcState, keep func(*srcState) bool) []*member {
-	var ms []*member
-	for _, st := range states {
-		if st.open && !st.failed && (keep == nil || keep(st)) {
-			st.open = false
-			ms = append(ms, st.m)
+// closeLater puts the sessions a query leaves open on their sources' close
+// lists: the next coverage.round this center sends a source carries them,
+// and the source drops them first. A source no round reaches again
+// reclaims them by its TTL, as it does a crashed center's.
+func (c *Center) closeLater(states map[string]*srcState, sessID uint64) {
+	c.closeMu.Lock()
+	defer c.closeMu.Unlock()
+	for name, st := range states {
+		if st.open {
+			c.closing[name] = append(c.closing[name], sessID)
 		}
 	}
-	return ms
-}
-
-// closeSessions releases the given members' sessions, best-effort: sources
-// reclaim lost sessions on their own. The query's own deadline may already
-// have expired and cleanup should still go out, so it drops the caller's
-// cancellation (keeping its trace) — but under its own bound, or one source
-// that stopped answering would hold a finished query forever.
-func (c *Center) closeSessions(ctx context.Context, ms []*member, sessID uint64) {
-	if len(ms) == 0 {
-		return
-	}
-	req := SessionCloseRequest{Session: sessID}
-	calls := make([]memberCall, len(ms))
-	for i, m := range ms {
-		calls[i] = memberCall{m: m, method: MethodSessionClose, req: &req}
-	}
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), sessionCloseTimeout)
-	defer cancel()
-	c.callMembers(ctx, calls)
 }
 
 // Shard returns every registered source's root summary and data version,

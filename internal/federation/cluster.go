@@ -88,9 +88,6 @@ const (
 	// rehomeTimeout bounds each re-registration call during a failover, so
 	// one hung survivor cannot wedge the whole plane behind the write lock.
 	rehomeTimeout = 10 * time.Second
-	// sessionCloseTimeout bounds the best-effort coverage.close fan-out at
-	// the end of a CJSP, which runs after the answer is computed.
-	sessionCloseTimeout = 2 * time.Second
 )
 
 // NewCluster builds the plane over named center peers (wrap TCP in

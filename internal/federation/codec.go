@@ -11,12 +11,13 @@ import (
 	"dits/internal/cellset"
 	"dits/internal/geo"
 	"dits/internal/index/dits"
+	"dits/internal/search/coverage"
 	"dits/internal/transport"
 )
 
 // The binary wire codec of the federation protocol, dits-bin/1 — the only
 // encoding payloads travel in. The transport installs it for every
-// connection; the hello magic (transport's dits-hello/4) versions it.
+// connection; the hello magic (transport's dits-hello/5) versions it.
 //
 // Every payload opens with a message-type byte, so a frame decoded as the
 // wrong type errors instead of misparsing, and then the message fields
@@ -34,7 +35,14 @@ import (
 // return errors, never panic (FuzzCodec exercises exactly this).
 
 // Message-type bytes, one per wire struct. Append-only: reusing a
-// retired value would let two builds misparse each other's frames.
+// retired value would let two builds misparse each other's frames. A frame
+// that gains a field takes a new byte and retires the old: 7, 9 and 10,
+// coverage.round, coverage.fetch and its answer before Final, Exclude and
+// Next; 32 to 34, the same three before Close, Added and guards, and 8,
+// coverage.round's answer before guards; 11 and 12, coverage.close's; 20
+// and 35, cluster.forward's with method strings and raw or deflated
+// bodies; 23, cluster.register's without the grid; 13 and 24 to 29,
+// earlier forms.
 const (
 	msgOverlapReq byte = iota + 1
 	msgOverlapResp
@@ -42,14 +50,7 @@ const (
 	msgSearchBatchResp
 	msgCoverageReq
 	msgCoverageCand
-	_ // 7: retired
-	msgCoverageRoundResp
-	_ // 9: retired
-	_ // 10: retired
-	msgSessionCloseReq
-	msgSessionCloseResp
-	_ // 13: retired
-	msgDatasetPutReq
+	msgDatasetPutReq byte = iota + 8
 	msgDatasetDeleteReq
 	msgMutateResp
 	msgVersionReq
@@ -58,24 +59,14 @@ const (
 	_ // 20: retired
 	msgClusterForwardResp
 	msgClusterInfoResp
-	_ // 23: retired
-	_ // 24: retired
-	// 25–29 are retired.
-	msgWALShipReq byte = iota + 6
+	msgWALShipReq byte = iota + 15
 	msgWALShipResp
-	// Frames that gained a field take a new byte; 7, 9 and 10 (their old
-	// forms, without Final, Exclude and Next) are retired.
-	msgCoverageRoundFinalReq
-	msgFetchCellsExclReq
-	msgFetchCellsNextResp
-	_ // 35: retired
-	// cluster.forward's request ships a method code per call and its
-	// bodies as one copy/literal op stream; 20 and 35, its forms with
-	// method strings and raw or deflated bodies, are retired.
-	msgClusterForwardOpsReq
-	// cluster.register carries the federation's grid; 23, its form
-	// without, is retired.
+	msgClusterForwardOpsReq byte = iota + 19
 	msgClusterRegisterGridReq
+	msgCoverageRoundCloseReq
+	msgCoverageRoundGuardResp
+	msgFetchCellsAddedReq
+	msgFetchCellsGuardResp
 )
 
 // BinaryCodec is the federation's wire codec.
@@ -129,35 +120,34 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 		dst = binary.AppendVarint(dst, int64(m.Gain))
 		return m.Cells.AppendWire(dst), nil
 	case *CoverageRoundRequest:
-		dst = append(dst, msgCoverageRoundFinalReq)
+		dst = append(dst, msgCoverageRoundCloseReq)
 		dst = binary.AppendUvarint(dst, m.Session)
 		dst = m.Base.AppendWire(dst)
 		dst = m.Added.AppendWire(dst)
 		dst = appendF64(dst, m.Delta)
 		dst = appendInts(dst, m.Exclude)
-		return appendBool(dst, m.Final), nil
+		dst = binary.AppendUvarint(dst, uint64(len(m.Close)))
+		for _, id := range m.Close {
+			dst = binary.AppendUvarint(dst, id)
+		}
+		return dst, nil
 	case *CoverageRoundResponse:
-		dst = append(dst, msgCoverageRoundResp)
+		dst = append(dst, msgCoverageRoundGuardResp)
 		dst = appendBool(dst, m.SessionMiss)
 		dst = appendBool(dst, m.Stateless)
 		return appendOffer(dst, &m.Offer), nil
 	case *FetchCellsRequest:
-		dst = append(dst, msgFetchCellsExclReq)
+		dst = append(dst, msgFetchCellsAddedReq)
 		dst = binary.AppendUvarint(dst, m.Session)
 		dst = binary.AppendVarint(dst, int64(m.ID))
-		return appendInts(dst, m.Exclude), nil
+		dst = appendInts(dst, m.Exclude)
+		return m.Added.AppendWire(dst), nil
 	case *FetchCellsResponse:
-		dst = append(dst, msgFetchCellsNextResp)
+		dst = append(dst, msgFetchCellsGuardResp)
 		dst = appendBool(dst, m.Found)
 		dst = appendBool(dst, m.Committed)
 		dst = m.Cells.AppendWire(dst)
 		return appendOffer(dst, &m.Next), nil
-	case *SessionCloseRequest:
-		dst = append(dst, msgSessionCloseReq)
-		return binary.AppendUvarint(dst, m.Session), nil
-	case *SessionCloseResponse:
-		dst = append(dst, msgSessionCloseResp)
-		return appendBool(dst, m.Closed), nil
 	case *DatasetPutRequest:
 		dst = append(dst, msgDatasetPutReq)
 		dst = binary.AppendVarint(dst, int64(m.ID))
@@ -285,35 +275,33 @@ func (binCodec) Decode(data []byte, v any) error {
 		m.Gain = r.int()
 		m.Cells = r.set()
 	case *CoverageRoundRequest:
-		r.expect(msg, msgCoverageRoundFinalReq)
+		r.expect(msg, msgCoverageRoundCloseReq)
 		m.Session = r.uvarint()
 		m.Base = r.compact()
 		m.Added = r.compact()
 		m.Delta = r.f64()
 		m.Exclude = r.ints()
-		m.Final = r.bool()
+		m.Close = nil
+		for n := r.sliceLen(); n > 0 && r.err == nil; n-- {
+			m.Close = append(m.Close, r.uvarint())
+		}
 	case *CoverageRoundResponse:
-		r.expect(msg, msgCoverageRoundResp)
+		r.expect(msg, msgCoverageRoundGuardResp)
 		m.SessionMiss = r.bool()
 		m.Stateless = r.bool()
 		r.offer(&m.Offer)
 	case *FetchCellsRequest:
-		r.expect(msg, msgFetchCellsExclReq)
+		r.expect(msg, msgFetchCellsAddedReq)
 		m.Session = r.uvarint()
 		m.ID = r.int()
 		m.Exclude = r.ints()
+		m.Added = r.compact()
 	case *FetchCellsResponse:
-		r.expect(msg, msgFetchCellsNextResp)
+		r.expect(msg, msgFetchCellsGuardResp)
 		m.Found = r.bool()
 		m.Committed = r.bool()
 		m.Cells = r.compact()
 		r.offer(&m.Next)
-	case *SessionCloseRequest:
-		r.expect(msg, msgSessionCloseReq)
-		m.Session = r.uvarint()
-	case *SessionCloseResponse:
-		r.expect(msg, msgSessionCloseResp)
-		m.Closed = r.bool()
 	case *DatasetPutRequest:
 		r.expect(msg, msgDatasetPutReq)
 		m.ID = r.int()
@@ -428,10 +416,20 @@ func appendOverlapItems(dst []byte, items []OverlapItem) []byte {
 	return dst
 }
 
+// appendOffer writes an offer; its guard is a uvarint count and four
+// uvarints per span.
 func appendOffer(dst []byte, o *Offer) []byte {
 	dst = binary.AppendVarint(appendBool(dst, o.Found), int64(o.ID))
 	dst = appendString(dst, o.Name)
-	return binary.AppendVarint(dst, int64(o.Gain))
+	dst = binary.AppendVarint(dst, int64(o.Gain))
+	dst = binary.AppendUvarint(dst, uint64(len(o.Guard)))
+	for _, sp := range o.Guard {
+		dst = binary.AppendUvarint(dst, uint64(sp.X0))
+		dst = binary.AppendUvarint(dst, uint64(sp.Y0))
+		dst = binary.AppendUvarint(dst, uint64(sp.X1))
+		dst = binary.AppendUvarint(dst, uint64(sp.Y1))
+	}
+	return dst
 }
 
 func appendMutate(dst []byte, m *MutateResponse) []byte {
@@ -485,15 +483,17 @@ const (
 
 // relayMethods are the source methods cluster.forward relays — every
 // method a query or a mutation sends a source — indexed by wire code.
+// Code 4, the retired coverage.close's, is the empty name: never relayed,
+// refused on decode.
 var relayMethods = [...]string{
 	MethodOverlap, MethodSearchBatch, MethodCoverageRound, MethodFetchCells,
-	MethodSessionClose, MethodDatasetPut, MethodDatasetDelete,
+	"", MethodDatasetPut, MethodDatasetDelete,
 }
 
 // relayCode returns method's wire code, if cluster.forward relays it.
 func relayCode(method string) (byte, bool) {
 	for i, m := range relayMethods {
-		if m == method {
+		if m == method && m != "" {
 			return byte(i), true
 		}
 	}
@@ -706,7 +706,7 @@ func (r *wireReader) method() string {
 	}
 	c := r.data[0]
 	r.data = r.data[1:]
-	if int(c) >= len(relayMethods) {
+	if int(c) >= len(relayMethods) || relayMethods[c] == "" {
 		r.fail("method code %d", c)
 		return ""
 	}
@@ -912,6 +912,24 @@ func (r *wireReader) offer(o *Offer) {
 	o.ID = r.int()
 	o.Name = r.string()
 	o.Gain = r.int()
+	o.Guard = nil
+	n := r.uvarint()
+	if n > coverage.GuardSpans {
+		r.fail("guard of %d spans", n)
+	}
+	for ; n > 0 && r.err == nil; n-- {
+		o.Guard = append(o.Guard, cellset.Span{X0: r.uint32(), Y0: r.uint32(), X1: r.uint32(), Y1: r.uint32()})
+	}
+}
+
+// uint32 reads a uvarint that must fit 32 bits.
+func (r *wireReader) uint32() uint32 {
+	v := r.uvarint()
+	if v > math.MaxUint32 {
+		r.fail("varint %d beyond 32 bits", v)
+		return 0
+	}
+	return uint32(v)
 }
 
 func (r *wireReader) mutate(m *MutateResponse) {

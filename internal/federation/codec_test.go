@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -62,16 +63,21 @@ func codecTestMessages() []any {
 		&CoverageCandidate{},
 		&CoverageRoundRequest{Session: 1 << 60, Base: cellset.FromSet(bigSet), Added: cellset.FromSet(small), Delta: 2, Exclude: []int{1}},
 		&CoverageRoundRequest{Session: 1, Added: cellset.FromSet(small)},
-		&CoverageRoundRequest{Session: 3, Base: cellset.FromSet(small), Delta: 4, Exclude: []int{-2, 8}, Final: true},
+		&CoverageRoundRequest{Session: 3, Base: cellset.FromSet(small), Delta: 4, Exclude: []int{-2, 8}, Close: []uint64{^uint64(0), 0, 7}},
+		&CoverageRoundRequest{Session: 4, Added: cellset.FromSet(bigSet), Close: []uint64{1 << 63}},
 		&CoverageRoundResponse{SessionMiss: true, Stateless: true, Offer: Offer{Found: true, ID: 5, Name: "w", Gain: 17}},
+		&CoverageRoundResponse{Offer: Offer{Found: true, ID: 8, Name: "g", Gain: 3, Guard: []cellset.Span{{X0: 1, Y0: 2, X1: 3, Y1: 4}}}},
+		&CoverageRoundResponse{Offer: Offer{Guard: []cellset.Span{{}, {X1: math.MaxUint32, Y1: math.MaxUint32}}}},
 		&CoverageRoundResponse{},
 		&FetchCellsRequest{Session: 42, ID: -9, Exclude: []int{-9, 1 << 33, 0}},
+		&FetchCellsRequest{Session: 43, ID: 2, Exclude: []int{2}, Added: cellset.FromSet(bigSet)},
 		&FetchCellsRequest{ID: 6},
 		&FetchCellsResponse{Found: true, Committed: true, Cells: cellset.FromSet(bigSet), Next: Offer{Found: true, ID: -3, Name: "下一个", Gain: 1 << 40}},
+		&FetchCellsResponse{Found: true, Committed: true, Cells: cellset.FromSet(small), Next: Offer{Found: true, ID: 4, Gain: 9, Guard: []cellset.Span{
+			{X0: 10, Y0: 10, X1: 20, Y1: 20}, {X0: 4000, Y0: 0, X1: 4095, Y1: 4095}, {X0: 7, Y0: 7, X1: 7, Y1: 7}, {X0: 1 << 31, Y0: 5, X1: math.MaxUint32, Y1: 1 << 20},
+		}}},
 		&FetchCellsResponse{Found: true, Cells: cellset.FromSet(small)},
 		&FetchCellsResponse{},
-		&SessionCloseRequest{Session: ^uint64(0)},
-		&SessionCloseResponse{Closed: true},
 		&DatasetPutRequest{ID: 3, Name: "d", Cells: small},
 		&DatasetDeleteRequest{ID: 1 << 50},
 		&MutateResponse{Found: true, Version: 8, NumDatasets: 2, Summary: summary},
@@ -79,13 +85,13 @@ func codecTestMessages() []any {
 		&VersionResponse{Name: "v", Version: 3, Durable: true},
 		&summary,
 		&ClusterForwardRequest{Calls: []ForwardCall{
-			{Source: "src-α", Method: MethodCoverageRound, Body: []byte{msgCoverageRoundFinalReq, 0}},
-			{Source: "b", Method: MethodSessionClose},
+			{Source: "src-α", Method: MethodCoverageRound, Body: []byte{msgCoverageRoundCloseReq, 0}},
+			{Source: "b", Method: MethodFetchCells},
 		}},
 		&ClusterForwardRequest{},
 		&ClusterForwardRequest{Calls: []ForwardCall{
 			{Source: "a", Method: MethodOverlap, Body: []byte{msgOverlapReq, 1, 2, 3}},
-			{Source: "b", Method: MethodSessionClose},
+			{Source: "b", Method: MethodFetchCells},
 			{Source: "c", Method: MethodOverlap, Body: []byte{msgOverlapReq, 1, 2, 3}},
 		}},
 		&ClusterForwardResponse{Replies: []ForwardReply{{Body: []byte{1, 2, 3}}, {Err: "boom", Transport: true}, {}}},
@@ -125,7 +131,6 @@ var wireTypes = map[string][2]any{
 	MethodSummary:         {nil, new(dits.SourceSummary)},
 	MethodCoverageRound:   {new(CoverageRoundRequest), new(CoverageRoundResponse)},
 	MethodFetchCells:      {new(FetchCellsRequest), new(FetchCellsResponse)},
-	MethodSessionClose:    {new(SessionCloseRequest), new(SessionCloseResponse)},
 	MethodSearchBatch:     {new(SearchBatchRequest), new(SearchBatchResponse)},
 	MethodDatasetPut:      {new(DatasetPutRequest), new(MutateResponse)},
 	MethodDatasetDelete:   {new(DatasetDeleteRequest), new(MutateResponse)},
@@ -293,8 +298,9 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	if err := BinaryCodec.Decode([]byte{msgOverlapReq}, &resp); err == nil {
 		t.Error("wrong message type accepted")
 	}
-	// The session frames of the build before Final, Exclude and Next: a
-	// peer still sending them is refused, not misread.
+	// The session frames of the builds before Final, Exclude and Next, and
+	// before guards, close lists and fetched deltas: a peer still sending
+	// them is refused, not misread.
 	for _, old := range []struct {
 		frame []byte
 		v     any
@@ -305,10 +311,32 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 		{[]byte{20, 1, 1, 'a', 1, 'm', 1, 9}, new(ClusterForwardRequest)},
 		{[]byte{35, 1, 1, 'a', 1, 'm', 1, 2, 9}, new(ClusterForwardRequest)},
 		{[]byte{23, 1, 's', 1, 'a', 0}, new(ClusterRegisterRequest)},
+		// coverage.round with Final, its answer and coverage.fetch's pair
+		// without guards or Added.
+		{[]byte{32, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, new(CoverageRoundRequest)},
+		{[]byte{8, 0, 0, 1, 10, 1, 'w', 34}, new(CoverageRoundResponse)},
+		{[]byte{33, 5, 2, 1, 2}, new(FetchCellsRequest)},
+		{[]byte{34, 1, 1, 0, 1, 6, 0, 8}, new(FetchCellsResponse)},
+		// coverage.close's request and response.
+		{[]byte{11, 5}, new(CoverageRoundRequest)},
+		{[]byte{12, 1}, new(CoverageRoundResponse)},
 	} {
 		if err := BinaryCodec.Decode(old.frame, old.v); err == nil {
 			t.Errorf("%T: retired message type %d accepted", old.v, old.frame[0])
 		}
+	}
+	// A relayed call under coverage.close's retired method code.
+	closeCall := append([]byte{msgClusterForwardOpsReq, 1, 1, 'a', 4, 1}, opLit("x")...)
+	if err := BinaryCodec.Decode(closeCall, new(ClusterForwardRequest)); err == nil || !strings.Contains(err.Error(), "method code 4") {
+		t.Errorf("a relayed call under the retired coverage.close code: err = %v", err)
+	}
+	// A guard beyond GuardSpans spans.
+	wide := []byte{msgCoverageRoundGuardResp, 0, 0, 1, 2, 0, 6, 5}
+	for range 5 {
+		wide = append(wide, 1, 2, 3, 4)
+	}
+	if err := BinaryCodec.Decode(wide, new(CoverageRoundResponse)); err == nil {
+		t.Error("a five-span guard accepted")
 	}
 	wire, err := BinaryCodec.Append(nil, &OverlapRequest{Cells: cellset.New(1, 2), K: 5})
 	if err != nil {
@@ -561,10 +589,10 @@ func TestCodecForwardRoundTrip(t *testing.T) {
 		{{Source: "a", Method: MethodOverlap, Body: []byte{}}},
 		{
 			{Source: "a", Method: MethodOverlap, Body: body},
-			{Source: "b", Method: MethodSessionClose},
+			{Source: "b", Method: MethodFetchCells},
 			{Source: "c", Method: MethodOverlap, Body: body},
 		},
-		{{Source: "a", Method: MethodSessionClose}, {Source: "b", Method: MethodSessionClose, Body: []byte{}}},
+		{{Source: "a", Method: MethodFetchCells}, {Source: "b", Method: MethodFetchCells, Body: []byte{}}},
 	} {
 		wire, err := BinaryCodec.Append(nil, &ClusterForwardRequest{Calls: calls})
 		if err != nil {

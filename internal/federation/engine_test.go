@@ -138,21 +138,18 @@ func picksOf(q cellset.Set, picked []*dataset.Node) []pick {
 // and carries the next offer. With viaAdded the fetch carries no session
 // and the winner's cells come back as the next round's Added (the source
 // lost to itself, as it were), so both ways a delta reaches a session are
-// walked. A round that starts with k−1 picks is Final and must leave no
-// session behind.
+// walked. The session ends as the next round its source gets closes it,
+// and no session of that number must remain.
 func sessionPicks(t *testing.T, srv *SourceServer, sess uint64, q cellset.Set, delta float64, k int, viaAdded bool) []pick {
 	t.Helper()
 	ctx := context.Background()
 	var out []pick
 	var exclude []int
 	round := func(req CoverageRoundRequest) Offer {
-		req.Session, req.Delta, req.Exclude, req.Final = sess, delta, exclude, len(out) == k-1
+		req.Session, req.Delta, req.Exclude = sess, delta, exclude
 		resp := srv.handleCoverageRound(ctx, req)
-		if resp.SessionMiss || resp.Stateless != (req.Final && req.Base != nil) {
+		if resp.SessionMiss || resp.Stateless {
 			t.Fatalf("session %d: unexpected round response %+v", sess, resp)
-		}
-		if n := srv.NumSessions(); req.Final && n != 0 {
-			t.Fatalf("session %d: a Final round left %d sessions", sess, n)
 		}
 		return resp.Offer
 	}
@@ -177,7 +174,10 @@ func sessionPicks(t *testing.T, srv *SourceServer, sess uint64, q cellset.Set, d
 			o = cells.Next
 		}
 	}
-	srv.handleSessionClose(SessionCloseRequest{Session: sess})
+	srv.handleCoverageRound(ctx, CoverageRoundRequest{Close: []uint64{sess}})
+	if held(srv, sess) {
+		t.Fatalf("session %d outlived the round that closed it", sess)
+	}
 	return out
 }
 
@@ -336,7 +336,7 @@ func TestSessionOverlappingCalls(t *testing.T) {
 	wg.Wait()
 	got := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 5, Delta: delta})
 	want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: 6, Base: cellset.FromSet(merged), Delta: delta})
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("after overlapping calls the session offers %+v, a fresh session on the same state %+v", got, want)
 	}
 }

@@ -22,8 +22,8 @@
 // sequential by protocol), while distinct sessions proceed concurrently.
 // Peers registered with a center must tolerate concurrent Call — wrap
 // TCP connections in a transport.Pool; each fan-out goroutine drives one
-// peer exchange at a time, but even a single CJSP closes its idle sessions
-// beside its last round's calls.
+// peer exchange at a time, and one CJSP never calls a source from two
+// goroutines at once, but concurrent queries do.
 package federation
 
 import (
@@ -40,10 +40,11 @@ const (
 
 	// Session protocol (CJSP). One coverage query opens one session per
 	// contacted source; rounds ship only the delta since the previous
-	// round, and only the winning source ships cells back (two-phase).
+	// round, and only the winning source ships cells back (two-phase). A
+	// session ends at the next round its center sends the source, which
+	// carries it in Close, or by the source's TTL.
 	MethodCoverageRound = "coverage.round"
 	MethodFetchCells    = "coverage.fetch"
-	MethodSessionClose  = "coverage.close"
 
 	// MethodSearchBatch ships a whole batch of OJSP queries in ONE
 	// request/response exchange: the source answers every query of the
@@ -227,29 +228,31 @@ type CoverageCandidate struct {
 // session. The first contact (or a stateless fallback after the source
 // evicted the session) carries Base — the full merged state clipped to the
 // source's δ-expanded region. Subsequent rounds ship only Added, the
-// previous winner's cells clipped the same way; the source unions them
-// into its session state. The union of the clipped pieces equals the clip
-// of the union (clipping is a fixed per-cell predicate), so every round
-// the source sees exactly the state the stateless protocol would have
-// shipped whole. Final marks the query's last round (k−1 picks made): the
-// source answers as usual and then forgets the session — or, with Base,
-// never stores it — so the round doubles as the session's close.
+// winners' cells clipped the same way since the source last answered; the
+// source unions them into its session state. The union of the clipped
+// pieces equals the clip of the union (clipping is a fixed per-cell
+// predicate), so every round the source sees exactly the state the
+// stateless protocol would have shipped whole. Close lists sessions of this
+// center's queries that have ended: the source drops them before anything
+// else.
 type CoverageRoundRequest struct {
 	Session uint64           // center-chosen session ID, shared by all rounds of one query
 	Base    *cellset.Compact // full clipped merged state; nil on delta rounds
-	Added   *cellset.Compact // clipped winner cells since the previous round; may be nil
+	Added   *cellset.Compact // clipped winner cells since the source last answered; may be nil
 	Delta   float64          // connectivity threshold δ (cell units)
 	Exclude []int            // dataset IDs already picked from this source
-	Final   bool             // last round: drop the session after answering
+	Close   []uint64         // ended sessions to drop first
 }
 
 // Offer is a source's best next pick for its session's current state,
-// (ID, Gain) only; Found is false when no connected dataset is left.
+// (ID, Gain) only; Found is false when no connected dataset is left. Cells
+// added with none in Guard leave the offer exact (coverage.Guard).
 type Offer struct {
 	Found bool
 	ID    int
 	Name  string
 	Gain  int
+	Guard []cellset.Span
 }
 
 // CoverageRoundResponse is a source's offer for one round: only (ID, Gain)
@@ -270,14 +273,17 @@ type CoverageRoundResponse struct {
 
 // FetchCellsRequest is the second phase of a round: fetch the winning
 // dataset's full cell set. When Session is non-zero and still live at the
-// source, the source also folds the cells into its session state and
-// answers, in the same exchange, the offer its next round would make:
-// Exclude is the source's exclusion list with ID already appended. The
-// last round's fetch carries Session 0 — that session is already gone.
+// source, the source also folds Added — the clipped cells the center held
+// back while its cached offer stood — and then the winner's cells into its
+// session state, and answers, in the same exchange, the offer its next
+// round would make: Exclude is the source's exclusion list with ID already
+// appended. The query's k-th fetch carries Session 0: no next offer is
+// needed.
 type FetchCellsRequest struct {
 	Session uint64
 	ID      int
 	Exclude []int
+	Added   *cellset.Compact
 }
 
 // FetchCellsResponse carries the winner's full cell set. Committed reports
@@ -291,18 +297,6 @@ type FetchCellsResponse struct {
 	Committed bool
 	Cells     *cellset.Compact
 	Next      Offer
-}
-
-// SessionCloseRequest releases a source's session state at the end of a
-// coverage query. Sources also evict sessions on their own (idle TTL and a
-// session cap), so a lost close costs memory only until the sweep.
-type SessionCloseRequest struct {
-	Session uint64
-}
-
-// SessionCloseResponse acknowledges the close.
-type SessionCloseResponse struct {
-	Closed bool
 }
 
 // DatasetPutRequest durably upserts one dataset at a source: insert when

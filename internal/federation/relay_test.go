@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"dits/internal/cellset"
 	"dits/internal/dataset"
@@ -114,49 +113,6 @@ func (p *funcPeer) Call(ctx context.Context, method string, req, resp any) error
 }
 func (p *funcPeer) Close() error { return p.inner.Close() }
 
-// TestCloseSessionsIsBounded: a source that accepts coverage.close and never
-// answers must not hold a finished CJSP — through one center or through the
-// cluster's relay, the search returns its answer within the close bound.
-func TestCloseSessionsIsBounded(t *testing.T) {
-	hang := func(_ string, p transport.Peer) transport.Peer {
-		return &funcPeer{inner: p, call: func(ctx context.Context, inner transport.Peer, method string, req, resp any) error {
-			if method == MethodSessionClose {
-				<-ctx.Done() // context.Background() would park this forever
-				return ctx.Err()
-			}
-			return inner.Call(ctx, method, req, resp)
-		}}
-	}
-	oracle, _, servers := buildFederation(rand.New(rand.NewSource(61)), 3, 60, DefaultOptions())
-	single := NewCenter(worldGrid(), DefaultOptions())
-	for _, srv := range servers {
-		single.Register(srv.Summary(), hang(srv.Name, &transport.InProc{Name: srv.Name, Handler: srv.Handler()}))
-	}
-	clustered := newPlane(t, planeConfig{centers: 2, servers: servers, wrapSource: hang}).cluster
-	q := servers[1].Index.Get(10000).Cells
-	want, err := oracle.CoverageSearch(context.Background(), q, 4, 3)
-	if err != nil || len(want.Picked) == 0 {
-		t.Fatalf("oracle: %v picks, err %v", len(want.Picked), err)
-	}
-	for name, search := range map[string]func(context.Context) (CoverageResult, error){
-		"single":    func(ctx context.Context) (CoverageResult, error) { return single.CoverageSearch(ctx, q, 4, 3) },
-		"clustered": func(ctx context.Context) (CoverageResult, error) { return clustered.CoverageSearch(ctx, q, 4, 3) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			start := time.Now()
-			got, err := search(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, "picks", got.Picked, want.Picked)
-			if took := time.Since(start); took > sessionCloseTimeout+5*time.Second {
-				t.Errorf("search took %v with a hung coverage.close, bound is %v", took, sessionCloseTimeout)
-			}
-		})
-	}
-}
-
 // TestProbeRepairsLostMutationAck: a put whose acknowledgement is lost
 // between center and gateway leaves the gateway pruning on the old extent —
 // an OJSP in the newly covered area misses the dataset — until a Probe
@@ -226,19 +182,29 @@ func TestProbeRepairsLostMutationAck(t *testing.T) {
 // TestRelaySurvivesCenterKillMidRound kills the owner center between a
 // coverage.round and its coverage.fetch. The session lives at the source,
 // so the query neither fails nor restarts: same picks as the single center,
-// one failover, and no source is sent a second Base.
+// one failover, and no source is sent a second Base. Afterwards no source
+// holds a session but the query's own, which the next round closes.
 func TestRelaySurvivesCenterKillMidRound(t *testing.T) {
 	oracle, _, servers := buildFederation(rand.New(rand.NewSource(71)), 5, 80, DefaultOptions())
 	var mu sync.Mutex
 	bases := map[string]int{}
+	sessions := map[string]uint64{} // per source, the session of its last round
 	var p *plane
 	var killed string
 	p = newPlane(t, planeConfig{centers: 3, servers: servers,
 		wrapSource: func(source string, inner transport.Peer) transport.Peer {
 			return &funcPeer{inner: inner, call: func(ctx context.Context, inner transport.Peer, method string, req, resp any) error {
-				if r, ok := req.(*CoverageRoundRequest); ok && !r.Base.IsEmpty() {
+				if method == MethodCoverageRound {
+					// The relay passes the center's encoded request through.
+					var r CoverageRoundRequest
+					if err := BinaryCodec.Decode(req.(rawBody), &r); err != nil {
+						return err
+					}
 					mu.Lock()
-					bases[fmt.Sprintf("%s/%d", source, r.Session)]++
+					if !r.Base.IsEmpty() {
+						bases[fmt.Sprintf("%s/%d", source, r.Session)]++
+					}
+					sessions[source] = r.Session
 					mu.Unlock()
 				}
 				return inner.Call(ctx, method, req, resp)
@@ -259,6 +225,12 @@ func TestRelaySurvivesCenterKillMidRound(t *testing.T) {
 	if err != nil || len(want.Picked) < 2 {
 		t.Fatalf("oracle: %d picks, err %v — the query must run several rounds", len(want.Picked), err)
 	}
+	oracles := map[uint64]bool{} // the oracle's sessions: another center's
+	for _, srv := range servers {
+		for _, id := range heldSessions(srv) {
+			oracles[id] = true
+		}
+	}
 	got, err := p.cluster.CoverageSearch(ctx, q, 6, 5)
 	if err != nil {
 		t.Fatalf("CJSP across a center kill: %v", err)
@@ -275,9 +247,14 @@ func TestRelaySurvivesCenterKillMidRound(t *testing.T) {
 			t.Errorf("session %s was sent %d Bases: it did not outlive its relay", key, n)
 		}
 	}
+	if len(bases) == 0 {
+		t.Fatal("no relayed round carried a Base: the count checks nothing")
+	}
 	for _, srv := range servers {
-		if n := srv.NumSessions(); n != 0 {
-			t.Errorf("source %s still holds %d sessions", srv.Name, n)
+		for _, id := range heldSessions(srv) {
+			if id != sessions[srv.Name] && !oracles[id] {
+				t.Errorf("source %s holds session %d, not the query's %d", srv.Name, id, sessions[srv.Name])
+			}
 		}
 	}
 }
@@ -464,7 +441,7 @@ func TestClusterCommBudget(t *testing.T) {
 	for i := range batch {
 		sameResults(t, fmt.Sprintf("batch query %d", i), got[i], want[i])
 	}
-	for _, method := range []string{MethodCoverageRound, MethodFetchCells, MethodSessionClose, MethodOverlap, MethodSearchBatch} {
+	for _, method := range []string{MethodCoverageRound, MethodFetchCells, MethodOverlap, MethodSearchBatch} {
 		if fanouts[method] == 0 {
 			t.Errorf("no %s fan-out went through the relay", method)
 		}

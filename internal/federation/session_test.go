@@ -3,10 +3,12 @@ package federation
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,12 +66,34 @@ func TestSessionStatelessParity(t *testing.T) {
 			}
 		}
 	}
-	// Sessions must be torn down once queries complete.
+	// A center that runs one query at a time leaves at most its last
+	// query's session at a source: each round closes the ones before.
 	for _, srv := range servers {
-		if n := srv.NumSessions(); n != 0 {
+		if n := srv.NumSessions(); n > 1 {
 			t.Errorf("source %s still holds %d sessions", srv.Name, n)
 		}
 	}
+}
+
+// held reports whether srv holds the session.
+func held(srv *SourceServer, sess uint64) bool {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	_, ok := srv.sessions[sess]
+	return ok
+}
+
+// heldSessions returns the sessions srv holds.
+func heldSessions(srv *SourceServer) []uint64 {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return slices.Collect(maps.Keys(srv.sessions))
+}
+
+// dropSession closes a session at srv the way a center does: a round that
+// carries it in Close (and asks for no session of its own).
+func dropSession(srv *SourceServer, sess uint64) {
+	srv.handleCoverageRound(context.Background(), CoverageRoundRequest{Close: []uint64{sess}})
 }
 
 // TestSessionCutsCoverageBytes asserts the point of the refactor: the
@@ -121,7 +145,7 @@ func TestSessionCutsCoverageBytes(t *testing.T) {
 }
 
 // droppingPeer simulates a source that loses its session state between
-// center calls: before forwarding a round (or fetch, per mode), it closes
+// center calls: before forwarding a round (or fetch, per mode), it drops
 // the session at the server, forcing the center onto the stateless
 // fallback (SessionMiss) or the Committed=false re-open path.
 type droppingPeer struct {
@@ -139,7 +163,7 @@ func (p *droppingPeer) Call(ctx context.Context, method string, req, resp any) e
 		case *FetchCellsRequest:
 			sess = r.Session
 		}
-		p.srv.handleSessionClose(SessionCloseRequest{Session: sess})
+		dropSession(p.srv, sess)
 	}
 	return p.inner.Call(ctx, method, req, resp)
 }
@@ -190,8 +214,7 @@ type loggedCall struct {
 }
 
 // logPeer appends every call it carries, answered, to a log shared by a
-// center's peers. Calls of one query may overlap: the last round's closes
-// run beside it.
+// center's peers. Calls of one round's fan-out may overlap.
 type logPeer struct {
 	inner transport.Peer
 	src   string
@@ -210,14 +233,16 @@ func (p *logPeer) Call(ctx context.Context, method string, req, resp any) error 
 func (p *logPeer) Close() error { return p.inner.Close() }
 
 // TestCoverageMessageBudget holds the session engine to the messages a
-// round needs, call by call, on InProc links: a source that just won a
-// committed fetch is not asked in the next round (the fetch carried its
-// next offer); only the round that starts with k−1 picks is Final, and a
-// source sent a Final round gets no coverage.close; the k-th fetch carries
-// no session; there is one coverage.fetch per pick; and no source holds a
-// session once the query has returned. Queries that reach k picks and
-// queries that run out of connected datasets first are both covered, with
-// sessions intact and under both of droppingPeer's modes.
+// round needs, call by call, on InProc links. Every source a round does not
+// ask holds back no cell inside its cached offer's guard; every source it
+// asks has one there, or holds no valid offer (none yet, a session lost, or
+// a fetch that did not commit). A source that just won a committed fetch is
+// not asked in the next round (the fetch carried its next offer); the k-th
+// fetch carries no session; there is one coverage.fetch per pick; and once
+// the query has returned, no source holds a session but that of the last
+// query that sent it a round. Queries that reach k picks and queries that
+// run out of connected datasets first are both covered, with sessions
+// intact and under both of droppingPeer's modes.
 func TestCoverageMessageBudget(t *testing.T) {
 	_, _, servers := buildFederation(rand.New(rand.NewSource(71)), 3, 60, DefaultOptions())
 	for _, mode := range []string{"", MethodCoverageRound, MethodFetchCells} {
@@ -235,7 +260,14 @@ func TestCoverageMessageBudget(t *testing.T) {
 			})
 		}
 		rng := rand.New(rand.NewSource(72))
-		full, short := 0, 0
+		full, short, skipped := 0, 0, 0
+		lastSess := map[string]uint64{} // per source, the session of the last round it got
+		others := map[uint64]bool{}     // sessions the previous modes' centers left
+		for _, srv := range servers {
+			for _, id := range heldSessions(srv) {
+				others[id] = true
+			}
+		}
 		for trial := 0; trial < 40; trial++ {
 			q := randomQuery(rng)
 			k := []int{1, 3, 5, 60}[trial%4]
@@ -252,35 +284,62 @@ func TestCoverageMessageBudget(t *testing.T) {
 			at := func(c loggedCall) string {
 				return fmt.Sprintf("mode %q trial %d k=%d (%d picks): %s to %s", mode, trial, k, len(res.Picked), c.method, c.src)
 			}
+			// The center's view of each source's cached offer, replayed
+			// from the log: its guard, whether it is valid, and whether a
+			// winner's cells have landed in the guard since.
+			type cached struct {
+				guard    []cellset.Span
+				valid    bool
+				hit      bool
+				answered bool // in this round
+			}
+			views := map[string]*cached{}
+			view := func(src string) *cached {
+				if views[src] == nil {
+					views[src] = &cached{}
+				}
+				return views[src]
+			}
 			fetches := 0
 			committedWinner := "" // won the last fetch, committed
-			finalSent := map[string]bool{}
 			for _, c := range log {
 				switch c.method {
 				case MethodCoverageRound:
-					req := c.req.(*CoverageRoundRequest)
+					req, resp := c.req.(*CoverageRoundRequest), c.resp.(*CoverageRoundResponse)
+					lastSess[c.src] = req.Session
 					if c.src == committedWinner {
 						t.Errorf("%s: asked again in the round after its committed fetch", at(c))
 					}
-					if req.Final != (fetches == k-1) {
-						t.Errorf("%s: Final = %v after %d fetches", at(c), req.Final, fetches)
+					v := view(c.src)
+					if v.valid && !v.hit {
+						t.Errorf("%s: asked while no cell it was not sent lies in its offer's guard %v", at(c), v.guard)
 					}
-					if req.Final {
-						finalSent[c.src] = true
-					}
+					v.guard, v.valid, v.hit, v.answered = resp.Guard, !resp.SessionMiss, false, true
 				case MethodFetchCells:
 					fetches++
+					for src, v := range views {
+						if v.valid && v.hit {
+							t.Errorf("mode %q trial %d k=%d: pick %d made while %s holds a cell in its guard unasked", mode, trial, k, fetches, src)
+						}
+						if !v.answered && v.valid {
+							skipped++
+						}
+						v.answered = false
+					}
 					req, resp := c.req.(*FetchCellsRequest), c.resp.(*FetchCellsResponse)
 					if fetches == k && req.Session != 0 {
 						t.Errorf("%s: the k-th fetch carries session %d", at(c), req.Session)
 					}
-					committedWinner = ""
+					w := view(c.src)
+					committedWinner, w.valid = "", false
 					if resp.Committed {
 						committedWinner = c.src
+						w.guard, w.valid, w.hit = resp.Next.Guard, true, false
 					}
-				case MethodSessionClose:
-					if finalSent[c.src] {
-						t.Errorf("%s: closed after a Final round", at(c))
+					for src, v := range views {
+						if src != c.src && v.valid && !v.hit {
+							v.hit = slices.ContainsFunc(v.guard, resp.Cells.Meets)
+						}
 					}
 				default:
 					t.Errorf("%s: unexpected method", at(c))
@@ -290,19 +349,25 @@ func TestCoverageMessageBudget(t *testing.T) {
 				t.Errorf("mode %q trial %d: %d coverage.fetch calls for %d picks", mode, trial, fetches, len(res.Picked))
 			}
 			for _, srv := range servers {
-				if n := srv.NumSessions(); n != 0 {
-					t.Fatalf("mode %q trial %d: source %s holds %d sessions after the query", mode, trial, srv.Name, n)
+				for _, id := range heldSessions(srv) {
+					if id != lastSess[srv.Name] && !others[id] {
+						t.Fatalf("mode %q trial %d: source %s holds session %d after a later query's round", mode, trial, srv.Name, id)
+					}
 				}
 			}
 		}
 		if full == 0 || short == 0 {
 			t.Errorf("mode %q: %d queries reached k, %d stopped short; both must occur", mode, full, short)
 		}
+		if mode == "" && skipped == 0 {
+			t.Errorf("no round kept a source's cached offer: the guards skip nothing")
+		}
 	}
 }
 
 // TestSourceSessionEviction drives the session table directly: the cap
-// holds, idle sessions are reclaimed by TTL, and close removes state.
+// holds, idle sessions are reclaimed by TTL, and a round's close list
+// removes state before the round takes a slot.
 func TestSourceSessionEviction(t *testing.T) {
 	g := worldGrid()
 	nd := dataset.NewNodeFromCells(1, "d", cellset.New(geo.ZEncode(3, 3), geo.ZEncode(2, 2)))
@@ -340,16 +405,28 @@ func TestSourceSessionEviction(t *testing.T) {
 		t.Error("round against evicted session should report SessionMiss")
 	}
 
-	if got := srv.handleSessionClose(SessionCloseRequest{Session: 99}); !got.Closed {
-		t.Error("close of live session should report Closed")
+	// A round's close list drops its sessions first: with the table at the
+	// cap (99 to 102), a round that closes 99 and 100 stores its own.
+	for id := uint64(100); id < 103; id++ {
+		srv.handleCoverageRound(context.Background(), CoverageRoundRequest{Session: id, Base: cellset.FromSet(base), Delta: 2})
 	}
-	if n := srv.NumSessions(); n != 0 {
-		t.Errorf("close left %d sessions", n)
+	now = now.Add(30 * time.Second) // within the TTL: nothing is swept
+	resp = srv.handleCoverageRound(context.Background(), CoverageRoundRequest{
+		Session: 103, Base: cellset.FromSet(base), Delta: 2, Close: []uint64{99, 100, 7},
+	})
+	if resp.Stateless || !held(srv, 103) {
+		t.Errorf("the round closing a session at the cap did not store its own: %+v", resp)
+	}
+	if held(srv, 99) || held(srv, 100) {
+		t.Error("a round's close list left its sessions")
+	}
+	if n := srv.NumSessions(); n != 3 {
+		t.Errorf("close left %d sessions, want 101, 102 and 103", n)
 	}
 }
 
 // flakyPeer works until failAfter calls, then errors forever — a source
-// that dies mid-session. A close may run beside a call of the last round.
+// that dies mid-session.
 type flakyPeer struct {
 	inner     transport.Peer
 	calls     atomic.Int64
@@ -702,7 +779,7 @@ func TestCoverageRoundAllocBudget(t *testing.T) {
 						return srv.handleFetchCells(ctx, FetchCellsRequest{Session: sess, ID: o.ID, Exclude: exclude}).Next
 					})
 				}
-				srv.handleSessionClose(SessionCloseRequest{Session: sess})
+				dropSession(srv, sess)
 			}
 		}
 		perOffer = min(perOffer, float64(bytes)/float64(offers))
@@ -741,7 +818,7 @@ func TestLazyPickEvaluations(t *testing.T) {
 				p := &srv.sessions[sess].pick
 				srv.mu.Unlock()
 				whole, incremental = whole+p.Whole, incremental+p.Incremental
-				srv.handleSessionClose(SessionCloseRequest{Session: sess})
+				dropSession(srv, sess)
 			}
 		}
 		perWhole, perTotal := float64(whole)/float64(offers), float64(whole+incremental)/float64(offers)
@@ -784,7 +861,7 @@ func TestConnectProbeCounts(t *testing.T) {
 			got.Far += c.Far
 			got.Probes += c.Probes
 			got.Hits += c.Hits
-			srv.handleSessionClose(SessionCloseRequest{Session: sess})
+			dropSession(srv, sess)
 		}
 	}
 	want := coverage.ConnectCounts{Examined: 10496, Known: 4013, Pruned: 3162, Far: 175, Probes: 3146, Hits: 2180}
@@ -810,14 +887,15 @@ func TestSessionRecoversFromCancelledWalk(t *testing.T) {
 			sess := uint64(i) + 1
 			srv.handleCoverageRound(gone, CoverageRoundRequest{Session: sess, Base: cellset.FromSet(q), Delta: 10})
 			got := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Delta: 10})
-			want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess + 100, Base: cellset.FromSet(q), Delta: 10, Final: true})
-			if got.Offer != want.Offer {
+			want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess + 100, Base: cellset.FromSet(q), Delta: 10})
+			dropSession(srv, sess+100)
+			if !reflect.DeepEqual(got.Offer, want.Offer) {
 				t.Fatalf("query %d at %s: after a cancelled round the session offered %+v, a fresh one %+v", i, srv.Name, got.Offer, want.Offer)
 			}
 			if got.Found {
 				offered++
 			}
-			srv.handleSessionClose(SessionCloseRequest{Session: sess})
+			dropSession(srv, sess)
 		}
 	}
 	if offered == 0 {

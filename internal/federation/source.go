@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -23,7 +24,7 @@ import (
 // Session housekeeping defaults: a source never holds more than
 // DefaultMaxSessions coverage sessions and reclaims any session idle
 // longer than DefaultSessionTTL. Both bound the memory a center crash (or
-// a lost close) can strand at a source.
+// a close list no later round carried) can strand at a source.
 const (
 	DefaultMaxSessions = 128
 	DefaultSessionTTL  = 2 * time.Minute
@@ -250,10 +251,6 @@ func (s *SourceServer) Handler() transport.Handler {
 			return serve(codec, body, func(req FetchCellsRequest) (FetchCellsResponse, error) {
 				return s.handleFetchCells(ctx, req), nil
 			})
-		case MethodSessionClose:
-			return serve(codec, body, func(req SessionCloseRequest) (SessionCloseResponse, error) {
-				return s.handleSessionClose(req), nil
-			})
 		case MethodDatasetPut:
 			return serve(codec, body, s.handleDatasetPut)
 		case MethodDatasetDelete:
@@ -421,18 +418,17 @@ func (s *SourceServer) findConnectSet(ctx context.Context, idx *dits.Local, qn *
 	return executor.FindConnectSet(ctx, idx.Root, qn, delta, qIdx)
 }
 
-// handleCoverageRound answers one session round: update the session state
-// from Base/Added, then offer the best candidate as (ID, Gain) only. A
-// Final round takes the session out of the table before answering from it,
-// and with Base answers without storing one.
+// handleCoverageRound answers one session round: drop the sessions the
+// request closes, update the session state from Base/Added, then offer the
+// best candidate as (ID, Gain) with its guard.
 func (s *SourceServer) handleCoverageRound(ctx context.Context, req CoverageRoundRequest) CoverageRoundResponse {
 	s.mu.Lock()
+	for _, id := range req.Close {
+		delete(s.sessions, id)
+	}
 	now := s.clock()
 	s.sweepLocked(now)
 	sess := s.sessions[req.Session]
-	if req.Final {
-		delete(s.sessions, req.Session)
-	}
 	stateless := false
 	switch {
 	case sess == nil && req.Base.IsEmpty():
@@ -440,12 +436,11 @@ func (s *SourceServer) handleCoverageRound(ctx context.Context, req CoverageRoun
 		return CoverageRoundResponse{SessionMiss: true}
 	case sess == nil:
 		sess = &covSession{}
-		if req.Final || len(s.sessions) >= s.maxSessions() {
-			// The query's last round, or a table full of live sessions:
-			// answer from the request's Base without storing — never
-			// evict another in-flight query's state. On a full table the
-			// center falls back to full-state rounds for this source
-			// until capacity frees up.
+		if len(s.sessions) >= s.maxSessions() {
+			// A table full of live sessions: answer from the request's
+			// Base without storing — never evict another in-flight query's
+			// state. The center falls back to full-state rounds for this
+			// source until capacity frees up.
 			stateless = true
 		} else {
 			if s.sessions == nil {
@@ -469,8 +464,9 @@ func (s *SourceServer) handleCoverageRound(ctx context.Context, req CoverageRoun
 	return CoverageRoundResponse{Stateless: stateless, Offer: s.offer(ctx, sess, req.Exclude)}
 }
 
-// offer brings the session's connected set up to date and picks its best
-// dataset outside exclude. The caller holds sess.mu.
+// offer brings the session's connected set up to date, picks its best
+// dataset outside exclude and guards the pick (coverage.Guard). The caller
+// holds sess.mu.
 func (s *SourceServer) offer(ctx context.Context, sess *covSession, exclude []int) Offer {
 	var out Offer
 	if sess.pick.Merged().IsEmpty() {
@@ -486,22 +482,27 @@ func (s *SourceServer) offer(ctx context.Context, sess *covSession, exclude []in
 			return ctx.Err()
 		})
 		if err != nil {
-			return // the caller has given up on this offer
+			// The caller gave up; an answer that still arrives is void.
+			out.Guard = []cellset.Span{{X1: math.MaxUint32, Y1: math.MaxUint32}}
+			return
 		}
-		best, bestGain := sess.pick.Pick(func(id int) bool { return slices.Contains(exclude, id) })
+		excluded := func(id int) bool { return slices.Contains(exclude, id) }
+		best, bestGain := sess.pick.Pick(excluded)
 		if best != nil {
 			out = Offer{Found: true, ID: best.ID, Name: best.Name, Gain: bestGain}
 		}
+		out.Guard = coverage.Guard(idx.Root, best, bestGain, sess.delta, &sess.pick.Connected, excluded)
 	})
 	return out
 }
 
-// handleFetchCells ships the winning dataset's full cell set and folds it
-// into the session, then answers the offer the session's next round would
-// make — so the next round neither ships this source a delta nor asks it at
-// all. A dataset's cells lie inside the source's root MBR, which is inside
-// every clip region the center uses for this source, so the unclipped union
-// is exactly what clipping would produce.
+// handleFetchCells ships the winning dataset's full cell set and folds the
+// held-back delta and then it into the session, then answers the offer the
+// session's next round would make — so the next round neither ships this
+// source a delta nor asks it at all. A dataset's cells lie inside the
+// source's root MBR, which is inside every clip region the center uses for
+// this source, so the unclipped union is exactly what clipping would
+// produce.
 func (s *SourceServer) handleFetchCells(ctx context.Context, req FetchCellsRequest) FetchCellsResponse {
 	// Dataset nodes are immutable once published (mutations replace the
 	// node object), so the cells stay valid after the lock is released.
@@ -524,22 +525,12 @@ func (s *SourceServer) handleFetchCells(ctx context.Context, req FetchCellsReque
 	s.mu.Unlock()
 	if sess != nil {
 		sess.mu.Lock()
+		sess.absorb(req.Added)
 		sess.absorb(cells)
 		resp.Committed, resp.Next = true, s.offer(ctx, sess, req.Exclude)
 		sess.mu.Unlock()
 	}
 	return resp
-}
-
-// handleSessionClose drops the session, if still present, and sweeps any
-// sessions whose TTL lapsed.
-func (s *SourceServer) handleSessionClose(req SessionCloseRequest) SessionCloseResponse {
-	s.mu.Lock()
-	s.sweepLocked(s.clock())
-	_, ok := s.sessions[req.Session]
-	delete(s.sessions, req.Session)
-	s.mu.Unlock()
-	return SessionCloseResponse{Closed: ok}
 }
 
 // clock returns the current time; the caller holds s.mu.
@@ -559,7 +550,7 @@ func (s *SourceServer) maxSessions() int {
 }
 
 // sweepLocked reclaims sessions idle past the TTL. It runs on every
-// session-table access (rounds, closes, stats), so a crashed center's
+// session-table access (rounds, fetches, stats), so a crashed center's
 // stranded sessions are reclaimed by whatever traffic arrives next. The
 // caller holds s.mu.
 func (s *SourceServer) sweepLocked(now time.Time) {

@@ -56,27 +56,32 @@ func setCellField(f reflect.Value, s cellset.Set) {
 
 // TestCellSetMessagesGoldenBytes pins the encoded bytes of the messages
 // that carry a CJSP's cells, for each golden set: a coverage.round with
-// the set as Base and as Added, and a coverage.fetch answer with the set
-// as Cells. The digests were taken from the flat-Set messages; the
-// container-form messages must reproduce them byte for byte, so changing
-// a field's form never changes what crosses the wire.
+// the set as Base and as Added (with a close list), a coverage.fetch
+// answer with the set as Cells (and a guarded next offer), and a
+// coverage.fetch request with the set as Added. The cell sets encode as
+// they did in the flat-Set messages the first digests were taken from;
+// the container-form messages must reproduce them byte for byte, so
+// changing a field's form never changes what crosses the wire.
 func TestCellSetMessagesGoldenBytes(t *testing.T) {
-	want := map[string][3]string{
-		"0 cells":      {"812e446ec0368917", "233ff8e4a5c7ecd3", "7409bb6741c48397"},
-		"1 cell":       {"4ea3d37d3dda462e", "a9ecf58a95ae637a", "314d9f1f9bdd8023"},
-		"64 cells":     {"60999fceadb184cc", "dff2ffa33553d55b", "c9b961b632930e6a"},
-		"65 cells":     {"a1fc7c53e5ac1fd8", "92ecbf3023bbc50e", "76f0312ec7bf8489"},
-		"5 chunks":     {"c198814933d432bc", "969d65be60a3f1b3", "564cd15c035ea40f"},
-		"bitmap chunk": {"7dccbb1580cb4512", "4e07afa6ce06e5fb", "06ad831f1136aed5"},
+	want := map[string][4]string{
+		"0 cells":      {"b289b20b089c64b2", "5ebacb9781b265a2", "e0f2a09173b6ccf4", "4a528aa68a07ac99"},
+		"1 cell":       {"cc9cc68a2af73807", "fbde5126562fcbab", "b676551035c2e29d", "23b75ec924581e77"},
+		"64 cells":     {"f09d3682dc90c74f", "4f23f99f2fd09c94", "27bdb33eb4160059", "53c6e806a1ff6969"},
+		"65 cells":     {"9134d2e9d8f8ab48", "191616f9c6de96ca", "8b4bf879e2ac80fa", "63f500e10dd51c60"},
+		"5 chunks":     {"98dbfa25042b79e8", "0854726ebd82f25c", "36424807b302f03d", "d2fb50f169ab4a1d"},
+		"bitmap chunk": {"15977e438604f272", "a85b9bd2245fa022", "121b3ee1163fcca8", "7ad8c6640628fc4c"},
 	}
+	guard := []cellset.Span{{X0: 3, Y0: 4, X1: 300, Y1: 4000}, {X0: 1 << 20, Y0: 0, X1: 1<<20 + 9, Y1: 127}}
 	for _, g := range goldenCellSets() {
 		base := &CoverageRoundRequest{Session: 1 << 40, Delta: 2.5, Exclude: []int{3, 17}}
 		setCellField(reflect.ValueOf(base).Elem().FieldByName("Base"), g.set)
-		added := &CoverageRoundRequest{Session: 9, Delta: 10, Final: true}
+		added := &CoverageRoundRequest{Session: 9, Delta: 10, Close: []uint64{8, 1 << 50}}
 		setCellField(reflect.ValueOf(added).Elem().FieldByName("Added"), g.set)
-		fetch := &FetchCellsResponse{Found: true, Committed: true, Next: Offer{Found: true, ID: 12, Name: "next", Gain: 40}}
+		fetch := &FetchCellsResponse{Found: true, Committed: true, Next: Offer{Found: true, ID: 12, Name: "next", Gain: 40, Guard: guard}}
 		setCellField(reflect.ValueOf(fetch).Elem().FieldByName("Cells"), g.set)
-		for i, m := range []any{base, added, fetch} {
+		held := &FetchCellsRequest{Session: 9, ID: 12, Exclude: []int{12}}
+		setCellField(reflect.ValueOf(held).Elem().FieldByName("Added"), g.set)
+		for i, m := range []any{base, added, fetch, held} {
 			wire, err := BinaryCodec.Append(nil, m)
 			if err != nil {
 				t.Fatalf("%s: %T: %v", g.name, m, err)

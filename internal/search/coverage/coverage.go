@@ -46,6 +46,9 @@
 package coverage
 
 import (
+	"math"
+	"slices"
+
 	"dits/internal/cellset"
 	"dits/internal/dataset"
 	"dits/internal/geo"
@@ -218,6 +221,99 @@ func walkConnect(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cell
 	}
 	walk(root)
 	return out
+}
+
+// GuardSpans is the most spans a guard holds.
+const GuardSpans = 4
+
+// Guard returns where cells added to the merged set can change an offer:
+// at most GuardSpans spans of grid cells. offer is the dataset offered with
+// gain over the merged set, nil when nothing is offered; connected is the
+// merged set's connected set and excluded rejects the IDs never offered.
+//
+// Gains only fall as the merged set grows, so added cells with none in the
+// guard leave the offer as it is. Its own gain moves only when a cell lands
+// in its MBR. A connected dataset's gain could only fall further below it.
+// An unconnected one can connect only through a cell within delta of its
+// MBR, and beat the offer only if |S_D| > gain, or |S_D| = gain with a
+// smaller ID; with nothing offered, any of them can. The guard covers the
+// offer's MBR and the MBRs of those, expanded by delta rounded up. The walk
+// skips every leaf whose MaxCells is below the gain, and merges the spans
+// down to GuardSpans by least area growth as it goes.
+func Guard(root *dits.TreeNode, offer *dataset.Node, gain int, delta float64, connected *ConnectSet, excluded func(id int) bool) []cellset.Span {
+	var g []cellset.Span
+	if offer != nil {
+		g = addSpan(g, spanOf(offer.Rect, 0))
+	}
+	grow := uint32(math.Ceil(delta))
+	need := max(gain, 1) // with nothing offered, any dataset with a cell
+	var walk func(n *dits.TreeNode)
+	walk = func(n *dits.TreeNode) {
+		if n == nil || n.Rect.IsEmpty() {
+			return
+		}
+		if !n.IsLeaf() {
+			walk(n.Left)
+			walk(n.Right)
+			return
+		}
+		if n.MaxCells < need {
+			return
+		}
+		n.EnsureLoaded()
+		for _, nd := range n.Children {
+			if size := nd.Coverage(); size < need || (offer != nil && size == gain && nd.ID > offer.ID) {
+				continue // cannot beat the offer
+			}
+			if (offer != nil && nd.ID == offer.ID) || connected.Has(nd.ID) || excluded(nd.ID) {
+				continue
+			}
+			g = addSpan(g, spanOf(nd.Rect, grow))
+		}
+	}
+	walk(root)
+	return g
+}
+
+// spanOf returns the cells of the grid-coordinate MBR r, grown by grow
+// cells on every side and clamped to the coordinate range.
+func spanOf(r geo.Rect, grow uint32) cellset.Span {
+	lo := func(v float64) uint32 { return uint32(max(v-float64(grow), 0)) }
+	hi := func(v float64) uint32 { return uint32(min(v+float64(grow), math.MaxUint32)) }
+	return cellset.Span{X0: lo(r.MinX), Y0: lo(r.MinY), X1: hi(r.MaxX), Y1: hi(r.MaxY)}
+}
+
+// addSpan adds s to the guard g: not at all when a span of g contains it,
+// and otherwise, when g then holds more than GuardSpans, merging the pair
+// whose union adds the least area to the two.
+func addSpan(g []cellset.Span, s cellset.Span) []cellset.Span {
+	for _, t := range g {
+		if t.X0 <= s.X0 && t.Y0 <= s.Y0 && s.X1 <= t.X1 && s.Y1 <= t.Y1 {
+			return g
+		}
+	}
+	g = append(g, s)
+	if len(g) <= GuardSpans {
+		return g
+	}
+	bi, bj, best := 0, 1, math.Inf(1)
+	for i := range g {
+		for j := i + 1; j < len(g); j++ {
+			if d := area(union(g[i], g[j])) - area(g[i]) - area(g[j]); d < best {
+				bi, bj, best = i, j, d
+			}
+		}
+	}
+	g[bi] = union(g[bi], g[bj])
+	return slices.Delete(g, bj, bj+1)
+}
+
+func union(a, b cellset.Span) cellset.Span {
+	return cellset.Span{X0: min(a.X0, b.X0), Y0: min(a.Y0, b.Y0), X1: max(a.X1, b.X1), Y1: max(a.Y1, b.Y1)}
+}
+
+func area(s cellset.Span) float64 {
+	return float64(s.X1-s.X0+1) * float64(s.Y1-s.Y0+1)
 }
 
 // findConnectSet is a fresh FindConnectSetWithIndex walk.

@@ -180,6 +180,9 @@ func TestTCPLegacyInterop(t *testing.T) {
 		// The last version before array chunks went out as byte deltas:
 		// it would read them as raw words, into wrong sets.
 		{"hello/3 server", 0, "dits-hello/3"},
+		// The last version before offers carried guards and rounds close
+		// lists: its coverage frames are retired.
+		{"hello/4 server", 0, "dits-hello/4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -242,6 +245,7 @@ func TestTCPForeignHelloClosesConn(t *testing.T) {
 		{"hello/1", MethodHello, "dits-hello/1 gob gzip,trace"},
 		{"hello/2", MethodHello, "dits-hello/2 trace"},
 		{"hello/3", MethodHello, "dits-hello/3"},
+		{"hello/4", MethodHello, "dits-hello/4"},
 		{"no hello", "m", ""},
 	}
 	for _, tc := range cases {
