@@ -13,9 +13,13 @@
 //     of such a constant, so a removed method cannot linger in the tables;
 //   - every flag registered by a command under cmd/ must appear, as
 //     "-name", in README.md or one of the docs/*.md files — and, the
-//     other way round, every backticked `-name` in README.md's "Command
-//     reference" section must be a flag some command under cmd/ still
-//     registers, so a removed flag cannot linger in the reference;
+//     other way round, README.md's "Command reference" section is checked
+//     per command: each "**name** —" entry must name a directory under
+//     cmd/, and each backticked `-name` in an entry must be a flag that
+//     entry's command registers, so neither a removed command nor a flag
+//     borrowed from another command can linger in the reference (a
+//     backticked flag before the first entry must be registered by some
+//     command);
 //   - every Prometheus metric registered under internal/ or cmd/ (any
 //     "dits_*" name passed to a registration call) must be documented in
 //     docs/OPERATIONS.md;
@@ -94,10 +98,8 @@ func main() {
 		missing = append(missing, "found no method tables in docs/PROTOCOL.md (checker broken?)")
 	}
 
-	flags := cmdFlags(filepath.Join(*root, "cmd"))
-	registered := map[string]bool{}
+	cmds, flags := cmdFlags(filepath.Join(*root, "cmd"))
 	for _, f := range flags {
-		registered[f.name] = true
 		if *verbose {
 			fmt.Printf("flag   %-10s -%s\n", f.cmd, f.name)
 		}
@@ -109,16 +111,7 @@ func main() {
 	if len(flags) == 0 {
 		missing = append(missing, "found no flags under cmd/ (checker broken?)")
 	}
-	referenced := referenceFlags(readme)
-	for _, name := range referenced {
-		if !registered[name] {
-			missing = append(missing,
-				fmt.Sprintf("README.md's command reference documents -%s, which no command under cmd/ registers", name))
-		}
-	}
-	if len(referenced) == 0 {
-		missing = append(missing, `found no flags in README.md's "Command reference" section (checker broken?)`)
-	}
+	missing = append(missing, referenceDrift(readme, cmds, flags)...)
 
 	operations := readFile(filepath.Join(*root, "docs", "OPERATIONS.md"))
 	names := metricNames([]string{filepath.Join(*root, "internal"), filepath.Join(*root, "cmd")})
@@ -438,34 +431,63 @@ func tableMethods(doc string) []string {
 // it: a backticked "-name" and nothing else between the backticks.
 var backtickedFlag = regexp.MustCompile("`-([a-z][a-z0-9-]*)`")
 
-// referenceFlags returns the distinct flag names quoted in the README's
-// "Command reference" section (up to the next second-level heading).
-func referenceFlags(readme string) []string {
+// referenceEntry matches the line that opens one command's entry in the
+// command reference: "**name** —".
+var referenceEntry = regexp.MustCompile(`^\*\*([^*]+)\*\* —`)
+
+// referenceDrift checks README's "Command reference" section (up to the
+// next second-level heading) against the commands under cmd/ and the flags
+// each registers: every entry must name a command, and every flag an entry
+// quotes must be one its command registers. A flag quoted before the first
+// entry must be registered by some command.
+func referenceDrift(readme string, cmds []string, flags []cmdFlag) []string {
 	_, section, ok := strings.Cut(readme, "\n## Command reference\n")
 	if !ok {
-		return nil
+		return []string{`README.md has no "Command reference" section`}
 	}
 	if end := strings.Index(section, "\n## "); end >= 0 {
 		section = section[:end]
 	}
-	seen := map[string]bool{}
+	registers := map[string]map[string]bool{"": {}} // command -> its flags; "" -> every flag
+	for _, c := range cmds {
+		registers[c] = map[string]bool{}
+	}
+	for _, f := range flags {
+		registers[f.cmd][f.name] = true
+		registers[""][f.name] = true
+	}
 	var out []string
-	for _, m := range backtickedFlag.FindAllStringSubmatch(section, -1) {
-		if !seen[m[1]] {
-			seen[m[1]] = true
-			out = append(out, m[1])
+	quoted := 0
+	cmd := "" // the entry being read; "" before the first
+	for _, line := range strings.Split(section, "\n") {
+		if m := referenceEntry.FindStringSubmatch(line); m != nil {
+			if cmd = m[1]; registers[cmd] == nil {
+				out = append(out, fmt.Sprintf("README.md's command reference has an entry for %s, which is no command under cmd/", cmd))
+			}
+		}
+		for _, m := range backtickedFlag.FindAllStringSubmatch(line, -1) {
+			quoted++
+			switch {
+			case registers[cmd] == nil || registers[cmd][m[1]]: // reported above, or fine
+			case cmd == "":
+				out = append(out, fmt.Sprintf("README.md's command reference documents -%s, which no command under cmd/ registers", m[1]))
+			default:
+				out = append(out, fmt.Sprintf("README.md's command reference documents -%s under %s, which does not register it", m[1], cmd))
+			}
 		}
 	}
-	sort.Strings(out)
+	if quoted == 0 {
+		out = append(out, `found no flags in README.md's "Command reference" section (checker broken?)`)
+	}
 	return out
 }
 
 type cmdFlag struct{ cmd, name string }
 
-// cmdFlags returns every flag name registered via the flag package by the
-// commands under cmdDir (flag.String, flag.IntVar, ... — the name is the
-// first string-literal argument).
-func cmdFlags(cmdDir string) []cmdFlag {
+// cmdFlags returns the commands under cmdDir (its directories) and every
+// flag name they register via the flag package (flag.String, flag.IntVar,
+// ... — the name is the first string-literal argument).
+func cmdFlags(cmdDir string) (cmds []string, flags []cmdFlag) {
 	entries, err := os.ReadDir(cmdDir)
 	if err != nil {
 		fatal(err)
@@ -476,6 +498,7 @@ func cmdFlags(cmdDir string) []cmdFlag {
 		if !e.IsDir() {
 			continue
 		}
+		cmds = append(cmds, e.Name())
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, filepath.Join(cmdDir, e.Name()), nil, 0)
 		if err != nil {
@@ -526,7 +549,7 @@ func cmdFlags(cmdDir string) []cmdFlag {
 		}
 		return out[i].name < out[j].name
 	})
-	return out
+	return cmds, out
 }
 
 // flagRegisterFuncs are the flag-package functions that register a flag.

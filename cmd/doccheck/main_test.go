@@ -81,3 +81,30 @@ func main() { pkg.Used() }
 		t.Fatalf("testOnlyExports named %v, want %v", named, want)
 	}
 }
+
+// TestReferenceDrift feeds the command-reference check READMEs that each
+// drift one way and expects it to name exactly that drift.
+func TestReferenceDrift(t *testing.T) {
+	cmds := []string{"gate", "query"}
+	flags := []cmdFlag{{"gate", "addr"}, {"gate", "seed"}, {"query", "k"}}
+	const head = "# tool\n\n## Command reference\n\nThe `-addr` intro.\n\n**gate** — serve. `-addr` listen, `-seed` seed.\n\n"
+	for _, tc := range []struct {
+		name, entries string
+		want          []string
+	}{
+		{"clean", "**query** — ask. `-k` results.\n", nil},
+		{"entry for a missing command", "**query** — ask. `-k` results.\n\n**load** — removed. `-k`, `-seed`.\n",
+			[]string{"README.md's command reference has an entry for load, which is no command under cmd/"}},
+		{"flag borrowed from another command", "**query** — ask. `-k` results, `-seed` seed.\n",
+			[]string{"README.md's command reference documents -seed under query, which does not register it"}},
+		{"flag no command registers", "**query** — ask. `-k` results, `-json` output.\n",
+			[]string{"README.md's command reference documents -json under query, which does not register it"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			readme := head + tc.entries + "\n## Development\n\n**load** — `-x` after the section.\n"
+			if got := referenceDrift(readme, cmds, flags); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("referenceDrift = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,14 +18,8 @@ import (
 	"dits/internal/geo"
 	"dits/internal/index/dits"
 	"dits/internal/ingest"
-	"dits/internal/load"
 	"dits/internal/transport"
 )
-
-// midLoadAnswers is how many requests of a load phase the gateway must have
-// answered before the soak kills a tier: enough that the load is running,
-// far fewer than a phase serves, so the kill lands mid-load.
-const midLoadAnswers = 40
 
 // TestClusterSoakKillCenterAndSourceUnderLoad is the cluster chaos soak:
 // a three-center sharded plane over real TCP, one source replicated via
@@ -157,52 +150,13 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 	gw := gateway.NewCluster(cluster, gateway.Options{
 		Admission: admission.Config{Rate: 5000, Burst: 1000, Deadline: 5 * time.Second},
 	})
-	// answered counts the requests the gateway has finished, so each kill
-	// below waits for its load phase to be under way instead of for a fixed
-	// time.
-	var answered atomic.Int64
-	h := gw.Handler()
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.ServeHTTP(w, r)
-		answered.Add(1)
-	}))
+	hs := httptest.NewServer(gw.Handler())
 	defer hs.Close()
-	midLoad := func(phase string, from int64) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); answered.Load() < from+midLoadAnswers; {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: the gateway answered %d requests in 5 s, want %d before the kill",
-					phase, answered.Load()-from, midLoadAnswers)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 
 	// Phase 1 — mixed load (searches + ingest into alpha) across a center
-	// kill. The victim owns the largest shard, forcing the worst re-home.
-	type loadDone struct {
-		res load.Result
-		err error
-	}
-	resCh := make(chan loadDone, 1)
-	phase1 := answered.Load()
-	go func() {
-		res, err := load.Run(ctx, load.Options{
-			Target:   hs.URL,
-			Mode:     "closed",
-			Clients:  4,
-			Duration: 1600 * time.Millisecond,
-			Mix:      load.Mix{Overlap: 0.55, Coverage: 0.2, Batch: 0.1, Ingest: 0.15},
-			K:        5, PointsPerQuery: 6,
-			Bounds:       [4]float64{0, 0, soakSide, soakSide},
-			IngestSource: "alpha",
-			IngestIDs:    64,
-			Seed:         43,
-			ClientID:     "cluster-soak",
-		})
-		resCh <- loadDone{res, err}
-	}()
-	midLoad("phase 1", phase1)
+	// kill, which lands once the load is under way. The victim owns the
+	// largest shard, forcing the worst re-home.
+	ld := startSoakLoad(ctx, t, hs.URL, [4]float64{0.55, 0.2, 0.1, 0.15}, 1600*time.Millisecond, 43, "cluster-soak")
 
 	victim, shard := "", []string(nil)
 	for name, srcs := range cluster.Shards() {
@@ -249,20 +203,7 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 		hresp.Body.Close()
 	}
 
-	done := <-resCh
-	if done.err != nil {
-		t.Fatalf("phase-1 load: %v", done.err)
-	}
-	if done.res.Sent == 0 || done.res.OK == 0 {
-		t.Fatalf("phase-1 load moved no traffic: %+v", done.res)
-	}
-	if done.res.ClientErrors != 0 || done.res.ServerErrors != 0 || done.res.NetErrors != 0 || done.res.Shed != 0 {
-		t.Fatalf("center kill leaked to clients: client=%d server=%d net=%d shed=%d",
-			done.res.ClientErrors, done.res.ServerErrors, done.res.NetErrors, done.res.Shed)
-	}
-	if done.res.PerOp["ingest"].OK == 0 {
-		t.Fatalf("phase-1 never exercised ingest: %+v", done.res.PerOp)
-	}
+	ld.check(t) // the center kill must not leak to clients
 
 	// Phase 2 — ingest a marker dataset, drain replication to the
 	// primary's acked version, then kill the primary under search-only
@@ -281,23 +222,7 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	resCh2 := make(chan loadDone, 1)
-	phase2 := answered.Load()
-	go func() {
-		res, err := load.Run(ctx, load.Options{
-			Target:   hs.URL,
-			Mode:     "closed",
-			Clients:  4,
-			Duration: 1200 * time.Millisecond,
-			Mix:      load.Mix{Overlap: 0.65, Coverage: 0.2, Batch: 0.15},
-			K:        5, PointsPerQuery: 6,
-			Bounds:   [4]float64{0, 0, soakSide, soakSide},
-			Seed:     44,
-			ClientID: "cluster-soak-2",
-		})
-		resCh2 <- loadDone{res, err}
-	}()
-	midLoad("phase 2", phase2)
+	ld = startSoakLoad(ctx, t, hs.URL, [4]float64{0.65, 0.2, 0.15, 0}, 1200*time.Millisecond, 44, "cluster-soak-2")
 	tsAlpha.Close() // kill the replicated source's primary mid-load
 
 	var after gateway.OverlapResponse
@@ -314,17 +239,7 @@ func TestClusterSoakKillCenterAndSourceUnderLoad(t *testing.T) {
 		t.Fatalf("stale read after replica takeover: dataset %d absent from %+v", freshID, after.Results)
 	}
 
-	done2 := <-resCh2
-	if done2.err != nil {
-		t.Fatalf("phase-2 load: %v", done2.err)
-	}
-	if done2.res.Sent == 0 || done2.res.OK == 0 {
-		t.Fatalf("phase-2 load moved no traffic: %+v", done2.res)
-	}
-	if done2.res.ClientErrors != 0 || done2.res.ServerErrors != 0 || done2.res.NetErrors != 0 || done2.res.Shed != 0 {
-		t.Fatalf("source kill leaked to clients: client=%d server=%d net=%d shed=%d",
-			done2.res.ClientErrors, done2.res.ServerErrors, done2.res.NetErrors, done2.res.Shed)
-	}
+	ld.check(t) // the source kill must not leak to clients
 
 	// A write to the dead primary must fail loudly (the replica refuses
 	// local mutations); reads keep working regardless.

@@ -22,7 +22,6 @@ import (
 	"dits/internal/geo"
 	"dits/internal/index/dits"
 	"dits/internal/ingest"
-	"dits/internal/load"
 	"dits/internal/transport"
 )
 
@@ -157,30 +156,9 @@ func TestSoakKillAndRestartSourceUnderLoad(t *testing.T) {
 
 	// Background soak load: mixed searches, batches, and ingest upserts
 	// into alpha, running across the kill and the restart.
-	type loadDone struct {
-		res load.Result
-		err error
-	}
-	resCh := make(chan loadDone, 1)
-	go func() {
-		res, err := load.Run(context.Background(), load.Options{
-			Target:   hs.URL,
-			Mode:     "closed",
-			Clients:  4,
-			Duration: 2200 * time.Millisecond,
-			Mix:      load.Mix{Overlap: 0.55, Coverage: 0.2, Batch: 0.1, Ingest: 0.15},
-			K:        5, PointsPerQuery: 6,
-			Bounds:       [4]float64{0, 0, soakSide, soakSide},
-			IngestSource: "alpha",
-			IngestIDs:    64,
-			Seed:         42,
-			ClientID:     "soak",
-		})
-		resCh <- loadDone{res, err}
-	}()
+	ld := startSoakLoad(context.Background(), t, hs.URL, [4]float64{0.55, 0.2, 0.1, 0.15}, 2200*time.Millisecond, 42, "soak")
 
-	// Phase 1 — healthy: let the load flow through both sources.
-	time.Sleep(300 * time.Millisecond)
+	// Phase 1 — healthy: the load is flowing through both sources.
 	if f := center.Metrics.Failures(); len(f) != 0 {
 		t.Fatalf("healthy phase already recorded source failures: %v", f)
 	}
@@ -306,19 +284,5 @@ func TestSoakKillAndRestartSourceUnderLoad(t *testing.T) {
 	// Phase 5 — the soak itself must have been clean: traffic flowed the
 	// whole time and nothing but the killed source's skipped fan-outs went
 	// wrong (SkipFailed turns those into degraded 200s, not errors).
-	done := <-resCh
-	if done.err != nil {
-		t.Fatalf("background load: %v", done.err)
-	}
-	res := done.res
-	if res.Sent == 0 || res.OK == 0 {
-		t.Fatalf("background load moved no traffic: %+v", res)
-	}
-	if res.ClientErrors != 0 || res.ServerErrors != 0 || res.NetErrors != 0 || res.Shed != 0 {
-		t.Fatalf("soak load saw errors: client=%d server=%d net=%d shed=%d",
-			res.ClientErrors, res.ServerErrors, res.NetErrors, res.Shed)
-	}
-	if res.PerOp["ingest"].OK == 0 {
-		t.Fatalf("soak never exercised ingest: %+v", res.PerOp)
-	}
+	ld.check(t)
 }
