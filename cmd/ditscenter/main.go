@@ -17,10 +17,11 @@
 //
 //	ditscenter -addr 127.0.0.1:7201 -name center-a -memberlog state/center-a/members.log
 //	ditsgate -addr 127.0.0.1:8080 -cluster center-a=127.0.0.1:7201,center-b=127.0.0.1:7202 \
-//	         -cluster-sources Transit=127.0.0.1:7101 -bounds=-180,-90,180,90 -theta 12
+//	         -cluster-sources Transit=127.0.0.1:7101
 //
 // The sources are ditsserve processes started exactly as for a
-// single-center gateway; the gateway and the sources share the grid.
+// single-center gateway; the gateway takes the grid of the first source
+// registered, and a center refuses a later source on another grid.
 package main
 
 import (

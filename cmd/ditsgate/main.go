@@ -5,11 +5,10 @@
 //
 // Usage:
 //
-//	datagen -out data -bounds=-180,-90,180,90 -theta 12
+//	datagen -out data
 //	ditsserve -source data/Transit.dsnap -addr 127.0.0.1:7101
 //	ditsserve -source data/Baidu.dsnap   -addr 127.0.0.1:7102
-//	ditsgate -addr 127.0.0.1:8080 -remote 127.0.0.1:7101,127.0.0.1:7102 \
-//	         -bounds=-180,-90,180,90 -theta 12 -pool 8 -cache 4096
+//	ditsgate -addr 127.0.0.1:8080 -remote 127.0.0.1:7101,127.0.0.1:7102 -pool 8 -cache 4096
 //
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/search/overlap \
@@ -18,18 +17,18 @@
 // With -cluster the gateway fronts a sharded plane of ditscenter
 // processes instead of dialing the sources itself: the -cluster-sources
 // roster is partitioned across the centers by consistent hash, the
-// gateway still runs every query and mutation (so -cache, -no-filter,
-// -no-clip and -tolerant apply in both modes, and answers are
-// byte-identical to the single-center ones), and each source call is
+// gateway still runs every query and mutation (so -cache and -tolerant
+// apply in both modes, and answers are byte-identical to the
+// single-center ones), and each source call is
 // relayed by the source's owner center. A center that stops answering is
 // failed over — its shard re-homes onto the survivors. A source listed
 // with `Name=primary+replica` addresses is served through its replica when
 // the primary dies.
 //
-// -bounds and -theta must match the values datagen gridded the sources'
-// files with: the grid derived from them defines the cell IDs the whole
-// federation shares, and a source on another grid is refused. See
-// docs/PROTOCOL.md for the endpoint payloads.
+// The gateway takes no grid of its own: the first source it registers
+// fixes the grid whose cell IDs the whole federation shares (the one
+// datagen wrote into that source's file), and a later source on another
+// grid is refused. See docs/PROTOCOL.md for the endpoint payloads.
 package main
 
 import (
@@ -49,6 +48,7 @@ import (
 	"dits/internal/federation"
 	"dits/internal/gateway"
 	"dits/internal/geo"
+	"dits/internal/index/dits"
 	"dits/internal/obs"
 	"dits/internal/transport"
 )
@@ -59,12 +59,8 @@ func main() {
 	clusterFlag := flag.String("cluster", "", "comma-separated name=addr ditscenter endpoints (cluster mode; mutually exclusive with -remote)")
 	clusterSources := flag.String("cluster-sources", "", "comma-separated Name=addr[+replica...] source roster for -cluster; '+' separates the primary from read replicas")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "period between center health probes in cluster mode (0 disables)")
-	theta := flag.Int("theta", 12, "grid resolution θ (must match the sources)")
-	boundsFlag := flag.String("bounds", "", "shared world bounds minX,minY,maxX,maxY (required; must match the sources)")
 	poolSize := flag.Int("pool", 8, "TCP connections per source")
 	cacheSize := flag.Int("cache", 4096, "result cache capacity in entries, one per source answer to an OJSP or per CJSP answer (0 disables)")
-	noFilter := flag.Bool("no-filter", false, "disable DITS-G candidate filtering")
-	noClip := flag.Bool("no-clip", false, "disable per-source query clipping")
 	tolerant := flag.Bool("tolerant", false, "skip failed sources mid-query instead of failing the query")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client request rate limit in req/s (0 disables)")
 	burst := flag.Int("burst", 0, "per-client burst size (0 = ceil(rate-limit))")
@@ -75,7 +71,6 @@ func main() {
 	logFile := flag.String("log-file", "", "append operational logs to this file instead of stderr")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	slowQuery := flag.Duration("slow-query", 0, "log any request whose trace lasts at least this long, with its full span tree (0 disables)")
-	traceRing := flag.Int("trace-ring", 0, "completed traces kept for GET /debug/traces (0 = default capacity)")
 	flag.Parse()
 
 	logger, logClose, err := obs.OpenLogger(*logFile, *logFormat)
@@ -90,14 +85,6 @@ func main() {
 	if *clusterFlag != "" && *clusterSources == "" {
 		fail(fmt.Errorf("-cluster requires -cluster-sources (the roster to shard across the centers)"))
 	}
-	if *boundsFlag == "" {
-		fail(fmt.Errorf("-bounds is required and must match the sources' -bounds"))
-	}
-	bounds, err := geo.ParseRect(*boundsFlag)
-	if err != nil {
-		fail(err)
-	}
-	grid := geo.NewGrid(*theta, bounds)
 
 	gwOpts := gateway.Options{
 		Admission: admission.Config{
@@ -107,20 +94,19 @@ func main() {
 			MaxQueue:    *maxQueue,
 			Deadline:    *deadline,
 		},
-		EnablePprof:   *pprofFlag,
-		SlowTrace:     *slowQuery,
-		TraceCapacity: *traceRing,
-		Logger:        logger,
+		EnablePprof: *pprofFlag,
+		SlowTrace:   *slowQuery,
+		Logger:      logger,
 	}
 
-	opts := federation.Options{GlobalFilter: !*noFilter, ClipQuery: !*noClip, Sessions: true}
+	opts := federation.DefaultOptions()
 	if *tolerant {
 		opts.OnSourceError = federation.SkipFailed
 	}
 	var gw *gateway.Gateway
 	var describe string
 	if *clusterFlag != "" {
-		cluster, err := buildCluster(grid, *clusterFlag, *clusterSources, *poolSize, logger)
+		cluster, err := buildCluster(*clusterFlag, *clusterSources, *poolSize, logger)
 		if err != nil {
 			fail(err)
 		}
@@ -145,11 +131,22 @@ func main() {
 		st := cluster.Stats()
 		describe = fmt.Sprintf("%d sources sharded over %d centers", cluster.NumSources(), st.Centers)
 	} else {
-		center := federation.NewCenter(grid, opts)
-		center.SetCache(cache.New(*cacheSize))
+		met := &transport.Metrics{}
+		var center *federation.Center
 		for _, a := range strings.Split(*remote, ",") {
 			a = strings.TrimSpace(a)
-			pool := transport.DialPool(a, a, *poolSize, center.Metrics)
+			pool := transport.DialPool(a, a, *poolSize, met)
+			if center == nil {
+				// The first source fixes the grid; RegisterRemote refuses
+				// every later source gridded otherwise.
+				var first dits.SourceSummary
+				if err := pool.Call(context.Background(), federation.MethodSummary, nil, &first); err != nil {
+					fail(fmt.Errorf("register %s: %w", a, err))
+				}
+				center = federation.NewCenter(first.Grid, opts)
+				center.Metrics = met
+				center.SetCache(cache.New(*cacheSize))
+			}
 			summary, err := center.RegisterRemote(context.Background(), pool)
 			if err != nil {
 				fail(fmt.Errorf("register %s: %w", a, err))
@@ -181,8 +178,9 @@ func main() {
 }
 
 // buildCluster dials the ditscenter endpoints of -cluster, builds the
-// sharded plane, and registers the -cluster-sources roster across it.
-func buildCluster(grid geo.Grid, centersSpec, sourcesSpec string, poolSize int, logger *slog.Logger) (*federation.Cluster, error) {
+// sharded plane, and registers the -cluster-sources roster across it; the
+// plane adopts the grid of the first source registered.
+func buildCluster(centersSpec, sourcesSpec string, poolSize int, logger *slog.Logger) (*federation.Cluster, error) {
 	met := &transport.Metrics{}
 	peers := make(map[string]transport.Peer)
 	for _, part := range strings.Split(centersSpec, ",") {
@@ -195,7 +193,7 @@ func buildCluster(grid geo.Grid, centersSpec, sourcesSpec string, poolSize int, 
 		}
 		peers[name] = transport.DialPool(name, addr, poolSize, met)
 	}
-	cluster := federation.NewCluster(grid, peers)
+	cluster := federation.NewCluster(geo.Grid{}, peers)
 	// The pools observe through met; point the cluster's /stats surface at
 	// the same counters.
 	cluster.Metrics = met

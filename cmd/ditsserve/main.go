@@ -17,10 +17,11 @@
 //
 // With -replica-of the source runs as a read replica: it refuses local
 // mutations and instead pulls the primary's WAL tail (wal.ship) every
-// -replica-poll, applying it durably through its own store — so it can be
-// promoted, or serve reads behind a dead primary, with the exact history
-// the primary acknowledged. A replica that falls behind a primary
-// compaction (snapshot gap) must be reseeded; see docs/OPERATIONS.md.
+// 250 ms (federation.DefaultReplicaPoll), applying it durably through its
+// own store — so it can be promoted, or serve reads behind a dead
+// primary, with the exact history the primary acknowledged. A replica
+// that falls behind a primary compaction (snapshot gap) must be reseeded;
+// see docs/OPERATIONS.md.
 //
 // Usage:
 //
@@ -44,7 +45,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -66,8 +66,6 @@ func main() {
 	snapEvery := flag.Int("snapshot-every", 256, "mutations between background snapshots with -wal-dir (-1 disables)")
 	mmapFlag := flag.Bool("mmap", false, "serve the index from the mmap'd snapshot, faulting leaves in on demand (requires -wal-dir)")
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the primary at this address, pulling its WAL tail (requires -wal-dir)")
-	replicaPoll := flag.Duration("replica-poll", federation.DefaultReplicaPoll, "poll period for -replica-of catch-up pulls")
-	ramBudget := flag.Int("ram-budget", 0, "soft Go heap limit in MiB (debug.SetMemoryLimit); 0 = unlimited")
 	logFile := flag.String("log-file", "", "append operational logs to this file instead of stderr")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text exposition, pprof, and /debug/traces at this address (empty = off)")
@@ -88,12 +86,6 @@ func main() {
 	}
 	if *replicaOf != "" && *walDir == "" {
 		fail(fmt.Errorf("-replica-of requires -wal-dir (the replica persists the shipped WAL)"))
-	}
-	if *ramBudget < 0 {
-		fail(fmt.Errorf("-ram-budget must be >= 0"))
-	}
-	if *ramBudget > 0 {
-		debug.SetMemoryLimit(int64(*ramBudget) << 20)
 	}
 	name := strings.TrimSuffix(filepath.Base(*sourcePath), filepath.Ext(*sourcePath))
 	load := func() (*dits.Local, error) {
@@ -130,10 +122,9 @@ func main() {
 			primary := transport.DialPool(*replicaOf, *replicaOf, 2, &transport.Metrics{})
 			defer primary.Close()
 			repl := &federation.Replicator{
-				Store:    store,
-				Primary:  primary,
-				Interval: *replicaPoll,
-				OnError:  func(err error) { logger.Warn("replica pull failed, retrying", "err", err) },
+				Store:   store,
+				Primary: primary,
+				OnError: func(err error) { logger.Warn("replica pull failed, retrying", "err", err) },
 			}
 			// Best-effort initial catch-up before serving reads; a dead
 			// primary at boot is not fatal — the poll loop keeps trying.
@@ -154,7 +145,7 @@ func main() {
 				}
 			}()
 			logger.Info("replicating from primary",
-				"source", name, "primary", *replicaOf, "poll", *replicaPoll)
+				"source", name, "primary", *replicaOf, "poll", federation.DefaultReplicaPoll)
 		}
 	} else {
 		idx, err := load()

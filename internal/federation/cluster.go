@@ -92,6 +92,9 @@ const (
 
 // NewCluster builds the plane over named center peers (wrap TCP in
 // transport.Pool). The roster starts empty; AddSource registers sources.
+// A cluster built with the zero grid adopts the grid of the first source
+// a center registers, and refuses every later source gridded otherwise;
+// register that source before the cluster serves.
 func NewCluster(grid geo.Grid, centers map[string]transport.Peer) *Cluster {
 	cl := &Cluster{
 		Grid:    grid,
@@ -126,7 +129,8 @@ func (cl *Cluster) Cache() *cache.Cache { return cl.view.Cache() }
 // transport failure the owner is failed over and registration retries at
 // the new owner. A source the owner refuses is left out of the roster:
 // one it cannot reach, or one gridded other than cl.Grid, whose cell IDs
-// would name other cells (the owner refuses it before adopting it).
+// would name other cells (the owner refuses it before adopting it). The
+// first source registered on a zero-grid cluster sets cl.Grid.
 func (cl *Cluster) AddSource(ctx context.Context, src ClusterSource) error {
 	if src.Name == "" || src.Addr == "" {
 		return fmt.Errorf("federation: cluster source needs a name and address")
@@ -163,12 +167,16 @@ func (cl *Cluster) AddSource(ctx context.Context, src ClusterSource) error {
 }
 
 // registerAt performs one cluster.register exchange on the cluster's grid
-// and returns the source's root summary as the center fetched it.
+// and returns the source's root summary as the center fetched it. A
+// cluster still on the zero grid adopts the summary's. Caller holds mu.
 func (cl *Cluster) registerAt(ctx context.Context, c *clusterCenter, src ClusterSource) (dits.SourceSummary, error) {
 	req := ClusterRegisterRequest{Name: src.Name, Addr: src.Addr, Replicas: src.Replicas, Grid: cl.Grid}
 	var summary dits.SourceSummary
 	if err := c.peer.Call(ctx, MethodClusterRegister, &req, &summary); err != nil {
 		return summary, fmt.Errorf("federation: register %s at center %s: %w", src.Name, c.name, err)
+	}
+	if cl.Grid == (geo.Grid{}) {
+		cl.Grid, cl.view.Grid = summary.Grid, summary.Grid
 	}
 	return summary, nil
 }

@@ -275,39 +275,52 @@ func TestClusterKBoundaryTies(t *testing.T) {
 // TestClusterAddSourceRefusesOtherGrid: a source gridded at the gateway's
 // θ over other bounds uses the same cell IDs for other cells. The grid-less
 // relay center adopts it, but AddSource refuses it: the roster, the shards,
-// the owners and the answers stay as they were.
+// the owners and the answers stay as they were. A cluster built on the zero
+// grid adopts its first source's grid, answers as the gridded one does, and
+// refuses the stray source the same way.
 func TestClusterAddSourceRefusesOtherGrid(t *testing.T) {
 	g := worldGrid()
 	_, _, servers := buildFederation(rand.New(rand.NewSource(3)), 3, 20, DefaultOptions())
 	other := geo.NewGrid(g.Theta, geo.Rect{MaxX: 2 * float64(g.Side()), MaxY: 2 * float64(g.Side())})
-	q := cellsNear(20, 20, 9)
+	// A dataset far from the grid's origin: its answer needs the grid.
+	q := servers[2].Index.Get(20000).Cells
 	stray := NewSourceServerWithGrid("stray", dits.Build(other, []*dataset.Node{dataset.NewNodeFromCells(1, "s", q)}, 4))
-	cluster, _ := newTestCluster(t, g, 3, append(servers, stray), "")
-	addSources(t, cluster, servers)
 	ctx := context.Background()
-	want, err := cluster.OverlapSearch(ctx, q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, shards := cluster.NumSources(), cluster.Shards()
+	var want []SourceResult
+	for i, built := range []geo.Grid{g, {}} {
+		cluster, _ := newTestCluster(t, built, 3, append(servers, stray), "")
+		addSources(t, cluster, servers)
+		if cluster.Grid != g {
+			t.Fatalf("cluster built on grid %v runs on %v, want %v", built, cluster.Grid, g)
+		}
+		before, err := cluster.OverlapSearch(ctx, q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = before
+		}
+		sameResults(t, fmt.Sprintf("built on grid %v", built), before, want)
+		n, shards := cluster.NumSources(), cluster.Shards()
 
-	if err := cluster.AddSource(ctx, ClusterSource{Name: "stray", Addr: "stray"}); err == nil {
-		t.Fatal("AddSource took a source on another grid")
+		if err := cluster.AddSource(ctx, ClusterSource{Name: "stray", Addr: "stray"}); err == nil {
+			t.Fatalf("built on grid %v: AddSource took a source on another grid", built)
+		}
+		if got := cluster.NumSources(); got != n {
+			t.Errorf("NumSources = %d after the refusal, want %d", got, n)
+		}
+		if got := cluster.Shards(); !reflect.DeepEqual(got, shards) {
+			t.Errorf("Shards = %v after the refusal, want %v", got, shards)
+		}
+		if owner, ok := cluster.Stats().SourceOwners["stray"]; ok {
+			t.Errorf("refused source owned by %s", owner)
+		}
+		got, err := cluster.OverlapSearch(ctx, q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, fmt.Sprintf("built on grid %v, after the refusal", built), got, want)
 	}
-	if got := cluster.NumSources(); got != n {
-		t.Errorf("NumSources = %d after the refusal, want %d", got, n)
-	}
-	if got := cluster.Shards(); !reflect.DeepEqual(got, shards) {
-		t.Errorf("Shards = %v after the refusal, want %v", got, shards)
-	}
-	if owner, ok := cluster.Stats().SourceOwners["stray"]; ok {
-		t.Errorf("refused source owned by %s", owner)
-	}
-	got, err := cluster.OverlapSearch(ctx, q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "after the refusal", got, want)
 }
 
 // TestClusterCenterRefusesStray: a source on another grid is refused by

@@ -83,15 +83,12 @@ const maxBatchQueries = 256
 // Options configure the gateway's self-protection and observability.
 // The zero value admits everything, applies no deadline, and leaves the
 // pprof endpoints off; /metrics is always served, and request tracing is
-// on with a DefaultCapacity ring.
+// on with an obs.DefaultCapacity ring.
 type Options struct {
 	// Admission tunes overload protection; see admission.Config.
 	Admission admission.Config
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// TraceCapacity sizes the completed-trace ring behind GET
-	// /debug/traces (0 = obs.DefaultCapacity).
-	TraceCapacity int
 	// SlowTrace marks traces at least this long as slow queries: they
 	// are kept in a dedicated ring and dumped — full span tree — as one
 	// structured log record. 0 disables slow-query capture.
@@ -173,7 +170,6 @@ func newGateway(b Backend, grid geo.Grid, pm *transport.Metrics, cl *federation.
 		ctl:         admission.New(opts.Admission),
 		reg:         metrics.NewRegistry(),
 		rec: obs.NewRecorder(obs.RecorderOptions{
-			Capacity:      opts.TraceCapacity,
 			SlowThreshold: opts.SlowTrace,
 			Logger:        logger,
 		}),

@@ -200,7 +200,7 @@ func TestSoakKillAndRestartSourceUnderLoad(t *testing.T) {
 	mresp.Body.Close()
 	exposition := string(mb)
 	for _, want := range []string{
-		"dits_transport_messages_total",
+		"dits_transport_method_calls_total",
 		`dits_transport_source_failures_total{source="bravo"}`,
 		"dits_cache_hits_total",
 		"dits_cache_entries",

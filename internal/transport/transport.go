@@ -178,12 +178,6 @@ func (m *Metrics) Reset() {
 // Register exposes the transport counters on a metrics registry under the
 // dits_transport_* names (see docs/OPERATIONS.md for the full reference).
 func (m *Metrics) Register(r *metrics.Registry) {
-	r.RegisterCounter("dits_transport_messages_total",
-		"Federation request/response exchanges", &m.messages)
-	r.RegisterCounter("dits_transport_sent_bytes_total",
-		"Request payload bytes, center to sources", &m.bytesSent)
-	r.RegisterCounter("dits_transport_received_bytes_total",
-		"Response payload bytes, sources to center", &m.bytesReceived)
 	r.RegisterCounterVec("dits_transport_method_calls_total",
 		"Exchanges per federation method", "method", &m.methodCalls)
 	r.RegisterCounterVec("dits_transport_method_sent_bytes_total",

@@ -120,8 +120,8 @@ func TestMetricsRegisterExposes(t *testing.T) {
 	r.WritePrometheus(&sb)
 	out := sb.String()
 	for _, want := range []string{
-		"dits_transport_messages_total 1",
-		"dits_transport_sent_bytes_total 100",
+		`dits_transport_method_sent_bytes_total{method="overlap.search"} 100`,
+		`dits_transport_method_received_bytes_total{method="overlap.search"} 50`,
 		`dits_transport_method_calls_total{method="overlap.search"} 1`,
 		`dits_transport_source_failures_total{source="src-b"} 1`,
 	} {
