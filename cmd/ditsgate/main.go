@@ -19,9 +19,9 @@
 // roster is partitioned across the centers by consistent hash, the
 // gateway still runs every query and mutation (so -cache and -tolerant
 // apply in both modes, and answers are byte-identical to the
-// single-center ones), and each source call is
-// relayed by the source's owner center. A center that stops answering is
-// failed over — its shard re-homes onto the survivors. A source listed
+// single-center ones), and each source call is relayed by the source's
+// owner center. A center that stops answering is failed over — its shard
+// re-homes onto the survivors. A source listed
 // with `Name=primary+replica` addresses is served through its replica when
 // the primary dies.
 //
