@@ -136,18 +136,20 @@ func main() {
 		for _, a := range strings.Split(*remote, ",") {
 			a = strings.TrimSpace(a)
 			pool := transport.DialPool(a, a, *poolSize, met)
+			var summary dits.SourceSummary
+			var err error
 			if center == nil {
 				// The first source fixes the grid; RegisterRemote refuses
 				// every later source gridded otherwise.
-				var first dits.SourceSummary
-				if err := pool.Call(context.Background(), federation.MethodSummary, nil, &first); err != nil {
-					fail(fmt.Errorf("register %s: %w", a, err))
+				if err = pool.Call(context.Background(), federation.MethodSummary, nil, &summary); err == nil {
+					center = federation.NewCenter(summary.Grid, opts)
+					center.Metrics = met
+					center.SetCache(cache.New(*cacheSize))
+					center.Register(summary, pool)
 				}
-				center = federation.NewCenter(first.Grid, opts)
-				center.Metrics = met
-				center.SetCache(cache.New(*cacheSize))
+			} else {
+				summary, err = center.RegisterRemote(context.Background(), pool)
 			}
-			summary, err := center.RegisterRemote(context.Background(), pool)
 			if err != nil {
 				fail(fmt.Errorf("register %s: %w", a, err))
 			}

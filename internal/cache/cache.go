@@ -1,11 +1,12 @@
 // Package cache provides a sharded, fixed-capacity LRU cache used by the
 // federation center to memoize query answers: one source's local top-k per
 // OJSP entry, a whole answer per CJSP entry. Keys are canonical byte
-// strings that name everything an answer depends on, so no entry is ever
-// invalidated in place — one that no query names any more ages out of the
-// LRU. Sharding by key hash keeps lock contention low when many gateway
-// clients hit the cache concurrently. All methods are safe for concurrent
-// use and safe on a nil *Cache, which behaves as an always-miss cache.
+// strings that name what an answer depends on, and a caller checks the
+// rest on the value it finds (GetIf), so no entry is ever invalidated in
+// place — one that no query names any more ages out of the LRU. Sharding
+// by key hash keeps lock contention low when many gateway clients hit the
+// cache concurrently. All methods are safe for concurrent use and safe on
+// a nil *Cache, which behaves as an always-miss cache.
 package cache
 
 import (
@@ -71,21 +72,30 @@ func (c *Cache) shard(key string) *shard {
 
 // Get returns the cached value for key and promotes it to most recently
 // used. The second result reports whether the key was present.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache) Get(key string) (any, bool) { return c.GetIf(key, nil) }
+
+// GetIf is Get for a value the caller may find out of date: valid, when
+// not nil, runs on the value found, outside the shard lock, and a value it
+// refuses is reported and counted as a miss.
+func (c *Cache) GetIf(key string, valid func(any) bool) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
 	s := c.shard(key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	el, ok := s.items[key]
-	if !ok {
+	var v any
+	if ok {
+		s.ll.MoveToFront(el)
+		v = el.Value.(*entry).value
+	}
+	s.mu.Unlock()
+	if !ok || valid != nil && !valid(v) {
 		c.misses.Inc()
 		return nil, false
 	}
 	c.hits.Inc()
-	s.ll.MoveToFront(el)
-	return el.Value.(*entry).value, true
+	return v, true
 }
 
 // Put stores value under key, evicting the least recently used entry of

@@ -28,11 +28,13 @@ type overlapPrep struct {
 }
 
 // overlapAsk is one source a query must ask: the cache key of its answer
-// (empty without a cache) and the query cells clipped for it (non-empty).
+// (empty without a cache), the source's data version read before the call
+// and the query cells clipped for it (non-empty).
 type overlapAsk struct {
-	m    *member
-	key  string
-	clip cellset.Set
+	m       *member
+	key     string
+	version uint64
+	clip    cellset.Set
 }
 
 // subEntry is one query of a source's sub-batch: the index into the
@@ -129,7 +131,7 @@ func (c *Center) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) (
 			continue
 		}
 		for j, e := range sub[call.m] {
-			out[e.qi] = keepAnswer(rc, e.key, out[e.qi], call.m.summary.Name, &call.resp.(*SearchBatchResponse).Results[j])
+			out[e.qi] = keepAnswer(rc, e.overlapAsk, out[e.qi], &call.resp.(*SearchBatchResponse).Results[j])
 		}
 	}
 	for i := range out {
@@ -141,9 +143,11 @@ func (c *Center) OverlapSearchBatch(ctx context.Context, queries []BatchQuery) (
 // prepQuery computes one OJSP query's prep against the pinned epoch, with
 // vers the version vector read before any call. Each DITS-G candidate's
 // local top-k is probed under its own key (answerKey), in one cache.probe
-// span; a hit skips the candidate's clip as well as its call. A candidate
-// whose clip is empty has nothing to answer: it is neither asked nor
-// cached.
+// span; a hit skips the candidate's clip as well as its call. A hit older
+// than the candidate's version in vers counts only if the candidate's
+// write log keeps it, and is then cached again at that version. A
+// candidate whose clip is empty has nothing to answer: it is neither asked
+// nor cached.
 func (c *Center) prepQuery(ctx context.Context, ep *epochSnap, rc *cache.Cache, vers map[string]uint64, q BatchQuery) (p overlapPrep) {
 	if q.K <= 0 || q.Cells.IsEmpty() || len(ep.members) == 0 {
 		return p
@@ -161,11 +165,19 @@ func (c *Center) prepQuery(ctx context.Context, ep *epochSnap, rc *cache.Cache, 
 		_, sp = obs.StartSpan(ctx, "cache.probe")
 	}
 	for _, m := range cands {
-		a := overlapAsk{m: m}
+		a := overlapAsk{m: m, version: vers[m.summary.Name]}
 		if rc != nil {
-			a.key = answerKey(&d, vers, m)
-			if v, ok := rc.Get(a.key); ok {
-				p.found = appendResults(p.found, m.summary.Name, v.([]OverlapItem))
+			a.key = answerKey(&d, nil, m)
+			current := func(v any) bool {
+				e := v.(ojspEntry)
+				return e.version >= a.version || m.writes.keeps(e.version, a.version, q.Cells, q.K, e.items)
+			}
+			if v, ok := rc.GetIf(a.key, current); ok {
+				e := v.(ojspEntry)
+				if e.version < a.version {
+					rc.Put(a.key, ojspEntry{version: a.version, items: e.items})
+				}
+				p.found = appendResults(p.found, m.summary.Name, e.items)
 				continue
 			}
 		}

@@ -58,6 +58,74 @@ type member struct {
 	summary dits.SourceSummary
 	peer    transport.Peer
 	gen     uint64
+	writes  *writeLog // shared by every epoch's copy of this incarnation
+}
+
+// writeLogCap bounds each source's write log: an OJSP answer cached more
+// writes ago than this at its source is asked again.
+const writeLogCap = 256
+
+// write is one mutation the center applied at a source: the data version
+// it produced, the dataset it named and, for a put, the request's cells
+// (nil for a delete).
+type write struct {
+	version uint64
+	id      int
+	cells   cellset.Set
+}
+
+// writeLog is one source incarnation's last writeLogCap writes through
+// this center, in note order. Registration starts a fresh log, so the
+// writes of a previous incarnation never vouch for the current one's.
+type writeLog struct {
+	mu   sync.Mutex
+	recs []write
+}
+
+// add logs w, dropping the oldest record when the log is full.
+func (l *writeLog) add(w write) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.recs) == writeLogCap {
+		l.recs = slices.Delete(l.recs, 0, 1)
+	}
+	l.recs = append(l.recs, w)
+}
+
+// keeps reports whether items, a source's top-k for the query q computed
+// at data version from, is still its answer at version to: every version
+// in between is logged, no logged write names a dataset in items, and no
+// logged put ranks into them (ranksIn). Each applied write has a version of
+// its own and is logged once, so counting the records in the gap tells
+// whether it is covered.
+func (l *writeLog) keeps(from, to uint64, q cellset.Set, k int, items []OverlapItem) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := uint64(0)
+	for _, w := range l.recs {
+		if w.version <= from || w.version > to {
+			continue
+		}
+		if slices.ContainsFunc(items, func(it OverlapItem) bool { return it.ID == w.id }) ||
+			w.cells != nil && ranksIn(w.cells, w.id, q, k, items) {
+			return false
+		}
+		n++
+	}
+	return n == to-from
+}
+
+// ranksIn reports whether a dataset with the given cells and ID could
+// enter items, a top-k best-first under (overlap descending, ID
+// ascending). Its overlap is taken on the query's full cells, a superset of
+// the clip the source answered, so the test errs only towards asking.
+func ranksIn(cells cellset.Set, id int, q cellset.Set, k int, items []OverlapItem) bool {
+	n := cells.IntersectCount(q)
+	if n == 0 || len(items) < k {
+		return n > 0
+	}
+	last := items[len(items)-1]
+	return n > last.Overlap || n == last.Overlap && id < last.ID
 }
 
 // epochSnap is one immutable membership epoch: the member set, the DITS-G
@@ -91,9 +159,11 @@ type Center struct {
 
 	// versions is the center's view of each source's data version,
 	// updated from every mutation response. It is an immutable map behind
-	// an atomic pointer: a cached answer's key folds in the versions of the
-	// sources it was computed from, so a mutation re-keys exactly the
-	// affected entries (the stale ones age out of the LRU unreferenced).
+	// an atomic pointer. A CJSP answer's key folds in every member's
+	// version, so a mutation re-keys it (the stale entry ages out of the
+	// LRU unreferenced); an OJSP entry holds the version of its one source,
+	// and a hit behind the current version replays that source's write log
+	// (writeLog.keeps) before the entry is used.
 	versions atomic.Pointer[map[string]uint64]
 	// invalidations counts cache-invalidation events: one per applied
 	// mutation and one per membership epoch change.
@@ -153,14 +223,16 @@ func NewCenter(g geo.Grid, opts Options) *Center {
 
 // SetCache installs a result cache. Pass nil to disable. An OJSP entry is
 // one source's local top-k for one query, so a mutation or re-registration
-// at one source leaves the other sources' answers cached; a CJSP entry is a
-// whole answer. See answerKey for what each key names.
+// at one source leaves the other sources' answers cached, and a write at
+// that source that cannot change its top-k leaves its answer cached too
+// (writeLog.keeps); a CJSP entry is a whole answer. See answerKey for what
+// each key names.
 func (c *Center) SetCache(rc *cache.Cache) { c.cache.Store(rc) }
 
 // Cache returns the installed result cache (nil when disabled). Every key
-// names the registration generation, data version and extent of each
-// source its answer was computed from, so no membership change has to
-// clear the cache: an entry no current query can name ages out of the LRU.
+// names the registration generation and extent of each source its answer
+// was computed from, so no membership change has to clear the cache: an
+// entry no current query can name ages out of the LRU.
 func (c *Center) Cache() *cache.Cache { return c.cache.Load() }
 
 // Generation returns the current membership epoch's generation number. It
@@ -181,10 +253,11 @@ func (c *Center) Register(summary dits.SourceSummary, peer transport.Peer) {
 	// Registration is an authoritative reset of the source's state: drop
 	// its version entry so a rebuilt source whose data version restarted
 	// from zero is not shadowed by the previous incarnation's counter, and
-	// stamp the member with the new generation, so in-flight mutation
-	// responses from the previous incarnation are dropped rather than
-	// re-noted and no query names the previous incarnation's cache entries.
-	members[summary.Name] = &member{summary: summary, peer: peer, gen: old.gen + 1}
+	// stamp the member with the new generation and an empty write log, so
+	// in-flight mutation responses from the previous incarnation are dropped
+	// rather than re-noted and no query names the previous incarnation's
+	// cache entries.
+	members[summary.Name] = &member{summary: summary, peer: peer, gen: old.gen + 1, writes: new(writeLog)}
 	c.dropVersionLocked(summary.Name)
 	c.swapEpochLocked(old, members)
 }
@@ -387,8 +460,11 @@ func queryDigest(kind byte, a, b uint64, cells cellset.Set) [sha256.Size]byte {
 // answer depends on: its name, its registration generation, its data
 // version in vers (read before any call, so a mutation racing the call
 // re-keys the entry it fills) and its summary Rect, which fixes the clip and
-// the DITS-G extent. A mutation, a re-registration or a moved extent at a
-// source re-keys exactly the entries computed from it.
+// the DITS-G extent. A re-registration or a moved extent at a source re-keys
+// exactly the entries computed from it, and so does a mutation for a CJSP
+// entry. An OJSP key is made with vers nil: its entry (ojspEntry) carries
+// the version instead, so a write that cannot change the answer does not
+// re-key it.
 //
 // The key is a SHA-256, not the serialization itself: a query's cells run
 // to thousands, and a full cache would hold tens of megabytes of keys. Two
@@ -438,18 +514,25 @@ func (c *Center) OverlapSearch(ctx context.Context, queryCells cellset.Set, k in
 	for i, call := range calls {
 		// A skipped source's answer is never cached: it may recover.
 		if errs[i] == nil {
-			all = keepAnswer(rc, p.asks[i].key, all, call.m.summary.Name, call.resp.(*OverlapResponse))
+			all = keepAnswer(rc, p.asks[i], all, call.resp.(*OverlapResponse))
 		}
 	}
 	return topK(all, k), nil // aggregate: global top-k, deterministic tie-break
 }
 
-// keepAnswer caches one source's local top-k under key and appends it to
-// dst as federated results. The cached value is the decoded response's own
+// ojspEntry is a cached OJSP answer: one source's local top-k, computed at
+// (or after) the source's data version the center knew before the call.
+type ojspEntry struct {
+	version uint64
+	items   []OverlapItem
+}
+
+// keepAnswer caches the answer to one ask and appends it to dst as
+// federated results. The cached items are the decoded response's own
 // exact-length slice: nothing else holds it, and every reader copies out.
-func keepAnswer(rc *cache.Cache, key string, dst []SourceResult, source string, resp *OverlapResponse) []SourceResult {
-	rc.Put(key, resp.Results)
-	return appendResults(dst, source, resp.Results)
+func keepAnswer(rc *cache.Cache, a overlapAsk, dst []SourceResult, resp *OverlapResponse) []SourceResult {
+	rc.Put(a.key, ojspEntry{version: a.version, items: resp.Results})
+	return appendResults(dst, a.m.summary.Name, resp.Results)
 }
 
 // appendResults appends one source's local top-k as federated results.
@@ -900,10 +983,11 @@ type MutateResult struct {
 
 // PutDataset durably upserts one dataset at the named source (method
 // dataset.put) and invalidates the affected result-cache entries: the
-// source's data version bumps (re-keying every cached answer computed from
-// that source, and no other), and if the mutation changed the source's
-// root summary the membership epoch advances so DITS-G candidate filtering
-// sees the source's new extent.
+// source's data version bumps (re-keying every cached CJSP answer, and
+// leaving that source's OJSP answers to the write-log replay of their next
+// hit), and if the mutation changed the source's root summary the
+// membership epoch advances so DITS-G candidate filtering sees the
+// source's new extent.
 func (c *Center) PutDataset(ctx context.Context, source string, id int, name string, cells cellset.Set) (MutateResult, error) {
 	if cells.IsEmpty() {
 		return MutateResult{}, fmt.Errorf("federation: dataset %d has no cells", id)
@@ -918,8 +1002,9 @@ func (c *Center) DeleteDataset(ctx context.Context, source string, id int) (Muta
 	return c.mutate(ctx, source, id, MethodDatasetDelete, &DatasetDeleteRequest{ID: id})
 }
 
-// mutate routes one mutation to its source and folds the response into
-// the center's version vector and (when the summary moved) DITS-G.
+// mutate routes one mutation to its source, logs it in the source's write
+// log and folds the response into the center's version vector and (when
+// the summary moved) DITS-G.
 func (c *Center) mutate(ctx context.Context, source string, id int, method string, req any) (MutateResult, error) {
 	ep := c.epoch.Load()
 	m, ok := ep.members[source]
@@ -934,6 +1019,14 @@ func (c *Center) mutate(ctx context.Context, source string, id int, method strin
 	if method == MethodDatasetDelete && !resp.Found {
 		return res, nil // nothing changed; nothing to invalidate
 	}
+	// The write is logged before its version is noted, and even when the
+	// note is dropped as out of order: a cached OJSP answer of this source
+	// replays the log up to the version the center knows.
+	w := write{version: resp.Version, id: id}
+	if put, ok := req.(*DatasetPutRequest); ok {
+		w.cells = put.Cells
+	}
+	m.writes.add(w)
 	c.noteMutation(ep, source, resp)
 	return res, nil
 }
@@ -975,7 +1068,7 @@ func (c *Center) noteMutation(ep *epochSnap, source string, resp MutateResponse)
 	if m.summary != resp.Summary {
 		members := make(map[string]*member, len(cur.members))
 		maps.Copy(members, cur.members)
-		members[source] = &member{summary: resp.Summary, peer: m.peer, gen: m.gen}
+		members[source] = &member{summary: resp.Summary, peer: m.peer, gen: m.gen, writes: m.writes}
 		c.swapEpochLocked(cur, members) // counts the invalidation itself
 		return
 	}
