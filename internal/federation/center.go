@@ -19,6 +19,7 @@ import (
 	"dits/internal/geo"
 	"dits/internal/index/dits"
 	"dits/internal/obs"
+	"dits/internal/search/coverage"
 	"dits/internal/transport"
 )
 
@@ -673,20 +674,21 @@ func (c *Center) coverageStateless(ctx context.Context, ep *epochSnap, queryCell
 // srcState is the center's per-source view of one coverage session.
 type srcState struct {
 	m       *member
-	open    bool             // session established at the source
-	pending *cellset.Compact // clipped winner cells not yet shipped
-	last    *offer           // cached offer, nil when none is left
-	lastOK  bool             // last/nil is a valid answer for the current state
-	guard   []cellset.Span   // where a pending cell voids last (Offer.Guard)
-	hit     bool             // a pending cell lies in guard
-	version uint64           // the source's data version, as the center saw it, when last was made
-	failed  bool             // degraded: dropped for the rest of the query
+	open    bool                 // session established at the source
+	pending *cellset.Compact     // clipped winner cells not yet shipped
+	last    *offer               // cached offer, nil when none is left
+	lastOK  bool                 // last/nil is a valid answer for the current state
+	guard   []coverage.GuardSpan // where a pending cell voids last (Offer.Guard)
+	hit     bool                 // a pending cell lies in guard
+	bound   int                  // the most a fresh offer can gain: last's gain, or a met span's ceiling
+	version uint64               // the source's data version, as the center saw it, when last was made
+	failed  bool                 // degraded: dropped for the rest of the query
 }
 
 // offered records a source's answer for its current state at data version
 // v: o, or nil when the source has no connected dataset left.
 func (st *srcState) offered(o Offer, v uint64) {
-	st.last, st.lastOK, st.guard, st.hit, st.version = nil, true, o.Guard, false, v
+	st.last, st.lastOK, st.guard, st.hit, st.bound, st.version = nil, true, o.Guard, false, o.Gain, v
 	if o.Found {
 		st.last = &offer{src: st.m.summary.Name, cand: CoverageCandidate{
 			Found: true, ID: o.ID, Name: o.Name, Gain: o.Gain,
@@ -701,12 +703,15 @@ func (st *srcState) offered(o Offer, v uint64) {
 // offer's guard and the center has seen no write at the source — gains only
 // fall as the state grows (coverage.Guard). Such a source is not asked: its
 // cached offer competes as it stands, and its pending delta keeps growing
-// until the source is asked, or rides in the fetch when its offer wins. The
-// winner's fetch answers the winner's next offer, so a winner is not asked
-// again either; the k-th fetch carries no session. The sessions the query
-// leaves open go on the center's close list for their sources (closeLater).
-// It also reports whether the answer is degraded (a source was skipped under
-// the tolerant policy).
+// until the source is asked, or rides in the fetch when its offer wins. A
+// source with a pending cell in its guard has a bound instead, the most its
+// fresh offer can gain; it is asked only when the bound reaches the best
+// offer that stands (ties too, which the source name can break its way).
+// The winner's fetch answers the winner's next offer, so a winner is not
+// asked again either; the k-th pick is not fetched at all. The sessions the
+// query leaves open go on the center's close list for their sources
+// (closeLater). It also reports whether the answer is degraded (a source
+// was skipped under the tolerant policy).
 func (c *Center) coverageSession(ctx context.Context, ep *epochSnap, queryCells cellset.Set, delta float64, k int, res CoverageResult) (CoverageResult, bool, error) {
 	sessID := nextSessionID()
 	draw := c.deltaRaw(delta)
@@ -798,7 +803,8 @@ rounds:
 		vers = *c.versions.Load()
 
 		// Phase one: collect offers — cached where nothing held back can
-		// change them, over the wire (delta-shipped) where it can.
+		// change them, over the wire (delta-shipped) where it can, unless
+		// the source's bound says it cannot win.
 		var changed []*member
 		for _, m := range cands {
 			name := m.summary.Name
@@ -807,29 +813,50 @@ rounds:
 				st = &srcState{m: m}
 				states[name] = st
 			}
-			if !st.failed && !(st.open && st.lastOK && !st.hit && st.version == vers[name]) {
+			if !st.failed && !(st.open && st.lastOK && st.version == vers[name]) {
+				st.lastOK = false
 				changed = append(changed, m)
 			}
 		}
-		if err := ask(rctx, changed); err != nil {
+		// contenders are the sources whose guard was hit and whose bound
+		// reaches floor, the best offer that stands (all of them for nil).
+		standing := func() *offer {
+			var b *offer
+			for _, m := range cands {
+				if st := states[m.summary.Name]; !st.failed && st.lastOK && !st.hit && st.last != nil && (b == nil || betterOffer(*st.last, *b)) {
+					b = st.last
+				}
+			}
+			return b
+		}
+		contenders := func(floor *offer) []*member {
+			var out []*member
+			for _, m := range cands {
+				if st := states[m.summary.Name]; !st.failed && st.lastOK && st.hit && (floor == nil || st.bound >= floor.cand.Gain) {
+					out = append(out, m)
+				}
+			}
+			return out
+		}
+		if err := ask(rctx, append(changed, contenders(standing())...)); err != nil {
 			rsp.EndErr(err)
 			return res, anyFailed(), err
 		}
 
 		// Phase two: pick the global winner and fetch its cells — the
-		// only cell set shipped back this round.
+		// only cell set shipped back this round. The best offer can fall
+		// below a bound left unasked (its source failed, or its dataset
+		// went stale): such a source is asked before the pick.
 		var winner *offer
 		var winnerCells *cellset.Compact
 		for {
-			var best *offer
-			for _, m := range cands {
-				st := states[m.summary.Name]
-				if st.failed || !st.lastOK || st.last == nil {
-					continue
+			best := standing()
+			if c := contenders(best); len(c) > 0 {
+				if err := ask(rctx, c); err != nil {
+					rsp.EndErr(err)
+					return res, anyFailed(), err
 				}
-				if best == nil || betterOffer(*st.last, *best) {
-					best = st.last
-				}
+				continue
 			}
 			if best == nil || best.cand.Gain == 0 {
 				// No source has a connected dataset left, or the best adds
@@ -837,11 +864,21 @@ rounds:
 				rsp.End()
 				break rounds
 			}
+			if len(res.Picked) == k-1 {
+				// The k-th pick is not fetched: its cells would serve only
+				// the coverage, and its gain is exact. Its dataset existed
+				// at its source when offered (docs/PROTOCOL.md).
+				res.Picked = append(res.Picked, SourceResult{
+					Source: best.src, ID: best.cand.ID, Name: best.cand.Name, Overlap: best.cand.Gain,
+				})
+				res.Coverage += best.cand.Gain
+				rsp.End()
+				break rounds
+			}
 			// Picked or stale, the source must never offer this ID again.
 			st := states[best.src]
 			excluded[best.src] = append(excluded[best.src], best.cand.ID)
-			next := len(res.Picked) < k-1 // the query goes on after this pick
-			fetch, err := c.fetchCells(rctx, st, sessID, best.cand.ID, excluded[best.src], next)
+			fetch, err := c.fetchCells(rctx, st, sessID, best.cand.ID, excluded[best.src])
 			if err == nil && !fetch.Found {
 				// The offer went stale — the dataset was deleted after the
 				// source offered it. The source has not failed: ask it
@@ -862,11 +899,10 @@ rounds:
 				st.failed, st.open = true, false
 				continue // re-pick among the surviving offers
 			}
-			switch {
-			case fetch.Committed:
+			if fetch.Committed {
 				st.pending = nil
 				st.offered(fetch.Next, vers[best.src])
-			case next:
+			} else {
 				// Session evicted between round and fetch: re-open with
 				// the full state next round.
 				st.open, st.lastOK = false, false
@@ -889,7 +925,11 @@ rounds:
 			}
 			if clipped := c.clipCompact(st.m, winnerCells, delta+1); !clipped.IsEmpty() {
 				st.pending = st.pending.Union(clipped)
-				st.hit = st.hit || slices.ContainsFunc(st.guard, clipped.Meets)
+				for _, sp := range st.guard {
+					if (!st.hit || sp.Ceil > st.bound) && clipped.Meets(sp.Span) {
+						st.hit, st.bound = true, max(st.bound, sp.Ceil)
+					}
+				}
 			}
 		}
 		res.Picked = append(res.Picked, SourceResult{
@@ -934,14 +974,13 @@ func (c *Center) callMembers(ctx context.Context, calls []memberCall) []error {
 	return errs
 }
 
-// fetchCells performs the second-phase coverage.fetch exchange. When next
-// is set and the session is open it commits the held-back delta and the
-// cells and asks for the next offer against exclude; otherwise it only
-// fetches.
-func (c *Center) fetchCells(ctx context.Context, st *srcState, sess uint64, id int, exclude []int, next bool) (FetchCellsResponse, error) {
+// fetchCells performs the second-phase coverage.fetch exchange. When the
+// session is open it commits the held-back delta and the cells and asks
+// for the next offer against exclude; otherwise it only fetches.
+func (c *Center) fetchCells(ctx context.Context, st *srcState, sess uint64, id int, exclude []int) (FetchCellsResponse, error) {
 	var resp FetchCellsResponse
 	req := FetchCellsRequest{ID: id}
-	if st.open && next {
+	if st.open {
 		req.Session, req.Exclude, req.Added = sess, exclude, st.pending
 	}
 	errs := c.callMembers(ctx, []memberCall{{m: st.m, method: MethodFetchCells, req: &req, resp: &resp}})

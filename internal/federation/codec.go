@@ -17,7 +17,7 @@ import (
 
 // The binary wire codec of the federation protocol, dits-bin/1 — the only
 // encoding payloads travel in. The transport installs it for every
-// connection; the hello magic (transport's dits-hello/5) versions it.
+// connection; the hello magic (transport's dits-hello/6) versions it.
 //
 // Every payload opens with a message-type byte, so a frame decoded as the
 // wrong type errors instead of misparsing, and then the message fields
@@ -39,7 +39,8 @@ import (
 // that gains a field takes a new byte and retires the old: 7, 9 and 10,
 // coverage.round, coverage.fetch and its answer before Final, Exclude and
 // Next; 32 to 34, the same three before Close, Added and guards, and 8,
-// coverage.round's answer before guards; 11 and 12, coverage.close's; 20
+// coverage.round's answer before guards; 39 and 41, coverage.round's and
+// coverage.fetch's answers before ceilings; 11 and 12, coverage.close's; 20
 // and 35, cluster.forward's with method strings and raw or deflated
 // bodies; 23, cluster.register's without the grid; 13 and 24 to 29,
 // earlier forms.
@@ -64,9 +65,11 @@ const (
 	msgClusterForwardOpsReq byte = iota + 19
 	msgClusterRegisterGridReq
 	msgCoverageRoundCloseReq
-	msgCoverageRoundGuardResp
+	_ // 39: retired
 	msgFetchCellsAddedReq
-	msgFetchCellsGuardResp
+	_ // 41: retired
+	msgCoverageRoundCeilResp
+	msgFetchCellsCeilResp
 )
 
 // BinaryCodec is the federation's wire codec.
@@ -132,7 +135,7 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 		}
 		return dst, nil
 	case *CoverageRoundResponse:
-		dst = append(dst, msgCoverageRoundGuardResp)
+		dst = append(dst, msgCoverageRoundCeilResp)
 		dst = appendBool(dst, m.SessionMiss)
 		dst = appendBool(dst, m.Stateless)
 		return appendOffer(dst, &m.Offer), nil
@@ -143,7 +146,7 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 		dst = appendInts(dst, m.Exclude)
 		return m.Added.AppendWire(dst), nil
 	case *FetchCellsResponse:
-		dst = append(dst, msgFetchCellsGuardResp)
+		dst = append(dst, msgFetchCellsCeilResp)
 		dst = appendBool(dst, m.Found)
 		dst = appendBool(dst, m.Committed)
 		dst = m.Cells.AppendWire(dst)
@@ -286,7 +289,7 @@ func (binCodec) Decode(data []byte, v any) error {
 			m.Close = append(m.Close, r.uvarint())
 		}
 	case *CoverageRoundResponse:
-		r.expect(msg, msgCoverageRoundGuardResp)
+		r.expect(msg, msgCoverageRoundCeilResp)
 		m.SessionMiss = r.bool()
 		m.Stateless = r.bool()
 		r.offer(&m.Offer)
@@ -297,7 +300,7 @@ func (binCodec) Decode(data []byte, v any) error {
 		m.Exclude = r.ints()
 		m.Added = r.compact()
 	case *FetchCellsResponse:
-		r.expect(msg, msgFetchCellsGuardResp)
+		r.expect(msg, msgFetchCellsCeilResp)
 		m.Found = r.bool()
 		m.Committed = r.bool()
 		m.Cells = r.compact()
@@ -416,8 +419,10 @@ func appendOverlapItems(dst []byte, items []OverlapItem) []byte {
 	return dst
 }
 
-// appendOffer writes an offer; its guard is a uvarint count and four
-// uvarints per span.
+// appendOffer writes an offer; its guard is a uvarint count and, per
+// span, four uvarints and the ceiling as a uvarint of Ceil − Gain. The
+// form has no ceiling below the gain: one is written as the gain, which
+// bounds the next offer just as well.
 func appendOffer(dst []byte, o *Offer) []byte {
 	dst = binary.AppendVarint(appendBool(dst, o.Found), int64(o.ID))
 	dst = appendString(dst, o.Name)
@@ -428,6 +433,7 @@ func appendOffer(dst []byte, o *Offer) []byte {
 		dst = binary.AppendUvarint(dst, uint64(sp.Y0))
 		dst = binary.AppendUvarint(dst, uint64(sp.X1))
 		dst = binary.AppendUvarint(dst, uint64(sp.Y1))
+		dst = binary.AppendUvarint(dst, uint64(max(sp.Ceil-o.Gain, 0)))
 	}
 	return dst
 }
@@ -918,7 +924,12 @@ func (r *wireReader) offer(o *Offer) {
 		r.fail("guard of %d spans", n)
 	}
 	for ; n > 0 && r.err == nil; n-- {
-		o.Guard = append(o.Guard, cellset.Span{X0: r.uint32(), Y0: r.uint32(), X1: r.uint32(), Y1: r.uint32()})
+		sp := coverage.GuardSpan{Span: cellset.Span{X0: r.uint32(), Y0: r.uint32(), X1: r.uint32(), Y1: r.uint32()}}
+		d := r.uvarint()
+		if sp.Ceil = o.Gain + int(d); d > math.MaxInt || sp.Ceil < o.Gain {
+			r.fail("guard ceiling %d above gain %d overflows", d, o.Gain)
+		}
+		o.Guard = append(o.Guard, sp)
 	}
 }
 

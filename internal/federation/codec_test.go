@@ -20,6 +20,7 @@ import (
 	"dits/internal/cellset"
 	"dits/internal/geo"
 	"dits/internal/index/dits"
+	"dits/internal/search/coverage"
 )
 
 // codecTestMessages is at least one populated instance of every
@@ -66,15 +67,17 @@ func codecTestMessages() []any {
 		&CoverageRoundRequest{Session: 3, Base: cellset.FromSet(small), Delta: 4, Exclude: []int{-2, 8}, Close: []uint64{^uint64(0), 0, 7}},
 		&CoverageRoundRequest{Session: 4, Added: cellset.FromSet(bigSet), Close: []uint64{1 << 63}},
 		&CoverageRoundResponse{SessionMiss: true, Stateless: true, Offer: Offer{Found: true, ID: 5, Name: "w", Gain: 17}},
-		&CoverageRoundResponse{Offer: Offer{Found: true, ID: 8, Name: "g", Gain: 3, Guard: []cellset.Span{{X0: 1, Y0: 2, X1: 3, Y1: 4}}}},
-		&CoverageRoundResponse{Offer: Offer{Guard: []cellset.Span{{}, {X1: math.MaxUint32, Y1: math.MaxUint32}}}},
+		&CoverageRoundResponse{Offer: Offer{Found: true, ID: 8, Name: "g", Gain: 3, Guard: []coverage.GuardSpan{{Span: cellset.Span{X0: 1, Y0: 2, X1: 3, Y1: 4}, Ceil: 3}}}},
+		&CoverageRoundResponse{Offer: Offer{Guard: []coverage.GuardSpan{{Ceil: 1}, {Span: cellset.Span{X1: math.MaxUint32, Y1: math.MaxUint32}, Ceil: math.MaxInt}}}},
+		&CoverageRoundResponse{Offer: Offer{Found: true, ID: 2, Gain: -4, Guard: []coverage.GuardSpan{{Ceil: math.MaxInt - 4}}}},
 		&CoverageRoundResponse{},
 		&FetchCellsRequest{Session: 42, ID: -9, Exclude: []int{-9, 1 << 33, 0}},
 		&FetchCellsRequest{Session: 43, ID: 2, Exclude: []int{2}, Added: cellset.FromSet(bigSet)},
 		&FetchCellsRequest{ID: 6},
 		&FetchCellsResponse{Found: true, Committed: true, Cells: cellset.FromSet(bigSet), Next: Offer{Found: true, ID: -3, Name: "下一个", Gain: 1 << 40}},
-		&FetchCellsResponse{Found: true, Committed: true, Cells: cellset.FromSet(small), Next: Offer{Found: true, ID: 4, Gain: 9, Guard: []cellset.Span{
-			{X0: 10, Y0: 10, X1: 20, Y1: 20}, {X0: 4000, Y0: 0, X1: 4095, Y1: 4095}, {X0: 7, Y0: 7, X1: 7, Y1: 7}, {X0: 1 << 31, Y0: 5, X1: math.MaxUint32, Y1: 1 << 20},
+		&FetchCellsResponse{Found: true, Committed: true, Cells: cellset.FromSet(small), Next: Offer{Found: true, ID: 4, Gain: 9, Guard: []coverage.GuardSpan{
+			{Span: cellset.Span{X0: 10, Y0: 10, X1: 20, Y1: 20}, Ceil: 9}, {Span: cellset.Span{X0: 4000, Y0: 0, X1: 4095, Y1: 4095}, Ceil: 300},
+			{Span: cellset.Span{X0: 7, Y0: 7, X1: 7, Y1: 7}, Ceil: 10}, {Span: cellset.Span{X0: 1 << 31, Y0: 5, X1: math.MaxUint32, Y1: 1 << 20}, Ceil: 1 << 40},
 		}}},
 		&FetchCellsResponse{Found: true, Cells: cellset.FromSet(small)},
 		&FetchCellsResponse{},
@@ -320,6 +323,10 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 		// coverage.close's request and response.
 		{[]byte{11, 5}, new(CoverageRoundRequest)},
 		{[]byte{12, 1}, new(CoverageRoundResponse)},
+		// coverage.round's and coverage.fetch's answers with guards but
+		// without ceilings.
+		{[]byte{39, 0, 0, 1, 16, 1, 'g', 6, 1, 1, 2, 3, 4}, new(CoverageRoundResponse)},
+		{[]byte{41, 1, 1, 0, 1, 6, 0, 8, 0}, new(FetchCellsResponse)},
 	} {
 		if err := BinaryCodec.Decode(old.frame, old.v); err == nil {
 			t.Errorf("%T: retired message type %d accepted", old.v, old.frame[0])
@@ -331,12 +338,17 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 		t.Errorf("a relayed call under the retired coverage.close code: err = %v", err)
 	}
 	// A guard beyond GuardSpans spans.
-	wide := []byte{msgCoverageRoundGuardResp, 0, 0, 1, 2, 0, 6, 5}
+	wide := []byte{msgCoverageRoundCeilResp, 0, 0, 1, 2, 0, 6, 5}
 	for range 5 {
-		wide = append(wide, 1, 2, 3, 4)
+		wide = append(wide, 1, 2, 3, 4, 0)
 	}
 	if err := BinaryCodec.Decode(wide, new(CoverageRoundResponse)); err == nil {
 		t.Error("a five-span guard accepted")
+	}
+	// A ceiling beyond the int range, over gain 3.
+	high := binary.AppendUvarint([]byte{msgCoverageRoundCeilResp, 0, 0, 1, 2, 0, 6, 1, 1, 2, 3, 4}, math.MaxInt-2)
+	if err := BinaryCodec.Decode(high, new(CoverageRoundResponse)); err == nil {
+		t.Error("a ceiling beyond the int range accepted")
 	}
 	wire, err := BinaryCodec.Append(nil, &OverlapRequest{Cells: cellset.New(1, 2), K: 5})
 	if err != nil {

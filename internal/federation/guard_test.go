@@ -18,7 +18,7 @@ import (
 var guardSessions atomic.Uint64
 
 // inGuard reports whether the cell (x, y) lies in one of the guard's spans.
-func inGuard(guard []cellset.Span, x, y uint32) bool {
+func inGuard(guard []coverage.GuardSpan, x, y uint32) bool {
 	for _, sp := range guard {
 		if x >= sp.X0 && x <= sp.X1 && y >= sp.Y0 && y <= sp.Y1 {
 			return true
@@ -30,7 +30,7 @@ func inGuard(guard []cellset.Span, x, y uint32) bool {
 // outsideGuard returns up to blobs clusters of cells scattered over the
 // grid, less every cell that lies in the guard: a delta the guard says
 // cannot change the offer it came with.
-func outsideGuard(rng *rand.Rand, guard []cellset.Span, blobs int) cellset.Set {
+func outsideGuard(rng *rand.Rand, guard []coverage.GuardSpan, blobs int) cellset.Set {
 	side := 1 << theta
 	var ids []uint64
 	for range blobs {
@@ -144,6 +144,68 @@ func FuzzOfferGuard(f *testing.F) {
 		got := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Added: cellset.FromSet(d), Delta: delta, Exclude: exclude})
 		if got.SessionMiss || !sameOffer(got.Offer, o) {
 			t.Fatalf("δ=%v: %d cells outside the guard %v turned offer %+v into %+v", delta, d.Len(), o.Guard, o, got)
+		}
+	})
+}
+
+// FuzzGuardCeiling: a session that has made some picks is sent, as a
+// round's Added, random cells inside or outside its offer's guard, at a δ
+// that may be fractional. The re-asked offer's gain must be at most the
+// larger of the last gain and the ceilings of every span the cells meet.
+func FuzzGuardCeiling(f *testing.F) {
+	var once sync.Once
+	var servers []*SourceServer
+	f.Add(int64(1), uint8(4), uint8(0), uint8(3))
+	f.Add(int64(2), uint8(0), uint8(2), uint8(1))
+	f.Add(int64(3), uint8(5), uint8(6), uint8(8))
+	f.Add(int64(4), uint8(12), uint8(1), uint8(20))
+	f.Fuzz(func(t *testing.T, seed int64, halfDelta, picks, blobs uint8) {
+		once.Do(func() {
+			_, _, servers = buildFederation(rand.New(rand.NewSource(93)), 3, 60, DefaultOptions())
+		})
+		rng := rand.New(rand.NewSource(seed))
+		delta := float64(halfDelta%16) / 2
+		srv := servers[rng.Intn(len(servers))]
+		ctx := context.Background()
+		sess := guardSessions.Add(1)
+		defer dropSession(srv, sess)
+		o := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Base: cellset.FromSet(randomQuery(rng)), Delta: delta}).Offer
+		var exclude []int
+		for range picks % 8 {
+			if !o.Found {
+				break
+			}
+			exclude = append(exclude, o.ID)
+			o = srv.handleFetchCells(ctx, FetchCellsRequest{Session: sess, ID: o.ID, Exclude: exclude}).Next
+		}
+		// Blobs around a cell of a random span, or anywhere.
+		side := 1 << theta
+		within := func(lo, hi uint32) int { // a coordinate in [lo, hi] on the grid
+			lo, hi = min(lo, uint32(side-1)), min(hi, uint32(side-1))
+			return int(lo) + rng.Intn(int(hi-lo)+1)
+		}
+		var ids []uint64
+		for range 1 + int(blobs%24) {
+			cx, cy := rng.Intn(side), rng.Intn(side)
+			if len(o.Guard) > 0 && rng.Intn(2) == 0 {
+				sp := o.Guard[rng.Intn(len(o.Guard))]
+				cx, cy = within(sp.X0, sp.X1), within(sp.Y0, sp.Y1)
+			}
+			for range 1 + rng.Intn(6) {
+				ids = append(ids, geo.ZEncode(uint32(clamp(cx+rng.Intn(5)-2, 0, side-1)), uint32(clamp(cy+rng.Intn(5)-2, 0, side-1))))
+			}
+		}
+		d := cellset.FromSet(cellset.New(ids...))
+		bound, met := o.Gain, 0
+		for _, sp := range o.Guard {
+			if d.Meets(sp.Span) {
+				bound, met = max(bound, sp.Ceil), met+1
+			}
+		}
+		got := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Added: d, Delta: delta, Exclude: exclude})
+		if got.SessionMiss || (got.Found && got.Gain > bound) {
+			t.Fatalf("δ=%v: %d cells meeting %d of the guard's spans %v turned offer %+v into %+v, above the bound %d",
+				delta, d.Len(), met, o.Guard, o, got.Offer, bound)
 		}
 	})
 }

@@ -3,8 +3,10 @@ package federation
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -390,16 +392,29 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 // staleOfferPeer makes an offer stale, once, on the armed peer's
 // countdown-th coverage.fetch: it deletes the dataset the center is about
 // to fetch — or, with carried, the next offer that fetch's answer carried,
-// so the center holds a cached offer for a dataset already gone.
+// so the center holds a cached offer for a dataset already gone. With
+// final it deletes, instead, the dataset of every offer a coverage.round
+// answers, once answered; a round's answers arrive concurrently.
 type staleOfferPeer struct {
 	inner     transport.Peer
 	srv       *SourceServer
 	countdown *int // shared by all peers of a federation; fires at zero
 	carried   bool
+	final     bool
+	mu        *sync.Mutex // guards deleted, shared like it
 	deleted   *[]int
 }
 
 func (p *staleOfferPeer) Call(ctx context.Context, method string, req, resp any) error {
+	if p.final && method == MethodCoverageRound {
+		if err := p.inner.Call(ctx, method, req, resp); err != nil {
+			return err
+		}
+		if o := resp.(*CoverageRoundResponse).Offer; o.Found {
+			return p.delete(o.ID)
+		}
+		return nil
+	}
 	if method != MethodFetchCells {
 		return p.inner.Call(ctx, method, req, resp)
 	}
@@ -425,7 +440,9 @@ func (p *staleOfferPeer) delete(id int) error {
 	if _, err := p.srv.store.DeleteDataset(id); err != nil {
 		return err
 	}
+	p.mu.Lock()
 	*p.deleted = append(*p.deleted, id)
+	p.mu.Unlock()
 	return nil
 }
 
@@ -436,10 +453,16 @@ func (p *staleOfferPeer) Close() error { return p.inner.Close() }
 // source faulty. Under both failure policies the center must exclude the
 // dataset, re-ask that source and re-pick, and the answer must be the one
 // a fresh search over the post-delete data gives — with the source still a
-// member in good standing. The stale offer is any round's winner, the final
-// round's included, or the next offer a fetch carried (cached by the
-// center, not yet fetched).
+// member in good standing. The stale offer is any fetched round's winner
+// (rounds 1 to 4 of 5; the k-th pick is not fetched), or the next offer a
+// fetch carried (cached by the center, not yet fetched). A carried offer
+// can stand unasked into the final round and win it: that pick is the
+// dataset as its source offered it (docs/PROTOCOL.md, "Writes during a
+// query"), so the answer is the search's over the data before the delete.
+// In "final" every offer's dataset is deleted once offered, and a k = 1
+// query's one pick — the final round's winner — must be that answer too.
 func TestCoverageReasksAfterStaleOffer(t *testing.T) {
+	ctx := context.Background()
 	for _, policy := range []FailurePolicy{FailFast, SkipFailed} {
 		for _, carried := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(31))
@@ -448,6 +471,7 @@ func TestCoverageReasksAfterStaleOffer(t *testing.T) {
 			opts.OnSourceError = policy
 			raced := NewCenter(worldGrid(), opts)
 			countdown := 0
+			var mu sync.Mutex
 			var deleted []int
 			for _, srv := range servers {
 				raced.Register(srv.Summary(), &staleOfferPeer{
@@ -455,40 +479,54 @@ func TestCoverageReasksAfterStaleOffer(t *testing.T) {
 					srv:       srv,
 					countdown: &countdown,
 					carried:   carried,
+					mu:        &mu,
 					deleted:   &deleted,
 				})
 			}
 			fresh := NewCenter(worldGrid(), Options{GlobalFilter: true, ClipQuery: true}) // stateless oracle
 			registerAll(fresh, servers)
 
+			const k = 5
 			stale := 0 // fetches that found their dataset gone
 			for trial := 0; trial < 15; trial++ {
 				q := randomQuery(rng)
-				// Round 1's to round 5's (the final round's) winner, or the
-				// offer carried by round 1's to round 4's fetch.
-				countdown = 1 + trial%5
+				// Round 1's to round 4's winner, or the offer carried by
+				// round 1's to round 3's fetch.
+				countdown = 1 + trial%4
 				if carried {
-					countdown = 1 + trial%4
+					countdown = 1 + trial%3
+				}
+				prior, err := fresh.CoverageSearch(ctx, q, 6, k)
+				if err != nil {
+					t.Fatal(err)
 				}
 				before, fetches := len(deleted), raced.Metrics.PerMethod()[MethodFetchCells].Calls
-				got, err := raced.CoverageSearch(context.Background(), q, 6, 5)
+				got, err := raced.CoverageSearch(ctx, q, 6, k)
 				if err != nil {
 					t.Fatalf("policy %v carried %v trial %d: a stale offer failed the query: %v", policy, carried, trial, err)
 				}
-				want, err := fresh.CoverageSearch(context.Background(), q, 6, 5)
+				want, err := fresh.CoverageSearch(ctx, q, 6, k)
 				if err != nil {
 					t.Fatal(err)
+				}
+				gone := len(deleted) > before
+				if n := len(got.Picked); carried && gone && n == k && got.Picked[n-1].ID == deleted[len(deleted)-1] {
+					want = prior // the final pick, offered before its delete
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("policy %v carried %v trial %d (deleted %v): raced search %+v, fresh search on the post-delete data %+v",
 						policy, carried, trial, deleted[before:], got, want)
 				}
-				for _, p := range got.Picked {
-					if len(deleted) > before && p.ID == deleted[len(deleted)-1] {
-						t.Fatalf("policy %v carried %v trial %d: deleted dataset %d was picked", policy, carried, trial, p.ID)
+				for _, p := range got.Picked[:min(len(got.Picked), k-1)] {
+					if gone && p.ID == deleted[len(deleted)-1] {
+						t.Fatalf("policy %v carried %v trial %d: deleted dataset %d was picked and fetched", policy, carried, trial, p.ID)
 					}
 				}
-				stale += int(raced.Metrics.PerMethod()[MethodFetchCells].Calls-fetches) - len(got.Picked)
+				fetched := len(got.Picked)
+				if fetched == k {
+					fetched-- // the k-th pick is not fetched
+				}
+				stale += int(raced.Metrics.PerMethod()[MethodFetchCells].Calls-fetches) - fetched
 			}
 			if len(deleted) < 6 || stale < 3 {
 				t.Fatalf("policy %v carried %v: %d of 15 searches deleted an offer, %d fetches found one gone; the test exercises too little",
@@ -498,6 +536,55 @@ func TestCoverageReasksAfterStaleOffer(t *testing.T) {
 				t.Errorf("policy %v carried %v: source failures recorded for stale offers: %v", policy, carried, f)
 			}
 		}
+
+		t.Run(fmt.Sprintf("final/policy %v", policy), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(33))
+			_, servers := buildMutableFederation(t, rng, 3, 60, DefaultOptions())
+			opts := DefaultOptions()
+			opts.OnSourceError = policy
+			raced := NewCenter(worldGrid(), opts)
+			var countdown int
+			var mu sync.Mutex
+			var deleted []int
+			for _, srv := range servers {
+				raced.Register(srv.Summary(), &staleOfferPeer{
+					inner: &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: raced.Metrics},
+					srv:   srv, countdown: &countdown, final: true, mu: &mu, deleted: &deleted,
+				})
+			}
+			fresh := NewCenter(worldGrid(), Options{GlobalFilter: true, ClipQuery: true})
+			registerAll(fresh, servers)
+			picked := 0
+			for trial := 0; trial < 10; trial++ {
+				q := randomQuery(rng)
+				want, err := fresh.CoverageSearch(ctx, q, 6, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := len(deleted)
+				got, err := raced.CoverageSearch(ctx, q, 6, 1)
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d (deleted %v): raced search %+v, search before the deletes %+v", trial, deleted[before:], got, want)
+				}
+				if len(got.Picked) == 0 {
+					continue
+				}
+				picked++
+				if p := got.Picked[0]; !slices.Contains(deleted[before:], p.ID) || got.Coverage != got.QueryCoverage+p.Overlap {
+					t.Fatalf("trial %d: pick %+v, coverage %d of %d: want a dataset deleted after its offer, gaining exactly the coverage it adds",
+						trial, p, got.Coverage, got.QueryCoverage)
+				}
+			}
+			if picked < 5 {
+				t.Fatalf("%d of 10 queries picked a dataset; the test exercises too little", picked)
+			}
+			if n := raced.Metrics.PerMethod()[MethodFetchCells].Calls; n != 0 {
+				t.Errorf("%d coverage.fetch calls for k = 1 queries", n)
+			}
+		})
 	}
 }
 

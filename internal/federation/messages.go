@@ -30,6 +30,7 @@ import (
 	"dits/internal/cellset"
 	"dits/internal/geo"
 	"dits/internal/index/dits"
+	"dits/internal/search/coverage"
 )
 
 // Method names of the source-server protocol.
@@ -246,13 +247,16 @@ type CoverageRoundRequest struct {
 
 // Offer is a source's best next pick for its session's current state,
 // (ID, Gain) only; Found is false when no connected dataset is left. Cells
-// added with none in Guard leave the offer exact (coverage.Guard).
+// added with none in Guard leave the offer exact; cells that meet some of
+// its spans leave the next offer's gain at most the larger of Gain and
+// those spans' ceilings (coverage.Guard). An answer the source voided has
+// one span over every cell, with an unbounded ceiling.
 type Offer struct {
 	Found bool
 	ID    int
 	Name  string
 	Gain  int
-	Guard []cellset.Span
+	Guard []coverage.GuardSpan
 }
 
 // CoverageRoundResponse is a source's offer for one round: only (ID, Gain)
@@ -277,8 +281,9 @@ type CoverageRoundResponse struct {
 // back while its cached offer stood — and then the winner's cells into its
 // session state, and answers, in the same exchange, the offer its next
 // round would make: Exclude is the source's exclusion list with ID already
-// appended. The query's k-th fetch carries Session 0: no next offer is
-// needed.
+// appended. Session is 0 when the source answered its round without
+// storing the session. The query's k-th pick is never fetched: its cells
+// would serve only the coverage, which is the prior coverage plus its gain.
 type FetchCellsRequest struct {
 	Session uint64
 	ID      int

@@ -98,49 +98,85 @@ func dropSession(srv *SourceServer, sess uint64) {
 
 // TestSessionCutsCoverageBytes asserts the point of the refactor: the
 // session protocol ships fewer bytes per CJSP query than the stateless
-// one, and losers never ship cell sets back (exactly one coverage.fetch
-// per greedy pick).
+// one, and losers never ship cell sets back: there is exactly one
+// coverage.fetch per greedy pick but the k-th, and no round response is
+// larger than the largest offer without cells the codec can write.
 func TestSessionCutsCoverageBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	_, _, servers := buildFederation(rand.New(rand.NewSource(24)), 4, 120, DefaultOptions())
+	_, pooled, servers := buildFederation(rand.New(rand.NewSource(24)), 4, 120, DefaultOptions())
 
 	stateless := NewCenter(worldGrid(), Options{GlobalFilter: true, ClipQuery: true})
 	session := NewCenter(worldGrid(), DefaultOptions())
 	registerAll(stateless, servers)
-	registerAll(session, servers)
+	var mu sync.Mutex
+	var log []loggedCall
+	for _, srv := range servers {
+		session.Register(srv.Summary(), &logPeer{
+			inner: &transport.InProc{Name: srv.Name, Handler: srv.Handler(), Metrics: session.Metrics},
+			src:   srv.Name, mu: &mu, log: &log,
+		})
+	}
 
-	picks := 0
+	const k = 6
+	picks, full := 0, 0
 	for trial := 0; trial < 15; trial++ {
 		q := randomQuery(rng)
-		a, err := stateless.CoverageSearch(context.Background(), q, 4, 6)
+		a, err := stateless.CoverageSearch(context.Background(), q, 4, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := session.CoverageSearch(context.Background(), q, 4, 6); err != nil {
+		if _, err := session.CoverageSearch(context.Background(), q, 4, k); err != nil {
 			t.Fatal(err)
 		}
 		picks += len(a.Picked)
+		if len(a.Picked) == k {
+			full++
+		}
 	}
 	sb, tb := session.Metrics.Bytes(), stateless.Metrics.Bytes()
 	if sb >= tb {
 		t.Errorf("session protocol shipped %d bytes >= stateless %d", sb, tb)
 	}
 	pm := session.Metrics.PerMethod()
-	if got := pm[MethodFetchCells].Calls; got != int64(picks) {
-		t.Errorf("coverage.fetch calls = %d, want one per pick (%d)", got, picks)
+	if got, want := pm[MethodFetchCells].Calls, int64(picks-full); full == 0 || got != want {
+		t.Errorf("coverage.fetch calls = %d, want one per pick but the k-th (%d picks, %d queries reached k)", got, picks, full)
 	}
 	if pm[MethodCoverage].Calls != 0 {
 		t.Errorf("session center used the stateless method %d times", pm[MethodCoverage].Calls)
 	}
-	// Round responses carry (ID, Gain) only — on average they must be
-	// smaller than the stateless responses that ship each candidate's
-	// full cell set.
-	rounds := pm[MethodCoverageRound]
-	stRounds := stateless.Metrics.PerMethod()[MethodCoverage]
-	if rounds.Calls > 0 && stRounds.Calls > 0 &&
-		rounds.BytesReceived/rounds.Calls >= stRounds.BytesReceived/stRounds.Calls {
-		t.Errorf("round responses average %d bytes >= stateless %d — losers are shipping cells?",
-			rounds.BytesReceived/rounds.Calls, stRounds.BytesReceived/stRounds.Calls)
+	// Round responses carry (ID, Gain) and a guard only. The largest offer
+	// the codec can write without cells has the widest varints, the longest
+	// name the sources hold, and GuardSpans spans at the widest coordinates
+	// and ceilings (a gain of 2^62 takes ten bytes, and the ceilings above
+	// it nine each).
+	worst := Offer{Found: true, ID: math.MinInt, Gain: 1 << 62}
+	for _, nd := range pooled {
+		if len(nd.Name) > len(worst.Name) {
+			worst.Name = nd.Name
+		}
+	}
+	for range coverage.GuardSpans {
+		worst.Guard = append(worst.Guard, coverage.GuardSpan{
+			Span: cellset.Span{X0: math.MaxUint32, Y0: math.MaxUint32, X1: math.MaxUint32, Y1: math.MaxUint32}, Ceil: math.MaxInt,
+		})
+	}
+	limit := len(appendOffer([]byte{msgCoverageRoundCeilResp, 1, 1}, &worst)) // type, SessionMiss, Stateless
+	rounds := 0
+	for _, c := range log {
+		if c.method != MethodCoverageRound {
+			continue
+		}
+		rounds++
+		wire, err := BinaryCodec.Append(nil, c.resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wire) > limit {
+			t.Errorf("a round response of %d bytes, more than the largest cell-free offer (%d) — losers are shipping cells?", len(wire), limit)
+		}
+	}
+	if rounds == 0 || int64(rounds) != pm[MethodCoverageRound].Calls {
+		t.Errorf("%d round responses logged, %d calls counted", rounds, pm[MethodCoverageRound].Calls)
 	}
 }
 
@@ -233,16 +269,18 @@ func (p *logPeer) Call(ctx context.Context, method string, req, resp any) error 
 func (p *logPeer) Close() error { return p.inner.Close() }
 
 // TestCoverageMessageBudget holds the session engine to the messages a
-// round needs, call by call, on InProc links. Every source a round does not
-// ask holds back no cell inside its cached offer's guard; every source it
-// asks has one there, or holds no valid offer (none yet, a session lost, or
-// a fetch that did not commit). A source that just won a committed fetch is
-// not asked in the next round (the fetch carried its next offer); the k-th
-// fetch carries no session; there is one coverage.fetch per pick; and once
-// the query has returned, no source holds a session but that of the last
-// query that sent it a round. Queries that reach k picks and queries that
-// run out of connected datasets first are both covered, with sessions
-// intact and under both of droppingPeer's modes.
+// round needs, call by call, on InProc links. Every source a round asks
+// has a cell in its cached offer's guard, or holds no valid offer (none
+// yet, a session lost, or a fetch that did not commit); a source a round
+// does not ask holds back no cell in its guard, or its bound — the larger
+// of its offer's gain and the ceilings of the spans its held-back cells
+// meet — stays below the winner's gain. A source that just won a committed
+// fetch is not asked in the next round (the fetch carried its next offer);
+// there is one coverage.fetch per pick but the k-th, which is not fetched;
+// and once the query has returned, no source holds a session but that of
+// the last query that sent it a round. Queries that reach k picks and
+// queries that run out of connected datasets first are both covered, with
+// sessions intact and under both of droppingPeer's modes.
 func TestCoverageMessageBudget(t *testing.T) {
 	_, _, servers := buildFederation(rand.New(rand.NewSource(71)), 3, 60, DefaultOptions())
 	for _, mode := range []string{"", MethodCoverageRound, MethodFetchCells} {
@@ -260,7 +298,7 @@ func TestCoverageMessageBudget(t *testing.T) {
 			})
 		}
 		rng := rand.New(rand.NewSource(72))
-		full, short, skipped := 0, 0, 0
+		full, short, skipped, bounded := 0, 0, 0, 0
 		lastSess := map[string]uint64{} // per source, the session of the last round it got
 		others := map[uint64]bool{}     // sessions the previous modes' centers left
 		for _, srv := range servers {
@@ -285,12 +323,15 @@ func TestCoverageMessageBudget(t *testing.T) {
 				return fmt.Sprintf("mode %q trial %d k=%d (%d picks): %s to %s", mode, trial, k, len(res.Picked), c.method, c.src)
 			}
 			// The center's view of each source's cached offer, replayed
-			// from the log: its guard, whether it is valid, and whether a
-			// winner's cells have landed in the guard since.
+			// from the log: its guard and gain, whether it is valid, and
+			// whether a winner's cells have landed in the guard since, with
+			// the bound they leave.
 			type cached struct {
-				guard    []cellset.Span
+				guard    []coverage.GuardSpan
+				gain     int
 				valid    bool
 				hit      bool
+				bound    int
 				answered bool // in this round
 			}
 			views := map[string]*cached{}
@@ -299,6 +340,28 @@ func TestCoverageMessageBudget(t *testing.T) {
 					views[src] = &cached{}
 				}
 				return views[src]
+			}
+			offered := func(v *cached, o Offer) {
+				v.guard, v.gain, v.valid, v.hit, v.bound = o.Guard, o.Gain, true, false, o.Gain
+			}
+			// pick checks the n-th pick, of a dataset gaining gain, against
+			// every source left unasked.
+			picks := 0
+			pick := func(gain int) {
+				picks++
+				for src, v := range views {
+					if v.valid && v.hit && v.bound >= gain {
+						t.Errorf("mode %q trial %d k=%d: pick %d (gain %d) made while %s holds a cell in its guard unasked, bound %d",
+							mode, trial, k, picks, gain, src, v.bound)
+					}
+					if !v.answered && v.valid {
+						skipped++
+						if v.hit {
+							bounded++
+						}
+					}
+					v.answered = false
+				}
 			}
 			fetches := 0
 			committedWinner := "" // won the last fetch, committed
@@ -314,39 +377,42 @@ func TestCoverageMessageBudget(t *testing.T) {
 					if v.valid && !v.hit {
 						t.Errorf("%s: asked while no cell it was not sent lies in its offer's guard %v", at(c), v.guard)
 					}
-					v.guard, v.valid, v.hit, v.answered = resp.Guard, !resp.SessionMiss, false, true
+					offered(v, resp.Offer)
+					v.valid, v.answered = !resp.SessionMiss, true
 				case MethodFetchCells:
 					fetches++
-					for src, v := range views {
-						if v.valid && v.hit {
-							t.Errorf("mode %q trial %d k=%d: pick %d made while %s holds a cell in its guard unasked", mode, trial, k, fetches, src)
-						}
-						if !v.answered && v.valid {
-							skipped++
-						}
-						v.answered = false
+					if fetches >= k {
+						t.Errorf("%s: the k-th pick was fetched", at(c))
 					}
-					req, resp := c.req.(*FetchCellsRequest), c.resp.(*FetchCellsResponse)
-					if fetches == k && req.Session != 0 {
-						t.Errorf("%s: the k-th fetch carries session %d", at(c), req.Session)
-					}
+					resp := c.resp.(*FetchCellsResponse)
 					w := view(c.src)
+					pick(w.gain)
 					committedWinner, w.valid = "", false
 					if resp.Committed {
 						committedWinner = c.src
-						w.guard, w.valid, w.hit = resp.Next.Guard, true, false
+						offered(w, resp.Next)
 					}
 					for src, v := range views {
-						if src != c.src && v.valid && !v.hit {
-							v.hit = slices.ContainsFunc(v.guard, resp.Cells.Meets)
+						if src == c.src || !v.valid {
+							continue
+						}
+						for _, sp := range v.guard {
+							if resp.Cells.Meets(sp.Span) {
+								v.hit, v.bound = true, max(v.bound, sp.Ceil)
+							}
 						}
 					}
 				default:
 					t.Errorf("%s: unexpected method", at(c))
 				}
 			}
-			if fetches != len(res.Picked) {
-				t.Errorf("mode %q trial %d: %d coverage.fetch calls for %d picks", mode, trial, fetches, len(res.Picked))
+			want := len(res.Picked)
+			if want == k {
+				want-- // the k-th pick is made without a fetch
+				pick(res.Picked[k-1].Overlap)
+			}
+			if fetches != want {
+				t.Errorf("mode %q trial %d: %d coverage.fetch calls for %d picks, want %d", mode, trial, fetches, len(res.Picked), want)
 			}
 			for _, srv := range servers {
 				for _, id := range heldSessions(srv) {
@@ -359,8 +425,8 @@ func TestCoverageMessageBudget(t *testing.T) {
 		if full == 0 || short == 0 {
 			t.Errorf("mode %q: %d queries reached k, %d stopped short; both must occur", mode, full, short)
 		}
-		if mode == "" && skipped == 0 {
-			t.Errorf("no round kept a source's cached offer: the guards skip nothing")
+		if mode == "" && (skipped == 0 || bounded == 0) {
+			t.Errorf("%d picks kept a source's cached offer unasked, %d with a cell in its guard: the guards and their bounds must each skip one", skipped, bounded)
 		}
 	}
 }
@@ -875,7 +941,8 @@ func TestConnectProbeCounts(t *testing.T) {
 // keep that connected set as if it were complete — a walk cut short would
 // miss datasets for the rest of the query, and the lazy pick would trust
 // bounds that assume it saw them all — so the next round answers what a
-// session opened fresh answers.
+// session opened fresh answers. The cancelled round's own answer is void:
+// any cell meets its guard, and the bound that leaves is unbounded.
 func TestSessionRecoversFromCancelledWalk(t *testing.T) {
 	_, servers, queries := cjspSmallFixture()
 	ctx := context.Background()
@@ -885,7 +952,18 @@ func TestSessionRecoversFromCancelledWalk(t *testing.T) {
 	for i, q := range queries {
 		for _, srv := range servers {
 			sess := uint64(i) + 1
-			srv.handleCoverageRound(gone, CoverageRoundRequest{Session: sess, Base: cellset.FromSet(q), Delta: 10})
+			void := srv.handleCoverageRound(gone, CoverageRoundRequest{Session: sess, Base: cellset.FromSet(q), Delta: 10})
+			for _, cell := range []uint64{q[0], geo.ZEncode(math.MaxUint32, math.MaxUint32)} {
+				bound, one := void.Gain, cellset.FromSet(cellset.New(cell))
+				for _, sp := range void.Guard {
+					if one.Meets(sp.Span) {
+						bound = max(bound, sp.Ceil)
+					}
+				}
+				if void.Found || bound != math.MaxInt {
+					t.Fatalf("query %d at %s: a cancelled round answered %+v, whose bound over cell %d is %d: want no offer and no bound", i, srv.Name, void.Offer, cell, bound)
+				}
+			}
 			got := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess, Delta: 10})
 			want := srv.handleCoverageRound(ctx, CoverageRoundRequest{Session: sess + 100, Base: cellset.FromSet(q), Delta: 10})
 			dropSession(srv, sess+100)

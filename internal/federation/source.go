@@ -482,8 +482,9 @@ func (s *SourceServer) offer(ctx context.Context, sess *covSession, exclude []in
 			return ctx.Err()
 		})
 		if err != nil {
-			// The caller gave up; an answer that still arrives is void.
-			out.Guard = []cellset.Span{{X1: math.MaxUint32, Y1: math.MaxUint32}}
+			// The caller gave up; an answer that still arrives is void:
+			// any cell voids it, and nothing bounds the next.
+			out.Guard = []coverage.GuardSpan{{Span: cellset.Span{X1: math.MaxUint32, Y1: math.MaxUint32}, Ceil: math.MaxInt}}
 			return
 		}
 		excluded := func(id int) bool { return slices.Contains(exclude, id) }

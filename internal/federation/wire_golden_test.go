@@ -3,10 +3,12 @@ package federation
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"reflect"
 	"testing"
 
 	"dits/internal/cellset"
+	"dits/internal/search/coverage"
 )
 
 // goldenCellSets are the cell-set shapes whose encodings are pinned: 64
@@ -64,14 +66,14 @@ func setCellField(f reflect.Value, s cellset.Set) {
 // changing a field's form never changes what crosses the wire.
 func TestCellSetMessagesGoldenBytes(t *testing.T) {
 	want := map[string][4]string{
-		"0 cells":      {"b289b20b089c64b2", "5ebacb9781b265a2", "e0f2a09173b6ccf4", "4a528aa68a07ac99"},
-		"1 cell":       {"cc9cc68a2af73807", "fbde5126562fcbab", "b676551035c2e29d", "23b75ec924581e77"},
-		"64 cells":     {"f09d3682dc90c74f", "4f23f99f2fd09c94", "27bdb33eb4160059", "53c6e806a1ff6969"},
-		"65 cells":     {"9134d2e9d8f8ab48", "191616f9c6de96ca", "8b4bf879e2ac80fa", "63f500e10dd51c60"},
-		"5 chunks":     {"98dbfa25042b79e8", "0854726ebd82f25c", "36424807b302f03d", "d2fb50f169ab4a1d"},
-		"bitmap chunk": {"15977e438604f272", "a85b9bd2245fa022", "121b3ee1163fcca8", "7ad8c6640628fc4c"},
+		"0 cells":      {"b289b20b089c64b2", "5ebacb9781b265a2", "249f5ddc85c839d1", "4a528aa68a07ac99"},
+		"1 cell":       {"cc9cc68a2af73807", "fbde5126562fcbab", "7095445d60efe0ab", "23b75ec924581e77"},
+		"64 cells":     {"f09d3682dc90c74f", "4f23f99f2fd09c94", "a2eaeaca0313b152", "53c6e806a1ff6969"},
+		"65 cells":     {"9134d2e9d8f8ab48", "191616f9c6de96ca", "49efd98294691ed9", "63f500e10dd51c60"},
+		"5 chunks":     {"98dbfa25042b79e8", "0854726ebd82f25c", "28f4ae06bd10d525", "d2fb50f169ab4a1d"},
+		"bitmap chunk": {"15977e438604f272", "a85b9bd2245fa022", "421f6fd8698e65be", "7ad8c6640628fc4c"},
 	}
-	guard := []cellset.Span{{X0: 3, Y0: 4, X1: 300, Y1: 4000}, {X0: 1 << 20, Y0: 0, X1: 1<<20 + 9, Y1: 127}}
+	guard := []coverage.GuardSpan{{Span: cellset.Span{X0: 3, Y0: 4, X1: 300, Y1: 4000}, Ceil: 40}, {Span: cellset.Span{X0: 1 << 20, Y0: 0, X1: 1<<20 + 9, Y1: 127}, Ceil: 200}}
 	for _, g := range goldenCellSets() {
 		base := &CoverageRoundRequest{Session: 1 << 40, Delta: 2.5, Exclude: []int{3, 17}}
 		setCellField(reflect.ValueOf(base).Elem().FieldByName("Base"), g.set)
@@ -105,5 +107,30 @@ func TestForwardGoldenBytes(t *testing.T) {
 	sum := sha256.Sum256(wire)
 	if got, want := hex.EncodeToString(sum[:8]), "37451d15c5943c26"; got != want {
 		t.Errorf("%d bytes, digest %s, want %s", len(wire), got, want)
+	}
+}
+
+// TestOfferGoldenBytes pins the encoded bytes of a coverage.round answer
+// whose guard carries ceilings, the void answer's unbounded one included,
+// so the offer's layout cannot drift unnoticed.
+func TestOfferGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		offer Offer
+		want  string
+	}{
+		{Offer{Found: true, ID: 12, Name: "next", Gain: 40, Guard: []coverage.GuardSpan{
+			{Span: cellset.Span{X0: 3, Y0: 4, X1: 300, Y1: 4000}, Ceil: 40},
+			{Span: cellset.Span{X0: 1 << 20, Y0: 0, X1: 1<<20 + 9, Y1: 127}, Ceil: 200},
+		}}, "d009045c49fcd0d3"},
+		{Offer{Guard: []coverage.GuardSpan{{Span: cellset.Span{X1: math.MaxUint32, Y1: math.MaxUint32}, Ceil: math.MaxInt}}}, "c6c819d9a69185ab"},
+	} {
+		wire, err := BinaryCodec.Append(nil, &CoverageRoundResponse{Offer: tc.offer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(wire)
+		if got := hex.EncodeToString(sum[:8]); got != tc.want {
+			t.Errorf("%+v: %d bytes, digest %s, want %s", tc.offer, len(wire), got, tc.want)
+		}
 	}
 }

@@ -226,24 +226,35 @@ func walkConnect(root *dits.TreeNode, q *dataset.Node, delta float64, qIdx *cell
 // GuardSpans is the most spans a guard holds.
 const GuardSpans = 4
 
+// GuardSpan is one span of a guard with its ceiling: the largest gain any
+// dataset the span stands for could offer once added cells meet the span.
+type GuardSpan struct {
+	cellset.Span
+	Ceil int
+}
+
 // Guard returns where cells added to the merged set can change an offer:
-// at most GuardSpans spans of grid cells. offer is the dataset offered with
-// gain over the merged set, nil when nothing is offered; connected is the
-// merged set's connected set and excluded rejects the IDs never offered.
+// at most GuardSpans spans of grid cells, each with its ceiling. offer is
+// the dataset offered with gain over the merged set, nil when nothing is
+// offered; connected is the merged set's connected set and excluded
+// rejects the IDs never offered.
 //
 // Gains only fall as the merged set grows, so added cells with none in the
 // guard leave the offer as it is. Its own gain moves only when a cell lands
-// in its MBR. A connected dataset's gain could only fall further below it.
-// An unconnected one can connect only through a cell within delta of its
-// MBR, and beat the offer only if |S_D| > gain, or |S_D| = gain with a
-// smaller ID; with nothing offered, any of them can. The guard covers the
-// offer's MBR and the MBRs of those, expanded by delta rounded up. The walk
-// skips every leaf whose MaxCells is below the gain, and merges the spans
-// down to GuardSpans by least area growth as it goes.
-func Guard(root *dits.TreeNode, offer *dataset.Node, gain int, delta float64, connected *ConnectSet, excluded func(id int) bool) []cellset.Span {
-	var g []cellset.Span
+// in its MBR, and only down: that span's ceiling is the gain. A connected
+// dataset's gain could only fall further below it. An unconnected one can
+// connect only through a cell within delta of its MBR, and beat the offer
+// only if |S_D| > gain, or |S_D| = gain with a smaller ID; with nothing
+// offered, any of them can. The guard covers the offer's MBR and the MBRs
+// of those, expanded by delta rounded up, each with |S_D| as its ceiling.
+// So the offer after added cells is at most the larger of gain and the
+// ceilings of the spans they meet. The walk skips every leaf whose
+// MaxCells is below the gain, and merges the spans down to GuardSpans by
+// least area growth as it goes; a merged span keeps the larger ceiling.
+func Guard(root *dits.TreeNode, offer *dataset.Node, gain int, delta float64, connected *ConnectSet, excluded func(id int) bool) []GuardSpan {
+	var g []GuardSpan
 	if offer != nil {
-		g = addSpan(g, spanOf(offer.Rect, 0))
+		g = addSpan(g, GuardSpan{spanOf(offer.Rect, 0), gain})
 	}
 	grow := uint32(math.Ceil(delta))
 	need := max(gain, 1) // with nothing offered, any dataset with a cell
@@ -262,13 +273,14 @@ func Guard(root *dits.TreeNode, offer *dataset.Node, gain int, delta float64, co
 		}
 		n.EnsureLoaded()
 		for _, nd := range n.Children {
-			if size := nd.Coverage(); size < need || (offer != nil && size == gain && nd.ID > offer.ID) {
+			size := nd.Coverage()
+			if size < need || (offer != nil && size == gain && nd.ID > offer.ID) {
 				continue // cannot beat the offer
 			}
 			if (offer != nil && nd.ID == offer.ID) || connected.Has(nd.ID) || excluded(nd.ID) {
 				continue
 			}
-			g = addSpan(g, spanOf(nd.Rect, grow))
+			g = addSpan(g, GuardSpan{spanOf(nd.Rect, grow), size})
 		}
 	}
 	walk(root)
@@ -283,12 +295,14 @@ func spanOf(r geo.Rect, grow uint32) cellset.Span {
 	return cellset.Span{X0: lo(r.MinX), Y0: lo(r.MinY), X1: hi(r.MaxX), Y1: hi(r.MaxY)}
 }
 
-// addSpan adds s to the guard g: not at all when a span of g contains it,
-// and otherwise, when g then holds more than GuardSpans, merging the pair
-// whose union adds the least area to the two.
-func addSpan(g []cellset.Span, s cellset.Span) []cellset.Span {
-	for _, t := range g {
+// addSpan adds s to the guard g: when a span of g contains it, by raising
+// that span's ceiling to s's, and otherwise as a span of its own, merging,
+// when g then holds more than GuardSpans, the pair whose union adds the
+// least area to the two.
+func addSpan(g []GuardSpan, s GuardSpan) []GuardSpan {
+	for i, t := range g {
 		if t.X0 <= s.X0 && t.Y0 <= s.Y0 && s.X1 <= t.X1 && s.Y1 <= t.Y1 {
+			g[i].Ceil = max(t.Ceil, s.Ceil)
 			return g
 		}
 	}
@@ -308,11 +322,12 @@ func addSpan(g []cellset.Span, s cellset.Span) []cellset.Span {
 	return slices.Delete(g, bj, bj+1)
 }
 
-func union(a, b cellset.Span) cellset.Span {
-	return cellset.Span{X0: min(a.X0, b.X0), Y0: min(a.Y0, b.Y0), X1: max(a.X1, b.X1), Y1: max(a.Y1, b.Y1)}
+// union is the smallest span over a and b, with the larger ceiling.
+func union(a, b GuardSpan) GuardSpan {
+	return GuardSpan{cellset.Span{X0: min(a.X0, b.X0), Y0: min(a.Y0, b.Y0), X1: max(a.X1, b.X1), Y1: max(a.Y1, b.Y1)}, max(a.Ceil, b.Ceil)}
 }
 
-func area(s cellset.Span) float64 {
+func area(s GuardSpan) float64 {
 	return float64(s.X1-s.X0+1) * float64(s.Y1-s.Y0+1)
 }
 

@@ -57,7 +57,7 @@ const MethodHello = "transport.hello"
 // helloMagic versions the whole wire — framing, trace frames and the
 // payload codec (dits-bin/1). It is the hello's body and its reply, byte
 // for byte; anything else is an error on either side.
-const helloMagic = "dits-hello/5"
+const helloMagic = "dits-hello/6"
 
 // ServeConfig names where a server keeps its traces.
 type ServeConfig struct {

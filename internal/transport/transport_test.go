@@ -183,6 +183,9 @@ func TestTCPLegacyInterop(t *testing.T) {
 		// The last version before offers carried guards and rounds close
 		// lists: its coverage frames are retired.
 		{"hello/4 server", 0, "dits-hello/4"},
+		// The last version before guard spans carried ceilings: its offer
+		// frames are retired.
+		{"hello/5 server", 0, "dits-hello/5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -246,6 +249,7 @@ func TestTCPForeignHelloClosesConn(t *testing.T) {
 		{"hello/2", MethodHello, "dits-hello/2 trace"},
 		{"hello/3", MethodHello, "dits-hello/3"},
 		{"hello/4", MethodHello, "dits-hello/4"},
+		{"hello/5", MethodHello, "dits-hello/5"},
 		{"no hello", "m", ""},
 	}
 	for _, tc := range cases {
